@@ -24,7 +24,7 @@ from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
 from .ratlinalg import rat_solve
 from .report import CheckReport
-from .symexpr import Chart, ScalarFn, cos, exp, sin
+from .symexpr import Chart, ScalarFn, TermKey, _term_sort_key, cos, exp, sin
 
 
 class CohomologyError(Exception):
@@ -152,12 +152,19 @@ def _match_terms(equations: list[tuple[list[ScalarFn], ScalarFn]]):
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for coeffs, target in equations:
-        keys = set(target.terms)
-        for f in coeffs:
-            keys.update(f.terms)
-        for key in sorted(keys, key=repr):
-            rows.append([f.terms.get(key, Fraction(0)) for f in coeffs])
-            rhs.append(target.terms.get(key, Fraction(0)))
+        fns = coeffs + [target]
+        # term key -> dense row, right-hand side last
+        index: dict[TermKey, list[Fraction]] = {}
+        for j, f in enumerate(fns):
+            for key, q in f.terms.items():
+                row = index.get(key)
+                if row is None:
+                    row = index[key] = [Fraction(0)] * len(fns)
+                row[j] = q
+        for key in sorted(index, key=_term_sort_key):
+            row = index[key]
+            rhs.append(row.pop())
+            rows.append(row)
     return rows, rhs
 
 

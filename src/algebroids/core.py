@@ -168,8 +168,6 @@ def _sort_indices(idxs: Sequence[int]) -> Optional[tuple[int, tuple[int, ...]]]:
     """Sign and sorted tuple, or None when an index repeats."""
     if len(set(idxs)) != len(idxs):
         return None
-    order = sorted(range(len(idxs)), key=lambda t: idxs[t])
-    sign = 1
     seen = list(idxs)
     # count inversions
     inv = 0
@@ -178,7 +176,6 @@ def _sort_indices(idxs: Sequence[int]) -> Optional[tuple[int, tuple[int, ...]]]:
             if seen[a] > seen[b]:
                 inv += 1
     sign = -1 if inv % 2 else 1
-    del order
     return sign, tuple(sorted(idxs))
 
 
@@ -226,7 +223,10 @@ class _AltTable:
         return f if sign > 0 else -f
 
     def _check_compat(self, other: "_AltTable") -> None:
-        if type(self) is not type(other) or self.algebroid != other.algebroid:
+        # identity first: the structural comparison walks every structure function
+        if type(self) is not type(other) or (
+            self.algebroid is not other.algebroid and self.algebroid != other.algebroid
+        ):
             raise AlgebroidError("operands live on different algebroids")
 
     def __add__(self, other):

@@ -1,15 +1,14 @@
 """Exact linear algebra over the rationals and over the scalar-function ring.
 
-Two solvers live here:
-
-* plain Gauss-Jordan over `Fraction`, with a Farkas-style infeasibility
-  witness (a rational row combination y with y.A = 0 but y.b != 0) when a
-  system has no solution, and
-* unit-pivot elimination over the scalar-function ring, which only ever
-  divides by declared-nonvanishing units and fails loudly otherwise.
-
-Float rank estimation (for probabilistic spanning/transversality checks)
-is delegated to numpy.
+* One sparse exact elimination over `Fraction` (`_eliminate`) backs both
+  `rat_solve`, which returns the solution with free variables zero or a
+  Farkas-style infeasibility witness (a rational row combination y with
+  y.A = 0 but y.b != 0), and `rat_nullspace`.
+* `unit_pivot_solve` eliminates over the scalar-function ring, only ever
+  dividing by declared-nonvanishing units and failing loudly otherwise.
+* `scalar_det` is the exact Laplace determinant over that ring.
+* `float_rank` estimates rank numerically with numpy, for probabilistic
+  spanning/transversality checks.
 """
 
 from __future__ import annotations
@@ -26,6 +25,71 @@ class FrameSolveFailure(Exception):
     """Re-expansion in a frame would require division by a non-unit."""
 
 
+def _eliminate(
+    rows: list[dict[int, Fraction]], n: int
+) -> tuple[list[tuple[int, int]], list[dict[int, Fraction]]]:
+    """Sparse exact Gauss-Jordan elimination, in place.
+
+    Each row is a dict ``{col: Fraction}`` without zero entries; column
+    ``n`` holds the right-hand side.  Columns ``0..n-1`` are processed
+    left to right; the pivot of a column is the shortest unpivoted row
+    with an entry there (ties to the lower index), and the column is then
+    cleared from every other row, so pivot rows end in reduced row echelon
+    form.  Pivot columns are the leftmost independent ones whatever the
+    pivot rows, which makes the reduced rows unique.
+
+    Returns ``(pivots, transforms)``: the ``(row, col)`` pairs in column
+    order, and for every row the sparse combination ``{orig_row: Fraction}``
+    of the original rows that it now equals.
+    """
+    occupied: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            occupied.setdefault(c, set()).add(i)
+    transforms = [{i: Fraction(1)} for i in range(len(rows))]
+    pivoted: set[int] = set()
+    pivots: list[tuple[int, int]] = []
+    for c in range(n):
+        cands = occupied.get(c, set()) - pivoted
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow, ptr = rows[p], transforms[p]
+        f = prow[c]
+        if f != 1:
+            for k in prow:
+                prow[k] /= f
+            for k in ptr:
+                ptr[k] /= f
+        for i in list(occupied[c]):
+            if i == p:
+                continue
+            row, tr = rows[i], transforms[i]
+            g = row[c]
+            for k, v in prow.items():
+                x = row.get(k, 0) - g * v
+                if x:
+                    if k not in row:
+                        occupied.setdefault(k, set()).add(i)
+                    row[k] = x
+                else:
+                    del row[k]
+                    occupied[k].discard(i)
+            for k, v in ptr.items():
+                x = tr.get(k, 0) - g * v
+                if x:
+                    tr[k] = x
+                else:
+                    del tr[k]
+        pivoted.add(p)
+        pivots.append((p, c))
+    return pivots, transforms
+
+
+def _sparse(rows: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+
+
 def rat_solve(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
@@ -37,35 +101,22 @@ def rat_solve(
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    # track row operations applied to the identity for the witness
-    t = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    piv_rows: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        t[r], t[p] = t[p], t[r]
-        f = a[r][c]
-        a[r] = [x / f for x in a[r]]
-        t[r] = [x / f for x in t[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-                t[i] = [x - g * y for x, y in zip(t[i], t[r])]
-        piv_rows.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None, [x / a[i][n] for x in t[i]]
+    a = _sparse(rows)
+    for row, b in zip(a, rhs):
+        if b:
+            row[n] = Fraction(b)
+    pivots, transforms = _eliminate(a, n)
+    pivot_rows = {p for p, _ in pivots}
+    for i, row in enumerate(a):
+        if row and i not in pivot_rows:
+            # only the right-hand side is left: the row reads 0 = row[n]
+            y = [Fraction(0)] * m
+            for k, v in transforms[i].items():
+                y[k] = v / row[n]
+            return None, y
     x = [Fraction(0)] * n
-    for i, c in piv_rows:
-        x[c] = a[i][n]
+    for p, c in pivots:
+        x[c] = a[p].get(n, Fraction(0))
     return x, None
 
 
@@ -74,41 +125,19 @@ def rat_nullspace(rows: Sequence[Sequence[Fraction]], n: Optional[int] = None) -
     m = len(rows)
     if n is None:
         n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] for row in rows]
-    piv: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        f = a[r][c]
-        a[r] = [x / f for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-        piv.append((r, c))
-        r += 1
-        if r == m:
-            break
-    piv_cols = {c for _, c in piv}
+    a = _sparse(rows)
+    pivots, _ = _eliminate(a, n)
+    pivot_cols = {c for _, c in pivots}
     basis = []
     for c in range(n):
-        if c in piv_cols:
+        if c in pivot_cols:
             continue
         v = [Fraction(0)] * n
         v[c] = Fraction(1)
-        for i, pc in piv:
-            v[pc] = -a[i][c]
+        for p, pc in pivots:
+            v[pc] = -a[p].get(c, Fraction(0))
         basis.append(v)
     return basis
-
-
-def rat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    return n - len(rat_nullspace(rows, n))
 
 
 def unit_pivot_solve(

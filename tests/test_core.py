@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from algebroids.core import (
+    AlgebroidError,
     DegreeMismatch,
     FormField,
     Multivector,
@@ -136,6 +137,24 @@ class TestInterior:
         alpha = coframe_form(g, 0)
         res = interior_form(alpha, top)
         assert res == Multivector(g, 2, {(1, 2): g.chart.one()})
+
+
+class TestOperandCompat:
+    def test_equal_presentations_combine(self, R2):
+        a, b = tangent_algebroid(R2), tangent_algebroid(R2)
+        assert a is not b
+        one = R2.one()
+        assert coframe_form(a, 0) + coframe_form(b, 1) == one_form(a, [one, one])
+        assert coframe_form(a, 0).wedge(coframe_form(b, 1)) == FormField(a, 2, {(0, 1): one})
+
+    def test_different_algebroids_rejected(self):
+        with pytest.raises(AlgebroidError, match="different algebroids"):
+            coframe_form(aff1(), 0) + coframe_form(so3(), 0)
+        with pytest.raises(AlgebroidError, match="different algebroids"):
+            coframe_form(so3(), 0).wedge(coframe_form(aff1(), 0))
+        g = so3()
+        with pytest.raises(AlgebroidError, match="different algebroids"):
+            coframe_form(g, 0) + frame_vector(g, 0)
 
 
 class TestSchouten:
