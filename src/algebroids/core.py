@@ -104,11 +104,7 @@ class AlgebroidPresentation:
 
     def rho_apply(self, i: int, f: ScalarFn) -> ScalarFn:
         """The vector field rho(e_i) applied to a function."""
-        out = self.chart.zero()
-        for comp, coord in zip(self.anchor[i], self.chart.coords):
-            if not comp.is_zero():
-                out = out + comp * f.partial(coord)
-        return out
+        return _vf_apply(self.anchor[i], f, self.chart)
 
     def rho_section(self, coeffs: Sequence[ScalarFn]) -> tuple[ScalarFn, ...]:
         """Anchor of a section given by frame coefficients."""
@@ -402,50 +398,38 @@ def _contract_once(idx: int, table: dict, zero: ScalarFn) -> dict:
     return out
 
 
+def _contract(outer, inner) -> dict[tuple[int, ...], ScalarFn]:
+    """Components of ``outer`` (form or multivector) contracted into ``inner``."""
+    if outer.algebroid != inner.algebroid:
+        raise AlgebroidError("operands live on different algebroids")
+    if outer.degree > inner.degree:
+        raise DegreeMismatch(
+            f"cannot contract degree {outer.degree} into degree {inner.degree}"
+        )
+    zero = inner.algebroid.chart.zero()
+    result: dict[tuple[int, ...], ScalarFn] = {}
+    for okey, g in outer.comps.items():
+        table = inner.comps
+        for idx in okey:
+            table = _contract_once(idx, table, zero)
+        for key, f in table.items():
+            acc = result.get(key, zero)
+            result[key] = acc + g * f
+    return result
+
+
 def interior(p: Multivector, alpha: FormField) -> FormField:
     """Contraction of a multivector into a form.
 
     For decomposables the first factor is inserted first, so that
     contracting e_1^e_2 into e^1^e^2 gives +1.
     """
-    if p.algebroid != alpha.algebroid:
-        raise AlgebroidError("operands live on different algebroids")
-    if p.degree > alpha.degree:
-        raise DegreeMismatch(
-            f"cannot contract degree {p.degree} into degree {alpha.degree}"
-        )
-    a = alpha.algebroid
-    zero = a.chart.zero()
-    result: dict[tuple[int, ...], ScalarFn] = {}
-    for pkey, g in p.comps.items():
-        table = dict(alpha.comps)
-        for idx in pkey:
-            table = _contract_once(idx, table, zero)
-        for key, f in table.items():
-            acc = result.get(key, zero)
-            result[key] = acc + g * f
-    return FormField(a, alpha.degree - p.degree, result)
+    return FormField(alpha.algebroid, alpha.degree - p.degree, _contract(p, alpha))
 
 
 def interior_form(alpha: FormField, p: Multivector) -> Multivector:
     """Contraction of a form into a multivector (same ordering convention)."""
-    if p.algebroid != alpha.algebroid:
-        raise AlgebroidError("operands live on different algebroids")
-    if alpha.degree > p.degree:
-        raise DegreeMismatch(
-            f"cannot contract degree {alpha.degree} into degree {p.degree}"
-        )
-    a = alpha.algebroid
-    zero = a.chart.zero()
-    result: dict[tuple[int, ...], ScalarFn] = {}
-    for akey, g in alpha.comps.items():
-        table = dict(p.comps)
-        for idx in akey:
-            table = _contract_once(idx, table, zero)
-        for key, f in table.items():
-            acc = result.get(key, zero)
-            result[key] = acc + g * f
-    return Multivector(a, p.degree - alpha.degree, result)
+    return Multivector(p.algebroid, p.degree - alpha.degree, _contract(alpha, p))
 
 
 def pairing(alpha: FormField, p: Multivector) -> ScalarFn:

@@ -12,6 +12,12 @@ nonzero slope positive), and zero coefficients are dropped.  Because the
 surviving basis functions are linearly independent, a function is zero
 iff its term map is empty, so the zero test is exact.
 
+The slopes c and d in a term key are ``int`` when integral and
+``Fraction`` only otherwise.  ``Fraction(3) == 3`` with equal hashes, so
+this does not change which keys merge; it keeps the keys cheap to hash,
+because a tuple recomputes its hash on every dict lookup and
+``Fraction.__hash__`` is far slower than ``int.__hash__``.
+
 Division is restricted to units q*exp(d.x) (nowhere-vanishing members of
 the class); anything else raises :class:`NotAUnit`.
 
@@ -58,8 +64,9 @@ Rational = Union[int, Fraction]
 
 # trig atom: None or (kind, slopes) with kind in {"sin", "cos"} and the
 # first nonzero slope positive; a term key is (monomial, trig, exp_slopes).
-Trig = Optional[tuple[str, tuple[Fraction, ...]]]
-TermKey = tuple[tuple[int, ...], Trig, tuple[Fraction, ...]]
+# Every slope is an int when integral and a Fraction otherwise (_slope).
+Trig = Optional[tuple[str, tuple[Rational, ...]]]
+TermKey = tuple[tuple[int, ...], Trig, tuple[Rational, ...]]
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,8 @@ class Chart:
     def one(self) -> "ScalarFn":
         return self.const(1)
 
-    def _zerovec(self) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * self.dim
+    def _zerovec(self) -> tuple[int, ...]:
+        return (0,) * self.dim
 
 
 def point_chart(name: str = "pt") -> Chart:
@@ -114,7 +121,12 @@ def point_chart(name: str = "pt") -> Chart:
     return Chart(name, (), ())
 
 
-def _lex_sign(vec: Sequence[Fraction]) -> int:
+def _slope(x: Rational) -> Rational:
+    """A slope in term-key form: int when integral, Fraction otherwise."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _lex_sign(vec: Sequence[Rational]) -> int:
     for v in vec:
         if v > 0:
             return 1
@@ -123,7 +135,7 @@ def _lex_sign(vec: Sequence[Fraction]) -> int:
     return 0
 
 
-def _norm_trig(kind: str, c: tuple[Fraction, ...]) -> tuple[Fraction, Trig]:
+def _norm_trig(kind: str, c: tuple[Rational, ...]) -> tuple[Fraction, Trig]:
     """Normalise a raw trig atom; returns (multiplier, atom or None).
 
     sin with zero argument vanishes (multiplier 0), cos with zero argument
@@ -140,20 +152,16 @@ def _norm_trig(kind: str, c: tuple[Fraction, ...]) -> tuple[Fraction, Trig]:
     return Fraction(1), (kind, c)
 
 
-def _vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+def _vec_add(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
+    return tuple(_slope(x + y) for x, y in zip(a, b))
 
 
-def _vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+def _vec_sub(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
+    return tuple(_slope(x - y) for x, y in zip(a, b))
 
 
 def _trig_product(t1: Trig, t2: Trig) -> list[tuple[Fraction, Trig]]:
-    """Expand a product of (at most two) trig atoms by product-to-sum."""
-    if t1 is None:
-        return [(Fraction(1), t2)]
-    if t2 is None:
-        return [(Fraction(1), t1)]
+    """Expand a product of two trig atoms by product-to-sum."""
     k1, a = t1
     k2, b = t2
     half = Fraction(1, 2)
@@ -323,8 +331,12 @@ class ScalarFn:
             for (m2, t2, e2), q2 in o.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
                 expv = _vec_add(e1, e2)
-                for mult, atom in _trig_product(t1, t2):
-                    items.append(((mono, atom, expv), q1 * q2 * mult))
+                if t1 is None or t2 is None:
+                    items.append(((mono, t1 or t2, expv), q1 * q2))
+                else:
+                    q = q1 * q2
+                    for mult, atom in _trig_product(t1, t2):
+                        items.append(((mono, atom, expv), q * mult))
         return ScalarFn._make(self.chart, items)
 
     __rmul__ = __mul__
@@ -466,18 +478,21 @@ class ScalarFn:
 
     # -- linear structure inspection -----------------------------------
 
-    def linear_slopes(self) -> tuple[Fraction, ...]:
-        """Slopes (c_1..c_n) when self = sum c_j x_j; raises otherwise."""
-        slopes = [Fraction(0)] * self.chart.dim
+    def linear_slopes(self) -> tuple[Rational, ...]:
+        """Slopes (c_1..c_n) when self = sum c_j x_j; raises otherwise.
+
+        Integral slopes are returned as int (the term-key form).
+        """
+        slopes: list[Rational] = [0] * self.chart.dim
         for (mono, trig, expv), q in self.terms.items():
             if trig is not None or any(expv) or sum(mono) != 1:
                 raise ClosureViolation(f"argument is not linear in coordinates: {self}")
-            slopes[mono.index(1)] = q
+            slopes[mono.index(1)] = _slope(q)
         return tuple(slopes)
 
     # -- printing -------------------------------------------------------
 
-    def _format_linear(self, vec: Sequence[Fraction]) -> str:
+    def _format_linear(self, vec: Sequence[Rational]) -> str:
         parts = []
         for c, name in zip(vec, self.chart.coords):
             if c == 0:
@@ -527,7 +542,7 @@ class ScalarFn:
 
 
 def _linear_combination(
-    chart: Chart, coeffs: Sequence[Fraction], fns: Sequence[ScalarFn]
+    chart: Chart, coeffs: Sequence[Rational], fns: Sequence[ScalarFn]
 ) -> ScalarFn:
     out = chart.zero()
     for c, f in zip(coeffs, fns):
@@ -536,7 +551,7 @@ def _linear_combination(
     return out
 
 
-def _linear_part(f: ScalarFn, what: str) -> tuple[Fraction, ...]:
+def _linear_part(f: ScalarFn, what: str) -> tuple[Rational, ...]:
     try:
         return f.linear_slopes()
     except ClosureViolation:

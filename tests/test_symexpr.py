@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids.symexpr import (
     Chart,
@@ -10,6 +12,7 @@ from algebroids.symexpr import (
     NonCanonicalizable,
     NotAUnit,
     PeriodicityViolation,
+    ScalarFn,
     UnknownCoordinate,
     cos,
     exp,
@@ -272,3 +275,101 @@ def random_fn(chart, rng, size=3):
                     term = term * exp(rng.choice([-1, 1]) * c)
         out = out + term
     return out
+
+
+# ---------------------------------------------------------------------------
+# property tests of the ring over random products and sums of atoms
+# ---------------------------------------------------------------------------
+
+CHARTS = [Chart("A", ("x",)), Chart("B", ("x", "y")), Chart("C", ("x", "y", "z"))]
+# integral and half-integral slopes, drawn as Fractions so that integral
+# ones arrive with denominator 1 and must be normalised on the way in
+HALF = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
+COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+@st.composite
+def linear_args(draw, chart):
+    out = chart.zero()
+    for name in chart.coords:
+        out = out + chart.const(draw(HALF)) * chart.coord(name)
+    return out
+
+
+@st.composite
+def atoms(draw, chart):
+    kind = draw(st.sampled_from(["coord", "sin", "cos", "exp"]))
+    if kind == "coord":
+        return chart.coord(draw(st.sampled_from(chart.coords)))
+    return {"sin": sin, "cos": cos, "exp": exp}[kind](draw(linear_args(chart)))
+
+
+@st.composite
+def fns(draw, chart):
+    out = chart.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = chart.const(draw(COEFF))
+        for atom in draw(st.lists(atoms(chart), max_size=3)):
+            term = term * atom
+        out = out + term
+    return out
+
+
+@st.composite
+def chart_and_fns(draw, count):
+    chart = draw(st.sampled_from(CHARTS))
+    return chart, [draw(fns(chart)) for _ in range(count)]
+
+
+def assert_key_form(f):
+    """Every integral slope in every term key is an int."""
+    for mono, trig, expv in f.terms:
+        for s in expv + (trig[1] if trig is not None else ()):
+            assert isinstance(s, int) or s.denominator != 1, (f, s)
+
+
+class TestRingProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(chart_and_fns(2), st.data())
+    def test_operations_keep_integral_slopes_int(self, cf, data):
+        chart, (f, g) = cf
+        results = [f + g, f - g, f * g, -f] + [f.partial(c) for c in chart.coords]
+        source = data.draw(st.sampled_from(CHARTS))
+        images = [data.draw(linear_args(source)) for _ in chart.coords]
+        results.append(f.substitute(source, images))
+        unit = chart.const(data.draw(COEFF.filter(bool))) * exp(data.draw(linear_args(chart)))
+        results += [unit, unit.unit_inverse()]
+        for h in results:
+            assert_key_form(h)
+        assert unit * unit.unit_inverse() == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_and_fns(3))
+    def test_product_is_commutative_associative_distributive(self, cf):
+        _, (f, g, h) = cf
+        assert f * g == g * f
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_and_fns(2))
+    def test_partial_obeys_leibniz(self, cf):
+        chart, (f, g) = cf
+        for c in chart.coords:
+            assert (f * g).partial(c) == f.partial(c) * g + f * g.partial(c)
+
+    def test_half_slopes_add_to_int_key(self):
+        x = CHARTS[0].coord("x")
+        half = exp(Fraction(1, 2) * x)
+        prod = half * half
+        assert prod == exp(x)
+        ((_, _, expv),) = prod.terms
+        assert expv == (1,) and type(expv[0]) is int
+
+    def test_fraction_and_int_slope_keys_merge(self):
+        chart = CHARTS[0]
+        k_frac = ((0,), None, (Fraction(2),))
+        k_int = ((0,), None, (2,))
+        f = ScalarFn._make(chart, [(k_frac, Fraction(1)), (k_int, Fraction(2))])
+        assert f == 3 * exp(2 * chart.coord("x"))
+        assert ScalarFn._make(chart, [(k_frac, Fraction(1)), (k_int, Fraction(-1))]).is_zero()
