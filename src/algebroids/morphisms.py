@@ -22,6 +22,7 @@ from .core import (
     d_A,
     one_form,
 )
+from .ratlinalg import scalar_det
 from .report import CheckReport
 from .reps import (
     Representation,
@@ -138,35 +139,17 @@ def pullback_form(phi: Morphism, beta: FormField) -> FormField:
         return FormField(src, 0, {(): phi.pull_scalar(f)})
     zero = src.chart.zero()
     out: dict[tuple[int, ...], ScalarFn] = {}
+    memo: dict = {}
     for skey in combinations(range(src.rank), k):
         total = zero
         for tkey, coeff in beta.comps.items():
-            minor = _fiber_minor(phi, tkey, skey)
+            minor = scalar_det(phi.fiber, tkey, skey, memo)
             if minor.is_zero():
                 continue
             total = total + phi.pull_scalar(coeff) * minor
         if not total.is_zero():
             out[skey] = total
     return FormField(src, k, out)
-
-
-def _fiber_minor(phi: Morphism, rows: tuple[int, ...], cols: tuple[int, ...]) -> ScalarFn:
-    """Determinant of the fiber submatrix (Laplace expansion; small sizes)."""
-    chart = phi.source.chart
-    k = len(rows)
-    if k == 0:
-        return chart.one()
-    if k == 1:
-        return phi.fiber[rows[0]][cols[0]]
-    total = chart.zero()
-    for t in range(k):
-        entry = phi.fiber[rows[0]][cols[t]]
-        if entry.is_zero():
-            continue
-        sub = _fiber_minor(phi, rows[1:], cols[:t] + cols[t + 1 :])
-        term = entry * sub
-        total = total + (term if t % 2 == 0 else -term)
-    return total
 
 
 def check_morphism(phi: Morphism) -> CheckReport:

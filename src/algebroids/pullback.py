@@ -111,44 +111,33 @@ def _sampled_ranks(
     return ranks
 
 
-def _exact_rank_certificate(rows: list[list[ScalarFn]]) -> Optional[int]:
+def _exact_rank_certificate(rows: list[list[ScalarFn]], memo: dict) -> Optional[int]:
     """Rank certified constant everywhere, when minors allow it.
 
     Upper bound: all (r+1)-minors vanish identically (exact).  Lower bound:
-    some r-minor is a unit of the class, hence nowhere zero.
+    some r-minor is a unit of the class, hence nowhere zero.  Sizes are
+    tried from the largest down, and a size is searched only after every
+    larger minor was found not to be a unit, so whether the (r+1)-minors
+    all vanish is known when a unit r-minor turns up.
+
+    Minors are read through ``memo`` (see ``scalar_det``), so each distinct
+    j-minor is expanded once: an m x n matrix costs at most
+    sum_j j * C(m, j) * C(n, j) ring multiplications.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    maxk = min(m, n)
-    for r in range(maxk, 0, -1):
-        unit_found = False
+    larger_all_zero = True  # there are no minors above min(m, n)
+    for r in range(min(m, n), 0, -1):
+        all_zero = True
         for rsel in combinations(range(m), r):
             for csel in combinations(range(n), r):
-                minor = scalar_det([[rows[i][j] for j in csel] for i in rsel])
+                minor = scalar_det(rows, rsel, csel, memo)
                 if minor.is_unit():
-                    unit_found = True
-                    break
-            if unit_found:
-                break
-        if not unit_found:
-            continue
-        if r == maxk:
-            return r
-        all_zero = True
-        for rsel in combinations(range(m), r + 1):
-            for csel in combinations(range(n), r + 1):
-                if not scalar_det([[rows[i][j] for j in csel] for i in rsel]).is_zero():
-                    all_zero = False
-                    break
-            if not all_zero:
-                break
-        if all_zero:
-            return r
-        return None
+                    return r if larger_all_zero else None
+                all_zero = all_zero and minor.is_zero()
+        larger_all_zero = all_zero
     # rank 0 everywhere iff the matrix is identically zero
-    if all(f.is_zero() for row in rows for f in row):
-        return 0
-    return None
+    return 0 if larger_all_zero else None
 
 
 def check_admissible(
@@ -162,7 +151,7 @@ def check_admissible(
     rep = CheckReport(f"admissibility of the base map into {b.name}")
     rows = _constraint_matrix(b, source_chart, basemap)
     total = b.rank + source_chart.dim
-    exact = _exact_rank_certificate(rows) if rows else 0
+    exact = _exact_rank_certificate(rows, {}) if rows else 0
     if exact is not None:
         rank = total - exact
         rep.add("constraint space has constant rank", True, f"rank {rank}")
@@ -199,7 +188,8 @@ def check_transverse(
         rep.data["method"] = "exact"
         return rep
     rows = _transversality_matrix(b, source_chart, basemap)
-    exact = _exact_rank_certificate(rows)
+    memo: dict = {}
+    exact = _exact_rank_certificate(rows, memo)
     if exact is not None:
         rep.add(
             "target tangent space spanned",
@@ -213,7 +203,7 @@ def check_transverse(
     all_zero = True
     m = len(rows[0])
     for csel in combinations(range(m), n):
-        if not scalar_det([[rows[i][j] for j in csel] for i in range(n)]).is_zero():
+        if not scalar_det(rows, tuple(range(n)), csel, memo).is_zero():
             all_zero = False
             break
     if all_zero:

@@ -6,7 +6,9 @@
   y.A = 0 but y.b != 0), and `rat_nullspace`.
 * `unit_pivot_solve` eliminates over the scalar-function ring, only ever
   dividing by declared-nonvanishing units and failing loudly otherwise.
-* `scalar_det` is the exact Laplace determinant over that ring.
+* `scalar_det` computes exact determinants and minors over that ring by
+  cofactor expansion with memoised subminors: callers that share one memo
+  dict across the minors of a matrix expand each distinct subminor once.
 * `float_rank` estimates rank numerically with numpy, for probabilistic
   spanning/transversality checks.
 """
@@ -206,23 +208,60 @@ def unit_pivot_solve(
     return sols
 
 
-def scalar_det(rows: list[list[ScalarFn]]) -> ScalarFn:
-    """Exact determinant of a square ScalarFn matrix (Laplace expansion)."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n == 1:
-        return rows[0][0]
-    chart = rows[0][0].chart
-    total = chart.zero()
-    for t in range(n):
-        entry = rows[0][t]
+def scalar_det(
+    rows: Sequence[Sequence[ScalarFn]],
+    rsel: Optional[Sequence[int]] = None,
+    csel: Optional[Sequence[int]] = None,
+    memo: Optional[dict] = None,
+) -> ScalarFn:
+    """Exact determinant of a square ScalarFn matrix, or of its minor on
+    rows ``rsel`` and columns ``csel``.
+
+    The minor is expanded along its first selected row, skipping zero
+    entries.  Every subminor of size two or more is stored in ``memo``
+    under ``(rsel, csel)``; callers that pass one dict for many minors of
+    the same matrix expand each distinct subminor once, so a k x k minor
+    costs at most k ring multiplications over its (k-1)-subminors.
+    """
+    if (rsel is None) != (csel is None):
+        raise ValueError("give both rsel and csel, or neither")
+    if rsel is None:
+        n = len(rows)
+        if n == 0:
+            raise ValueError("empty matrix")
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix is not square")
+        rsel = csel = tuple(range(n))
+    elif len(rsel) != len(csel):
+        raise ValueError(f"minor on {len(rsel)} rows but {len(csel)} columns")
+    elif not rsel:
+        raise ValueError("empty minor")
+    return _minor(rows, tuple(rsel), tuple(csel), {} if memo is None else memo)
+
+
+def _minor(
+    rows: Sequence[Sequence[ScalarFn]], rsel: tuple[int, ...], csel: tuple[int, ...], memo: dict
+) -> ScalarFn:
+    row = rows[rsel[0]]
+    if len(rsel) == 1:
+        return row[csel[0]]
+    key = (rsel, csel)
+    det = memo.get(key)
+    if det is not None:
+        return det
+    det = row[csel[0]].chart.zero()
+    rest = rsel[1:]
+    for t, c in enumerate(csel):
+        entry = row[c]
         if entry.is_zero():
             continue
-        sub = [[row[c] for c in range(n) if c != t] for row in rows[1:]]
-        term = entry * scalar_det(sub)
-        total = total + (term if t % 2 == 0 else -term)
-    return total
+        sub = _minor(rows, rest, csel[:t] + csel[t + 1 :], memo)
+        if sub.is_zero():
+            continue
+        term = entry * sub
+        det = det + (term if t % 2 == 0 else -term)
+    memo[key] = det
+    return det
 
 
 def float_rank(rows: Sequence[Sequence[float]], tol: Optional[float] = None) -> int:

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
 from algebroids.core import (
+    AlgebroidPresentation,
     check_axioms,
     derivation_algebroid,
     one_form,
@@ -30,7 +33,7 @@ from algebroids.pullback import (
     verify_submersion_vanishing,
 )
 from algebroids.reps import canonical_sections
-from algebroids.symexpr import Chart, exp, parse_expr, sin
+from algebroids.symexpr import Chart, ScalarFn, cos, exp, parse_expr, sin
 
 from conftest import aff1, cylinder_algebroid, so3
 
@@ -307,3 +310,85 @@ class TestSamplingDefects:
     def test_no_overflow(self):
         r2, rows = _scaled_rows(100)
         _sampled_ranks(rows, r2, 0, 50)
+
+
+def _planted_rank_input(n, q, r, k, smooth):
+    """Base map z -> (z_0..z_{q-1}, 0..0) into R^n and an anchor of r
+    sections whose normal block (rows q..n-1) is L * diag(d_1..d_k) * R,
+    with L and R unit triangular, so it has rank k everywhere.  The
+    transversality matrix is n x (q + r) of rank q + k, the constraint
+    matrix n x (r + q).  Smooth diagonal entries (s + 1) * (z^2 + 1) are
+    nowhere zero but not units, so no minor of the planted size certifies
+    the rank; they carry no exp factor, which keeps the sampled ranks clear
+    of the scale defects pinned in TestSamplingDefects."""
+    src = Chart("S", tuple(f"z{j}" for j in range(q)))
+    tgt = Chart("Y", tuple(f"y{j}" for j in range(n)))
+    z = src.coord("z0")
+    pool = [z, sin(z), src.const(2), cos(z)]
+    if smooth:
+        diag = [src.const(s + 1) * (z * z + 1) for s in range(k)]
+    else:
+        diag = [src.const(s + 1) * exp(src.const(s) * z) for s in range(k)]
+
+    def lower(i, s):
+        return src.one() if i == s else pool[(i + s) % 4] if s < i else src.zero()
+
+    def upper(s, t):
+        return src.one() if s == t else pool[(s + 2 * t) % 4] if t > s else src.zero()
+
+    normal = [
+        sum((lower(i, s) * diag[s] * upper(s, t) for s in range(k)), src.zero())
+        for i, t in product(range(n - q), range(r))
+    ]
+    tangential = [src.const(j + t + 1) * pool[(j + t) % 4] for j, t in product(range(q), range(r))]
+    images = [tgt.coord(f"y{j}") for j in range(q)]
+    anchor = [
+        [tangential[j * r + t].substitute(tgt, images) for j in range(q)]
+        + [normal[i * r + t].substitute(tgt, images) for i in range(n - q)]
+        for t in range(r)
+    ]
+    b = AlgebroidPresentation("A", tgt, tuple(f"a{t}" for t in range(r)), anchor)
+    return b, src, [src.coord(f"z{j}") for j in range(q)] + [src.zero()] * (n - q)
+
+
+def _minor_work_bound(m, n):
+    """Ring multiplications of expanding every distinct minor once."""
+    return sum(j * comb(m, j) * comb(n, j) for j in range(1, min(m, n) + 1))
+
+
+class TestMinorWork:
+    """The rank certificates expand each distinct minor at most once."""
+
+    @staticmethod
+    def _count_products(monkeypatch, check, *args):
+        count = 0
+        mul = ScalarFn.__mul__
+
+        def counting(self, other):
+            nonlocal count
+            count += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(ScalarFn, "__mul__", counting)
+        rep = check(*args)
+        monkeypatch.undo()
+        return rep, count
+
+    def test_transverse_rank_4_of_5x10(self, monkeypatch):
+        args = _planted_rank_input(5, 2, 8, 2, smooth=False)
+        rep, count = self._count_products(monkeypatch, check_transverse, *args)
+        assert not rep.passed
+        assert rep.data["method"] == "exact"
+        assert "rank 4 of 5" in rep.pretty()
+        assert count <= _minor_work_bound(5, 10)
+
+    def test_smooth_5x7_searches_every_size(self, monkeypatch):
+        # no unit minor above size 2, so every larger minor is expanded and
+        # transversality falls back on the negative certificate and sampling
+        args = _planted_rank_input(5, 2, 5, 3, smooth=True)
+        rep, count = self._count_products(monkeypatch, check_transverse, *args)
+        assert rep.passed and rep.data["method"] == "sampled"
+        assert count <= _minor_work_bound(5, 7)
+        rep, count = self._count_products(monkeypatch, check_admissible, *args)
+        assert rep.data == {"rank": 2, "method": "sampled"}
+        assert count <= _minor_work_bound(5, 7)

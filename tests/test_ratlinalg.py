@@ -1,14 +1,19 @@
 """Property tests of the sparse exact elimination behind rat_solve and
-rat_nullspace, against a dense Gauss-Jordan reference kept here."""
+rat_nullspace, against a dense Gauss-Jordan reference kept here, and of
+the memoised minors of scalar_det, against a plain Laplace expansion."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from itertools import combinations
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids.ratlinalg import rat_nullspace, rat_solve
+from algebroids.ratlinalg import rat_nullspace, rat_solve, scalar_det
+from algebroids.symexpr import Chart, cos, exp, sin
 
 
 def reference_rref(a: list[list[Fraction]], n: int):
@@ -102,3 +107,94 @@ def test_rat_nullspace_spans_kernel(system):
     assert [[v[c] for c in free] for v in basis] == [
         [Fraction(int(c == d)) for c in free] for d in free
     ]
+
+
+# -- scalar_det -----------------------------------------------------------
+
+R2 = Chart("R2", ("x", "y"))
+_X, _Y = R2.coord("x"), R2.coord("y")
+ATOM = st.sampled_from([R2.one(), _X, _Y * _X, sin(_Y), cos(_X + _Y), exp(_X), exp(_X - _Y) * _Y])
+COEFF = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def scalar_entries(draw):
+    """Mostly zero, else one or two scaled atoms: sparse ScalarFn matrices."""
+    if draw(st.integers(0, 2)) == 0:
+        return R2.zero()
+    total = R2.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        total = total + R2.const(draw(COEFF)) * draw(ATOM)
+    return total
+
+
+def scalar_matrices(m, n):
+    return st.lists(st.lists(scalar_entries(), min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+square = st.integers(1, 5).flatmap(lambda n: scalar_matrices(n, n))
+
+
+def reference_det(rows):
+    """Plain Laplace expansion along the first row, nothing shared."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = R2.zero()
+    for t, entry in enumerate(rows[0]):
+        sub = reference_det([row[:t] + row[t + 1 :] for row in rows[1:]])
+        total = total + (entry * sub if t % 2 == 0 else -(entry * sub))
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(square)
+def test_scalar_det_matches_laplace(rows):
+    assert scalar_det(rows).terms == reference_det(rows).terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_minors_through_one_memo_match_laplace(data):
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(scalar_matrices(m, n))
+    keys = [
+        (rsel, csel)
+        for k in range(1, min(m, n) + 1)
+        for rsel in combinations(range(m), k)
+        for csel in combinations(range(n), k)
+    ]
+    memo: dict = {}
+    for rsel, csel in data.draw(st.permutations(keys)):
+        minor = scalar_det(rows, rsel, csel, memo)
+        assert minor.terms == reference_det([[rows[i][j] for j in csel] for i in rsel]).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(scalar_matrices(n, n), st.randoms())))
+def test_row_swap_negates_and_repeated_row_vanishes(case):
+    rows, rnd = case
+    i, j = rnd.sample(range(len(rows)), 2)
+    swapped = list(rows)
+    swapped[i], swapped[j] = rows[j], rows[i]
+    assert scalar_det(swapped).terms == (-scalar_det(rows)).terms
+    repeated = list(rows)
+    repeated[j] = rows[i]
+    assert scalar_det(repeated).is_zero()
+
+
+def test_scalar_det_rejects_malformed_selections():
+    rows = [[_X, _Y], [R2.one(), _X]]
+    with pytest.raises(ValueError):
+        scalar_det([])
+    with pytest.raises(ValueError):
+        scalar_det([[_X, _Y]])
+    with pytest.raises(ValueError):
+        scalar_det(rows, rsel=(0, 1))
+    with pytest.raises(ValueError):
+        scalar_det(rows, csel=(0, 1))
+    with pytest.raises(ValueError):
+        scalar_det(rows, (0, 1), (1,))
+    with pytest.raises(ValueError):
+        scalar_det(rows, (), ())
+    assert scalar_det(rows, (1,), (0,)) == R2.one()
