@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
 from .ratlinalg import rat_solve
@@ -262,20 +264,23 @@ def period_certificate(
     mean = ScalarFn._make(chart, mean_terms)
     if mean.is_zero():
         return Inconclusive("constant Fourier mode vanishes")
+    if samples < 1:
+        raise ValueError(f"the period certificate needs at least one sample, got samples={samples}")
     rng = random.Random(seed)
-    best_pt: Optional[tuple[Fraction, ...]] = None
-    best_val = 0.0
-    for _ in range(samples):
-        pt = tuple(
+    pts = [
+        tuple(
             Fraction(0) if k == j else Fraction(rng.randint(-60, 60), rng.randint(1, 13))
             for k in range(chart.dim)
         )
-        val = mean.evaluate(pt)
-        if abs(val) > abs(best_val):
-            best_val, best_pt = val, pt
-    if abs(best_val) <= tol:
+        for _ in range(samples)
+    ]
+    values = mean.evaluate(pts)
+    # the first largest |value|; a nan sample is never the witness
+    sizes = np.fmax(np.abs(values), 0.0)
+    best = int(np.argmax(sizes))
+    if not sizes[best] > tol:
         return Inconclusive("constant mode nonzero symbolically but tiny at samples")
-    return NonExactCertificate(coord, tuple(combo), mean, best_pt, best_val)
+    return NonExactCertificate(coord, tuple(combo), mean, pts[best], float(values[best]))
 
 
 def classify(

@@ -10,7 +10,10 @@ orbit inclusions.
 
 Rank verdicts for admissibility and transversality are probabilistic
 (random-point sampling) with an exact upgrade when minors certify the rank
-symbolically; reports always disclose which method decided.
+symbolically; reports always disclose which method decided.  A sampled
+check draws all its points first and ranks the matrix at every point in
+one batch (`ratlinalg.sampled_ranks`): each non-zero entry is evaluated
+once over all the points, and the stack is ranked by one `float_rank` call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .core import (
     vector_field_bracket,
 )
 from .morphisms import Morphism, check_morphism, compose, pullback_form
-from .ratlinalg import float_rank, scalar_det, unit_pivot_solve
+from .ratlinalg import sampled_ranks, scalar_det, unit_pivot_solve
 from .report import CheckReport
 from .reps import modular_cocycle
 from .symexpr import Chart, ScalarFn
@@ -104,11 +107,7 @@ def _sample_points(chart: Chart, rng: random.Random, count: int):
 def _sampled_ranks(
     rows: list[list[ScalarFn]], chart: Chart, seed: int, samples: int
 ) -> list[int]:
-    rng = random.Random(seed)
-    ranks = []
-    for pt in _sample_points(chart, rng, samples):
-        ranks.append(float_rank([[f.evaluate(pt) for f in row] for row in rows]))
-    return ranks
+    return sampled_ranks(rows, _sample_points(chart, random.Random(seed), samples))
 
 
 def _exact_rank_certificate(rows: list[list[ScalarFn]], memo: dict) -> Optional[int]:

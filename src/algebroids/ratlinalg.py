@@ -9,14 +9,17 @@
 * `scalar_det` computes exact determinants and minors over that ring by
   cofactor expansion with memoised subminors: callers that share one memo
   dict across the minors of a matrix expand each distinct subminor once.
-* `float_rank` estimates rank numerically with numpy, for probabilistic
-  spanning/transversality checks.
+* `float_rank` estimates rank numerically with numpy, of one matrix or of a
+  whole stack in one call, and `sampled_ranks` evaluates a ScalarFn matrix
+  entry by entry over a batch of sample points and ranks the stack: the
+  one path of the probabilistic admissibility, transversality, injectivity,
+  surjectivity and constant-rank checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -264,9 +267,31 @@ def _minor(
     return det
 
 
-def float_rank(rows: Sequence[Sequence[float]], tol: Optional[float] = None) -> int:
-    """Numeric rank with numpy's scale-relative tolerance by default."""
-    arr = np.array(rows, dtype=float)
+def float_rank(
+    rows: Union[Sequence, np.ndarray], tol: Optional[float] = None
+) -> Union[int, list[int]]:
+    """Numeric rank of one matrix, or the list of ranks of a ``(count, m, n)``
+    stack, with numpy's scale-relative tolerance per matrix by default.
+    Zero-size matrices have rank 0."""
+    arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
-        return 0
-    return int(np.linalg.matrix_rank(arr, tol=tol))
+        return np.zeros(arr.shape[:-2], dtype=int).tolist()
+    return np.linalg.matrix_rank(arr, tol=tol).tolist()
+
+
+def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[int]:
+    """Numeric rank of the ScalarFn matrix ``rows`` at each of ``points``.
+
+    Each non-zero entry is evaluated once over the whole batch of points,
+    zero entries stay 0, and the ``(count, m, n)`` stack is ranked by one
+    `float_rank` call.
+    """
+    if len(points) < 1:
+        raise ValueError("rank sampling needs at least one sample point")
+    pts = np.asarray(points, dtype=float)
+    stack = np.zeros((len(pts), len(rows), len(rows[0]) if rows else 0))
+    for i, row in enumerate(rows):
+        for j, f in enumerate(row):
+            if not f.is_zero():
+                stack[:, i, j] = f.evaluate(pts)
+    return float_rank(stack)

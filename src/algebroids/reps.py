@@ -115,14 +115,17 @@ class LineSection:
                 f"line-section coefficient {coefficient} is not a unit; "
                 "pass assert_nonvanishing=True to spot-check instead"
             )
+        if samples < 1:
+            raise ValueError(f"the spot check needs at least one sample, got samples={samples}")
         import random
 
         rng = random.Random(seed)
         chart = coefficient.chart
-        values = []
-        for _ in range(samples):
-            pt = [Fraction(rng.randint(-200, 200), rng.randint(1, 40)) for _ in chart.coords]
-            values.append(coefficient.evaluate(pt))
+        pts = [
+            [Fraction(rng.randint(-200, 200), rng.randint(1, 40)) for _ in chart.coords]
+            for _ in range(samples)
+        ]
+        values = coefficient.evaluate(pts).tolist()
         if any(abs(v) < 1e-9 for v in values):
             raise NotAUnit(
                 f"asserted-nonvanishing coefficient {coefficient} is zero at a sample point"

@@ -30,10 +30,13 @@ is the canonicalization step).
 
 from __future__ import annotations
 
-import math
+import errno
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 
 class SymExprError(Exception):
@@ -190,6 +193,26 @@ def _trig_key(t: Trig) -> tuple:
 def _term_sort_key(key: TermKey) -> tuple:
     mono, trig, expv = key
     return (sum(mono), mono, _trig_key(trig), expv)
+
+
+# the OverflowError arguments of Python's float power and of math.exp
+_POWER_OVERFLOW = (errno.ERANGE, os.strerror(errno.ERANGE))
+_EXP_OVERFLOW = ("math range error",)
+
+
+def _overflow_checked(error: tuple, op, *args) -> np.ndarray:
+    """``op(*args)`` over a batch, raising ``OverflowError(*error)`` if it
+    overflows anywhere."""
+    with np.errstate(over="raise"):
+        try:
+            return op(*args)
+        except FloatingPointError:
+            raise OverflowError(*error) from None
+
+
+def _linear_values(slopes: Sequence[Rational], cols: np.ndarray) -> np.ndarray:
+    """``sum_j c_j x_j`` over a batch given by its coordinate columns."""
+    return sum(float(c) * x for c, x in zip(slopes, cols) if c)
 
 
 class ScalarFn:
@@ -457,24 +480,38 @@ class ScalarFn:
                                 f"{slope} on periodic coordinate {source.coords[j]!r}"
                             )
 
-    def evaluate(self, point: Sequence[Union[Rational, float]]) -> float:
-        """Floating evaluation at a point (sampling only, never zero tests)."""
-        if len(point) != self.chart.dim:
+    def evaluate(self, points: Sequence) -> Union[float, np.ndarray]:
+        """Floating evaluation (sampling only, never zero tests).
+
+        ``points`` is a ``(count, dim)`` batch, giving a float64 array of
+        ``count`` values, or one flat point, giving a float.  The batch is
+        converted to floats once, and each term is one numpy pass over it,
+        multiplied in the order coefficient, powers, trig factor, exp
+        factor.  As in Python float arithmetic, a power or an exp that
+        overflows raises OverflowError, while products and sums go to inf
+        or nan silently.
+        """
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim == 1
+        if single:
+            pts = pts[np.newaxis]
+        if pts.ndim != 2 or pts.shape[1] != self.chart.dim:
             raise SymExprError("point dimension mismatch")
-        pt = [float(v) for v in point]
-        total = 0.0
-        for (mono, trig, expv), q in self.terms.items():
-            val = float(q)
-            for x, e in zip(pt, mono):
-                if e:
-                    val *= x**e
-            if trig is not None:
-                arg = sum(float(c) * x for c, x in zip(trig[1], pt))
-                val *= math.sin(arg) if trig[0] == "sin" else math.cos(arg)
-            if any(expv):
-                val *= math.exp(sum(float(d) * x for d, x in zip(expv, pt)))
-            total += val
-        return total
+        cols = pts.T
+        total = np.zeros(len(pts))
+        with np.errstate(all="ignore"):
+            for (mono, trig, expv), q in self.terms.items():
+                val = np.full(len(pts), float(q))
+                for x, e in zip(cols, mono):
+                    if e:
+                        val *= _overflow_checked(_POWER_OVERFLOW, np.power, x, e)
+                if trig is not None:
+                    arg = _linear_values(trig[1], cols)
+                    val *= np.sin(arg) if trig[0] == "sin" else np.cos(arg)
+                if any(expv):
+                    val *= _overflow_checked(_EXP_OVERFLOW, np.exp, _linear_values(expv, cols))
+                total += val
+        return float(total[0]) if single else total
 
     # -- linear structure inspection -----------------------------------
 

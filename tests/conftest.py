@@ -10,7 +10,8 @@ from algebroids.core import (
     lie_algebra_presentation,
     tangent_algebroid,
 )
-from algebroids.symexpr import Chart, point_chart
+from algebroids import ratlinalg
+from algebroids.symexpr import Chart, ScalarFn, point_chart
 
 
 def chart_r(n, name=None, periodic=()):
@@ -121,3 +122,23 @@ def conjugate_lie_algebra(a, g, name):
             if comps:
                 struct[(i, j)] = comps
     return lie_algebra_presentation(name, tuple(f"f{i+1}" for i in range(n)), struct)
+
+
+def count_sampling(monkeypatch, check, *args, **kwargs):
+    """Run one check and count its ScalarFn.evaluate and float_rank calls."""
+    counts = {"evaluate": 0, "float_rank": 0}
+    evaluate, rank = ScalarFn.evaluate, ratlinalg.float_rank
+
+    def counting_evaluate(self, points):
+        counts["evaluate"] += 1
+        return evaluate(self, points)
+
+    def counting_rank(stack, tol=None):
+        counts["float_rank"] += 1
+        return rank(stack, tol)
+
+    monkeypatch.setattr(ScalarFn, "evaluate", counting_evaluate)
+    monkeypatch.setattr(ratlinalg, "float_rank", counting_rank)
+    rep = check(*args, **kwargs)
+    monkeypatch.undo()
+    return rep, counts

@@ -116,6 +116,27 @@ class TestPeriodCertificate:
         assert isinstance(cert, NonExactCertificate)
         assert cert.mean == CYLC.one()
 
+    def test_witness_is_the_first_largest_sample(self):
+        tc = tangent_algebroid(CYLC)
+        x = CYLC.coord("x")
+        alpha = one_form(tc, [x * x - 4, CYLC.zero()])  # mean x^2 - 4
+        combo = find_circle_section(tc, "theta")
+        cert = period_certificate(alpha, combo, "theta", seed=5, samples=30)
+        rng = random.Random(5)
+        pts = [(Fraction(0), Fraction(rng.randint(-60, 60), rng.randint(1, 13))) for _ in range(30)]
+        sizes = [abs(float(p[1]) ** 2 - 4) for p in pts]
+        assert cert.witness_point == pts[sizes.index(max(sizes))]
+        assert type(cert.witness_value) is float
+        assert abs(cert.witness_value - max(sizes)) <= 1e-12 * max(sizes)
+        # a constant mean ties at every sample: the first one is the witness
+        cert = period_certificate(one_form(tc, [CYLC.const(-1), CYLC.zero()]), combo, "theta", seed=5)
+        assert cert.witness_point == pts[0] and cert.witness_value == -1.0
+
+    def test_no_samples_is_rejected(self):
+        ts1 = tangent_algebroid(S1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            period_certificate(one_form(ts1, [S1.const(-1)]), (Fraction(1),), "theta", samples=0)
+
     def test_precondition_failure(self):
         b = cylinder_algebroid()
         beta = modular_cocycle(b, *canonical_sections(b))

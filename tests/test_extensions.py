@@ -30,6 +30,8 @@ from algebroids.morphisms import base_preserving_morphism, identity_morphism
 from algebroids.reps import LineSection, char_cocycle, check_flat
 from algebroids.symexpr import Chart, exp, sin
 
+from conftest import count_sampling
+
 
 R1 = Chart("R1", ("x",))
 R2 = Chart("R2", ("x", "y"))
@@ -109,6 +111,23 @@ def aff1_kernel_extension():
 
 
 class TestExtensionData:
+    def test_no_samples_is_rejected(self):
+        # both pointwise checks used to pass on no evidence
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="at least one sample point"):
+                check_extension(so3_kernel_extension(), samples=samples)
+
+    @pytest.mark.parametrize("samples", [50, 200])
+    def test_sampling_work_is_one_pass_per_entry(self, monkeypatch, samples):
+        # one ScalarFn.evaluate per non-zero entry of the two sampled
+        # matrices and one float_rank per matrix, whatever the sample count
+        ext = so3_kernel_extension()
+        rep, counts = count_sampling(monkeypatch, check_extension, ext, samples=samples)
+        assert rep.passed
+        entries = [f for phi in (ext.incl, ext.proj) for row in phi.fiber for f in row]
+        assert counts["evaluate"] <= sum(not f.is_zero() for f in entries)
+        assert counts["float_rank"] == 2
+
     def test_abelian_extension_validates(self):
         ext = abelian_kernel_extension()
         assert check_axioms(ext.total).passed

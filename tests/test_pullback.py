@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -23,7 +24,9 @@ from algebroids.pullback import (
     BuiltPullback,
     PullbackFrame,
     PullbackFramePair,
+    _constraint_matrix,
     _sampled_ranks,
+    _transversality_matrix,
     build_pullback,
     check_admissible,
     check_transverse,
@@ -32,10 +35,11 @@ from algebroids.pullback import (
     validate_frame,
     verify_submersion_vanishing,
 )
+from algebroids.ratlinalg import float_rank
 from algebroids.reps import canonical_sections
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, parse_expr, sin
 
-from conftest import aff1, cylinder_algebroid, so3
+from conftest import aff1, count_sampling, cylinder_algebroid, so3
 
 
 S1 = Chart("S1", ("theta",), (True,))
@@ -392,3 +396,50 @@ class TestMinorWork:
         rep, count = self._count_products(monkeypatch, check_admissible, *args)
         assert rep.data == {"rank": 2, "method": "sampled"}
         assert count <= _minor_work_bound(5, 7)
+
+
+# planted inputs sampled by the rank checks: (n, q, r, k, smooth)
+PLANTED = [(5, 2, 5, 3, True), (4, 1, 4, 2, False), (3, 1, 3, 1, True), (5, 2, 8, 2, False)]
+
+
+def _reference_sampled_ranks(rows, chart, seed, samples):
+    """Point by point: draw a point in the +-60/13 box, evaluate every
+    entry there, rank that one matrix."""
+    rng = random.Random(seed)
+    ranks = []
+    for _ in range(samples):
+        pt = [Fraction(rng.randint(-60, 60), rng.randint(1, 13)) for _ in chart.coords]
+        ranks.append(float_rank([[f.evaluate(pt) for f in row] for row in rows]))
+    return ranks
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("planted", PLANTED)
+    def test_sampled_ranks_match_point_by_point(self, planted):
+        args = _planted_rank_input(*planted)
+        src = args[1]
+        for rows in (_constraint_matrix(*args), _transversality_matrix(*args)):
+            for seed in (0, 7):
+                assert _sampled_ranks(rows, src, seed, 50) == _reference_sampled_ranks(rows, src, seed, 50)
+
+    @pytest.mark.parametrize("check", [check_admissible, check_transverse])
+    def test_no_samples_is_rejected(self, check):
+        args = _planted_rank_input(5, 2, 5, 3, smooth=True)  # decided by sampling
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="at least one sample point"):
+                check(*args, samples=samples)
+
+
+class TestSampleWork:
+    """A sampled check evaluates each non-zero entry once and ranks each
+    matrix family once, whatever the sample count."""
+
+    @pytest.mark.parametrize("samples", [50, 200])
+    def test_admissible_and_transverse(self, monkeypatch, samples):
+        args = _planted_rank_input(5, 2, 5, 3, smooth=True)
+        for check, matrix in [(check_admissible, _constraint_matrix), (check_transverse, _transversality_matrix)]:
+            rows = matrix(*args)
+            rep, counts = count_sampling(monkeypatch, check, *args, samples=samples)
+            assert rep.passed and rep.data["method"] == "sampled"
+            assert counts["evaluate"] <= sum(not f.is_zero() for row in rows for f in row)
+            assert counts["float_rank"] == 1

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids.ratlinalg import rat_nullspace, rat_solve, scalar_det
+from algebroids.ratlinalg import float_rank, rat_nullspace, rat_solve, sampled_ranks, scalar_det
 from algebroids.symexpr import Chart, cos, exp, sin
 
 
@@ -198,3 +199,44 @@ def test_scalar_det_rejects_malformed_selections():
     with pytest.raises(ValueError):
         scalar_det(rows, (), ())
     assert scalar_det(rows, (1,), (0,)) == R2.one()
+
+
+# -- float_rank and sampled_ranks -------------------------------------------
+
+
+@st.composite
+def float_stacks(draw):
+    """Random, rank-deficient (product of an m x r and an r x n factor) and
+    zero-size matrices, stacked."""
+    count = draw(st.integers(0, 6))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    r = draw(st.integers(0, min(m, n)))
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rnd.integers(-3, 4, size=(count, 1, 1))
+    if draw(st.booleans()):
+        return scale * rnd.standard_normal((count, m, n))
+    return scale * rnd.standard_normal((count, m, r)) @ rnd.standard_normal((count, r, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_stacks())
+def test_float_rank_of_a_stack_is_per_matrix_rank(stack):
+    ranks = float_rank(stack)
+    assert ranks == [float_rank(matrix) for matrix in stack]
+    assert all(type(r) is int for r in ranks)
+
+
+def test_float_rank_of_zero_size_inputs():
+    assert float_rank([]) == 0
+    assert float_rank([[], []]) == 0
+    assert float_rank(np.zeros((3, 0, 2))) == [0, 0, 0]
+    assert float_rank(np.zeros((0, 2, 2))) == []
+
+
+def test_sampled_ranks_stack_and_reject_no_points():
+    rows = [[_X, R2.zero()], [_X * _Y, _Y]]  # singular where x or y is 0
+    points = [[1, 2], [0, 5], [3, 0], [Fraction(1, 3), Fraction(-2, 7)]]
+    assert sampled_ranks(rows, points) == [2, 1, 1, 2]
+    assert sampled_ranks([[R2.zero()]], points) == [0] * 4
+    with pytest.raises(ValueError, match="at least one sample point"):
+        sampled_ranks(rows, [])

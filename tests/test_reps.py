@@ -215,6 +215,11 @@ class TestCharCocycle:
         with pytest.raises(NotAUnit):
             LineSection(R2.coord("x"), assert_nonvanishing=True, seed=3)
 
+    def test_spot_check_needs_a_sample(self, R2):
+        for samples in (0, -2):
+            with pytest.raises(ValueError, match="at least one sample"):
+                LineSection(R2.coord("x") ** 2 + 1, assert_nonvanishing=True, samples=samples)
+
 
 class TestModularCocycle:
     def test_tangent_unimodular(self, R2):

@@ -13,6 +13,7 @@ from algebroids.symexpr import (
     NotAUnit,
     PeriodicityViolation,
     ScalarFn,
+    SymExprError,
     UnknownCoordinate,
     cos,
     exp,
@@ -373,3 +374,100 @@ class TestRingProperties:
         f = ScalarFn._make(chart, [(k_frac, Fraction(1)), (k_int, Fraction(2))])
         assert f == 3 * exp(2 * chart.coord("x"))
         assert ScalarFn._make(chart, [(k_frac, Fraction(1)), (k_int, Fraction(-1))]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# batched float evaluation against a plain-Python reference
+# ---------------------------------------------------------------------------
+
+EVAL_CHARTS = [point_chart("P")] + CHARTS
+SMALL_SLOPE = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
+BOX = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
+
+
+def reference_evaluate(f, point):
+    """Term-by-term evaluation in Python floats and libm, point by point.
+    Returns the value and the sum of the absolute term values."""
+    pt = [float(v) for v in point]
+    total, scale = 0.0, 0.0
+    for (mono, trig, expv), q in f.terms.items():
+        val = float(q)
+        for x, e in zip(pt, mono):
+            val *= x**e
+        if trig is not None:
+            arg = sum(float(c) * x for c, x in zip(trig[1], pt))
+            val *= math.sin(arg) if trig[0] == "sin" else math.cos(arg)
+        val *= math.exp(sum(float(d) * x for d, x in zip(expv, pt)))
+        total += val
+        scale += abs(val)
+    return total, scale
+
+
+@st.composite
+def eval_terms(draw, chart):
+    """q * x^k * {1 | sin | cos}(c.x) * {1 | exp}(d.x)."""
+    term = chart.const(draw(COEFF))
+    if chart.dim:
+        term = term * chart.coord(draw(st.sampled_from(chart.coords))) ** draw(st.integers(0, 4))
+    slopes = lambda: sum(
+        (chart.const(draw(SMALL_SLOPE)) * chart.coord(c) for c in chart.coords), chart.zero()
+    )
+    kind = draw(st.sampled_from(["none", "sin", "cos"]))
+    if kind != "none":
+        term = term * {"sin": sin, "cos": cos}[kind](slopes())
+    if draw(st.booleans()):
+        term = term * exp(slopes())
+    return term
+
+
+@st.composite
+def chart_fn_points(draw):
+    chart = draw(st.sampled_from(EVAL_CHARTS))
+    f = sum((draw(eval_terms(chart)) for _ in range(draw(st.integers(1, 4)))), chart.zero())
+    points = draw(st.lists(st.lists(BOX, min_size=chart.dim, max_size=chart.dim), min_size=1, max_size=12))
+    return f, points
+
+
+class TestBatchedEvaluate:
+    @settings(max_examples=150, deadline=None)
+    @given(chart_fn_points())
+    def test_batch_matches_reference(self, case):
+        f, points = case
+        values = f.evaluate(points)
+        assert values.shape == (len(points),)
+        for got, pt in zip(values, points):
+            want, scale = reference_evaluate(f, pt)
+            assert abs(got - want) <= 1e-12 * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(chart_fn_points())
+    def test_single_point_is_a_float(self, case):
+        f, points = case
+        value = f.evaluate(points[0])
+        assert type(value) is float
+        assert value == f.evaluate(points[:1])[0]
+
+    def test_overflowing_exp_or_power_raises(self):
+        x = CHARTS[0].coord("x")
+        points = [[Fraction(1)], [Fraction(60)]]  # overflows at the second point only
+        for f, scalar in [(exp(200 * x), lambda: math.exp(12000.0)), (x**200 + 1, lambda: 60.0**200)]:
+            with pytest.raises(OverflowError) as raised:
+                f.evaluate(points)
+            with pytest.raises(OverflowError) as python:
+                scalar()
+            assert str(raised.value) == str(python.value)
+            with pytest.raises(OverflowError):
+                f.evaluate(points[1])
+
+    def test_products_and_sums_overflow_silently(self):
+        x = CHARTS[0].coord("x")
+        huge = CHARTS[0].const(10**300)
+        big = huge * exp(700 * x)  # e^700 is finite, the product is not
+        assert big.evaluate([1]) == math.inf
+        assert math.isnan((big - huge * exp(699 * x)).evaluate([1]))
+
+    def test_point_dimension_is_checked(self):
+        with pytest.raises(SymExprError):
+            R2.coord("x").evaluate([[1, 2, 3]])
+        with pytest.raises(SymExprError):
+            R2.coord("x").evaluate([1])
