@@ -381,7 +381,6 @@ class TestRingProperties:
 # ---------------------------------------------------------------------------
 
 EVAL_CHARTS = [point_chart("P")] + CHARTS
-SMALL_SLOPE = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
 BOX = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
 
 
@@ -409,14 +408,11 @@ def eval_terms(draw, chart):
     term = chart.const(draw(COEFF))
     if chart.dim:
         term = term * chart.coord(draw(st.sampled_from(chart.coords))) ** draw(st.integers(0, 4))
-    slopes = lambda: sum(
-        (chart.const(draw(SMALL_SLOPE)) * chart.coord(c) for c in chart.coords), chart.zero()
-    )
     kind = draw(st.sampled_from(["none", "sin", "cos"]))
     if kind != "none":
-        term = term * {"sin": sin, "cos": cos}[kind](slopes())
+        term = term * {"sin": sin, "cos": cos}[kind](draw(linear_args(chart)))
     if draw(st.booleans()):
-        term = term * exp(slopes())
+        term = term * exp(draw(linear_args(chart)))
     return term
 
 
