@@ -9,6 +9,12 @@
     algebroids extension SCENARIO EXT extension reports
     algebroids diagram SCENARIO DIA   diagram validation and coboundary check
 
+Every subcommand that needs a cocycle, a trivialization or an ansatz asks
+a `runner.Session`, the same object the assertions of `run` go through;
+`modular`, `relmod` and `char` share one payload.  Each subcommand accepts
+only the flags it reads: `--seed` where something is sampled, and
+`--ansatz-degree`/`--fourier-modes` where an ansatz is built.
+
 Scenario files bundled with the package (see the corpus directory) can be
 named by bare filename; local paths take precedence.
 """
@@ -21,11 +27,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .cohomology import classify
 from .core import check_axioms
-from .morphisms import check_morphism, relative_modular
-from .reps import LineSection, char_cocycle, check_flat, modular_cocycle
-from .runner import run
+from .diagrams import verify_mod_coboundary
+from .extensions import check_extension, verify_extension_identity
+from .morphisms import check_morphism
+from .pullback import build_pullback
+from .report import CheckReport
+from .reps import check_flat
+from .runner import Session, run
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .symexpr import parse_expr
 
@@ -58,75 +67,57 @@ def _emit(payload: dict, fmt: str) -> None:
                 print(f"{key}: {value}")
 
 
-def _cmd_run(args) -> int:
+def _emit_reports(blocks: list, fmt: str) -> int:
+    if fmt == "json":
+        print(json.dumps([b.to_dict() for b in blocks], sort_keys=True, indent=2))
+    else:
+        for b in blocks:
+            print(b.pretty())
+    return 0 if all(b.passed for b in blocks) else 1
+
+
+def _session(args) -> Session:
+    """Load the scenario with the ansatz overrides applied, at `--seed`."""
     sc = load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    report = run(sc, seed=args.seed, timings=args.timings)
+    if args.ansatz_degree is not None:
+        sc.ansatz_degree = args.ansatz_degree
+    if args.fourier_modes is not None:
+        sc.ansatz_modes = args.fourier_modes
+    return Session(sc, args.seed)
+
+
+def _cmd_run(args) -> int:
+    session = _session(args)
+    report = run(session.sc, seed=session.seed, timings=args.timings)
     print(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.passed else 1
 
 
 def _cmd_validate(args) -> int:
     sc = load_scenario(args.scenario)
-    ok = True
-    blocks = []
-    for name, alg in sc.algebroids.items():
-        rep = check_axioms(alg)
-        ok = ok and rep.passed
-        blocks.append(rep)
-    for name, d in sc.reps.items():
-        rep = check_flat(d)
-        ok = ok and rep.passed
-        blocks.append(rep)
-    for name, phi in sc.morphisms.items():
-        rep = check_morphism(phi)
-        ok = ok and rep.passed
-        blocks.append(rep)
-    if args.format == "json":
-        print(json.dumps([b.to_dict() for b in blocks], sort_keys=True, indent=2))
-    else:
-        for b in blocks:
-            print(b.pretty())
-    return 0 if ok else 1
+    blocks = [check_axioms(a) for a in sc.algebroids.values()]
+    blocks += [check_flat(d) for d in sc.reps.values()]
+    blocks += [check_morphism(phi) for phi in sc.morphisms.values()]
+    return _emit_reports(blocks, args.format)
 
 
-def _cmd_modular(args) -> int:
-    sc = load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    a = sc.algebroid(args.name)
-    tv = sc.section(args.name)
-    alpha = modular_cocycle(a, tv.omega, tv.mu)
-    from .runner import _Runner
-
-    cls = classify(alpha, _Runner(sc, args.seed).ansatz(a.chart), seed=args.seed)
-    _emit(
-        {
-            "algebroid": args.name,
-            "modular_cocycle": str(alpha),
-            "status": cls.status,
-            "primitive": str(cls.primitive) if cls.primitive is not None else None,
-        },
-        args.format,
-    )
-    return 0
+# subcommand -> (key of the object name, key of the cocycle) in its payload
+_COCYCLE_KEYS = {
+    "modular": ("algebroid", "modular_cocycle"),
+    "relmod": ("morphism", "relative_modular_cocycle"),
+    "char": ("representation", "characteristic_cocycle"),
+}
 
 
-def _cmd_relmod(args) -> int:
-    sc = load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    phi = sc.morphisms[args.name]
-    from .runner import _Runner
-
-    runner = _Runner(sc, args.seed)
-    alpha = relative_modular(
-        phi, runner._triv_of(phi.source), runner._triv_of(phi.target)
-    )
-    cls = classify(alpha, runner.ansatz(phi.source.chart), seed=args.seed)
-    payload = {
-        "morphism": args.name,
-        "relative_modular_cocycle": str(alpha),
-        "status": cls.status,
-    }
+def _cmd_cocycle(args) -> int:
+    session = _session(args)
+    spec = {"kind": args.command, "name": args.name}
+    if args.command == "char":
+        spec["section"] = parse_expr(args.section, session.sc.reps[args.name].chart)
+    alpha = session.cocycle(spec)
+    cls = session.classify(alpha)
+    name_key, cocycle_key = _COCYCLE_KEYS[args.command]
+    payload = {name_key: args.name, cocycle_key: str(alpha), "status": cls.status}
     if cls.primitive is not None:
         payload["primitive"] = str(cls.primitive)
     if cls.certificate is not None:
@@ -140,8 +131,6 @@ def _cmd_relmod(args) -> int:
 
 def _cmd_pullback(args) -> int:
     sc = load_scenario(args.scenario)
-    from .pullback import build_pullback
-
     built = build_pullback(sc.pullframes[args.name], seed=args.seed)
     pres = built.presentation
     payload = {
@@ -162,70 +151,31 @@ def _cmd_pullback(args) -> int:
     return 0
 
 
-def _cmd_char(args) -> int:
-    sc = load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    d = sc.reps[args.name]
-    lam = LineSection(parse_expr(args.section, d.chart))
-    alpha = char_cocycle(d, lam)
-    from .runner import _Runner
-
-    cls = classify(alpha, _Runner(sc, args.seed).ansatz(d.chart), seed=args.seed)
-    _emit(
-        {
-            "representation": args.name,
-            "characteristic_cocycle": str(alpha),
-            "status": cls.status,
-        },
-        args.format,
-    )
-    return 0
-
-
 def _cmd_extension(args) -> int:
-    sc = load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    from .extensions import check_extension, verify_extension_identity
-    from .runner import _Runner
-
-    ext = sc.extensions[args.name]
-    runner = _Runner(sc, args.seed)
-    blocks = [check_extension(ext, seed=args.seed)]
+    session = _session(args)
+    ext = session.sc.extensions[args.name]
+    blocks = [check_extension(ext, seed=session.seed)]
     try:
         blocks.append(
             verify_extension_identity(
                 ext,
-                mu_quotient=sc.extension_mu.get(args.name),
-                ansatz=runner.ansatz(ext.chart),
-                seed=args.seed,
+                mu_quotient=session.sc.extension_mu.get(args.name),
+                ansatz=session.ansatz(ext.chart),
+                seed=session.seed,
             )
         )
     except Exception as e:
-        print(f"identity verification aborted: {type(e).__name__}: {e}")
-    if args.format == "json":
-        print(json.dumps([b.to_dict() for b in blocks], sort_keys=True, indent=2))
-    else:
-        for b in blocks:
-            print(b.pretty())
-    return 0 if all(b.passed for b in blocks) else 1
+        aborted = CheckReport("extension modular identity")
+        aborted.add("identity verification", False, f"{type(e).__name__}: {e}")
+        blocks.append(aborted)
+    return _emit_reports(blocks, args.format)
 
 
 def _cmd_diagram(args) -> int:
-    sc = load_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    from .diagrams import verify_mod_coboundary
-    from .runner import _Runner
-
-    dia = sc.diagrams[args.name]
-    runner = _Runner(sc, args.seed)
-    sections = {name: runner._triv_of(alg) for name, alg in dia.objects.items()}
-    blocks = [dia.validate(), verify_mod_coboundary(dia, sections)]
-    if args.format == "json":
-        print(json.dumps([b.to_dict() for b in blocks], sort_keys=True, indent=2))
-    else:
-        for b in blocks:
-            print(b.pretty())
-    return 0 if all(b.passed for b in blocks) else 1
+    session = Session(load_scenario(args.scenario))
+    dia = session.sc.diagrams[args.name]
+    sections = {name: session.trivialization(alg) for name, alg in dia.objects.items()}
+    return _emit_reports([dia.validate(), verify_mod_coboundary(dia, sections)], args.format)
 
 
 def _cmd_corpus(args) -> int:
@@ -234,11 +184,20 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-def _apply_overrides(sc: Scenario, args) -> None:
-    if getattr(args, "ansatz_degree", None) is not None:
-        sc.ansatz_degree = args.ansatz_degree
-    if getattr(args, "fourier_modes", None) is not None:
-        sc.ansatz_modes = args.fourier_modes
+# name, handler, help of the object-name argument (None: no such argument), help
+_SUBCOMMANDS = [
+    ("run", _cmd_run, None, "run every assertion in the scenario"),
+    ("validate", _cmd_validate, None, "axiom/flatness/morphism reports"),
+    ("modular", _cmd_cocycle, "algebroid name", "modular cocycle of an algebroid"),
+    ("relmod", _cmd_cocycle, "morphism name", "relative modular cocycle of a morphism"),
+    ("pullback", _cmd_pullback, "pullback name", "build a declared pull-back"),
+    ("char", _cmd_cocycle, "representation name", "characteristic cocycle of a line representation"),
+    ("extension", _cmd_extension, "extension name", "extension validation and identity"),
+    ("diagram", _cmd_diagram, "diagram name", "diagram validation and coboundary check"),
+]
+# the subcommands that read --seed, and those that read the ansatz overrides
+_SEEDED = {"run", "modular", "relmod", "pullback", "char", "extension"}
+_ANSATZ = {"run", "modular", "relmod", "char", "extension"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,54 +206,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of Lie algebroid identities from scenario files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_name: bool = True, name_help: str = "object name"):
+    parsers = {}
+    for command, func, name_help, help_ in _SUBCOMMANDS:
+        p = parsers[command] = sub.add_parser(command, help=help_)
         p.add_argument("scenario", help="scenario file (path or corpus name)")
-        if with_name:
+        if name_help:
             p.add_argument("name", help=name_help)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--ansatz-degree", type=int, default=None)
-        p.add_argument("--fourier-modes", type=int, default=None)
+        if command in _SEEDED:
+            p.add_argument("--seed", type=int, default=0)
+        if command in _ANSATZ:
+            p.add_argument("--ansatz-degree", type=int, default=None)
+            p.add_argument("--fourier-modes", type=int, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("run", help="run every assertion in the scenario")
-    common(p, with_name=False)
-    p.add_argument(
+        p.set_defaults(func=func)
+    parsers["run"].add_argument(
         "--timings",
         action="store_true",
         help="include wall-clock timings (breaks byte-for-byte determinism)",
     )
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("validate", help="axiom/flatness/morphism reports")
-    common(p, with_name=False)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("modular", help="modular cocycle of an algebroid")
-    common(p, name_help="algebroid name")
-    p.set_defaults(func=_cmd_modular)
-
-    p = sub.add_parser("relmod", help="relative modular cocycle of a morphism")
-    common(p, name_help="morphism name")
-    p.set_defaults(func=_cmd_relmod)
-
-    p = sub.add_parser("pullback", help="build a declared pull-back")
-    common(p, name_help="pullback name")
-    p.set_defaults(func=_cmd_pullback)
-
-    p = sub.add_parser("char", help="characteristic cocycle of a line representation")
-    common(p, name_help="representation name")
-    p.add_argument("--section", default="1", help="trivializing section coefficient")
-    p.set_defaults(func=_cmd_char)
-
-    p = sub.add_parser("extension", help="extension validation and identity")
-    common(p, name_help="extension name")
-    p.set_defaults(func=_cmd_extension)
-
-    p = sub.add_parser("diagram", help="diagram validation and coboundary check")
-    common(p, name_help="diagram name")
-    p.set_defaults(func=_cmd_diagram)
-
+    parsers["char"].add_argument(
+        "--section", default="1", help="trivializing section coefficient"
+    )
     p = sub.add_parser("corpus", help="list bundled scenario files")
     p.set_defaults(func=_cmd_corpus)
     return parser

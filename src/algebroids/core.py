@@ -532,13 +532,6 @@ def lie_top(
     return FormField(a, mu.degree, {key: total})
 
 
-def divergence(chart: Chart, v: Sequence[ScalarFn]) -> ScalarFn:
-    out = chart.zero()
-    for comp, coord in zip(v, chart.coords):
-        out = out + comp.partial(coord)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stock presentations
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import AlgebroidPresentation, FormField, d_A
+from .core import AlgebroidPresentation, FormField
 from .morphisms import Morphism, Trivialization, check_morphism, compose, pullback_form, relative_modular
 from .report import CheckReport
 from .reps import modular_cocycle
@@ -103,14 +103,6 @@ class Diagram:
 
 Cochain0 = Mapping[str, FormField]
 Cochain1 = Mapping[str, FormField]
-
-
-def check_cochain0(diagram: Diagram, u: Cochain0) -> None:
-    for name, alpha in u.items():
-        if name not in diagram.objects:
-            raise DiagramError(f"0-cochain on unknown object {name!r}")
-        if not d_A(alpha).is_zero():
-            raise DiagramError(f"0-cochain value on {name!r} is not closed")
 
 
 def delta0(diagram: Diagram, u: Cochain0) -> dict[str, FormField]:

@@ -559,16 +559,36 @@ def subalgebroid_from_vector_fields(
     return pres, incl
 
 
-def regular_poisson_kit(
+@dataclass
+class PoissonKit:
+    """The extension data of a regular bivector and its two modular cocycles.
+
+    `mod_sharp` is the relative modular cocycle of the anchor `sharp` of the
+    cotangent algebroid, `eta_k` the characteristic cocycle of the kernel-top
+    representation, and `half` its pull-back along `sharp_b`; the doubling
+    identity says `mod_sharp` is cohomologous to twice `half`."""
+
+    cotangent: AlgebroidPresentation
+    image: AlgebroidPresentation
+    image_in_tm: Morphism
+    sharp: Morphism
+    sharp_b: Morphism
+    ext: ExtensionPresentation
+    mod_sharp: FormField
+    eta_k: FormField
+    half: FormField
+
+
+def poisson_kit(
     pi: Multivector,
     image_columns: Sequence[Sequence[ScalarFn]],
     kernel_columns: Sequence[Sequence[ScalarFn]],
     lam_coeff: Optional[ScalarFn] = None,
-    seed: int = 0,
-):
+) -> PoissonKit:
     """Assemble the extension data of a regular bivector: the cotangent
     algebroid, the image subalgebroid of the map induced by the bivector,
-    the kernel with its inclusion, and the factored anchor morphism."""
+    the kernel with its inclusion, and the factored anchor morphism; then
+    derive the modular cocycles the Poisson identities compare."""
     tm = pi.algebroid
     chart = tm.chart
     apres = cotangent_algebroid(pi)
@@ -616,7 +636,12 @@ def regular_poisson_kit(
     )
     lam = LineSection(lam_coeff if lam_coeff is not None else chart.one())
     ext = ExtensionPresentation(cpres, apres, bpres, incl, sharp_b, lam)
-    return apres, bpres, b_in_tm, sharp, sharp_b, ext
+    mod_sharp = relative_modular(
+        sharp, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(tm))
+    )
+    eta_k = char_cocycle(induced_rep(ext), ext.lam)
+    half = pullback_form(sharp_b, eta_k)
+    return PoissonKit(apres, bpres, b_in_tm, sharp, sharp_b, ext, mod_sharp, eta_k, half)
 
 
 def verify_regular_poisson(
@@ -634,9 +659,9 @@ def verify_regular_poisson(
     rep = CheckReport("regular Poisson identities")
     tm = pi.algebroid
     chart = tm.chart
-    apres, bpres, b_in_tm, sharp, sharp_b, ext = regular_poisson_kit(
-        pi, image_columns, kernel_columns, lam_coeff, seed
-    )
+    kit = poisson_kit(pi, image_columns, kernel_columns, lam_coeff)
+    apres, bpres, sharp, sharp_b = kit.cotangent, kit.image, kit.sharp, kit.sharp_b
+    mod_sharp, eta_k, pulled = kit.mod_sharp, kit.eta_k, kit.half
     rng = random.Random(seed)
     pts = [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in chart.coords] for _ in range(50)]
     ranks = set(sampled_ranks(sharp.fiber, pts))
@@ -645,17 +670,12 @@ def verify_regular_poisson(
         ranks == {bpres.rank},
         f"sampled ranks {sorted(ranks)}, image rank {bpres.rank}",
     )
-    extrep = check_extension(ext, seed=seed)
+    extrep = check_extension(kit.ext, seed=seed)
     rep.add("extension data valid", extrep.passed)
     space = ansatz or AnsatzSpace(chart)
-    eta_k = char_cocycle(induced_rep(ext), ext.lam)
-    mod_sharp = relative_modular(
-        sharp, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(tm))
-    )
     mod_sharp_b = relative_modular(
         sharp_b, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(bpres))
     )
-    pulled = pullback_form(sharp_b, eta_k)
     res1 = mod_sharp_b - pulled
     if res1.is_zero():
         rep.add("image identity exact at cochain level", True)
@@ -669,7 +689,7 @@ def verify_regular_poisson(
         v = cohomologous(mod_sharp, pulled.scale(2), space, seed=seed)
         rep.add("doubling identity up to an exact form", v.verdict == "cohomologous", v.verdict)
     # duality of the cokernel-top representation with the kernel-top one
-    dq = quotient_top_rep(b_in_tm, complement_columns)
+    dq = quotient_top_rep(kit.image_in_tm, complement_columns)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
     dual_res = eta_q + eta_k
     if dual_res.is_zero():

@@ -75,12 +75,6 @@ class Morphism:
         """Compose a target-chart function with the base map."""
         return f.substitute(self.source.chart, list(self.basemap))
 
-    def is_base_preserving(self) -> bool:
-        src = self.source.chart
-        if src != self.target.chart:
-            return False
-        return all(self.basemap[j] == src.coord(c) for j, c in enumerate(src.coords))
-
 
 def identity_morphism(a: AlgebroidPresentation, name: Optional[str] = None) -> Morphism:
     chart = a.chart

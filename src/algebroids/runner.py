@@ -1,5 +1,10 @@
 """Execute scenario assertions and produce deterministic reports.
 
+A `Session` holds one scenario at one seed and answers the queries that
+both the assertions and the CLI subcommands ask: the cocycle a spec names,
+the trivialization of an algebroid, the ansatz on a chart and the exactness
+class of a cocycle.  `run` executes the assertions through a session.
+
 Every assertion maps onto one library operation; verdicts are pass, fail
 or error (an exception, with its message).  Reports are byte-identical
 for a fixed scenario and seed; wall-clock timings are collected only when
@@ -15,6 +20,7 @@ from typing import Optional
 
 from .cohomology import (
     AnsatzSpace,
+    CocycleClass,
     Inconclusive,
     check_pullback_injectivity,
     classify,
@@ -26,8 +32,7 @@ from .diagrams import exhibit_coboundary, delta0, modular_cochain, verify_mod_co
 from .extensions import (
     UnimodularityFailure,
     check_extension,
-    induced_rep,
-    regular_poisson_kit,
+    poisson_kit,
     top_rep,
     verify_constant_rank_identity,
     verify_extension_identity,
@@ -50,7 +55,7 @@ from .pullback import (
     factorize,
     verify_submersion_vanishing,
 )
-from .reps import LineSection, canonical_sections, char_cocycle, check_flat
+from .reps import LineSection, canonical_sections, char_cocycle, check_flat, modular_cocycle
 from .report import CheckReport
 from .scenario import Assertion, Scenario, ScenarioError
 from .symexpr import parse_expr
@@ -117,8 +122,12 @@ class Report:
         )
 
 
-class _Runner:
-    def __init__(self, sc: Scenario, seed: int):
+class Session:
+    """One scenario at one seed: the queries that assertions and CLI
+    subcommands share.  Ansatz spaces and Poisson kits are built once per
+    session."""
+
+    def __init__(self, sc: Scenario, seed: int = 0):
         self.sc = sc
         self.seed = seed
         self._ansatz_cache: dict = {}
@@ -132,17 +141,24 @@ class _Runner:
             )
         return self._ansatz_cache[key]
 
-    def sections_for(self, alg_name: str) -> Trivialization:
-        return self.sc.section(alg_name)
+    def classify(self, alpha: FormField) -> CocycleClass:
+        """Exactness of `alpha` in the session's ansatz on its chart."""
+        return classify(alpha, self.ansatz(alpha.algebroid.chart), seed=self.seed)
 
-    def resolve_cocycle(self, spec: dict) -> FormField:
+    def trivialization(self, alg) -> Trivialization:
+        """The declared section of a named algebroid, else the canonical one."""
+        for name, a in self.sc.algebroids.items():
+            if a == alg:
+                return self.sc.section(name)
+        return Trivialization(*canonical_sections(alg))
+
+    def cocycle(self, spec: dict) -> FormField:
+        """The 1-form a parsed cocycle spec names (`{"kind": ..., ...}`)."""
         kind = spec["kind"]
         sc = self.sc
         if kind == "modular":
             a = sc.algebroid(spec["name"])
-            from .reps import modular_cocycle
-
-            tv = self.sections_for(spec["name"])
+            tv = sc.section(spec["name"])
             return modular_cocycle(a, tv.omega, tv.mu)
         if kind == "zero":
             a = sc.algebroid(spec["name"])
@@ -151,17 +167,18 @@ class _Runner:
             phi = sc.morphisms[spec["name"]]
             return relative_modular(
                 phi,
-                self._triv_of(phi.source),
-                self._triv_of(phi.target),
+                self.trivialization(phi.source),
+                self.trivialization(phi.target),
             )
-        if kind == "poissonmod":
-            data = sc.poissons[spec["name"]]
-            kit = self._poisson_kit(spec["name"], data)
-            return kit["mod_sharp"]
-        if kind == "poissonhalf":
-            data = sc.poissons[spec["name"]]
-            kit = self._poisson_kit(spec["name"], data)
-            return kit["half"]
+        if kind in ("poissonmod", "poissonhalf"):
+            name = spec["name"]
+            if name not in self._poisson_cache:
+                data = sc.poissons[name]
+                self._poisson_cache[name] = poisson_kit(
+                    data.bivector, data.image, data.kernel, lam_coeff=data.lam
+                )
+            kit = self._poisson_cache[name]
+            return kit.mod_sharp if kind == "poissonmod" else kit.half
         if kind == "char":
             d = sc.reps[spec["name"]]
             return char_cocycle(d, LineSection(spec["section"]))
@@ -170,38 +187,9 @@ class _Runner:
             return one_form(a, spec["comps"])
         if kind == "pull":
             phi = sc.morphisms[spec["name"]]
-            inner = self.resolve_cocycle(spec["inner"])
+            inner = self.cocycle(spec["inner"])
             return pullback_form(phi, inner)
         raise ScenarioError(f"unknown cocycle spec {kind!r}")
-
-    def _triv_of(self, alg) -> Trivialization:
-        for name, a in self.sc.algebroids.items():
-            if a == alg:
-                return self.sections_for(name)
-        return Trivialization(*canonical_sections(alg))
-
-    def _poisson_kit(self, name: str, data) -> dict:
-        cache = self._poisson_cache
-        if name in cache:
-            return cache[name]
-        apres, bpres, b_in_tm, sharp, sharp_b, ext = regular_poisson_kit(
-            data.bivector, data.image, data.kernel, lam_coeff=data.lam, seed=self.seed
-        )
-        tm = data.bivector.algebroid
-        mod_sharp = relative_modular(
-            sharp,
-            Trivialization(*canonical_sections(apres)),
-            Trivialization(*canonical_sections(tm)),
-        )
-        eta_k = char_cocycle(induced_rep(ext), ext.lam)
-        half = pullback_form(sharp_b, eta_k)
-        cache[name] = {
-            "mod_sharp": mod_sharp,
-            "eta_k": eta_k,
-            "half": half,
-            "ext": ext,
-        }
-        return cache[name]
 
     # ----- assertion handlers -------------------------------------------
 
@@ -243,16 +231,15 @@ class _Runner:
         return self._report_verdict(rep, args["expect"])
 
     def _assert_equal(self, args) -> tuple[str, str]:
-        left = self.resolve_cocycle(args["left"])
-        right = self.resolve_cocycle(args["right"])
+        left = self.cocycle(args["left"])
+        right = self.cocycle(args["right"])
         res = left - right
         if res.is_zero():
             return "pass", ""
         return "fail", f"difference {res}"
 
     def _assert_exact(self, args) -> tuple[str, str]:
-        alpha = self.resolve_cocycle(args["spec"])
-        cls = classify(alpha, self.ansatz(alpha.algebroid.chart), seed=self.seed)
+        cls = self.classify(self.cocycle(args["spec"]))
         got = {"exact": "yes", "nonexact_certified": "no", "nonexact_in_ansatz": "unknown"}[
             cls.status
         ]
@@ -264,8 +251,8 @@ class _Runner:
         return ("pass" if got == args["expect"] else "fail"), detail
 
     def _assert_cohomologous(self, args) -> tuple[str, str]:
-        left = self.resolve_cocycle(args["left"])
-        right = self.resolve_cocycle(args["right"])
+        left = self.cocycle(args["left"])
+        right = self.cocycle(args["right"])
         verdict = cohomologous(
             left, right, self.ansatz(left.algebroid.chart), seed=self.seed
         )
@@ -277,7 +264,7 @@ class _Runner:
         return ("pass" if got == args["expect"] else "fail"), verdict.verdict
 
     def _assert_period(self, args) -> tuple[str, str]:
-        alpha = self.resolve_cocycle(args["spec"])
+        alpha = self.cocycle(args["spec"])
         chart = alpha.algebroid.chart
         mean_expect = parse_expr(args["mean_raw"], chart)
         cert = period_certificate(
@@ -295,8 +282,8 @@ class _Runner:
 
     def _assert_dphi(self, args) -> tuple[str, str]:
         phi = self.sc.morphisms[args["name"]]
-        sec_s = self._triv_of(phi.source)
-        sec_t = self._triv_of(phi.target)
+        sec_s = self.trivialization(phi.source)
+        sec_t = self.trivialization(phi.target)
         d = relative_canonical_rep(phi, sec_s, sec_t)
         alpha = char_cocycle(d, LineSection(phi.source.chart.one()))
         rel = relative_modular(phi, sec_s, sec_t)
@@ -339,9 +326,9 @@ class _Runner:
         rep = check_composition_law(
             first,
             second,
-            self._triv_of(first.source),
-            self._triv_of(first.target),
-            self._triv_of(second.target),
+            self.trivialization(first.source),
+            self.trivialization(first.target),
+            self.trivialization(second.target),
         )
         return self._report_verdict(rep, args["expect"])
 
@@ -437,7 +424,7 @@ class _Runner:
         if sub == "validates":
             return self._report_verdict(dia.validate(), args["expect"])
         sections = {
-            name: self._triv_of(alg) for name, alg in dia.objects.items()
+            name: self.trivialization(alg) for name, alg in dia.objects.items()
         }
         if sub == "coboundary":
             rep = verify_mod_coboundary(dia, sections)
@@ -464,7 +451,7 @@ class _Runner:
 
     def _assert_inj(self, args) -> tuple[str, str]:
         proj = self.sc.morphisms[args["morphism"]]
-        alpha = self.resolve_cocycle(args["spec"])
+        alpha = self.cocycle(args["spec"])
         rep = check_pullback_injectivity(
             proj,
             alpha,
@@ -482,12 +469,12 @@ class _Runner:
 
 def run(sc: Scenario, seed: int = 0, timings: bool = False) -> Report:
     """Execute the assertions in declaration order."""
-    runner = _Runner(sc, seed)
+    session = Session(sc, seed)
     report = Report(sc.name, seed)
     for idx, a in enumerate(sc.assertions, start=1):
         t0 = time.perf_counter() if timings else None
         try:
-            verdict, detail = runner.run_assertion(a)
+            verdict, detail = session.run_assertion(a)
         except Exception as e:  # verdicts, not crashes
             verdict, detail = "error", f"{type(e).__name__}: {e}"
         elapsed = (time.perf_counter() - t0) if timings else None

@@ -30,7 +30,7 @@ from .diagrams import Diagram
 from .extensions import ExtensionPresentation, cotangent_algebroid
 from .morphisms import Morphism, Trivialization, compose, identity_morphism
 from .pullback import PullbackFrame, PullbackFramePair, product_submersion_frame
-from .reps import LineSection, Representation
+from .reps import LineSection, Representation, canonical_sections
 from .symexpr import Chart, ScalarFn, SymExprError, parse_expr
 
 
@@ -86,7 +86,6 @@ class Scenario:
     poissons: dict = field(default_factory=dict)
     quotientdata: dict = field(default_factory=dict)
     diagrams: dict = field(default_factory=dict)
-    diagram_objects: dict = field(default_factory=dict)
     bundlemaps: dict = field(default_factory=dict)
     ansatz_degree: int = 4
     ansatz_modes: int = 4
@@ -100,11 +99,7 @@ class Scenario:
     def section(self, name: str) -> Trivialization:
         if name in self.sections:
             return self.sections[name]
-        a = self.algebroid(name)
-        return Trivialization(
-            top_multivector(a, a.chart.one()),
-            top_form(tangent_algebroid(a.chart), a.chart.one()),
-        )
+        return Trivialization(*canonical_sections(self.algebroid(name)))
 
 
 def _strip_comments(text: str) -> str:

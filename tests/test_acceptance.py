@@ -63,7 +63,7 @@ from algebroids.reps import (
     modular_cocycle,
     tensor_rep,
 )
-from algebroids.runner import _Runner, run
+from algebroids.runner import Session, run
 from algebroids.scenario import parse_scenario
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, sin
 
@@ -152,17 +152,18 @@ def test_criterion_02_submersion_cochain_vanishing():
 def _corpus_morphisms():
     for name in corpus_scenarios():
         sc = load_scenario(name)
-        runner = _Runner(sc, 0)
+        session = Session(sc, 0)
         for mname, phi in sc.morphisms.items():
-            yield name, mname, phi, runner
+            yield name, mname, phi, session
 
 
 def test_criterion_03_relative_class_is_characteristic():
     """char of the relative canonical representation equals the relative
     modular cocycle, exactly, on every corpus morphism."""
     count = 0
-    for scn, mname, phi, runner in _corpus_morphisms():
-        sec_s, sec_t = runner._triv_of(phi.source), runner._triv_of(phi.target)
+    for scn, mname, phi, session in _corpus_morphisms():
+        sec_s = session.trivialization(phi.source)
+        sec_t = session.trivialization(phi.target)
         d = relative_canonical_rep(phi, sec_s, sec_t)
         alpha = char_cocycle(d, LineSection(phi.source.chart.one()))
         rel = relative_modular(phi, sec_s, sec_t)
@@ -310,9 +311,9 @@ def test_criterion_07_poisson_doubling():
     the class certified nonzero through the circle slice."""
     sc = load_scenario("poisson_spiral.scn")
     assert sc.ansatz_degree == 4 and sc.ansatz_modes == 4
-    runner = _Runner(sc, 0)
-    kit = runner._poisson_kit("SP", sc.poissons["SP"])
-    mod_sharp, half = kit["mod_sharp"], kit["half"]
+    session = Session(sc, 0)
+    mod_sharp = session.cocycle({"kind": "poissonmod", "name": "SP"})
+    half = session.cocycle({"kind": "poissonhalf", "name": "SP"})
     space = AnsatzSpace(mod_sharp.algebroid.chart, 4, 4)
     verdict = cohomologous(mod_sharp, half.scale(2), space)
     ok1 = verdict.verdict == "cohomologous"

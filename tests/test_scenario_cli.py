@@ -150,6 +150,43 @@ class TestCLI:
         assert main(["diagram", "diagram_point.scn", "DIA"]) == 0
         capsys.readouterr()
 
+    def test_extension_aborted_identity_is_a_failing_block(self, capsys):
+        assert main(["extension", "extension_so3.scn", "AFF", "--format", "json"]) == 1
+        blocks = json.loads(capsys.readouterr().out)
+        identity = [b for b in blocks if b["title"] == "extension modular identity"]
+        assert len(identity) == 1 and identity[0]["passed"] is False
+        assert "UnimodularityFailure" in identity[0]["items"][0]["detail"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["modular", "cylinder.scn", "B"],
+            ["modular", "cylinder.scn", "TS1"],
+            ["relmod", "cylinder.scn", "incl"],
+            ["relmod", "cylinder.scn", "iB"],
+            ["relmod", "submersion.scn", "prS"],
+            ["char", "cylinder.scn", "D", "--section", "exp(x)"],
+        ],
+    )
+    def test_cocycle_payload_fields_follow_status(self, capsys, argv):
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert ("primitive" in data) == (data["status"] == "exact")
+        assert ("certificate" in data) == (data["status"] == "nonexact_certified")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "corrupted.scn", "--seed", "1"],
+            ["diagram", "diagram_point.scn", "DIA", "--ansatz-degree", "2"],
+            ["pullback", "cylinder.scn", "PB", "--fourier-modes", "2"],
+        ],
+    )
+    def test_unread_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+
     def test_missing_scenario(self, capsys):
         assert main(["run", "no_such_file.scn"]) == 2
         capsys.readouterr()
