@@ -10,12 +10,18 @@ linear algebra, and the verdict is three-valued:
 * certified non-exact, via the vanishing-mean obstruction along a
   periodic coordinate (sound globally, not just in the ansatz);
 * not exact within the ansatz (unknown).
+
+The operator of that linear algebra, d_A on the basis of a space, depends
+only on the algebroid and the space, not on the cocycle: an `AnsatzSpace`
+factors it once per algebroid, on its first solve, and keeps it.  Reuse
+one space across the `classify` and `cohomologous` calls on a chart, so
+that every cocycle after the first costs only its right-hand side.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Union
@@ -24,7 +30,7 @@ import numpy as np
 
 from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
-from .ratlinalg import rat_solve
+from .ratlinalg import FactoredSystem, rat_solve
 from .report import CheckReport
 from .symexpr import Chart, ScalarFn, TermKey, _term_sort_key, cos, exp, sin
 
@@ -45,17 +51,27 @@ class AnsatzSpace:
     times sin/cos of integer modes bounded by fourier_modes in the periodic
     coordinates, times optional exp atoms with the given slope vectors over
     non-periodic coordinates.
+
+    A space keeps its basis and, per algebroid it has solved for, d_A on
+    that basis factored once (see `solve_exact`); reuse one space across
+    the `classify` and `cohomologous` calls on its chart.  The memo takes
+    no part in `==` and `hash`.
     """
 
     chart: Chart
     degree: int = 4
     fourier_modes: int = 4
     exp_slopes: tuple[tuple[Fraction, ...], ...] = ()
+    _basis: list[ScalarFn] = field(default_factory=list, init=False, compare=False, repr=False)
+    # id(algebroid) -> (algebroid, its factored operator); the algebroid is
+    # held so that its id is not reused while the entry lives
+    _operators: dict[int, tuple[AlgebroidPresentation, "AnsatzOperator"]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def basis(self) -> list[ScalarFn]:
-        cached = _BASIS_CACHE.get(self)
-        if cached is not None:
-            return list(cached)
+        if self._basis:
+            return list(self._basis)
         chart = self.chart
         nonper = [i for i, p in enumerate(chart.periodic) if not p]
         per = [i for i, p in enumerate(chart.periodic) if p]
@@ -95,17 +111,53 @@ class AnsatzSpace:
             for t in trigs:
                 for e in exps:
                     out.append(m * t * e)
-        _BASIS_CACHE[self] = out
+        self._basis[:] = out  # one replacement: two fills leave one copy
         return list(out)
 
+    def operator(self, a: AlgebroidPresentation) -> "AnsatzOperator":
+        """d_A on the basis for the algebroid `a`, built on first use."""
+        entry = self._operators.get(id(a))
+        if entry is None:
+            entry = self._operators[id(a)] = (a, AnsatzOperator.build(a, self.basis()))
+        return entry[1]
 
-_BASIS_CACHE: dict["AnsatzSpace", list[ScalarFn]] = {}
+
+@dataclass
+class AnsatzOperator:
+    """d_A on an ansatz basis as a factored rational system.
+
+    Row `index[(i, key)]` is the coefficient of the term `key` in the i-th
+    frame component, column j the basis function `basis[j]`; each entry is
+    the `key` coefficient of `rho_apply(i, basis[j])`.
+    """
+
+    basis: list[ScalarFn]
+    index: dict[tuple[int, TermKey], int]
+    system: FactoredSystem
+
+    @classmethod
+    def build(cls, a: AlgebroidPresentation, basis: list[ScalarFn]) -> "AnsatzOperator":
+        index: dict[tuple[int, TermKey], int] = {}
+        rows: list[dict[int, Fraction]] = []
+        for i in range(a.rank):
+            for j, b in enumerate(basis):
+                for key, q in a.rho_apply(i, b).terms.items():
+                    r = index.get((i, key))
+                    if r is None:
+                        r = index[(i, key)] = len(rows)
+                        rows.append({})
+                    rows[r][j] = q
+        return cls(basis, index, FactoredSystem(rows, len(basis)))
 
 
 @dataclass
 class NoSolutionInAnsatz:
     """Rank-deficiency witness: a rational combination of the equations
-    that reads 0 = nonzero, proving no primitive exists in the space."""
+    that reads 0 = nonzero, proving no primitive exists in the space.
+
+    The witness has one entry per row of the stored operator (see
+    `AnsatzOperator.index`), then one per right-hand-side term that is in
+    no row of the index, in frame order and canonical term order."""
 
     witness: list[Fraction]
     detail: str = ""
@@ -173,23 +225,29 @@ def _match_terms(equations: list[tuple[list[ScalarFn], ScalarFn]]):
 def solve_exact(
     alpha: FormField, space: AnsatzSpace
 ) -> Union[ScalarFn, NoSolutionInAnsatz]:
-    """Find f in the ansatz with d_A f = alpha, by exact linear algebra."""
+    """Find f in the ansatz with d_A f = alpha, by exact linear algebra.
+
+    The coefficients of alpha are matched against the operator the space
+    keeps for alpha's algebroid; the primitive has every free basis
+    coefficient zero."""
     a = alpha.algebroid
     if not is_cocycle(alpha):
         raise PreconditionFailure("solve_exact expects a closed 1-form")
-    basis = space.basis()
-    equations = []
+    op = space.operator(a)
+    rhs: dict[int, Fraction] = {}
+    outside: list[Fraction] = []
     for i in range(a.rank):
-        coeffs = [a.rho_apply(i, b) for b in basis]
-        equations.append((coeffs, alpha.component((i,))))
-    rows, rhs = _match_terms(equations)
-    if not rows:
-        return a.chart.zero() if alpha.is_zero() else NoSolutionInAnsatz([], "empty system")
-    sol, witness = rat_solve(rows, rhs)
+        for key, q in alpha.component((i,)).terms.items():
+            r = op.index.get((i, key))
+            if r is None:
+                outside.append(q)
+            else:
+                rhs[r] = q
+    sol, witness = op.system.solve(rhs, outside)
     if sol is None:
         return NoSolutionInAnsatz(witness, "inconsistent coefficient matching")
     f = a.chart.zero()
-    for c, b in zip(sol, basis):
+    for c, b in zip(sol, op.basis):
         if c:
             f = f + a.chart.const(c) * b
     return f

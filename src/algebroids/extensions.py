@@ -645,21 +645,19 @@ def poisson_kit(
 
 
 def verify_regular_poisson(
-    pi: Multivector,
-    image_columns: Sequence[Sequence[ScalarFn]],
-    kernel_columns: Sequence[Sequence[ScalarFn]],
+    kit: PoissonKit,
     complement_columns: Sequence[Sequence[ScalarFn]],
-    lam_coeff: Optional[ScalarFn] = None,
     ansatz: Optional[AnsatzSpace] = None,
     seed: int = 0,
 ) -> CheckReport:
     """The two modular identities of a regular bivector, the duality between
     the kernel-top and cokernel-top representations, and the invariant
-    transverse volume criterion, each decided exactly or in the ansatz."""
+    transverse volume criterion, each decided exactly or in the ansatz.
+
+    `kit` is the bivector's `poisson_kit`, so a caller that also asks for
+    its cocycles builds it once."""
     rep = CheckReport("regular Poisson identities")
-    tm = pi.algebroid
-    chart = tm.chart
-    kit = poisson_kit(pi, image_columns, kernel_columns, lam_coeff)
+    chart = kit.cotangent.chart
     apres, bpres, sharp, sharp_b = kit.cotangent, kit.image, kit.sharp, kit.sharp_b
     mod_sharp, eta_k, pulled = kit.mod_sharp, kit.eta_k, kit.half
     rng = random.Random(seed)

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals and over the scalar-function ring.
 
-* One sparse exact elimination over `Fraction` (`_eliminate`) backs both
-  `rat_solve`, which returns the solution with free variables zero or a
-  Farkas-style infeasibility witness (a rational row combination y with
-  y.A = 0 but y.b != 0), and `rat_nullspace`.
+* One sparse exact elimination over `Fraction` (`_eliminate`) has three
+  users.  `FactoredSystem` eliminates a fixed sparse matrix once and then
+  solves any number of sparse right-hand sides, each giving the solution
+  with free variables zero or a Farkas-style infeasibility witness (a
+  rational row combination y with y.A = 0 but y.b != 0); `rat_solve` is
+  its one-shot form on a dense system, and `rat_nullspace` reads a kernel
+  basis off the reduced rows.
 * `unit_pivot_solve` eliminates over the scalar-function ring, only ever
   dividing by declared-nonvanishing units and failing loudly otherwise.
 * `scalar_det` computes exact determinants and minors over that ring by
@@ -35,13 +38,13 @@ def _eliminate(
 ) -> tuple[list[tuple[int, int]], list[dict[int, Fraction]]]:
     """Sparse exact Gauss-Jordan elimination, in place.
 
-    Each row is a dict ``{col: Fraction}`` without zero entries; column
-    ``n`` holds the right-hand side.  Columns ``0..n-1`` are processed
-    left to right; the pivot of a column is the shortest unpivoted row
-    with an entry there (ties to the lower index), and the column is then
-    cleared from every other row, so pivot rows end in reduced row echelon
-    form.  Pivot columns are the leftmost independent ones whatever the
-    pivot rows, which makes the reduced rows unique.
+    Each row is a dict ``{col: Fraction}`` over the columns ``0..n-1``,
+    without zero entries.  Columns are processed left to right; the pivot
+    of a column is the shortest unpivoted row with an entry there (ties to
+    the lower index), and the column is then cleared from every other row,
+    so pivot rows end in reduced row echelon form.  Pivot columns are the
+    leftmost independent ones whatever the pivot rows, which makes the
+    reduced rows unique.
 
     Returns ``(pivots, transforms)``: the ``(row, col)`` pairs in column
     order, and for every row the sparse combination ``{orig_row: Fraction}``
@@ -95,34 +98,76 @@ def _sparse(rows: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
     return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
 
 
+class FactoredSystem:
+    """A x = b for a fixed sparse A, eliminated once by `_eliminate`.
+
+    ``rows`` are the sparse rows ``{col: Fraction}`` of A over ``n``
+    columns; they are consumed.  `solve` then costs one pass over the
+    stored contributions of the non-zero entries of b, and returns the
+    solution with free variables zero (the pivot columns are the leftmost
+    independent ones whatever the right-hand side) or an infeasibility
+    witness.
+    """
+
+    def __init__(self, rows: list[dict[int, Fraction]], n: int):
+        self.m, self.n = len(rows), n
+        pivots, transforms = _eliminate(rows, n)
+        pivot_rows = {p for p, _ in pivots}
+        self.cols = [c for _, c in pivots]
+        # rows reduced to zero, in row order: each must annihilate b
+        self.checks = [tr for i, tr in enumerate(transforms) if i not in pivot_rows]
+        # original row -> [(slot, coefficient)]; slots 0..rank-1 are the
+        # pivot columns, the rest the consistency rows
+        self.contrib: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.m)]
+        for s, tr in enumerate([transforms[p] for p, _ in pivots] + self.checks):
+            for k, v in tr.items():
+                self.contrib[k].append((s, v))
+
+    def solve(
+        self, rhs: dict[int, Fraction], outside: Sequence[Fraction] = ()
+    ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
+        """Solve A x = b for the sparse ``b`` given as ``{row: value}``.
+
+        ``outside`` extends the system by zero rows of A with these
+        right-hand sides; a non-zero one is inconsistent at once.  A
+        witness has one entry per row of A, then one per ``outside`` value.
+        """
+        size = self.m + len(outside)
+        for j, q in enumerate(outside):
+            if q:
+                y = [Fraction(0)] * size
+                y[self.m + j] = 1 / Fraction(q)
+                return None, y
+        acc: dict[int, Fraction] = {}
+        for k, q in rhs.items():
+            for s, v in self.contrib[k]:
+                acc[s] = acc.get(s, 0) + v * q
+        rank = len(self.cols)
+        bad = [s for s, t in acc.items() if s >= rank and t]
+        if bad:
+            s = min(bad)
+            y = [Fraction(0)] * size
+            for k, v in self.checks[s - rank].items():
+                y[k] = v / acc[s]
+            return None, y
+        x = [Fraction(0)] * self.n
+        for s, c in enumerate(self.cols):
+            x[c] = acc.get(s, Fraction(0))
+        return x, None
+
+
 def rat_solve(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
-    """Solve A x = b exactly.
+    """Solve A x = b exactly, for one right-hand side.
 
     Returns ``(solution, None)`` for a consistent system (free variables
     set to zero) or ``(None, witness)`` where ``witness . A = 0`` and
     ``witness . b != 0`` certifies infeasibility.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = _sparse(rows)
-    for row, b in zip(a, rhs):
-        if b:
-            row[n] = Fraction(b)
-    pivots, transforms = _eliminate(a, n)
-    pivot_rows = {p for p, _ in pivots}
-    for i, row in enumerate(a):
-        if row and i not in pivot_rows:
-            # only the right-hand side is left: the row reads 0 = row[n]
-            y = [Fraction(0)] * m
-            for k, v in transforms[i].items():
-                y[k] = v / row[n]
-            return None, y
-    x = [Fraction(0)] * n
-    for p, c in pivots:
-        x[c] = a[p].get(n, Fraction(0))
-    return x, None
+    n = len(rows[0]) if rows else 0
+    system = FactoredSystem(_sparse(rows), n)
+    return system.solve({i: Fraction(b) for i, b in enumerate(rhs) if b})
 
 
 def rat_nullspace(rows: Sequence[Sequence[Fraction]], n: Optional[int] = None) -> list[list[Fraction]]:

@@ -30,6 +30,7 @@ from .cohomology import (
 from .core import FormField, check_axioms, one_form, same_presentation
 from .diagrams import exhibit_coboundary, delta0, modular_cochain, verify_mod_coboundary
 from .extensions import (
+    PoissonKit,
     UnimodularityFailure,
     check_extension,
     poisson_kit,
@@ -125,7 +126,8 @@ class Report:
 class Session:
     """One scenario at one seed: the queries that assertions and CLI
     subcommands share.  Ansatz spaces and Poisson kits are built once per
-    session."""
+    session, so each space factors d_A once per algebroid it is asked
+    about (one cotangent algebroid per Poisson structure)."""
 
     def __init__(self, sc: Scenario, seed: int = 0):
         self.sc = sc
@@ -140,6 +142,15 @@ class Session:
                 chart, self.sc.ansatz_degree, self.sc.ansatz_modes
             )
         return self._ansatz_cache[key]
+
+    def poisson_kit(self, name: str) -> PoissonKit:
+        """The extension data of the named regular Poisson structure."""
+        if name not in self._poisson_cache:
+            data = self.sc.poissons[name]
+            self._poisson_cache[name] = poisson_kit(
+                data.bivector, data.image, data.kernel, lam_coeff=data.lam
+            )
+        return self._poisson_cache[name]
 
     def classify(self, alpha: FormField) -> CocycleClass:
         """Exactness of `alpha` in the session's ansatz on its chart."""
@@ -171,13 +182,7 @@ class Session:
                 self.trivialization(phi.target),
             )
         if kind in ("poissonmod", "poissonhalf"):
-            name = spec["name"]
-            if name not in self._poisson_cache:
-                data = sc.poissons[name]
-                self._poisson_cache[name] = poisson_kit(
-                    data.bivector, data.image, data.kernel, lam_coeff=data.lam
-                )
-            kit = self._poisson_cache[name]
+            kit = self.poisson_kit(spec["name"])
             return kit.mod_sharp if kind == "poissonmod" else kit.half
         if kind == "char":
             d = sc.reps[spec["name"]]
@@ -406,14 +411,12 @@ class Session:
         return self._report_verdict(rep, args["expect"])
 
     def _assert_poisson(self, args) -> tuple[str, str]:
-        data = self.sc.poissons[args["name"]]
+        name = args["name"]
+        kit = self.poisson_kit(name)
         rep = verify_regular_poisson(
-            data.bivector,
-            data.image,
-            data.kernel,
-            data.complement,
-            lam_coeff=data.lam,
-            ansatz=self.ansatz(data.bivector.algebroid.chart),
+            kit,
+            self.sc.poissons[name].complement,
+            ansatz=self.ansatz(kit.cotangent.chart),
             seed=self.seed,
         )
         return self._report_verdict(rep, args["expect"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import algebroids.cohomology as cohomology
 from algebroids.cohomology import (
     AnsatzSpace,
     CohomologousVerdict,
@@ -90,6 +91,81 @@ class TestSolveExact:
             g = solve_exact(alpha, space)
             assert isinstance(g, ScalarFn)
             assert (f - g).is_constant()
+
+
+def assert_witness(alpha, space, res):
+    """The witness of `res` reads 0 = nonzero on the stored rows of d_A,
+    followed by the right-hand-side terms outside their index."""
+    a = alpha.algebroid
+    op = space.operator(a)
+    rows = [[Fraction(0)] * len(op.basis) for _ in op.index]
+    for i in range(a.rank):
+        for j, b in enumerate(op.basis):
+            for key, q in a.rho_apply(i, b).terms.items():
+                rows[op.index[(i, key)]][j] = q
+    rhs = [Fraction(0)] * len(rows)
+    for i in range(a.rank):
+        for key, q in alpha.component((i,)).terms.items():
+            if (i, key) in op.index:
+                rhs[op.index[(i, key)]] = q
+            else:
+                rows.append([Fraction(0)] * len(op.basis))
+                rhs.append(q)
+    y = res.witness
+    assert len(y) == len(rows)
+    for j in range(len(op.basis)):
+        assert sum(c * row[j] for c, row in zip(y, rows)) == 0
+    assert sum(c * b for c, b in zip(y, rhs)) != 0
+
+
+class TestSharedSpace:
+    """One space serves every algebroid on its chart: it factors d_A once
+    per algebroid and answers as a fresh space would."""
+
+    @staticmethod
+    def cocycles(a):
+        theta, x = CYLC.coord("theta"), CYLC.coord("x")
+        out = [
+            d_A(function_form(a, f))
+            for f in (x * sin(theta), x**2 + cos(2 * theta) - x, exp(x), sin(3 * theta))
+        ]
+        out.append(one_form(a, [CYLC.const(-1)] + [CYLC.zero()] * (a.rank - 1)))
+        return out
+
+    def test_tangent_and_spiral_share_one_space(self):
+        tm, spiral = tangent_algebroid(CYLC), cylinder_algebroid(CYLC)
+        shared = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
+        statuses = set()
+        for pair in zip(self.cocycles(tm), self.cocycles(spiral)):
+            for alpha in pair:
+                got = classify(alpha, shared)
+                want = classify(alpha, AnsatzSpace(CYLC, degree=2, fourier_modes=2))
+                assert (got.status, got.primitive) == (want.status, want.primitive)
+                statuses.add(got.status)
+                res = solve_exact(alpha, shared)
+                if isinstance(res, NoSolutionInAnsatz):
+                    assert_witness(alpha, shared, res)
+        assert statuses == {"exact", "nonexact_certified", "nonexact_in_ansatz"}
+        assert shared.operator(tm) is shared.operator(tm)
+        assert shared.operator(spiral) is not shared.operator(tm)
+
+    def test_memo_takes_no_part_in_equality(self):
+        tm = tangent_algebroid(CYLC)
+        used = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
+        for alpha in self.cocycles(tm):
+            solve_exact(alpha, used)
+        fresh = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert {fresh: "x"}[used] == "x"
+        assert used != AnsatzSpace(CYLC, degree=2, fourier_modes=1)
+
+    def test_no_module_level_cache(self):
+        state = [
+            name
+            for name, value in vars(cohomology).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        ]
+        assert state == []
 
 
 class TestPeriodCertificate:

@@ -20,6 +20,7 @@ from algebroids.extensions import (
     check_extension,
     cotangent_algebroid,
     induced_rep,
+    poisson_kit,
     quotient_top_rep,
     top_rep,
     verify_constant_rank_identity,
@@ -323,9 +324,7 @@ class TestRegularPoisson:
         pi = Multivector(tm, 2, {(0, 1): R2.one()})
         one, zero = R2.one(), R2.zero()
         rep = verify_regular_poisson(
-            pi,
-            image_columns=[[one, zero], [zero, one]],
-            kernel_columns=[[], []],
+            poisson_kit(pi, image_columns=[[one, zero], [zero, one]], kernel_columns=[[], []]),
             complement_columns=[[], []],
             ansatz=AnsatzSpace(R2, degree=2),
         )
@@ -338,10 +337,13 @@ class TestRegularPoisson:
         z = R3.coord("z")
         pi = Multivector(tm, 2, {(0, 1): exp(z)})
         one, zero = R3.one(), R3.zero()
-        rep = verify_regular_poisson(
+        kit = poisson_kit(
             pi,
             image_columns=[[one, zero], [zero, one], [zero, zero]],
             kernel_columns=[[zero], [zero], [one]],
+        )
+        rep = verify_regular_poisson(
+            kit,
             complement_columns=[[zero], [zero], [one]],
             ansatz=AnsatzSpace(R3, degree=2),
         )
@@ -354,10 +356,13 @@ class TestRegularPoisson:
         x = TXY.coord("x")
         one, zero = TXY.one(), TXY.zero()
         pi = Multivector(tm, 2, {(0, 2): one, (1, 2): x})
-        rep = verify_regular_poisson(
+        kit = poisson_kit(
             pi,
             image_columns=[[one, zero], [x, zero], [zero, one]],
             kernel_columns=[[-x], [one], [zero]],
+        )
+        rep = verify_regular_poisson(
+            kit,
             complement_columns=[[zero], [one], [zero]],
             ansatz=AnsatzSpace(TXY, degree=2, fourier_modes=2),
         )

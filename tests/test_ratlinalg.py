@@ -1,6 +1,7 @@
-"""Property tests of the sparse exact elimination behind rat_solve and
-rat_nullspace, against a dense Gauss-Jordan reference kept here, and of
-the memoised minors of scalar_det, against a plain Laplace expansion."""
+"""Property tests of the sparse exact elimination behind FactoredSystem,
+rat_solve and rat_nullspace, against a dense Gauss-Jordan reference kept
+here, and of the memoised minors of scalar_det, against a plain Laplace
+expansion."""
 
 from __future__ import annotations
 
@@ -13,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids.ratlinalg import float_rank, rat_nullspace, rat_solve, sampled_ranks, scalar_det
+from algebroids.ratlinalg import (
+    FactoredSystem,
+    float_rank,
+    rat_nullspace,
+    rat_solve,
+    sampled_ranks,
+    scalar_det,
+)
 from algebroids.symexpr import Chart, cos, exp, sin
 
 
@@ -76,11 +84,9 @@ def systems(draw):
     return rows, rhs
 
 
-@settings(max_examples=300, deadline=None)
-@given(systems())
-def test_rat_solve_matches_reference(system):
-    rows, rhs = system
-    sol, witness = rat_solve(rows, rhs)
+def assert_matches_reference(rows, rhs, sol, witness):
+    """The solution is the reference one; without one, the witness reads
+    0 = nonzero."""
     assert sol == reference_solve(rows, rhs)
     if sol is None:
         assert len(witness) == len(rows)
@@ -89,6 +95,13 @@ def test_rat_solve_matches_reference(system):
         assert sum(y * b for y, b in zip(witness, rhs)) != 0
     else:
         assert witness is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_rat_solve_matches_reference(system):
+    rows, rhs = system
+    assert_matches_reference(rows, rhs, *rat_solve(rows, rhs))
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,6 +121,43 @@ def test_rat_nullspace_spans_kernel(system):
     assert [[v[c] for c in free] for v in basis] == [
         [Fraction(int(c == d)) for c in free] for d in free
     ]
+
+
+@st.composite
+def factored_cases(draw):
+    """One system, then several right-hand sides for it, each with a few
+    values on zero rows that are left out of the factored matrix."""
+    rows, rhs = draw(systems())
+    n = len(rows[0])
+    sides = [rhs]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            x0 = [Fraction(draw(ENTRY)) for _ in range(n)]
+            sides.append([sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows])
+        else:
+            sides.append([Fraction(draw(ENTRY)) for _ in rows])
+    outside = [[Fraction(draw(ENTRY)) for _ in range(draw(st.integers(0, 2)))] for _ in sides]
+    return rows, sides, outside
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_cases())
+def test_factored_solves_match_reference(case):
+    rows, sides, outside = case
+    n = len(rows[0])
+    system = FactoredSystem([{j: x for j, x in enumerate(row) if x} for row in rows], n)
+    for rhs, extra in zip(sides, outside):
+        solved = system.solve({i: b for i, b in enumerate(rhs) if b}, extra)
+        assert_matches_reference(rows + [[Fraction(0)] * n for _ in extra], rhs + extra, *solved)
+
+
+def test_factored_witness_for_a_value_outside_the_matrix():
+    system = FactoredSystem([{0: Fraction(1)}], 1)
+    assert system.solve({0: Fraction(2)}) == ([Fraction(2)], None)
+    assert system.solve({0: Fraction(2)}, [Fraction(0), Fraction(4)]) == (
+        None,
+        [Fraction(0), Fraction(0), Fraction(1, 4)],
+    )
 
 
 # -- scalar_det -----------------------------------------------------------

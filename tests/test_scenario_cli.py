@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from algebroids import extensions, runner
 from algebroids.cli import corpus_scenarios, load_scenario, main
 from algebroids.runner import run
 from algebroids.scenario import ScenarioError, parse_scenario
@@ -88,6 +89,21 @@ class TestRunner:
             r2 = run(load_scenario(name), seed=7)
             assert r1.to_json() == r2.to_json()
             assert r1.to_text() == r2.to_text()
+
+    def test_poisson_kit_built_once_per_name(self, monkeypatch):
+        built = []
+        kit = runner.poisson_kit
+
+        def counting_kit(pi, *args, **kwargs):
+            built.append(pi)
+            return kit(pi, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "poisson_kit", counting_kit)
+        monkeypatch.setattr(extensions, "poisson_kit", counting_kit)
+        sc = load_scenario("poisson_spiral.scn")
+        report = run(sc, seed=0)
+        assert report.passed
+        assert len(built) == len(sc.poissons) == 1
 
     def test_json_shape(self):
         report = run(parse_scenario(CYL_SNIPPET, "snippet"), seed=0)
