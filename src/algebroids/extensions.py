@@ -310,7 +310,10 @@ def verify_extension_identity(
     quotient coframe.  When the contraction of omega_total by the pulled-back
     mu_quotient is a rational multiple of the included invariant section, the
     identity holds exactly; otherwise it is checked up to an exact form in
-    the ansatz.
+    the ansatz.  Without `ansatz` a default `AnsatzSpace(chart)` is built
+    for this call alone, so its basis and d_A are built again on every
+    call: a caller checking several identities on one chart should pass
+    one space.
     """
     a, b, c = ext.total, ext.quotient, ext.kernel
     chart = a.chart
@@ -430,7 +433,9 @@ def verify_constant_rank_identity(
     the identity compares the relative cocycle of phi with the pull-back of
     char(kernel top) - char(cokernel top), and the intermediate identity
     compares the restriction of the ambient modular cocycle with the image
-    one plus the cokernel characteristic cocycle.
+    one plus the cokernel characteristic cocycle.  Without `ansatz` a
+    default `AnsatzSpace(chart)` is built for this call alone; pass one
+    space to reuse its basis and d_A across calls on the chart.
     """
     rep = CheckReport(f"constant-rank modular identity for {phi.name}")
     a = ext.total
@@ -655,7 +660,9 @@ def verify_regular_poisson(
     transverse volume criterion, each decided exactly or in the ansatz.
 
     `kit` is the bivector's `poisson_kit`, so a caller that also asks for
-    its cocycles builds it once."""
+    its cocycles builds it once.  Without `ansatz` a default
+    `AnsatzSpace(chart)` is built for this call alone; pass one space to
+    reuse its basis and d_A across calls on the chart."""
     rep = CheckReport("regular Poisson identities")
     chart = kit.cotangent.chart
     apres, bpres, sharp, sharp_b = kit.cotangent, kit.image, kit.sharp, kit.sharp_b

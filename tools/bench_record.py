@@ -1,27 +1,37 @@
 """Write or check a committed benchmark record (`BENCH_<n>.json`).
 
-    python tools/bench_record.py --parent DIR [--change DIR] [--tier1] --out BENCH_<n>.json
+    python tools/bench_record.py --parent DIR [--change DIR] --out BENCH_<n>.json
     python tools/bench_record.py --check
 
 A record compares two checkouts, the parent commit and the change, from
 the run records that `perfbench/run.py` leaves in each checkout's
-`perfbench/results/`.  Per workload of BENCHMARK.json it holds:
+`perfbench/results/`.  Run the untraced runs (`--trace 0`) as pairs: for
+each seed one run of the parent and one of the change, back to back,
+before the next seed starts.  Per workload of BENCHMARK.json the record
+holds:
 
-* the median over the untraced runs (`--trace 0`, one per seed) of every
-  end-to-end metric, for the parent and the change, with its bound;
-* every per-layer metric of BENCHMARK.json from the traced run (`--trace 1`)
-  with the lowest seed, for both: the deterministic counters and the
-  self times;
-* the seeds and the share of wrong verdicts of those runs.
+* for every end-to-end metric, each pair's two values by seed, the median
+  of each side, the parent's quartiles, the number of pairs the change
+  wins, and `gain_shown`: at least 10 pairs, the change better in at
+  least 9 of every 10, and its median better than the parent's by more
+  than the parent's interquartile range;
+* every per-layer metric of BENCHMARK.json from the traced run
+  (`--trace 1`) with the lowest seed, for both sides;
+* the seeds, the `--seconds` of the runs and their share of wrong verdicts.
 
-It also holds the line count of `src/` of both checkouts and, with
-`--tier1`, the wall time of one tier-1 test run in each
-(`python -m pytest -q` with `src` on the path).  Timings are those of the
-host the runs were made on; compare them only within one record.
+Writing refuses a run that reported problems (`"correct": false`), whose
+`src_lines` differ from its checkout's, or that is older than the newest
+file under the checkout's `src/`; and a workload whose two sides differ in
+seeds or `--seconds`, or whose untraced runs were not made as adjacent
+pairs.  The record also holds the line count of `src/algebroids` and the
+wall time of one tier-1 test run (`python -m pytest -q` with `src` on the
+path) of both checkouts.  Timings are those of the host the runs were
+made on; compare them only within one record.
 
 `--check` reads every `BENCH_*.json` at the repository root and fails
-unless each covers every workload and end-to-end metric of BENCHMARK.json
-with a parent and a change value.  Standard library only.
+unless each has, for both sides, the tier-1 time, the line count and a
+value of every end-to-end metric of every workload of BENCHMARK.json.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -38,21 +48,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # pairs a gain needs, of which the change wins 9 in 10
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the library, counted as `perfbench/run.py` counts them."""
+    return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "algebroids").rglob("*.py"))
 
 
 def load_runs(checkout: Path) -> dict[tuple[str, int], list[dict]]:
-    """(workload, trace) -> the run records of that checkout, by seed."""
+    """(workload, trace) -> the run records of that checkout, by seed.
+
+    Each record also gets `mtime`, the time its file was written."""
+    lines = src_lines(checkout)
+    sources = [p for p in (checkout / "src").rglob("*") if p.is_file() and p.suffix != ".pyc"]
+    newest_src = max(p.stat().st_mtime for p in sources)
     runs: dict[tuple[str, int], list[dict]] = {}
     for path in sorted((checkout / "perfbench" / "results").glob("*.json")):
         rec = json.loads(path.read_text())
+        rec["mtime"] = path.stat().st_mtime
+        if rec["problems"]:
+            raise SystemExit(f"{path}: the run reported problems: {rec['problems']}")
+        if rec["src_lines"] != lines:
+            raise SystemExit(f"{path}: run of {rec['src_lines']} source lines, the checkout has {lines}")
+        if rec["mtime"] < newest_src:
+            raise SystemExit(f"{path}: run older than the newest file under {checkout / 'src'}")
         runs.setdefault((rec["workload"], rec["trace"]), []).append(rec)
     for recs in runs.values():
         recs.sort(key=lambda r: r["seed"])
     return runs
-
-
-def src_lines(checkout: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
 
 
 def tier1_seconds(checkout: Path) -> float:
@@ -71,32 +95,68 @@ def commit(checkout: Path) -> str:
     return proc.stdout.strip() or "unknown"
 
 
+def matched(name: str, trace: int, runs: dict[str, dict]) -> dict[str, list[dict]]:
+    """The runs of both sides, refused unless their seeds and seconds agree."""
+    out = {side: runs[side].get((name, trace), []) for side in SIDES}
+    seeds = {side: [r["seed"] for r in recs] for side, recs in out.items()}
+    seconds = {side: {r["seconds"] for r in recs} for side, recs in out.items()}
+    if seeds["parent"] != seeds["change"]:
+        raise SystemExit(f"{name} --trace {trace}: parent seeds {seeds['parent']}, change seeds {seeds['change']}")
+    if len(seconds["parent"] | seconds["change"]) > 1:
+        raise SystemExit(f"{name} --trace {trace}: runs of different --seconds {seconds}")
+    return out
+
+
+def check_paired(name: str, plain: dict[str, list[dict]]) -> None:
+    """Refuses untraced runs that were not made as back-to-back pairs."""
+    order = sorted(((r["mtime"], side, r["seed"]) for side in SIDES for r in plain[side]))
+    for (_, s1, seed1), (_, s2, seed2) in zip(order[::2], order[1::2]):
+        if s1 == s2 or seed1 != seed2:
+            raise SystemExit(f"{name}: untraced runs not made as parent/change pairs (seed {seed1}, {seed2})")
+
+
+def metric_entry(m: dict, plain: dict[str, list[dict]]) -> dict:
+    vals = {side: [r["metrics"][m["name"]]["value"] for r in plain[side]] for side in SIDES}
+    sign = 1 if m["better"] == "lower" else -1
+    entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
+    entry["pairs"] = {str(r["seed"]): [p, c] for r, p, c in zip(plain["parent"], vals["parent"], vals["change"])}
+    for side in SIDES:
+        entry[side] = statistics.median(vals[side])
+    if entry["parent"]:
+        entry["change_share"] = round(entry["change"] / entry["parent"] - 1, 4)
+    n = len(vals["parent"])
+    wins = sum(sign * (p - c) > 0 for p, c in zip(vals["parent"], vals["change"]))
+    entry["wins"] = wins
+    if n >= 2:
+        q1, _, q3 = statistics.quantiles(vals["parent"], n=4, method="inclusive")
+        entry["parent_quartiles"] = [q1, q3]
+        gap = sign * (entry["parent"] - entry["change"])
+        entry["gain_shown"] = n >= MIN_PAIRS and 10 * wins >= 9 * n and gap > q3 - q1
+    else:
+        entry["gain_shown"] = False
+    return entry
+
+
 def workload_record(spec: dict, name: str, runs: dict[str, dict]) -> dict:
+    plain = matched(name, 0, runs)
+    traced = matched(name, 1, runs)
+    if not plain["parent"]:
+        raise SystemExit(f"no untraced {name} runs")
+    check_paired(name, plain)
     out: dict = {"runs": {}, "end_to_end": {}, "per_layer": {}}
     for side in SIDES:
-        plain = runs[side].get((name, 0), [])
-        traced = runs[side].get((name, 1), [])
-        if not plain:
-            raise SystemExit(f"no untraced {name} run for the {side}")
         out["runs"][side] = {
-            "seeds": [r["seed"] for r in plain],
-            "seconds": plain[0]["seconds"],
-            "error_share": statistics.median(r["error_share"] for r in plain),
-            "traced_seed": traced[0]["seed"] if traced else None,
+            "seeds": [r["seed"] for r in plain[side]],
+            "seconds": plain[side][0]["seconds"],
+            "error_share": statistics.median(r["error_share"] for r in plain[side]),
+            "traced_seed": traced[side][0]["seed"] if traced[side] else None,
         }
     for m in spec["end_to_end"]:
-        entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
-        for side in SIDES:
-            vals = [r["metrics"][m["name"]]["value"] for r in runs[side][(name, 0)]]
-            entry[side] = statistics.median(vals)
-        if entry["parent"]:
-            entry["change_share"] = round(entry["change"] / entry["parent"] - 1, 4)
-        out["end_to_end"][m["name"]] = entry
+        out["end_to_end"][m["name"]] = metric_entry(m, plain)
     for m in spec["per_layer"]:
         entry = {"unit": m["unit"]}
         for side in SIDES:
-            traced = runs[side].get((name, 1))
-            entry[side] = traced[0]["metrics"][m["name"]]["value"] if traced else None
+            entry[side] = traced[side][0]["metrics"][m["name"]]["value"] if traced[side] else None
         out["per_layer"][m["name"]] = entry
     return out
 
@@ -105,6 +165,7 @@ def write(args) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     runs = {side: load_runs(path) for side, path in checkouts.items()}
+    workloads = {w["name"]: workload_record(spec, w["name"], runs) for w in spec["workloads"]}
     record = {
         "parent_commit": commit(checkouts["parent"]),
         "host": {
@@ -113,16 +174,24 @@ def write(args) -> int:
             "cpus": os.cpu_count(),
         },
         "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
-        "tier1_s": {side: tier1_seconds(path) for side, path in checkouts.items()} if args.tier1 else None,
-        "workloads": {w["name"]: workload_record(spec, w["name"], runs) for w in spec["workloads"]},
+        "tier1_s": {side: tier1_seconds(path) for side, path in checkouts.items()},
+        "workloads": workloads,
     }
     out = ROOT / args.out
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
     for name, wl in record["workloads"].items():
         for metric, e in wl["end_to_end"].items():
-            print(f"{name} {metric}: {e['parent']:.4g} -> {e['change']:.4g} {e['unit']}")
+            gain = ", gain shown" if e["gain_shown"] else ""
+            print(
+                f"{name} {metric}: {e['parent']:.4g} -> {e['change']:.4g} {e['unit']}"
+                f" (change wins {e['wins']} of {len(e['pairs'])}{gain})"
+            )
     return 0
+
+
+def number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def check() -> int:
@@ -131,6 +200,10 @@ def check() -> int:
     problems = [] if files else ["no BENCH_*.json at the repository root"]
     for path in files:
         rec = json.loads(path.read_text())
+        for key in ("tier1_s", "src_lines"):
+            for side in SIDES:
+                if not number((rec.get(key) or {}).get(side)):
+                    problems.append(f"{path.name}: {key} has no {side} value")
         for w in spec["workloads"]:
             wl = rec.get("workloads", {}).get(w["name"])
             if wl is None:
@@ -139,7 +212,7 @@ def check() -> int:
             for m in spec["end_to_end"]:
                 e = wl.get("end_to_end", {}).get(m["name"], {})
                 for side in SIDES:
-                    if not isinstance(e.get(side), (int, float)):
+                    if not number(e.get(side)):
                         problems.append(f"{path.name}: {w['name']} {m['name']} has no {side} value")
     for line in problems:
         print(f"bench_record: {line}", file=sys.stderr)
@@ -153,7 +226,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--check", action="store_true", help="check the committed records and exit")
     ap.add_argument("--parent", help="checkout of the parent commit, with its perfbench/results/")
     ap.add_argument("--change", default=str(ROOT), help="checkout of the change (default: this one)")
-    ap.add_argument("--tier1", action="store_true", help="time one tier-1 test run in each checkout")
     ap.add_argument("--out", help="record to write, e.g. BENCH_7.json")
     args = ap.parse_args(argv)
     if args.check:
