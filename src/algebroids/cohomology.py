@@ -32,7 +32,7 @@ from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
 from .ratlinalg import FactoredSystem, rat_solve
 from .report import CheckReport
-from .symexpr import Chart, ScalarFn, TermKey, _term_sort_key, cos, exp, sin
+from .symexpr import Chart, ScalarFn, TermKey, _term_sort_key, cos, exp, lincomb, sin
 
 
 class CohomologyError(Exception):
@@ -246,11 +246,7 @@ def solve_exact(
     sol, witness = op.system.solve(rhs, outside)
     if sol is None:
         return NoSolutionInAnsatz(witness, "inconsistent coefficient matching")
-    f = a.chart.zero()
-    for c, b in zip(sol, op.basis):
-        if c:
-            f = f + a.chart.const(c) * b
-    return f
+    return lincomb(a.chart, [(c, b) for c, b in zip(sol, op.basis) if c])
 
 
 def find_circle_section(
@@ -293,11 +289,8 @@ def period_certificate(
         raise PreconditionFailure(f"coordinate {coord!r} is not periodic")
     if len(combo) != a.rank:
         raise PreconditionFailure("combo length must equal the rank")
-    anchor = [chart.zero() for _ in range(chart.dim)]
-    for c, i in zip(combo, range(a.rank)):
-        if c:
-            for k in range(chart.dim):
-                anchor[k] = anchor[k] + chart.const(c) * a.anchor[i][k]
+    used = [(c, i) for c, i in zip(combo, range(a.rank)) if c]
+    anchor = [lincomb(chart, [(c, a.anchor[i][k]) for c, i in used]) for k in range(chart.dim)]
     for k in range(chart.dim):
         want = chart.one() if k == j else chart.zero()
         if anchor[k] != want:
@@ -305,10 +298,7 @@ def period_certificate(
                 f"anchor of the combination is not d/d{coord}: "
                 f"component {chart.coords[k]} is {anchor[k]}"
             )
-    pairing = chart.zero()
-    for c, i in zip(combo, range(a.rank)):
-        if c:
-            pairing = pairing + chart.const(c) * alpha.component((i,))
+    pairing = lincomb(chart, [(c, alpha.component((i,))) for c, i in used])
     # constant Fourier mode in the chosen coordinate
     mean_terms = []
     for (mono, trig, expv), q in pairing.terms.items():

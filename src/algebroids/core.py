@@ -10,11 +10,13 @@ computed exactly in the scalar-function ring.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
 from .report import CheckReport
-from .symexpr import Chart, ScalarFn, point_chart
+from .symexpr import Chart, ScalarFn, lincomb, point_chart
 
 Rational = Union[int, Fraction]
 
@@ -108,50 +110,55 @@ class AlgebroidPresentation:
 
     def rho_section(self, coeffs: Sequence[ScalarFn]) -> tuple[ScalarFn, ...]:
         """Anchor of a section given by frame coefficients."""
-        comps = [self.chart.zero() for _ in range(self.chart.dim)]
-        for i, g in enumerate(coeffs):
-            if g.is_zero():
-                continue
-            for k, a in enumerate(self.anchor[i]):
-                comps[k] = comps[k] + g * a
-        return tuple(comps)
+        terms = [(g, row) for g, row in zip(coeffs, self.anchor) if not g.is_zero()]
+        return tuple(
+            lincomb(self.chart, [(1, g, row[k]) for g, row in terms])
+            for k in range(self.chart.dim)
+        )
 
     def section_bracket(
         self, x: Sequence[ScalarFn], y: Sequence[ScalarFn]
     ) -> list[ScalarFn]:
         """Bracket of two sections written in the frame (Leibniz expansion)."""
-        out = [self.chart.zero() for _ in range(self.rank)]
-        rx = self.rho_section(x)
-        ry = self.rho_section(y)
+        pieces: list[list[tuple]] = [[] for _ in range(self.rank)]
+        coords = self.chart.coords
         for i, f in enumerate(x):
             if f.is_zero():
                 continue
             for j, g in enumerate(y):
-                if g.is_zero():
+                brackets = self.structure.get((min(i, j), max(i, j)))
+                if not brackets or g.is_zero():
                     continue
-                for k, cf in self.bracket_frame(i, j).items():
-                    out[k] = out[k] + f * g * cf
+                fg = f * g
+                sign = 1 if i < j else -1
+                for k, cf in brackets.items():
+                    pieces[k].append((sign, fg, cf))
+        rx = self.rho_section(x)
+        ry = self.rho_section(y)
         for j, g in enumerate(y):
-            out[j] = out[j] + _vf_apply(rx, g, self.chart)
+            pieces[j] += _vf_pieces(rx, g, coords, 1)
         for i, f in enumerate(x):
-            out[i] = out[i] - _vf_apply(ry, f, self.chart)
-        return out
+            pieces[i] += _vf_pieces(ry, f, coords, -1)
+        return [lincomb(self.chart, p) for p in pieces]
+
+
+def _vf_pieces(vf: Sequence[ScalarFn], f: ScalarFn, coords: Sequence[str], sign: int) -> list[tuple]:
+    """The `lincomb` pieces of sign * vf(f) for a coordinate vector field."""
+    return [(sign, comp, f.partial(coord)) for comp, coord in zip(vf, coords) if not comp.is_zero()]
 
 
 def _vf_apply(vf: Sequence[ScalarFn], f: ScalarFn, chart: Chart) -> ScalarFn:
-    out = chart.zero()
-    for comp, coord in zip(vf, chart.coords):
-        if not comp.is_zero():
-            out = out + comp * f.partial(coord)
-    return out
+    return lincomb(chart, _vf_pieces(vf, f, chart.coords, 1))
 
 
 def vector_field_bracket(
     chart: Chart, u: Sequence[ScalarFn], v: Sequence[ScalarFn]
 ) -> list[ScalarFn]:
     """[u, v] of coordinate vector fields on a chart."""
+    coords = chart.coords
     return [
-        _vf_apply(u, v[k], chart) - _vf_apply(v, u[k], chart) for k in range(chart.dim)
+        lincomb(chart, _vf_pieces(u, v[k], coords, 1) + _vf_pieces(v, u[k], coords, -1))
+        for k in range(chart.dim)
     ]
 
 
@@ -252,19 +259,14 @@ class _AltTable:
 
     def wedge(self, other: "_AltTable") -> "_AltTable":
         self._check_compat(other)
-        acc: dict[tuple[int, ...], ScalarFn] = {}
-        zero = self.algebroid.chart.zero()
+        acc: dict[tuple[int, ...], list[tuple]] = {}
         for k1, f1 in self.comps.items():
             for k2, f2 in other.comps.items():
                 res = _sort_indices(k1 + k2)
-                if res is None:
-                    continue
-                sign, key = res
-                term = f1 * f2
-                if sign < 0:
-                    term = -term
-                acc[key] = acc.get(key, zero) + term
-        return type(self)(self.algebroid, self.degree + other.degree, acc)
+                if res is not None:
+                    sign, key = res
+                    acc.setdefault(key, []).append((sign, f1, f2))
+        return type(self)(self.algebroid, self.degree + other.degree, _sums(self.algebroid.chart, acc))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _AltTable):
@@ -356,46 +358,46 @@ def top_form(a: AlgebroidPresentation, coeff: ScalarFn) -> FormField:
 # ---------------------------------------------------------------------------
 
 
+def _sums(chart: Chart, pieces: Mapping[tuple[int, ...], list[tuple]]) -> dict[tuple[int, ...], ScalarFn]:
+    """Each index tuple's `lincomb` of its pieces."""
+    return {key: lincomb(chart, p) for key, p in pieces.items()}
+
+
 def d_A(alpha: FormField) -> FormField:
-    """The Lie algebroid differential, expanded on frame tuples."""
+    """The Lie algebroid differential, expanded on frame tuples.
+
+    Each component is one `lincomb` of the anchor terms rho(e_t) alpha(..)
+    and the bracket terms C^m alpha(m, ..)."""
     a = alpha.algebroid
     k = alpha.degree
-    zero = a.chart.zero()
+    coords = a.chart.coords
+    comps = alpha.comps
     out: dict[tuple[int, ...], ScalarFn] = {}
-    from itertools import combinations
-
     for key in combinations(range(a.rank), k + 1):
-        total = zero
+        pieces: list[tuple] = []
         for t in range(k + 1):
-            rest = key[:t] + key[t + 1 :]
-            val = alpha.component(rest)
-            if not val.is_zero():
-                term = a.rho_apply(key[t], val)
-                total = total + (term if t % 2 == 0 else -term)
+            # an ordered sub-tuple of a sorted key is a stored key
+            val = comps.get(key[:t] + key[t + 1 :])
+            if val is not None:
+                pieces += _vf_pieces(a.anchor[key[t]], val, coords, -1 if t % 2 else 1)
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
+                brackets = a.structure.get((key[s], key[t]))
+                if not brackets:
+                    continue
                 rest = tuple(x for u, x in enumerate(key) if u not in (s, t))
-                for m, cf in a.bracket_frame(key[s], key[t]).items():
-                    val = alpha.component((m,) + rest)
-                    if val.is_zero():
+                for m, cf in brackets.items():
+                    # (m,) + rest sorts by moving m past `pos` indices
+                    pos = bisect_left(rest, m)
+                    if pos < len(rest) and rest[pos] == m:
                         continue
-                    term = cf * val
-                    total = total + (term if (s + t) % 2 == 0 else -term)
+                    val = comps.get(rest[:pos] + (m,) + rest[pos:])
+                    if val is not None:
+                        pieces.append((-1 if (s + t + pos) % 2 else 1, cf, val))
+        total = lincomb(a.chart, pieces)
         if not total.is_zero():
             out[key] = total
     return FormField(a, k + 1, out)
-
-
-def _contract_once(idx: int, table: dict, zero: ScalarFn) -> dict:
-    out: dict[tuple[int, ...], ScalarFn] = {}
-    for key, f in table.items():
-        if idx in key:
-            t = key.index(idx)
-            newkey = key[:t] + key[t + 1 :]
-            term = f if t % 2 == 0 else -f
-            acc = out.get(newkey)
-            out[newkey] = term if acc is None else acc + term
-    return out
 
 
 def _contract(outer, inner) -> dict[tuple[int, ...], ScalarFn]:
@@ -406,16 +408,21 @@ def _contract(outer, inner) -> dict[tuple[int, ...], ScalarFn]:
         raise DegreeMismatch(
             f"cannot contract degree {outer.degree} into degree {inner.degree}"
         )
-    zero = inner.algebroid.chart.zero()
-    result: dict[tuple[int, ...], ScalarFn] = {}
+    pieces: dict[tuple[int, ...], list[tuple]] = {}
     for okey, g in outer.comps.items():
-        table = inner.comps
-        for idx in okey:
-            table = _contract_once(idx, table, zero)
-        for key, f in table.items():
-            acc = result.get(key, zero)
-            result[key] = acc + g * f
-    return result
+        for key, f in inner.comps.items():
+            # insert the indices of okey one at a time, first one first
+            sign = 1
+            for idx in okey:
+                if idx not in key:
+                    break
+                t = key.index(idx)
+                key = key[:t] + key[t + 1 :]
+                if t % 2:
+                    sign = -sign
+            else:
+                pieces.setdefault(key, []).append((sign, g, f))
+    return _sums(inner.algebroid.chart, pieces)
 
 
 def interior(p: Multivector, alpha: FormField) -> FormField:
@@ -436,12 +443,10 @@ def pairing(alpha: FormField, p: Multivector) -> ScalarFn:
     """Full pairing of a degree-k form with a degree-k multivector."""
     if alpha.degree != p.degree:
         raise DegreeMismatch("pairing requires equal degrees")
-    out = alpha.algebroid.chart.zero()
-    for key, f in p.comps.items():
-        g = alpha.comps.get(key)
-        if g is not None:
-            out = out + f * g
-    return out
+    return lincomb(
+        alpha.algebroid.chart,
+        [(1, f, alpha.comps[key]) for key, f in p.comps.items() if key in alpha.comps],
+    )
 
 
 def schouten(p: Multivector, q: Multivector) -> Multivector:
@@ -453,22 +458,16 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
     if p.algebroid != q.algebroid:
         raise AlgebroidError("operands live on different algebroids")
     a = p.algebroid
-    zero = a.chart.zero()
     deg = p.degree + q.degree - 1
     if deg < 0:
         return Multivector(a, 0, {})
-    acc: dict[tuple[int, ...], ScalarFn] = {}
+    acc: dict[tuple[int, ...], list[tuple]] = {}
 
-    def add(idxs: tuple[int, ...], f: ScalarFn) -> None:
-        if f.is_zero():
-            return
+    def add(idxs: tuple[int, ...], sign: int, f: ScalarFn, g: ScalarFn) -> None:
         res = _sort_indices(idxs)
-        if res is None:
-            return
-        sgn, key = res
-        term = f if sgn > 0 else -f
-        cur = acc.get(key)
-        acc[key] = term if cur is None else cur + term
+        if res is not None:
+            sgn, key = res
+            acc.setdefault(key, []).append((sign * sgn, f, g))
 
     for ikey, f in p.comps.items():
         pd = len(ikey)
@@ -478,38 +477,33 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
             # [e_I, g] ^ e_J   (anchor of P-factors applied to g)
             for s in range(pd):
                 df = a.rho_apply(ikey[s], g)
-                if df.is_zero():
-                    continue
-                term = f * df
-                if (pd - 1 - s) % 2:
-                    term = -term
-                add(ikey[:s] + ikey[s + 1 :] + jkey, term)
+                if not df.is_zero():
+                    add(ikey[:s] + ikey[s + 1 :] + jkey, -1 if (pd - 1 - s) % 2 else 1, f, df)
             # f g [e_I, e_J]  (frame brackets)
+            fg = None
             for s in range(pd):
                 for t in range(qd):
-                    for m, cf in a.bracket_frame(ikey[s], jkey[t]).items():
-                        term = f * g * cf
-                        if (s + t) % 2:  # (-1)^{(s+1)+(t+1)} = (-1)^{s+t}
-                            term = -term
+                    brackets = a.bracket_frame(ikey[s], jkey[t])
+                    if brackets and fg is None:
+                        fg = f * g
+                    for m, cf in brackets.items():
                         add(
                             (m,)
                             + ikey[:s]
                             + ikey[s + 1 :]
                             + jkey[:t]
                             + jkey[t + 1 :],
-                            term,
+                            -1 if (s + t) % 2 else 1,  # (-1)^{(s+1)+(t+1)}
+                            fg,
+                            cf,
                         )
             # -(-1)^{(p-1)(q-1)} g [e_J, f] ^ e_I
             for t in range(qd):
                 df = a.rho_apply(jkey[t], f)
-                if df.is_zero():
-                    continue
-                term = g * df
-                if (qd - 1 - t) % 2:
-                    term = -term
-                term = term if sign3 < 0 else -term  # overall -sign3
-                add(jkey[:t] + jkey[t + 1 :] + ikey, term)
-    return Multivector(a, deg, acc)
+                if not df.is_zero():
+                    sign = -1 if (qd - 1 - t) % 2 else 1
+                    add(jkey[:t] + jkey[t + 1 :] + ikey, sign * -sign3, g, df)
+    return Multivector(a, deg, _sums(a.chart, acc))
 
 
 def lie_top(
@@ -526,9 +520,7 @@ def lie_top(
         raise DegreeMismatch("lie_top expects a top form on a tangent presentation")
     key = tuple(range(chart.dim))
     g = mu.comps.get(key, chart.zero())
-    total = chart.zero()
-    for i, coord in enumerate(chart.coords):
-        total = total + (g * v[i]).partial(coord)
+    total = lincomb(chart, [(1, (g * v[i]).partial(coord)) for i, coord in enumerate(chart.coords)])
     return FormField(a, mu.degree, {key: total})
 
 
@@ -657,17 +649,19 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
         rep.add(
             f"d(d {a.coframe[k]}) = 0", res.is_zero(), "" if res.is_zero() else str(res)
         )
+    coords = a.chart.coords
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
-            lhs = a.rho_section(
-                [
-                    a.bracket_frame(i, j).get(k, a.chart.zero())
-                    for k in range(a.rank)
-                ]
-            )
-            rhs = vector_field_bracket(a.chart, a.anchor[i], a.anchor[j])
-            for l, coord in enumerate(a.chart.coords):
-                res = lhs[l] - rhs[l]
+            brackets = a.structure.get((i, j), {})
+            ai, aj = a.anchor[i], a.anchor[j]
+            for l, coord in enumerate(coords):
+                # rho([e_i, e_j]) - [rho(e_i), rho(e_j)], component l
+                res = lincomb(
+                    a.chart,
+                    [(1, cf, a.anchor[k][l]) for k, cf in brackets.items()]
+                    + _vf_pieces(ai, aj[l], coords, -1)
+                    + _vf_pieces(aj, ai[l], coords, 1),
+                )
                 rep.add(
                     f"anchor([{a.frame[i]},{a.frame[j]}]) . {coord}",
                     res.is_zero(),

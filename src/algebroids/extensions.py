@@ -288,10 +288,8 @@ def rational_multiple(x, y) -> Optional[Fraction]:
     key, g = next(iter(y.comps.items()))
     tk, tq = next(iter(g.terms.items()))
     f = x.comps.get(key)
-    if f is None:
-        q = Fraction(0)
-    else:
-        q = f.terms.get(tk, Fraction(0)) / tq
+    # coefficients are int when integral: divide as Fractions, not floats
+    q = Fraction(0) if f is None else Fraction(f.terms.get(tk, 0), tq)
     diff = x - y.scale(q)
     return q if diff.is_zero() else None
 

@@ -33,7 +33,7 @@ from .reps import (
     modular_cocycle,
     tensor_rep,
 )
-from .symexpr import ScalarFn
+from .symexpr import ScalarFn, lincomb
 
 
 class MorphismError(Exception):
@@ -104,16 +104,15 @@ def compose(psi: Morphism, phi: Morphism, name: Optional[str] = None) -> Morphis
         raise MorphismError("morphisms are not composable")
     basemap = [phi.pull_scalar(f) for f in psi.basemap]
     chart = phi.source.chart
-    zero = chart.zero()
     fiber = []
     for u in range(psi.target.rank):
-        row = []
-        for i in range(phi.source.rank):
-            total = zero
-            for t in range(phi.target.rank):
-                total = total + phi.pull_scalar(psi.fiber[u][t]) * phi.fiber[t][i]
-            row.append(total)
-        fiber.append(row)
+        fiber.append([
+            lincomb(
+                chart,
+                [(1, phi.pull_scalar(f), phi.fiber[t][i]) for t, f in enumerate(psi.fiber[u])],
+            )
+            for i in range(phi.source.rank)
+        ])
     return Morphism(
         name or f"{psi.name}o{phi.name}", phi.source, psi.target, basemap, fiber
     )
@@ -131,16 +130,15 @@ def pullback_form(phi: Morphism, beta: FormField) -> FormField:
     if k == 0:
         f = beta.comps.get((), phi.target.chart.zero())
         return FormField(src, 0, {(): phi.pull_scalar(f)})
-    zero = src.chart.zero()
     out: dict[tuple[int, ...], ScalarFn] = {}
     memo: dict = {}
     for skey in combinations(range(src.rank), k):
-        total = zero
+        pieces = []
         for tkey, coeff in beta.comps.items():
             minor = scalar_det(phi.fiber, tkey, skey, memo)
-            if minor.is_zero():
-                continue
-            total = total + phi.pull_scalar(coeff) * minor
+            if not minor.is_zero():
+                pieces.append((1, phi.pull_scalar(coeff), minor))
+        total = lincomb(src.chart, pieces)
         if not total.is_zero():
             out[skey] = total
     return FormField(src, k, out)
@@ -156,13 +154,12 @@ def check_morphism(phi: Morphism) -> CheckReport:
     ]
     for i in range(src.rank):
         for j in range(tgt.chart.dim):
-            lhs = src.chart.zero()
-            for t in range(tgt.rank):
-                lhs = lhs + phi.fiber[t][i] * phi.pull_scalar(tgt.anchor[t][j])
-            rhs = src.chart.zero()
-            for k in range(src.chart.dim):
-                rhs = rhs + src.anchor[i][k] * jac[j][k]
-            res = lhs - rhs
+            # fiber . anchor o basemap  -  Jacobian . source anchor
+            res = lincomb(
+                src.chart,
+                [(1, phi.fiber[t][i], phi.pull_scalar(tgt.anchor[t][j])) for t in range(tgt.rank)]
+                + [(-1, src.anchor[i][k], jac[j][k]) for k in range(src.chart.dim)],
+            )
             rep.add(
                 f"anchor: {src.frame[i]} vs {tgt.chart.coords[j]}",
                 res.is_zero(),

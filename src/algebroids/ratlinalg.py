@@ -1,12 +1,11 @@
 """Exact linear algebra over the rationals and over the scalar-function ring.
 
-* One sparse exact elimination over `Fraction` (`_eliminate`) has three
-  users.  `FactoredSystem` eliminates a fixed sparse matrix once and then
+* One sparse exact elimination over the rationals (`_eliminate`) has one
+  user.  `FactoredSystem` eliminates a fixed sparse matrix once and then
   solves any number of sparse right-hand sides, each giving the solution
   with free variables zero or a Farkas-style infeasibility witness (a
   rational row combination y with y.A = 0 but y.b != 0); `rat_solve` is
-  its one-shot form on a dense system, and `rat_nullspace` reads a kernel
-  basis off the reduced rows.
+  its one-shot form on a dense system.
 * `unit_pivot_solve` eliminates over the scalar-function ring, only ever
   dividing by declared-nonvanishing units and failing loudly otherwise.
 * `scalar_det` computes exact determinants and minors over that ring by
@@ -26,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .symexpr import ScalarFn
+from .symexpr import ScalarFn, lincomb
 
 
 class FrameSolveFailure(Exception):
@@ -34,17 +33,17 @@ class FrameSolveFailure(Exception):
 
 
 def _eliminate(
-    rows: list[dict[int, Fraction]], n: int
+    rows: list[dict[int, Union[int, Fraction]]], n: int
 ) -> tuple[list[tuple[int, int]], list[dict[int, Fraction]]]:
     """Sparse exact Gauss-Jordan elimination, in place.
 
-    Each row is a dict ``{col: Fraction}`` over the columns ``0..n-1``,
-    without zero entries.  Columns are processed left to right; the pivot
-    of a column is the shortest unpivoted row with an entry there (ties to
-    the lower index), and the column is then cleared from every other row,
-    so pivot rows end in reduced row echelon form.  Pivot columns are the
-    leftmost independent ones whatever the pivot rows, which makes the
-    reduced rows unique.
+    Each row is a dict ``{col: int or Fraction}`` over the columns
+    ``0..n-1``, without zero entries.  Columns are processed left to right;
+    the pivot of a column is the shortest unpivoted row with an entry there
+    (ties to the lower index), and the column is then cleared from every
+    other row, so pivot rows end in reduced row echelon form.  Pivot
+    columns are the leftmost independent ones whatever the pivot rows,
+    which makes the reduced rows unique.
 
     Returns ``(pivots, transforms)``: the ``(row, col)`` pairs in column
     order, and for every row the sparse combination ``{orig_row: Fraction}``
@@ -63,7 +62,7 @@ def _eliminate(
             continue
         p = min(cands, key=lambda i: (len(rows[i]), i))
         prow, ptr = rows[p], transforms[p]
-        f = prow[c]
+        f = Fraction(prow[c])  # an int pivot would make int / int a float
         if f != 1:
             for k in prow:
                 prow[k] /= f
@@ -101,12 +100,12 @@ def _sparse(rows: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
 class FactoredSystem:
     """A x = b for a fixed sparse A, eliminated once by `_eliminate`.
 
-    ``rows`` are the sparse rows ``{col: Fraction}`` of A over ``n``
-    columns; they are consumed.  `solve` then costs one pass over the
-    stored contributions of the non-zero entries of b, and returns the
+    ``rows`` are the sparse rows ``{col: int or Fraction}`` of A over
+    ``n`` columns; they are consumed.  `solve` then costs one pass over
+    the stored contributions of the non-zero entries of b, and returns the
     solution with free variables zero (the pivot columns are the leftmost
     independent ones whatever the right-hand side) or an infeasibility
-    witness.
+    witness, all of them ``Fraction``.
     """
 
     def __init__(self, rows: list[dict[int, Fraction]], n: int):
@@ -170,26 +169,6 @@ def rat_solve(
     return system.solve({i: Fraction(b) for i, b in enumerate(rhs) if b})
 
 
-def rat_nullspace(rows: Sequence[Sequence[Fraction]], n: Optional[int] = None) -> list[list[Fraction]]:
-    """Basis of the right nullspace of A (rows over Fraction)."""
-    m = len(rows)
-    if n is None:
-        n = len(rows[0]) if m else 0
-    a = _sparse(rows)
-    pivots, _ = _eliminate(a, n)
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for c in range(n):
-        if c in pivot_cols:
-            continue
-        v = [Fraction(0)] * n
-        v[c] = Fraction(1)
-        for p, pc in pivots:
-            v[pc] = -a[p].get(c, Fraction(0))
-        basis.append(v)
-    return basis
-
-
 def unit_pivot_solve(
     rows: list[list[ScalarFn]],
     rhs_cols: list[list[ScalarFn]],
@@ -236,9 +215,10 @@ def unit_pivot_solve(
         for i in range(m):
             if i != p and not a[i][c].is_zero():
                 g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[p])]
+                chart = g.chart
+                a[i] = [lincomb(chart, [(1, x), (-1, g, y)]) for x, y in zip(a[i], a[p])]
                 for col in b:
-                    col[i] = col[i] - g * col[p]
+                    col[i] = lincomb(chart, [(1, col[i]), (-1, g, col[p])])
         piv.append((p, c))
         used_rows.add(p)
     sols = []
@@ -297,18 +277,16 @@ def _minor(
     det = memo.get(key)
     if det is not None:
         return det
-    det = row[csel[0]].chart.zero()
+    pieces = []
     rest = rsel[1:]
     for t, c in enumerate(csel):
         entry = row[c]
         if entry.is_zero():
             continue
         sub = _minor(rows, rest, csel[:t] + csel[t + 1 :], memo)
-        if sub.is_zero():
-            continue
-        term = entry * sub
-        det = det + (term if t % 2 == 0 else -term)
-    memo[key] = det
+        if not sub.is_zero():
+            pieces.append((-1 if t % 2 else 1, entry, sub))
+    det = memo[key] = lincomb(row[csel[0]].chart, pieces)
     return det
 
 

@@ -27,9 +27,10 @@ from .core import (
     tangent_algebroid,
     top_form,
     top_multivector,
+    _vf_pieces,
 )
 from .report import CheckReport
-from .symexpr import NotAUnit, ScalarFn
+from .symexpr import NotAUnit, ScalarFn, lincomb
 
 Matrix = tuple[tuple[ScalarFn, ...], ...]
 
@@ -138,37 +139,29 @@ class LineSection:
         self.evidence = f"sampled({samples}, seed={seed})"
 
 
-def _mat_mul(a: Matrix, b: Matrix, zero: ScalarFn) -> list[list[ScalarFn]]:
-    m = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), zero) for j in range(m)]
-        for i in range(m)
-    ]
-
-
 def check_flat(d: Representation) -> CheckReport:
     """Curvature residuals per frame pair; flat iff all are exactly zero."""
     a = d.algebroid
     rep = CheckReport(f"flatness of {d.name}")
-    zero = a.chart.zero()
+    coords = a.chart.coords
     m = d.bundle_rank
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             gi, gj = d.mats[i], d.mats[j]
-            comm = _mat_mul(gi, gj, zero)
-            comm2 = _mat_mul(gj, gi, zero)
+            brackets = a.structure.get((i, j), {})
             ok = True
             worst = ""
             for s in range(m):
                 for t in range(m):
-                    res = (
-                        a.rho_apply(i, gj[s][t])
-                        - a.rho_apply(j, gi[s][t])
-                        + comm[s][t]
-                        - comm2[s][t]
+                    # rho_i(g_j) - rho_j(g_i) + [g_i, g_j] - g_[e_i, e_j], entry (s, t)
+                    res = lincomb(
+                        a.chart,
+                        _vf_pieces(a.anchor[i], gj[s][t], coords, 1)
+                        + _vf_pieces(a.anchor[j], gi[s][t], coords, -1)
+                        + [(1, gi[s][u], gj[u][t]) for u in range(m)]
+                        + [(-1, gj[s][u], gi[u][t]) for u in range(m)]
+                        + [(-1, cf, d.mats[k][s][t]) for k, cf in brackets.items()],
                     )
-                    for k, cf in a.bracket_frame(i, j).items():
-                        res = res - cf * d.mats[k][s][t]
                     if not res.is_zero():
                         ok = False
                         worst = f"entry ({s},{t}): {res}"

@@ -16,7 +16,16 @@ The slopes c and d in a term key are ``int`` when integral and
 ``Fraction`` only otherwise.  ``Fraction(3) == 3`` with equal hashes, so
 this does not change which keys merge; it keeps the keys cheap to hash,
 because a tuple recomputes its hash on every dict lookup and
-``Fraction.__hash__`` is far slower than ``int.__hash__``.
+``Fraction.__hash__`` is far slower than ``int.__hash__``.  The
+coefficients q follow the same rule, normalised once per result in
+``ScalarFn._make``: ``int`` arithmetic is several times cheaper than
+``Fraction`` arithmetic, and most coefficients the calculus produces are
+integral.  Since ``int / int`` is a ``float``, code that divides by a
+coefficient must build a ``Fraction`` (``Fraction(p, q)``) explicitly.
+
+A sum of many terms or products is built by :func:`lincomb`, which emits
+every raw product term into one canonical pass instead of re-merging and
+re-sorting the running total after each pairwise ``+``.
 
 Division is restricted to units q*exp(d.x) (nowhere-vanishing members of
 the class); anything else raises :class:`NotAUnit`.
@@ -34,6 +43,7 @@ import errno
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -67,7 +77,8 @@ Rational = Union[int, Fraction]
 
 # trig atom: None or (kind, slopes) with kind in {"sin", "cos"} and the
 # first nonzero slope positive; a term key is (monomial, trig, exp_slopes).
-# Every slope is an int when integral and a Fraction otherwise (_slope).
+# Every slope, and every coefficient of a ScalarFn, is an int when
+# integral and a Fraction otherwise (_slope).
 Trig = Optional[tuple[str, tuple[Rational, ...]]]
 TermKey = tuple[tuple[int, ...], Trig, tuple[Rational, ...]]
 
@@ -101,12 +112,11 @@ class Chart:
     def coord(self, name: str) -> "ScalarFn":
         i = self.index(name)
         mono = tuple(1 if j == i else 0 for j in range(self.dim))
-        return ScalarFn._make(self, [((mono, None, self._zerovec()), Fraction(1))])
+        return ScalarFn._make(self, [((mono, None, self._zerovec()), 1)])
 
     def const(self, q: Rational) -> "ScalarFn":
-        q = Fraction(q)
-        if q == 0:
-            return self.zero()
+        if type(q) is not int:
+            q = Fraction(q)
         return ScalarFn._make(self, [(((0,) * self.dim, None, self._zerovec()), q)])
 
     def zero(self) -> "ScalarFn":
@@ -138,7 +148,7 @@ def _lex_sign(vec: Sequence[Rational]) -> int:
     return 0
 
 
-def _norm_trig(kind: str, c: tuple[Rational, ...]) -> tuple[Fraction, Trig]:
+def _norm_trig(kind: str, c: tuple[Rational, ...]) -> tuple[int, Trig]:
     """Normalise a raw trig atom; returns (multiplier, atom or None).
 
     sin with zero argument vanishes (multiplier 0), cos with zero argument
@@ -146,13 +156,13 @@ def _norm_trig(kind: str, c: tuple[Rational, ...]) -> tuple[Fraction, Trig]:
     """
     s = _lex_sign(c)
     if s == 0:
-        return (Fraction(0), None) if kind == "sin" else (Fraction(1), None)
+        return (0, None) if kind == "sin" else (1, None)
     if s < 0:
         c = tuple(-x for x in c)
         if kind == "sin":
-            return Fraction(-1), ("sin", c)
-        return Fraction(1), ("cos", c)
-    return Fraction(1), (kind, c)
+            return -1, ("sin", c)
+        return 1, ("cos", c)
+    return 1, (kind, c)
 
 
 def _vec_add(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
@@ -163,12 +173,15 @@ def _vec_sub(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ..
     return tuple(_slope(x - y) for x, y in zip(a, b))
 
 
+_HALF = Fraction(1, 2)
+
+
 def _trig_product(t1: Trig, t2: Trig) -> list[tuple[Fraction, Trig]]:
     """Expand a product of two trig atoms by product-to-sum."""
     k1, a = t1
     k2, b = t2
-    half = Fraction(1, 2)
-    out: list[tuple[Fraction, Trig]] = []
+    half = _HALF
+    out: list[tuple[Rational, Trig]] = []
     if k1 == "sin" and k2 == "sin":
         pieces = [(half, "cos", _vec_sub(a, b)), (-half, "cos", _vec_add(a, b))]
     elif k1 == "cos" and k2 == "cos":
@@ -193,6 +206,27 @@ def _trig_key(t: Trig) -> tuple:
 def _term_sort_key(key: TermKey) -> tuple:
     mono, trig, expv = key
     return (sum(mono), mono, _trig_key(trig), expv)
+
+
+def _product_items(items: list, f_terms: dict, g_terms: dict, c: Rational) -> None:
+    """Append the unmerged term items of c*f*g, given the term maps of f
+    and g, to ``items``."""
+    append = items.append
+    g_items = [(m2, t2, e2, any(e2), q2) for (m2, t2, e2), q2 in g_terms.items()]
+    for (m1, t1, e1), q1 in f_terms.items():
+        if c != 1:
+            q1 = q1 * c
+        flat1 = not any(e1)
+        for m2, t2, e2, curved2, q2 in g_items:
+            mono = tuple(map(add, m1, m2))
+            # a zero exp vector adds nothing, and the other is in slope form
+            expv = e2 if flat1 else _vec_add(e1, e2) if curved2 else e1
+            q = q1 * q2
+            if t1 is None or t2 is None:
+                append(((mono, t1 or t2, expv), q))
+            else:
+                for mult, atom in _trig_product(t1, t2):
+                    append(((mono, atom, expv), q * mult))
 
 
 # the OverflowError arguments of Python's float power and of math.exp
@@ -220,7 +254,7 @@ class ScalarFn:
 
     __slots__ = ("chart", "terms", "_global")
 
-    def __init__(self, chart: Chart, terms: dict[TermKey, Fraction]):
+    def __init__(self, chart: Chart, terms: dict[TermKey, Rational]):
         # use ScalarFn._make; this constructor trusts its input
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", terms)
@@ -230,23 +264,25 @@ class ScalarFn:
         raise AttributeError("ScalarFn is immutable")
 
     @staticmethod
-    def _make(chart: Chart, items: Iterable[tuple[TermKey, Fraction]]) -> "ScalarFn":
-        terms: dict[TermKey, Fraction] = {}
+    def _make(chart: Chart, items: Iterable[tuple[TermKey, Rational]]) -> "ScalarFn":
+        """Merge raw term items into canonical form: equal keys summed,
+        zero coefficients dropped, terms in canonical order, integral
+        coefficients as int."""
+        terms: dict[TermKey, Rational] = {}
         for key, q in items:
-            if q == 0:
+            if not q:
                 continue
             acc = terms.get(key)
             if acc is None:
                 terms[key] = q
             else:
                 acc += q
-                if acc == 0:
-                    del terms[key]
-                else:
+                if acc:
                     terms[key] = acc
-        if terms:
-            terms = dict(sorted(terms.items(), key=lambda kv: _term_sort_key(kv[0])))
-        return ScalarFn(chart, terms)
+                else:
+                    del terms[key]
+        keys = sorted(terms, key=_term_sort_key) if len(terms) > 1 else terms
+        return ScalarFn(chart, {k: _slope(terms[k]) for k in keys})
 
     # -- predicates ---------------------------------------------------
 
@@ -261,9 +297,9 @@ class ScalarFn:
         (mono, trig, expv), _ = next(iter(self.terms.items()))
         return not any(mono) and trig is None and not any(expv)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise SymExprError("not a constant")
         return next(iter(self.terms.values()))
@@ -279,7 +315,7 @@ class ScalarFn:
         if not self.is_unit():
             raise NotAUnit(f"not a unit of the expression class: {self}")
         (mono, trig, expv), q = next(iter(self.terms.items()))
-        return ScalarFn._make(self.chart, [((mono, None, tuple(-d for d in expv)), 1 / q)])
+        return ScalarFn._make(self.chart, [((mono, None, tuple(-d for d in expv)), Fraction(1, q))])
 
     @property
     def is_global(self) -> bool:
@@ -326,7 +362,7 @@ class ScalarFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ScalarFn._make(self.chart, list(self.terms.items()) + list(o.terms.items()))
+        return ScalarFn._make(self.chart, [*self.terms.items(), *o.terms.items()])
 
     __radd__ = __add__
 
@@ -337,29 +373,20 @@ class ScalarFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return ScalarFn._make(self.chart, [*self.terms.items(), *((k, -q) for k, q in o.terms.items())])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        items: list[tuple[TermKey, Fraction]] = []
-        for (m1, t1, e1), q1 in self.terms.items():
-            for (m2, t2, e2), q2 in o.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                expv = _vec_add(e1, e2)
-                if t1 is None or t2 is None:
-                    items.append(((mono, t1 or t2, expv), q1 * q2))
-                else:
-                    q = q1 * q2
-                    for mult, atom in _trig_product(t1, t2):
-                        items.append(((mono, atom, expv), q * mult))
+        items: list[tuple[TermKey, Rational]] = []
+        _product_items(items, self.terms, o.terms, 1)
         return ScalarFn._make(self.chart, items)
 
     __rmul__ = __mul__
@@ -406,7 +433,7 @@ class ScalarFn:
     def partial(self, coord: str) -> "ScalarFn":
         """Exact partial derivative with respect to a chart coordinate."""
         j = self.chart.index(coord)
-        items: list[tuple[TermKey, Fraction]] = []
+        items: list[tuple[TermKey, Rational]] = []
         for (mono, trig, expv), q in self.terms.items():
             if mono[j] > 0:
                 m2 = tuple(e - 1 if i == j else e for i, e in enumerate(mono))
@@ -447,9 +474,9 @@ class ScalarFn:
         for j, u in enumerate(used):
             if u and self.chart.periodic[j]:
                 self._check_periodic_image(source, images[j], self.chart.coords[j])
-        out = source.zero()
+        pieces = []
         for (mono, trig, expv), q in self.terms.items():
-            part = source.const(q)
+            part = source.one()
             for j, e in enumerate(mono):
                 if e:
                     part = part * images[j] ** e
@@ -461,8 +488,8 @@ class ScalarFn:
                 arg = _linear_combination(source, expv, images)
                 arg.linear_slopes()
                 part = part * exp(arg)
-            out = out + part
-        return out
+            pieces.append((q, part))
+        return lincomb(source, pieces)
 
     def _check_periodic_image(self, source: Chart, img: "ScalarFn", name: str) -> None:
         for (mono, trig, expv), _ in img.terms.items():
@@ -578,14 +605,34 @@ class ScalarFn:
         return f"ScalarFn({self.chart.name}: {self})"
 
 
+def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
+    """The sum of ``pieces`` in one canonical pass.
+
+    A piece is ``(c, f)`` for c*f or ``(c, f, g)`` for c*f*g, with c
+    rational and f, g on ``chart``.  The term items of every piece, the
+    raw product terms included, go into a single ``ScalarFn._make``; the
+    result equals the pairwise sum of the pieces, term order included,
+    since the canonical form is unique.
+    """
+    items: list[tuple[TermKey, Rational]] = []
+    for piece in pieces:
+        c, f = piece[0], piece[1]
+        for h in piece[1:]:
+            if h.chart is not chart and h.chart != chart:
+                raise SymExprError(f"chart mismatch: {chart.name!r} vs {h.chart.name!r}")
+        if len(piece) == 3:
+            _product_items(items, f.terms, piece[2].terms, c)
+        elif c == 1:
+            items += f.terms.items()
+        else:
+            items += [(k, c * q) for k, q in f.terms.items()]
+    return ScalarFn._make(chart, items)
+
+
 def _linear_combination(
     chart: Chart, coeffs: Sequence[Rational], fns: Sequence[ScalarFn]
 ) -> ScalarFn:
-    out = chart.zero()
-    for c, f in zip(coeffs, fns):
-        if c:
-            out = out + chart.const(c) * f
-    return out
+    return lincomb(chart, [(c, f) for c, f in zip(coeffs, fns) if c])
 
 
 def _linear_part(f: ScalarFn, what: str) -> tuple[Rational, ...]:
@@ -613,7 +660,7 @@ def cos(f: ScalarFn) -> ScalarFn:
 
 def exp(f: ScalarFn) -> ScalarFn:
     d = _linear_part(f, "exp")
-    return ScalarFn._make(f.chart, [(((0,) * f.chart.dim, None, tuple(d)), Fraction(1))])
+    return ScalarFn._make(f.chart, [(((0,) * f.chart.dim, None, tuple(d)), 1)])
 
 
 # ---------------------------------------------------------------------------

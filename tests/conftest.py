@@ -124,6 +124,28 @@ def conjugate_lie_algebra(a, g, name):
     return lie_algebra_presentation(name, tuple(f"f{i+1}" for i in range(n)), struct)
 
 
+def rat_nullspace(rows, n=None):
+    """Basis of the right nullspace of A (rows over Fraction), read off the
+    reduced rows of the library's elimination: a test reference, with one
+    vector per free column that is the unit vector there."""
+    m = len(rows)
+    if n is None:
+        n = len(rows[0]) if m else 0
+    a = ratlinalg._sparse(rows)
+    pivots, _ = ratlinalg._eliminate(a, n)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for c in range(n):
+        if c in pivot_cols:
+            continue
+        v = [Fraction(0)] * n
+        v[c] = Fraction(1)
+        for p, pc in pivots:
+            v[pc] = -a[p].get(c, Fraction(0))
+        basis.append(v)
+    return basis
+
+
 def count_sampling(monkeypatch, check, *args, **kwargs):
     """Run one check and count its ScalarFn.evaluate and float_rank calls."""
     counts = {"evaluate": 0, "float_rank": 0}

@@ -185,14 +185,12 @@ def _random_flat_line_rep(alg, rng):
         f = f + rng.randint(-3, 3) * (sin(c) if per else c ** rng.randint(1, 2))
     coeffs = [alg.rho_apply(i, f) for i in range(alg.rank)]
     if alg.chart.dim == 0:
-        from algebroids.ratlinalg import rat_nullspace
-
         rows = [
             [alg.c(i, j, k).constant_value() for k in range(alg.rank)]
             for i in range(alg.rank)
             for j in range(i + 1, alg.rank)
         ]
-        for vec in rat_nullspace(rows, alg.rank) if rows else []:
+        for vec in conftest.rat_nullspace(rows, alg.rank) if rows else []:
             q = rng.randint(-3, 3)
             coeffs = [c + chart.const(q * v) for c, v in zip(coeffs, vec)]
     return Representation(alg, ("eps",), [[[c]] for c in coeffs], "Drnd")

@@ -22,6 +22,7 @@ from algebroids.extensions import (
     induced_rep,
     poisson_kit,
     quotient_top_rep,
+    rational_multiple,
     top_rep,
     verify_constant_rank_identity,
     verify_extension_identity,
@@ -244,6 +245,29 @@ class TestExtensionIdentity:
         omega = top_multivector(ext.total, exp(R2.coord("x")))
         rep = verify_extension_identity(ext, omega_total=omega, ansatz=AnsatzSpace(R2, degree=3))
         assert rep.passed
+
+
+class TestRationalMultiple:
+    def test_integral_coefficients_give_an_exact_fraction(self):
+        # every coefficient is an int; their quotient must not be a float
+        tm = tangent_algebroid(R2)
+        x, y = R2.coord("x"), R2.coord("y")
+        y3 = Multivector(tm, 1, {(0,): 3 * x, (1,): 6 * y})
+        unit = Multivector(tm, 1, {(0,): x, (1,): 2 * y})
+        third = rational_multiple(unit, y3)
+        assert type(third) is Fraction and third == Fraction(1, 3)
+        three = rational_multiple(y3, unit)
+        assert type(three) is Fraction and three == 3
+        assert rational_multiple(unit.scale(Fraction(-5, 7)), unit) == Fraction(-5, 7)
+
+    def test_no_multiple(self):
+        tm = tangent_algebroid(R2)
+        x, y = R2.coord("x"), R2.coord("y")
+        a = Multivector(tm, 1, {(0,): x, (1,): y})
+        b = Multivector(tm, 1, {(0,): x, (1,): 2 * y})
+        assert rational_multiple(a, b) is None
+        assert rational_multiple(Multivector(tm, 1, {}), a) == 0
+        assert rational_multiple(a, Multivector(tm, 1, {})) is None
 
 
 class TestConstantRankIdentity:

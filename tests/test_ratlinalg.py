@@ -1,7 +1,7 @@
-"""Property tests of the sparse exact elimination behind FactoredSystem,
-rat_solve and rat_nullspace, against a dense Gauss-Jordan reference kept
-here, and of the memoised minors of scalar_det, against a plain Laplace
-expansion."""
+"""Property tests of the sparse exact elimination behind FactoredSystem
+and rat_solve (its reduced rows read through the rat_nullspace reference
+of conftest), against a dense Gauss-Jordan reference kept here, and of the
+memoised minors of scalar_det, against a plain Laplace expansion."""
 
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from algebroids.ratlinalg import (
     FactoredSystem,
     float_rank,
-    rat_nullspace,
     rat_solve,
     sampled_ranks,
     scalar_det,
 )
 from algebroids.symexpr import Chart, cos, exp, sin
+
+from conftest import rat_nullspace
 
 
 def reference_rref(a: list[list[Fraction]], n: int):
@@ -149,6 +150,26 @@ def test_factored_solves_match_reference(case):
     for rhs, extra in zip(sides, outside):
         solved = system.solve({i: b for i, b in enumerate(rhs) if b}, extra)
         assert_matches_reference(rows + [[Fraction(0)] * n for _ in extra], rhs + extra, *solved)
+
+
+def as_coefficient(q: Fraction):
+    """q as a ScalarFn coefficient stores it: an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_cases())
+def test_int_entries_solve_exactly_as_their_fractions(case):
+    # integral entries and right-hand sides arrive as int; int / int would be a float
+    rows, sides, outside = case
+    n = len(rows[0])
+    want = FactoredSystem([{j: x for j, x in enumerate(row) if x} for row in rows], n)
+    system = FactoredSystem([{j: as_coefficient(x) for j, x in enumerate(row) if x} for row in rows], n)
+    for rhs, extra in zip(sides, outside):
+        got = system.solve({i: as_coefficient(b) for i, b in enumerate(rhs) if b}, [as_coefficient(q) for q in extra])
+        assert got == want.solve({i: b for i, b in enumerate(rhs) if b}, extra)
+        for vec in got:
+            assert vec is None or all(type(v) is Fraction for v in vec)
 
 
 def test_factored_witness_for_a_value_outside_the_matrix():

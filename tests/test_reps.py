@@ -115,7 +115,7 @@ def random_flat_line_rep(g, rng):
     """Flat line rep on a Lie algebra: a closed 1-cochain as coefficients."""
     # exact cochains are always closed; add a random closed constant cochain
     # found by solving the cocycle condition directly.
-    from algebroids.ratlinalg import rat_nullspace
+    from conftest import rat_nullspace
 
     rows = []
     for i in range(g.rank):

@@ -17,6 +17,7 @@ from algebroids.symexpr import (
     UnknownCoordinate,
     cos,
     exp,
+    lincomb,
     parse_expr,
     point_chart,
     sin,
@@ -329,6 +330,24 @@ def assert_key_form(f):
             assert isinstance(s, int) or s.denominator != 1, (f, s)
 
 
+def assert_coeff_form(f):
+    """Every coefficient is an int when integral and a Fraction otherwise:
+    never an integral Fraction, never a float."""
+    for q in f.terms.values():
+        assert type(q) is int or (type(q) is Fraction and q.denominator != 1), (f, q)
+
+
+@st.composite
+def pieces(draw, chart, count):
+    """`lincomb` pieces (c, f) and (c, f, g) over random functions."""
+    out = []
+    for _ in range(draw(st.integers(0, count))):
+        c = draw(st.sampled_from([1, -1]) | COEFF.filter(bool))
+        f = draw(fns(chart))
+        out.append((c, f, draw(fns(chart))) if draw(st.booleans()) else (c, f))
+    return out
+
+
 class TestRingProperties:
     @settings(max_examples=100, deadline=None)
     @given(chart_and_fns(2), st.data())
@@ -358,6 +377,40 @@ class TestRingProperties:
         chart, (f, g) = cf
         for c in chart.coords:
             assert (f * g).partial(c) == f.partial(c) * g + f * g.partial(c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chart_and_fns(2), st.data())
+    def test_no_integral_fraction_or_float_coefficient_survives(self, cf, data):
+        chart, (f, g) = cf
+        results = [f, g, f + g, f - g, f * g, -f, 3 - f, f * Fraction(2, 3)]
+        results += [f.partial(c) for c in chart.coords]
+        source = data.draw(st.sampled_from(CHARTS))
+        images = [data.draw(linear_args(source)) for _ in chart.coords]
+        results.append(f.substitute(source, images))
+        # a product of atoms with a coefficient such as 1/3 has an integral inverse
+        unit = chart.const(data.draw(COEFF.filter(bool))) * exp(data.draw(linear_args(chart)))
+        results += [unit, unit.unit_inverse(), f / unit]
+        results.append(parse_expr(str(f), chart))
+        results.append(lincomb(chart, data.draw(pieces(chart, 4))))
+        for h in results:
+            assert_coeff_form(h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CHARTS).flatmap(lambda chart: st.tuples(st.just(chart), pieces(chart, 5))))
+    def test_lincomb_equals_pairwise_sum_term_for_term(self, cp):
+        chart, ps = cp
+        pairwise = chart.zero()
+        for c, f, *g in ps:
+            term = c * f * g[0] if g else c * f
+            pairwise = pairwise + term
+        got = lincomb(chart, ps)
+        assert list(got.terms.items()) == list(pairwise.terms.items())
+        assert [type(q) for q in got.terms.values()] == [type(q) for q in pairwise.terms.values()]
+
+    def test_lincomb_rejects_other_charts(self):
+        x = CHARTS[0].coord("x")
+        with pytest.raises(SymExprError, match="chart mismatch"):
+            lincomb(CHARTS[1], [(1, x)])
 
     def test_half_slopes_add_to_int_key(self):
         x = CHARTS[0].coord("x")
