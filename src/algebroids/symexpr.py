@@ -176,24 +176,24 @@ def _vec_sub(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ..
 _HALF = Fraction(1, 2)
 
 
-def _trig_product(t1: Trig, t2: Trig) -> list[tuple[Fraction, Trig]]:
-    """Expand a product of two trig atoms by product-to-sum."""
+def _trig_product(t1: Trig, t2: Trig) -> list[tuple[int, Trig]]:
+    """Expand a product of two trig atoms by product-to-sum: the product
+    is one half of the sum of sign * atom over the returned pairs."""
     k1, a = t1
     k2, b = t2
-    half = _HALF
-    out: list[tuple[Rational, Trig]] = []
+    out: list[tuple[int, Trig]] = []
     if k1 == "sin" and k2 == "sin":
-        pieces = [(half, "cos", _vec_sub(a, b)), (-half, "cos", _vec_add(a, b))]
+        pieces = [(1, "cos", _vec_sub(a, b)), (-1, "cos", _vec_add(a, b))]
     elif k1 == "cos" and k2 == "cos":
-        pieces = [(half, "cos", _vec_sub(a, b)), (half, "cos", _vec_add(a, b))]
+        pieces = [(1, "cos", _vec_sub(a, b)), (1, "cos", _vec_add(a, b))]
     elif k1 == "sin" and k2 == "cos":
-        pieces = [(half, "sin", _vec_add(a, b)), (half, "sin", _vec_sub(a, b))]
+        pieces = [(1, "sin", _vec_add(a, b)), (1, "sin", _vec_sub(a, b))]
     else:  # cos * sin
-        pieces = [(half, "sin", _vec_add(a, b)), (half, "sin", _vec_sub(b, a))]
-    for q, kind, vec in pieces:
+        pieces = [(1, "sin", _vec_add(a, b)), (1, "sin", _vec_sub(b, a))]
+    for sign, kind, vec in pieces:
         mult, atom = _norm_trig(kind, vec)
-        if q * mult != 0:
-            out.append((q * mult, atom))
+        if mult:
+            out.append((sign * mult, atom))
     return out
 
 
@@ -225,8 +225,9 @@ def _product_items(items: list, f_terms: dict, g_terms: dict, c: Rational) -> No
             if t1 is None or t2 is None:
                 append(((mono, t1 or t2, expv), q))
             else:
-                for mult, atom in _trig_product(t1, t2):
-                    append(((mono, atom, expv), q * mult))
+                half = q * _HALF
+                for sign, atom in _trig_product(t1, t2):
+                    append(((mono, atom, expv), half if sign > 0 else -half))
 
 
 # the OverflowError arguments of Python's float power and of math.exp

@@ -157,7 +157,7 @@ def as_coefficient(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(factored_cases())
 def test_int_entries_solve_exactly_as_their_fractions(case):
     # integral entries and right-hand sides arrive as int; int / int would be a float
