@@ -200,6 +200,14 @@ _SEEDED = {"run", "modular", "relmod", "pullback", "char", "extension"}
 _ANSATZ = {"run", "modular", "relmod", "char", "extension"}
 
 
+def ansatz_size(text: str) -> int:
+    """An ansatz size: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algebroids",
@@ -215,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         if command in _SEEDED:
             p.add_argument("--seed", type=int, default=0)
         if command in _ANSATZ:
-            p.add_argument("--ansatz-degree", type=int, default=None)
-            p.add_argument("--fourier-modes", type=int, default=None)
+            p.add_argument("--ansatz-degree", type=ansatz_size, default=None)
+            p.add_argument("--fourier-modes", type=ansatz_size, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
     parsers["run"].add_argument(

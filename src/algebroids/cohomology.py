@@ -32,7 +32,7 @@ from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
 from .ratlinalg import FactoredSystem, rat_solve
 from .report import CheckReport
-from .symexpr import Chart, ScalarFn, TermKey, _term_sort_key, cos, exp, lincomb, sin
+from .symexpr import Chart, ScalarFn, TermKey, Trig, _lex_sign, _slope, _term_sort_key, lincomb
 
 
 class CohomologyError(Exception):
@@ -69,48 +69,40 @@ class AnsatzSpace:
         default_factory=dict, init=False, compare=False, repr=False
     )
 
+    def __post_init__(self) -> None:
+        if self.degree < 0 or self.fourier_modes < 0:
+            raise ValueError(
+                f"ansatz degree and Fourier modes must be non-negative, "
+                f"got degree {self.degree} and {self.fourier_modes} modes"
+            )
+
     def basis(self) -> list[ScalarFn]:
+        """Monomial x trig atom x exp atom, each function built as its one
+        term key with coefficient 1, in that nesting order."""
         if self._basis:
             return list(self._basis)
         chart = self.chart
         nonper = [i for i, p in enumerate(chart.periodic) if not p]
         per = [i for i, p in enumerate(chart.periodic) if p]
-        monos: list[ScalarFn] = []
-        for degs in product(range(self.degree + 1), repeat=len(nonper)):
-            if sum(degs) > self.degree:
-                continue
-            f = chart.one()
-            for idx, d in zip(nonper, degs):
-                if d:
-                    f = f * chart.coord(chart.coords[idx]) ** d
-            monos.append(f)
-        trigs: list[ScalarFn] = [chart.one()]
-        if per:
-            for modes in product(range(-self.fourier_modes, self.fourier_modes + 1), repeat=len(per)):
-                if all(m == 0 for m in modes):
-                    continue
-                # lexicographically positive representative only
-                first = next(m for m in modes if m != 0)
-                if first < 0:
-                    continue
-                arg = chart.zero()
-                for idx, m in zip(per, modes):
-                    if m:
-                        arg = arg + m * chart.coord(chart.coords[idx])
-                trigs.append(sin(arg))
-                trigs.append(cos(arg))
-        exps: list[ScalarFn] = [chart.one()]
-        for slope in self.exp_slopes:
-            arg = chart.zero()
-            for c, name in zip(slope, chart.coords):
-                if c:
-                    arg = arg + chart.const(c) * chart.coord(name)
-            exps.append(exp(arg))
-        out = []
-        for m in monos:
-            for t in trigs:
-                for e in exps:
-                    out.append(m * t * e)
+
+        def spread(idxs: Sequence[int], vals: Sequence) -> tuple:
+            """``vals`` at the coordinates ``idxs``, 0 at the others."""
+            full = [0] * chart.dim
+            for i, v in zip(idxs, vals):
+                full[i] = v
+            return tuple(full)
+
+        degs = product(range(self.degree + 1), repeat=len(nonper))
+        monos = [spread(nonper, d) for d in degs if sum(d) <= self.degree]
+        trigs: list[Trig] = [None]
+        for modes in product(range(-self.fourier_modes, self.fourier_modes + 1), repeat=len(per)):
+            # lexicographically positive representatives only
+            if _lex_sign(modes) > 0:
+                slopes = spread(per, modes)
+                trigs += [("sin", slopes), ("cos", slopes)]
+        everywhere = range(chart.dim)
+        exps = [spread(everywhere, [_slope(Fraction(c)) for c in s]) for s in [(), *self.exp_slopes]]
+        out = [ScalarFn(chart, {(m, t, e): 1}) for m in monos for t in trigs for e in exps]
         self._basis[:] = out  # one replacement: two fills leave one copy
         return list(out)
 
@@ -404,11 +396,7 @@ def check_pullback_injectivity(
         if basic:
             g = _descend(res, src_chart, tgt_chart)
             residual = alpha - d_A(function_form(proj.target, g))
-            rep.add(
-                "descended primitive solves the base cocycle",
-                residual.is_zero(),
-                "" if residual.is_zero() else str(residual),
-            )
+            rep.residual("descended primitive solves the base cocycle", residual)
     else:
         cls_base = classify(alpha, space_target, seed=seed)
         cls_pull = classify(pulled, space_source, seed=seed)

@@ -643,12 +643,10 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
     for coord in a.chart.coords:
         f = function_form(a, a.chart.coord(coord))
         res = d_A(d_A(f))
-        rep.add(f"d(d {coord}) = 0", res.is_zero(), "" if res.is_zero() else str(res))
+        rep.residual(f"d(d {coord}) = 0", res)
     for k in range(a.rank):
         res = d_A(d_A(coframe_form(a, k)))
-        rep.add(
-            f"d(d {a.coframe[k]}) = 0", res.is_zero(), "" if res.is_zero() else str(res)
-        )
+        rep.residual(f"d(d {a.coframe[k]}) = 0", res)
     coords = a.chart.coords
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
@@ -662,9 +660,5 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
                     + _vf_pieces(ai, aj[l], coords, -1)
                     + _vf_pieces(aj, ai[l], coords, 1),
                 )
-                rep.add(
-                    f"anchor([{a.frame[i]},{a.frame[j]}]) . {coord}",
-                    res.is_zero(),
-                    "" if res.is_zero() else str(res),
-                )
+                rep.residual(f"anchor([{a.frame[i]},{a.frame[j]}]) . {coord}", res)
     return rep

@@ -147,18 +147,10 @@ def verify_mod_coboundary(
             arrow.morphism, sections[arrow.source], sections[arrow.target]
         )
         res = du[name] - rel
-        rep.add(
-            f"delta(Mod)({name}) = relative cocycle",
-            res.is_zero(),
-            "" if res.is_zero() else str(res),
-        )
+        rep.residual(f"delta(Mod)({name}) = relative cocycle", res)
     dv = delta1(diagram, du)
     for key, val in dv.items():
-        rep.add(
-            f"cocycle law on {key[1]} o {key[0]}",
-            val.is_zero(),
-            "" if val.is_zero() else str(val),
-        )
+        rep.residual(f"cocycle law on {key[1]} o {key[0]}", val)
     return rep
 
 
@@ -177,9 +169,5 @@ def exhibit_coboundary(
     du = delta0(diagram, u)
     for name in diagram.arrows:
         res = v[name] - du[name]
-        rep.add(
-            f"v = delta(u) on {name}",
-            res.is_zero(),
-            "" if res.is_zero() else str(res),
-        )
+        rep.residual(f"v = delta(u) on {name}", res)
     return u, rep

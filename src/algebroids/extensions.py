@@ -10,6 +10,11 @@ cochain level under compatible trivializations (class level otherwise),
 extends it to constant-rank morphisms through a quotient representation on
 the cokernel top power, and applies the machinery to regular Poisson
 bivectors on the cotangent algebroid.
+
+The structure functions of the image subalgebroid and of the Poisson
+kernel come from `ratlinalg.bracket_structure`, the one re-expansion of
+the brackets of a spanning frame; the adjoint and cokernel actions read
+their matrices from one re-expansion of the brackets [x, y_s] as well.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .morphisms import (
     pullback_form,
     relative_modular,
 )
-from .ratlinalg import FrameSolveFailure, sampled_ranks, unit_pivot_solve
+from .ratlinalg import FrameSolveFailure, bracket_structure, sampled_ranks, unit_pivot_solve
 from .report import CheckReport
 from .reps import (
     LineSection,
@@ -125,13 +130,32 @@ def check_extension(ext: ExtensionPresentation, seed: int = 0, samples: int = 50
         topk = top_multivector(c, ext.lam.coefficient)
         for s in range(c.rank):
             res = schouten(frame_vector(c, s), topk)
-            res_c = res.comps.get(tuple(range(c.rank)), chart.zero())
-            rep.add(
+            rep.residual(
                 f"kernel-invariant section: [{c.frame[s]}, lam] = 0",
-                res_c.is_zero(),
-                "" if res_c.is_zero() else str(res_c),
+                res.comps.get(tuple(range(c.rank)), chart.zero()),
             )
     return rep
+
+
+def _columns(matrix: Sequence[Sequence[ScalarFn]]) -> list[list[ScalarFn]]:
+    """The columns of a matrix given by its rows."""
+    return [list(col) for col in zip(*matrix)]
+
+
+def _bracket_action(
+    alg: AlgebroidPresentation,
+    rows: list[list[ScalarFn]],
+    xs: Sequence[Sequence[ScalarFn]],
+    ys: Sequence[Sequence[ScalarFn]],
+    block: range,
+) -> list[list[list[ScalarFn]]]:
+    """For each section x of ``xs``, the matrix whose entry (d, s) is the
+    coefficient on frame column ``block[d]`` of [x, ys[s]] re-expanded in
+    the frame given by the columns of ``rows`` (unit pivots only)."""
+    cols = [alg.section_bracket(x, y) for x in xs for y in ys]
+    sols = unit_pivot_solve(rows, cols) if cols else []
+    n = len(ys)
+    return [[[col[d] for col in sols[i * n : (i + 1) * n]] for d in block] for i in range(len(xs))]
 
 
 def adjoint_rep(ext: ExtensionPresentation) -> Representation:
@@ -142,30 +166,13 @@ def adjoint_rep(ext: ExtensionPresentation) -> Representation:
     brackets, and failure to re-expand raises ImageClosureFailure.
     """
     c, a = ext.kernel, ext.total
-    chart = a.chart
     if c.rank == 0:
         return Representation(a, (), [[] for _ in range(a.rank)], "adj")
-    rows = [[ext.incl.fiber[u][s] for s in range(c.rank)] for u in range(a.rank)]
-    rhs_cols = []
-    for j in range(a.rank):
-        e_j = [chart.one() if u == j else chart.zero() for u in range(a.rank)]
-        for s in range(c.rank):
-            ik = [ext.incl.fiber[u][s] for u in range(a.rank)]
-            rhs_cols.append(a.section_bracket(e_j, ik))
+    frame = [[a.chart.one() if u == j else a.chart.zero() for u in range(a.rank)] for j in range(a.rank)]
     try:
-        sols = unit_pivot_solve(rows, rhs_cols)
+        mats = _bracket_action(a, ext.incl.fiber, frame, _columns(ext.incl.fiber), range(c.rank))
     except FrameSolveFailure as e:
         raise ImageClosureFailure(str(e)) from e
-    mats = []
-    idx = 0
-    for j in range(a.rank):
-        mat = [[chart.zero() for _ in range(c.rank)] for _ in range(c.rank)]
-        for s in range(c.rank):
-            col = sols[idx]
-            idx += 1
-            for t in range(c.rank):
-                mat[t][s] = col[t]
-        mats.append(mat)
     d = Representation(a, c.frame, mats, "adj")
     flat = check_flat(d)
     if not flat.passed:
@@ -266,11 +273,6 @@ def induced_rep(
     return d
 
 
-def _lie_derivative_top(b: AlgebroidPresentation, y: Multivector, mu: FormField) -> FormField:
-    """Lie derivative of a top form on the presentation along a section."""
-    return d_A(interior(y, mu))
-
-
 def _image_multivector(ext: ExtensionPresentation) -> Multivector:
     """Wedge of the inclusion's columns: the kernel top power inside the total."""
     a = ext.total
@@ -327,12 +329,11 @@ def verify_extension_identity(
         br = schouten(frame_vector(a, j), omega)
         t1 = br.comps.get(tuple(range(a.rank)), chart.zero()) * s_omega_inv
         y = section_vector(b, [ext.proj.fiber[t][j] for t in range(b.rank)])
-        lie = _lie_derivative_top(b, y, mu)
+        lie = d_A(interior(y, mu))  # Lie derivative of the top form mu along y
         t2 = lie.comps.get(tuple(range(b.rank)), chart.zero()) * s_mu_inv
         theta_comps.append(t1 + t2)
     theta = one_form(a, theta_comps)
-    res = d_A(theta)
-    rep.add("theta closed", res.is_zero(), "" if res.is_zero() else str(res))
+    rep.residual("theta closed", d_A(theta))
     adj = adjoint_rep(ext)
     topk = top_rep(ext, adj)
     dbk = induced_rep(ext, topk=topk)
@@ -350,13 +351,8 @@ def verify_extension_identity(
         True,
         f"multiple {q}" if compatible else "not proportional; class-level check",
     )
-    residual = theta - pulled
     if compatible:
-        rep.add(
-            "cochain identity theta = proj^*(eta)",
-            residual.is_zero(),
-            "" if residual.is_zero() else str(residual),
-        )
+        rep.residual("cochain identity theta = proj^*(eta)", theta - pulled)
     else:
         space = ansatz or AnsatzSpace(chart)
         verdict = cohomologous(theta, pulled, space, seed=seed)
@@ -382,38 +378,32 @@ def quotient_top_rep(
     """
     b = b_in_ambient.source
     amb = b_in_ambient.target
-    chart = amb.chart
     v = len(complement[0]) if complement else 0
     if b.rank + v != amb.rank:
         raise ExtensionError("image frame plus complement must span the ambient frame")
     rows = [
-        [b_in_ambient.fiber[u][t] for t in range(b.rank)]
-        + [complement[u][cc] for cc in range(v)]
-        for u in range(amb.rank)
+        list(b_in_ambient.fiber[u]) + [complement[u][cc] for cc in range(v)] for u in range(amb.rank)
     ]
-    rhs_cols = []
-    for t in range(b.rank):
-        bt = [b_in_ambient.fiber[u][t] for u in range(amb.rank)]
-        for cc in range(v):
-            wc = [complement[u][cc] for u in range(amb.rank)]
-            rhs_cols.append(amb.section_bracket(bt, wc))
-    sols = unit_pivot_solve(rows, rhs_cols) if rhs_cols else []
-    mats = []
-    idx = 0
-    for t in range(b.rank):
-        mat = [[chart.zero() for _ in range(v)] for _ in range(v)]
-        for cc in range(v):
-            col = sols[idx]
-            idx += 1
-            for dd in range(v):
-                mat[dd][cc] = col[b.rank + dd]
-        mats.append(mat)
-    traces = [_trace(m, chart) for m in mats] if v else [chart.zero()] * b.rank
-    d = Representation(b, ("Q",), [[[t]] for t in traces], "D^{B,Q}")
+    mats = _bracket_action(
+        amb, rows, _columns(b_in_ambient.fiber), _columns(complement), range(b.rank, amb.rank)
+    )
+    d = Representation(b, ("Q",), [[[_trace(m, amb.chart)]] for m in mats], "D^{B,Q}")
     flat = check_flat(d)
     if not flat.passed:
         raise ExtensionError("cokernel top representation is not flat")
     return d
+
+
+def _identity(
+    rep: CheckReport, name: str, lhs: FormField, rhs: FormField, space: AnsatzSpace, seed: int
+) -> None:
+    """Add the verdict on lhs = rhs: exact at cochain level when the
+    difference vanishes, else up to an exact form by `cohomologous`."""
+    if (lhs - rhs).is_zero():
+        rep.add(f"{name} exact at cochain level", True)
+    else:
+        verdict = cohomologous(lhs, rhs, space, seed=seed).verdict
+        rep.add(f"{name} up to an exact form", verdict == "cohomologous", verdict)
 
 
 def verify_constant_rank_identity(
@@ -450,31 +440,12 @@ def verify_constant_rank_identity(
     mod_phi = relative_modular(
         phi, Trivialization(*canonical_sections(a)), Trivialization(*canonical_sections(amb))
     )
-    rhs = pullback_form(ext.proj, eta_k - eta_q)
-    residual = mod_phi - rhs
-    if residual.is_zero():
-        rep.add("main identity exact at cochain level", True)
-    else:
-        verdict = cohomologous(mod_phi, rhs, space, seed=seed)
-        rep.add(
-            "main identity up to an exact form",
-            verdict.verdict == "cohomologous",
-            verdict.verdict,
-        )
+    _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, eta_k - eta_q), space, seed)
     mod_amb = modular_cocycle(amb, *canonical_sections(amb))
     mod_b = modular_cocycle(b, *canonical_sections(b))
-    inter = pullback_form(b_in_ambient, mod_amb) - mod_b - eta_q
-    if inter.is_zero():
-        rep.add("intermediate identity exact at cochain level", True)
-    else:
-        verdict = cohomologous(
-            pullback_form(b_in_ambient, mod_amb) - mod_b, eta_q, space, seed=seed
-        )
-        rep.add(
-            "intermediate identity up to an exact form",
-            verdict.verdict == "cohomologous",
-            verdict.verdict,
-        )
+    _identity(
+        rep, "intermediate identity", pullback_form(b_in_ambient, mod_amb) - mod_b, eta_q, space, seed
+    )
     rep.data["eta_k"] = eta_k
     rep.data["eta_q"] = eta_q
     rep.data["mod_phi"] = mod_phi
@@ -537,28 +508,12 @@ def subalgebroid_from_vector_fields(
     inclusion into the tangent algebroid; brackets re-expanded by unit
     pivots (FrameSolveFailure when the family is not visibly involutive)."""
     tm = tangent_algebroid(chart)
-    n = chart.dim
-    r = len(columns[0]) if columns else 0
-    rows = [[columns[k][t] for t in range(r)] for k in range(n)]
-    rhs = []
-    for s in range(r):
-        for t in range(s + 1, r):
-            xs = [columns[k][s] for k in range(n)]
-            yt = [columns[k][t] for k in range(n)]
-            rhs.append(tm.section_bracket(xs, yt))
-    sols = unit_pivot_solve(rows, rhs) if rhs else []
-    structure = {}
-    idx = 0
-    for s in range(r):
-        for t in range(s + 1, r):
-            col = sols[idx]
-            idx += 1
-            comps = {k: f for k, f in enumerate(col) if not f.is_zero()}
-            if comps:
-                structure[(s, t)] = comps
-    anchor = [[columns[k][t] for k in range(n)] for t in range(r)]
-    pres = AlgebroidPresentation(name, chart, tuple(f"b{t+1}" for t in range(r)), anchor, structure)
-    incl = base_preserving_morphism(f"{name}_in_T", pres, tm, [list(col) for col in columns])
+    rows = [list(row) for row in columns]
+    anchor = _columns(rows)
+    structure = bracket_structure(rows, anchor, tm.section_bracket)
+    frame = tuple(f"b{t+1}" for t in range(len(anchor)))
+    pres = AlgebroidPresentation(name, chart, frame, anchor, structure)
+    incl = base_preserving_morphism(f"{name}_in_T", pres, tm, rows)
     return pres, incl
 
 
@@ -609,34 +564,16 @@ def poisson_kit(
         "sharp_B", apres, bpres, [[sols[i][t] for i in range(apres.rank)] for t in range(bpres.rank)]
     )
     # kernel presentation: totally intransitive, brackets re-expanded
-    r_c = len(kernel_columns[0]) if kernel_columns else 0
-    rows_k = [[kernel_columns[u][s] for s in range(r_c)] for u in range(apres.rank)]
-    rhs_k = []
-    for s in range(r_c):
-        for t in range(s + 1, r_c):
-            xs = [kernel_columns[u][s] for u in range(apres.rank)]
-            yt = [kernel_columns[u][t] for u in range(apres.rank)]
-            rhs_k.append(apres.section_bracket(xs, yt))
-    sols_k = unit_pivot_solve(rows_k, rhs_k) if rhs_k else []
-    structure_k = {}
-    idx = 0
-    for s in range(r_c):
-        for t in range(s + 1, r_c):
-            col = sols_k[idx]
-            idx += 1
-            comps = {w: f for w, f in enumerate(col) if not f.is_zero()}
-            if comps:
-                structure_k[(s, t)] = comps
+    rows_k = [list(row) for row in kernel_columns] or [[] for _ in range(apres.rank)]
+    sections_k = _columns(rows_k)
     cpres = AlgebroidPresentation(
         "C",
         chart,
-        tuple(f"k{s+1}" for s in range(r_c)),
-        [[chart.zero()] * chart.dim for _ in range(r_c)],
-        structure_k,
+        tuple(f"k{s+1}" for s in range(len(sections_k))),
+        [[chart.zero()] * chart.dim for _ in sections_k],
+        bracket_structure(rows_k, sections_k, apres.section_bracket),
     )
-    incl = base_preserving_morphism(
-        "C_in_A", cpres, apres, [[kernel_columns[u][s] for s in range(r_c)] for u in range(apres.rank)]
-    )
+    incl = base_preserving_morphism("C_in_A", cpres, apres, rows_k)
     lam = LineSection(lam_coeff if lam_coeff is not None else chart.one())
     ext = ExtensionPresentation(cpres, apres, bpres, incl, sharp_b, lam)
     mod_sharp = relative_modular(
@@ -679,18 +616,8 @@ def verify_regular_poisson(
     mod_sharp_b = relative_modular(
         sharp_b, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(bpres))
     )
-    res1 = mod_sharp_b - pulled
-    if res1.is_zero():
-        rep.add("image identity exact at cochain level", True)
-    else:
-        v = cohomologous(mod_sharp_b, pulled, space, seed=seed)
-        rep.add("image identity up to an exact form", v.verdict == "cohomologous", v.verdict)
-    res2 = mod_sharp - pulled.scale(2)
-    if res2.is_zero():
-        rep.add("doubling identity exact at cochain level", True)
-    else:
-        v = cohomologous(mod_sharp, pulled.scale(2), space, seed=seed)
-        rep.add("doubling identity up to an exact form", v.verdict == "cohomologous", v.verdict)
+    _identity(rep, "image identity", mod_sharp_b, pulled, space, seed)
+    _identity(rep, "doubling identity", mod_sharp, pulled.scale(2), space, seed)
     # duality of the cokernel-top representation with the kernel-top one
     dq = quotient_top_rep(kit.image_in_tm, complement_columns)
     eta_q = char_cocycle(dq, LineSection(chart.one()))

@@ -160,21 +160,13 @@ def check_morphism(phi: Morphism) -> CheckReport:
                 [(1, phi.fiber[t][i], phi.pull_scalar(tgt.anchor[t][j])) for t in range(tgt.rank)]
                 + [(-1, src.anchor[i][k], jac[j][k]) for k in range(src.chart.dim)],
             )
-            rep.add(
-                f"anchor: {src.frame[i]} vs {tgt.chart.coords[j]}",
-                res.is_zero(),
-                "" if res.is_zero() else str(res),
-            )
+            rep.residual(f"anchor: {src.frame[i]} vs {tgt.chart.coords[j]}", res)
     for t in range(tgt.rank):
         eps = FormField(tgt, 1, {(t,): tgt.chart.one()})
         lhs = pullback_form(phi, d_A(eps))
         rhs = d_A(pullback_form(phi, eps))
         res = lhs - rhs
-        rep.add(
-            f"chain map on {tgt.coframe[t]}",
-            res.is_zero(),
-            "" if res.is_zero() else str(res),
-        )
+        rep.residual(f"chain map on {tgt.coframe[t]}", res)
     return rep
 
 
@@ -261,7 +253,7 @@ def check_composition_law(
     snd = relative_modular(psi, sec_b, sec_c)
     rhs = fst + pullback_form(phi, snd)
     res = lhs - rhs
-    rep.add("cochain residual = 0", res.is_zero(), "" if res.is_zero() else str(res))
+    rep.residual("cochain residual = 0", res)
     return rep
 
 
@@ -313,9 +305,5 @@ def check_rep_morphism(
             rhs_cols.append(comp)
         for s in range(m_e):
             res = lhs_cols[s] - rhs_cols[s]
-            rep.add(
-                f"diagram on {d_tgt.bundle_frame[t]}^ / {d_src.bundle_frame[s]}^",
-                res.is_zero(),
-                "" if res.is_zero() else str(res),
-            )
+            rep.residual(f"diagram on {d_tgt.bundle_frame[t]}^ / {d_src.bundle_frame[s]}^", res)
     return rep

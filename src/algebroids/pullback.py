@@ -6,7 +6,9 @@ chart, vector field on the source chart) whose anchors match under the
 base map.  Two modes are supported: product submersions, where the frame
 is generated automatically (horizontal lifts of the target frame plus
 vertical coordinate fields), and user-supplied frames for cases like
-orbit inclusions.
+orbit inclusions.  The structure functions are the fiber-product brackets
+of the pairs re-expanded in the frame by `ratlinalg.bracket_structure`,
+the routine behind the subalgebroid and Poisson-kernel presentations too.
 
 Rank verdicts for admissibility and transversality are probabilistic
 (random-point sampling) with an exact upgrade when minors certify the rank
@@ -27,17 +29,18 @@ from typing import Optional, Sequence
 from .core import (
     AlgebroidPresentation,
     Multivector,
+    _vf_pieces,
     interior,
     tangent_algebroid,
     top_form,
     top_multivector,
     vector_field_bracket,
 )
-from .morphisms import Morphism, check_morphism, compose, pullback_form
-from .ratlinalg import sampled_ranks, scalar_det, unit_pivot_solve
+from .morphisms import Morphism, base_preserving_morphism, check_morphism, compose, pullback_form
+from .ratlinalg import bracket_structure, sampled_ranks, scalar_det, unit_pivot_solve
 from .report import CheckReport
 from .reps import modular_cocycle
-from .symexpr import Chart, ScalarFn
+from .symexpr import Chart, ScalarFn, lincomb
 
 
 class PullbackError(Exception):
@@ -270,22 +273,14 @@ def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> Check
     """Exact compatibility of each pair; sampled independence and spanning."""
     rep = CheckReport("pull-back frame")
     b, chart = pf.target, pf.source_chart
+    # the residual of a pair on coordinate j is row j applied to the pair
+    constraint = _constraint_matrix(b, chart, pf.basemap)
     for idx, pair in enumerate(pf.pairs):
-        for j in range(b.chart.dim):
-            lhs = chart.zero()
-            for t in range(b.rank):
-                if not pair.bcoeffs[t].is_zero():
-                    lhs = lhs + pair.bcoeffs[t] * b.anchor[t][j].substitute(
-                        chart, list(pf.basemap)
-                    )
-            rhs = chart.zero()
-            for k, c in enumerate(chart.coords):
-                rhs = rhs + pair.vf[k] * pf.basemap[j].partial(c)
-            res = lhs - rhs
-            rep.add(
-                f"pair {idx}: anchor constraint on {b.chart.coords[j]}",
-                res.is_zero(),
-                "" if res.is_zero() else str(res),
+        vec = [*pair.bcoeffs, *pair.vf]
+        for coord, row in zip(b.chart.coords, constraint):
+            rep.residual(
+                f"pair {idx}: anchor constraint on {coord}",
+                lincomb(chart, [(1, f, g) for f, g in zip(row, vec) if not g.is_zero()]),
             )
     rows = [list(p.bcoeffs) + list(p.vf) for p in pf.pairs]
     ranks = _sampled_ranks(rows, chart, seed, samples) if rows else []
@@ -328,25 +323,9 @@ def build_pullback(
             "pull-back frame failed validation:\n" + validation.pretty()
         )
     b, chart = pf.target, pf.source_chart
-    r = len(pf.pairs)
-    rows = [
-        [pf.pairs[g].bcoeffs[t] for g in range(r)] for t in range(b.rank)
-    ] + [[pf.pairs[g].vf[k] for g in range(r)] for k in range(chart.dim)]
-    rhs_cols = []
-    keys = []
-    for a_idx in range(r):
-        for b_idx in range(a_idx + 1, r):
-            w, z = _pair_bracket(pf, pf.pairs[a_idx], pf.pairs[b_idx])
-            rhs_cols.append(list(w) + list(z))
-            keys.append((a_idx, b_idx))
-    structure: dict[tuple[int, int], dict[int, ScalarFn]] = {}
-    if rhs_cols:
-        sols = unit_pivot_solve(rows, rhs_cols)
-        for key, col in zip(keys, sols):
-            comps = {g: f for g, f in enumerate(col) if not f.is_zero()}
-            if comps:
-                structure[key] = comps
-    names = pf.names or tuple(f"p{g+1}" for g in range(r))
+    rows = _pair_matrix(pf)
+    structure = bracket_structure(rows, pf.pairs, lambda p1, p2: _pair_bracket(pf, p1, p2))
+    names = pf.names or tuple(f"p{g+1}" for g in range(len(pf.pairs)))
     pres = AlgebroidPresentation(
         name or f"{b.name}^!",
         chart,
@@ -354,44 +333,38 @@ def build_pullback(
         [list(p.vf) for p in pf.pairs],
         structure,
     )
-    fiber = [[pf.pairs[g].bcoeffs[t] for g in range(r)] for t in range(b.rank)]
-    proj = Morphism(f"proj_{pres.name}", pres, b, list(pf.basemap), fiber)
+    proj = Morphism(f"proj_{pres.name}", pres, b, list(pf.basemap), rows[: b.rank])
     return BuiltPullback(pres, proj, pf, validation)
+
+
+def _pair_matrix(pf: PullbackFrame) -> list[list[ScalarFn]]:
+    """The frame pairs as columns: target frame coefficients above the
+    vector-field components."""
+    return [[p.bcoeffs[t] for p in pf.pairs] for t in range(pf.target.rank)] + [
+        [p.vf[k] for p in pf.pairs] for k in range(pf.source_chart.dim)
+    ]
 
 
 def _pair_bracket(
     pf: PullbackFrame, p1: PullbackFramePair, p2: PullbackFramePair
-) -> tuple[list[ScalarFn], list[ScalarFn]]:
-    """The fiber-product bracket of two compatible pairs.
+) -> list[ScalarFn]:
+    """The fiber-product bracket of two compatible pairs, as one column.
 
-    First component: f_i g_j [b_i, b_j] pulled back, plus u(g_j) b_j minus
-    v(f_i) b_i; second component: the vector-field bracket.
+    Target frame part: f_i g_j [b_i, b_j] pulled back, plus u(g_j) b_j minus
+    v(f_i) b_i; vector-field part: the vector-field bracket.
     """
     b, chart = pf.target, pf.source_chart
-    zero = chart.zero()
-    w = [zero] * b.rank
-    for i in range(b.rank):
-        fi = p1.bcoeffs[i]
-        if fi.is_zero():
-            continue
-        for j in range(b.rank):
-            gj = p2.bcoeffs[j]
-            if gj.is_zero():
+    pieces = [
+        _vf_pieces(p1.vf, g, chart.coords, 1) + _vf_pieces(p2.vf, f, chart.coords, -1)
+        for f, g in zip(p1.bcoeffs, p2.bcoeffs)
+    ]
+    for i, fi in enumerate(p1.bcoeffs):
+        for j, gj in enumerate(p2.bcoeffs):
+            if fi.is_zero() or gj.is_zero():
                 continue
             for t, c in b.bracket_frame(i, j).items():
-                w[t] = w[t] + fi * gj * c.substitute(chart, list(pf.basemap))
-    for j in range(b.rank):
-        acc = zero
-        for k, c in enumerate(chart.coords):
-            acc = acc + p1.vf[k] * p2.bcoeffs[j].partial(c)
-        w[j] = w[j] + acc
-    for i in range(b.rank):
-        acc = zero
-        for k, c in enumerate(chart.coords):
-            acc = acc + p2.vf[k] * p1.bcoeffs[i].partial(c)
-        w[i] = w[i] - acc
-    z = vector_field_bracket(chart, p1.vf, p2.vf)
-    return w, z
+                pieces[t].append((1, fi * gj, c.substitute(chart, list(pf.basemap))))
+    return [lincomb(chart, p) for p in pieces] + vector_field_bracket(chart, p1.vf, p2.vf)
 
 
 def factorize(phi: Morphism, built: BuiltPullback) -> tuple[Morphism, CheckReport]:
@@ -405,20 +378,12 @@ def factorize(phi: Morphism, built: BuiltPullback) -> tuple[Morphism, CheckRepor
     if tuple(phi.basemap) != tuple(built.frame.basemap):
         raise PullbackError("base maps differ")
     pf = built.frame
-    chart = phi.source.chart
-    r = len(pf.pairs)
-    rows = [
-        [pf.pairs[g].bcoeffs[t] for g in range(r)] for t in range(pf.target.rank)
-    ] + [[pf.pairs[g].vf[k] for g in range(r)] for k in range(chart.dim)]
-    rhs_cols = []
-    for i in range(phi.source.rank):
-        col = [phi.fiber[t][i] for t in range(pf.target.rank)]
-        col += [phi.source.anchor[i][k] for k in range(chart.dim)]
-        rhs_cols.append(col)
-    sols = unit_pivot_solve(rows, rhs_cols)
-    fiber = [[sols[i][g] for i in range(phi.source.rank)] for g in range(r)]
-    from .morphisms import base_preserving_morphism
-
+    rhs_cols = [
+        [phi.fiber[t][i] for t in range(pf.target.rank)] + list(phi.source.anchor[i])
+        for i in range(phi.source.rank)
+    ]
+    sols = unit_pivot_solve(_pair_matrix(pf), rhs_cols)
+    fiber = [[sols[i][g] for i in range(phi.source.rank)] for g in range(len(pf.pairs))]
     factor = base_preserving_morphism(
         phi.name + "'", phi.source, built.presentation, fiber
     )
@@ -488,10 +453,5 @@ def verify_submersion_vanishing(
     )
     gamma = modular_cocycle(built.presentation, omega_up, mu_form)
     beta = modular_cocycle(b, top_multivector(b, sigma), top_form(tm_tgt, nu))
-    residual = gamma - pullback_form(built.projection, beta)
-    rep.add(
-        "modular cocycle residual = 0",
-        residual.is_zero(),
-        "" if residual.is_zero() else str(residual),
-    )
+    rep.residual("modular cocycle residual = 0", gamma - pullback_form(built.projection, beta))
     return rep

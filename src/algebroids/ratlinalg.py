@@ -8,6 +8,9 @@
   its one-shot form on a dense system.
 * `unit_pivot_solve` eliminates over the scalar-function ring, only ever
   dividing by declared-nonvanishing units and failing loudly otherwise.
+  `bracket_structure` is its one frame re-expansion of brackets: the
+  structure functions of every frame spanned by sections that is closed
+  under a bracket (subalgebroids, Poisson kernels, pull-backs) come from it.
 * `scalar_det` computes exact determinants and minors over that ring by
   cofactor expansion with memoised subminors: callers that share one memo
   dict across the minors of a matrix expand each distinct subminor once.
@@ -21,7 +24,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import combinations
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -234,6 +238,25 @@ def unit_pivot_solve(
             x[c] = col[p]
         sols.append(x)
     return sols
+
+
+def bracket_structure(
+    rows: list[list[ScalarFn]], sections: Sequence, bracket: Callable
+) -> dict[tuple[int, int], dict[int, ScalarFn]]:
+    """Structure functions of the frame spanned by ``sections``.
+
+    Column g of ``rows`` is section g written in the ambient frame, and
+    ``bracket(sections[s], sections[t])`` returns the ambient column of
+    their bracket.  Every pair s < t is bracketed and re-expanded in the
+    frame by unit pivots (FrameSolveFailure when that fails); the result is
+    ``{(s, t): {g: C^g_st}}`` with zero entries kept.  A frame with no pairs
+    solves nothing, so a single section never fails.
+    """
+    pairs = list(combinations(range(len(sections)), 2))
+    if not pairs:
+        return {}
+    cols = [bracket(sections[s], sections[t]) for s, t in pairs]
+    return {key: dict(enumerate(col)) for key, col in zip(pairs, unit_pivot_solve(rows, cols))}
 
 
 def scalar_det(

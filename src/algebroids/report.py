@@ -30,6 +30,12 @@ class CheckReport:
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.items.append(CheckItem(label, bool(ok), detail))
 
+    def residual(self, label: str, res) -> None:
+        """An item that passes iff the exact residual ``res`` is zero,
+        with the residual as its detail otherwise."""
+        zero = res.is_zero()
+        self.add(label, zero, "" if zero else str(res))
+
     def note(self, text: str) -> None:
         self.notes.append(text)
 

@@ -797,15 +797,16 @@ def _stmt_bundlemap(cur: _Cursor, sc: Scenario, line: int) -> None:
 
 
 def _stmt_ansatz(cur: _Cursor, sc: Scenario, line: int) -> None:
+    fields = {"degree": "ansatz_degree", "modes": "ansatz_modes"}
     cur.expect("{")
     while not cur.take("}"):
         key = cur.word()
-        if key == "degree":
-            sc.ansatz_degree = cur.int_value()
-        elif key == "modes":
-            sc.ansatz_modes = cur.int_value()
-        else:
+        if key not in fields:
             raise cur.error(f"unknown ansatz field {key!r}")
+        value = cur.int_value()
+        if value < 0:
+            raise cur.error(f"ansatz {key} must be non-negative, got {value}")
+        setattr(sc, fields[key], value)
         cur.take(";")
 
 

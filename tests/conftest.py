@@ -1,5 +1,6 @@
 """Shared builders: charts, stock algebroids, randomized generators."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from algebroids.core import (
     tangent_algebroid,
 )
 from algebroids import ratlinalg
-from algebroids.symexpr import Chart, ScalarFn, point_chart
+from algebroids.symexpr import Chart, ScalarFn, cos, exp, point_chart, sin
 
 
 def chart_r(n, name=None, periodic=()):
@@ -144,6 +145,46 @@ def rat_nullspace(rows, n=None):
             v[pc] = -a[p].get(c, Fraction(0))
         basis.append(v)
     return basis
+
+
+def product_basis(space):
+    """The ansatz basis of ``space`` built through the ring: each function
+    the product monomial * trig * exp, the monomials as coordinate powers
+    and the atoms from their linear arguments.  A test reference for
+    `AnsatzSpace.basis`, which writes each term key directly."""
+    chart = space.chart
+    nonper = [i for i, p in enumerate(chart.periodic) if not p]
+    per = [i for i, p in enumerate(chart.periodic) if p]
+    monos = []
+    for degs in itertools.product(range(space.degree + 1), repeat=len(nonper)):
+        if sum(degs) > space.degree:
+            continue
+        f = chart.one()
+        for idx, d in zip(nonper, degs):
+            if d:
+                f = f * chart.coord(chart.coords[idx]) ** d
+        monos.append(f)
+    trigs = [chart.one()]
+    if per:
+        modes_range = range(-space.fourier_modes, space.fourier_modes + 1)
+        for modes in itertools.product(modes_range, repeat=len(per)):
+            if all(m == 0 for m in modes):
+                continue
+            if next(m for m in modes if m != 0) < 0:
+                continue
+            arg = chart.zero()
+            for idx, m in zip(per, modes):
+                if m:
+                    arg = arg + m * chart.coord(chart.coords[idx])
+            trigs += [sin(arg), cos(arg)]
+    exps = [chart.one()]
+    for slope in space.exp_slopes:
+        arg = chart.zero()
+        for c, name in zip(slope, chart.coords):
+            if c:
+                arg = arg + chart.const(c) * chart.coord(name)
+        exps.append(exp(arg))
+    return [m * t * e for m in monos for t in trigs for e in exps]
 
 
 def count_sampling(monkeypatch, check, *args, **kwargs):

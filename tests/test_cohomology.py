@@ -28,9 +28,9 @@ from algebroids.core import (
 )
 from algebroids.morphisms import Morphism, Trivialization, identity_morphism
 from algebroids.reps import canonical_sections, modular_cocycle
-from algebroids.symexpr import Chart, ScalarFn, cos, exp, sin
+from algebroids.symexpr import Chart, ScalarFn, cos, exp, point_chart, sin
 
-from conftest import cylinder_algebroid
+from conftest import cylinder_algebroid, product_basis
 
 
 S1 = Chart("S1", ("theta",), (True,))
@@ -166,6 +166,34 @@ class TestSharedSpace:
             if not name.startswith("__") and isinstance(value, (dict, list, set))
         ]
         assert state == []
+
+
+class TestAnsatzBasis:
+    @pytest.mark.parametrize(
+        "chart, slopes",
+        [
+            (T2, ((1, 0), (Fraction(4, 2), Fraction(-1, 3)))),
+            (CYLC, ((0, 1), (0, Fraction(-3, 2)))),
+            (
+                Chart("C3", ("theta", "x", "y"), (True, False, False)),
+                ((0, 2, Fraction(1, 3)), (0, 0, -1)),
+            ),
+            (point_chart(), ((), ())),
+        ],
+        ids=["periodic", "mixed", "3d", "point"],
+    )
+    def test_matches_the_product_built_reference(self, chart, slopes):
+        space = AnsatzSpace(chart, degree=2, fourier_modes=2, exp_slopes=slopes)
+        got, want = space.basis(), product_basis(space)
+        # repr spells out int against Fraction in every slope and coefficient
+        assert [repr(list(f.terms.items())) for f in got] == [
+            repr(list(f.terms.items())) for f in want
+        ]
+
+    @pytest.mark.parametrize("size", [{"degree": -1}, {"fourier_modes": -1}])
+    def test_negative_size_is_rejected(self, size):
+        with pytest.raises(ValueError, match="non-negative"):
+            AnsatzSpace(CYLC, **size)
 
 
 class TestPeriodCertificate:

@@ -27,6 +27,7 @@ from algebroids.core import (
     tangent_algebroid,
     top_form,
     top_multivector,
+    vector_field_bracket,
     zero_algebroid,
 )
 from algebroids.extensions import subalgebroid_from_vector_fields
@@ -326,6 +327,19 @@ def tables(draw, alg, kind, degree):
 
 
 class TestCalculusProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(frame_algebroids())
+    def test_structure_functions_expand_the_anchor_brackets(self, alg):
+        # the re-expanded brackets reproduce the vector-field brackets exactly
+        chart, anchor = alg.chart, alg.anchor
+        for s, t in combinations(range(alg.rank), 2):
+            want = vector_field_bracket(chart, anchor[s], anchor[t])
+            for l in range(chart.dim):
+                got = chart.zero()
+                for k in range(alg.rank):
+                    got = got + alg.c(s, t, k) * anchor[k][l]
+                assert got == want[l]
+
     @settings(max_examples=50, deadline=None)
     @given(frame_algebroids(), st.data())
     def test_d_squared_is_zero(self, alg, data):

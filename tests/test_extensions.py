@@ -13,6 +13,7 @@ from algebroids.core import (
 )
 from algebroids.extensions import (
     ExtensionPresentation,
+    ImageClosureFailure,
     LiftSolveFailure,
     NotPoisson,
     UnimodularityFailure,
@@ -23,12 +24,14 @@ from algebroids.extensions import (
     poisson_kit,
     quotient_top_rep,
     rational_multiple,
+    subalgebroid_from_vector_fields,
     top_rep,
     verify_constant_rank_identity,
     verify_extension_identity,
     verify_regular_poisson,
 )
 from algebroids.morphisms import base_preserving_morphism, identity_morphism
+from algebroids.ratlinalg import FrameSolveFailure
 from algebroids.reps import LineSection, char_cocycle, check_flat
 from algebroids.symexpr import Chart, exp, sin
 
@@ -165,6 +168,14 @@ class TestAdjointAndTop:
             for t in range(3):
                 assert adj.mats[1][t][s] == ext.kernel.c(0, s, t)
 
+    def test_unclosed_image_raises(self):
+        # k included as X1: [X2, X1] = -x K leaves the image
+        ext = abelian_kernel_extension()
+        zero, one = R2.zero(), R2.one()
+        ext.incl = base_preserving_morphism("i", ext.kernel, ext.total, [[one], [zero], [zero]])
+        with pytest.raises(ImageClosureFailure):
+            adjoint_rep(ext)
+
     def test_so3_top_rep_traces_vanish(self):
         ext = so3_kernel_extension()
         topk = top_rep(ext)
@@ -268,6 +279,46 @@ class TestRationalMultiple:
         assert rational_multiple(a, b) is None
         assert rational_multiple(Multivector(tm, 1, {}), a) == 0
         assert rational_multiple(a, Multivector(tm, 1, {})) is None
+
+
+class TestSubalgebroidFromVectorFields:
+    def test_non_involutive_family_raises(self):
+        # [d/dx, d/dy + x d/dz] = d/dz is not in the span
+        zero, one, x = R3.zero(), R3.one(), R3.coord("x")
+        with pytest.raises(FrameSolveFailure, match="inconsistent"):
+            subalgebroid_from_vector_fields("B", R3, [[one, zero], [zero, one], [zero, x]])
+
+    def test_non_unit_pivot_raises(self):
+        zero, one, x = R2.zero(), R2.one(), R2.coord("x")
+        with pytest.raises(FrameSolveFailure, match="no unit pivot"):
+            subalgebroid_from_vector_fields("B", R2, [[one, zero], [zero, x]])
+
+    def test_single_section_solves_nothing(self):
+        # one vector field with a non-unit entry is involutive: no pairs
+        x = R2.coord("x")
+        b, _ = subalgebroid_from_vector_fields("B", R2, [[x], [x]])
+        assert b.rank == 1 and b.structure == {}
+
+
+class TestQuotientTopRep:
+    def test_empty_complement_gives_the_zero_rep(self):
+        tm = tangent_algebroid(R2)
+        dq = quotient_top_rep(identity_morphism(tm), [[] for _ in range(tm.rank)])
+        assert [m[0][0] for m in dq.mats] == [R2.zero(), R2.zero()]
+
+    def test_projects_onto_the_complement_block(self):
+        # [d/dx, d/dx + e^x d/dy] = -b + w: the trace reads the w coefficient
+        zero, one, x = R2.zero(), R2.one(), R2.coord("x")
+        _, b_in_tm = subalgebroid_from_vector_fields("B", R2, [[one], [zero]])
+        dq = quotient_top_rep(b_in_tm, [[one], [exp(x)]])
+        assert dq.mats[0][0][0] == one
+
+    def test_twisted_complement(self):
+        # [d/dx + y d/dy, d/dy] = -d/dy
+        zero, one, y = R2.zero(), R2.one(), R2.coord("y")
+        _, b_in_tm = subalgebroid_from_vector_fields("B", R2, [[one], [y]])
+        dq = quotient_top_rep(b_in_tm, [[zero], [one]])
+        assert dq.mats[0][0][0] == -one
 
 
 class TestConstantRankIdentity:

@@ -59,6 +59,12 @@ class TestParsing:
             parse_scenario(bad)
         assert "line 2" in str(exc.value) or "line 3" in str(exc.value)
 
+    @pytest.mark.parametrize("field", ["degree -3", "modes -1"])
+    def test_negative_ansatz_size_names_the_line(self, field):
+        bad = f"chart N {{ coords x }}\nansatz {{ {field} }}\n"
+        with pytest.raises(ScenarioError, match="line 2: ansatz .* must be non-negative"):
+            parse_scenario(bad)
+
     def test_comments_and_semicolons(self):
         sc = parse_scenario(
             "# leading comment\nchart N { coords x }  # trailing\n"
@@ -202,6 +208,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(argv)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--ansatz-degree", "--fourier-modes"])
+    def test_negative_ansatz_size_flag_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["char", "cylinder.scn", "D", flag, "-1"])
+        assert exc.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
 
     def test_missing_scenario(self, capsys):
         assert main(["run", "no_such_file.scn"]) == 2
