@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .core import check_axioms
 from .diagrams import verify_mod_coboundary
-from .extensions import check_extension, verify_extension_identity
+from .extensions import check_extension
 from .morphisms import check_morphism
 from .pullback import build_pullback
 from .report import CheckReport
@@ -153,17 +153,9 @@ def _cmd_pullback(args) -> int:
 
 def _cmd_extension(args) -> int:
     session = _session(args)
-    ext = session.sc.extensions[args.name]
-    blocks = [check_extension(ext, seed=session.seed)]
+    blocks = [check_extension(session.sc.extensions[args.name], seed=session.seed)]
     try:
-        blocks.append(
-            verify_extension_identity(
-                ext,
-                mu_quotient=session.sc.extension_mu.get(args.name),
-                ansatz=session.ansatz(ext.chart),
-                seed=session.seed,
-            )
-        )
+        blocks.append(session.extension_identity(args.name))
     except Exception as e:
         aborted = CheckReport("extension modular identity")
         aborted.add("identity verification", False, f"{type(e).__name__}: {e}")
@@ -174,8 +166,8 @@ def _cmd_extension(args) -> int:
 def _cmd_diagram(args) -> int:
     session = Session(load_scenario(args.scenario))
     dia = session.sc.diagrams[args.name]
-    sections = {name: session.trivialization(alg) for name, alg in dia.objects.items()}
-    return _emit_reports([dia.validate(), verify_mod_coboundary(dia, sections)], args.format)
+    blocks = [dia.validate(), verify_mod_coboundary(dia, session.sections(dia))]
+    return _emit_reports(blocks, args.format)
 
 
 def _cmd_corpus(args) -> int:

@@ -163,6 +163,20 @@ class Session:
                 return self.sc.section(name)
         return Trivialization(*canonical_sections(alg))
 
+    def sections(self, dia) -> dict:
+        """The trivialization of every object of a diagram, by object name."""
+        return {name: self.trivialization(alg) for name, alg in dia.objects.items()}
+
+    def extension_identity(self, name: str) -> CheckReport:
+        """The modular identity report of the named extension."""
+        ext = self.sc.extensions[name]
+        return verify_extension_identity(
+            ext,
+            mu_quotient=self.sc.extension_mu.get(name),
+            ansatz=self.ansatz(ext.chart),
+            seed=self.seed,
+        )
+
     def cocycle(self, spec: dict) -> FormField:
         """The 1-form a parsed cocycle spec names (`{"kind": ..., ...}`)."""
         kind = spec["kind"]
@@ -197,19 +211,22 @@ class Session:
         raise ScenarioError(f"unknown cocycle spec {kind!r}")
 
     # ----- assertion handlers -------------------------------------------
+    # A handler returns (verdict, detail), or the CheckReport that the
+    # assertion's pass/fail expectation is checked against.
 
     def run_assertion(self, a: Assertion) -> tuple[str, str]:
-        handler = getattr(self, f"_assert_{a.kind}")
-        return handler(a.args)
+        out = getattr(self, f"_assert_{a.kind}")(a.args)
+        if isinstance(out, CheckReport):
+            return self._report_verdict(out, a.args["expect"])
+        return out
 
     @staticmethod
     def _verdict(ok: bool, expect: str, detail: str = "") -> tuple[str, str]:
         want = expect == "pass"
         return ("pass" if ok == want else "fail"), detail
 
-    def _report_verdict(
-        self, rep: CheckReport, expect: str
-    ) -> tuple[str, str]:
+    @staticmethod
+    def _report_verdict(rep: CheckReport, expect: str) -> tuple[str, str]:
         ok = rep.passed
         failing = [i for i in rep.items if not i.ok]
         if expect == "pass":
@@ -223,17 +240,14 @@ class Session:
             return "fail", "expected failure but every check passed"
         return "pass", f"failed as expected ({len(failing)} nonzero residuals)"
 
-    def _assert_axioms(self, args) -> tuple[str, str]:
-        rep = check_axioms(self.sc.algebroid(args["name"]))
-        return self._report_verdict(rep, args["expect"])
+    def _assert_axioms(self, args) -> CheckReport:
+        return check_axioms(self.sc.algebroid(args["name"]))
 
-    def _assert_flat(self, args) -> tuple[str, str]:
-        rep = check_flat(self.sc.reps[args["name"]])
-        return self._report_verdict(rep, args["expect"])
+    def _assert_flat(self, args) -> CheckReport:
+        return check_flat(self.sc.reps[args["name"]])
 
-    def _assert_morphism(self, args) -> tuple[str, str]:
-        rep = check_morphism(self.sc.morphisms[args["name"]])
-        return self._report_verdict(rep, args["expect"])
+    def _assert_morphism(self, args) -> CheckReport:
+        return check_morphism(self.sc.morphisms[args["name"]])
 
     def _assert_equal(self, args) -> tuple[str, str]:
         left = self.cocycle(args["left"])
@@ -325,17 +339,16 @@ class Session:
         detail = "" if ok else f"dual residual {res_dual}; tensor residual {res_tens}"
         return self._verdict(ok, args["expect"], detail)
 
-    def _assert_compose(self, args) -> tuple[str, str]:
+    def _assert_compose(self, args) -> CheckReport:
         first = self.sc.morphisms[args["first"]]
         second = self.sc.morphisms[args["second"]]
-        rep = check_composition_law(
+        return check_composition_law(
             first,
             second,
             self.trivialization(first.source),
             self.trivialization(first.target),
             self.trivialization(second.target),
         )
-        return self._report_verdict(rep, args["expect"])
 
     def _assert_pullback(self, args) -> tuple[str, str]:
         pf = self.sc.pullframes[args["name"]]
@@ -348,7 +361,7 @@ class Session:
             detail += "; projection fails the morphism check"
         return ("pass" if ok and proj_ok else "fail"), detail
 
-    def _assert_admissible(self, args) -> tuple[str, str]:
+    def _assert_admissible(self, args) -> tuple[str, str] | CheckReport:
         b = self.sc.algebroid(args["algebroid"])
         chart = self.sc.charts[args["chart"]]
         rep = check_admissible(b, chart, args["base"], seed=self.seed)
@@ -356,51 +369,41 @@ class Session:
         if "rank" in args:
             ok = rep.passed and rep.data.get("rank") == args["rank"]
             return ("pass" if ok else "fail"), detail
-        return self._report_verdict(rep, args["expect"])
+        return rep
 
-    def _assert_transverse(self, args) -> tuple[str, str]:
+    def _assert_transverse(self, args) -> CheckReport:
         b = self.sc.algebroid(args["algebroid"])
         chart = self.sc.charts[args["chart"]]
-        rep = check_transverse(b, chart, args["base"], seed=self.seed)
-        return self._report_verdict(rep, args["expect"])
+        return check_transverse(b, chart, args["base"], seed=self.seed)
 
-    def _assert_ellphi(self, args) -> tuple[str, str]:
+    def _assert_ellphi(self, args) -> CheckReport:
         b = self.sc.algebroid(args["algebroid"])
         chart = self.sc.charts[args["chart"]]
-        rep = verify_submersion_vanishing(
+        return verify_submersion_vanishing(
             b, chart, args["sigma"], args["nu"], args["mu"], seed=self.seed
         )
-        return self._report_verdict(rep, args["expect"])
 
-    def _assert_factor(self, args) -> tuple[str, str]:
+    def _assert_factor(self, args) -> CheckReport:
         phi = self.sc.morphisms[args["morphism"]]
         built = build_pullback(self.sc.pullframes[args["pullback"]], seed=self.seed)
-        factor, rep = factorize(phi, built)
-        return self._report_verdict(rep, args["expect"])
+        return factorize(phi, built)[1]
 
-    def _assert_extension(self, args) -> tuple[str, str]:
+    def _assert_extension(self, args) -> tuple[str, str] | CheckReport:
         ext = self.sc.extensions[args["name"]]
         sub = args["sub"]
         if sub == "valid":
-            return self._report_verdict(check_extension(ext, seed=self.seed), args["expect"])
+            return check_extension(ext, seed=self.seed)
         if sub == "unimodular":
             try:
                 top_rep(ext)
                 return self._verdict(True, args["expect"], "invariant section verified")
             except UnimodularityFailure as e:
                 return self._verdict(False, args["expect"], str(e))
-        mu = self.sc.extension_mu.get(args["name"])
-        rep = verify_extension_identity(
-            ext,
-            mu_quotient=mu,
-            ansatz=self.ansatz(ext.chart),
-            seed=self.seed,
-        )
-        return self._report_verdict(rep, args["expect"])
+        return self.extension_identity(args["name"])
 
-    def _assert_quotientdata(self, args) -> tuple[str, str]:
+    def _assert_quotientdata(self, args) -> CheckReport:
         qd = self.sc.quotientdata[args["name"]]
-        rep = verify_constant_rank_identity(
+        return verify_constant_rank_identity(
             qd.phi,
             qd.extension,
             qd.include,
@@ -408,30 +411,25 @@ class Session:
             ansatz=self.ansatz(qd.phi.source.chart),
             seed=self.seed,
         )
-        return self._report_verdict(rep, args["expect"])
 
-    def _assert_poisson(self, args) -> tuple[str, str]:
+    def _assert_poisson(self, args) -> CheckReport:
         name = args["name"]
         kit = self.poisson_kit(name)
-        rep = verify_regular_poisson(
+        return verify_regular_poisson(
             kit,
             self.sc.poissons[name].complement,
             ansatz=self.ansatz(kit.cotangent.chart),
             seed=self.seed,
         )
-        return self._report_verdict(rep, args["expect"])
 
-    def _assert_diagram(self, args) -> tuple[str, str]:
+    def _assert_diagram(self, args) -> tuple[str, str] | CheckReport:
         dia = self.sc.diagrams[args["name"]]
         sub = args["sub"]
         if sub == "validates":
-            return self._report_verdict(dia.validate(), args["expect"])
-        sections = {
-            name: self.trivialization(alg) for name, alg in dia.objects.items()
-        }
+            return dia.validate()
+        sections = self.sections(dia)
         if sub == "coboundary":
-            rep = verify_mod_coboundary(dia, sections)
-            return self._report_verdict(rep, args["expect"])
+            return verify_mod_coboundary(dia, sections)
         # pointcoboundary: find the arrow to the point object per source
         point = args["point"]
         point_arrows = {}
@@ -449,25 +447,22 @@ class Session:
             point_arrows[objname] = cands[0]
         u0 = modular_cochain(dia, sections)
         v = delta0(dia, u0)
-        _, rep = exhibit_coboundary(dia, v, point_arrows)
-        return self._report_verdict(rep, args["expect"])
+        return exhibit_coboundary(dia, v, point_arrows)[1]
 
-    def _assert_inj(self, args) -> tuple[str, str]:
+    def _assert_inj(self, args) -> CheckReport:
         proj = self.sc.morphisms[args["morphism"]]
         alpha = self.cocycle(args["spec"])
-        rep = check_pullback_injectivity(
+        return check_pullback_injectivity(
             proj,
             alpha,
             self.ansatz(proj.target.chart),
             self.ansatz(proj.source.chart),
             seed=self.seed,
         )
-        return self._report_verdict(rep, args["expect"])
 
-    def _assert_bundlemap(self, args) -> tuple[str, str]:
+    def _assert_bundlemap(self, args) -> CheckReport:
         bm = self.sc.bundlemaps[args["name"]]
-        rep = check_rep_morphism(bm.matrix, bm.source_rep, bm.target_rep, bm.over)
-        return self._report_verdict(rep, args["expect"])
+        return check_rep_morphism(bm.matrix, bm.source_rep, bm.target_rep, bm.over)
 
 
 def run(sc: Scenario, seed: int = 0, timings: bool = False) -> Report:

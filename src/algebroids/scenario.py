@@ -8,17 +8,21 @@ expression grammar.  Definitions must precede use.  Example:
     morphism incl : TS1 -> B { base = (theta, 0) ; fiber = [[1]] }
     assert modular B = (1)
 
-Errors carry the source line number.  The parsed scenario is purely
-declarative; execution lives in the runner.
+`_ASSERTIONS` is the assertion grammar: one entry per kind, listing its
+fields in order.  Errors carry the source line number, including the
+errors the library raises while a statement builds its objects.  The
+parsed scenario is purely declarative; execution lives in the runner.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    AlgebroidError,
     AlgebroidPresentation,
     Multivector,
     tangent_algebroid,
@@ -26,11 +30,11 @@ from .core import (
     top_multivector,
     zero_algebroid,
 )
-from .diagrams import Diagram
-from .extensions import ExtensionPresentation, cotangent_algebroid
-from .morphisms import Morphism, Trivialization, compose, identity_morphism
-from .pullback import PullbackFrame, PullbackFramePair, product_submersion_frame
-from .reps import LineSection, Representation, canonical_sections
+from .diagrams import Diagram, DiagramError
+from .extensions import ExtensionError, ExtensionPresentation, cotangent_algebroid
+from .morphisms import Morphism, MorphismError, Trivialization, compose, identity_morphism
+from .pullback import PullbackError, PullbackFrame, PullbackFramePair, product_submersion_frame
+from .reps import LineSection, Representation, RepresentationError, canonical_sections
 from .symexpr import Chart, ScalarFn, SymExprError, parse_expr
 
 
@@ -209,22 +213,12 @@ class _Cursor:
             self.pos += 1
         return self.text[start : self.pos].strip()
 
-    def until_ws(self) -> str:
-        """Raw text up to top-level whitespace (for single-token expressions;
-        parenthesize anything containing spaces)."""
-        self.skip_ws()
-        depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif depth == 0 and ch.isspace():
-                break
-            self.pos += 1
-        return self.text[start : self.pos].strip()
+    def words(self, *fields: str) -> list[str]:
+        """Names up to '}' or the next of the field keywords `fields`."""
+        out = []
+        while self.peek_char() not in "}" and self.peek_word() not in fields:
+            out.append(self.word())
+        return out
 
 
 def _expr(cur: _Cursor, chart: Chart, stops: str) -> ScalarFn:
@@ -323,6 +317,21 @@ def _combo(cur: _Cursor, chart: Chart, frame: tuple, stops: str) -> dict[int, Sc
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+# what the library raises on an ill-formed object, and number parsing on a
+# malformed literal: reported with the line of the statement that built it
+_LIBRARY_ERRORS = (
+    AlgebroidError,
+    DiagramError,
+    ExtensionError,
+    MorphismError,
+    PullbackError,
+    RepresentationError,
+    SymExprError,
+    ValueError,
+    ZeroDivisionError,
+)
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     cur = _Cursor(text)
     sc = Scenario(name=name)
@@ -332,11 +341,15 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         handler = _STATEMENTS.get(word)
         if handler is None:
             raise cur.error(f"unknown statement {word!r}")
-        handler(cur, sc, stmt_line)
+        try:
+            handler(cur, sc, stmt_line)
+        except _LIBRARY_ERRORS as e:
+            raise cur.error(str(e)) from e
     return sc
 
 
 def _need(sc: Scenario, table: str, name: str, cur: _Cursor):
+    """The named entry of a scenario table; the only lookup while parsing."""
     d = getattr(sc, table)
     if name not in d:
         raise cur.error(f"unknown {table[:-1]} {name!r}")
@@ -361,17 +374,11 @@ def _stmt_chart(cur: _Cursor, sc: Scenario, line: int) -> None:
     sc.charts[name] = Chart(name, tuple(coords), tuple(periodic))
 
 
-def _get_chart(cur: _Cursor, sc: Scenario, name: str) -> Chart:
-    if name not in sc.charts:
-        raise cur.error(f"unknown chart {name!r}")
-    return sc.charts[name]
-
-
 def _stmt_algebroid(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     kind = cur.word()
     if kind == "on":
-        chart = _get_chart(cur, sc, cur.word())
+        chart = _need(sc, "charts", cur.word(), cur)
         cur.expect("{")
         frame: list[str] = []
         anchor: dict[str, list[ScalarFn]] = {}
@@ -379,11 +386,7 @@ def _stmt_algebroid(cur: _Cursor, sc: Scenario, line: int) -> None:
         while not cur.take("}"):
             key = cur.word()
             if key == "frame":
-                while cur.peek_char() not in "}" and cur.peek_word() not in (
-                    "anchor",
-                    "bracket",
-                ):
-                    frame.append(cur.word())
+                frame += cur.words("anchor", "bracket")
             elif key == "anchor":
                 fname = cur.word()
                 cur.expect("=")
@@ -427,12 +430,12 @@ def _stmt_algebroid(cur: _Cursor, sc: Scenario, line: int) -> None:
         return
     if kind == "tangent":
         cur.expect("of")
-        chart = _get_chart(cur, sc, cur.word())
+        chart = _need(sc, "charts", cur.word(), cur)
         sc.algebroids[name] = tangent_algebroid(chart, name)
         return
     if kind == "zero":
         cur.expect("of")
-        chart = _get_chart(cur, sc, cur.word())
+        chart = _need(sc, "charts", cur.word(), cur)
         sc.algebroids[name] = zero_algebroid(chart, name)
         return
     raise cur.error(f"expected 'on', 'tangent' or 'zero', got {kind!r}")
@@ -440,7 +443,7 @@ def _stmt_algebroid(cur: _Cursor, sc: Scenario, line: int) -> None:
 
 def _stmt_section(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
-    a = sc.algebroid(name)
+    a = _need(sc, "algebroids", name, cur)
     cur.expect("{")
     omega = a.chart.one()
     mu = a.chart.one()
@@ -475,15 +478,14 @@ def _stmt_rep(cur: _Cursor, sc: Scenario, line: int) -> None:
         sc.reps[name] = pullback_rep(phi, d, name)
         return
     cur.expect("on")
-    a = sc.algebroid(cur.word())
+    a = _need(sc, "algebroids", cur.word(), cur)
     cur.expect("{")
     bundle: list[str] = []
     coeffs: dict[str, list[list[ScalarFn]]] = {}
     while not cur.take("}"):
         key = cur.word()
         if key == "bundle":
-            while cur.peek_char() not in "}" and cur.peek_word() != "coeff":
-                bundle.append(cur.word())
+            bundle += cur.words("coeff")
         elif key == "coeff":
             fname = cur.word()
             cur.expect("=")
@@ -504,9 +506,9 @@ def _stmt_rep(cur: _Cursor, sc: Scenario, line: int) -> None:
 def _stmt_morphism(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect(":")
-    src = sc.algebroid(cur.word())
+    src = _need(sc, "algebroids", cur.word(), cur)
     cur.expect("->")
-    tgt = sc.algebroid(cur.word())
+    tgt = _need(sc, "algebroids", cur.word(), cur)
     cur.expect("{")
     basemap: Optional[list[ScalarFn]] = None
     fiber: Optional[list[list[ScalarFn]]] = None
@@ -526,16 +528,13 @@ def _stmt_morphism(cur: _Cursor, sc: Scenario, line: int) -> None:
         basemap = [src.chart.coord(c) for c in src.chart.coords]
     if fiber is None:
         raise cur.error("morphism needs a fiber matrix")
-    try:
-        sc.morphisms[name] = Morphism(name, src, tgt, basemap, fiber)
-    except Exception as e:
-        raise cur.error(str(e)) from e
+    sc.morphisms[name] = Morphism(name, src, tgt, basemap, fiber)
 
 
 def _stmt_identity(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect("of")
-    a = sc.algebroid(cur.word())
+    a = _need(sc, "algebroids", cur.word(), cur)
     sc.morphisms[name] = identity_morphism(a, name)
 
 
@@ -552,11 +551,11 @@ def _stmt_composite(cur: _Cursor, sc: Scenario, line: int) -> None:
 def _stmt_pullback(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect("of")
-    b = sc.algebroid(cur.word())
+    b = _need(sc, "algebroids", cur.word(), cur)
     cur.expect("from")
-    chart = _get_chart(cur, sc, cur.word())
+    chart = _need(sc, "charts", cur.word(), cur)
     cur.expect("{")
-    mode = "user-supplied"
+    product = False
     basemap: Optional[list[ScalarFn]] = None
     pairs: list[PullbackFramePair] = []
     names: list[str] = []
@@ -564,6 +563,9 @@ def _stmt_pullback(cur: _Cursor, sc: Scenario, line: int) -> None:
         key = cur.word()
         if key == "mode":
             mode = cur.word()
+            if mode != "product":
+                raise cur.error(f"unknown pull-back mode {mode!r}")
+            product = True
         elif key == "base":
             cur.expect("=")
             basemap = _expr_tuple(cur, chart)
@@ -578,15 +580,10 @@ def _stmt_pullback(cur: _Cursor, sc: Scenario, line: int) -> None:
                 )
             pairs.append(PullbackFramePair(tuple(bco), tuple(vf)))
         elif key == "names":
-            while cur.peek_char() not in "}" and cur.peek_word() not in (
-                "pair",
-                "base",
-                "mode",
-            ):
-                names.append(cur.word())
+            names += cur.words("pair", "base", "mode")
         else:
             raise cur.error(f"unknown pullback field {key!r}")
-    if mode == "product":
+    if product:
         sc.pullframes[name] = product_submersion_frame(b, chart)
         return
     if basemap is None:
@@ -603,7 +600,7 @@ def _stmt_extension(cur: _Cursor, sc: Scenario, line: int) -> None:
     while not cur.take("}"):
         key = cur.word()
         if key in ("kernel", "total", "quotient"):
-            fieldsd[key] = sc.algebroid(cur.word())
+            fieldsd[key] = _need(sc, "algebroids", cur.word(), cur)
         elif key in ("incl", "proj"):
             cur.expect("=")
             total = fieldsd.get("total")
@@ -637,7 +634,7 @@ def _stmt_extension(cur: _Cursor, sc: Scenario, line: int) -> None:
 def _stmt_bivector(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect("on")
-    chart = _get_chart(cur, sc, cur.word())
+    chart = _need(sc, "charts", cur.word(), cur)
     tm = tangent_algebroid(chart)
     cur.expect("{")
     comps: dict[tuple[int, int], ScalarFn] = {}
@@ -647,11 +644,11 @@ def _stmt_bivector(cur: _Cursor, sc: Scenario, line: int) -> None:
         c1 = cur.word()
         cur.expect(",")
         c2 = cur.word()
+        i, j = chart.index(c1), chart.index(c2)
         cur.expect("]")
         cur.expect("=")
         val = _expr(cur, chart, ";\n}")
         cur.take(";")
-        i, j = chart.index(c1), chart.index(c2)
         if i == j:
             raise cur.error("bivector components need distinct coordinates")
         if i > j:
@@ -665,10 +662,7 @@ def _stmt_cotangent(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect("of")
     pi = _need(sc, "bivectors", cur.word(), cur)
-    try:
-        sc.algebroids[name] = cotangent_algebroid(pi, name)
-    except Exception as e:
-        raise cur.error(str(e)) from e
+    sc.algebroids[name] = cotangent_algebroid(pi, name)
 
 
 def _stmt_poisson(cur: _Cursor, sc: Scenario, line: int) -> None:
@@ -736,18 +730,11 @@ def _stmt_diagram(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect("{")
     dia = Diagram()
-    object_of = {}
     while not cur.take("}"):
         key = cur.word()
         if key == "objects":
-            while cur.peek_char() not in "}" and cur.peek_word() not in (
-                "arrow",
-                "compose",
-            ):
-                objname = cur.word()
-                alg = sc.algebroid(objname)
-                dia.add_object(objname, alg)
-                object_of[id(alg)] = objname
+            for objname in cur.words("arrow", "compose"):
+                dia.add_object(objname, _need(sc, "algebroids", objname, cur))
         elif key == "arrow":
             morphname = cur.word()
             m = _need(sc, "morphisms", morphname, cur)
@@ -810,165 +797,125 @@ def _stmt_ansatz(cur: _Cursor, sc: Scenario, line: int) -> None:
         cur.take(";")
 
 
-_ASSERT_KINDS = (
-    "axioms flat morphism equal exact cohomologous period dphi charpull charids "
-    "compose pullback admissible transverse ellphi factor extension quotientdata "
-    "poisson diagram inj bundlemap"
-).split()
+# The assertion grammar: kind -> its fields in order.  A field is a quoted
+# literal, `expect` (pass|fail), a cocycle spec (`spec`, `left`, `right`),
+# `KEY=a|b|c` (one of the words, kept under KEY), one of the `_TAILS` a few
+# kinds read themselves, or else a name.
+_ASSERTIONS = {
+    "axioms": "name expect",
+    "flat": "name expect",
+    "morphism": "name expect",
+    "equal": "left '=' right",
+    "exact": "spec expect=yes|no|unknown",
+    "cohomologous": "left '=' right expect=yes|no|unknown",
+    "period": "spec 'combo' combo 'coord' coord 'mean' mean_raw",
+    "dphi": "name expect",
+    "charpull": "morphism rep expect",
+    "charids": "rep other expect",
+    "compose": "first second expect",
+    "pullback": "name 'matches' algebroid",
+    "admissible": "algebroid 'from' chart 'base' base rank",
+    "transverse": "algebroid 'from' chart 'base' base expect",
+    "ellphi": "algebroid 'from' chart weights expect",
+    "factor": "morphism 'through' pullback expect",
+    "extension": "name sub=identity|unimodular|valid expect",
+    "quotientdata": "name expect",
+    "poisson": "name expect",
+    "diagram": "name sub=coboundary|validates|pointcoboundary point expect",
+    "inj": "morphism spec expect",
+    "bundlemap": "name expect",
+}
 
 
 def _stmt_assert(cur: _Cursor, sc: Scenario, line: int) -> None:
     start = cur.pos
     kind = cur.word()
-    if kind not in _ASSERT_KINDS:
+    if kind not in _ASSERTIONS:
         raise cur.error(f"unknown assertion kind {kind!r}")
     args: dict = {}
-    if kind in ("axioms", "flat", "morphism"):
-        args["name"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "equal":
-        args["left"] = _cocycle_spec(cur, sc)
-        cur.expect("=")
-        args["right"] = _cocycle_spec(cur, sc)
-    elif kind == "exact":
-        args["spec"] = _cocycle_spec(cur, sc)
-        verdict = cur.word()
-        if verdict not in ("yes", "no", "unknown"):
-            raise cur.error("exact expects yes|no|unknown")
-        args["expect"] = verdict
-    elif kind == "cohomologous":
-        args["left"] = _cocycle_spec(cur, sc)
-        cur.expect("=")
-        args["right"] = _cocycle_spec(cur, sc)
-        verdict = cur.word()
-        if verdict not in ("yes", "no", "unknown"):
-            raise cur.error("cohomologous expects yes|no|unknown")
-        args["expect"] = verdict
-    elif kind == "period":
-        args["spec"] = _cocycle_spec(cur, sc)
-        cur.expect("combo")
-        cur.expect("(")
-        combo = []
-        if not cur.take(")"):
-            while True:
-                raw = cur.until(",)")
-                combo.append(Fraction(raw.replace(" ", "")))
-                if cur.take(")"):
-                    break
-                cur.expect(",")
-        args["combo"] = combo
-        cur.expect("coord")
-        args["coord"] = cur.word()
-        cur.expect("mean")
-        args["mean_raw"] = cur.until("\n")
-    elif kind in ("dphi",):
-        args["name"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "charpull":
-        args["morphism"] = cur.word()
-        args["rep"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "charids":
-        args["rep"] = cur.word()
-        args["other"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "compose":
-        args["first"] = cur.word()
-        args["second"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "pullback":
-        args["name"] = cur.word()
-        cur.expect("matches")
-        args["algebroid"] = cur.word()
-    elif kind in ("admissible", "transverse"):
-        args["algebroid"] = cur.word()
-        cur.expect("from")
-        args["chart"] = cur.word()
-        cur.expect("base")
-        chart = _get_chart(cur, sc, args["chart"])
-        args["base"] = _expr_tuple(cur, chart)
-        if kind == "admissible":
-            nxt = cur.word()
-            if nxt == "rank":
-                args["rank"] = cur.int_value()
-                args["expect"] = "pass"
-            elif nxt in ("pass", "fail"):
-                args["expect"] = nxt
-            else:
-                raise cur.error("admissible expects 'rank N' or pass/fail")
+    for f in _ASSERTIONS[kind].split():
+        if f.startswith("'"):
+            cur.expect(f[1:-1])
+        elif f in _TAILS:
+            _TAILS[f](cur, sc, args)
+        elif f in ("spec", "left", "right"):
+            args[f] = _cocycle_spec(cur, sc)
+        elif f == "expect":
+            args[f] = cur.word()
+            if args[f] not in ("pass", "fail"):
+                raise cur.error(f"expected pass or fail, got {args[f]!r}")
+        elif "=" in f:
+            key, choices = f.split("=")
+            args[key] = cur.word()
+            if args[key] not in choices.split("|"):
+                raise cur.error(f"{kind} expects {choices}")
         else:
-            args["expect"] = _expect_verdict(cur)
-    elif kind == "ellphi":
-        args["algebroid"] = cur.word()
-        cur.expect("from")
-        args["chart"] = cur.word()
-        tgt = sc.algebroid(args["algebroid"])
-        src_chart = _get_chart(cur, sc, args["chart"])
-        args["sigma"] = tgt.chart.one()
-        args["nu"] = tgt.chart.one()
-        args["mu"] = src_chart.one()
-        while cur.peek_word() in ("sigma", "nu", "mu"):
-            which = cur.word()
-            chart = src_chart if which == "mu" else tgt.chart
-            raw = cur.until_ws()
-            try:
-                args[which] = parse_expr(raw, chart)
-            except SymExprError as e:
-                raise cur.error(f"in expression {raw!r}: {e}") from e
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "factor":
-        args["morphism"] = cur.word()
-        cur.expect("through")
-        args["pullback"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "extension":
-        args["name"] = cur.word()
-        sub = cur.word()
-        if sub not in ("identity", "unimodular", "valid"):
-            raise cur.error("extension expects identity|unimodular|valid")
-        args["sub"] = sub
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "quotientdata":
-        args["name"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "poisson":
-        args["name"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "diagram":
-        args["name"] = cur.word()
-        sub = cur.word()
-        if sub not in ("coboundary", "validates", "pointcoboundary"):
-            raise cur.error("diagram expects coboundary|validates|pointcoboundary")
-        args["sub"] = sub
-        if sub == "pointcoboundary":
-            cur.expect("point")
-            args["point"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "inj":
-        args["morphism"] = cur.word()
-        args["spec"] = _cocycle_spec(cur, sc)
-        args["expect"] = _expect_verdict(cur)
-    elif kind == "bundlemap":
-        args["name"] = cur.word()
-        args["expect"] = _expect_verdict(cur)
+            args[f] = cur.word()
     text = " ".join(cur.text[start : cur.pos].split())
     sc.assertions.append(Assertion(kind, args, line, text))
 
 
-def _expect_verdict(cur: _Cursor) -> str:
-    w = cur.word()
-    if w not in ("pass", "fail"):
-        raise cur.error(f"expected pass or fail, got {w!r}")
-    return w
+def _tail_combo(cur: _Cursor, sc: Scenario, args: dict) -> None:
+    cur.expect("(")
+    args["combo"] = []
+    if not cur.take(")"):
+        while True:
+            args["combo"].append(Fraction(cur.until(",)").replace(" ", "")))
+            if cur.take(")"):
+                break
+            cur.expect(",")
+
+
+def _tail_mean(cur: _Cursor, sc: Scenario, args: dict) -> None:
+    args["mean_raw"] = cur.until("\n")
+
+
+def _tail_base(cur: _Cursor, sc: Scenario, args: dict) -> None:
+    args["base"] = _expr_tuple(cur, _need(sc, "charts", args["chart"], cur))
+
+
+def _tail_rank(cur: _Cursor, sc: Scenario, args: dict) -> None:
+    args["expect"] = cur.word()
+    if args["expect"] == "rank":
+        args["rank"] = cur.int_value()
+        args["expect"] = "pass"
+    elif args["expect"] not in ("pass", "fail"):
+        raise cur.error("admissible expects 'rank N' or pass/fail")
+
+
+def _tail_weights(cur: _Cursor, sc: Scenario, args: dict) -> None:
+    """ellphi's optional one-token weights `sigma E` and `nu E` on the target
+    chart and `mu E` on the source chart, each 1 unless given."""
+    target = _need(sc, "algebroids", args["algebroid"], cur).chart
+    charts = {"sigma": target, "nu": target, "mu": _need(sc, "charts", args["chart"], cur)}
+    for which, chart in charts.items():
+        args[which] = chart.one()
+    while cur.peek_word() in charts:
+        which = cur.word()
+        args[which] = _expr(cur, charts[which], string.whitespace)
+
+
+def _tail_point(cur: _Cursor, sc: Scenario, args: dict) -> None:
+    if args["sub"] == "pointcoboundary":
+        cur.expect("point")
+        args["point"] = cur.word()
+
+
+_TAILS = {
+    "combo": _tail_combo,
+    "mean_raw": _tail_mean,
+    "base": _tail_base,
+    "rank": _tail_rank,
+    "weights": _tail_weights,
+    "point": _tail_point,
+}
 
 
 def _cocycle_spec(cur: _Cursor, sc: Scenario) -> dict:
     """modular ALG | relmod MORPH | char REP (section) | poissonmod P
     | poissonhalf P | zero ALG | form ALG ( .. ) | pull MORPH <spec>"""
     kind = cur.word()
-    if kind in ("modular", "zero"):
-        return {"kind": kind, "name": cur.word()}
-    if kind == "relmod":
+    if kind in ("modular", "zero", "relmod", "poissonmod", "poissonhalf"):
         return {"kind": kind, "name": cur.word()}
     if kind == "char":
         repname = cur.word()
@@ -977,11 +924,9 @@ def _cocycle_spec(cur: _Cursor, sc: Scenario) -> dict:
         section = _expr(cur, d.algebroid.chart, ")")
         cur.expect(")")
         return {"kind": "char", "name": repname, "section": section}
-    if kind in ("poissonmod", "poissonhalf"):
-        return {"kind": kind, "name": cur.word()}
     if kind == "form":
         algname = cur.word()
-        a = sc.algebroid(algname)
+        a = _need(sc, "algebroids", algname, cur)
         comps = _expr_tuple(cur, a.chart)
         if len(comps) != a.rank:
             raise cur.error(f"form needs {a.rank} components for {algname!r}")

@@ -1,11 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from algebroids import extensions, runner
 from algebroids.cli import corpus_scenarios, load_scenario, main
-from algebroids.runner import run
-from algebroids.scenario import ScenarioError, parse_scenario
+from algebroids.runner import Session, run
+from algebroids.scenario import _ASSERTIONS, ScenarioError, parse_scenario
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 CYL_SNIPPET = """
@@ -64,6 +68,12 @@ class TestParsing:
         bad = f"chart N {{ coords x }}\nansatz {{ {field} }}\n"
         with pytest.raises(ScenarioError, match="line 2: ansatz .* must be non-negative"):
             parse_scenario(bad)
+
+    def test_assertion_table_matches_handlers_and_readme(self):
+        handlers = {n[len("_assert_"):] for n in dir(Session) if n.startswith("_assert_")}
+        assert set(_ASSERTIONS) == handlers
+        block = README.read_text().split("Assertions (", 1)[1].split("```", 2)[1]
+        assert set(re.findall(r"\bassert (\w+)", block)) == set(_ASSERTIONS)
 
     def test_comments_and_semicolons(self):
         sc = parse_scenario(
@@ -215,6 +225,38 @@ class TestCLI:
             main(["char", "cylinder.scn", "D", flag, "-1"])
         assert exc.value.code == 2
         assert "must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("chart T { coords x y }\nbivector PI on T {\n  comp [x, q] = 1\n}\n", 3),
+            ("chart N { coords x }\nalgebroid B on N { frame b b }\n", 2),
+            (
+                "chart N { coords x }\nalgebroid B on N { frame b ; anchor b = (1) }\n"
+                "morphism m : Q -> B { fiber = [[1]] }\n",
+                3,
+            ),
+            (
+                "chart N { coords theta* }\nalgebroid B on N { frame b ; anchor b = (1) }\n"
+                "assert period form B (1) combo (1/0) coord theta mean 1\n",
+                3,
+            ),
+            (
+                "chart N { coords theta* x }\nchart S1 { coords theta* }\n"
+                "algebroid B on N { frame b ; anchor b = (1, x) }\n"
+                "pullback PB of B from S1 { mode whatever ; base = (theta, 0) }\n",
+                4,
+            ),
+        ],
+        ids=["unknown-coordinate", "duplicate-frame", "unknown-algebroid", "zero-denominator", "pullback-mode"],
+    )
+    def test_parse_errors_exit_2_with_their_line(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.scn"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"scenario error: line {line}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_missing_scenario(self, capsys):
         assert main(["run", "no_such_file.scn"]) == 2
