@@ -9,8 +9,9 @@ expression grammar.  Definitions must precede use.  Example:
     assert modular B = (1)
 
 `_ASSERTIONS` is the assertion grammar: one entry per kind, listing its
-fields in order.  Errors carry the source line number, including the
-errors the library raises while a statement builds its objects.  The
+fields in order.  Errors carry the source line number; an error the
+library raises while a statement builds its objects carries the line
+where that statement starts.  The
 parsed scenario is purely declarative; execution lives in the runner.
 """
 
@@ -189,9 +190,10 @@ class _Cursor:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
+        digits = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start:
+        if self.pos == digits:
             raise self.error("expected an integer")
         return int(self.text[start : self.pos])
 
@@ -317,8 +319,8 @@ def _combo(cur: _Cursor, chart: Chart, frame: tuple, stops: str) -> dict[int, Sc
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-# what the library raises on an ill-formed object, and number parsing on a
-# malformed literal: reported with the line of the statement that built it
+# what the library raises on an ill-formed object: reported with the line
+# where the statement that built it starts
 _LIBRARY_ERRORS = (
     AlgebroidError,
     DiagramError,
@@ -327,8 +329,6 @@ _LIBRARY_ERRORS = (
     PullbackError,
     RepresentationError,
     SymExprError,
-    ValueError,
-    ZeroDivisionError,
 )
 
 
@@ -344,7 +344,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         try:
             handler(cur, sc, stmt_line)
         except _LIBRARY_ERRORS as e:
-            raise cur.error(str(e)) from e
+            raise ScenarioError(f"line {stmt_line}: {e}") from e
     return sc
 
 
@@ -644,6 +644,9 @@ def _stmt_bivector(cur: _Cursor, sc: Scenario, line: int) -> None:
         c1 = cur.word()
         cur.expect(",")
         c2 = cur.word()
+        for c in (c1, c2):
+            if c not in chart.coords:
+                raise cur.error(f"chart {chart.name!r} has no coordinate {c!r}")
         i, j = chart.index(c1), chart.index(c2)
         cur.expect("]")
         cur.expect("=")
@@ -860,7 +863,11 @@ def _tail_combo(cur: _Cursor, sc: Scenario, args: dict) -> None:
     args["combo"] = []
     if not cur.take(")"):
         while True:
-            args["combo"].append(Fraction(cur.until(",)").replace(" ", "")))
+            raw = cur.until(",)")
+            try:
+                args["combo"].append(Fraction(raw.replace(" ", "")))
+            except (ValueError, ZeroDivisionError):
+                raise cur.error(f"bad number {raw!r} in combo") from None
             if cur.take(")"):
                 break
             cur.expect(",")

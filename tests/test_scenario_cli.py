@@ -231,6 +231,7 @@ class TestCLI:
         [
             ("chart T { coords x y }\nbivector PI on T {\n  comp [x, q] = 1\n}\n", 3),
             ("chart N { coords x }\nalgebroid B on N { frame b b }\n", 2),
+            ("chart N { coords x }\nalgebroid B on N {\n  frame b b\n}\n", 2),
             (
                 "chart N { coords x }\nalgebroid B on N { frame b ; anchor b = (1) }\n"
                 "morphism m : Q -> B { fiber = [[1]] }\n",
@@ -242,13 +243,26 @@ class TestCLI:
                 3,
             ),
             (
+                "chart N { coords theta* }\nalgebroid B on N { frame b ; anchor b = (1) }\n"
+                "assert period form B (1) combo (1/2/3) coord theta mean 1\n",
+                3,
+            ),
+            (
                 "chart N { coords theta* x }\nchart S1 { coords theta* }\n"
                 "algebroid B on N { frame b ; anchor b = (1, x) }\n"
                 "pullback PB of B from S1 { mode whatever ; base = (theta, 0) }\n",
                 4,
             ),
         ],
-        ids=["unknown-coordinate", "duplicate-frame", "unknown-algebroid", "zero-denominator", "pullback-mode"],
+        ids=[
+            "unknown-coordinate",
+            "duplicate-frame",
+            "duplicate-frame-block",
+            "unknown-algebroid",
+            "zero-denominator",
+            "malformed-number",
+            "pullback-mode",
+        ],
     )
     def test_parse_errors_exit_2_with_their_line(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.scn"
