@@ -15,7 +15,11 @@ The operator of that linear algebra, d_A on the basis of a space, depends
 only on the algebroid and the space, not on the cocycle: an `AnsatzSpace`
 factors it once per algebroid, on its first solve, and keeps it.  Reuse
 one space across the `classify` and `cohomologous` calls on a chart, so
-that every cocycle after the first costs only its right-hand side.
+that every cocycle after the first costs only its right-hand side.  The
+operator is written from term keys, not through the ring: each basis
+function is one key x^m * trig * exp, whose partial derivatives are at
+most three known keys (`symexpr.derivative_items`), and a column is those
+keys times the terms of the anchor, merged once per frame index.
 """
 
 from __future__ import annotations
@@ -32,7 +36,20 @@ from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
 from .ratlinalg import FactoredSystem, rat_solve
 from .report import CheckReport
-from .symexpr import Chart, ScalarFn, TermKey, Trig, _lex_sign, _slope, _term_sort_key, lincomb
+from .symexpr import (
+    Chart,
+    Rational,
+    ScalarFn,
+    SymExprError,
+    TermKey,
+    Trig,
+    _lex_sign,
+    _product_items,
+    _slope,
+    _term_sort_key,
+    derivative_items,
+    lincomb,
+)
 
 
 class CohomologyError(Exception):
@@ -120,7 +137,15 @@ class AnsatzOperator:
 
     Row `index[(i, key)]` is the coefficient of the term `key` in the i-th
     frame component, column j the basis function `basis[j]`; each entry is
-    the `key` coefficient of `rho_apply(i, basis[j])`.
+    the `key` coefficient of rho(e_i) applied to `basis[j]`, the i-th
+    component of d_A `basis[j]`.  Rows are numbered in order of first
+    appearance, frame index first, then basis function, then canonical term
+    order.
+
+    `build` writes the entries straight from term keys: the derivative
+    items of each basis function along each anchored coordinate are taken
+    once, multiplied by the terms of the anchor entries, and merged once
+    per (frame index, basis function).
     """
 
     basis: list[ScalarFn]
@@ -129,16 +154,29 @@ class AnsatzOperator:
 
     @classmethod
     def build(cls, a: AlgebroidPresentation, basis: list[ScalarFn]) -> "AnsatzOperator":
+        if basis and basis[0].chart != a.chart:
+            raise SymExprError(f"chart mismatch: {a.chart.name!r} vs {basis[0].chart.name!r}")
+        # per frame index, the non-zero anchor entries as (coordinate, term items)
+        anchor = [[(k, f.terms.items()) for k, f in enumerate(row) if f.terms] for row in a.anchor]
+        coords = {k for row in anchor for k, _ in row}
+        derivs = [{k: derivative_items(b.terms, k) for k in coords} for b in basis]
         index: dict[tuple[int, TermKey], int] = {}
-        rows: list[dict[int, Fraction]] = []
-        for i in range(a.rank):
-            for j, b in enumerate(basis):
-                for key, q in a.rho_apply(i, b).terms.items():
-                    r = index.get((i, key))
-                    if r is None:
-                        r = index[(i, key)] = len(rows)
-                        rows.append({})
-                    rows[r][j] = q
+        rows: list[dict[int, Rational]] = []
+        for i, entries in enumerate(anchor):
+            for j, d in enumerate(derivs):
+                items: list = []
+                for k, entry in entries:
+                    _product_items(items, entry, d[k], 1)
+                merged: dict[TermKey, Rational] = {}
+                for key, q in items:
+                    merged[key] = merged.get(key, 0) + q
+                nonzero = [(key, q) for key, q in merged.items() if q]
+                # a term met for the first time opens a row, in canonical order
+                for key in sorted((key for key, _ in nonzero if (i, key) not in index), key=_term_sort_key):
+                    index[(i, key)] = len(rows)
+                    rows.append({})
+                for key, q in nonzero:
+                    rows[index[(i, key)]][j] = _slope(q)
         return cls(basis, index, FactoredSystem(rows, len(basis)))
 
 

@@ -367,19 +367,30 @@ def d_A(alpha: FormField) -> FormField:
     """The Lie algebroid differential, expanded on frame tuples.
 
     Each component is one `lincomb` of the anchor terms rho(e_t) alpha(..)
-    and the bracket terms C^m alpha(m, ..)."""
+    and the bracket terms C^m alpha(m, ..).  The partial derivative of a
+    component along a coordinate is taken once per call, on first use."""
     a = alpha.algebroid
     k = alpha.degree
     coords = a.chart.coords
     comps = alpha.comps
+    partials: dict[tuple[tuple[int, ...], int], ScalarFn] = {}
     out: dict[tuple[int, ...], ScalarFn] = {}
     for key in combinations(range(a.rank), k + 1):
         pieces: list[tuple] = []
         for t in range(k + 1):
             # an ordered sub-tuple of a sorted key is a stored key
-            val = comps.get(key[:t] + key[t + 1 :])
-            if val is not None:
-                pieces += _vf_pieces(a.anchor[key[t]], val, coords, -1 if t % 2 else 1)
+            sub = key[:t] + key[t + 1 :]
+            val = comps.get(sub)
+            if val is None:
+                continue
+            sign = -1 if t % 2 else 1
+            for j, comp in enumerate(a.anchor[key[t]]):
+                if comp.is_zero():
+                    continue
+                d = partials.get((sub, j))
+                if d is None:
+                    d = partials[(sub, j)] = val.partial(coords[j])
+                pieces.append((sign, comp, d))
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
                 brackets = a.structure.get((key[s], key[t]))

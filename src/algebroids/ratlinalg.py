@@ -5,7 +5,11 @@
   solves any number of sparse right-hand sides, each giving the solution
   with free variables zero or a Farkas-style infeasibility witness (a
   rational row combination y with y.A = 0 but y.b != 0); `rat_solve` is
-  its one-shot form on a dense system.
+  its one-shot form on a dense system.  Values inside the elimination are
+  ``int`` when integral and ``Fraction`` otherwise, as ``ScalarFn``
+  coefficients are, so an integral matrix costs mostly ``int`` arithmetic;
+  no division has two ``int`` operands (``int / int`` is a float), and
+  every value the solves return is a ``Fraction``.
 * `unit_pivot_solve` eliminates over the scalar-function ring, only ever
   dividing by declared-nonvanishing units and failing loudly otherwise.
   `bracket_structure` is its one frame re-expansion of brackets: the
@@ -29,7 +33,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .symexpr import ScalarFn, lincomb
+from .symexpr import Rational, ScalarFn, _slope, lincomb
 
 
 class FrameSolveFailure(Exception):
@@ -37,8 +41,8 @@ class FrameSolveFailure(Exception):
 
 
 def _eliminate(
-    rows: list[dict[int, Union[int, Fraction]]], n: int
-) -> tuple[list[tuple[int, int]], list[dict[int, Fraction]]]:
+    rows: list[dict[int, Rational]], n: int
+) -> tuple[list[tuple[int, int]], list[dict[int, Rational]]]:
     """Sparse exact Gauss-Jordan elimination, in place.
 
     Each row is a dict ``{col: int or Fraction}`` over the columns
@@ -50,14 +54,15 @@ def _eliminate(
     which makes the reduced rows unique.
 
     Returns ``(pivots, transforms)``: the ``(row, col)`` pairs in column
-    order, and for every row the sparse combination ``{orig_row: Fraction}``
-    of the original rows that it now equals.
+    order, and for every row the sparse combination ``{orig_row: value}``
+    of the original rows that it now equals.  Entries and transform values
+    are ``int`` when integral and ``Fraction`` otherwise.
     """
     occupied: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
             occupied.setdefault(c, set()).add(i)
-    transforms = [{i: Fraction(1)} for i in range(len(rows))]
+    transforms: list[dict[int, Rational]] = [{i: 1} for i in range(len(rows))]
     pivoted: set[int] = set()
     pivots: list[tuple[int, int]] = []
     for c in range(n):
@@ -66,12 +71,19 @@ def _eliminate(
             continue
         p = min(cands, key=lambda i: (len(rows[i]), i))
         prow, ptr = rows[p], transforms[p]
-        f = Fraction(prow[c])  # an int pivot would make int / int a float
-        if f != 1:
-            for k in prow:
-                prow[k] /= f
-            for k in ptr:
-                ptr[k] /= f
+        f = prow[c]
+        # scale the pivot row to 1 without an int / int division, which
+        # would be a float: a -1 pivot negates, any other multiplies by its
+        # exact reciprocal and integral results go back to int
+        if f == -1:
+            for vec in (prow, ptr):
+                for k, v in vec.items():
+                    vec[k] = -v
+        elif f != 1:
+            inv = 1 / Fraction(f)
+            for vec in (prow, ptr):
+                for k, v in vec.items():
+                    vec[k] = _slope(v * inv)
         for i in list(occupied[c]):
             if i == p:
                 continue
@@ -97,22 +109,24 @@ def _eliminate(
     return pivots, transforms
 
 
-def _sparse(rows: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
-    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+def _sparse(rows: Sequence[Sequence[Rational]]) -> list[dict[int, Rational]]:
+    return [{j: _slope(Fraction(x)) for j, x in enumerate(row) if x} for row in rows]
 
 
 class FactoredSystem:
     """A x = b for a fixed sparse A, eliminated once by `_eliminate`.
 
     ``rows`` are the sparse rows ``{col: int or Fraction}`` of A over
-    ``n`` columns; they are consumed.  `solve` then costs one pass over
-    the stored contributions of the non-zero entries of b, and returns the
-    solution with free variables zero (the pivot columns are the leftmost
-    independent ones whatever the right-hand side) or an infeasibility
-    witness, all of them ``Fraction``.
+    ``n`` columns; they are consumed.  The elimination keeps integral
+    values as ``int``, so an integral A is reduced mostly in ``int``
+    arithmetic.  `solve` then costs one pass over the stored contributions
+    of the non-zero entries of b, and returns the solution with free
+    variables zero (the pivot columns are the leftmost independent ones
+    whatever the right-hand side) or an infeasibility witness, both lists
+    of ``Fraction``.
     """
 
-    def __init__(self, rows: list[dict[int, Fraction]], n: int):
+    def __init__(self, rows: list[dict[int, Rational]], n: int):
         self.m, self.n = len(rows), n
         pivots, transforms = _eliminate(rows, n)
         pivot_rows = {p for p, _ in pivots}
@@ -121,13 +135,13 @@ class FactoredSystem:
         self.checks = [tr for i, tr in enumerate(transforms) if i not in pivot_rows]
         # original row -> [(slot, coefficient)]; slots 0..rank-1 are the
         # pivot columns, the rest the consistency rows
-        self.contrib: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.m)]
+        self.contrib: list[list[tuple[int, Rational]]] = [[] for _ in range(self.m)]
         for s, tr in enumerate([transforms[p] for p, _ in pivots] + self.checks):
             for k, v in tr.items():
                 self.contrib[k].append((s, v))
 
     def solve(
-        self, rhs: dict[int, Fraction], outside: Sequence[Fraction] = ()
+        self, rhs: dict[int, Rational], outside: Sequence[Rational] = ()
     ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
         """Solve A x = b for the sparse ``b`` given as ``{row: value}``.
 
@@ -141,7 +155,7 @@ class FactoredSystem:
                 y = [Fraction(0)] * size
                 y[self.m + j] = 1 / Fraction(q)
                 return None, y
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rational] = {}
         for k, q in rhs.items():
             for s, v in self.contrib[k]:
                 acc[s] = acc.get(s, 0) + v * q
@@ -149,28 +163,30 @@ class FactoredSystem:
         bad = [s for s, t in acc.items() if s >= rank and t]
         if bad:
             s = min(bad)
+            inv = 1 / Fraction(acc[s])
             y = [Fraction(0)] * size
             for k, v in self.checks[s - rank].items():
-                y[k] = v / acc[s]
+                y[k] = v * inv
             return None, y
         x = [Fraction(0)] * self.n
         for s, c in enumerate(self.cols):
-            x[c] = acc.get(s, Fraction(0))
+            x[c] = Fraction(acc.get(s, 0))
         return x, None
 
 
 def rat_solve(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
 ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
     """Solve A x = b exactly, for one right-hand side.
 
     Returns ``(solution, None)`` for a consistent system (free variables
     set to zero) or ``(None, witness)`` where ``witness . A = 0`` and
-    ``witness . b != 0`` certifies infeasibility.
+    ``witness . b != 0`` certifies infeasibility; every value is a
+    ``Fraction``.
     """
     n = len(rows[0]) if rows else 0
     system = FactoredSystem(_sparse(rows), n)
-    return system.solve({i: Fraction(b) for i, b in enumerate(rhs) if b})
+    return system.solve({i: _slope(Fraction(b)) for i, b in enumerate(rhs) if b})
 
 
 def unit_pivot_solve(

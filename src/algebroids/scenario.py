@@ -9,9 +9,11 @@ expression grammar.  Definitions must precede use.  Example:
     assert modular B = (1)
 
 `_ASSERTIONS` is the assertion grammar: one entry per kind, listing its
-fields in order.  Errors carry the source line number; an error the
-library raises while a statement builds its objects carries the line
-where that statement starts.  The
+fields in order.  The names an assertion refers to are looked up once the
+whole file is read (a name it needs to parse an expression, at once), so
+a name no statement defines fails the parse, not the run.  Errors carry the source line number; an error the library
+raises while a statement builds its objects carries the line where that
+statement starts.  The
 parsed scenario is purely declarative; execution lives in the runner.
 """
 
@@ -130,6 +132,8 @@ class _Cursor:
     def __init__(self, text: str):
         self.text = _strip_comments(text)
         self.pos = 0
+        # (line, table, name) of every name read by `ref`
+        self.refs: list[tuple[int, str, str]] = []
 
     def line(self, pos: Optional[int] = None) -> int:
         p = self.pos if pos is None else pos
@@ -174,6 +178,14 @@ class _Cursor:
         if self.pos == start:
             raise self.error("expected a name")
         return self.text[start : self.pos]
+
+    def ref(self, table: str) -> str:
+        """A name that must name an entry of the scenario table ``table``;
+        it is looked up once the whole file is read, so it may come before
+        its definition."""
+        name = self.word()
+        self.refs.append((self.line(self.pos - len(name)), table, name))
+        return name
 
     def peek_word(self) -> str:
         save = self.pos
@@ -345,14 +357,17 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             handler(cur, sc, stmt_line)
         except _LIBRARY_ERRORS as e:
             raise ScenarioError(f"line {stmt_line}: {e}") from e
+    for line, table, name in cur.refs:
+        if name not in getattr(sc, table):
+            raise ScenarioError(f"line {line}: unknown {table.rstrip('s')} {name!r}")
     return sc
 
 
 def _need(sc: Scenario, table: str, name: str, cur: _Cursor):
-    """The named entry of a scenario table; the only lookup while parsing."""
+    """The named entry of a scenario table, which must already be defined."""
     d = getattr(sc, table)
     if name not in d:
-        raise cur.error(f"unknown {table[:-1]} {name!r}")
+        raise cur.error(f"unknown {table.rstrip('s')} {name!r}")
     return d[name]
 
 
@@ -802,31 +817,32 @@ def _stmt_ansatz(cur: _Cursor, sc: Scenario, line: int) -> None:
 
 # The assertion grammar: kind -> its fields in order.  A field is a quoted
 # literal, `expect` (pass|fail), a cocycle spec (`spec`, `left`, `right`),
-# `KEY=a|b|c` (one of the words, kept under KEY), one of the `_TAILS` a few
-# kinds read themselves, or else a name.
+# `KEY=a|b|c` (one of the words, kept under KEY), `KEY:table` (a name kept
+# under KEY that must name an entry of that scenario table), one of the
+# `_TAILS` a few kinds read themselves, or else a plain word.
 _ASSERTIONS = {
-    "axioms": "name expect",
-    "flat": "name expect",
-    "morphism": "name expect",
+    "axioms": "name:algebroids expect",
+    "flat": "name:reps expect",
+    "morphism": "name:morphisms expect",
     "equal": "left '=' right",
     "exact": "spec expect=yes|no|unknown",
     "cohomologous": "left '=' right expect=yes|no|unknown",
     "period": "spec 'combo' combo 'coord' coord 'mean' mean_raw",
-    "dphi": "name expect",
-    "charpull": "morphism rep expect",
-    "charids": "rep other expect",
-    "compose": "first second expect",
-    "pullback": "name 'matches' algebroid",
-    "admissible": "algebroid 'from' chart 'base' base rank",
-    "transverse": "algebroid 'from' chart 'base' base expect",
-    "ellphi": "algebroid 'from' chart weights expect",
-    "factor": "morphism 'through' pullback expect",
-    "extension": "name sub=identity|unimodular|valid expect",
-    "quotientdata": "name expect",
-    "poisson": "name expect",
-    "diagram": "name sub=coboundary|validates|pointcoboundary point expect",
-    "inj": "morphism spec expect",
-    "bundlemap": "name expect",
+    "dphi": "name:morphisms expect",
+    "charpull": "morphism:morphisms rep:reps expect",
+    "charids": "rep:reps other:reps expect",
+    "compose": "first:morphisms second:morphisms expect",
+    "pullback": "name:pullframes 'matches' algebroid:algebroids",
+    "admissible": "algebroid:algebroids 'from' chart:charts 'base' base rank",
+    "transverse": "algebroid:algebroids 'from' chart:charts 'base' base expect",
+    "ellphi": "algebroid:algebroids 'from' chart:charts weights expect",
+    "factor": "morphism:morphisms 'through' pullback:pullframes expect",
+    "extension": "name:extensions sub=identity|unimodular|valid expect",
+    "quotientdata": "name:quotientdata expect",
+    "poisson": "name:poissons expect",
+    "diagram": "name:diagrams sub=coboundary|validates|pointcoboundary point expect",
+    "inj": "morphism:morphisms spec expect",
+    "bundlemap": "name:bundlemaps expect",
 }
 
 
@@ -852,6 +868,9 @@ def _stmt_assert(cur: _Cursor, sc: Scenario, line: int) -> None:
             args[key] = cur.word()
             if args[key] not in choices.split("|"):
                 raise cur.error(f"{kind} expects {choices}")
+        elif ":" in f:
+            key, table = f.split(":")
+            args[key] = cur.ref(table)
         else:
             args[f] = cur.word()
     text = " ".join(cur.text[start : cur.pos].split())
@@ -922,8 +941,8 @@ def _cocycle_spec(cur: _Cursor, sc: Scenario) -> dict:
     """modular ALG | relmod MORPH | char REP (section) | poissonmod P
     | poissonhalf P | zero ALG | form ALG ( .. ) | pull MORPH <spec>"""
     kind = cur.word()
-    if kind in ("modular", "zero", "relmod", "poissonmod", "poissonhalf"):
-        return {"kind": kind, "name": cur.word()}
+    if kind in _SPEC_TABLES:
+        return {"kind": kind, "name": cur.ref(_SPEC_TABLES[kind])}
     if kind == "char":
         repname = cur.word()
         d = _need(sc, "reps", repname, cur)
@@ -939,10 +958,20 @@ def _cocycle_spec(cur: _Cursor, sc: Scenario) -> dict:
             raise cur.error(f"form needs {a.rank} components for {algname!r}")
         return {"kind": "form", "name": algname, "comps": comps}
     if kind == "pull":
-        morph = cur.word()
+        morph = cur.ref("morphisms")
         inner = _cocycle_spec(cur, sc)
         return {"kind": "pull", "name": morph, "inner": inner}
     raise cur.error(f"unknown cocycle spec {kind!r}")
+
+
+# the table each one-name cocycle spec refers to
+_SPEC_TABLES = {
+    "modular": "algebroids",
+    "zero": "algebroids",
+    "relmod": "morphisms",
+    "poissonmod": "poissons",
+    "poissonhalf": "poissons",
+}
 
 
 _STATEMENTS = {

@@ -208,12 +208,12 @@ def _term_sort_key(key: TermKey) -> tuple:
     return (sum(mono), mono, _trig_key(trig), expv)
 
 
-def _product_items(items: list, f_terms: dict, g_terms: dict, c: Rational) -> None:
-    """Append the unmerged term items of c*f*g, given the term maps of f
+def _product_items(items: list, f_items: Iterable, g_items: Iterable, c: Rational) -> None:
+    """Append the unmerged term items of c*f*g, given the term items of f
     and g, to ``items``."""
     append = items.append
-    g_items = [(m2, t2, e2, any(e2), q2) for (m2, t2, e2), q2 in g_terms.items()]
-    for (m1, t1, e1), q1 in f_terms.items():
+    g_items = [(m2, t2, e2, any(e2), q2) for (m2, t2, e2), q2 in g_items]
+    for (m1, t1, e1), q1 in f_items:
         if c != 1:
             q1 = q1 * c
         flat1 = not any(e1)
@@ -228,6 +228,35 @@ def _product_items(items: list, f_terms: dict, g_terms: dict, c: Rational) -> No
                 half = q * _HALF
                 for sign, atom in _trig_product(t1, t2):
                     append(((mono, atom, expv), half if sign > 0 else -half))
+
+
+def derivative_items(terms: dict[TermKey, Rational], j: int) -> list[tuple[TermKey, Rational]]:
+    """The unmerged term items of the partial derivative along coordinate
+    ``j`` of the function with term map ``terms``.
+
+    Each term q * x^m * trig * exp(d.x) gives at most three items, read off
+    its key: m_j * x^(m - e_j) * trig * exp, q * trig' * exp with trig'
+    the derivative of the trig atom, and d_j * x^m * trig * exp.  The
+    three keys of one term differ, so the items of a one-term function
+    need no merge.
+    """
+    items: list[tuple[TermKey, Rational]] = []
+    for (mono, trig, expv), q in terms.items():
+        if mono[j] > 0:
+            m2 = tuple(e - 1 if i == j else e for i, e in enumerate(mono))
+            items.append(((m2, trig, expv), q * mono[j]))
+        if trig is not None and trig[1][j] != 0:
+            kind, c = trig
+            dq = q * c[j]
+            if kind == "sin":
+                mult, atom = _norm_trig("cos", c)
+            else:
+                mult, atom = _norm_trig("sin", c)
+                dq = -dq
+            items.append(((mono, atom, expv), dq * mult))
+        if expv[j] != 0:
+            items.append(((mono, trig, expv), q * expv[j]))
+    return items
 
 
 # the OverflowError arguments of Python's float power and of math.exp
@@ -387,7 +416,7 @@ class ScalarFn:
         if o is None:
             return NotImplemented
         items: list[tuple[TermKey, Rational]] = []
-        _product_items(items, self.terms, o.terms, 1)
+        _product_items(items, self.terms.items(), o.terms.items(), 1)
         return ScalarFn._make(self.chart, items)
 
     __rmul__ = __mul__
@@ -433,24 +462,7 @@ class ScalarFn:
 
     def partial(self, coord: str) -> "ScalarFn":
         """Exact partial derivative with respect to a chart coordinate."""
-        j = self.chart.index(coord)
-        items: list[tuple[TermKey, Rational]] = []
-        for (mono, trig, expv), q in self.terms.items():
-            if mono[j] > 0:
-                m2 = tuple(e - 1 if i == j else e for i, e in enumerate(mono))
-                items.append(((m2, trig, expv), q * mono[j]))
-            if trig is not None and trig[1][j] != 0:
-                kind, c = trig
-                dq = q * c[j]
-                if kind == "sin":
-                    mult, atom = _norm_trig("cos", c)
-                else:
-                    mult, atom = _norm_trig("sin", c)
-                    dq = -dq
-                items.append(((mono, atom, expv), dq * mult))
-            if expv[j] != 0:
-                items.append(((mono, trig, expv), q * expv[j]))
-        return ScalarFn._make(self.chart, items)
+        return ScalarFn._make(self.chart, derivative_items(self.terms, self.chart.index(coord)))
 
     def substitute(self, source: Chart, images: Sequence["ScalarFn"]) -> "ScalarFn":
         """Compose with a map of charts: self o (images), landing on ``source``.
@@ -622,7 +634,7 @@ def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
             if h.chart is not chart and h.chart != chart:
                 raise SymExprError(f"chart mismatch: {chart.name!r} vs {h.chart.name!r}")
         if len(piece) == 3:
-            _product_items(items, f.terms, piece[2].terms, c)
+            _product_items(items, f.terms.items(), piece[2].terms.items(), c)
         elif c == 1:
             items += f.terms.items()
         else:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from algebroids.core import (
     AlgebroidPresentation,
@@ -12,6 +13,7 @@ from algebroids.core import (
     tangent_algebroid,
 )
 from algebroids import ratlinalg
+from algebroids.extensions import subalgebroid_from_vector_fields
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, point_chart, sin
 
 
@@ -205,3 +207,59 @@ def count_sampling(monkeypatch, check, *args, **kwargs):
     rep = check(*args, **kwargs)
     monkeypatch.undo()
     return rep, counts
+
+
+# -- hypothesis strategies shared by the calculus and ansatz tests -------------
+
+
+FRAME_CHARTS = [
+    Chart("R2", ("x", "y")),
+    Chart("C", ("theta", "x"), (True, False)),
+    Chart("R3", ("x", "y", "z")),
+    Chart("C3", ("theta", "x", "y"), (True, False, False)),
+]
+
+
+def atoms(chart):
+    """Functions global on the chart: trig in periodic coordinates, powers
+    and exponentials in the others."""
+    out = []
+    for name, per in zip(chart.coords, chart.periodic):
+        c = chart.coord(name)
+        out += [sin(c), cos(c), sin(2 * c)] if per else [c, c**2, exp(c), exp(-c)]
+    return out
+
+
+@st.composite
+def coeffs(draw, chart):
+    """A random coefficient: a rational combination of products of atoms."""
+    pool = atoms(chart)
+    out = chart.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = chart.const(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
+        for atom in draw(st.lists(st.sampled_from(pool), max_size=2)):
+            term = term * atom
+        out = out + term
+    return out
+
+
+@st.composite
+def frame_algebroids(draw):
+    """A unit-triangular frame of the tangent bundle, as a subalgebroid.
+
+    Column t is the vector field d/dx_t plus a combination of the later
+    coordinate fields; each entry below the diagonal is zero (one time in
+    four) or a sum of two distinct atoms, so never a unit, and the unit pivots are the
+    diagonal ones.  The structure functions are in general not constant.
+    """
+    chart = draw(st.sampled_from(FRAME_CHARTS))
+    pool = atoms(chart)
+    n = chart.dim
+    columns = [[chart.one() if k == t else chart.zero() for t in range(n)] for k in range(n)]
+    for k in range(n):
+        for t in range(k):
+            if draw(st.integers(0, 3)):
+                f, g = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique_by=str))
+                columns[k][t] = f + draw(st.integers(1, 3)) * g
+    alg, _ = subalgebroid_from_vector_fields("F", chart, columns)
+    return alg

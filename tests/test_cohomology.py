@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algebroids.cohomology as cohomology
 from algebroids.cohomology import (
+    AnsatzOperator,
     AnsatzSpace,
     CohomologousVerdict,
     Inconclusive,
@@ -20,6 +24,7 @@ from algebroids.cohomology import (
     solve_exact,
 )
 from algebroids.core import (
+    AlgebroidPresentation,
     FormField,
     d_A,
     function_form,
@@ -28,9 +33,10 @@ from algebroids.core import (
 )
 from algebroids.morphisms import Morphism, Trivialization, identity_morphism
 from algebroids.reps import canonical_sections, modular_cocycle
-from algebroids.symexpr import Chart, ScalarFn, cos, exp, point_chart, sin
+from algebroids.ratlinalg import FactoredSystem
+from algebroids.symexpr import Chart, ScalarFn, SymExprError, cos, exp, point_chart, sin
 
-from conftest import cylinder_algebroid, product_basis
+from conftest import coeffs, cylinder_algebroid, frame_algebroids, product_basis
 
 
 S1 = Chart("S1", ("theta",), (True,))
@@ -194,6 +200,62 @@ class TestAnsatzBasis:
     def test_negative_size_is_rejected(self, size):
         with pytest.raises(ValueError, match="non-negative"):
             AnsatzSpace(CYLC, **size)
+
+
+class CapturedSystem(FactoredSystem):
+    """A factored system that keeps a copy of the rows it eliminates."""
+
+    def __init__(self, rows, n):
+        self.rows = [dict(row) for row in rows]
+        super().__init__(rows, n)
+
+
+def reference_index(a, basis):
+    """The row numbering read off d_A through the ring: frame index first,
+    then basis function, then the canonical term order of rho(e_i) b."""
+    index = {}
+    for i in range(a.rank):
+        for b in basis:
+            for key in a.rho_apply(i, b).terms:
+                index.setdefault((i, key), len(index))
+    return index
+
+
+def assert_operator_is_d_A(a, space):
+    """Every column of the operator, decoded through its index, is the
+    frame components of d_A of its basis function, coefficient types
+    included; the rows are numbered as through the ring."""
+    basis = space.basis()
+    with mock.patch.object(cohomology, "FactoredSystem", CapturedSystem):
+        op = AnsatzOperator.build(a, basis)
+    assert op.index == reference_index(a, basis)
+    cols = [[{} for _ in range(a.rank)] for _ in basis]
+    for (i, key), r in op.index.items():
+        for j, q in op.system.rows[r].items():
+            assert type(q) is (int if q.denominator == 1 else Fraction)
+            cols[j][i][key] = q
+    for b, col in zip(basis, cols):
+        df = d_A(function_form(a, b))
+        assert col == [df.component((i,)).terms for i in range(a.rank)]
+
+
+class TestAnsatzOperator:
+    @settings(max_examples=40, deadline=None)
+    @given(frame_algebroids(), st.integers(0, 2), st.integers(0, 2))
+    def test_columns_are_d_A_of_the_basis(self, a, degree, modes):
+        assert_operator_is_d_A(a, AnsatzSpace(a.chart, degree, modes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(coeffs(CYLC), min_size=2, max_size=2), st.integers(0, 2), st.integers(0, 2))
+    def test_trig_and_exp_anchors_with_exp_slopes(self, anchor, degree, modes):
+        a = AlgebroidPresentation("B", CYLC, ("b",), [anchor])
+        slopes = ((0, 1), (0, Fraction(-3, 2)))
+        assert_operator_is_d_A(a, AnsatzSpace(CYLC, degree, modes, exp_slopes=slopes))
+
+    def test_basis_on_another_chart_is_rejected(self):
+        other = Chart("D", ("theta", "x"), (True, False))
+        with pytest.raises(SymExprError, match="chart mismatch"):
+            AnsatzOperator.build(tangent_algebroid(CYLC), AnsatzSpace(other, 1, 1).basis())
 
 
 class TestPeriodCertificate:

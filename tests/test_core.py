@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -30,10 +29,9 @@ from algebroids.core import (
     vector_field_bracket,
     zero_algebroid,
 )
-from algebroids.extensions import subalgebroid_from_vector_fields
-from algebroids.symexpr import Chart, cos, exp, sin
+from algebroids.symexpr import Chart, cos, sin
 
-from conftest import aff1, cylinder_algebroid, random_lie_algebra, so3
+from conftest import aff1, coeffs, cylinder_algebroid, frame_algebroids, random_lie_algebra, so3
 
 
 class TestCheckAxioms:
@@ -266,59 +264,6 @@ def chevalley_eilenberg_d(g, alpha):
 # ---------------------------------------------------------------------------
 # calculus identities on random frames with non-constant structure functions
 # ---------------------------------------------------------------------------
-
-FRAME_CHARTS = [
-    Chart("R2", ("x", "y")),
-    Chart("C", ("theta", "x"), (True, False)),
-    Chart("R3", ("x", "y", "z")),
-    Chart("C3", ("theta", "x", "y"), (True, False, False)),
-]
-
-
-def atoms(chart):
-    """Functions global on the chart: trig in periodic coordinates, powers
-    and exponentials in the others."""
-    out = []
-    for name, per in zip(chart.coords, chart.periodic):
-        c = chart.coord(name)
-        out += [sin(c), cos(c), sin(2 * c)] if per else [c, c**2, exp(c), exp(-c)]
-    return out
-
-
-@st.composite
-def coeffs(draw, chart):
-    """A random coefficient: a rational combination of products of atoms."""
-    pool = atoms(chart)
-    out = chart.zero()
-    for _ in range(draw(st.integers(1, 3))):
-        term = chart.const(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
-        for atom in draw(st.lists(st.sampled_from(pool), max_size=2)):
-            term = term * atom
-        out = out + term
-    return out
-
-
-@st.composite
-def frame_algebroids(draw):
-    """A unit-triangular frame of the tangent bundle, as a subalgebroid.
-
-    Column t is the vector field d/dx_t plus a combination of the later
-    coordinate fields; each entry below the diagonal is zero (one time in
-    four) or a sum of two distinct atoms, so never a unit, and the unit pivots are the
-    diagonal ones.  The structure functions are in general not constant.
-    """
-    chart = draw(st.sampled_from(FRAME_CHARTS))
-    pool = atoms(chart)
-    n = chart.dim
-    columns = [[chart.one() if k == t else chart.zero() for t in range(n)] for k in range(n)]
-    for k in range(n):
-        for t in range(k):
-            if draw(st.integers(0, 3)):
-                f, g = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique_by=str))
-                columns[k][t] = f + draw(st.integers(1, 3)) * g
-    alg, _ = subalgebroid_from_vector_fields("F", chart, columns)
-    return alg
-
 
 @st.composite
 def tables(draw, alg, kind, degree):

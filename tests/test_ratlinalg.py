@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from algebroids.ratlinalg import (
     FactoredSystem,
+    _eliminate,
     float_rank,
     rat_solve,
     sampled_ranks,
@@ -170,6 +171,55 @@ def test_int_entries_solve_exactly_as_their_fractions(case):
         assert got == want.solve({i: b for i, b in enumerate(rhs) if b}, extra)
         for vec in got:
             assert vec is None or all(type(v) is Fraction for v in vec)
+
+
+MIXED = st.sampled_from([1, -1, 2, -3, 4, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse int/Fraction rows with pivots other than +-1, rank deficient
+    through sums of earlier rows, and right-hand sides that are
+    consistent (A x0 for an int/Fraction x0) or arbitrary."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = []
+    for _ in range(m):
+        cols = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+        rows.append({c: draw(MIXED) for c in cols})
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        q = draw(MIXED)
+        total = dict(rows[i])
+        for c, v in rows[j].items():
+            total[c] = total.get(c, 0) + q * v
+        rows.append({c: as_coefficient(Fraction(v)) for c, v in total.items() if v})
+    if draw(st.booleans()):
+        x0 = [draw(st.one_of(st.just(0), MIXED)) for _ in range(n)]
+        rhs = [sum(v * x0[c] for c, v in row.items()) for row in rows]
+    else:
+        rhs = [draw(st.one_of(st.just(0), MIXED)) for _ in rows]
+    return rows, n, [as_coefficient(Fraction(b)) for b in rhs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_sparse_int_systems_solve_or_give_a_farkas_witness(case):
+    rows, n, rhs = case
+    dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+    # the reduced rows and transforms hold int or Fraction, never a float
+    reduced = [dict(row) for row in rows]
+    _, transforms = _eliminate(reduced, n)
+    assert {type(v) for vec in reduced + transforms for v in vec.values()} <= {int, Fraction}
+    sol, witness = FactoredSystem([dict(row) for row in rows], n).solve({i: b for i, b in enumerate(rhs) if b})
+    if sol is None:
+        assert all(type(y) is Fraction for y in witness)
+        for c in range(n):
+            assert sum(y * row[c] for y, row in zip(witness, dense)) == 0
+        assert sum(y * b for y, b in zip(witness, rhs)) != 0
+    else:
+        assert witness is None and all(type(x) is Fraction for x in sol)
+        for row, b in zip(dense, rhs):
+            assert sum(v * x for v, x in zip(row, sol)) == b
 
 
 def test_factored_witness_for_a_value_outside_the_matrix():

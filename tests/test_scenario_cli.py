@@ -253,6 +253,21 @@ class TestCLI:
                 "pullback PB of B from S1 { mode whatever ; base = (theta, 0) }\n",
                 4,
             ),
+            (
+                "chart N { coords x }\nalgebroid B on N { frame b ; anchor b = (1) }\n"
+                "assert flat Q pass\n",
+                3,
+            ),
+            (
+                "chart N { coords x }\nassert exact modular Q yes\n"
+                "algebroid B on N { frame b ; anchor b = (1) }\n",
+                2,
+            ),
+            (
+                "chart N { coords x }\nalgebroid B on N { frame b ; anchor b = (1) }\n"
+                "assert equal zero B =\n  pull m zero B\n",
+                4,
+            ),
         ],
         ids=[
             "unknown-coordinate",
@@ -262,6 +277,9 @@ class TestCLI:
             "zero-denominator",
             "malformed-number",
             "pullback-mode",
+            "assertion-unknown-rep",
+            "spec-unknown-algebroid",
+            "spec-unknown-morphism",
         ],
     )
     def test_parse_errors_exit_2_with_their_line(self, capsys, tmp_path, text, line):
@@ -271,6 +289,17 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"scenario error: line {line}: ")
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_assertion_names_resolve_once_the_file_is_read(self, capsys, tmp_path):
+        # an assertion may name what a later statement defines; a name no
+        # statement defines is a parse error at its line, before any verdict
+        good = "chart N { coords x }\nassert axioms B pass\nalgebroid B on N { frame b ; anchor b = (1) }\n"
+        assert len(parse_scenario(good).assertions) == 1
+        path = tmp_path / "bad.scn"
+        path.write_text(good + "assert flat Q pass\n")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "scenario error: line 4: unknown rep 'Q'\n" and captured.out == ""
 
     def test_missing_scenario(self, capsys):
         assert main(["run", "no_such_file.scn"]) == 2
