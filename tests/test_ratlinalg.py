@@ -201,7 +201,7 @@ def sparse_systems(draw):
     return rows, n, [as_coefficient(Fraction(b)) for b in rhs]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(sparse_systems())
 def test_sparse_int_systems_solve_or_give_a_farkas_witness(case):
     rows, n, rhs = case
