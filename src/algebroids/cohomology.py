@@ -199,9 +199,9 @@ class NonExactCertificate:
 
     Any global primitive is periodic in the coordinate, so the pairing of
     the cocycle with a frame combination anchored exactly on that circle
-    direction must have zero constant Fourier mode; `mean` is that mode
-    and `witness_point` a sample of the remaining coordinates where it is
-    numerically nonzero.
+    direction must have zero constant Fourier mode; `mean` is that mode,
+    exactly non-zero, and `witness_point` the sample of the remaining
+    coordinates where its float value is largest, shown for illustration.
     """
 
     coord: str
@@ -305,12 +305,14 @@ def period_certificate(
     coord: str,
     seed: int = 0,
     samples: int = 20,
-    tol: float = 1e-9,
 ) -> Union[NonExactCertificate, Inconclusive]:
     """Vanishing-mean obstruction along a periodic coordinate.
 
     `combo` must have rational-constant coefficients and anchor exactly the
-    coordinate field of `coord` (PreconditionFailure otherwise).
+    coordinate field of `coord` (PreconditionFailure otherwise).  The exact
+    theta-mean of the pairing decides: a non-zero one is the certificate,
+    however small its values.  The mean is evaluated at `samples` points
+    only to pick the displayed witness, the first largest value.
     """
     a = alpha.algebroid
     chart = a.chart
@@ -353,11 +355,9 @@ def period_certificate(
         for _ in range(samples)
     ]
     values = mean.evaluate(pts)
-    # the first largest |value|; a nan sample is never the witness
+    # the first largest |value|, a nan sample counting as 0
     sizes = np.fmax(np.abs(values), 0.0)
     best = int(np.argmax(sizes))
-    if not sizes[best] > tol:
-        return Inconclusive("constant mode nonzero symbolically but tiny at samples")
     return NonExactCertificate(coord, tuple(combo), mean, pts[best], float(values[best]))
 
 

@@ -6,14 +6,15 @@ The pull-back operator acts on functions by composition and on forms by
 the fiber matrix, extended multiplicatively; verification of the chain-map
 condition happens on generators (coordinates and coframe), which suffices
 because both differentials are derivations and the pull-back is an algebra
-map.
+map.  Within one call each target function is composed with the base map
+once, on first use (`_pull_once`); nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     AlgebroidPresentation,
@@ -76,6 +77,21 @@ class Morphism:
         return f.substitute(self.source.chart, list(self.basemap))
 
 
+def _pull_once(phi: Morphism, entry: Callable[..., ScalarFn]) -> Callable[..., ScalarFn]:
+    """``phi.pull_scalar(entry(*key))`` by key, substituted once per key on
+    first use; the pulled functions live as long as the returned closure,
+    which a caller keeps for one call."""
+    pulled: dict = {}
+
+    def pull(*key):
+        f = pulled.get(key)
+        if f is None:
+            f = pulled[key] = phi.pull_scalar(entry(*key))
+        return f
+
+    return pull
+
+
 def identity_morphism(a: AlgebroidPresentation, name: Optional[str] = None) -> Morphism:
     chart = a.chart
     basemap = [chart.coord(c) for c in chart.coords]
@@ -104,12 +120,13 @@ def compose(psi: Morphism, phi: Morphism, name: Optional[str] = None) -> Morphis
         raise MorphismError("morphisms are not composable")
     basemap = [phi.pull_scalar(f) for f in psi.basemap]
     chart = phi.source.chart
+    pulled = _pull_once(phi, lambda u, t: psi.fiber[u][t])
     fiber = []
     for u in range(psi.target.rank):
         fiber.append([
             lincomb(
                 chart,
-                [(1, phi.pull_scalar(f), phi.fiber[t][i]) for t, f in enumerate(psi.fiber[u])],
+                [(1, pulled(u, t), phi.fiber[t][i]) for t in range(psi.source.rank)],
             )
             for i in range(phi.source.rank)
         ])
@@ -132,12 +149,13 @@ def pullback_form(phi: Morphism, beta: FormField) -> FormField:
         return FormField(src, 0, {(): phi.pull_scalar(f)})
     out: dict[tuple[int, ...], ScalarFn] = {}
     memo: dict = {}
+    pulled = _pull_once(phi, beta.comps.__getitem__)
     for skey in combinations(range(src.rank), k):
         pieces = []
-        for tkey, coeff in beta.comps.items():
+        for tkey in beta.comps:
             minor = scalar_det(phi.fiber, tkey, skey, memo)
             if not minor.is_zero():
-                pieces.append((1, phi.pull_scalar(coeff), minor))
+                pieces.append((1, pulled(tkey), minor))
         total = lincomb(src.chart, pieces)
         if not total.is_zero():
             out[skey] = total
@@ -152,12 +170,13 @@ def check_morphism(phi: Morphism) -> CheckReport:
         [phi.basemap[j].partial(c) for c in src.chart.coords]
         for j in range(tgt.chart.dim)
     ]
+    anchor = _pull_once(phi, lambda t, j: tgt.anchor[t][j])
     for i in range(src.rank):
         for j in range(tgt.chart.dim):
             # fiber . anchor o basemap  -  Jacobian . source anchor
             res = lincomb(
                 src.chart,
-                [(1, phi.fiber[t][i], phi.pull_scalar(tgt.anchor[t][j])) for t in range(tgt.rank)]
+                [(1, phi.fiber[t][i], anchor(t, j)) for t in range(tgt.rank)]
                 + [(-1, src.anchor[i][k], jac[j][k]) for k in range(src.chart.dim)],
             )
             rep.residual(f"anchor: {src.frame[i]} vs {tgt.chart.coords[j]}", res)

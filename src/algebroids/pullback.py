@@ -12,7 +12,12 @@ the routine behind the subalgebroid and Poisson-kernel presentations too.
 
 Rank verdicts for admissibility and transversality are probabilistic
 (random-point sampling) with an exact upgrade when minors certify the rank
-symbolically; reports always disclose which method decided.  A sampled
+symbolically; reports always disclose which method decided.  The exact
+side is one `ratlinalg.rank_certificate` per matrix: the generic rank R by
+bordering minors and a unit R-minor, if any, which makes R the rank at
+every point.  Without a unit minor, transversality still fails exactly
+when R is below the target dimension.  The certificate goes into
+``rep.data["minors"]``, which reports do not print.  A sampled
 check draws all its points first and ranks the matrix at every point in
 one batch (`ratlinalg.sampled_ranks`): each non-zero entry is evaluated
 once over all the points, and the stack is ranked by one `float_rank` call.
@@ -23,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import (
@@ -37,7 +41,7 @@ from .core import (
     vector_field_bracket,
 )
 from .morphisms import Morphism, base_preserving_morphism, check_morphism, compose, pullback_form
-from .ratlinalg import bracket_structure, sampled_ranks, scalar_det, unit_pivot_solve
+from .ratlinalg import bracket_structure, rank_certificate, sampled_ranks, unit_pivot_solve
 from .report import CheckReport
 from .reps import modular_cocycle
 from .symexpr import Chart, ScalarFn, lincomb
@@ -113,35 +117,6 @@ def _sampled_ranks(
     return sampled_ranks(rows, _sample_points(chart, random.Random(seed), samples))
 
 
-def _exact_rank_certificate(rows: list[list[ScalarFn]], memo: dict) -> Optional[int]:
-    """Rank certified constant everywhere, when minors allow it.
-
-    Upper bound: all (r+1)-minors vanish identically (exact).  Lower bound:
-    some r-minor is a unit of the class, hence nowhere zero.  Sizes are
-    tried from the largest down, and a size is searched only after every
-    larger minor was found not to be a unit, so whether the (r+1)-minors
-    all vanish is known when a unit r-minor turns up.
-
-    Minors are read through ``memo`` (see ``scalar_det``), so each distinct
-    j-minor is expanded once: an m x n matrix costs at most
-    sum_j j * C(m, j) * C(n, j) ring multiplications.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    larger_all_zero = True  # there are no minors above min(m, n)
-    for r in range(min(m, n), 0, -1):
-        all_zero = True
-        for rsel in combinations(range(m), r):
-            for csel in combinations(range(n), r):
-                minor = scalar_det(rows, rsel, csel, memo)
-                if minor.is_unit():
-                    return r if larger_all_zero else None
-                all_zero = all_zero and minor.is_zero()
-        larger_all_zero = all_zero
-    # rank 0 everywhere iff the matrix is identically zero
-    return 0 if larger_all_zero else None
-
-
 def check_admissible(
     b: AlgebroidPresentation,
     source_chart: Chart,
@@ -153,9 +128,9 @@ def check_admissible(
     rep = CheckReport(f"admissibility of the base map into {b.name}")
     rows = _constraint_matrix(b, source_chart, basemap)
     total = b.rank + source_chart.dim
-    exact = _exact_rank_certificate(rows, {}) if rows else 0
-    if exact is not None:
-        rank = total - exact
+    cert = rep.data["minors"] = rank_certificate(rows)
+    if cert.unit is not None:
+        rank = total - cert.rank
         rep.add("constraint space has constant rank", True, f"rank {rank}")
         rep.note("method: exact minor certificate")
         rep.data["rank"] = rank
@@ -190,25 +165,19 @@ def check_transverse(
         rep.data["method"] = "exact"
         return rep
     rows = _transversality_matrix(b, source_chart, basemap)
-    memo: dict = {}
-    exact = _exact_rank_certificate(rows, memo)
-    if exact is not None:
+    cert = rep.data["minors"] = rank_certificate(rows)
+    if cert.unit is not None:
         rep.add(
             "target tangent space spanned",
-            exact == n,
-            f"rank {exact} of {n} at every point",
+            cert.rank == n,
+            f"rank {cert.rank} of {n} at every point",
         )
         rep.note("method: exact minor certificate")
         rep.data["method"] = "exact"
         return rep
-    # a sound negative certificate: all maximal minors vanish identically
-    all_zero = True
-    m = len(rows[0])
-    for csel in combinations(range(m), n):
-        if not scalar_det(rows, tuple(range(n)), csel, memo).is_zero():
-            all_zero = False
-            break
-    if all_zero:
+    # a sound negative certificate: with generic rank below n every
+    # maximal minor vanishes identically
+    if cert.rank < n:
         rep.add("target tangent space spanned", False, f"rank < {n} at every point")
         rep.note("method: exact minor certificate")
         rep.data["method"] = "exact"

@@ -18,6 +18,10 @@
 * `scalar_det` computes exact determinants and minors over that ring by
   cofactor expansion with memoised subminors: callers that share one memo
   dict across the minors of a matrix expand each distinct subminor once.
+  `rank_certificate` is the one exact rank routine built on it: the
+  generic rank R from the borders of a single non-zero minor (Kronecker's
+  bordering-minor theorem), then a search for a unit minor at size R only,
+  which certifies rank R at every point.
 * `float_rank` estimates rank numerically with numpy, of one matrix or of a
   whole stack in one call, and `sampled_ranks` evaluates a ScalarFn matrix
   entry by entry over a batch of sample points and ranks the stack: the
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -90,7 +94,7 @@ def _eliminate(
             row, tr = rows[i], transforms[i]
             g = row[c]
             for k, v in prow.items():
-                x = row.get(k, 0) - g * v
+                x = _slope(row.get(k, 0) - g * v)
                 if x:
                     if k not in row:
                         occupied.setdefault(k, set()).add(i)
@@ -99,7 +103,7 @@ def _eliminate(
                     del row[k]
                     occupied[k].discard(i)
             for k, v in ptr.items():
-                x = tr.get(k, 0) - g * v
+                x = _slope(tr.get(k, 0) - g * v)
                 if x:
                     tr[k] = x
                 else:
@@ -327,6 +331,75 @@ def _minor(
             pieces.append((-1 if t % 2 else 1, entry, sub))
     det = memo[key] = lincomb(row[csel[0]].chart, pieces)
     return det
+
+
+Minor = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class RankCertificate(NamedTuple):
+    """The generic rank of a ScalarFn matrix and the minors that show it.
+
+    ``bordered`` is the ``(rows, cols)`` of a non-zero ``rank``-minor whose
+    bordering minors all vanish, and ``unit`` the first ``rank``-minor that
+    is a unit, or None.  The empty minor is 1, so a zero matrix has both
+    ``((), ())``.
+    """
+
+    rank: int
+    bordered: Minor
+    unit: Optional[Minor]
+
+
+def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
+    """Generic rank by bordering minors, then a unit minor of that size.
+
+    The entries are real-analytic on a connected chart and the zero test
+    is exact, so the ring is an integral domain, and Kronecker's
+    bordering-minor theorem (Gantmacher, *The Theory of Matrices*, vol. 1,
+    ch. I §3) holds over its fraction field: a non-zero r-minor whose
+    bordering (r+1)-minors all vanish makes r the generic rank R.  The
+    minor grows from the empty one by its first non-zero border (added
+    rows, then added columns, in order; rows and columns stay sorted), so
+    its first step is the first non-zero entry.
+
+    Then the R-minors are scanned, row combinations then column
+    combinations, for the first unit q*exp(d.x).  A unit is nowhere zero
+    and every (R+1)-minor vanishes identically, so a unit certifies rank R
+    at every point; without one ``unit`` is None.
+
+    Both phases read minors through one memo (see ``scalar_det``), so each
+    distinct j-minor is expanded once and none is larger than R + 1: an
+    m x n matrix costs at most sum_{j <= R+1} j * C(m, j) * C(n, j) ring
+    multiplications.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    memo: dict = {}
+
+    def borders(rsel: tuple[int, ...], csel: tuple[int, ...]):
+        for i in range(m):
+            if i in rsel:
+                continue
+            for j in range(n):
+                if j not in csel:
+                    yield tuple(sorted((*rsel, i))), tuple(sorted((*csel, j)))
+
+    bordered: Minor = ((), ())
+    while grown := next((b for b in borders(*bordered) if not scalar_det(rows, *b, memo).is_zero()), None):
+        bordered = grown
+    r = len(bordered[0])
+    if r == 0:
+        return RankCertificate(0, bordered, bordered)
+    unit = next(
+        (
+            (rsel, csel)
+            for rsel in combinations(range(m), r)
+            for csel in combinations(range(n), r)
+            if scalar_det(rows, rsel, csel, memo).is_unit()
+        ),
+        None,
+    )
+    return RankCertificate(r, bordered, unit)
 
 
 def float_rank(

@@ -149,6 +149,42 @@ def rat_nullspace(rows, n=None):
     return basis
 
 
+def reference_det(rows):
+    """Plain Laplace expansion along the first row, nothing shared: a test
+    reference for `scalar_det` and the rank certificates."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].chart.zero()
+    for t, entry in enumerate(rows[0]):
+        sub = reference_det([row[:t] + row[t + 1 :] for row in rows[1:]])
+        total = total + (entry * sub if t % 2 == 0 else -(entry * sub))
+    return total
+
+
+def check_rank_certificate(rows, cert):
+    """Re-verify a `ratlinalg.RankCertificate` of ``rows`` by `reference_det`:
+    its bordered minor is non-zero, every minor bordering it vanishes, and
+    its unit minor, if any, is a unit of the same size.  The empty minor is
+    1, so at rank 0 only the vanishing of every entry is left to check."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+
+    def minor(rsel, csel):
+        return reference_det([[rows[i][j] for j in csel] for i in rsel])
+
+    rsel, csel = cert.bordered
+    assert len(rsel) == len(csel) == cert.rank
+    assert list(rsel) == sorted(set(rsel)) and list(csel) == sorted(set(csel))
+    assert not rsel or not minor(rsel, csel).is_zero()
+    for i in sorted(set(range(m)) - set(rsel)):
+        for j in sorted(set(range(n)) - set(csel)):
+            assert minor(sorted((*rsel, i)), sorted((*csel, j))).is_zero()
+    if cert.unit is not None:
+        urows, ucols = cert.unit
+        assert len(urows) == len(ucols) == cert.rank
+        assert not urows or minor(urows, ucols).is_unit()
+
+
 def product_basis(space):
     """The ansatz basis of ``space`` built through the ring: each function
     the product monomial * trig * exp, the monomials as coordinate powers

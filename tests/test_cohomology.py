@@ -298,6 +298,14 @@ class TestPeriodCertificate:
         cert = period_certificate(one_form(tc, [CYLC.const(-1), CYLC.zero()]), combo, "theta", seed=5)
         assert cert.witness_point == pts[0] and cert.witness_value == -1.0
 
+    def test_tiny_exact_mean_is_a_certificate(self):
+        # the exact mean decides, however small its sampled values
+        ts1 = tangent_algebroid(S1)
+        tiny = S1.const(Fraction(1, 10**12))
+        cert = period_certificate(one_form(ts1, [tiny]), (Fraction(1),), "theta")
+        assert isinstance(cert, NonExactCertificate)
+        assert cert.mean == tiny and cert.witness_value == 1e-12
+
     def test_no_samples_is_rejected(self):
         ts1 = tangent_algebroid(S1)
         with pytest.raises(ValueError, match="at least one sample"):

@@ -32,7 +32,7 @@ from algebroids.reps import (
     check_flat,
     trivial_rep,
 )
-from algebroids.symexpr import Chart, cos, exp, sin
+from algebroids.symexpr import Chart, ScalarFn, cos, exp, sin
 
 from conftest import cylinder_algebroid
 
@@ -166,6 +166,46 @@ class TestPullbackForm:
         vol = FormField(TN, 2, {(0, 1): N.one()})
         pulled = pullback_form(phi, vol)
         assert pulled == FormField(TM, 2, {(0, 1): y})
+
+
+class TestPullOnce:
+    """Within one call each target function is composed with the base map
+    once, on first use."""
+
+    @staticmethod
+    def _count_substitutions(monkeypatch, call, *args):
+        count = 0
+        substitute = ScalarFn.substitute
+
+        def counting(self, *a, **k):
+            nonlocal count
+            count += 1
+            return substitute(self, *a, **k)
+
+        monkeypatch.setattr(ScalarFn, "substitute", counting)
+        out = call(*args)
+        monkeypatch.undo()
+        return out, count
+
+    def test_each_target_function_is_pulled_once_per_call(self, monkeypatch):
+        N = Chart("N", ("u", "v"))
+        M = Chart("M", ("x", "y"))
+        TN, TM = tangent_algebroid(N), tangent_algebroid(M)
+        x, y = M.coord("x"), M.coord("y")
+        phi = Morphism("phi", TM, TN, [x * y, y], [[y, x], [M.zero(), M.one()]])
+        psi = base_preserving_morphism("psi", TN, TN, [[N.const(1), N.const(2)], [N.const(3), N.const(4)]])
+        # the 4 anchor entries of TN, then one coefficient per coframe form
+        # (d_A of a coframe form of TN is 0)
+        rep, count = self._count_substitutions(monkeypatch, check_morphism, phi)
+        assert rep.passed and count == 4 + 2
+        # the 2 base map components of psi, then its 4 fiber entries
+        _, count = self._count_substitutions(monkeypatch, compose, psi, phi)
+        assert count == 2 + 4
+        # u is needed for both source keys, v for one
+        beta = one_form(TN, [N.coord("u"), N.coord("v")])
+        pulled, count = self._count_substitutions(monkeypatch, pullback_form, phi, beta)
+        assert count == 2
+        assert pulled == one_form(TM, [x * y * y, x * x * y + y])
 
 
 class TestPullbackRep:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -35,11 +35,11 @@ from algebroids.pullback import (
     validate_frame,
     verify_submersion_vanishing,
 )
-from algebroids.ratlinalg import float_rank
+from algebroids.ratlinalg import float_rank, scalar_det
 from algebroids.reps import canonical_sections
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, parse_expr, sin
 
-from conftest import aff1, count_sampling, cylinder_algebroid, so3
+from conftest import aff1, check_rank_certificate, count_sampling, cylinder_algebroid, so3
 
 
 S1 = Chart("S1", ("theta",), (True,))
@@ -386,16 +386,71 @@ class TestMinorWork:
         assert "rank 4 of 5" in rep.pretty()
         assert count <= _minor_work_bound(5, 10)
 
-    def test_smooth_5x7_searches_every_size(self, monkeypatch):
-        # no unit minor above size 2, so every larger minor is expanded and
-        # transversality falls back on the negative certificate and sampling
+    def test_smooth_5x7_searches_only_the_generic_rank(self, monkeypatch):
+        # no 5-minor is a unit, so both checks fall back on sampling after
+        # the bordering minors and the search at the generic rank 5
         args = _planted_rank_input(5, 2, 5, 3, smooth=True)
         rep, count = self._count_products(monkeypatch, check_transverse, *args)
         assert rep.passed and rep.data["method"] == "sampled"
+        assert rep.data["minors"].rank == 5 and rep.data["minors"].unit is None
         assert count <= _minor_work_bound(5, 7)
         rep, count = self._count_products(monkeypatch, check_admissible, *args)
-        assert rep.data == {"rank": 2, "method": "sampled"}
+        assert (rep.data["rank"], rep.data["method"]) == (2, "sampled")
+        assert rep.data["minors"].rank == 5 and rep.data["minors"].unit is None
         assert count <= _minor_work_bound(5, 7)
+
+
+# planted transversality inputs (n, q, r, k, smooth) of rank q + k: with and
+# without a unit minor, of full rank n and below it
+CERTIFIED = [
+    (5, 2, 8, 2, False),
+    (5, 2, 5, 2, True),
+    (5, 2, 5, 3, True),
+    (4, 1, 4, 2, True),
+    (4, 1, 4, 3, False),
+    (3, 1, 3, 1, True),
+    (3, 1, 2, 0, False),
+]
+
+
+class TestRankCertificate:
+    """The certificates in the reports re-verify by plain Laplace expansion,
+    and decide exactly as the minors they stand for."""
+
+    @pytest.mark.parametrize("planted", CERTIFIED)
+    def test_reports_carry_the_certificate_of_their_matrix(self, planted):
+        args = _planted_rank_input(*planted)
+        for check, matrix in [(check_admissible, _constraint_matrix), (check_transverse, _transversality_matrix)]:
+            rep = check(*args)
+            cert = rep.data["minors"]
+            check_rank_certificate(matrix(*args), cert)
+            negative = check is check_transverse and cert.rank < planted[0]
+            assert (rep.data["method"] == "exact") == (cert.unit is not None or negative)
+
+    @pytest.mark.parametrize("planted", CERTIFIED)
+    def test_negative_transversality_iff_every_maximal_minor_vanishes(self, planted):
+        args = _planted_rank_input(*planted)
+        n = planted[0]
+        rows = _transversality_matrix(*args)
+        memo: dict = {}
+        all_zero = all(
+            scalar_det(rows, tuple(range(n)), csel, memo).is_zero()
+            for csel in combinations(range(len(rows[0])), n)
+        )
+        assert all_zero == (planted[1] + planted[3] < n)
+        rep = check_transverse(*args)
+        assert (rep.data["method"] == "exact" and not rep.passed) == all_zero
+        negative = f"rank < {n} at every point" in rep.pretty()
+        assert negative == (all_zero and rep.data["minors"].unit is None)
+
+    def test_orbit_inclusion(self):
+        b = cylinder_algebroid(N)
+        rows = _transversality_matrix(b, S1, orbit_inclusion_basemap())
+        rep = check_transverse(b, S1, orbit_inclusion_basemap())
+        assert rep.data["minors"] == (1, ((0,), (0,)), ((0,), (0,)))
+        check_rank_certificate(rows, rep.data["minors"])
+        rep = check_admissible(b, S1, orbit_inclusion_basemap())
+        check_rank_certificate(_constraint_matrix(b, S1, orbit_inclusion_basemap()), rep.data["minors"])
 
 
 # planted inputs sampled by the rank checks: (n, q, r, k, smooth)

@@ -1,30 +1,33 @@
 """Property tests of the sparse exact elimination behind FactoredSystem
 and rat_solve (its reduced rows read through the rat_nullspace reference
-of conftest), against a dense Gauss-Jordan reference kept here, and of the
-memoised minors of scalar_det, against a plain Laplace expansion."""
+of conftest), against a dense Gauss-Jordan reference kept here, of the
+memoised minors of scalar_det, against a plain Laplace expansion, and of
+rank_certificate, against the search over every minor size kept here."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroids import ratlinalg
 from algebroids.ratlinalg import (
     FactoredSystem,
     _eliminate,
     float_rank,
+    rank_certificate,
     rat_solve,
     sampled_ranks,
     scalar_det,
 )
 from algebroids.symexpr import Chart, cos, exp, sin
 
-from conftest import rat_nullspace
+from conftest import check_rank_certificate, rat_nullspace, reference_det
 
 
 def reference_rref(a: list[list[Fraction]], n: int):
@@ -222,6 +225,16 @@ def test_sparse_int_systems_solve_or_give_a_farkas_witness(case):
             assert sum(v * x for v, x in zip(row, sol)) == b
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+def test_elimination_keeps_integral_values_int(case):
+    rows, n, _ = case
+    reduced = [dict(row) for row in rows]
+    _, transforms = _eliminate(reduced, n)
+    values = [v for vec in reduced + transforms for v in vec.values()]
+    assert not [v for v in values if type(v) is Fraction and v.denominator == 1]
+
+
 def test_factored_witness_for_a_value_outside_the_matrix():
     system = FactoredSystem([{0: Fraction(1)}], 1)
     assert system.solve({0: Fraction(2)}) == ([Fraction(2)], None)
@@ -255,17 +268,6 @@ def scalar_matrices(m, n):
 
 
 square = st.integers(1, 5).flatmap(lambda n: scalar_matrices(n, n))
-
-
-def reference_det(rows):
-    """Plain Laplace expansion along the first row, nothing shared."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = R2.zero()
-    for t, entry in enumerate(rows[0]):
-        sub = reference_det([row[:t] + row[t + 1 :] for row in rows[1:]])
-        total = total + (entry * sub if t % 2 == 0 else -(entry * sub))
-    return total
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,6 +322,124 @@ def test_scalar_det_rejects_malformed_selections():
     with pytest.raises(ValueError):
         scalar_det(rows, (), ())
     assert scalar_det(rows, (1,), (0,)) == R2.one()
+
+
+# -- rank_certificate ---------------------------------------------------------
+
+
+def reference_certificate(rows):
+    """The rank certified constant by minors, searching every size from
+    min(m, n) down: a unit r-minor certifies r when every larger minor
+    vanishes, and a zero matrix has rank 0; otherwise None."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    larger_all_zero = True
+    memo: dict = {}
+    for r in range(min(m, n), 0, -1):
+        all_zero = True
+        for rsel in combinations(range(m), r):
+            for csel in combinations(range(n), r):
+                minor = scalar_det(rows, rsel, csel, memo)
+                if minor.is_unit():
+                    return r if larger_all_zero else None
+                all_zero = all_zero and minor.is_zero()
+        larger_all_zero = all_zero
+    return 0 if larger_all_zero else None
+
+
+def generic_rank(rows):
+    """The largest size of a non-zero minor, by trying them all."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    memo: dict = {}
+    return max(
+        (
+            r
+            for r in range(1, min(m, n) + 1)
+            for rsel in combinations(range(m), r)
+            for csel in combinations(range(n), r)
+            if not scalar_det(rows, rsel, csel, memo).is_zero()
+        ),
+        default=0,
+    )
+
+
+UNITS = [R2.one(), exp(_X), 2 * exp(-_Y), Fraction(-1, 2) * exp(_X - _Y)]
+NON_UNITS = [_X, 1 + _X * _X, sin(_Y), cos(_X + _Y), exp(_X - _Y) * _Y]
+
+
+@st.composite
+def planted_matrices(draw, max_m=4, max_n=6):
+    """(L * D * R, r): L is m x r unit lower trapezoidal, R is r x n unit
+    upper trapezoidal and D a diagonal of non-zero units or non-units, so
+    the generic rank is r."""
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
+    r = draw(st.integers(0, min(m, n)))
+    diag = [draw(st.sampled_from(UNITS + NON_UNITS)) for _ in range(r)]
+
+    def factor(i, s):
+        return R2.one() if i == s else draw(st.sampled_from([R2.zero()] + NON_UNITS)) if i > s else R2.zero()
+
+    left = [[factor(i, s) for s in range(r)] for i in range(m)]
+    right = [[factor(j, s) for j in range(n)] for s in range(r)]
+    rows = [
+        [sum((left[i][s] * diag[s] * right[s][j] for s in range(r)), R2.zero()) for j in range(n)]
+        for i in range(m)
+    ]
+    return rows, r
+
+
+@st.composite
+def certificate_matrices(draw):
+    """Matrices up to 4 x 6 whose entries are zero, units or trig and
+    polynomial non-units, or planted-rank products."""
+    if draw(st.booleans()):
+        return draw(planted_matrices())[0]
+    entry = st.one_of(st.just(R2.zero()), st.sampled_from(UNITS + NON_UNITS), scalar_entries())
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_matrices())
+def test_rank_certificate_matches_the_search_over_every_size(rows):
+    cert = rank_certificate(rows)
+    assert cert.rank == generic_rank(rows)
+    assert (None if cert.unit is None else cert.rank) == reference_certificate(rows)
+    check_rank_certificate(rows, cert)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_matrices(max_m=5, max_n=6))
+def test_rank_certificate_expands_no_minor_above_rank_plus_one(case):
+    rows, r = case
+    sizes = []
+    minor = ratlinalg._minor
+
+    def recording(rows, rsel, csel, memo):
+        sizes.append(len(rsel))
+        return minor(rows, rsel, csel, memo)
+
+    with mock.patch.object(ratlinalg, "_minor", recording):
+        cert = rank_certificate(rows)
+    assert cert.rank == r
+    assert max(sizes, default=0) <= r + 1
+
+
+def test_unit_minor_off_the_unit_pivots():
+    # the only unit pivot is the 1, after which the second row has none;
+    # the minor on columns 1 and 2 is cos^2 + sin^2 = 1
+    rows = [[R2.one(), cos(_X), -sin(_X)], [R2.zero(), sin(_X), cos(_X)]]
+    assert rank_certificate(rows) == (2, ((0, 1), (0, 1)), ((0, 1), (1, 2)))
+    check_rank_certificate(rows, rank_certificate(rows))
+
+
+def test_rank_certificate_of_zero_and_empty_matrices():
+    assert rank_certificate([]) == (0, ((), ()), ((), ()))
+    assert rank_certificate([[], []]) == (0, ((), ()), ((), ()))
+    zero = [[R2.zero()] * 3 for _ in range(2)]
+    assert rank_certificate(zero) == (0, ((), ()), ((), ()))
+    check_rank_certificate(zero, rank_certificate(zero))
 
 
 # -- float_rank and sampled_ranks -------------------------------------------
