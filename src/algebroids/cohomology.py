@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +44,7 @@ from .symexpr import (
     SymExprError,
     TermKey,
     Trig,
+    _has_trig,
     _lex_sign,
     _product_items,
     _slope,
@@ -142,10 +144,12 @@ class AnsatzOperator:
     appearance, frame index first, then basis function, then canonical term
     order.
 
-    `build` writes the entries straight from term keys: the derivative
-    items of each basis function along each anchored coordinate are taken
-    once, multiplied by the terms of the anchor entries, and merged once
-    per (frame index, basis function).
+    `build` writes the entries straight from term keys, in int numerators
+    over one denominator per frame index: the derivative items of each
+    basis function along each anchored coordinate are taken once,
+    multiplied by the numerators of the anchor entries, merged once per
+    (frame index, basis function), and divided by the denominator once per
+    written entry.
     """
 
     basis: list[ScalarFn]
@@ -156,18 +160,34 @@ class AnsatzOperator:
     def build(cls, a: AlgebroidPresentation, basis: list[ScalarFn]) -> "AnsatzOperator":
         if basis and basis[0].chart != a.chart:
             raise SymExprError(f"chart mismatch: {a.chart.name!r} vs {basis[0].chart.name!r}")
-        # per frame index, the non-zero anchor entries as (coordinate, term items)
-        anchor = [[(k, f.terms.items()) for k, f in enumerate(row) if f.terms] for row in a.anchor]
-        coords = {k for row in anchor for k, _ in row}
-        derivs = [{k: derivative_items(b.terms, k) for k in coords} for b in basis]
+        # per frame index, the non-zero anchor entries as
+        # (coordinate, numerator items, denominator, has trig terms)
+        anchor = [
+            [(k, f.num.items(), f.den, _has_trig(f.num)) for k, f in enumerate(row) if f.num]
+            for row in a.anchor
+        ]
+        coords = {k for row in anchor for k, *_ in row}
+        # a basis function is one key with numerator 1 over den 1, so each
+        # derivative is its items over their slope scale s alone
+        derivs = [{k: derivative_items(b.num, k) for k in coords} for b in basis]
+        trigs = [_has_trig(b.num) for b in basis]
+        scale = lcm(*(s for d in derivs for _, s in d.values()))
         index: dict[tuple[int, TermKey], int] = {}
         rows: list[dict[int, Rational]] = []
         for i, entries in enumerate(anchor):
+            # one denominator for the whole frame index: a multiple of the
+            # denominator of every product written into its rows
+            den = lcm(*(e_den for _, _, e_den, _ in entries)) * scale
+            if any(trigs) and any(trig for *_, trig in entries):
+                den *= 2
             for j, d in enumerate(derivs):
-                items: list = []
-                for k, entry in entries:
-                    _product_items(items, entry, d[k], 1)
-                merged: dict[TermKey, Rational] = {}
+                items: list[tuple[TermKey, int]] = []
+                for k, entry, e_den, trig in entries:
+                    ditems, s = d[k]
+                    trig2 = trig and trigs[j]
+                    c = den // (e_den * s * 2) if trig2 else den // (e_den * s)
+                    _product_items(items, entry, ditems, c, trig2)
+                merged: dict[TermKey, int] = {}
                 for key, q in items:
                     merged[key] = merged.get(key, 0) + q
                 nonzero = [(key, q) for key, q in merged.items() if q]
@@ -176,7 +196,7 @@ class AnsatzOperator:
                     index[(i, key)] = len(rows)
                     rows.append({})
                 for key, q in nonzero:
-                    rows[index[(i, key)]][j] = _slope(q)
+                    rows[index[(i, key)]][j] = q if den == 1 else _slope(Fraction(q, den))
         return cls(basis, index, FactoredSystem(rows, len(basis)))
 
 
@@ -333,7 +353,7 @@ def period_certificate(
     pairing = lincomb(chart, [(c, alpha.component((i,))) for c, i in used])
     # constant Fourier mode in the chosen coordinate
     mean_terms = []
-    for (mono, trig, expv), q in pairing.terms.items():
+    for (mono, trig, expv), q in pairing.num.items():
         if mono[j] != 0 or expv[j] != 0:
             return Inconclusive(
                 f"pairing depends non-periodically on {coord!r}; mean undefined"
@@ -341,7 +361,7 @@ def period_certificate(
         if trig is not None and trig[1][j] != 0:
             continue
         mean_terms.append(((mono, trig, expv), q))
-    mean = ScalarFn._make(chart, mean_terms)
+    mean = ScalarFn._make(chart, mean_terms, pairing.den)
     if mean.is_zero():
         return Inconclusive("constant Fourier mode vanishes")
     if samples < 1:
@@ -447,7 +467,7 @@ def check_pullback_injectivity(
 
 
 def _is_basic(f: ScalarFn, fiber_idx: Sequence[int]) -> bool:
-    for mono, trig, expv in f.terms:
+    for mono, trig, expv in f.num:
         for k in fiber_idx:
             if mono[k] or expv[k] or (trig is not None and trig[1][k] != 0):
                 return False

@@ -125,8 +125,14 @@ def check_admissible(
     samples: int = 50,
 ) -> CheckReport:
     """Constant rank of the compatibility constraint space."""
+    return _admissibility(b, source_chart, _constraint_matrix(b, source_chart, basemap), seed, samples)
+
+
+def _admissibility(
+    b: AlgebroidPresentation, source_chart: Chart, rows: list[list[ScalarFn]], seed: int, samples: int
+) -> CheckReport:
+    """`check_admissible` on the constraint matrix ``rows`` already built."""
     rep = CheckReport(f"admissibility of the base map into {b.name}")
-    rows = _constraint_matrix(b, source_chart, basemap)
     total = b.rank + source_chart.dim
     cert = rep.data["minors"] = rank_certificate(rows)
     if cert.unit is not None:
@@ -260,7 +266,7 @@ def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> Check
             indep,
             f"sampled rank range [{min(ranks)}, {max(ranks)}] of {len(pf.pairs)}",
         )
-    adm = check_admissible(b, chart, pf.basemap, seed=seed, samples=samples)
+    adm = _admissibility(b, chart, constraint, seed, samples)
     rep.merge(adm)
     want = adm.data.get("rank")
     rep.add(

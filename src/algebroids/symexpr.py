@@ -16,11 +16,18 @@ The slopes c and d in a term key are ``int`` when integral and
 ``Fraction`` only otherwise.  ``Fraction(3) == 3`` with equal hashes, so
 this does not change which keys merge; it keeps the keys cheap to hash,
 because a tuple recomputes its hash on every dict lookup and
-``Fraction.__hash__`` is far slower than ``int.__hash__``.  The
-coefficients q follow the same rule, normalised once per result in
-``ScalarFn._make``: ``int`` arithmetic is several times cheaper than
-``Fraction`` arithmetic, and most coefficients the calculus produces are
-integral.  Since ``int / int`` is a ``float``, code that divides by a
+``Fraction.__hash__`` is far slower than ``int.__hash__``.
+
+The coefficients q are stored as ``int`` numerators ``num`` over one
+positive ``int`` denominator ``den`` per function, normalised once per
+result in ``ScalarFn._make`` so that gcd(den, numerators) = 1: the
+content/primitive-part form of FLINT's ``fmpq_poly``.  The ring kernels
+then do ``int`` arithmetic only.  The one half of a trig product doubles
+the denominator of the product once, and a derivative along a coordinate
+with fractional slopes multiplies it by the lcm of their denominators.
+``terms`` is the rational view of the same map (``int`` when integral,
+``Fraction`` otherwise); it is ``num`` itself when ``den == 1`` and is
+built on each read otherwise, for printing and coefficient matching.  Since ``int / int`` is a ``float``, code that divides by a
 coefficient must build a ``Fraction`` (``Fraction(p, q)``) explicitly.
 
 A sum of many terms or products is built by :func:`lincomb`, which emits
@@ -43,7 +50,8 @@ import errno
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
+from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -77,8 +85,7 @@ Rational = Union[int, Fraction]
 
 # trig atom: None or (kind, slopes) with kind in {"sin", "cos"} and the
 # first nonzero slope positive; a term key is (monomial, trig, exp_slopes).
-# Every slope, and every coefficient of a ScalarFn, is an int when
-# integral and a Fraction otherwise (_slope).
+# Every slope is an int when integral and a Fraction otherwise (_slope).
 Trig = Optional[tuple[str, tuple[Rational, ...]]]
 TermKey = tuple[tuple[int, ...], Trig, tuple[Rational, ...]]
 
@@ -115,9 +122,16 @@ class Chart:
         return ScalarFn._make(self, [((mono, None, self._zerovec()), 1)])
 
     def const(self, q: Rational) -> "ScalarFn":
-        if type(q) is not int:
-            q = Fraction(q)
-        return ScalarFn._make(self, [(((0,) * self.dim, None, self._zerovec()), q)])
+        """The constant function q; q must be an int or a Fraction."""
+        if isinstance(q, int):
+            n, d = int(q), 1
+        elif isinstance(q, Fraction):
+            n, d = q.numerator, q.denominator
+        else:
+            raise TypeError(f"a constant must be an int or a Fraction, got {type(q).__name__} {q!r}")
+        if not n:
+            return self.zero()
+        return ScalarFn(self, {((0,) * self.dim, None, self._zerovec()): n}, d)
 
     def zero(self) -> "ScalarFn":
         return ScalarFn._make(self, [])
@@ -173,9 +187,6 @@ def _vec_sub(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ..
     return tuple(_slope(x - y) for x, y in zip(a, b))
 
 
-_HALF = Fraction(1, 2)
-
-
 def _trig_product(t1: Trig, t2: Trig) -> list[tuple[int, Trig]]:
     """Expand a product of two trig atoms by product-to-sum: the product
     is one half of the sum of sign * atom over the returned pairs."""
@@ -208,55 +219,82 @@ def _term_sort_key(key: TermKey) -> tuple:
     return (sum(mono), mono, _trig_key(trig), expv)
 
 
-def _product_items(items: list, f_items: Iterable, g_items: Iterable, c: Rational) -> None:
-    """Append the unmerged term items of c*f*g, given the term items of f
-    and g, to ``items``."""
+_trig_of = itemgetter(1)
+
+
+def _has_trig(num: dict[TermKey, int]) -> bool:
+    # a trig atom is a non-empty tuple, so it is true and None is not
+    return any(map(_trig_of, num))
+
+
+def _product_items(items: list, f_items: Iterable, g_items: Iterable, c: int, trig2: bool) -> None:
+    """Append the unmerged numerator items of c*F*G, given the numerator
+    items of F and G, to ``items``.
+
+    With ``trig2`` set (both factors have trig terms) the items are those
+    of 2*c*F*G, whose denominator the caller doubles: each trig x trig
+    term then gets its product-to-sum half as an int, +-c*q1*q2.
+    """
     append = items.append
+    c2 = 2 * c if trig2 else c
     g_items = [(m2, t2, e2, any(e2), q2) for (m2, t2, e2), q2 in g_items]
     for (m1, t1, e1), q1 in f_items:
-        if c != 1:
-            q1 = q1 * c
+        p1 = q1 * c2
         flat1 = not any(e1)
         for m2, t2, e2, curved2, q2 in g_items:
             mono = tuple(map(add, m1, m2))
             # a zero exp vector adds nothing, and the other is in slope form
             expv = e2 if flat1 else _vec_add(e1, e2) if curved2 else e1
-            q = q1 * q2
             if t1 is None or t2 is None:
-                append(((mono, t1 or t2, expv), q))
+                append(((mono, t1 or t2, expv), p1 * q2))
             else:
-                half = q * _HALF
+                q = q1 * c * q2
                 for sign, atom in _trig_product(t1, t2):
-                    append(((mono, atom, expv), half if sign > 0 else -half))
+                    append(((mono, atom, expv), q if sign > 0 else -q))
 
 
-def derivative_items(terms: dict[TermKey, Rational], j: int) -> list[tuple[TermKey, Rational]]:
-    """The unmerged term items of the partial derivative along coordinate
-    ``j`` of the function with term map ``terms``.
+def derivative_items(num: dict[TermKey, int], j: int) -> tuple[list[tuple[TermKey, int]], int]:
+    """The unmerged numerator items of the partial derivative along
+    coordinate ``j`` of the function with numerators ``num``, and the
+    factor ``s`` its denominator takes: the derivative is the items over
+    ``s`` times the function's own denominator.
 
     Each term q * x^m * trig * exp(d.x) gives at most three items, read off
     its key: m_j * x^(m - e_j) * trig * exp, q * trig' * exp with trig'
     the derivative of the trig atom, and d_j * x^m * trig * exp.  The
     three keys of one term differ, so the items of a one-term function
-    need no merge.
+    need no merge.  ``s`` is the lcm of the denominators of the slopes
+    c_j and d_j, 1 when they are all integral.
     """
-    items: list[tuple[TermKey, Rational]] = []
-    for (mono, trig, expv), q in terms.items():
-        if mono[j] > 0:
-            m2 = tuple(e - 1 if i == j else e for i, e in enumerate(mono))
-            items.append(((m2, trig, expv), q * mono[j]))
-        if trig is not None and trig[1][j] != 0:
+    items: list[tuple[TermKey, int]] = []
+    # items with a fractional slope, as (key, q * slope numerator, slope denominator)
+    fractional: list[tuple[TermKey, int, int]] = []
+    for (mono, trig, expv), q in num.items():
+        mj = mono[j]
+        if mj:
+            items.append(((mono[:j] + (mj - 1,) + mono[j + 1 :], trig, expv), q * mj))
+        if trig is not None and trig[1][j]:
             kind, c = trig
-            dq = q * c[j]
-            if kind == "sin":
-                mult, atom = _norm_trig("cos", c)
+            cj = c[j]
+            # c is sign-normalised: sin(c.x)' = c_j cos(c.x), cos(c.x)' = -c_j sin(c.x)
+            key = (mono, ("cos", c) if kind == "sin" else ("sin", c), expv)
+            dq = q if kind == "sin" else -q
+            if type(cj) is int:
+                items.append((key, dq * cj))
             else:
-                mult, atom = _norm_trig("sin", c)
-                dq = -dq
-            items.append(((mono, atom, expv), dq * mult))
-        if expv[j] != 0:
-            items.append(((mono, trig, expv), q * expv[j]))
-    return items
+                fractional.append((key, dq * cj.numerator, cj.denominator))
+        dj = expv[j]
+        if dj:
+            if type(dj) is int:
+                items.append(((mono, trig, expv), q * dj))
+            else:
+                fractional.append(((mono, trig, expv), q * dj.numerator, dj.denominator))
+    if not fractional:
+        return items, 1
+    s = lcm(*(d for _, _, d in fractional))
+    items = [(key, q * s) for key, q in items]
+    items += [(key, q * (s // d)) for key, q, d in fractional]
+    return items, s
 
 
 # the OverflowError arguments of Python's float power and of math.exp
@@ -280,51 +318,73 @@ def _linear_values(slopes: Sequence[Rational], cols: np.ndarray) -> np.ndarray:
 
 
 class ScalarFn:
-    """A canonical trig/exp polynomial on a chart.  Immutable."""
+    """A canonical trig/exp polynomial on a chart.  Immutable.
 
-    __slots__ = ("chart", "terms", "_global")
+    ``num`` maps each term key to an int numerator, in canonical term
+    order, over the one positive int denominator ``den``; gcd(den,
+    numerators) = 1, so the form is unique.  ``terms`` is the rational
+    view of the same map.
+    """
 
-    def __init__(self, chart: Chart, terms: dict[TermKey, Rational]):
+    __slots__ = ("chart", "num", "den", "_global")
+
+    def __init__(self, chart: Chart, num: dict[TermKey, int], den: int = 1):
         # use ScalarFn._make; this constructor trusts its input
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_global", None)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ScalarFn is immutable")
 
     @staticmethod
-    def _make(chart: Chart, items: Iterable[tuple[TermKey, Rational]]) -> "ScalarFn":
-        """Merge raw term items into canonical form: equal keys summed,
-        zero coefficients dropped, terms in canonical order, integral
-        coefficients as int."""
-        terms: dict[TermKey, Rational] = {}
+    def _make(chart: Chart, items: Iterable[tuple[TermKey, int]], den: int = 1) -> "ScalarFn":
+        """Merge raw numerator items over ``den`` into canonical form:
+        equal keys summed, zero numerators dropped, terms in canonical
+        order, and numerators and ``den`` divided by their gcd."""
+        num: dict[TermKey, int] = {}
         for key, q in items:
             if not q:
                 continue
-            acc = terms.get(key)
+            acc = num.get(key)
             if acc is None:
-                terms[key] = q
+                num[key] = q
             else:
                 acc += q
                 if acc:
-                    terms[key] = acc
+                    num[key] = acc
                 else:
-                    del terms[key]
-        keys = sorted(terms, key=_term_sort_key) if len(terms) > 1 else terms
-        return ScalarFn(chart, {k: _slope(terms[k]) for k in keys})
+                    del num[key]
+        if len(num) > 1:
+            num = {k: num[k] for k in sorted(num, key=_term_sort_key)}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                for k, q in num.items():
+                    num[k] = q // g
+        return ScalarFn(chart, num, den)
+
+    @property
+    def terms(self) -> dict[TermKey, Rational]:
+        """The coefficients as rationals, in canonical term order: int when
+        integral, Fraction otherwise."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return {k: _slope(Fraction(q, den)) for k, q in self.num.items()}
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        if not self.terms:
+        if not self.num:
             return True
-        if len(self.terms) > 1:
+        if len(self.num) > 1:
             return False
-        (mono, trig, expv), _ = next(iter(self.terms.items()))
+        mono, trig, expv = next(iter(self.num))
         return not any(mono) and trig is None and not any(expv)
 
     def constant_value(self) -> Rational:
@@ -332,20 +392,23 @@ class ScalarFn:
             return 0
         if not self.is_constant():
             raise SymExprError("not a constant")
-        return next(iter(self.terms.values()))
+        q = next(iter(self.num.values()))
+        return q if self.den == 1 else Fraction(q, self.den)
 
     def is_unit(self) -> bool:
         """True for q*exp(d.x) with q a nonzero rational."""
-        if len(self.terms) != 1:
+        if len(self.num) != 1:
             return False
-        (mono, trig, _), _ = next(iter(self.terms.items()))
+        mono, trig, _ = next(iter(self.num))
         return not any(mono) and trig is None
 
     def unit_inverse(self) -> "ScalarFn":
         if not self.is_unit():
             raise NotAUnit(f"not a unit of the expression class: {self}")
-        (mono, trig, expv), q = next(iter(self.terms.items()))
-        return ScalarFn._make(self.chart, [((mono, None, tuple(-d for d in expv)), Fraction(1, q))])
+        (mono, _, expv), q = next(iter(self.num.items()))
+        # (q / den)^-1 = den / q, already in lowest terms
+        den = self.den if q > 0 else -self.den
+        return ScalarFn(self.chart, {(mono, None, tuple(-d for d in expv)): den}, abs(q))
 
     @property
     def is_global(self) -> bool:
@@ -354,13 +417,14 @@ class ScalarFn:
         Periodic coordinates must not occur in monomials or exp slopes and
         must enter trig arguments with integer slope.
         """
-        cached = self._global
-        if cached is not None:
-            return cached
+        try:
+            return self._global
+        except AttributeError:
+            pass
         ok = True
         per = self.chart.periodic
         if any(per):
-            for mono, trig, expv in self.terms:
+            for mono, trig, expv in self.num:
                 for j, flag in enumerate(per):
                     if not flag:
                         continue
@@ -392,18 +456,22 @@ class ScalarFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ScalarFn._make(self.chart, [*self.terms.items(), *o.terms.items()])
+        a, b = self.den, o.den
+        d = a if a == b else lcm(a, b)
+        return ScalarFn._make(self.chart, [*_scaled(self.num, d // a), *_scaled(o.num, d // b)], d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarFn._make(self.chart, [(k, -q) for k, q in self.terms.items()])
+        return ScalarFn(self.chart, {k: -q for k, q in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ScalarFn._make(self.chart, [*self.terms.items(), *((k, -q) for k, q in o.terms.items())])
+        a, b = self.den, o.den
+        d = a if a == b else lcm(a, b)
+        return ScalarFn._make(self.chart, [*_scaled(self.num, d // a), *_scaled(o.num, -(d // b))], d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -415,9 +483,12 @@ class ScalarFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        items: list[tuple[TermKey, Rational]] = []
-        _product_items(items, self.terms.items(), o.terms.items(), 1)
-        return ScalarFn._make(self.chart, items)
+        f, g = self.num, o.num
+        trig2 = _has_trig(f) and _has_trig(g)
+        items: list[tuple[TermKey, int]] = []
+        _product_items(items, f.items(), g.items(), 1, trig2)
+        den = self.den * o.den
+        return ScalarFn._make(self.chart, items, 2 * den if trig2 else den)
 
     __rmul__ = __mul__
 
@@ -454,7 +525,7 @@ class ScalarFn:
             other = self.chart.const(other)
         if not isinstance(other, ScalarFn):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return self.chart == other.chart and self.den == other.den and self.num == other.num
 
     __hash__ = None  # mutable-dict-backed; not hashable
 
@@ -462,7 +533,8 @@ class ScalarFn:
 
     def partial(self, coord: str) -> "ScalarFn":
         """Exact partial derivative with respect to a chart coordinate."""
-        return ScalarFn._make(self.chart, derivative_items(self.terms, self.chart.index(coord)))
+        items, scale = derivative_items(self.num, self.chart.index(coord))
+        return ScalarFn._make(self.chart, items, self.den * scale)
 
     def substitute(self, source: Chart, images: Sequence["ScalarFn"]) -> "ScalarFn":
         """Compose with a map of charts: self o (images), landing on ``source``.
@@ -480,7 +552,7 @@ class ScalarFn:
             if img.chart != source:
                 raise SymExprError("basemap component on wrong chart")
         used = [False] * self.chart.dim
-        for mono, trig, expv in self.terms:
+        for mono, trig, expv in self.num:
             for j in range(self.chart.dim):
                 if mono[j] or expv[j] or (trig is not None and trig[1][j] != 0):
                     used[j] = True
@@ -488,7 +560,7 @@ class ScalarFn:
             if u and self.chart.periodic[j]:
                 self._check_periodic_image(source, images[j], self.chart.coords[j])
         pieces = []
-        for (mono, trig, expv), q in self.terms.items():
+        for (mono, trig, expv), q in self.num.items():
             part = source.one()
             for j, e in enumerate(mono):
                 if e:
@@ -502,23 +574,24 @@ class ScalarFn:
                 arg.linear_slopes()
                 part = part * exp(arg)
             pieces.append((q, part))
-        return lincomb(source, pieces)
+        total = lincomb(source, pieces)
+        if self.den == 1:
+            return total
+        return ScalarFn._make(source, total.num.items(), total.den * self.den)
 
     def _check_periodic_image(self, source: Chart, img: "ScalarFn", name: str) -> None:
-        for (mono, trig, expv), _ in img.terms.items():
+        for (mono, trig, expv), q in img.num.items():
             if trig is not None or any(expv) or sum(mono) > 1:
                 raise PeriodicityViolation(
                     f"periodic coordinate {name!r} receives a non-affine expression"
                 )
             for j, e in enumerate(mono):
                 if e:
-                    if source.periodic[j]:
-                        slope = img.terms[(mono, trig, expv)]
-                        if slope.denominator != 1:
-                            raise PeriodicityViolation(
-                                f"periodic coordinate {name!r} receives slope "
-                                f"{slope} on periodic coordinate {source.coords[j]!r}"
-                            )
+                    if source.periodic[j] and q % img.den:
+                        raise PeriodicityViolation(
+                            f"periodic coordinate {name!r} receives slope "
+                            f"{Fraction(q, img.den)} on periodic coordinate {source.coords[j]!r}"
+                        )
 
     def evaluate(self, points: Sequence) -> Union[float, np.ndarray]:
         """Floating evaluation (sampling only, never zero tests).
@@ -540,8 +613,9 @@ class ScalarFn:
         cols = pts.T
         total = np.zeros(len(pts))
         with np.errstate(all="ignore"):
-            for (mono, trig, expv), q in self.terms.items():
-                val = np.full(len(pts), float(q))
+            den = self.den
+            for (mono, trig, expv), q in self.num.items():
+                val = np.full(len(pts), q / den)
                 for x, e in zip(cols, mono):
                     if e:
                         val *= _overflow_checked(_POWER_OVERFLOW, np.power, x, e)
@@ -561,10 +635,11 @@ class ScalarFn:
         Integral slopes are returned as int (the term-key form).
         """
         slopes: list[Rational] = [0] * self.chart.dim
-        for (mono, trig, expv), q in self.terms.items():
+        den = self.den
+        for (mono, trig, expv), q in self.num.items():
             if trig is not None or any(expv) or sum(mono) != 1:
                 raise ClosureViolation(f"argument is not linear in coordinates: {self}")
-            slopes[mono.index(1)] = _slope(q)
+            slopes[mono.index(1)] = q if den == 1 else _slope(Fraction(q, den))
         return tuple(slopes)
 
     # -- printing -------------------------------------------------------
@@ -587,7 +662,7 @@ class ScalarFn:
         return "".join(parts) if parts else "0"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         pieces = []
         for (mono, trig, expv), q in self.terms.items():
@@ -618,28 +693,50 @@ class ScalarFn:
         return f"ScalarFn({self.chart.name}: {self})"
 
 
+def _scaled(num: dict[TermKey, int], r: int) -> Iterable[tuple[TermKey, int]]:
+    """The numerator items of ``num`` times the int ``r``."""
+    return num.items() if r == 1 else [(k, q * r) for k, q in num.items()]
+
+
 def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
     """The sum of ``pieces`` in one canonical pass.
 
     A piece is ``(c, f)`` for c*f or ``(c, f, g)`` for c*f*g, with c
-    rational and f, g on ``chart``.  The term items of every piece, the
-    raw product terms included, go into a single ``ScalarFn._make``; the
-    result equals the pairwise sum of the pieces, term order included,
-    since the canonical form is unique.
+    rational and f, g on ``chart``.  The numerator items of every piece,
+    the raw product terms included, go into a single ``ScalarFn._make``
+    over one running denominator, which grows to the lcm with a piece's
+    denominator (and the items so far are rescaled) only when that piece
+    brings a new one; the result equals the pairwise sum of the pieces,
+    term order included, since the canonical form is unique.
     """
-    items: list[tuple[TermKey, Rational]] = []
+    items: list[tuple[TermKey, int]] = []
+    den = 1
     for piece in pieces:
         c, f = piece[0], piece[1]
+        g = piece[2] if len(piece) == 3 else None
         for h in piece[1:]:
             if h.chart is not chart and h.chart != chart:
                 raise SymExprError(f"chart mismatch: {chart.name!r} vs {h.chart.name!r}")
-        if len(piece) == 3:
-            _product_items(items, f.terms.items(), piece[2].terms.items(), c)
-        elif c == 1:
-            items += f.terms.items()
+        if type(c) is int:
+            pden = f.den
         else:
-            items += [(k, c * q) for k, q in f.terms.items()]
-    return ScalarFn._make(chart, items)
+            c, pden = c.numerator, c.denominator * f.den
+        if g is not None:
+            trig2 = _has_trig(f.num) and _has_trig(g.num)
+            pden *= 2 * g.den if trig2 else g.den
+        if pden != den:
+            d = lcm(den, pden)
+            if d != den:
+                items = [(k, q * (d // den)) for k, q in items]
+                den = d
+            c *= den // pden
+        if g is not None:
+            _product_items(items, f.num.items(), g.num.items(), c, trig2)
+        elif c == 1:
+            items += f.num.items()
+        else:
+            items += [(k, c * q) for k, q in f.num.items()]
+    return ScalarFn._make(chart, items, den)
 
 
 def _linear_combination(

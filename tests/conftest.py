@@ -14,7 +14,19 @@ from algebroids.core import (
 )
 from algebroids import ratlinalg
 from algebroids.extensions import subalgebroid_from_vector_fields
-from algebroids.symexpr import Chart, ScalarFn, cos, exp, point_chart, sin
+from algebroids.symexpr import (
+    Chart,
+    ScalarFn,
+    _norm_trig,
+    _slope,
+    _term_sort_key,
+    _trig_product,
+    _vec_add,
+    cos,
+    exp,
+    point_chart,
+    sin,
+)
 
 
 def chart_r(n, name=None, periodic=()):
@@ -223,6 +235,121 @@ def product_basis(space):
                 arg = arg + chart.const(c) * chart.coord(name)
         exps.append(exp(arg))
     return [m * t * e for m in monos for t in trigs for e in exps]
+
+
+# -- a Fraction-based reference ring -------------------------------------------
+#
+# The ring as it was before `ScalarFn` stored int numerators over one
+# denominator: term maps {key: int or Fraction}, the one half of a trig
+# product applied to each trig x trig term as Fraction(1, 2).  A test
+# reference for the int kernels, which must give the same `terms`.
+
+_HALF = Fraction(1, 2)
+
+
+def reference_make(items):
+    """Merge raw term items: equal keys summed, zeros dropped, canonical
+    order, integral coefficients as int."""
+    terms = {}
+    for key, q in items:
+        if not q:
+            continue
+        acc = terms.get(key)
+        if acc is None:
+            terms[key] = q
+        else:
+            acc += q
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
+    keys = sorted(terms, key=_term_sort_key) if len(terms) > 1 else terms
+    return {k: _slope(terms[k]) for k in keys}
+
+
+def reference_product_items(items, f_items, g_items, c):
+    """Append the unmerged term items of c*f*g to ``items``."""
+    g_items = list(g_items)
+    for (m1, t1, e1), q1 in f_items:
+        for (m2, t2, e2), q2 in g_items:
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            expv = _vec_add(e1, e2)
+            q = c * q1 * q2
+            if t1 is None or t2 is None:
+                items.append(((mono, t1 or t2, expv), q))
+            else:
+                for sign, atom in _trig_product(t1, t2):
+                    items.append(((mono, atom, expv), sign * q * _HALF))
+
+
+def reference_derivative_items(terms, j):
+    items = []
+    for (mono, trig, expv), q in terms.items():
+        if mono[j] > 0:
+            m2 = tuple(e - 1 if i == j else e for i, e in enumerate(mono))
+            items.append(((m2, trig, expv), q * mono[j]))
+        if trig is not None and trig[1][j] != 0:
+            kind, c = trig
+            dq = q * c[j]
+            if kind == "sin":
+                mult, atom = _norm_trig("cos", c)
+            else:
+                mult, atom = _norm_trig("sin", c)
+                dq = -dq
+            items.append(((mono, atom, expv), dq * mult))
+        if expv[j] != 0:
+            items.append(((mono, trig, expv), q * expv[j]))
+    return items
+
+
+def reference_mul(f, g):
+    items = []
+    reference_product_items(items, f.items(), g.items(), 1)
+    return reference_make(items)
+
+
+def reference_lincomb(pieces):
+    """The term map of the sum of `lincomb` pieces (c, f) and (c, f, g)."""
+    items = []
+    for c, f, *g in pieces:
+        if g:
+            reference_product_items(items, f.terms.items(), g[0].terms.items(), c)
+        else:
+            items += [(k, c * q) for k, q in f.terms.items()]
+    return reference_make(items)
+
+
+def reference_unit_inverse(f):
+    ((mono, _, expv), q), = f.terms.items()
+    return reference_make([((mono, None, tuple(-d for d in expv)), Fraction(1, q))])
+
+
+def reference_substitute(f, source, images):
+    """The term map of f o images for linear images (sum c_j x_j each)."""
+    zero = (0,) * source.dim
+    slopes = []
+    for img in images:
+        vec = [0] * source.dim
+        for (mono, _, _), q in img.terms.items():
+            vec[mono.index(1)] = q
+        slopes.append(vec)
+
+    def pulled(vec):
+        return tuple(_slope(Fraction(sum(c * s[i] for c, s in zip(vec, slopes)))) for i in range(source.dim))
+
+    items = []
+    for (mono, trig, expv), q in f.terms.items():
+        part = {(zero, None, zero): q}
+        for j, e in enumerate(mono):
+            for _ in range(e):
+                part = reference_mul(part, images[j].terms)
+        if trig is not None:
+            mult, atom = _norm_trig(trig[0], pulled(trig[1]))
+            part = reference_mul(part, {(zero, atom, zero): mult})
+        if any(expv):
+            part = reference_mul(part, {(zero, None, pulled(expv)): 1})
+        items += part.items()
+    return reference_make(items)
 
 
 def count_sampling(monkeypatch, check, *args, **kwargs):

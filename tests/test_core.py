@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -157,6 +158,24 @@ class TestOperandCompat:
         g = so3()
         with pytest.raises(AlgebroidError, match="different algebroids"):
             coframe_form(g, 0) + frame_vector(g, 0)
+
+
+class TestRationalConstants:
+    """Form scales and Lie structure constants are ints or Fractions; a
+    float is refused instead of being read as a dyadic rational."""
+
+    def test_form_scale(self, R2):
+        alpha = coframe_form(tangent_algebroid(R2), 0)
+        assert alpha.scale(3) == one_form(alpha.algebroid, [R2.const(3), R2.zero()])
+        assert alpha.scale(Fraction(1, 10)) == one_form(alpha.algebroid, [R2.const(Fraction(1, 10)), R2.zero()])
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            alpha.scale(0.1)
+
+    def test_lie_algebra_structure_constants(self):
+        g = lie_algebra_presentation("g", ("a", "b"), {(0, 1): {1: Fraction(1, 2), 0: 3}})
+        assert g.c(0, 1, 1) == Fraction(1, 2) and g.c(0, 1, 0) == 3
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            lie_algebra_presentation("g", ("a", "b"), {(0, 1): {1: 0.5}})
 
 
 class TestSchouten:

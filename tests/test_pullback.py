@@ -191,6 +191,43 @@ class TestBuildPullback:
             build_pullback(pf)
 
 
+class TestValidateFrameWork:
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            lambda: product_submersion_frame(cylinder_algebroid(N), M3),
+            lambda: product_submersion_frame(tangent_algebroid(N), M3),
+            lambda: PullbackFrame(
+                cylinder_algebroid(N),
+                S1,
+                tuple(orbit_inclusion_basemap()),
+                [PullbackFramePair((S1.one(),), (S1.one(),))],
+            ),
+        ],
+    )
+    def test_constraint_matrix_built_once(self, monkeypatch, frame):
+        """`validate_frame` builds the constraint matrix once and shares it
+        with its admissibility check, whose items and notes it keeps."""
+        import algebroids.pullback as pullback
+
+        pf = frame()
+        builds = []
+        real = pullback._constraint_matrix
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pullback, "_constraint_matrix", counting)
+        rep = validate_frame(pf)
+        assert len(builds) == 1
+        monkeypatch.undo()
+        adm = check_admissible(pf.target, pf.source_chart, pf.basemap)
+        assert rep.passed and adm.passed
+        assert all(item in rep.items for item in adm.items)
+        assert all(note in rep.notes for note in adm.notes)
+
+
 class TestFactorize:
     def test_orbit_inclusion_factor_is_identity(self):
         b = cylinder_algebroid(N)

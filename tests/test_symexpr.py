@@ -1,7 +1,9 @@
 import math
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,15 @@ from algebroids.symexpr import (
     parse_expr,
     point_chart,
     sin,
+)
+
+from conftest import (
+    reference_derivative_items,
+    reference_lincomb,
+    reference_make,
+    reference_mul,
+    reference_substitute,
+    reference_unit_inverse,
 )
 
 R2 = Chart("R2", ("x", "y"))
@@ -417,6 +428,99 @@ class TestRingProperties:
         f = ScalarFn._make(chart, [(k_frac, Fraction(1)), (k_int, Fraction(2))])
         assert f == 3 * exp(2 * chart.coord("x"))
         assert ScalarFn._make(chart, [(k_frac, Fraction(1)), (k_int, Fraction(-1))]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# int numerators over one denominator, against the Fraction-based reference
+# ---------------------------------------------------------------------------
+
+
+def assert_primitive(f):
+    """``num`` holds ints over ``den >= 1`` with no common factor, and
+    ``den == 1`` exactly when every coefficient is integral."""
+    assert type(f.den) is int and f.den >= 1, f
+    assert all(type(q) is int for q in f.num.values()), f
+    assert gcd(f.den, *f.num.values()) == 1, f
+    assert (f.den == 1) == all(Fraction(q).denominator == 1 for q in f.terms.values()), f
+    assert list(f.terms) == list(f.num)
+
+
+class TestOneDenominator:
+    @settings(max_examples=100, deadline=None)
+    @given(chart_and_fns(2), st.data())
+    def test_operations_match_fraction_reference(self, cf, data):
+        chart, (f, g) = cf
+        cases = [
+            (f + g, reference_make([*f.terms.items(), *g.terms.items()])),
+            (f - g, reference_make([*f.terms.items(), *((k, -q) for k, q in g.terms.items())])),
+            (-f, reference_make([(k, -q) for k, q in f.terms.items()])),
+            (f * g, reference_mul(f.terms, g.terms)),
+        ]
+        for j, c in enumerate(chart.coords):
+            cases.append((f.partial(c), reference_make(reference_derivative_items(f.terms, j))))
+        source = data.draw(st.sampled_from(CHARTS))
+        images = [data.draw(linear_args(source)) for _ in chart.coords]
+        cases.append((f.substitute(source, images), reference_substitute(f, source, images)))
+        ps = data.draw(pieces(chart, 4))
+        cases.append((lincomb(chart, ps), reference_lincomb(ps)))
+        unit = chart.const(data.draw(COEFF.filter(bool))) * exp(data.draw(linear_args(chart)))
+        cases.append((unit.unit_inverse(), reference_unit_inverse(unit)))
+        for got, want in cases:
+            assert list(got.terms.items()) == list(want.items())
+            assert_primitive(got)
+            assert_coeff_form(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chart_and_fns(1))
+    def test_terms_view_is_the_numerators_over_den(self, cf):
+        _, (f,) = cf
+        assert_primitive(f)
+        assert f.terms == {k: Fraction(q, f.den) for k, q in f.num.items()}
+        assert (f.terms is f.num) == (f.den == 1)
+
+    def test_trig_product_doubles_the_denominator_once(self):
+        x = CHARTS[0].coord("x")
+        s = sin(x) * cos(x)  # sin(2x) / 2
+        assert (s.den, list(s.num.values())) == (2, [1])
+        assert s.terms == {((0,), ("sin", (2,)), (0,)): Fraction(1, 2)}
+        c = cos(x) * cos(x) + sin(x) * sin(x)
+        assert c == 1 and c.den == 1
+
+    def test_fractional_slope_scales_the_denominator(self):
+        chart = CHARTS[1]
+        x, y = chart.coord("x"), chart.coord("y")
+        f = exp(Fraction(1, 2) * x) * sin(Fraction(1, 3) * x + y)
+        d = f.partial("x")
+        assert d.den == 6
+        assert_primitive(d)
+        assert d == Fraction(1, 2) * f + Fraction(1, 3) * exp(Fraction(1, 2) * x) * cos(Fraction(1, 3) * x + y)
+        assert f.partial("y").den == 1
+
+    def test_equality_reads_den(self):
+        x = CHARTS[0].coord("x")
+        assert Fraction(1, 2) * x != x
+        assert Fraction(1, 2) * x == x * Fraction(2, 4)
+        assert (Fraction(1, 2) * x * 2).den == 1
+
+
+class TestRationalConstants:
+    """A constant is an int or a Fraction; a float is refused instead of
+    being read as the nearest dyadic rational."""
+
+    def test_const_accepts_int_and_fraction(self):
+        chart = CHARTS[0]
+        assert chart.const(3).terms == {((0,), None, (0,)): 3}
+        assert chart.const(Fraction(1, 10)).terms == {((0,), None, (0,)): Fraction(1, 10)}
+        assert chart.const(Fraction(4, 2)).num == {((0,), None, (0,)): 2}
+        assert chart.const(0).is_zero() and chart.const(Fraction(0)).den == 1
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, np.float64(0.5), "1", None])
+    def test_const_rejects_other_types(self, bad):
+        chart = CHARTS[0]
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            chart.const(bad)
+        with pytest.raises(TypeError):
+            chart.coord("x") * bad
 
 
 # ---------------------------------------------------------------------------
