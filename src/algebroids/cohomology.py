@@ -24,18 +24,15 @@ keys times the terms of the anchor, merged once per frame index.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
-from .ratlinalg import FactoredSystem, rat_solve
+from .ratlinalg import FactoredSystem, rat_solve, sample_points
 from .report import CheckReport
 from .symexpr import (
     Chart,
@@ -364,21 +361,13 @@ def period_certificate(
     mean = ScalarFn._make(chart, mean_terms, pairing.den)
     if mean.is_zero():
         return Inconclusive("constant Fourier mode vanishes")
-    if samples < 1:
-        raise ValueError(f"the period certificate needs at least one sample, got samples={samples}")
-    rng = random.Random(seed)
-    pts = [
-        tuple(
-            Fraction(0) if k == j else Fraction(rng.randint(-60, 60), rng.randint(1, 13))
-            for k in range(chart.dim)
-        )
-        for _ in range(samples)
-    ]
-    values = mean.evaluate(pts)
+    # the mean does not depend on the circle coordinate: draw the others, put 0 there
+    pts = [(*p[:j], Fraction(0), *p[j:]) for p in sample_points(chart.dim - 1, seed, samples, 60, 13)]
+    values = mean.evaluate(pts).tolist()
     # the first largest |value|, a nan sample counting as 0
-    sizes = np.fmax(np.abs(values), 0.0)
-    best = int(np.argmax(sizes))
-    return NonExactCertificate(coord, tuple(combo), mean, pts[best], float(values[best]))
+    sizes = [abs(v) if v == v else 0.0 for v in values]
+    best = sizes.index(max(sizes))
+    return NonExactCertificate(coord, tuple(combo), mean, pts[best], values[best])
 
 
 def classify(

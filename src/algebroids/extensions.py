@@ -19,7 +19,6 @@ their matrices from one re-expansion of the brackets [x, y_s] as well.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,7 +48,7 @@ from .morphisms import (
     pullback_form,
     relative_modular,
 )
-from .ratlinalg import FrameSolveFailure, bracket_structure, sampled_ranks, unit_pivot_solve
+from .ratlinalg import FrameSolveFailure, bracket_structure, sample_points, sampled_ranks, unit_pivot_solve
 from .report import CheckReport
 from .reps import (
     LineSection,
@@ -59,7 +58,7 @@ from .reps import (
     check_flat,
     modular_cocycle,
 )
-from .symexpr import ScalarFn
+from .symexpr import ScalarFn, lincomb
 
 
 class ExtensionError(Exception):
@@ -116,12 +115,8 @@ def check_extension(ext: ExtensionPresentation, seed: int = 0, samples: int = 50
         "projection kills the kernel",
         all(f.is_zero() for row in comp.fiber for f in row),
     )
-    rng = random.Random(seed)
     chart = a.chart
-    pts = [
-        [Fraction(rng.randint(-50, 50), rng.randint(1, 11)) for _ in chart.coords]
-        for _ in range(samples)
-    ]
+    pts = sample_points(chart.dim, seed, samples, 50, 11)
     inj_ok = not c.rank or all(r == c.rank for r in sampled_ranks(ext.incl.fiber, pts))
     surj_ok = not b.rank or all(r == b.rank for r in sampled_ranks(ext.proj.fiber, pts))
     rep.add("kernel map pointwise injective", inj_ok, f"sampled at {samples} points")
@@ -181,10 +176,7 @@ def adjoint_rep(ext: ExtensionPresentation) -> Representation:
 
 
 def _trace(mat: Sequence[Sequence[ScalarFn]], chart) -> ScalarFn:
-    out = chart.zero()
-    for s in range(len(mat)):
-        out = out + mat[s][s]
-    return out
+    return lincomb(chart, [(1, mat[s][s]) for s in range(len(mat))])
 
 
 def top_rep(ext: ExtensionPresentation, adj: Optional[Representation] = None) -> Representation:
@@ -199,11 +191,12 @@ def top_rep(ext: ExtensionPresentation, adj: Optional[Representation] = None) ->
     traces = [_trace(adj.mats[j], chart) for j in range(a.rank)]
     lam = ext.lam.coefficient
     for s in range(ext.kernel.rank):
-        res = chart.zero()
+        pieces = []
         for u in range(a.rank):
             iu = ext.incl.fiber[u][s]
             if not iu.is_zero():
-                res = res + iu * (a.rho_apply(u, lam) + lam * traces[u])
+                pieces += [(1, iu, a.rho_apply(u, lam)), (1, iu, lam * traces[u])]
+        res = lincomb(chart, pieces)
         if not res.is_zero():
             raise UnimodularityFailure(
                 f"action along kernel direction {ext.kernel.frame[s]} does not "
@@ -245,9 +238,7 @@ def induced_rep(
     else:
         for t in range(b.rank):
             for t2 in range(b.rank):
-                val = chart.zero()
-                for u in range(a.rank):
-                    val = val + ext.proj.fiber[t][u] * lifts[u][t2]
+                val = lincomb(chart, [(1, ext.proj.fiber[t][u], lifts[u][t2]) for u in range(a.rank)])
                 want = chart.one() if t == t2 else chart.zero()
                 if val != want:
                     raise LiftSolveFailure(
@@ -257,15 +248,13 @@ def induced_rep(
     lam_inv = lam.unit_inverse()
     coeffs = []
     for t in range(b.rank):
-        eta = chart.zero()
+        # coefficient on the top-kernel frame rather than on lam itself
+        pieces = [(-1, b.rho_apply(t, lam), lam_inv)]
         for u in range(a.rank):
             lu = lifts[u][t]
             if not lu.is_zero():
-                eta = eta + lu * (
-                    topk.mats[u][0][0] + a.rho_apply(u, lam) * lam_inv
-                )
-        # coefficient on the top-kernel frame rather than on lam itself
-        coeffs.append(eta - b.rho_apply(t, lam) * lam_inv)
+                pieces += [(1, lu, topk.mats[u][0][0]), (1, lu, a.rho_apply(u, lam) * lam_inv)]
+        coeffs.append(lincomb(chart, pieces))
     d = Representation(b, ("K",), [[[c]] for c in coeffs], "D^{B,K}")
     flat = check_flat(d)
     if not flat.passed:
@@ -602,8 +591,7 @@ def verify_regular_poisson(
     chart = kit.cotangent.chart
     apres, bpres, sharp, sharp_b = kit.cotangent, kit.image, kit.sharp, kit.sharp_b
     mod_sharp, eta_k, pulled = kit.mod_sharp, kit.eta_k, kit.half
-    rng = random.Random(seed)
-    pts = [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in chart.coords] for _ in range(50)]
+    pts = sample_points(chart.dim, seed, 50, 40, 9)
     ranks = set(sampled_ranks(sharp.fiber, pts))
     rep.add(
         "constant rank (sampled)",

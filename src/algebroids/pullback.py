@@ -10,24 +10,27 @@ orbit inclusions.  The structure functions are the fiber-product brackets
 of the pairs re-expanded in the frame by `ratlinalg.bracket_structure`,
 the routine behind the subalgebroid and Poisson-kernel presentations too.
 
-Rank verdicts for admissibility and transversality are probabilistic
-(random-point sampling) with an exact upgrade when minors certify the rank
-symbolically; reports always disclose which method decided.  The exact
-side is one `ratlinalg.rank_certificate` per matrix: the generic rank R by
-bordering minors and a unit R-minor, if any, which makes R the rank at
-every point.  Without a unit minor, transversality still fails exactly
-when R is below the target dimension.  The certificate goes into
-``rep.data["minors"]``, which reports do not print.  A sampled
-check draws all its points first and ranks the matrix at every point in
-one batch (`ratlinalg.sampled_ranks`): each non-zero entry is evaluated
-once over all the points, and the stack is ranked by one `float_rank` call.
+Admissibility and transversality are rank statements about one matrix,
+the base-map matrix [-Jacobian(phi) | rho_B o phi] with a row per target
+coordinate (`_constraint_matrix`): the pull-back exists where the kernel
+of (v, a) -> rho(a) - dphi(v) has constant rank, and phi is transverse
+where that map is onto.  The frame validation pairs the same rows with
+its pairs.  Rank verdicts are probabilistic (random-point sampling) with
+an exact upgrade when minors certify the rank symbolically; reports always
+disclose which method decided.  The exact side is one
+`ratlinalg.rank_certificate` per check: the generic rank R by bordering
+minors and a unit R-minor, if any, which makes R the rank at every point.
+Without a unit minor, transversality still fails exactly when R is below
+the target dimension.  The certificate goes into ``rep.data["minors"]``,
+which reports do not print.  A sampled check draws all its points first
+(`ratlinalg.sample_points`) and ranks the matrix at every point in one
+batch (`ratlinalg.sampled_ranks`): each non-zero entry is evaluated once
+over all the points, and the stack is ranked by one `float_rank` call.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
@@ -41,7 +44,7 @@ from .core import (
     vector_field_bracket,
 )
 from .morphisms import Morphism, base_preserving_morphism, check_morphism, compose, pullback_form
-from .ratlinalg import bracket_structure, rank_certificate, sampled_ranks, unit_pivot_solve
+from .ratlinalg import bracket_structure, rank_certificate, sample_points, sampled_ranks, unit_pivot_solve
 from .report import CheckReport
 from .reps import modular_cocycle
 from .symexpr import Chart, ScalarFn, lincomb
@@ -73,48 +76,21 @@ class PullbackFrame:
     names: Optional[tuple[str, ...]] = None
 
 
+# the box of the sampled rank checks: numerators up to 60, denominators up to 13
+_BOX = (60, 13)
+
+
 def _constraint_matrix(
     b: AlgebroidPresentation, source_chart: Chart, basemap: Sequence[ScalarFn]
 ) -> list[list[ScalarFn]]:
-    """Rows per target coordinate of [rho_B o phi | -Jacobian(phi)]."""
-    rows = []
-    for j in range(b.chart.dim):
-        row = [
-            b.anchor[t][j].substitute(source_chart, list(basemap))
-            for t in range(b.rank)
-        ]
-        row += [-basemap[j].partial(c) for c in source_chart.coords]
-        rows.append(row)
-    return rows
-
-
-def _transversality_matrix(
-    b: AlgebroidPresentation, source_chart: Chart, basemap: Sequence[ScalarFn]
-) -> list[list[ScalarFn]]:
-    rows = []
-    for j in range(b.chart.dim):
-        row = [basemap[j].partial(c) for c in source_chart.coords]
-        row += [
-            b.anchor[t][j].substitute(source_chart, list(basemap))
-            for t in range(b.rank)
-        ]
-        rows.append(row)
-    return rows
-
-
-def _sample_points(chart: Chart, rng: random.Random, count: int):
-    pts = []
-    for _ in range(count):
-        pts.append(
-            [Fraction(rng.randint(-60, 60), rng.randint(1, 13)) for _ in chart.coords]
-        )
-    return pts
-
-
-def _sampled_ranks(
-    rows: list[list[ScalarFn]], chart: Chart, seed: int, samples: int
-) -> list[int]:
-    return sampled_ranks(rows, _sample_points(chart, random.Random(seed), samples))
+    """The base-map matrix [-Jacobian(phi) | rho_B o phi], one row per
+    target coordinate: row j applied to (v, a) is rho(a)_j - dphi(v)_j."""
+    images = list(basemap)
+    return [
+        [-basemap[j].partial(c) for c in source_chart.coords]
+        + [b.anchor[t][j].substitute(source_chart, images) for t in range(b.rank)]
+        for j in range(b.chart.dim)
+    ]
 
 
 def check_admissible(
@@ -142,7 +118,7 @@ def _admissibility(
         rep.data["rank"] = rank
         rep.data["method"] = "exact"
         return rep
-    ranks = _sampled_ranks(rows, source_chart, seed, samples)
+    ranks = sampled_ranks(rows, sample_points(source_chart.dim, seed, samples, *_BOX))
     lo, hi = total - max(ranks), total - min(ranks)
     ok = lo == hi
     rep.add(
@@ -170,7 +146,7 @@ def check_transverse(
         rep.add("target tangent space spanned", True, "zero-dimensional target")
         rep.data["method"] = "exact"
         return rep
-    rows = _transversality_matrix(b, source_chart, basemap)
+    rows = _constraint_matrix(b, source_chart, basemap)
     cert = rep.data["minors"] = rank_certificate(rows)
     if cert.unit is not None:
         rep.add(
@@ -188,7 +164,7 @@ def check_transverse(
         rep.note("method: exact minor certificate")
         rep.data["method"] = "exact"
         return rep
-    ranks = _sampled_ranks(rows, source_chart, seed, samples)
+    ranks = sampled_ranks(rows, sample_points(source_chart.dim, seed, samples, *_BOX))
     ok = min(ranks) == n
     rep.add(
         "target tangent space spanned",
@@ -251,14 +227,14 @@ def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> Check
     # the residual of a pair on coordinate j is row j applied to the pair
     constraint = _constraint_matrix(b, chart, pf.basemap)
     for idx, pair in enumerate(pf.pairs):
-        vec = [*pair.bcoeffs, *pair.vf]
+        vec = [*pair.vf, *pair.bcoeffs]
         for coord, row in zip(b.chart.coords, constraint):
             rep.residual(
                 f"pair {idx}: anchor constraint on {coord}",
                 lincomb(chart, [(1, f, g) for f, g in zip(row, vec) if not g.is_zero()]),
             )
     rows = [list(p.bcoeffs) + list(p.vf) for p in pf.pairs]
-    ranks = _sampled_ranks(rows, chart, seed, samples) if rows else []
+    ranks = sampled_ranks(rows, sample_points(chart.dim, seed, samples, *_BOX)) if rows else []
     indep = bool(ranks) and min(ranks) == len(pf.pairs)
     if pf.pairs:
         rep.add(

@@ -22,15 +22,20 @@
   generic rank R from the borders of a single non-zero minor (Kronecker's
   bordering-minor theorem), then a search for a unit minor at size R only,
   which certifies rank R at every point.
-* `float_rank` estimates rank numerically with numpy, of one matrix or of a
-  whole stack in one call, and `sampled_ranks` evaluates a ScalarFn matrix
-  entry by entry over a batch of sample points and ranks the stack: the
-  one path of the probabilistic admissibility, transversality, injectivity,
-  surjectivity and constant-rank checks.
+* `sample_points` is the one seeded sampler: every sampled check (the
+  rank checks below, the period witness of `cohomology`, the spot check of
+  an asserted-nonvanishing `LineSection`) draws its exact rational points
+  from it, each site in its own box, and it alone refuses to sample no
+  points.  `float_rank` estimates rank numerically with numpy, of one
+  matrix or of a whole stack in one call, and `sampled_ranks` evaluates a
+  ScalarFn matrix entry by entry over a batch of sample points and ranks
+  the stack: the one path of the probabilistic admissibility,
+  transversality, injectivity, surjectivity and constant-rank checks.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -414,6 +419,17 @@ def float_rank(
     return np.linalg.matrix_rank(arr, tol=tol).tolist()
 
 
+def sample_points(dim: int, seed: int, count: int, bound: int, den: int) -> list[list[Fraction]]:
+    """``count`` seeded random points of ``dim`` coordinates, each coordinate
+    p/q with p in [-bound, bound] and q in [1, den], drawn in that order,
+    point by point: the one sampler of every sampled check.  A check needs
+    evidence, so a ``count`` below 1 is an error."""
+    if count < 1:
+        raise ValueError(f"sampling needs at least one sample point, got {count}")
+    rng = random.Random(seed)
+    return [[Fraction(rng.randint(-bound, bound), rng.randint(1, den)) for _ in range(dim)] for _ in range(count)]
+
+
 def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[int]:
     """Numeric rank of the ScalarFn matrix ``rows`` at each of ``points``.
 
@@ -421,8 +437,6 @@ def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[
     zero entries stay 0, and the ``(count, m, n)`` stack is ranked by one
     `float_rank` call.
     """
-    if len(points) < 1:
-        raise ValueError("rank sampling needs at least one sample point")
     pts = np.asarray(points, dtype=float)
     stack = np.zeros((len(pts), len(rows), len(rows[0]) if rows else 0))
     for i, row in enumerate(rows):

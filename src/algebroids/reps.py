@@ -12,7 +12,6 @@ modular cocycle of a presentation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     top_multivector,
     _vf_pieces,
 )
+from .ratlinalg import sample_points
 from .report import CheckReport
 from .symexpr import NotAUnit, ScalarFn, lincomb
 
@@ -116,16 +116,7 @@ class LineSection:
                 f"line-section coefficient {coefficient} is not a unit; "
                 "pass assert_nonvanishing=True to spot-check instead"
             )
-        if samples < 1:
-            raise ValueError(f"the spot check needs at least one sample, got samples={samples}")
-        import random
-
-        rng = random.Random(seed)
-        chart = coefficient.chart
-        pts = [
-            [Fraction(rng.randint(-200, 200), rng.randint(1, 40)) for _ in chart.coords]
-            for _ in range(samples)
-        ]
+        pts = sample_points(coefficient.chart.dim, seed, samples, 200, 40)
         values = coefficient.evaluate(pts).tolist()
         if any(abs(v) < 1e-9 for v in values):
             raise NotAUnit(

@@ -372,6 +372,30 @@ def count_sampling(monkeypatch, check, *args, **kwargs):
     return rep, counts
 
 
+def reference_points(chart, seed, count, bound, den):
+    """The points a sampled check draws, written out: a fresh
+    ``random.Random(seed)``, then per point and per coordinate a numerator
+    in [-bound, bound] and a denominator in [1, den]."""
+    rng = random.Random(seed)
+    return [[Fraction(rng.randint(-bound, bound), rng.randint(1, den)) for _ in chart.coords] for _ in range(count)]
+
+
+def capture_sampled_points(monkeypatch, module, check, *args, **kwargs):
+    """Run one check and return the point batches it hands to the
+    `sampled_ranks` bound in ``module``, in call order."""
+    batches = []
+    real = module.sampled_ranks
+
+    def capturing(rows, points):
+        batches.append([list(p) for p in points])
+        return real(rows, points)
+
+    monkeypatch.setattr(module, "sampled_ranks", capturing)
+    check(*args, **kwargs)
+    monkeypatch.undo()
+    return batches
+
+
 # -- hypothesis strategies shared by the calculus and ansatz tests -------------
 
 

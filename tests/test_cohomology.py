@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,6 +298,17 @@ class TestPeriodCertificate:
         # a constant mean ties at every sample: the first one is the witness
         cert = period_certificate(one_form(tc, [CYLC.const(-1), CYLC.zero()]), combo, "theta", seed=5)
         assert cert.witness_point == pts[0] and cert.witness_value == -1.0
+
+    def test_witness_skips_nan_samples(self, monkeypatch):
+        # an overflowing sample can read nan; it counts as 0, not as largest
+        tc = tangent_algebroid(CYLC)
+        combo = find_circle_section(tc, "theta")
+        monkeypatch.setattr(ScalarFn, "evaluate", lambda self, pts: np.array([np.nan, 2.0, -3.0, 3.0]))
+        cert = period_certificate(one_form(tc, [CYLC.coord("x"), CYLC.zero()]), combo, "theta", seed=5, samples=4)
+        rng = random.Random(5)
+        pts = [(Fraction(0), Fraction(rng.randint(-60, 60), rng.randint(1, 13))) for _ in range(4)]
+        assert cert.witness_point == pts[2]
+        assert cert.witness_value == -3.0 and type(cert.witness_value) is float
 
     def test_tiny_exact_mean_is_a_certificate(self):
         # the exact mean decides, however small its sampled values

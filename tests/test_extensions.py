@@ -35,7 +35,7 @@ from algebroids.ratlinalg import FrameSolveFailure
 from algebroids.reps import LineSection, char_cocycle, check_flat
 from algebroids.symexpr import Chart, exp, sin
 
-from conftest import count_sampling
+from conftest import capture_sampled_points, count_sampling, reference_points
 
 
 R1 = Chart("R1", ("x",))
@@ -133,6 +133,13 @@ class TestExtensionData:
         assert counts["evaluate"] <= sum(not f.is_zero() for f in entries)
         assert counts["float_rank"] == 2
 
+    def test_draws_the_pinned_points(self, monkeypatch):
+        import algebroids.extensions as extensions
+
+        ext = so3_kernel_extension()
+        batches = capture_sampled_points(monkeypatch, extensions, check_extension, ext, seed=3, samples=40)
+        assert batches == [reference_points(ext.chart, 3, 40, 50, 11)] * 2
+
     def test_abelian_extension_validates(self):
         ext = abelian_kernel_extension()
         assert check_axioms(ext.total).passed
@@ -199,6 +206,14 @@ class TestInducedRep:
         x, y = R2.coord("x"), R2.coord("y")
         eta = char_cocycle(d, ext.lam)
         assert eta == one_form(ext.quotient, [y, x])
+
+    def test_section_independence(self):
+        # the rho_B(lam)/lam term cancels what the lifted anchors add, so a
+        # non-constant unit section descends to the same representation
+        ext = abelian_kernel_extension()
+        base = induced_rep(ext)
+        ext.lam = LineSection(3 * exp(R2.coord("x") - R2.coord("y")))
+        assert induced_rep(ext).mats == base.mats
 
     def test_lift_independence(self):
         ext = abelian_kernel_extension()
@@ -406,6 +421,30 @@ class TestRegularPoisson:
         assert rep.passed
         assert rep.data["mod_sharp"].is_zero()
         assert rep.data["eta_k"].is_zero()
+
+    def test_draws_the_pinned_points(self, monkeypatch):
+        # its own constant-rank batch, then the two of its extension check
+        import algebroids.extensions as extensions
+
+        tm = tangent_algebroid(R3)
+        z = R3.coord("z")
+        pi = Multivector(tm, 2, {(0, 1): exp(z)})
+        one, zero = R3.one(), R3.zero()
+        kit = poisson_kit(
+            pi,
+            image_columns=[[one, zero], [zero, one], [zero, zero]],
+            kernel_columns=[[zero], [zero], [one]],
+        )
+        batches = capture_sampled_points(
+            monkeypatch,
+            extensions,
+            verify_regular_poisson,
+            kit,
+            complement_columns=[[zero], [zero], [one]],
+            ansatz=AnsatzSpace(R3, degree=1),
+            seed=2,
+        )
+        assert batches == [reference_points(R3, 2, 50, 40, 9)] + [reference_points(R3, 2, 50, 50, 11)] * 2
 
     def test_exponential_symplectic_leaves(self):
         tm = tangent_algebroid(R3)

@@ -4,6 +4,8 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids.core import (
     AlgebroidPresentation,
@@ -24,9 +26,8 @@ from algebroids.pullback import (
     BuiltPullback,
     PullbackFrame,
     PullbackFramePair,
+    _BOX,
     _constraint_matrix,
-    _sampled_ranks,
-    _transversality_matrix,
     build_pullback,
     check_admissible,
     check_transverse,
@@ -35,11 +36,19 @@ from algebroids.pullback import (
     validate_frame,
     verify_submersion_vanishing,
 )
-from algebroids.ratlinalg import float_rank, scalar_det
+from algebroids.ratlinalg import float_rank, rank_certificate, sample_points, sampled_ranks, scalar_det
 from algebroids.reps import canonical_sections
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, parse_expr, sin
 
-from conftest import aff1, check_rank_certificate, count_sampling, cylinder_algebroid, so3
+from conftest import (
+    aff1,
+    capture_sampled_points,
+    check_rank_certificate,
+    count_sampling,
+    cylinder_algebroid,
+    reference_points,
+    so3,
+)
 
 
 S1 = Chart("S1", ("theta",), (True,))
@@ -343,25 +352,25 @@ class TestSamplingDefects:
     def test_no_spurious_rank_drop(self):
         # no exact certificate decides these rows, so sampling does
         r2, rows = _scaled_rows(20)
-        assert _sampled_ranks(rows, r2, 0, 50) == [2] * 50
+        assert sampled_ranks(rows, sample_points(r2.dim, 0, 50, *_BOX)) == [2] * 50
 
     @pytest.mark.xfail(
         strict=True, raises=OverflowError, reason="float evaluation overflows on exp(100*x)"
     )
     def test_no_overflow(self):
         r2, rows = _scaled_rows(100)
-        _sampled_ranks(rows, r2, 0, 50)
+        sampled_ranks(rows, sample_points(r2.dim, 0, 50, *_BOX))
 
 
 def _planted_rank_input(n, q, r, k, smooth):
     """Base map z -> (z_0..z_{q-1}, 0..0) into R^n and an anchor of r
     sections whose normal block (rows q..n-1) is L * diag(d_1..d_k) * R,
     with L and R unit triangular, so it has rank k everywhere.  The
-    transversality matrix is n x (q + r) of rank q + k, the constraint
-    matrix n x (r + q).  Smooth diagonal entries (s + 1) * (z^2 + 1) are
-    nowhere zero but not units, so no minor of the planted size certifies
-    the rank; they carry no exp factor, which keeps the sampled ranks clear
-    of the scale defects pinned in TestSamplingDefects."""
+    base-map matrix is n x (q + r) of rank q + k.  Smooth diagonal entries
+    (s + 1) * (z^2 + 1) are nowhere zero but not units, so no minor of the
+    planted size certifies the rank; they carry no exp factor, which keeps
+    the sampled ranks clear of the scale defects pinned in
+    TestSamplingDefects."""
     src = Chart("S", tuple(f"z{j}" for j in range(q)))
     tgt = Chart("Y", tuple(f"y{j}" for j in range(n)))
     z = src.coord("z0")
@@ -457,10 +466,10 @@ class TestRankCertificate:
     @pytest.mark.parametrize("planted", CERTIFIED)
     def test_reports_carry_the_certificate_of_their_matrix(self, planted):
         args = _planted_rank_input(*planted)
-        for check, matrix in [(check_admissible, _constraint_matrix), (check_transverse, _transversality_matrix)]:
+        for check in (check_admissible, check_transverse):
             rep = check(*args)
             cert = rep.data["minors"]
-            check_rank_certificate(matrix(*args), cert)
+            check_rank_certificate(_constraint_matrix(*args), cert)
             negative = check is check_transverse and cert.rank < planted[0]
             assert (rep.data["method"] == "exact") == (cert.unit is not None or negative)
 
@@ -468,7 +477,7 @@ class TestRankCertificate:
     def test_negative_transversality_iff_every_maximal_minor_vanishes(self, planted):
         args = _planted_rank_input(*planted)
         n = planted[0]
-        rows = _transversality_matrix(*args)
+        rows = _constraint_matrix(*args)
         memo: dict = {}
         all_zero = all(
             scalar_det(rows, tuple(range(n)), csel, memo).is_zero()
@@ -482,12 +491,62 @@ class TestRankCertificate:
 
     def test_orbit_inclusion(self):
         b = cylinder_algebroid(N)
-        rows = _transversality_matrix(b, S1, orbit_inclusion_basemap())
+        rows = _constraint_matrix(b, S1, orbit_inclusion_basemap())
         rep = check_transverse(b, S1, orbit_inclusion_basemap())
         assert rep.data["minors"] == (1, ((0,), (0,)), ((0,), (0,)))
         check_rank_certificate(rows, rep.data["minors"])
         rep = check_admissible(b, S1, orbit_inclusion_basemap())
-        check_rank_certificate(_constraint_matrix(b, S1, orbit_inclusion_basemap()), rep.data["minors"])
+        check_rank_certificate(rows, rep.data["minors"])
+
+
+def _reference_transversality_matrix(b, source_chart, basemap):
+    """The base-map matrix in the column layout [Jacobian(phi) | rho_B o phi]."""
+    images = list(basemap)
+    return [
+        [basemap[j].partial(c) for c in source_chart.coords]
+        + [b.anchor[t][j].substitute(source_chart, images) for t in range(b.rank)]
+        for j in range(b.chart.dim)
+    ]
+
+
+def _reference_constraint_matrix(b, source_chart, basemap):
+    """The base-map matrix in the column layout [rho_B o phi | -Jacobian(phi)]."""
+    images = list(basemap)
+    return [
+        [b.anchor[t][j].substitute(source_chart, images) for t in range(b.rank)]
+        + [-basemap[j].partial(c) for c in source_chart.coords]
+        for j in range(b.chart.dim)
+    ]
+
+
+@st.composite
+def planted_inputs(draw):
+    """(n, q, r, k, smooth) for `_planted_rank_input`, up to 5 x 9."""
+    n = draw(st.integers(2, 5))
+    q = draw(st.integers(1, n - 1))
+    r = draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(n - q, r)))
+    return n, q, r, k, draw(st.booleans())
+
+
+class TestMatrixLayout:
+    """Negating or permuting the columns of the base-map matrix changes
+    neither its rank nor whether a unit minor exists, so both checks read
+    one layout."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(planted_inputs())
+    def test_other_layouts_certify_alike(self, planted):
+        args = _planted_rank_input(*planted)
+        cert = rank_certificate(_constraint_matrix(*args))
+        assert cert.rank == planted[1] + planted[3]
+        for layout in (_reference_transversality_matrix, _reference_constraint_matrix):
+            other = rank_certificate(layout(*args))
+            assert other.rank == cert.rank
+            assert (other.unit is None) == (cert.unit is None)
+        rep = check_transverse(*args)
+        assert rep.data["minors"] == cert
+        check_rank_certificate(_constraint_matrix(*args), rep.data["minors"])
 
 
 # planted inputs sampled by the rank checks: (n, q, r, k, smooth)
@@ -510,9 +569,22 @@ class TestBatchedSampling:
     def test_sampled_ranks_match_point_by_point(self, planted):
         args = _planted_rank_input(*planted)
         src = args[1]
-        for rows in (_constraint_matrix(*args), _transversality_matrix(*args)):
-            for seed in (0, 7):
-                assert _sampled_ranks(rows, src, seed, 50) == _reference_sampled_ranks(rows, src, seed, 50)
+        rows = _constraint_matrix(*args)
+        for seed in (0, 7):
+            assert sampled_ranks(rows, sample_points(src.dim, seed, 50, *_BOX)) == _reference_sampled_ranks(
+                rows, src, seed, 50
+            )
+
+    def test_checks_draw_the_pinned_points(self, monkeypatch):
+        import algebroids.pullback as pullback
+
+        args = _planted_rank_input(5, 2, 5, 3, smooth=True)  # decided by sampling
+        want = reference_points(args[1], 4, 30, 60, 13)
+        for check in (check_admissible, check_transverse):
+            assert capture_sampled_points(monkeypatch, pullback, check, *args, seed=4, samples=30) == [want]
+        pf = product_submersion_frame(cylinder_algebroid(N), M3)
+        batches = capture_sampled_points(monkeypatch, pullback, validate_frame, pf, seed=4, samples=30)
+        assert batches and all(batch == reference_points(M3, 4, 30, 60, 13) for batch in batches)
 
     @pytest.mark.parametrize("check", [check_admissible, check_transverse])
     def test_no_samples_is_rejected(self, check):
@@ -529,8 +601,8 @@ class TestSampleWork:
     @pytest.mark.parametrize("samples", [50, 200])
     def test_admissible_and_transverse(self, monkeypatch, samples):
         args = _planted_rank_input(5, 2, 5, 3, smooth=True)
-        for check, matrix in [(check_admissible, _constraint_matrix), (check_transverse, _transversality_matrix)]:
-            rows = matrix(*args)
+        rows = _constraint_matrix(*args)
+        for check in (check_admissible, check_transverse):
             rep, counts = count_sampling(monkeypatch, check, *args, samples=samples)
             assert rep.passed and rep.data["method"] == "sampled"
             assert counts["evaluate"] <= sum(not f.is_zero() for row in rows for f in row)

@@ -22,12 +22,13 @@ from algebroids.ratlinalg import (
     float_rank,
     rank_certificate,
     rat_solve,
+    sample_points,
     sampled_ranks,
     scalar_det,
 )
 from algebroids.symexpr import Chart, cos, exp, sin
 
-from conftest import check_rank_certificate, rat_nullspace, reference_det
+from conftest import check_rank_certificate, chart_r, rat_nullspace, reference_det, reference_points
 
 
 def reference_rref(a: list[list[Fraction]], n: int):
@@ -442,7 +443,7 @@ def test_rank_certificate_of_zero_and_empty_matrices():
     check_rank_certificate(zero, rank_certificate(zero))
 
 
-# -- float_rank and sampled_ranks -------------------------------------------
+# -- sample_points, float_rank and sampled_ranks ---------------------------
 
 
 @st.composite
@@ -474,10 +475,22 @@ def test_float_rank_of_zero_size_inputs():
     assert float_rank(np.zeros((0, 2, 2))) == []
 
 
-def test_sampled_ranks_stack_and_reject_no_points():
+def test_sampled_ranks_stack():
     rows = [[_X, R2.zero()], [_X * _Y, _Y]]  # singular where x or y is 0
     points = [[1, 2], [0, 5], [3, 0], [Fraction(1, 3), Fraction(-2, 7)]]
     assert sampled_ranks(rows, points) == [2, 1, 1, 2]
     assert sampled_ranks([[R2.zero()]], points) == [0] * 4
-    with pytest.raises(ValueError, match="at least one sample point"):
-        sampled_ranks(rows, [])
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3])
+def test_sample_points_draw_point_by_point(dim):
+    for seed, count, bound, den in [(0, 1, 60, 13), (5, 20, 50, 11), (9, 7, 200, 40)]:
+        pts = sample_points(dim, seed, count, bound, den)
+        assert pts == reference_points(chart_r(dim), seed, count, bound, den)
+        assert all(type(x) is Fraction for p in pts for x in p)
+
+
+def test_sample_points_reject_no_points():
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            sample_points(2, 0, count, 60, 13)

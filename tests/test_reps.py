@@ -27,9 +27,9 @@ from algebroids.reps import (
     tensor_rep,
     trivial_rep,
 )
-from algebroids.symexpr import Chart, NotAUnit, exp, sin
+from algebroids.symexpr import Chart, NotAUnit, ScalarFn, exp, sin
 
-from conftest import aff1, cylinder_algebroid, random_lie_algebra, so3
+from conftest import aff1, cylinder_algebroid, random_lie_algebra, reference_points, so3
 
 
 def adjoint_matrices(g):
@@ -214,6 +214,18 @@ class TestCharCocycle:
         assert s.evidence.startswith("sampled")
         with pytest.raises(NotAUnit):
             LineSection(R2.coord("x"), assert_nonvanishing=True, seed=3)
+
+    def test_spot_check_draws_the_pinned_points(self, R2, monkeypatch):
+        drawn = []
+        evaluate = ScalarFn.evaluate
+
+        def capturing(self, points):
+            drawn.append([list(p) for p in points])
+            return evaluate(self, points)
+
+        monkeypatch.setattr(ScalarFn, "evaluate", capturing)
+        LineSection(R2.coord("x") ** 2 + 1, assert_nonvanishing=True, seed=3, samples=60)
+        assert drawn == [reference_points(R2, 3, 60, 200, 40)]
 
     def test_spot_check_needs_a_sample(self, R2):
         for samples in (0, -2):
