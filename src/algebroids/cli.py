@@ -27,6 +27,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from .cohomology import AnsatzTooLarge
 from .core import check_axioms
 from .diagrams import verify_mod_coboundary
 from .extensions import check_extension
@@ -242,6 +243,9 @@ def main(argv=None) -> int:
         return 2
     except KeyError as e:
         print(f"unknown object: {e}", file=sys.stderr)
+        return 2
+    except AnsatzTooLarge as e:
+        print(f"ansatz error: {e}", file=sys.stderr)
         return 2
 
 

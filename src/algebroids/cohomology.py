@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import comb, lcm
 from typing import Optional, Sequence, Union
 
 from .core import AlgebroidPresentation, FormField, d_A, function_form
@@ -36,6 +36,7 @@ from .ratlinalg import FactoredSystem, rat_solve, sample_points
 from .report import CheckReport
 from .symexpr import (
     Chart,
+    ChartMap,
     Rational,
     ScalarFn,
     SymExprError,
@@ -57,6 +58,15 @@ class CohomologyError(Exception):
 
 class PreconditionFailure(CohomologyError):
     pass
+
+
+class AnsatzTooLarge(CohomologyError):
+    """An ansatz space whose basis would exceed `MAX_ANSATZ_BASIS`."""
+
+
+# the largest basis an ansatz space may have: a larger space is refused
+# before any basis function or operator column is built
+MAX_ANSATZ_BASIS = 20_000
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,24 @@ class AnsatzSpace:
                 f"ansatz degree and Fourier modes must be non-negative, "
                 f"got degree {self.degree} and {self.fourier_modes} modes"
             )
+        size = self.size
+        if size > MAX_ANSATZ_BASIS:
+            raise AnsatzTooLarge(
+                f"ansatz on chart {self.chart.name!r} with degree {self.degree} and "
+                f"{self.fourier_modes} Fourier modes has {size} basis functions, "
+                f"more than the {MAX_ANSATZ_BASIS} allowed"
+            )
+
+    @property
+    def size(self) -> int:
+        """The number of basis functions, read off the counts: monomials of
+        degree <= d in n non-periodic coordinates, C(d + n, n), times
+        (2 * modes + 1)^p trig atoms (1, and sin and cos per positive mode
+        vector) in p periodic coordinates, times 1 + #exp slopes."""
+        per = sum(self.chart.periodic)
+        nonper = self.chart.dim - per
+        trigs = (2 * self.fourier_modes + 1) ** per
+        return comb(self.degree + nonper, nonper) * trigs * (1 + len(self.exp_slopes))
 
     def basis(self) -> list[ScalarFn]:
         """Monomial x trig atom x exp atom, each function built as its one
@@ -471,4 +499,4 @@ def _descend(f: ScalarFn, src: Chart, tgt: Chart) -> ScalarFn:
             images.append(tgt.coord(c))
         else:
             images.append(tgt.zero())
-    return f.substitute(tgt, images)
+    return ChartMap(src, tgt, images).pull(f)

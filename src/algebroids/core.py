@@ -649,27 +649,38 @@ def jacobiator(a: AlgebroidPresentation, i: int, j: int, k: int) -> list[ScalarF
 
 
 def check_axioms(a: AlgebroidPresentation) -> CheckReport:
-    """d^2 = 0 on coordinate functions and coframe, anchor homomorphism."""
+    """d^2 = 0 on coordinate functions and coframe, anchor homomorphism.
+
+    The anchor residuals res_ijl = (rho([e_i, e_j]) - [rho(e_i), rho(e_j)])_l
+    are computed once.  For a coordinate x_l, d_A x_l is the 1-form
+    e_i -> rho(e_i)_l, so (d_A d_A x_l)(e_i, e_j) = rho(e_i)(rho(e_j)_l)
+    - rho(e_j)(rho(e_i)_l) - rho([e_i, e_j])_l = -res_ijl: the "d(d x_l)"
+    items are read off the residuals.
+    """
     rep = CheckReport(f"axioms of {a.name}")
-    for coord in a.chart.coords:
-        f = function_form(a, a.chart.coord(coord))
-        res = d_A(d_A(f))
-        rep.residual(f"d(d {coord}) = 0", res)
-    for k in range(a.rank):
-        res = d_A(d_A(coframe_form(a, k)))
-        rep.residual(f"d(d {a.coframe[k]}) = 0", res)
     coords = a.chart.coords
+    residuals: dict[tuple[int, int], list[ScalarFn]] = {}
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             brackets = a.structure.get((i, j), {})
             ai, aj = a.anchor[i], a.anchor[j]
-            for l, coord in enumerate(coords):
-                # rho([e_i, e_j]) - [rho(e_i), rho(e_j)], component l
-                res = lincomb(
+            # rho([e_i, e_j]) - [rho(e_i), rho(e_j)], component l
+            residuals[(i, j)] = [
+                lincomb(
                     a.chart,
                     [(1, cf, a.anchor[k][l]) for k, cf in brackets.items()]
                     + _vf_pieces(ai, aj[l], coords, -1)
                     + _vf_pieces(aj, ai[l], coords, 1),
                 )
-                rep.residual(f"anchor([{a.frame[i]},{a.frame[j]}]) . {coord}", res)
+                for l in range(len(coords))
+            ]
+    for l, coord in enumerate(coords):
+        res = FormField(a, 2, {key: -row[l] for key, row in residuals.items()})
+        rep.residual(f"d(d {coord}) = 0", res)
+    for k in range(a.rank):
+        res = d_A(d_A(coframe_form(a, k)))
+        rep.residual(f"d(d {a.coframe[k]}) = 0", res)
+    for (i, j), row in residuals.items():
+        for coord, res in zip(coords, row):
+            rep.residual(f"anchor([{a.frame[i]},{a.frame[j]}]) . {coord}", res)
     return rep

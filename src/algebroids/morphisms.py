@@ -6,8 +6,10 @@ The pull-back operator acts on functions by composition and on forms by
 the fiber matrix, extended multiplicatively; verification of the chain-map
 condition happens on generators (coordinates and coframe), which suffices
 because both differentials are derivations and the pull-back is an algebra
-map.  Within one call each target function is composed with the base map
-once, on first use (`_pull_once`); nothing is kept between calls.
+map.  A morphism holds its base map as one `symexpr.ChartMap`, prepared
+when the morphism is made, and every composition goes through it.  Within
+one call each target function is composed with the base map once, on first
+use (`_pull_once`); no composed function is kept between calls.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .reps import (
     modular_cocycle,
     tensor_rep,
 )
-from .symexpr import ScalarFn, lincomb
+from .symexpr import ChartMap, ScalarFn, lincomb
 
 
 class MorphismError(Exception):
@@ -61,6 +63,7 @@ class Morphism:
             if f.chart != source.chart:
                 raise MorphismError("basemap components must live on the source chart")
         self.basemap = tuple(basemap)
+        self.chart_map = ChartMap(target.chart, source.chart, self.basemap)
         if len(fiber) != target.rank or any(len(r) != source.rank for r in fiber):
             raise MorphismError("fiber matrix must be rank_target x rank_source")
         for row in fiber:
@@ -74,7 +77,7 @@ class Morphism:
 
     def pull_scalar(self, f: ScalarFn) -> ScalarFn:
         """Compose a target-chart function with the base map."""
-        return f.substitute(self.source.chart, list(self.basemap))
+        return self.chart_map.pull(f)
 
 
 def _pull_once(phi: Morphism, entry: Callable[..., ScalarFn]) -> Callable[..., ScalarFn]:

@@ -9,6 +9,8 @@ vertical coordinate fields), and user-supplied frames for cases like
 orbit inclusions.  The structure functions are the fiber-product brackets
 of the pairs re-expanded in the frame by `ratlinalg.bracket_structure`,
 the routine behind the subalgebroid and Poisson-kernel presentations too.
+Each function that builds a matrix or a bracket table composes target
+functions with the base map through one `symexpr.ChartMap` per call.
 
 Admissibility and transversality are rank statements about one matrix,
 the base-map matrix [-Jacobian(phi) | rho_B o phi] with a row per target
@@ -25,13 +27,14 @@ the target dimension.  The certificate goes into ``rep.data["minors"]``,
 which reports do not print.  A sampled check draws all its points first
 (`ratlinalg.sample_points`) and ranks the matrix at every point in one
 batch (`ratlinalg.sampled_ranks`): each non-zero entry is evaluated once
-over all the points, and the stack is ranked by one `float_rank` call.
+over all the points, the entries share one table of atom values, and the
+stack is ranked by one `float_rank` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     AlgebroidPresentation,
@@ -47,7 +50,7 @@ from .morphisms import Morphism, base_preserving_morphism, check_morphism, compo
 from .ratlinalg import bracket_structure, rank_certificate, sample_points, sampled_ranks, unit_pivot_solve
 from .report import CheckReport
 from .reps import modular_cocycle
-from .symexpr import Chart, ScalarFn, lincomb
+from .symexpr import Chart, ChartMap, ScalarFn, lincomb
 
 
 class PullbackError(Exception):
@@ -85,10 +88,10 @@ def _constraint_matrix(
 ) -> list[list[ScalarFn]]:
     """The base-map matrix [-Jacobian(phi) | rho_B o phi], one row per
     target coordinate: row j applied to (v, a) is rho(a)_j - dphi(v)_j."""
-    images = list(basemap)
+    pull = ChartMap(b.chart, source_chart, basemap).pull
     return [
         [-basemap[j].partial(c) for c in source_chart.coords]
-        + [b.anchor[t][j].substitute(source_chart, images) for t in range(b.rank)]
+        + [pull(b.anchor[t][j]) for t in range(b.rank)]
         for j in range(b.chart.dim)
     ]
 
@@ -195,6 +198,7 @@ def product_submersion_frame(
         base_idx.append(k)
     fiber_idx = [k for k in range(source_chart.dim) if k not in base_idx]
     basemap = tuple(source_chart.coord(c) for c in tgt_chart.coords)
+    pull = ChartMap(tgt_chart, source_chart, basemap).pull
     pairs = []
     names = []
     for t in range(b.rank):
@@ -204,7 +208,7 @@ def product_submersion_frame(
         )
         vf = [source_chart.zero()] * source_chart.dim
         for j, k in enumerate(base_idx):
-            vf[k] = b.anchor[t][j].substitute(source_chart, list(basemap))
+            vf[k] = pull(b.anchor[t][j])
         pairs.append(PullbackFramePair(bco, tuple(vf)))
         names.append(b.frame[t] + "^")
     for k in fiber_idx:
@@ -275,7 +279,8 @@ def build_pullback(
         )
     b, chart = pf.target, pf.source_chart
     rows = _pair_matrix(pf)
-    structure = bracket_structure(rows, pf.pairs, lambda p1, p2: _pair_bracket(pf, p1, p2))
+    pull = ChartMap(b.chart, chart, pf.basemap).pull
+    structure = bracket_structure(rows, pf.pairs, lambda p1, p2: _pair_bracket(pf, pull, p1, p2))
     names = pf.names or tuple(f"p{g+1}" for g in range(len(pf.pairs)))
     pres = AlgebroidPresentation(
         name or f"{b.name}^!",
@@ -297,12 +302,16 @@ def _pair_matrix(pf: PullbackFrame) -> list[list[ScalarFn]]:
 
 
 def _pair_bracket(
-    pf: PullbackFrame, p1: PullbackFramePair, p2: PullbackFramePair
+    pf: PullbackFrame,
+    pull: Callable[[ScalarFn], ScalarFn],
+    p1: PullbackFramePair,
+    p2: PullbackFramePair,
 ) -> list[ScalarFn]:
     """The fiber-product bracket of two compatible pairs, as one column.
 
-    Target frame part: f_i g_j [b_i, b_j] pulled back, plus u(g_j) b_j minus
-    v(f_i) b_i; vector-field part: the vector-field bracket.
+    Target frame part: f_i g_j [b_i, b_j] pulled back (``pull`` composes
+    with the base map), plus u(g_j) b_j minus v(f_i) b_i; vector-field
+    part: the vector-field bracket.
     """
     b, chart = pf.target, pf.source_chart
     pieces = [
@@ -314,7 +323,7 @@ def _pair_bracket(
             if fi.is_zero() or gj.is_zero():
                 continue
             for t, c in b.bracket_frame(i, j).items():
-                pieces[t].append((1, fi * gj, c.substitute(chart, list(pf.basemap))))
+                pieces[t].append((1, fi * gj, pull(c)))
     return [lincomb(chart, p) for p in pieces] + vector_field_bracket(chart, p1.vf, p2.vf)
 
 
@@ -400,7 +409,7 @@ def verify_submersion_vanishing(
     numer = nu_pulled.comps.get(base_key, source_chart.zero())
     h = numer * denom.unit_inverse()
     omega_up = top_multivector(
-        built.presentation, sigma.substitute(source_chart, list(pf.basemap)) * h
+        built.presentation, built.projection.pull_scalar(sigma) * h
     )
     gamma = modular_cocycle(built.presentation, omega_up, mu_form)
     beta = modular_cocycle(b, top_multivector(b, sigma), top_form(tm_tgt, nu))

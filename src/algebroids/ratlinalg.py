@@ -28,9 +28,11 @@
   from it, each site in its own box, and it alone refuses to sample no
   points.  `float_rank` estimates rank numerically with numpy, of one
   matrix or of a whole stack in one call, and `sampled_ranks` evaluates a
-  ScalarFn matrix entry by entry over a batch of sample points and ranks
-  the stack: the one path of the probabilistic admissibility,
-  transversality, injectivity, surjectivity and constant-rank checks.
+  ScalarFn matrix entry by entry over a batch of sample points, with one
+  table of atom values (x_j^e, sin/cos(c.x), exp(d.x)) shared by all the
+  entries, and ranks the stack: the one path of the probabilistic
+  admissibility, transversality, injectivity, surjectivity and
+  constant-rank checks.
 """
 
 from __future__ import annotations
@@ -435,12 +437,15 @@ def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[
 
     Each non-zero entry is evaluated once over the whole batch of points,
     zero entries stay 0, and the ``(count, m, n)`` stack is ranked by one
-    `float_rank` call.
+    `float_rank` call.  The entries share one table of atom values over
+    the batch (see `ScalarFn.evaluate`), so a power, sine or exponential
+    that several entries contain is computed once.
     """
     pts = np.asarray(points, dtype=float)
     stack = np.zeros((len(pts), len(rows), len(rows[0]) if rows else 0))
+    atoms: dict = {}
     for i, row in enumerate(rows):
         for j, f in enumerate(row):
             if not f.is_zero():
-                stack[:, i, j] = f.evaluate(pts)
+                stack[:, i, j] = f.evaluate(pts, atoms)
     return float_rank(stack)

@@ -34,8 +34,19 @@ A sum of many terms or products is built by :func:`lincomb`, which emits
 every raw product term into one canonical pass instead of re-merging and
 re-sorting the running total after each pairwise ``+``.
 
+Composition with a map of charts is :class:`ChartMap`, prepared once per
+map: it reads the linear slopes of the images once, so that a trig or exp
+argument over linear images is composed by its slope vector alone, keeps
+each image power, and returns a function unchanged under the identity map.
+``ScalarFn.substitute`` is a one-off map; callers that pull many functions
+through one base map hold the map.
+
 Division is restricted to units q*exp(d.x) (nowhere-vanishing members of
 the class); anything else raises :class:`NotAUnit`.
+
+Floating evaluation (`ScalarFn.evaluate`) is for sampling only; the
+functions of one sampled matrix share one table of atom values (powers,
+sines and cosines, exponentials) over the batch of points.
 
 Expressions may be built with Python operators on :class:`ScalarFn`
 values plus the :func:`sin`, :func:`cos`, :func:`exp` constructors, or
@@ -540,60 +551,13 @@ class ScalarFn:
         """Compose with a map of charts: self o (images), landing on ``source``.
 
         ``images[j]`` is the expression on ``source`` for this chart's j-th
-        coordinate.  Atom arguments must stay rational-linear with zero
-        constant term (ClosureViolation otherwise); periodic coordinates of
-        this chart that occur in the function must receive expressions that
-        are affine with integer slope in periodic source coordinates
-        (PeriodicityViolation otherwise).
+        coordinate.  This is ``ChartMap(self.chart, source, images).pull``;
+        a caller that composes several functions with one map builds the
+        `ChartMap` once.
         """
-        if len(images) != self.chart.dim:
-            raise SymExprError("basemap component count mismatch")
-        for img in images:
-            if img.chart != source:
-                raise SymExprError("basemap component on wrong chart")
-        used = [False] * self.chart.dim
-        for mono, trig, expv in self.num:
-            for j in range(self.chart.dim):
-                if mono[j] or expv[j] or (trig is not None and trig[1][j] != 0):
-                    used[j] = True
-        for j, u in enumerate(used):
-            if u and self.chart.periodic[j]:
-                self._check_periodic_image(source, images[j], self.chart.coords[j])
-        pieces = []
-        for (mono, trig, expv), q in self.num.items():
-            part = source.one()
-            for j, e in enumerate(mono):
-                if e:
-                    part = part * images[j] ** e
-            if trig is not None:
-                arg = _linear_combination(source, trig[1], images)
-                arg.linear_slopes()  # ClosureViolation if not pure-linear
-                part = part * (sin(arg) if trig[0] == "sin" else cos(arg))
-            if any(expv):
-                arg = _linear_combination(source, expv, images)
-                arg.linear_slopes()
-                part = part * exp(arg)
-            pieces.append((q, part))
-        total = lincomb(source, pieces)
-        if self.den == 1:
-            return total
-        return ScalarFn._make(source, total.num.items(), total.den * self.den)
+        return ChartMap(self.chart, source, images).pull(self)
 
-    def _check_periodic_image(self, source: Chart, img: "ScalarFn", name: str) -> None:
-        for (mono, trig, expv), q in img.num.items():
-            if trig is not None or any(expv) or sum(mono) > 1:
-                raise PeriodicityViolation(
-                    f"periodic coordinate {name!r} receives a non-affine expression"
-                )
-            for j, e in enumerate(mono):
-                if e:
-                    if source.periodic[j] and q % img.den:
-                        raise PeriodicityViolation(
-                            f"periodic coordinate {name!r} receives slope "
-                            f"{Fraction(q, img.den)} on periodic coordinate {source.coords[j]!r}"
-                        )
-
-    def evaluate(self, points: Sequence) -> Union[float, np.ndarray]:
+    def evaluate(self, points: Sequence, atoms: Optional[dict] = None) -> Union[float, np.ndarray]:
         """Floating evaluation (sampling only, never zero tests).
 
         ``points`` is a ``(count, dim)`` batch, giving a float64 array of
@@ -603,6 +567,15 @@ class ScalarFn:
         factor.  As in Python float arithmetic, a power or an exp that
         overflows raises OverflowError, while products and sums go to inf
         or nan silently.
+
+        ``atoms`` is a table of atom values over this one batch, which a
+        caller evaluating several functions of the chart on the same points
+        passes to each call: x_j^e under ``(j, e)``, sin/cos(c.x) under
+        the trig atom ``("sin", c)``/``("cos", c)`` and exp(d.x) under
+        ``("exp", d)``, so no two kinds share a key.  Each array is made
+        once by the same numpy operation on the same inputs as without the
+        table, so the values, and the OverflowError of an overflowing atom,
+        are the same.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -610,20 +583,33 @@ class ScalarFn:
             pts = pts[np.newaxis]
         if pts.ndim != 2 or pts.shape[1] != self.chart.dim:
             raise SymExprError("point dimension mismatch")
+        if atoms is None:
+            atoms = {}
         cols = pts.T
         total = np.zeros(len(pts))
         with np.errstate(all="ignore"):
             den = self.den
             for (mono, trig, expv), q in self.num.items():
                 val = np.full(len(pts), q / den)
-                for x, e in zip(cols, mono):
+                for j, e in enumerate(mono):
                     if e:
-                        val *= _overflow_checked(_POWER_OVERFLOW, np.power, x, e)
+                        power = atoms.get((j, e))
+                        if power is None:
+                            power = atoms[(j, e)] = _overflow_checked(_POWER_OVERFLOW, np.power, cols[j], e)
+                        val *= power
                 if trig is not None:
-                    arg = _linear_values(trig[1], cols)
-                    val *= np.sin(arg) if trig[0] == "sin" else np.cos(arg)
+                    wave = atoms.get(trig)
+                    if wave is None:
+                        arg = _linear_values(trig[1], cols)
+                        wave = atoms[trig] = np.sin(arg) if trig[0] == "sin" else np.cos(arg)
+                    val *= wave
                 if any(expv):
-                    val *= _overflow_checked(_EXP_OVERFLOW, np.exp, _linear_values(expv, cols))
+                    growth = atoms.get(("exp", expv))
+                    if growth is None:
+                        growth = atoms[("exp", expv)] = _overflow_checked(
+                            _EXP_OVERFLOW, np.exp, _linear_values(expv, cols)
+                        )
+                    val *= growth
                 total += val
         return float(total[0]) if single else total
 
@@ -634,13 +620,10 @@ class ScalarFn:
 
         Integral slopes are returned as int (the term-key form).
         """
-        slopes: list[Rational] = [0] * self.chart.dim
-        den = self.den
-        for (mono, trig, expv), q in self.num.items():
-            if trig is not None or any(expv) or sum(mono) != 1:
-                raise ClosureViolation(f"argument is not linear in coordinates: {self}")
-            slopes[mono.index(1)] = q if den == 1 else _slope(Fraction(q, den))
-        return tuple(slopes)
+        slopes = _slopes_or_none(self)
+        if slopes is None:
+            raise ClosureViolation(f"argument is not linear in coordinates: {self}")
+        return slopes
 
     # -- printing -------------------------------------------------------
 
@@ -771,6 +754,128 @@ def cos(f: ScalarFn) -> ScalarFn:
 def exp(f: ScalarFn) -> ScalarFn:
     d = _linear_part(f, "exp")
     return ScalarFn._make(f.chart, [(((0,) * f.chart.dim, None, tuple(d)), 1)])
+
+
+def _slopes_or_none(f: ScalarFn) -> Optional[tuple[Rational, ...]]:
+    """The slopes of f = sum c_j x_j in term-key form, or None when f has
+    a constant, trig, exp or non-linear term."""
+    slopes: list[Rational] = [0] * f.chart.dim
+    den = f.den
+    for (mono, trig, expv), q in f.num.items():
+        if trig is not None or any(expv) or sum(mono) != 1:
+            return None
+        slopes[mono.index(1)] = q if den == 1 else _slope(Fraction(q, den))
+    return tuple(slopes)
+
+
+class ChartMap:
+    """Composition with one map of charts, prepared once.
+
+    ``images[j]`` is the expression on ``source`` for the j-th coordinate
+    of ``target``; `pull` composes a function on ``target`` with it.  Atom
+    arguments must stay rational-linear with zero constant term
+    (ClosureViolation otherwise); periodic coordinates of the target that
+    occur in the function must receive expressions that are affine with
+    integer slope in periodic source coordinates (PeriodicityViolation
+    otherwise).
+
+    The map reads the rational-linear slopes of each image once (None for
+    an image with a constant, trig, exp or non-linear term), so a trig or
+    exp argument over linear images is its slope vector times the slope
+    matrix, with no ring arithmetic.  Image powers are computed once per
+    map, each periodic image is checked once, and the identity map of a
+    chart returns the function itself.
+    """
+
+    __slots__ = ("target", "source", "images", "identity", "_slopes", "_powers", "_periodic_ok", "_one", "_zero")
+
+    def __init__(self, target: Chart, source: Chart, images: Sequence[ScalarFn]):
+        if len(images) != target.dim:
+            raise SymExprError("basemap component count mismatch")
+        for img in images:
+            if img.chart != source:
+                raise SymExprError("basemap component on wrong chart")
+        self.target = target
+        self.source = source
+        self.images = tuple(images)
+        self._slopes = [_slopes_or_none(img) for img in images]
+        self.identity = target == source and all(
+            s == tuple(int(i == j) for i in range(source.dim)) for j, s in enumerate(self._slopes)
+        )
+        self._powers: dict[tuple[int, int], ScalarFn] = {}
+        self._periodic_ok: set[int] = set()
+        self._one = source.one()
+        self._zero = (0,) * source.dim
+
+    def pull(self, f: ScalarFn) -> ScalarFn:
+        """f o images, on the source chart."""
+        if f.chart != self.target:
+            raise SymExprError(f"chart mismatch: {f.chart.name!r} vs {self.target.name!r}")
+        if self.identity:
+            return f
+        self._check_periodic(f)
+        source, zero = self.source, self._zero
+        pieces: list[tuple] = []
+        for (mono, trig, expv), q in f.num.items():
+            mult, atom = 1, None
+            if trig is not None:
+                mult, atom = _norm_trig(trig[0], self._argument(trig[1]))
+            expo = self._argument(expv) if any(expv) else zero
+            if not mult:
+                continue  # sin(0)
+            factors = [self._monomial(mono)] if any(mono) else []
+            if atom is not None or any(expo):
+                factors.append(ScalarFn(source, {(zero, atom, expo): 1}))
+            pieces.append((q * mult, *factors) if factors else (q * mult, self._one))
+        total = lincomb(source, pieces)
+        if f.den == 1:
+            return total
+        return ScalarFn._make(source, total.num.items(), total.den * f.den)
+
+    def _argument(self, vec: tuple[Rational, ...]) -> tuple[Rational, ...]:
+        """The slopes on the source of the linear argument sum_j vec_j x_j
+        composed with the map; ClosureViolation if it is not linear."""
+        involved = [(c, self._slopes[j]) for j, c in enumerate(vec) if c]
+        if all(s is not None for _, s in involved):
+            return tuple(_slope(sum(c * s[i] for c, s in involved)) for i in range(len(self._zero)))
+        return _linear_combination(self.source, vec, self.images).linear_slopes()
+
+    def _monomial(self, mono: tuple[int, ...]) -> ScalarFn:
+        """The product of image powers images[j]^mono[j]."""
+        part = None
+        for j, e in enumerate(mono):
+            if e:
+                power = self._powers.get((j, e))
+                if power is None:
+                    power = self._powers[(j, e)] = self.images[j] if e == 1 else self.images[j] ** e
+                part = power if part is None else part * power
+        return part
+
+    def _check_periodic(self, f: ScalarFn) -> None:
+        """PeriodicityViolation unless every periodic target coordinate
+        that f uses receives a periodic-compatible image."""
+        target = self.target
+        for j, flag in enumerate(target.periodic):
+            if not flag or j in self._periodic_ok:
+                continue
+            if any(mono[j] or expv[j] or (trig is not None and trig[1][j]) for mono, trig, expv in f.num):
+                self._check_periodic_image(self.images[j], target.coords[j])
+                self._periodic_ok.add(j)
+
+    def _check_periodic_image(self, img: ScalarFn, name: str) -> None:
+        source = self.source
+        for (mono, trig, expv), q in img.num.items():
+            if trig is not None or any(expv) or sum(mono) > 1:
+                raise PeriodicityViolation(
+                    f"periodic coordinate {name!r} receives a non-affine expression"
+                )
+            for j, e in enumerate(mono):
+                if e:
+                    if source.periodic[j] and q % img.den:
+                        raise PeriodicityViolation(
+                            f"periodic coordinate {name!r} receives slope "
+                            f"{Fraction(q, img.den)} on periodic coordinate {source.coords[j]!r}"
+                        )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from algebroids.core import (
@@ -16,7 +17,10 @@ from algebroids import ratlinalg
 from algebroids.extensions import subalgebroid_from_vector_fields
 from algebroids.symexpr import (
     Chart,
+    PeriodicityViolation,
     ScalarFn,
+    SymExprError,
+    _linear_combination,
     _norm_trig,
     _slope,
     _term_sort_key,
@@ -24,9 +28,16 @@ from algebroids.symexpr import (
     _vec_add,
     cos,
     exp,
+    lincomb,
     point_chart,
     sin,
 )
+
+
+# `--hypothesis-profile=ci` reruns the chart-map, atom-table and d(d x)
+# properties, which take hypothesis' default budget in the tier-1 run, with a
+# deeper search
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 def chart_r(n, name=None, periodic=()):
@@ -324,7 +335,7 @@ def reference_unit_inverse(f):
     return reference_make([((mono, None, tuple(-d for d in expv)), Fraction(1, q))])
 
 
-def reference_substitute(f, source, images):
+def reference_linear_substitute(f, source, images):
     """The term map of f o images for linear images (sum c_j x_j each)."""
     zero = (0,) * source.dim
     slopes = []
@@ -352,14 +363,68 @@ def reference_substitute(f, source, images):
     return reference_make(items)
 
 
+def reference_substitute(f, source, images):
+    """f o images as `ScalarFn.substitute` composed it term by term through
+    the ring before `ChartMap`: each term's image powers, sin/cos and exp
+    of the composed argument multiplied out, then one `lincomb`.  A test
+    reference for `ChartMap.pull`, results and exceptions alike."""
+    if len(images) != f.chart.dim:
+        raise SymExprError("basemap component count mismatch")
+    for img in images:
+        if img.chart != source:
+            raise SymExprError("basemap component on wrong chart")
+    used = [False] * f.chart.dim
+    for mono, trig, expv in f.num:
+        for j in range(f.chart.dim):
+            if mono[j] or expv[j] or (trig is not None and trig[1][j] != 0):
+                used[j] = True
+    for j, u in enumerate(used):
+        if u and f.chart.periodic[j]:
+            _reference_check_periodic_image(source, images[j], f.chart.coords[j])
+    pieces = []
+    for (mono, trig, expv), q in f.num.items():
+        part = source.one()
+        for j, e in enumerate(mono):
+            if e:
+                part = part * images[j] ** e
+        if trig is not None:
+            arg = _linear_combination(source, trig[1], images)
+            arg.linear_slopes()  # ClosureViolation if not pure-linear
+            part = part * (sin(arg) if trig[0] == "sin" else cos(arg))
+        if any(expv):
+            arg = _linear_combination(source, expv, images)
+            arg.linear_slopes()
+            part = part * exp(arg)
+        pieces.append((q, part))
+    total = lincomb(source, pieces)
+    if f.den == 1:
+        return total
+    return ScalarFn._make(source, total.num.items(), total.den * f.den)
+
+
+def _reference_check_periodic_image(source, img, name):
+    for (mono, trig, expv), q in img.num.items():
+        if trig is not None or any(expv) or sum(mono) > 1:
+            raise PeriodicityViolation(
+                f"periodic coordinate {name!r} receives a non-affine expression"
+            )
+        for j, e in enumerate(mono):
+            if e:
+                if source.periodic[j] and q % img.den:
+                    raise PeriodicityViolation(
+                        f"periodic coordinate {name!r} receives slope "
+                        f"{Fraction(q, img.den)} on periodic coordinate {source.coords[j]!r}"
+                    )
+
+
 def count_sampling(monkeypatch, check, *args, **kwargs):
     """Run one check and count its ScalarFn.evaluate and float_rank calls."""
     counts = {"evaluate": 0, "float_rank": 0}
     evaluate, rank = ScalarFn.evaluate, ratlinalg.float_rank
 
-    def counting_evaluate(self, points):
+    def counting_evaluate(self, points, atoms=None):
         counts["evaluate"] += 1
-        return evaluate(self, points)
+        return evaluate(self, points, atoms)
 
     def counting_rank(stack, tol=None):
         counts["float_rank"] += 1

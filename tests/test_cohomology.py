@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 import algebroids.cohomology as cohomology
 from algebroids.cohomology import (
+    MAX_ANSATZ_BASIS,
     AnsatzOperator,
     AnsatzSpace,
+    AnsatzTooLarge,
+    CohomologyError,
     CohomologousVerdict,
     Inconclusive,
     NonExactCertificate,
@@ -201,6 +204,30 @@ class TestAnsatzBasis:
     def test_negative_size_is_rejected(self, size):
         with pytest.raises(ValueError, match="non-negative"):
             AnsatzSpace(CYLC, **size)
+
+    @pytest.mark.parametrize(
+        "chart, slopes",
+        [(T2, ()), (CYLC, ((0, 1),)), (Chart("C3", ("theta", "x", "y"), (True, False, False)), ((0, 1, 1),))],
+        ids=["periodic", "mixed", "3d"],
+    )
+    def test_size_counts_the_basis(self, chart, slopes):
+        for degree, modes in [(0, 0), (1, 2), (3, 1)]:
+            space = AnsatzSpace(chart, degree=degree, fourier_modes=modes, exp_slopes=slopes)
+            assert space.size == len(space.basis())
+
+    def test_oversized_space_fails_before_building(self, monkeypatch):
+        def no_basis(self):
+            raise AssertionError("basis built for an oversized space")
+
+        monkeypatch.setattr(AnsatzSpace, "basis", no_basis)
+        # (2 * 70 + 1)^2 = 19881 fits, (2 * 71 + 1)^2 = 20449 does not
+        assert AnsatzSpace(T2, degree=0, fourier_modes=70).size == 19881 <= MAX_ANSATZ_BASIS
+        with pytest.raises(AnsatzTooLarge) as err:
+            AnsatzSpace(T2, degree=0, fourier_modes=71)
+        assert isinstance(err.value, CohomologyError)
+        msg = str(err.value)
+        for part in (repr(T2.name), "degree 0", "71 Fourier modes", "20449 basis functions"):
+            assert part in msg
 
 
 class CapturedSystem(FactoredSystem):

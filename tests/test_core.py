@@ -3,11 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from algebroids.core import (
     AlgebroidError,
+    AlgebroidPresentation,
     DegreeMismatch,
     FormField,
     Multivector,
@@ -35,7 +36,42 @@ from algebroids.symexpr import Chart, cos, sin
 from conftest import aff1, coeffs, cylinder_algebroid, frame_algebroids, random_lie_algebra, so3
 
 
+@st.composite
+def corrupted_algebroids(draw):
+    """A frame algebroid with one or two anchor entries or structure
+    functions shifted by a random coefficient, so that the anchor is in
+    general no longer a homomorphism."""
+    a = draw(frame_algebroids())
+    chart = a.chart
+    anchor = [list(row) for row in a.anchor]
+    structure = {key: dict(comps) for key, comps in a.structure.items()}
+    for _ in range(draw(st.integers(1, 2))):
+        shift = draw(coeffs(chart))
+        if draw(st.booleans()):
+            t, j = draw(st.integers(0, a.rank - 1)), draw(st.integers(0, chart.dim - 1))
+            anchor[t][j] = anchor[t][j] + shift
+        else:
+            i, j = draw(st.lists(st.integers(0, a.rank - 1), min_size=2, max_size=2, unique=True).map(sorted))
+            k = draw(st.integers(0, a.rank - 1))
+            comps = structure.setdefault((i, j), {})
+            comps[k] = comps.get(k, chart.zero()) + shift
+    return AlgebroidPresentation("X", chart, a.frame, anchor, structure)
+
+
 class TestCheckAxioms:
+    @settings(deadline=None)
+    @given(st.one_of(frame_algebroids(), corrupted_algebroids()))
+    def test_ddx_items_match_d_A(self, a):
+        """The d(d x) items, read off the anchor residuals, are those of
+        d_A(d_A x) itself, and come first, in coordinate order."""
+        rep = check_axioms(a)
+        event("passes" if rep.passed else "fails")
+        coords = a.chart.coords
+        assert [item.label for item in rep.items[: len(coords)]] == [f"d(d {c}) = 0" for c in coords]
+        for item, c in zip(rep.items, coords):
+            want = d_A(d_A(function_form(a, a.chart.coord(c))))
+            assert (item.ok, item.detail) == (want.is_zero(), "" if want.is_zero() else str(want))
+
     def test_tangent_plane(self, R2):
         assert check_axioms(tangent_algebroid(R2)).passed
 

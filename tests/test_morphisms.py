@@ -32,7 +32,7 @@ from algebroids.reps import (
     check_flat,
     trivial_rep,
 )
-from algebroids.symexpr import Chart, ScalarFn, cos, exp, sin
+from algebroids.symexpr import Chart, ChartMap, cos, exp, sin
 
 from conftest import cylinder_algebroid
 
@@ -175,14 +175,14 @@ class TestPullOnce:
     @staticmethod
     def _count_substitutions(monkeypatch, call, *args):
         count = 0
-        substitute = ScalarFn.substitute
+        pull = ChartMap.pull
 
         def counting(self, *a, **k):
             nonlocal count
             count += 1
-            return substitute(self, *a, **k)
+            return pull(self, *a, **k)
 
-        monkeypatch.setattr(ScalarFn, "substitute", counting)
+        monkeypatch.setattr(ChartMap, "pull", counting)
         out = call(*args)
         monkeypatch.undo()
         return out, count

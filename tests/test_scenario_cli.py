@@ -157,6 +157,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "modular_cocycle: b*" in out
 
+    def test_oversized_ansatz_exits_2(self, capsys):
+        # cylinder chart: (4 + 1) monomials times (2 * 5000 + 1) trig atoms
+        code = main(["modular", "cylinder.scn", "B", "--fourier-modes", "5000"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out
+        assert err.startswith("ansatz error: ") and "50005 basis functions" in err
+
     def test_relmod_subcommand(self, capsys):
         assert main(["relmod", "cylinder.scn", "incl"]) == 0
         out = capsys.readouterr().out

@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from algebroids import ratlinalg
 from algebroids.symexpr import (
     Chart,
+    ChartMap,
     ClosureViolation,
     NonCanonicalizable,
     NotAUnit,
@@ -31,6 +34,7 @@ from conftest import (
     reference_make,
     reference_mul,
     reference_substitute,
+    reference_linear_substitute,
     reference_unit_inverse,
 )
 
@@ -460,7 +464,7 @@ class TestOneDenominator:
             cases.append((f.partial(c), reference_make(reference_derivative_items(f.terms, j))))
         source = data.draw(st.sampled_from(CHARTS))
         images = [data.draw(linear_args(source)) for _ in chart.coords]
-        cases.append((f.substitute(source, images), reference_substitute(f, source, images)))
+        cases.append((f.substitute(source, images), reference_linear_substitute(f, source, images)))
         ps = data.draw(pieces(chart, 4))
         cases.append((lincomb(chart, ps), reference_lincomb(ps)))
         unit = chart.const(data.draw(COEFF.filter(bool))) * exp(data.draw(linear_args(chart)))
@@ -614,3 +618,172 @@ class TestBatchedEvaluate:
             R2.coord("x").evaluate([[1, 2, 3]])
         with pytest.raises(SymExprError):
             R2.coord("x").evaluate([1])
+
+
+# ---------------------------------------------------------------------------
+# ChartMap against the term-by-term substitution, and the atom table of a
+# sampled matrix against per-entry evaluation
+# ---------------------------------------------------------------------------
+
+MAP_CHARTS = CHARTS + [S1, CYL, Chart("T2", ("theta", "phi"), (True, True))]
+
+
+@st.composite
+def images(draw, source):
+    """One image of a target coordinate on ``source``: a coordinate, a
+    scaled coordinate, a rational-linear or affine combination, a
+    polynomial, or a trig or exp atom."""
+    kind = draw(st.sampled_from(["coord", "scaled", "linear", "affine", "polynomial", "atom"]))
+    coord = source.coord(draw(st.sampled_from(source.coords)))
+    if kind == "coord":
+        return coord
+    if kind == "scaled":
+        return source.const(draw(COEFF)) * coord
+    if kind == "linear":
+        return draw(linear_args(source))
+    if kind == "affine":
+        return draw(linear_args(source)) + source.const(draw(COEFF.filter(bool)))
+    if kind == "polynomial":
+        return coord ** draw(st.integers(2, 3)) + draw(linear_args(source))
+    return draw(atoms(source))
+
+
+def outcome(call):
+    """The result of ``call`` with its key and coefficient types spelled
+    out, or the type and message of the SymExprError it raises."""
+    try:
+        g = call()
+    except SymExprError as e:
+        return type(e), str(e)
+    return g.chart, repr(list(g.num.items())), g.den
+
+
+class TestChartMap:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_pull_matches_reference(self, data):
+        """Every pull through one map gives what the term-by-term
+        substitution gives, or raises the same error with the same message;
+        a second pull, which reuses the map's powers and periodicity
+        verdicts, too.  The identity map returns its argument itself."""
+        target = data.draw(st.sampled_from(MAP_CHARTS))
+        if data.draw(st.sampled_from(["map", "map", "map", "identity"])) == "identity":
+            source, imgs = target, [target.coord(c) for c in target.coords]
+        else:
+            source = data.draw(st.sampled_from(MAP_CHARTS))
+            imgs = [data.draw(images(source)) for _ in target.coords]
+        m = ChartMap(target, source, imgs)
+        assert m.identity == (source == target and imgs == [target.coord(c) for c in target.coords])
+        for f in data.draw(st.lists(fns(target), min_size=1, max_size=3)):
+            want = outcome(lambda: reference_substitute(f, source, imgs))
+            event(want[0].__name__ if isinstance(want[0], type) else "composed")
+            for _ in range(2):
+                assert outcome(lambda: m.pull(f)) == want
+            assert outcome(lambda: f.substitute(source, imgs)) == want
+            if m.identity:
+                assert m.pull(f) is f
+
+    def test_identity_returns_its_argument(self):
+        for chart in MAP_CHARTS + [point_chart()]:
+            coords = [chart.coord(c) for c in chart.coords]
+            f = chart.const(Fraction(2, 3)) + (coords[0] if coords else 0)
+            assert ChartMap(chart, chart, coords).pull(f) is f
+            assert f.substitute(chart, coords) is f
+        # a permutation of the coordinates is not the identity
+        x, y = R2.coord("x"), R2.coord("y")
+        swap = ChartMap(R2, R2, [y, x])
+        assert not swap.identity and swap.pull(x) == y
+
+    def test_map_and_function_charts_are_checked(self):
+        x = R2.coord("x")
+        with pytest.raises(SymExprError, match="count mismatch"):
+            ChartMap(R2, S1, [S1.coord("theta")])
+        with pytest.raises(SymExprError, match="wrong chart"):
+            ChartMap(R2, S1, [x, S1.coord("theta")])
+        m = ChartMap(S1, R2, [x])
+        with pytest.raises(SymExprError, match="chart mismatch"):
+            m.pull(x)
+
+    def test_failing_periodicity_raises_on_every_pull(self):
+        m = ChartMap(S1, S1, [S1.const(Fraction(1, 2)) * S1.coord("theta")])
+        for _ in range(2):
+            with pytest.raises(PeriodicityViolation, match="slope 1/2"):
+                m.pull(sin(S1.coord("theta")))
+        # a function that leaves theta out needs no check
+        assert m.pull(S1.const(3)) == 3
+
+
+def stack_of(rows, points):
+    """The stack `sampled_ranks` hands to `float_rank`, or the
+    OverflowError it raises."""
+    captured = []
+
+    def capture(stack, tol=None):
+        captured.append(stack.copy())
+        return [0] * len(stack)
+
+    try:
+        with mock.patch.object(ratlinalg, "float_rank", capture):
+            ratlinalg.sampled_ranks(rows, points)
+    except OverflowError as e:
+        return ("overflow",) + e.args
+    return captured[0].tobytes()
+
+
+def reference_stack(rows, points):
+    """Each non-zero entry evaluated on its own, with no shared table."""
+    pts = np.asarray(points, dtype=float)
+    stack = np.zeros((len(pts), len(rows), len(rows[0])))
+    try:
+        for i, row in enumerate(rows):
+            for j, f in enumerate(row):
+                if not f.is_zero():
+                    stack[:, i, j] = f.evaluate(pts)
+    except OverflowError as e:
+        return ("overflow",) + e.args
+    return stack.tobytes()
+
+
+# coordinates from small to large enough that a square or an exp
+# overflows and that products go to inf and nan
+SAMPLE_COORD = st.one_of(
+    st.integers(-60, 60).map(float),
+    st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False),
+    st.sampled_from([-1e200, 1e154, 1e200]),
+)
+
+
+class TestAtomTable:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_sampled_stack_is_bitwise_per_entry_evaluate(self, data):
+        chart = data.draw(st.sampled_from(MAP_CHARTS))
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        entry = st.one_of(st.just(chart.zero()), fns(chart))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+        points = data.draw(st.lists(st.lists(SAMPLE_COORD, min_size=chart.dim, max_size=chart.dim), min_size=1, max_size=5))
+        want = reference_stack(rows, points)
+        if isinstance(want, tuple):
+            event("OverflowError")
+        else:
+            event("finite" if np.isfinite(np.frombuffer(want)).all() else "inf or nan")
+        assert stack_of(rows, points) == want
+
+    def test_power_and_exp_entries_do_not_share_a_key(self):
+        # x^3 is the power (0, 3) and exp(3y) the exp vector (0, 3)
+        x, y = R2.coord("x"), R2.coord("y")
+        rows = [[x**3, exp(3 * y)], [exp(3 * y) * x**3, x**3 + exp(3 * y)]]
+        points = [[2, Fraction(1, 3)], [-1, 0], [Fraction(1, 2), 2]]
+        got = stack_of(rows, points)
+        assert got == reference_stack(rows, points)
+        stack = np.frombuffer(got).reshape(3, 2, 2)
+        assert stack[0, 0, 0] == 8 and stack[0, 0, 1] == math.exp(1.0)
+
+    def test_inf_and_nan_entries_match(self):
+        x, y, z = (CHARTS[2].coord(c) for c in "xyz")
+        rows = [[x * y - x * z, 2 * x * y], [sin(x) * y, exp(-y)]]
+        points = [[1e200, 1e200, 1e200], [1, 2, 3]]
+        got = stack_of(rows, points)
+        assert got == reference_stack(rows, points)
+        stack = np.frombuffer(got).reshape(2, 2, 2)
+        assert math.isnan(stack[0, 0, 0]) and stack[0, 0, 1] == math.inf
