@@ -37,7 +37,6 @@ from .report import CheckReport
 from .symexpr import (
     Chart,
     ChartMap,
-    Rational,
     ScalarFn,
     SymExprError,
     TermKey,
@@ -172,9 +171,10 @@ class AnsatzOperator:
     `build` writes the entries straight from term keys, in int numerators
     over one denominator per frame index: the derivative items of each
     basis function along each anchored coordinate are taken once,
-    multiplied by the numerators of the anchor entries, merged once per
-    (frame index, basis function), and divided by the denominator once per
-    written entry.
+    multiplied by the numerators of the anchor entries and merged once per
+    (frame index, basis function).  The rows go to `FactoredSystem` as
+    those int numerators, with the frame index's denominator as the row
+    scale, so no entry is ever a ``Fraction``.
     """
 
     basis: list[ScalarFn]
@@ -198,7 +198,8 @@ class AnsatzOperator:
         trigs = [_has_trig(b.num) for b in basis]
         scale = lcm(*(s for d in derivs for _, s in d.values()))
         index: dict[tuple[int, TermKey], int] = {}
-        rows: list[dict[int, Rational]] = []
+        rows: list[dict[int, int]] = []
+        scales: list[int] = []
         for i, entries in enumerate(anchor):
             # one denominator for the whole frame index: a multiple of the
             # denominator of every product written into its rows
@@ -220,9 +221,10 @@ class AnsatzOperator:
                 for key in sorted((key for key, _ in nonzero if (i, key) not in index), key=_term_sort_key):
                     index[(i, key)] = len(rows)
                     rows.append({})
+                    scales.append(den)
                 for key, q in nonzero:
-                    rows[index[(i, key)]][j] = q if den == 1 else _slope(Fraction(q, den))
-        return cls(basis, index, FactoredSystem(rows, len(basis)))
+                    rows[index[(i, key)]][j] = q
+        return cls(basis, index, FactoredSystem(rows, len(basis), scales))
 
 
 @dataclass

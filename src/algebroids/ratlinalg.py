@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals and over the scalar-function ring.
 
-* One sparse exact elimination over the rationals (`_eliminate`) has one
-  user.  `FactoredSystem` eliminates a fixed sparse matrix once and then
-  solves any number of sparse right-hand sides, each giving the solution
-  with free variables zero or a Farkas-style infeasibility witness (a
-  rational row combination y with y.A = 0 but y.b != 0); `rat_solve` is
-  its one-shot form on a dense system.  Values inside the elimination are
-  ``int`` when integral and ``Fraction`` otherwise, as ``ScalarFn``
-  coefficients are, so an integral matrix costs mostly ``int`` arithmetic;
-  no division has two ``int`` operands (``int / int`` is a float), and
-  every value the solves return is a ``Fraction``.
+* One sparse fraction-free elimination over the rationals (`_eliminate`)
+  has one user.  `FactoredSystem` eliminates a fixed sparse matrix once
+  and then solves any number of sparse right-hand sides, each giving the
+  solution with free variables zero or a Farkas-style infeasibility
+  witness (a rational row combination y with y.A = 0 but y.b != 0);
+  `rat_solve` is its one-shot form on a dense system.  Every row and
+  every transform is ``int`` numerators over a row scale, the form of a
+  ``ScalarFn``: a row enters once through `_integral`, which takes only
+  ``int`` and ``Fraction`` values, a pivot step cross-multiplies and
+  divides by the row's content, and a solve accumulates in ``int``.
+  ``Fraction`` appears only at the solve boundary, in the entries of the
+  solution and of the witness it returns.
 * `unit_pivot_solve` eliminates over the scalar-function ring, only ever
   dividing by declared-nonvanishing units and failing loudly otherwise.
   `bracket_structure` is its one frame re-expansion of brackets: the
@@ -40,40 +42,71 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .symexpr import Rational, ScalarFn, _slope, lincomb
+from .symexpr import Rational, ScalarFn, lincomb
 
 
 class FrameSolveFailure(Exception):
     """Re-expansion in a frame would require division by a non-unit."""
 
 
-def _eliminate(
-    rows: list[dict[int, Rational]], n: int
-) -> tuple[list[tuple[int, int]], list[dict[int, Rational]]]:
-    """Sparse exact Gauss-Jordan elimination, in place.
+def _integral(vec: dict[int, Rational], row: Optional[int] = None) -> tuple[dict[int, int], int]:
+    """The values of ``vec`` as ``int`` numerators over one positive ``int``
+    denominator, the lcm of theirs; ``vec`` itself when they are all
+    ``int``.
 
-    Each row is a dict ``{col: int or Fraction}`` over the columns
-    ``0..n-1``, without zero entries.  Columns are processed left to right;
-    the pivot of a column is the shortest unpivoted row with an entry there
-    (ties to the lower index), and the column is then cleared from every
-    other row, so pivot rows end in reduced row echelon form.  Pivot
-    columns are the leftmost independent ones whatever the pivot rows,
-    which makes the reduced rows unique.
+    This is the one conversion into the elimination: it takes ``int`` and
+    ``Fraction`` values only, and raises TypeError naming the entry of any
+    other (a float is not exact).  ``row`` names the matrix row that
+    ``vec`` is, for the message; None means a right-hand side.
+    """
+    den = 0  # while every value is an int
+    for k, v in vec.items():
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                where = f"entry ({row}, {k})" if row is not None else f"right-hand side entry {k}"
+                raise TypeError(f"{where} must be an int or a Fraction, got {type(v).__name__} {v!r}")
+            den = lcm(den or 1, v.denominator)
+    if not den:
+        return vec, 1
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.items()}, den
+
+
+def _eliminate(
+    rows: list[dict[int, int]], scales: Sequence[int], n: int
+) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
+    """Sparse fraction-free Gauss-Jordan elimination, in place.
+
+    Each row is a dict ``{col: int}`` over the columns ``0..n-1``, without
+    zero entries, and stands for itself divided by its ``scales`` entry.
+    Columns are processed left to right; the pivot of a column is the
+    shortest unpivoted row with an entry there (ties to the lower index),
+    and the column is then cleared from every other row, so pivot rows end
+    in reduced row echelon form up to their pivot values, which are kept
+    and not scaled to 1.  Pivot columns are the leftmost independent ones
+    whatever the pivot rows.
+
+    Clearing the pivot value f of row p from row i, where it is g, replaces
+    row i by (f/h) row_i - (g/h) row_p with h = gcd(f, g) signed as f, and
+    then divides row i and its transform by their content (the gcd of all
+    their values), so no value ever leaves ``int``.  Every row, with its
+    transform, stays a non-zero multiple of the row that Gauss-Jordan over
+    the rationals holds at the same step, so the pivots, the sparsity and
+    every solution and witness read off the rows are the same.
 
     Returns ``(pivots, transforms)``: the ``(row, col)`` pairs in column
-    order, and for every row the sparse combination ``{orig_row: value}``
-    of the original rows that it now equals.  Entries and transform values
-    are ``int`` when integral and ``Fraction`` otherwise.
+    order, and for every row the sparse combination ``{orig_row: int}`` of
+    the original rows, each divided by its scale, that it now equals.
     """
     occupied: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
             occupied.setdefault(c, set()).add(i)
-    transforms: list[dict[int, Rational]] = [{i: 1} for i in range(len(rows))]
+    transforms = [{i: s} for i, s in enumerate(scales)]
     pivoted: set[int] = set()
     pivots: list[tuple[int, int]] = []
     for c in range(n):
@@ -83,25 +116,19 @@ def _eliminate(
         p = min(cands, key=lambda i: (len(rows[i]), i))
         prow, ptr = rows[p], transforms[p]
         f = prow[c]
-        # scale the pivot row to 1 without an int / int division, which
-        # would be a float: a -1 pivot negates, any other multiplies by its
-        # exact reciprocal and integral results go back to int
-        if f == -1:
-            for vec in (prow, ptr):
-                for k, v in vec.items():
-                    vec[k] = -v
-        elif f != 1:
-            inv = 1 / Fraction(f)
-            for vec in (prow, ptr):
-                for k, v in vec.items():
-                    vec[k] = _slope(v * inv)
         for i in list(occupied[c]):
             if i == p:
                 continue
             row, tr = rows[i], transforms[i]
             g = row[c]
+            h = gcd(f, g) if f > 0 else -gcd(f, g)
+            a, b = f // h, g // h
+            if a != 1:
+                for vec in (row, tr):
+                    for k in vec:
+                        vec[k] *= a
             for k, v in prow.items():
-                x = _slope(row.get(k, 0) - g * v)
+                x = row.get(k, 0) - b * v
                 if x:
                     if k not in row:
                         occupied.setdefault(k, set()).add(i)
@@ -110,43 +137,57 @@ def _eliminate(
                     del row[k]
                     occupied[k].discard(i)
             for k, v in ptr.items():
-                x = _slope(tr.get(k, 0) - g * v)
+                x = tr.get(k, 0) - b * v
                 if x:
                     tr[k] = x
                 else:
                     del tr[k]
+            e = gcd(*row.values(), *tr.values())
+            if e != 1:
+                for vec in (row, tr):
+                    for k in vec:
+                        vec[k] //= e
         pivoted.add(p)
         pivots.append((p, c))
     return pivots, transforms
-
-
-def _sparse(rows: Sequence[Sequence[Rational]]) -> list[dict[int, Rational]]:
-    return [{j: _slope(Fraction(x)) for j, x in enumerate(row) if x} for row in rows]
 
 
 class FactoredSystem:
     """A x = b for a fixed sparse A, eliminated once by `_eliminate`.
 
     ``rows`` are the sparse rows ``{col: int or Fraction}`` of A over
-    ``n`` columns; they are consumed.  The elimination keeps integral
-    values as ``int``, so an integral A is reduced mostly in ``int``
-    arithmetic.  `solve` then costs one pass over the stored contributions
-    of the non-zero entries of b, and returns the solution with free
-    variables zero (the pivot columns are the leftmost independent ones
-    whatever the right-hand side) or an infeasibility witness, both lists
-    of ``Fraction``.
+    ``n`` columns, without zero entries, each divided by its entry of
+    ``scales`` (all 1 when none are given): `AnsatzOperator` passes ``int``
+    numerators over one denominator per row this way.  Each row enters the
+    elimination once, as ``int`` numerators over its scale times the lcm of
+    its own denominators (a row of ``int`` values is itself consumed), and
+    the elimination and the solves then stay in ``int``.
+    `solve` costs one pass over the stored contributions of the non-zero
+    entries of b, and returns the solution with free variables zero (the
+    pivot columns are the leftmost independent ones whatever the
+    right-hand side) or an infeasibility witness, both lists of
+    ``Fraction``: those are the only values built as ``Fraction``.
     """
 
-    def __init__(self, rows: list[dict[int, Rational]], n: int):
+    def __init__(self, rows: Sequence[dict[int, Rational]], n: int, scales: Sequence[int] = ()):
         self.m, self.n = len(rows), n
-        pivots, transforms = _eliminate(rows, n)
+        ints: list[dict[int, int]] = []
+        dens: list[int] = []
+        for i, row in enumerate(rows):
+            num, den = _integral(row, i)
+            ints.append(num)
+            dens.append(den * scales[i] if scales else den)
+        pivots, transforms = _eliminate(ints, dens, n)
         pivot_rows = {p for p, _ in pivots}
         self.cols = [c for _, c in pivots]
+        # with free variables zero, the pivot row of slot s reads
+        # pivot_values[s] * x[cols[s]] = (its transform) . b
+        self.pivot_values = [ints[p][c] for p, c in pivots]
         # rows reduced to zero, in row order: each must annihilate b
         self.checks = [tr for i, tr in enumerate(transforms) if i not in pivot_rows]
         # original row -> [(slot, coefficient)]; slots 0..rank-1 are the
         # pivot columns, the rest the consistency rows
-        self.contrib: list[list[tuple[int, Rational]]] = [[] for _ in range(self.m)]
+        self.contrib: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
         for s, tr in enumerate([transforms[p] for p, _ in pivots] + self.checks):
             for k, v in tr.items():
                 self.contrib[k].append((s, v))
@@ -159,29 +200,38 @@ class FactoredSystem:
         ``outside`` extends the system by zero rows of A with these
         right-hand sides; a non-zero one is inconsistent at once.  A
         witness has one entry per row of A, then one per ``outside`` value.
+        b is scaled to ``int`` numerators over one denominator D, so each
+        slot accumulates an ``int``; a solution entry is that ``int`` over
+        its pivot value times D, and a witness entry the check row's
+        transform value times D over its slot's ``int``.
         """
+        nums, den = _integral(rhs)
         size = self.m + len(outside)
-        for j, q in enumerate(outside):
-            if q:
-                y = [Fraction(0)] * size
-                y[self.m + j] = 1 / Fraction(q)
-                return None, y
-        acc: dict[int, Rational] = {}
-        for k, q in rhs.items():
+        if outside:
+            extra, d = _integral(dict(enumerate(outside, start=self.m)))
+            for k, q in extra.items():
+                if q:
+                    y = [Fraction(0)] * size
+                    y[k] = Fraction(d, q)
+                    return None, y
+        acc: dict[int, int] = {}
+        for k, q in nums.items():
             for s, v in self.contrib[k]:
                 acc[s] = acc.get(s, 0) + v * q
         rank = len(self.cols)
         bad = [s for s, t in acc.items() if s >= rank and t]
         if bad:
             s = min(bad)
-            inv = 1 / Fraction(acc[s])
+            t = acc[s]
             y = [Fraction(0)] * size
             for k, v in self.checks[s - rank].items():
-                y[k] = v * inv
+                y[k] = Fraction(v * den, t)
             return None, y
         x = [Fraction(0)] * self.n
-        for s, c in enumerate(self.cols):
-            x[c] = Fraction(acc.get(s, 0))
+        for s, (c, f) in enumerate(zip(self.cols, self.pivot_values)):
+            t = acc.get(s)
+            if t:
+                x[c] = Fraction(t, f * den)
         return x, None
 
 
@@ -193,11 +243,12 @@ def rat_solve(
     Returns ``(solution, None)`` for a consistent system (free variables
     set to zero) or ``(None, witness)`` where ``witness . A = 0`` and
     ``witness . b != 0`` certifies infeasibility; every value is a
-    ``Fraction``.
+    ``Fraction``.  Entries must be ``int`` or ``Fraction`` (TypeError
+    otherwise).
     """
     n = len(rows[0]) if rows else 0
-    system = FactoredSystem(_sparse(rows), n)
-    return system.solve({i: _slope(Fraction(b)) for i, b in enumerate(rhs) if b})
+    system = FactoredSystem([{j: x for j, x in enumerate(row) if x} for row in rows], n)
+    return system.solve({i: b for i, b in enumerate(rhs) if b})
 
 
 def unit_pivot_solve(

@@ -34,9 +34,9 @@ from algebroids.symexpr import (
 )
 
 
-# `--hypothesis-profile=ci` reruns the chart-map, atom-table and d(d x)
-# properties, which take hypothesis' default budget in the tier-1 run, with a
-# deeper search
+# `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x) and
+# elimination-reference properties, which take hypothesis' default budget in
+# the tier-1 run, with a deeper search
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
@@ -153,12 +153,13 @@ def conjugate_lie_algebra(a, g, name):
 def rat_nullspace(rows, n=None):
     """Basis of the right nullspace of A (rows over Fraction), read off the
     reduced rows of the library's elimination: a test reference, with one
-    vector per free column that is the unit vector there."""
+    vector per free column that is the unit vector there.  Reduced rows
+    keep their pivot values, so each entry is divided by its row's pivot."""
     m = len(rows)
     if n is None:
         n = len(rows[0]) if m else 0
-    a = ratlinalg._sparse(rows)
-    pivots, _ = ratlinalg._eliminate(a, n)
+    a = [ratlinalg._integral({j: x for j, x in enumerate(row) if x})[0] for row in rows]
+    pivots, _ = ratlinalg._eliminate(a, [1] * m, n)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for c in range(n):
@@ -167,9 +168,101 @@ def rat_nullspace(rows, n=None):
         v = [Fraction(0)] * n
         v[c] = Fraction(1)
         for p, pc in pivots:
-            v[pc] = -a[p].get(c, Fraction(0))
+            v[pc] = -Fraction(a[p].get(c, 0), a[p][pc])
         basis.append(v)
     return basis
+
+
+def reference_eliminate(rows, n):
+    """Sparse Gauss-Jordan over the rationals, in place, with every pivot
+    row scaled to 1 and integral values kept as int: the elimination the
+    fraction-free `ratlinalg._eliminate` replaced, kept as its reference.
+    Pivots are chosen as there (the shortest unpivoted row with an entry in
+    the column, ties to the lower index).  Returns ``(pivots, transforms)``
+    as `ratlinalg._eliminate` does."""
+    occupied = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            occupied.setdefault(c, set()).add(i)
+    transforms = [{i: 1} for i in range(len(rows))]
+    pivoted = set()
+    pivots = []
+    for c in range(n):
+        cands = occupied.get(c, set()) - pivoted
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow, ptr = rows[p], transforms[p]
+        inv = 1 / Fraction(prow[c])
+        for vec in (prow, ptr):
+            for k, v in vec.items():
+                vec[k] = _slope(v * inv)
+        for i in list(occupied[c]):
+            if i == p:
+                continue
+            row, tr = rows[i], transforms[i]
+            g = row[c]
+            for k, v in prow.items():
+                x = _slope(row.get(k, 0) - g * v)
+                if x:
+                    if k not in row:
+                        occupied.setdefault(k, set()).add(i)
+                    row[k] = x
+                else:
+                    del row[k]
+                    occupied[k].discard(i)
+            for k, v in ptr.items():
+                x = _slope(tr.get(k, 0) - g * v)
+                if x:
+                    tr[k] = x
+                else:
+                    del tr[k]
+        pivoted.add(p)
+        pivots.append((p, c))
+    return pivots, transforms
+
+
+def reference_factored(rows, n):
+    """The solve of A x = b over the rationals, for the sparse rows
+    ``{col: int or Fraction}`` of A (consumed), by `reference_eliminate`:
+    the reference of `ratlinalg.FactoredSystem`.  Returns
+    ``solve(rhs, outside=())`` with the signature and results of
+    `FactoredSystem.solve`."""
+    m = len(rows)
+    pivots, transforms = reference_eliminate(rows, n)
+    pivot_rows = {p for p, _ in pivots}
+    checks = [tr for i, tr in enumerate(transforms) if i not in pivot_rows]
+    contrib = [[] for _ in range(m)]
+    for s, tr in enumerate([transforms[p] for p, _ in pivots] + checks):
+        for k, v in tr.items():
+            contrib[k].append((s, v))
+
+    def solve(rhs, outside=()):
+        size = m + len(outside)
+        for j, q in enumerate(outside):
+            if q:
+                y = [Fraction(0)] * size
+                y[m + j] = 1 / Fraction(q)
+                return None, y
+        acc = {}
+        for k, q in rhs.items():
+            for s, v in contrib[k]:
+                acc[s] = acc.get(s, 0) + v * q
+        rank = len(pivots)
+        bad = [s for s, t in acc.items() if s >= rank and t]
+        if bad:
+            s = min(bad)
+            inv = 1 / Fraction(acc[s])
+            y = [Fraction(0)] * size
+            for k, v in checks[s - rank].items():
+                y[k] = v * inv
+            return None, y
+        x = [Fraction(0)] * n
+        for s, (_, c) in enumerate(pivots):
+            x[c] = Fraction(acc.get(s, 0))
+        return x, None
+
+    return solve
 
 
 def reference_det(rows):

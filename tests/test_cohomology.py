@@ -30,11 +30,13 @@ from algebroids.cohomology import (
 from algebroids.core import (
     AlgebroidPresentation,
     FormField,
+    Multivector,
     d_A,
     function_form,
     one_form,
     tangent_algebroid,
 )
+from algebroids.extensions import cotangent_algebroid
 from algebroids.morphisms import Morphism, Trivialization, identity_morphism
 from algebroids.reps import canonical_sections, modular_cocycle
 from algebroids.ratlinalg import FactoredSystem
@@ -231,11 +233,26 @@ class TestAnsatzBasis:
 
 
 class CapturedSystem(FactoredSystem):
-    """A factored system that keeps a copy of the rows it eliminates."""
+    """A factored system that keeps a copy of the rows it eliminates and
+    of their scales."""
 
-    def __init__(self, rows, n):
+    def __init__(self, rows, n, scales=()):
         self.rows = [dict(row) for row in rows]
-        super().__init__(rows, n)
+        self.scales = list(scales) or [1] * len(rows)
+        super().__init__(rows, n, scales)
+
+
+def captured_operator(a, space):
+    """The operator of ``space`` for ``a``, built through `CapturedSystem`
+    into the space's own memo, with its rows decoded to rationals: each
+    ``int`` numerator over its row's scale, an ``int`` when integral."""
+    with mock.patch.object(cohomology, "FactoredSystem", CapturedSystem):
+        op = space.operator(a)
+    rows = []
+    for row, scale in zip(op.system.rows, op.system.scales):
+        assert all(type(q) is int for q in row.values())
+        rows.append({j: Fraction(q, scale) for j, q in row.items()})
+    return op, [{j: v.numerator if v.denominator == 1 else v for j, v in row.items()} for row in rows]
 
 
 def reference_index(a, basis):
@@ -253,18 +270,62 @@ def assert_operator_is_d_A(a, space):
     """Every column of the operator, decoded through its index, is the
     frame components of d_A of its basis function, coefficient types
     included; the rows are numbered as through the ring."""
-    basis = space.basis()
-    with mock.patch.object(cohomology, "FactoredSystem", CapturedSystem):
-        op = AnsatzOperator.build(a, basis)
+    op, rows = captured_operator(a, space)
+    basis = op.basis
     assert op.index == reference_index(a, basis)
     cols = [[{} for _ in range(a.rank)] for _ in basis]
     for (i, key), r in op.index.items():
-        for j, q in op.system.rows[r].items():
-            assert type(q) is (int if q.denominator == 1 else Fraction)
-            cols[j][i][key] = q
+        for j, q in rows[r].items():
+            cols[j][i][key] = (q, type(q))
     for b, col in zip(basis, cols):
         df = d_A(function_form(a, b))
-        assert col == [df.component((i,)).terms for i in range(a.rank)]
+        assert col == [{key: (q, type(q)) for key, q in df.component((i,)).terms.items()} for i in range(a.rank)]
+
+
+def operator_witness_cases():
+    """Closed forms with no primitive in their ansatz: a differential
+    whose exp term is outside the space, -dtheta, whose constant term is in
+    no row, and a Poisson vector field of a cotangent algebroid whose
+    witness combines stored rows of the operator."""
+    theta, x = CYLC.coord("theta"), CYLC.coord("x")
+    spiral, tc = cylinder_algebroid(CYLC), tangent_algebroid(CYLC)
+    n3 = Chart("N3", ("theta", "x", "y"), (True, False, False))
+    pi = Multivector(tangent_algebroid(n3), 2, {(0, 2): n3.one(), (1, 2): n3.coord("x")})
+    ct = cotangent_algebroid(pi, "CT")
+    return {
+        "spiral d_A exp(x)": (d_A(function_form(spiral, exp(x))), AnsatzSpace(CYLC, 2, 2)),
+        "spiral d_A exp(2x)": (d_A(function_form(spiral, exp(2 * x))), AnsatzSpace(CYLC, 2, 2)),
+        "tangent d_A exp(x) sin": (d_A(function_form(tc, exp(x) * sin(theta))), AnsatzSpace(CYLC, 2, 1)),
+        "tangent -dtheta": (one_form(tc, [CYLC.const(-1), CYLC.zero()]), AnsatzSpace(CYLC, 2, 2)),
+        "cotangent e1": (one_form(ct, [n3.one(), n3.zero(), n3.zero()]), AnsatzSpace(n3, 2, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", list(operator_witness_cases()))
+def test_witness_annihilates_the_captured_operator(name):
+    """The Farkas witness read against the rows the elimination was given:
+    y.A = 0 on every basis column, and y.b != 0 for the right-hand side
+    matched through the index, the terms outside it last."""
+    alpha, space = operator_witness_cases()[name]
+    a = alpha.algebroid
+    op, rows = captured_operator(a, space)
+    res = solve_exact(alpha, space)
+    assert isinstance(res, NoSolutionInAnsatz)
+    rhs = [0] * len(rows)
+    for i in range(a.rank):
+        for key, q in alpha.component((i,)).terms.items():
+            r = op.index.get((i, key))
+            if r is None:
+                rhs.append(q)
+            else:
+                rhs[r] = q
+    y = res.witness
+    assert len(y) == len(rhs) and all(type(v) is Fraction for v in y)
+    for j in range(len(op.basis)):
+        assert sum(c * row.get(j, 0) for c, row in zip(y, rows)) == 0
+    assert sum(c * b for c, b in zip(y, rhs)) != 0
+    if name == "cotangent e1":
+        assert any(y[: len(rows)]) and len(y) == len(rows)
 
 
 class TestAnsatzOperator:

@@ -1,6 +1,8 @@
-"""Property tests of the sparse exact elimination behind FactoredSystem
-and rat_solve (its reduced rows read through the rat_nullspace reference
-of conftest), against a dense Gauss-Jordan reference kept here, of the
+"""Property tests of the sparse fraction-free elimination behind
+FactoredSystem and rat_solve (its reduced rows read through the
+rat_nullspace reference of conftest), against a dense Gauss-Jordan
+reference kept here and value for value against the Fraction elimination
+it replaced (reference_factored in conftest), of the
 memoised minors of scalar_det, against a plain Laplace expansion, and of
 rank_certificate, against the search over every minor size kept here."""
 
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -28,7 +31,14 @@ from algebroids.ratlinalg import (
 )
 from algebroids.symexpr import Chart, cos, exp, sin
 
-from conftest import check_rank_certificate, chart_r, rat_nullspace, reference_det, reference_points
+from conftest import (
+    check_rank_certificate,
+    chart_r,
+    rat_nullspace,
+    reference_det,
+    reference_factored,
+    reference_points,
+)
 
 
 def reference_rref(a: list[list[Fraction]], n: int):
@@ -210,10 +220,6 @@ def sparse_systems(draw):
 def test_sparse_int_systems_solve_or_give_a_farkas_witness(case):
     rows, n, rhs = case
     dense = [[row.get(c, 0) for c in range(n)] for row in rows]
-    # the reduced rows and transforms hold int or Fraction, never a float
-    reduced = [dict(row) for row in rows]
-    _, transforms = _eliminate(reduced, n)
-    assert {type(v) for vec in reduced + transforms for v in vec.values()} <= {int, Fraction}
     sol, witness = FactoredSystem([dict(row) for row in rows], n).solve({i: b for i, b in enumerate(rhs) if b})
     if sol is None:
         assert all(type(y) is Fraction for y in witness)
@@ -226,14 +232,78 @@ def test_sparse_int_systems_solve_or_give_a_farkas_witness(case):
             assert sum(v * x for v, x in zip(row, sol)) == b
 
 
+def integral_rows(rows):
+    """Each row as int numerators over the lcm of its denominators, times
+    a small extra factor: the form in which `AnsatzOperator` passes its
+    rows, with the row scales."""
+    out, scales = [], []
+    for i, row in enumerate(rows):
+        scale = lcm(1, *(Fraction(v).denominator for v in row.values())) * (1 + i % 3)
+        out.append({c: int(v * scale) for c, v in row.items()})
+        scales.append(scale)
+    return out, scales
+
+
+@st.composite
+def reference_cases(draw):
+    """Sparse rows with several right-hand sides and values outside the
+    matrix, from `sparse_systems` or `factored_cases`, passed as they are,
+    with every value a Fraction (integral ones included) or as scaled int
+    numerators."""
+    if draw(st.booleans()):
+        rows, n, rhs = draw(sparse_systems())
+        sides, outside = [rhs], [[]]
+    else:
+        dense, sides, outside = draw(factored_cases())
+        n = len(dense[0])
+        rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    form = draw(st.sampled_from(["as drawn", "fractions", "scaled"]))
+    if form == "fractions":
+        rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+        sides = [[Fraction(b) for b in rhs] for rhs in sides]
+    return rows, n, sides, outside, form
+
+
+@settings(deadline=None)
+@given(reference_cases())
+def test_factored_solves_equal_the_fraction_reference(case):
+    rows, n, sides, outside, form = case
+    solve = reference_factored([dict(row) for row in rows], n)
+    if form == "scaled":
+        ints, scales = integral_rows(rows)
+        system = FactoredSystem(ints, n, scales)
+    else:
+        system = FactoredSystem([dict(row) for row in rows], n)
+    for rhs, extra in zip(sides, outside):
+        b = {i: q for i, q in enumerate(rhs) if q}
+        got = system.solve(b, extra)
+        assert got == solve(b, extra)
+        for vec in got:
+            assert vec is None or all(type(v) is Fraction for v in vec)
+
+
 @settings(max_examples=150, deadline=None)
 @given(sparse_systems())
-def test_elimination_keeps_integral_values_int(case):
+def test_reduced_rows_and_transforms_are_int(case):
     rows, n, _ = case
-    reduced = [dict(row) for row in rows]
-    _, transforms = _eliminate(reduced, n)
-    values = [v for vec in reduced + transforms for v in vec.values()]
-    assert not [v for v in values if type(v) is Fraction and v.denominator == 1]
+    reduced, scales = integral_rows(rows)
+    _, transforms = _eliminate(reduced, scales, n)
+    assert {type(v) for vec in reduced + transforms for v in vec.values()} <= {int}
+
+
+def test_floats_are_refused_at_both_entry_points():
+    with pytest.raises(TypeError, match=r"entry \(0, 0\) must be an int or a Fraction, got float 0\.1"):
+        rat_solve([[0.1, 1]], [3])
+    with pytest.raises(TypeError, match=r"right-hand side entry 0 must be an int or a Fraction, got float 0\.3"):
+        rat_solve([[Fraction(1, 10), 1]], [0.3])
+    with pytest.raises(TypeError, match=r"entry \(0, 0\) must be an int or a Fraction, got float 0\.5"):
+        FactoredSystem([{0: 0.5}], 1)
+    system = FactoredSystem([{0: 2}], 1)
+    with pytest.raises(TypeError, match="right-hand side entry 0 .* float"):
+        system.solve({0: 1.0})
+    with pytest.raises(TypeError, match="right-hand side entry 1 .* float"):
+        system.solve({0: 1}, [0.25])
+    assert rat_solve([[Fraction(1, 10), 1]], [Fraction(3, 10)]) == ([Fraction(3), Fraction(0)], None)
 
 
 def test_factored_witness_for_a_value_outside_the_matrix():
