@@ -460,16 +460,14 @@ def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
     return RankCertificate(r, bordered, unit)
 
 
-def float_rank(
-    rows: Union[Sequence, np.ndarray], tol: Optional[float] = None
-) -> Union[int, list[int]]:
+def float_rank(rows: Union[Sequence, np.ndarray]) -> Union[int, list[int]]:
     """Numeric rank of one matrix, or the list of ranks of a ``(count, m, n)``
-    stack, with numpy's scale-relative tolerance per matrix by default.
-    Zero-size matrices have rank 0."""
+    stack, with numpy's scale-relative tolerance per matrix.  Zero-size
+    matrices have rank 0."""
     arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
         return np.zeros(arr.shape[:-2], dtype=int).tolist()
-    return np.linalg.matrix_rank(arr, tol=tol).tolist()
+    return np.linalg.matrix_rank(arr).tolist()
 
 
 def sample_points(dim: int, seed: int, count: int, bound: int, den: int) -> list[list[Fraction]]:

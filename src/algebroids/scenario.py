@@ -8,17 +8,25 @@ expression grammar.  Definitions must precede use.  Example:
     morphism incl : TS1 -> B { base = (theta, 0) ; fiber = [[1]] }
     assert modular B = (1)
 
+Each block statement declares its fields once, as {keyword: reader},
+and reads its `{ ... }` through `_block`: a ';' or a newline ends a field,
+a field is given once (see `_REPEATABLE` and `_KEYED` for the
+exceptions), and an unknown field, a missing one and an unclosed block
+are errors.  `_define` enters every name a statement defines, once per
+scenario table.
+
 `_ASSERTIONS` is the assertion grammar: one entry per kind, listing its
 fields in order.  The names an assertion refers to are looked up once the
 whole file is read (a name it needs to parse an expression, at once), so
-a name no statement defines fails the parse, not the run.  Errors carry the source line number; an error the library
-raises while a statement builds its objects carries the line where that
-statement starts.  The
+a name no statement defines fails the parse, not the run.  Errors carry
+the source line number; an error the library raises while a statement
+builds its objects carries the line where that statement starts.  The
 parsed scenario is purely declarative; execution lives in the runner.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -111,21 +119,13 @@ class Scenario:
 
 def _strip_comments(text: str) -> str:
     """Replace comment spans with spaces so offsets and lines survive."""
-    out = []
-    in_comment = False
-    for ch in text:
-        if ch == "\n":
-            in_comment = False
-            out.append(ch)
-        elif ch == "#":
-            in_comment = True
-            out.append(" ")
-        else:
-            out.append(" " if in_comment else ch)
-    return "".join(out)
+    return re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)
 
 
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_/*'^!")
+# ';' is a separator: whitespace between fields, a terminator inside
+# expression scans (which never skip whitespace mid-scan)
+_SPACE = re.compile(r"[\s;]*")
+_WORD = re.compile(r"[A-Za-z0-9_/*'^!]*")
 
 
 class _Cursor:
@@ -143,20 +143,11 @@ class _Cursor:
         return ScenarioError(f"line {self.line()}: {msg}")
 
     def skip_ws(self) -> None:
-        # ';' is a separator: whitespace between fields, a terminator inside
-        # expression scans (which never call skip_ws mid-scan)
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isspace() or self.text[self.pos] == ";"
-        ):
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def at_end(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
-
-    def peek_char(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take(self, sym: str) -> bool:
         self.skip_ws()
@@ -173,8 +164,7 @@ class _Cursor:
     def word(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _WORD_CHARS:
-            self.pos += 1
+        self.pos = _WORD.match(self.text, start).end()
         if self.pos == start:
             raise self.error("expected a name")
         return self.text[start : self.pos]
@@ -227,15 +217,20 @@ class _Cursor:
             self.pos += 1
         return self.text[start : self.pos].strip()
 
-    def words(self, *fields: str) -> list[str]:
-        """Names up to '}' or the next of the field keywords `fields`."""
+    def words(self) -> list[str]:
+        """The names up to the end of the field: a ';', a newline or '}'."""
         out = []
-        while self.peek_char() not in "}" and self.peek_word() not in fields:
+        while True:
+            while self.pos < len(self.text) and self.text[self.pos] in " \t\r":
+                self.pos += 1
+            if self.pos == len(self.text) or self.text[self.pos] in ";\n}":
+                return out
             out.append(self.word())
-        return out
 
 
-def _expr(cur: _Cursor, chart: Chart, stops: str) -> ScalarFn:
+def _expr(cur: _Cursor, chart: Chart, stops: str = ";\n}") -> ScalarFn:
+    """An expression up to a top-level stop character; by default up to
+    the end of a block field."""
     raw = cur.until(stops)
     try:
         return parse_expr(raw, chart)
@@ -243,41 +238,34 @@ def _expr(cur: _Cursor, chart: Chart, stops: str) -> ScalarFn:
         raise cur.error(f"in expression {raw!r}: {e}") from e
 
 
+def _seq(cur: _Cursor, open_: str, close: str, item) -> list:
+    """`open_ item, item, ... close`, possibly empty: the values of `item()`."""
+    cur.expect(open_)
+    out: list = []
+    while not cur.take(close):
+        if out:
+            cur.expect(",")
+        out.append(item())
+    return out
+
+
 def _expr_tuple(cur: _Cursor, chart: Chart) -> list[ScalarFn]:
-    cur.expect("(")
-    out = []
-    if cur.take(")"):
-        return out
-    while True:
-        out.append(_expr(cur, chart, ",)"))
-        if cur.take(")"):
-            return out
-        cur.expect(",")
+    return _seq(cur, "(", ")", lambda: _expr(cur, chart, ",)"))
 
 
 def _matrix(cur: _Cursor, chart: Chart) -> list[list[ScalarFn]]:
-    cur.expect("[")
-    rows = []
-    if cur.take("]"):
-        return rows
-    while True:
-        cur.expect("[")
-        row = []
-        if not cur.take("]"):
-            while True:
-                row.append(_expr(cur, chart, ",]"))
-                if cur.take("]"):
-                    break
-                cur.expect(",")
-        rows.append(row)
-        if cur.take("]"):
-            return rows
-        cur.expect(",")
+    return _seq(cur, "[", "]", lambda: _seq(cur, "[", "]", lambda: _expr(cur, chart, ",]")))
 
 
-def _combo(cur: _Cursor, chart: Chart, frame: tuple, stops: str) -> dict[int, ScalarFn]:
-    """Sum of coefficient*framename terms (or 0)."""
-    raw = cur.until(stops)
+def _eq(cur: _Cursor, read, chart: Chart):
+    """`= value`, the value `read(cur, chart)`."""
+    cur.expect("=")
+    return read(cur, chart)
+
+
+def _combo(cur: _Cursor, chart: Chart, frame: tuple) -> dict[int, ScalarFn]:
+    """Sum of coefficient*framename terms (or 0), up to the end of the field."""
+    raw = cur.until(";\n}")
     if raw.strip() == "0":
         return {}
     out: dict[int, ScalarFn] = {}
@@ -371,110 +359,148 @@ def _need(sc: Scenario, table: str, name: str, cur: _Cursor):
     return d[name]
 
 
+def _define(sc: Scenario, table: str, name: str, value, cur: _Cursor) -> None:
+    """Enter `name` in a scenario table; a name is defined once."""
+    d = getattr(sc, table)
+    if name in d:
+        raise cur.error(f"duplicate {table.rstrip('s')} {name!r}")
+    d[name] = value
+
+
+def _entry(sc: Scenario, table: str, cur: _Cursor):
+    """A field reader: a name that must name an entry of a scenario table."""
+    return lambda got: _need(sc, table, cur.word(), cur)
+
+
+# Block fields that may be given more than once (each reader returns a
+# list, and the lists are joined) and fields given once per key (each
+# reader returns (key, value)); any other field is given once.
+_REPEATABLE = {"frame", "bundle", "names", "objects", "arrow", "compose", "pair"}
+_KEYED = {"anchor", "coeff", "bracket", "comp"}
+
+
+class _Fields(dict):
+    """The fields of one block read so far.  A reader that looks up a
+    field not given yet fails, naming the field it reads."""
+
+    def __init__(self, cur: _Cursor):
+        super().__init__()
+        self.cur, self.key = cur, ""
+
+    def __missing__(self, dep: str):
+        raise self.cur.error(f"declare {dep!r} before {self.key!r}")
+
+
+def _block(cur: _Cursor, line: int, what: str, fields: dict, need: tuple = (), name: str = "") -> dict:
+    """The `{ ... }` block of the `what` statement at `line`, as {field: value}.
+
+    `fields` maps each field keyword to its reader, which gets the fields
+    read so far; a ';' or a newline ends a field.  Every field in `need`
+    must be given."""
+    cur.expect("{")
+    got = _Fields(cur)
+    while not cur.take("}"):
+        if cur.at_end():
+            raise ScenarioError(f"line {line}: {what} block is not closed")
+        start = cur.pos
+        key = got.key = cur.word()
+        if key not in fields:
+            raise cur.error(f"unknown {what} field {key!r}")
+        value = fields[key](got)
+        if key in _REPEATABLE:
+            got.setdefault(key, []).extend(value)
+            continue
+        table, slot, label = got, key, key
+        if key in _KEYED:
+            (slot, value), table = value, got.setdefault(key, {})
+            label = f"{key} {slot}"
+        if slot in table:
+            raise ScenarioError(f"line {cur.line(start)}: {what} field {label!r} given twice")
+        table[slot] = value
+    for key in need:
+        if key not in got:
+            raise cur.error(f"{what} {name!r} is missing {key!r}")
+    return got
+
+
+def _pair_key(cur: _Cursor) -> tuple[str, str]:
+    """`[a, b] =`, the key of a bracket or of a bivector component."""
+    cur.expect("[")
+    a = cur.word()
+    cur.expect(",")
+    b = cur.word()
+    cur.expect("]")
+    cur.expect("=")
+    return a, b
+
+
 def _stmt_chart(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
-    cur.expect("{")
-    cur.expect("coords")
-    coords, periodic = [], []
-    while not cur.take("}"):
-        w = cur.word()
-        if w.endswith("*"):
-            coords.append(w[:-1])
-            periodic.append(True)
-        else:
-            coords.append(w)
-            periodic.append(False)
-    if name in sc.charts:
-        raise cur.error(f"duplicate chart {name!r}")
-    sc.charts[name] = Chart(name, tuple(coords), tuple(periodic))
+    fields = {"coords": lambda got: cur.words()}
+    words = _block(cur, line, "chart", fields, ("coords",), name)["coords"]
+    coords = tuple(w.removesuffix("*") for w in words)
+    _define(sc, "charts", name, Chart(name, coords, tuple(w.endswith("*") for w in words)), cur)
 
 
 def _stmt_algebroid(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     kind = cur.word()
-    if kind == "on":
-        chart = _need(sc, "charts", cur.word(), cur)
-        cur.expect("{")
-        frame: list[str] = []
-        anchor: dict[str, list[ScalarFn]] = {}
-        brackets: list[tuple[str, str, dict[int, ScalarFn]]] = []
-        while not cur.take("}"):
-            key = cur.word()
-            if key == "frame":
-                frame += cur.words("anchor", "bracket")
-            elif key == "anchor":
-                fname = cur.word()
-                cur.expect("=")
-                anchor[fname] = _expr_tuple(cur, chart)
-            elif key == "bracket":
-                cur.expect("[")
-                f1 = cur.word()
-                cur.expect(",")
-                f2 = cur.word()
-                cur.expect("]")
-                cur.expect("=")
-                combo = _combo(cur, chart, tuple(frame), "\n}")
-                brackets.append((f1, f2, combo))
-            else:
-                raise cur.error(f"unknown algebroid field {key!r}")
-        for fname in anchor:
-            if fname not in frame:
-                raise cur.error(f"anchor references unknown frame section {fname!r}")
-        rows = []
-        for f in frame:
-            row = anchor.get(f, [chart.zero()] * chart.dim)
-            if len(row) != chart.dim:
-                raise cur.error(f"anchor for {f!r} needs {chart.dim} components")
-            rows.append(row)
-        structure: dict[tuple[int, int], dict[int, ScalarFn]] = {}
-        for f1, f2, combo in brackets:
-            if f1 not in frame or f2 not in frame:
-                raise cur.error(f"bracket uses unknown frame names [{f1},{f2}]")
-            i, j = frame.index(f1), frame.index(f2)
-            if i == j:
-                if combo:
-                    raise cur.error("bracket of a section with itself must be 0")
-                continue
-            if i > j:
-                i, j = j, i
-                combo = {k: -v for k, v in combo.items()}
-            structure[(i, j)] = combo
-        sc.algebroids[name] = AlgebroidPresentation(
-            name, chart, tuple(frame), rows, structure
-        )
-        return
-    if kind == "tangent":
+    if kind not in ("on", "tangent", "zero"):
+        raise cur.error(f"expected 'on', 'tangent' or 'zero', got {kind!r}")
+    if kind != "on":
         cur.expect("of")
         chart = _need(sc, "charts", cur.word(), cur)
-        sc.algebroids[name] = tangent_algebroid(chart, name)
+        stock = tangent_algebroid if kind == "tangent" else zero_algebroid
+        _define(sc, "algebroids", name, stock(chart, name), cur)
         return
-    if kind == "zero":
-        cur.expect("of")
-        chart = _need(sc, "charts", cur.word(), cur)
-        sc.algebroids[name] = zero_algebroid(chart, name)
-        return
-    raise cur.error(f"expected 'on', 'tangent' or 'zero', got {kind!r}")
+    chart = _need(sc, "charts", cur.word(), cur)
+
+    def bracket(got):
+        f1, f2 = _pair_key(cur)
+        combo = _combo(cur, chart, tuple(got.get("frame", ())))
+        return f"[{min(f1, f2)}, {max(f1, f2)}]", (f1, f2, combo)
+
+    fields = {
+        "frame": lambda got: cur.words(),
+        "anchor": lambda got: (cur.word(), _eq(cur, _expr_tuple, chart)),
+        "bracket": bracket,
+    }
+    got = _block(cur, line, "algebroid", fields)
+    frame, anchor = got.get("frame", []), got.get("anchor", {})
+    for fname in anchor:
+        if fname not in frame:
+            raise cur.error(f"anchor references unknown frame section {fname!r}")
+    rows = []
+    for f in frame:
+        row = anchor.get(f, [chart.zero()] * chart.dim)
+        if len(row) != chart.dim:
+            raise cur.error(f"anchor for {f!r} needs {chart.dim} components")
+        rows.append(row)
+    structure: dict[tuple[int, int], dict[int, ScalarFn]] = {}
+    for f1, f2, combo in got.get("bracket", {}).values():
+        if f1 not in frame or f2 not in frame:
+            raise cur.error(f"bracket uses unknown frame names [{f1},{f2}]")
+        i, j = frame.index(f1), frame.index(f2)
+        if i == j:
+            if combo:
+                raise cur.error("bracket of a section with itself must be 0")
+            continue
+        if i > j:
+            i, j = j, i
+            combo = {k: -v for k, v in combo.items()}
+        structure[(i, j)] = combo
+    presentation = AlgebroidPresentation(name, chart, tuple(frame), rows, structure)
+    _define(sc, "algebroids", name, presentation, cur)
 
 
 def _stmt_section(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     a = _need(sc, "algebroids", name, cur)
-    cur.expect("{")
-    omega = a.chart.one()
-    mu = a.chart.one()
-    while not cur.take("}"):
-        key = cur.word()
-        cur.expect("=")
-        if key == "omega":
-            omega = _expr(cur, a.chart, ";\n}")
-        elif key == "mu":
-            mu = _expr(cur, a.chart, ";\n}")
-        else:
-            raise cur.error(f"unknown section field {key!r}")
-        cur.take(";")
-    sc.sections[name] = Trivialization(
-        top_multivector(a, omega), top_form(tangent_algebroid(a.chart), mu)
-    )
+    expr = lambda got: _eq(cur, _expr, a.chart)
+    got = _block(cur, line, "section", {"omega": expr, "mu": expr})
+    omega, mu = got.get("omega", a.chart.one()), got.get("mu", a.chart.one())
+    triv = Trivialization(top_multivector(a, omega), top_form(tangent_algebroid(a.chart), mu))
+    _define(sc, "sections", name, triv, cur)
 
 
 def _stmt_rep(cur: _Cursor, sc: Scenario, line: int) -> None:
@@ -490,23 +516,16 @@ def _stmt_rep(cur: _Cursor, sc: Scenario, line: int) -> None:
 
         d = _need(sc, "reps", repname, cur)
         phi = _need(sc, "morphisms", morphname, cur)
-        sc.reps[name] = pullback_rep(phi, d, name)
+        _define(sc, "reps", name, pullback_rep(phi, d, name), cur)
         return
     cur.expect("on")
     a = _need(sc, "algebroids", cur.word(), cur)
-    cur.expect("{")
-    bundle: list[str] = []
-    coeffs: dict[str, list[list[ScalarFn]]] = {}
-    while not cur.take("}"):
-        key = cur.word()
-        if key == "bundle":
-            bundle += cur.words("coeff")
-        elif key == "coeff":
-            fname = cur.word()
-            cur.expect("=")
-            coeffs[fname] = _matrix(cur, a.chart)
-        else:
-            raise cur.error(f"unknown rep field {key!r}")
+    fields = {
+        "bundle": lambda got: cur.words(),
+        "coeff": lambda got: (cur.word(), _eq(cur, _matrix, a.chart)),
+    }
+    got = _block(cur, line, "rep", fields)
+    bundle, coeffs = got.get("bundle", []), got.get("coeff", {})
     m = len(bundle)
     zero = a.chart.zero()
     mats = []
@@ -515,7 +534,7 @@ def _stmt_rep(cur: _Cursor, sc: Scenario, line: int) -> None:
         if len(mat) != m or any(len(r) != m for r in mat):
             raise cur.error(f"coeff matrix for {f!r} must be {m}x{m}")
         mats.append(mat)
-    sc.reps[name] = Representation(a, tuple(bundle), mats, name)
+    _define(sc, "reps", name, Representation(a, tuple(bundle), mats, name), cur)
 
 
 def _stmt_morphism(cur: _Cursor, sc: Scenario, line: int) -> None:
@@ -524,33 +543,24 @@ def _stmt_morphism(cur: _Cursor, sc: Scenario, line: int) -> None:
     src = _need(sc, "algebroids", cur.word(), cur)
     cur.expect("->")
     tgt = _need(sc, "algebroids", cur.word(), cur)
-    cur.expect("{")
-    basemap: Optional[list[ScalarFn]] = None
-    fiber: Optional[list[list[ScalarFn]]] = None
-    while not cur.take("}"):
-        key = cur.word()
-        cur.expect("=")
-        if key == "base":
-            basemap = _expr_tuple(cur, src.chart)
-        elif key == "fiber":
-            fiber = _matrix(cur, src.chart)
-        else:
-            raise cur.error(f"unknown morphism field {key!r}")
-        cur.take(";")
+    fields = {
+        "base": lambda got: _eq(cur, _expr_tuple, src.chart),
+        "fiber": lambda got: _eq(cur, _matrix, src.chart),
+    }
+    got = _block(cur, line, "morphism", fields, ("fiber",), name)
+    basemap = got.get("base")
     if basemap is None:
         if src.chart != tgt.chart:
             raise cur.error("base map required between different charts")
         basemap = [src.chart.coord(c) for c in src.chart.coords]
-    if fiber is None:
-        raise cur.error("morphism needs a fiber matrix")
-    sc.morphisms[name] = Morphism(name, src, tgt, basemap, fiber)
+    _define(sc, "morphisms", name, Morphism(name, src, tgt, basemap, got["fiber"]), cur)
 
 
 def _stmt_identity(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect("of")
     a = _need(sc, "algebroids", cur.word(), cur)
-    sc.morphisms[name] = identity_morphism(a, name)
+    _define(sc, "morphisms", name, identity_morphism(a, name), cur)
 
 
 def _stmt_composite(cur: _Cursor, sc: Scenario, line: int) -> None:
@@ -560,7 +570,7 @@ def _stmt_composite(cur: _Cursor, sc: Scenario, line: int) -> None:
     second = _need(sc, "morphisms", cur.word(), cur)
     cur.expect(".")
     first = _need(sc, "morphisms", cur.word(), cur)
-    sc.morphisms[name] = compose(second, first, name)
+    _define(sc, "morphisms", name, compose(second, first, name), cur)
 
 
 def _stmt_pullback(cur: _Cursor, sc: Scenario, line: int) -> None:
@@ -569,210 +579,158 @@ def _stmt_pullback(cur: _Cursor, sc: Scenario, line: int) -> None:
     b = _need(sc, "algebroids", cur.word(), cur)
     cur.expect("from")
     chart = _need(sc, "charts", cur.word(), cur)
-    cur.expect("{")
-    product = False
-    basemap: Optional[list[ScalarFn]] = None
-    pairs: list[PullbackFramePair] = []
-    names: list[str] = []
-    while not cur.take("}"):
-        key = cur.word()
-        if key == "mode":
-            mode = cur.word()
-            if mode != "product":
-                raise cur.error(f"unknown pull-back mode {mode!r}")
-            product = True
-        elif key == "base":
-            cur.expect("=")
-            basemap = _expr_tuple(cur, chart)
-        elif key == "pair":
-            bco = _expr_tuple(cur, chart)
-            cur.expect("|")
-            vf = _expr_tuple(cur, chart)
-            if len(bco) != b.rank or len(vf) != chart.dim:
-                raise cur.error(
-                    f"pair shape must be ({b.rank} target coefficients | "
-                    f"{chart.dim} vector components)"
-                )
-            pairs.append(PullbackFramePair(tuple(bco), tuple(vf)))
-        elif key == "names":
-            names += cur.words("pair", "base", "mode")
-        else:
-            raise cur.error(f"unknown pullback field {key!r}")
-    if product:
-        sc.pullframes[name] = product_submersion_frame(b, chart)
-        return
-    if basemap is None:
-        raise cur.error("user-supplied pull-back frame needs a base map")
-    sc.pullframes[name] = PullbackFrame(
-        b, chart, tuple(basemap), pairs, "user-supplied", tuple(names) or None
-    )
+
+    def mode(got):
+        word = cur.word()
+        if word != "product":
+            raise cur.error(f"unknown pull-back mode {word!r}")
+        return word
+
+    def pair(got):
+        bco = _expr_tuple(cur, chart)
+        cur.expect("|")
+        vf = _expr_tuple(cur, chart)
+        if len(bco) != b.rank or len(vf) != chart.dim:
+            raise cur.error(
+                f"pair shape must be ({b.rank} target coefficients | "
+                f"{chart.dim} vector components)"
+            )
+        return [PullbackFramePair(tuple(bco), tuple(vf))]
+
+    fields = {
+        "mode": mode,
+        "base": lambda got: _eq(cur, _expr_tuple, chart),
+        "pair": pair,
+        "names": lambda got: cur.words(),
+    }
+    got = _block(cur, line, "pullback", fields)
+    if "mode" in got:
+        # the product frame is computed; it takes no user data
+        extra = [key for key in got if key != "mode"]
+        if extra:
+            raise cur.error(f"pullback mode product takes no {extra[0]!r}")
+        frame = product_submersion_frame(b, chart)
+    elif "base" not in got:
+        raise cur.error(f"pullback {name!r} is missing 'base'")
+    else:
+        names = tuple(got.get("names", ())) or None
+        pairs = got.get("pair", [])
+        frame = PullbackFrame(b, chart, tuple(got["base"]), pairs, "user-supplied", names)
+    _define(sc, "pullframes", name, frame, cur)
 
 
 def _stmt_extension(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
-    cur.expect("{")
-    fieldsd: dict[str, object] = {}
-    while not cur.take("}"):
-        key = cur.word()
-        if key in ("kernel", "total", "quotient"):
-            fieldsd[key] = _need(sc, "algebroids", cur.word(), cur)
-        elif key in ("incl", "proj"):
-            cur.expect("=")
-            total = fieldsd.get("total")
-            chart = total.chart if total else None
-            if chart is None:
-                raise cur.error("declare 'total' before the matrices")
-            fieldsd[key] = _matrix(cur, chart)
-        elif key in ("lambda", "mu"):
-            cur.expect("=")
-            total = fieldsd.get("total")
-            if total is None:
-                raise cur.error("declare 'total' before lambda/mu")
-            fieldsd[key] = _expr(cur, total.chart, ";\n}")
-            cur.take(";")
-        else:
-            raise cur.error(f"unknown extension field {key!r}")
-    for req in ("kernel", "total", "quotient", "incl", "proj"):
-        if req not in fieldsd:
-            raise cur.error(f"extension {name!r} is missing {req!r}")
-    c, a, b = fieldsd["kernel"], fieldsd["total"], fieldsd["quotient"]
+    alg = _entry(sc, "algebroids", cur)
+    matrix = lambda got: _eq(cur, _matrix, got["total"].chart)
+    expr = lambda got: _eq(cur, _expr, got["total"].chart)
+    fields = {"kernel": alg, "total": alg, "quotient": alg}
+    fields |= {"incl": matrix, "proj": matrix, "lambda": expr, "mu": expr}
+    got = _block(cur, line, "extension", fields, ("kernel", "total", "quotient", "incl", "proj"), name)
+    c, a, b = got["kernel"], got["total"], got["quotient"]
     from .morphisms import base_preserving_morphism
 
-    incl = base_preserving_morphism(f"{name}_incl", c, a, fieldsd["incl"])
-    proj = base_preserving_morphism(f"{name}_proj", a, b, fieldsd["proj"])
-    lam = LineSection(fieldsd.get("lambda", a.chart.one()))
-    sc.extensions[name] = ExtensionPresentation(c, a, b, incl, proj, lam)
-    if "mu" in fieldsd:
-        sc.extension_mu[name] = top_form(b, fieldsd["mu"])
+    incl = base_preserving_morphism(f"{name}_incl", c, a, got["incl"])
+    proj = base_preserving_morphism(f"{name}_proj", a, b, got["proj"])
+    lam = LineSection(got.get("lambda", a.chart.one()))
+    _define(sc, "extensions", name, ExtensionPresentation(c, a, b, incl, proj, lam), cur)
+    if "mu" in got:
+        sc.extension_mu[name] = top_form(b, got["mu"])
 
 
 def _stmt_bivector(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect("on")
     chart = _need(sc, "charts", cur.word(), cur)
-    tm = tangent_algebroid(chart)
-    cur.expect("{")
-    comps: dict[tuple[int, int], ScalarFn] = {}
-    while not cur.take("}"):
-        cur.expect("comp")
-        cur.expect("[")
-        c1 = cur.word()
-        cur.expect(",")
-        c2 = cur.word()
+
+    def comp(got):
+        c1, c2 = _pair_key(cur)
         for c in (c1, c2):
             if c not in chart.coords:
                 raise cur.error(f"chart {chart.name!r} has no coordinate {c!r}")
         i, j = chart.index(c1), chart.index(c2)
-        cur.expect("]")
-        cur.expect("=")
-        val = _expr(cur, chart, ";\n}")
-        cur.take(";")
+        val = _expr(cur, chart)
         if i == j:
             raise cur.error("bivector components need distinct coordinates")
         if i > j:
-            i, j = j, i
-            val = -val
-        comps[(i, j)] = val
-    sc.bivectors[name] = Multivector(tm, 2, comps)
+            i, j, val = j, i, -val
+        return f"[{chart.coords[i]}, {chart.coords[j]}]", ((i, j), val)
+
+    comps = dict(_block(cur, line, "bivector", {"comp": comp}).get("comp", {}).values())
+    _define(sc, "bivectors", name, Multivector(tangent_algebroid(chart), 2, comps), cur)
 
 
 def _stmt_cotangent(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
     cur.expect("of")
     pi = _need(sc, "bivectors", cur.word(), cur)
-    sc.algebroids[name] = cotangent_algebroid(pi, name)
+    _define(sc, "algebroids", name, cotangent_algebroid(pi, name), cur)
 
 
 def _stmt_poisson(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
-    cur.expect("{")
-    pi = None
-    image = kernel = complement = None
-    lam = None
-    while not cur.take("}"):
-        key = cur.word()
-        if key == "bivector":
-            pi = _need(sc, "bivectors", cur.word(), cur)
-        else:
-            cur.expect("=")
-            if pi is None:
-                raise cur.error("declare 'bivector' first")
-            chart = pi.algebroid.chart
-            if key == "image":
-                image = _matrix(cur, chart)
-            elif key == "kernel":
-                kernel = _matrix(cur, chart)
-            elif key == "complement":
-                complement = _matrix(cur, chart)
-            elif key == "lambda":
-                lam = _expr(cur, chart, ";\n}")
-                cur.take(";")
-            else:
-                raise cur.error(f"unknown poisson field {key!r}")
-    if pi is None or image is None or kernel is None or complement is None:
-        raise cur.error(f"poisson {name!r} needs bivector, image, kernel, complement")
-    chart = pi.algebroid.chart
-    sc.poissons[name] = PoissonData(
-        pi, image, kernel, complement, lam if lam is not None else chart.one()
-    )
+    matrix = lambda got: _eq(cur, _matrix, got["bivector"].algebroid.chart)
+    fields = {
+        "bivector": _entry(sc, "bivectors", cur),
+        "image": matrix,
+        "kernel": matrix,
+        "complement": matrix,
+        "lambda": lambda got: _eq(cur, _expr, got["bivector"].algebroid.chart),
+    }
+    got = _block(cur, line, "poisson", fields, ("bivector", "image", "kernel", "complement"), name)
+    pi = got["bivector"]
+    lam = got.get("lambda", pi.algebroid.chart.one())
+    data = PoissonData(pi, got["image"], got["kernel"], got["complement"], lam)
+    _define(sc, "poissons", name, data, cur)
 
 
 def _stmt_quotientdata(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
-    cur.expect("{")
-    phi = ext = include = None
-    complement = None
-    while not cur.take("}"):
-        key = cur.word()
-        if key == "phi":
-            phi = _need(sc, "morphisms", cur.word(), cur)
-        elif key == "extension":
-            ext = _need(sc, "extensions", cur.word(), cur)
-        elif key == "include":
-            include = _need(sc, "morphisms", cur.word(), cur)
-        elif key == "complement":
-            cur.expect("=")
-            if include is None:
-                raise cur.error("declare 'include' before the complement")
-            complement = _matrix(cur, include.target.chart)
-        else:
-            raise cur.error(f"unknown quotientdata field {key!r}")
-    if phi is None or ext is None or include is None:
-        raise cur.error("quotientdata needs phi, extension, include")
-    if not complement:
-        complement = [[] for _ in range(include.target.rank)]
-    sc.quotientdata[name] = QuotientData(phi, ext, include, complement)
+    fields = {
+        "phi": _entry(sc, "morphisms", cur),
+        "extension": _entry(sc, "extensions", cur),
+        "include": _entry(sc, "morphisms", cur),
+        "complement": lambda got: _eq(cur, _matrix, got["include"].target.chart),
+    }
+    got = _block(cur, line, "quotientdata", fields, ("phi", "extension", "include"), name)
+    include = got["include"]
+    complement = got.get("complement") or [[] for _ in range(include.target.rank)]
+    data = QuotientData(got["phi"], got["extension"], include, complement)
+    _define(sc, "quotientdata", name, data, cur)
 
 
 def _stmt_diagram(cur: _Cursor, sc: Scenario, line: int) -> None:
     name = cur.word()
-    cur.expect("{")
     dia = Diagram()
-    while not cur.take("}"):
-        key = cur.word()
-        if key == "objects":
-            for objname in cur.words("arrow", "compose"):
-                dia.add_object(objname, _need(sc, "algebroids", objname, cur))
-        elif key == "arrow":
-            morphname = cur.word()
-            m = _need(sc, "morphisms", morphname, cur)
-            src = _resolve_object(dia, m.source, cur)
-            tgt = _resolve_object(dia, m.target, cur)
-            dia.add_arrow(morphname, m, src, tgt)
-        elif key == "compose":
-            second = cur.word()
-            cur.expect(".")
-            first = cur.word()
-            cur.expect("=")
-            result = cur.word()
-            dia.declare_composite(first, second, result)
-        else:
-            raise cur.error(f"unknown diagram field {key!r}")
+
+    def objects(got):
+        names = cur.words()
+        for objname in names:
+            dia.add_object(objname, _need(sc, "algebroids", objname, cur))
+        return names
+
+    def arrow(got):
+        morphname = cur.word()
+        m = _need(sc, "morphisms", morphname, cur)
+        src, tgt = (_resolve_object(dia, end, cur) for end in (m.source, m.target))
+        dia.add_arrow(morphname, m, src, tgt)
+        return [morphname]
+
+    def composite(got):
+        second = cur.word()
+        cur.expect(".")
+        first = cur.word()
+        cur.expect("=")
+        result = cur.word()
+        dia.declare_composite(first, second, result)
+        return [result]
+
+    _block(cur, line, "diagram", {"objects": objects, "arrow": arrow, "compose": composite})
     for objname, alg in dia.objects.items():
         arrow_name = f"id_{objname}"
         if arrow_name not in dia.arrows:
             dia.add_arrow(arrow_name, identity_morphism(alg, arrow_name), objname, objname)
-    sc.diagrams[name] = dia
+    _define(sc, "diagrams", name, dia, cur)
 
 
 def _resolve_object(dia: Diagram, alg: AlgebroidPresentation, cur: _Cursor) -> str:
@@ -793,26 +751,21 @@ def _stmt_bundlemap(cur: _Cursor, sc: Scenario, line: int) -> None:
     src = _need(sc, "reps", cur.word(), cur)
     cur.expect("->")
     tgt = _need(sc, "reps", cur.word(), cur)
-    cur.expect("{")
-    cur.expect("matrix")
-    cur.expect("=")
-    matrix = _matrix(cur, over.source.chart)
-    cur.expect("}")
-    sc.bundlemaps[name] = BundleMapData(over, src, tgt, matrix)
+    fields = {"matrix": lambda got: _eq(cur, _matrix, over.source.chart)}
+    matrix = _block(cur, line, "bundlemap", fields, ("matrix",), name)["matrix"]
+    _define(sc, "bundlemaps", name, BundleMapData(over, src, tgt, matrix), cur)
 
 
 def _stmt_ansatz(cur: _Cursor, sc: Scenario, line: int) -> None:
-    fields = {"degree": "ansatz_degree", "modes": "ansatz_modes"}
-    cur.expect("{")
-    while not cur.take("}"):
-        key = cur.word()
-        if key not in fields:
-            raise cur.error(f"unknown ansatz field {key!r}")
+    def size(got):
         value = cur.int_value()
         if value < 0:
-            raise cur.error(f"ansatz {key} must be non-negative, got {value}")
-        setattr(sc, fields[key], value)
-        cur.take(";")
+            raise cur.error(f"ansatz {got.key} must be non-negative, got {value}")
+        return value
+
+    got = _block(cur, line, "ansatz", {"degree": size, "modes": size})
+    sc.ansatz_degree = got.get("degree", sc.ansatz_degree)
+    sc.ansatz_modes = got.get("modes", sc.ansatz_modes)
 
 
 # The assertion grammar: kind -> its fields in order.  A field is a quoted
@@ -878,18 +831,14 @@ def _stmt_assert(cur: _Cursor, sc: Scenario, line: int) -> None:
 
 
 def _tail_combo(cur: _Cursor, sc: Scenario, args: dict) -> None:
-    cur.expect("(")
-    args["combo"] = []
-    if not cur.take(")"):
-        while True:
-            raw = cur.until(",)")
-            try:
-                args["combo"].append(Fraction(raw.replace(" ", "")))
-            except (ValueError, ZeroDivisionError):
-                raise cur.error(f"bad number {raw!r} in combo") from None
-            if cur.take(")"):
-                break
-            cur.expect(",")
+    def number():
+        raw = cur.until(",)")
+        try:
+            return Fraction(raw.replace(" ", ""))
+        except (ValueError, ZeroDivisionError):
+            raise cur.error(f"bad number {raw!r} in combo") from None
+
+    args["combo"] = _seq(cur, "(", ")", number)
 
 
 def _tail_mean(cur: _Cursor, sc: Scenario, args: dict) -> None:

@@ -116,6 +116,14 @@ class Chart:
             raise SymExprError("periodic flags must match coordinates")
         if len(set(self.coords)) != len(self.coords):
             raise SymExprError(f"duplicate coordinate names in chart {self.name!r}")
+        for c in self.coords:
+            try:
+                toks = _tokenize(c)
+            except NonCanonicalizable:
+                toks = []
+            # a coordinate is a name the expression grammar reads back as itself
+            if c == "pi" or [(t.kind, t.text) for t in toks] != [("name", c), ("end", "")]:
+                raise SymExprError(f"{c!r} is not a coordinate name in chart {self.name!r}")
 
     @property
     def dim(self) -> int:
@@ -337,7 +345,7 @@ class ScalarFn:
     view of the same map.
     """
 
-    __slots__ = ("chart", "num", "den", "_global")
+    __slots__ = ("chart", "num", "den")
 
     def __init__(self, chart: Chart, num: dict[TermKey, int], den: int = 1):
         # use ScalarFn._make; this constructor trusts its input
@@ -420,35 +428,6 @@ class ScalarFn:
         # (q / den)^-1 = den / q, already in lowest terms
         den = self.den if q > 0 else -self.den
         return ScalarFn(self.chart, {(mono, None, tuple(-d for d in expv)): den}, abs(q))
-
-    @property
-    def is_global(self) -> bool:
-        """Well defined on the chart including its periodic directions.
-
-        Periodic coordinates must not occur in monomials or exp slopes and
-        must enter trig arguments with integer slope.
-        """
-        try:
-            return self._global
-        except AttributeError:
-            pass
-        ok = True
-        per = self.chart.periodic
-        if any(per):
-            for mono, trig, expv in self.num:
-                for j, flag in enumerate(per):
-                    if not flag:
-                        continue
-                    if mono[j] != 0 or expv[j] != 0:
-                        ok = False
-                        break
-                    if trig is not None and trig[1][j].denominator != 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        object.__setattr__(self, "_global", ok)
-        return ok
 
     # -- ring operations ----------------------------------------------
 

@@ -34,9 +34,9 @@ from algebroids.symexpr import (
 )
 
 
-# `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x) and
-# elimination-reference properties, which take hypothesis' default budget in
-# the tier-1 run, with a deeper search
+# `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x),
+# elimination-reference and algebroid-block round-trip properties, which
+# take hypothesis' default budget in the tier-1 run, with a deeper search
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
@@ -519,9 +519,9 @@ def count_sampling(monkeypatch, check, *args, **kwargs):
         counts["evaluate"] += 1
         return evaluate(self, points, atoms)
 
-    def counting_rank(stack, tol=None):
+    def counting_rank(stack):
         counts["float_rank"] += 1
-        return rank(stack, tol)
+        return rank(stack)
 
     monkeypatch.setattr(ScalarFn, "evaluate", counting_evaluate)
     monkeypatch.setattr(ratlinalg, "float_rank", counting_rank)

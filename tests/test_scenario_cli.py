@@ -3,13 +3,20 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids import extensions, runner
+from algebroids import scenario
 from algebroids.cli import corpus_scenarios, load_scenario, main
+from algebroids.core import same_presentation
 from algebroids.runner import Session, run
-from algebroids.scenario import _ASSERTIONS, ScenarioError, parse_scenario
+from algebroids.scenario import _ASSERTIONS, _STATEMENTS, ScenarioError, _strip_comments, parse_scenario
+
+from conftest import frame_algebroids
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 CYL_SNIPPET = """
@@ -20,6 +27,458 @@ algebroid B on N { frame b ; anchor b = (1, x) }
 morphism incl : TS1 -> B { base = (theta, 0) ; fiber = [[1]] }
 assert morphism incl pass
 assert equal relmod incl = form TS1 (-1)
+"""
+
+
+# every statement below follows BLOCK_PRELUDE; its error names a line of
+# the statement, counted from 1
+BLOCK_PRELUDE = """chart N { coords x }
+chart S { coords theta* }
+chart T { coords x y }
+algebroid B on N { frame b ; anchor b = (1) }
+algebroid TS tangent of S
+bivector PI on T { comp [x, y] = 1 }
+identity idB of B
+rep D on B { bundle e }
+extension EXT { kernel B ; total B ; quotient B ; incl = [[1]] ; proj = [[1]] }
+"""
+
+BLOCK_ERRORS = [
+    pytest.param('chart M { foo x }', 1, "unknown chart field 'foo'", id='chart-field'),
+    pytest.param(
+        'algebroid A on N { anchor a = (1)\n  foo a }',
+        2,
+        "unknown algebroid field 'foo'",
+        id='algebroid-field',
+    ),
+    pytest.param('section B { foo = 1 }', 1, "unknown section field 'foo'", id='section-field'),
+    pytest.param('rep R on B { foo e }', 1, "unknown rep field 'foo'", id='rep-field'),
+    pytest.param(
+        'morphism m : B -> B { foo = [[1]] }',
+        1,
+        "unknown morphism field 'foo'",
+        id='morphism-field',
+    ),
+    pytest.param('pullback P of B from S { foo }', 1, "unknown pullback field 'foo'", id='pullback-field'),
+    pytest.param('extension E { foo B }', 1, "unknown extension field 'foo'", id='extension-field'),
+    pytest.param('bivector Q on T { foo }', 1, "unknown bivector field 'foo'", id='bivector-field'),
+    pytest.param('poisson P { bivector PI ; foo = 1 }', 1, "unknown poisson field 'foo'", id='poisson-field'),
+    pytest.param(
+        'quotientdata Q { foo idB }',
+        1,
+        "unknown quotientdata field 'foo'",
+        id='quotientdata-field',
+    ),
+    pytest.param('diagram G { foo B }', 1, "unknown diagram field 'foo'", id='diagram-field'),
+    pytest.param(
+        'bundlemap M over idB : D -> D { foo = [[1]] }',
+        1,
+        "unknown bundlemap field 'foo'",
+        id='bundlemap-field',
+    ),
+    pytest.param('ansatz { foo 1 }', 1, "unknown ansatz field 'foo'", id='ansatz-field'),
+    pytest.param(
+        'morphism m : B -> B {\n  base = (x)\n}',
+        3,
+        "morphism 'm' is missing 'fiber'",
+        id='morphism-fiber',
+    ),
+    pytest.param(
+        'pullback P of B from S { names t }',
+        1,
+        "pullback 'P' is missing 'base'",
+        id='pullback-base',
+    ),
+    pytest.param(
+        'extension E { total B ; quotient B ; incl = [[1]] ; proj = [[1]] }',
+        1,
+        "extension 'E' is missing 'kernel'",
+        id='extension-kernel',
+    ),
+    pytest.param(
+        'extension E { kernel B ; quotient B }',
+        1,
+        "extension 'E' is missing 'total'",
+        id='extension-total',
+    ),
+    pytest.param(
+        'extension E { kernel B ; total B ; incl = [[1]] ; proj = [[1]] }',
+        1,
+        "extension 'E' is missing 'quotient'",
+        id='extension-quotient',
+    ),
+    pytest.param(
+        'extension E { kernel B ; total B ; quotient B ; proj = [[1]] }',
+        1,
+        "extension 'E' is missing 'incl'",
+        id='extension-incl',
+    ),
+    pytest.param(
+        'extension E {\n  kernel B\n  total B\n  quotient B\n  incl = [[1]]\n}',
+        6,
+        "extension 'E' is missing 'proj'",
+        id='extension-proj',
+    ),
+    pytest.param('poisson P { }', 1, "poisson 'P' is missing 'bivector'", id='poisson-bivector'),
+    pytest.param(
+        'poisson P { bivector PI ; kernel = [] ; complement = [] }',
+        1,
+        "poisson 'P' is missing 'image'",
+        id='poisson-image',
+    ),
+    pytest.param(
+        'poisson P { bivector PI ; image = [] ; complement = [] }',
+        1,
+        "poisson 'P' is missing 'kernel'",
+        id='poisson-kernel',
+    ),
+    pytest.param(
+        'poisson P { bivector PI ; image = [] ; kernel = [] }',
+        1,
+        "poisson 'P' is missing 'complement'",
+        id='poisson-complement',
+    ),
+    pytest.param(
+        'quotientdata Q { extension EXT ; include idB }',
+        1,
+        "quotientdata 'Q' is missing 'phi'",
+        id='quotientdata-phi',
+    ),
+    pytest.param(
+        'quotientdata Q { phi idB ; include idB }',
+        1,
+        "quotientdata 'Q' is missing 'extension'",
+        id='quotientdata-extension',
+    ),
+    pytest.param(
+        'quotientdata Q { phi idB ; extension EXT }',
+        1,
+        "quotientdata 'Q' is missing 'include'",
+        id='quotientdata-include',
+    ),
+    pytest.param(
+        'bundlemap M over idB : D -> D { }',
+        1,
+        "bundlemap 'M' is missing 'matrix'",
+        id='bundlemap-matrix',
+    ),
+    pytest.param('chart M { }', 1, "chart 'M' is missing 'coords'", id='chart-coords'),
+    pytest.param(
+        'extension E { incl = [[1]] }',
+        1,
+        "declare 'total' before 'incl'",
+        id='total-before-matrices',
+    ),
+    pytest.param(
+        'extension E { lambda = 1 }',
+        1,
+        "declare 'total' before 'lambda'",
+        id='total-before-lambda',
+    ),
+    pytest.param('poisson P { image = [] }', 1, "declare 'bivector' before 'image'", id='bivector-first'),
+    pytest.param(
+        'quotientdata Q { complement = [] }',
+        1,
+        "declare 'include' before 'complement'",
+        id='include-before-complement',
+    ),
+    pytest.param(
+        'pullback P of B from S { base = (0) ; pair (1, 2) | (1) }',
+        1,
+        'pair shape must be (1 target coefficients | 1 vector components)',
+        id='pair-shape',
+    ),
+    pytest.param(
+        'algebroid A on N { frame a ; anchor a = (1, 2) }',
+        1,
+        "anchor for 'a' needs 1 components",
+        id='anchor-length',
+    ),
+    pytest.param(
+        'algebroid A on N { frame a ; anchor c = (1) }',
+        1,
+        "anchor references unknown frame section 'c'",
+        id='anchor-unknown',
+    ),
+    pytest.param(
+        'rep R on B { bundle e ; coeff b = [[1, 2]] }',
+        1,
+        "coeff matrix for 'b' must be 1x1",
+        id='coeff-shape',
+    ),
+    pytest.param(
+        'bivector Q on T { comp [x, x] = 1 }',
+        1,
+        'bivector components need distinct coordinates',
+        id='comp-equal',
+    ),
+    pytest.param(
+        'bivector Q on T { comp [x, q] = 1 }',
+        1,
+        "chart 'T' has no coordinate 'q'",
+        id='comp-unknown',
+    ),
+    pytest.param(
+        'pullback P of B from S { mode whatever }',
+        1,
+        "unknown pull-back mode 'whatever'",
+        id='pullback-mode',
+    ),
+    pytest.param(
+        'morphism m : TS -> B { fiber = [[1]] }',
+        1,
+        'base map required between different charts',
+        id='base-between-charts',
+    ),
+    pytest.param('ansatz { modes -1 }', 1, 'ansatz modes must be non-negative, got -1', id='ansatz-negative'),
+    pytest.param(
+        'algebroid A on N { frame a ; bracket [a, a] = q }',
+        1,
+        "unknown frame section 'q' in combination",
+        id='combo-unknown',
+    ),
+    pytest.param(
+        'algebroid A on N { frame a c ; bracket [a, c] = a + }',
+        1,
+        "empty term in combination 'a +'",
+        id='combo-empty',
+    ),
+    pytest.param(
+        'algebroid A on N { frame a c ; bracket [a, c] = (y)*a }',
+        1,
+        "in coefficient '(y)': chart 'N' has no coordinate 'y'",
+        id='combo-coefficient',
+    ),
+    pytest.param(
+        'algebroid A on N { frame a ; bracket [a, q] = a }',
+        1,
+        'bracket uses unknown frame names [a,q]',
+        id='bracket-unknown',
+    ),
+    pytest.param(
+        'algebroid A on N { frame a ; bracket [a, a] = a }',
+        1,
+        'bracket of a section with itself must be 0',
+        id='bracket-self',
+    ),
+    pytest.param(
+        'section B { omega = y }',
+        1,
+        "in expression 'y': chart 'N' has no coordinate 'y'",
+        id='expression',
+    ),
+    pytest.param(
+        'diagram G { objects TS ; arrow idB }',
+        1,
+        'arrow endpoints must match exactly one declared object; got none',
+        id='arrow-endpoints',
+    ),
+    pytest.param(
+        'algebroid A over N',
+        1,
+        "expected 'on', 'tangent' or 'zero', got 'over'",
+        id='algebroid-kind',
+    ),
+    pytest.param('chart N { coords y }', 1, "duplicate chart 'N'", id='chart-duplicate'),
+]
+
+
+# a name is defined once, a field given once (a keyed field once per key),
+# a product pull-back takes no other field, and a block is closed
+GIVEN_ONCE = [
+    pytest.param('algebroid B on N { frame c }', 1, "duplicate algebroid 'B'", id='algebroid'),
+    pytest.param('algebroid B tangent of N', 1, "duplicate algebroid 'B'", id='tangent'),
+    pytest.param('algebroid TS zero of S', 1, "duplicate algebroid 'TS'", id='zero'),
+    pytest.param('cotangent B of PI', 1, "duplicate algebroid 'B'", id='cotangent'),
+    pytest.param(
+        'algebroid A on N { frame a ; anchor a = (1) }\nidentity i of A\n'
+        'algebroid A on N { frame a ; anchor a = (x) }',
+        3,
+        "duplicate algebroid 'A'",
+        id='algebroid-after-use',
+    ),
+    pytest.param('section B { omega = 1 }\nsection B { mu = 1 }', 2, "duplicate section 'B'", id='section'),
+    pytest.param('rep D on B { bundle f }', 1, "duplicate rep 'D'", id='rep'),
+    pytest.param('rep D = pullback D along idB', 1, "duplicate rep 'D'", id='rep-pullback'),
+    pytest.param('morphism idB : B -> B { fiber = [[1]] }', 1, "duplicate morphism 'idB'", id='morphism'),
+    pytest.param('identity idB of B', 1, "duplicate morphism 'idB'", id='identity'),
+    pytest.param('composite idB = idB . idB', 1, "duplicate morphism 'idB'", id='composite'),
+    pytest.param(
+        'pullback P of B from N { mode product }\npullback P of B from N { mode product }',
+        2,
+        "duplicate pullframe 'P'",
+        id='pullback',
+    ),
+    pytest.param(
+        'extension EXT { kernel B ; total B ; quotient B ; incl = [[1]] ; proj = [[1]] }',
+        1,
+        "duplicate extension 'EXT'",
+        id='extension',
+    ),
+    pytest.param('bivector PI on T { comp [x, y] = 2 }', 1, "duplicate bivector 'PI'", id='bivector'),
+    pytest.param(
+        'poisson P { bivector PI ; image = [] ; kernel = [] ; complement = [] }\n'
+        'poisson P { bivector PI ; image = [] ; kernel = [] ; complement = [] }',
+        2,
+        "duplicate poisson 'P'",
+        id='poisson',
+    ),
+    pytest.param(
+        'quotientdata Q { phi idB ; extension EXT ; include idB }\n'
+        'quotientdata Q { phi idB ; extension EXT ; include idB }',
+        2,
+        "duplicate quotientdata 'Q'",
+        id='quotientdata',
+    ),
+    pytest.param(
+        'diagram G { objects B }\ndiagram G { objects B }',
+        2,
+        "duplicate diagram 'G'",
+        id='diagram',
+    ),
+    pytest.param(
+        'bundlemap M over idB : D -> D { matrix = [[1]] }\nbundlemap M over idB : D -> D { matrix = [[1]] }',
+        2,
+        "duplicate bundlemap 'M'",
+        id='bundlemap',
+    ),
+    pytest.param(
+        'morphism m : B -> B { fiber = [[1]] ; fiber = [[2]] }',
+        1,
+        "morphism field 'fiber' given twice",
+        id='fiber-twice',
+    ),
+    pytest.param('chart M { coords x ; coords y }', 1, "chart field 'coords' given twice", id='coords-twice'),
+    pytest.param(
+        'ansatz {\n  degree 2\n  degree 3\n}',
+        3,
+        "ansatz field 'degree' given twice",
+        id='degree-twice',
+    ),
+    pytest.param(
+        'algebroid A on N { frame a ; anchor a = (1)\n  anchor a = (x) }',
+        2,
+        "algebroid field 'anchor a' given twice",
+        id='anchor-twice',
+    ),
+    pytest.param(
+        'rep R on B { bundle e ; coeff b = [[1]] ; coeff b = [[x]] }',
+        1,
+        "rep field 'coeff b' given twice",
+        id='coeff-twice',
+    ),
+    pytest.param(
+        'algebroid A on N { frame a c ; bracket [a, c] = a ; bracket [c, a] = c }',
+        1,
+        "algebroid field 'bracket [a, c]' given twice",
+        id='bracket-twice',
+    ),
+    pytest.param(
+        'bivector Q on T { comp [x, y] = 1 ; comp [y, x] = x }',
+        1,
+        "bivector field 'comp [x, y]' given twice",
+        id='comp-twice',
+    ),
+    pytest.param(
+        'pullback P of B from N { mode product ; base = (x) ; pair (1) | (1) }',
+        1,
+        "pullback mode product takes no 'base'",
+        id='product-with-base',
+    ),
+    pytest.param(
+        'pullback P of B from N {\n  pair (1) | (1)\n  mode product\n}',
+        4,
+        "pullback mode product takes no 'pair'",
+        id='product-after-pair',
+    ),
+    pytest.param('chart M { coords x', 1, 'chart block is not closed', id='unclosed'),
+    pytest.param('algebroid A on N {\n  frame a', 1, 'algebroid block is not closed', id='unclosed-lines'),
+]
+
+
+def _block_error(text: str) -> str:
+    """The error of `text` after BLOCK_PRELUDE, its line counted from the
+    start of `text`."""
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(BLOCK_PRELUDE + text + "\n")
+    line, message = str(exc.value).split(": ", 1)
+    return f"line {int(line.split()[1]) - BLOCK_PRELUDE.count(chr(10))}: {message}"
+
+
+@pytest.mark.parametrize("text, line, message", BLOCK_ERRORS)
+def test_block_errors_keep_their_line_and_text(text, line, message):
+    assert _block_error(text) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("text, line, message", GIVEN_ONCE)
+def test_names_and_fields_are_given_once(text, line, message):
+    assert _block_error(text) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "coords, bad",
+    [("*", ""), ("x**", "x*"), ("pi", "pi"), ("x/y", "x/y"), ("x y'", "y'")],
+)
+def test_chart_coordinates_are_names_the_grammar_reads(coords, bad):
+    assert _block_error(f"chart M {{ coords {coords} }}") == (
+        f"line 1: {bad!r} is not a coordinate name in chart 'M'"
+    )
+
+
+def _join_block_fields(text: str) -> str:
+    """`text` without comments and with each newline between block fields
+    replaced by ' ; ' (newlines inside () and [] are kept)."""
+    out, braces, depth = [], 0, 0
+    for ch in _strip_comments(text):
+        braces += (ch == "{") - (ch == "}")
+        depth += (ch in "([") - (ch in ")]")
+        out.append(" ; " if ch == "\n" and braces and not depth else ch)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", corpus_scenarios())
+def test_fields_joined_by_semicolons_give_the_same_report(name):
+    path = Path(scenario.__file__).parent / "corpus" / name
+    joined = _join_block_fields(path.read_text())
+    assert re.search(r"\{[^}]* ; [^}]*\}", joined)
+    report = run(parse_scenario(joined, path.stem), seed=0)
+    assert report.to_text() + "\n" == (GOLDEN / f"{path.stem}.seed0.txt").read_text()
+
+
+def _algebroid_block(a, seps) -> str:
+    """`a` as an `algebroid F` block on its chart; `seps[k]` comes before
+    field k."""
+    frame = a.frame
+    fields = ["frame " + " ".join(frame)]
+    fields += [f"anchor {f} = ({', '.join(map(str, row))})" for f, row in zip(frame, a.anchor)]
+    for (i, j), combo in a.structure.items():
+        terms = " + ".join(f"({c})*{frame[k]}" for k, c in combo.items())
+        fields.append(f"bracket [{frame[i]}, {frame[j]}] = {terms or 0}")
+    coords = " ".join(c + "*" * p for c, p in zip(a.chart.coords, a.chart.periodic))
+    body = "".join(sep + field for sep, field in zip(seps, fields))
+    return f"chart {a.chart.name} {{ coords {coords} }}\nalgebroid F on {a.chart.name} {{{body}\n}}\n"
+
+
+@settings(deadline=None)
+@given(frame_algebroids(), st.lists(st.sampled_from([" ; ", "\n  "]), min_size=7, max_size=7))
+def test_algebroid_block_round_trip(a, seps):
+    # a ';' or a newline ends every field, bracket combinations included
+    text = _algebroid_block(a, seps)
+    assert same_presentation(parse_scenario(text).algebroids["F"], a), text
+
+
+# one statement of each kind, after BLOCK_PRELUDE
+EVERY_STATEMENT = """section B { omega = 1 ; mu = 1 }
+morphism m : B -> B { base = (x) ; fiber = [[1]] }
+composite mm = m . m
+pullback P of B from S { base = (0) ; pair (1) | (0) ; names t }
+cotangent CT of PI
+poisson SP { bivector PI ; image = [] ; kernel = [] ; complement = [] ; lambda = 1 }
+quotientdata Q { phi idB ; extension EXT ; include idB ; complement = [] }
+diagram G { objects B ; arrow m ; compose m . m = m }
+bundlemap M over idB : D -> D { matrix = [[1]] }
+ansatz { degree 2 ; modes 2 }
+assert axioms B pass
 """
 
 
@@ -74,6 +533,25 @@ class TestParsing:
         assert set(_ASSERTIONS) == handlers
         block = README.read_text().split("Assertions (", 1)[1].split("```", 2)[1]
         assert set(re.findall(r"\bassert (\w+)", block)) == set(_ASSERTIONS)
+
+    def test_readme_shows_every_block_field(self, monkeypatch):
+        accepted: dict[str, set] = {}
+        block = scenario._block
+
+        def recording(cur, line, what, fields, *rest):
+            accepted.setdefault(what, set()).update(fields)
+            return block(cur, line, what, fields, *rest)
+
+        monkeypatch.setattr(scenario, "_block", recording)
+        text = BLOCK_PRELUDE + EVERY_STATEMENT
+        parse_scenario(text)
+        assert set(re.findall(r"^\w+", text, re.M)) == set(_STATEMENTS)
+        readme = README.read_text().split("## Scenario format", 1)[1].split("```", 2)[1]
+        shown: dict[str, set] = {}
+        for stmt in re.split(r"\n(?=\w)", _strip_comments(readme).strip()):
+            shown.setdefault(stmt.split()[0], set()).update(re.findall(r"[\w/]+", stmt.partition("{")[2]))
+        missing = {what: fields - shown.get(what, set()) for what, fields in accepted.items()}
+        assert not any(missing.values()), missing
 
     def test_comments_and_semicolons(self):
         sc = parse_scenario(

@@ -143,8 +143,6 @@ class TestSubstitute:
         f = N.coord("y1") + N.coord("y2") ** 2
         out = f.substitute(S1, [S1.coord("theta"), S1.zero()])
         assert out == S1.coord("theta")
-        assert not out.is_global
-        assert sin(S1.coord("theta")).is_global
 
     def test_trig_slot(self):
         N = Chart("N", ("y1",))
@@ -239,6 +237,16 @@ class TestParser:
         for _ in range(40):
             f = random_fn(CYL, rng)
             assert parse_expr(str(f), CYL) == f
+
+    @pytest.mark.parametrize("coord", ["", "x*", "pi", "x/y", "2x", "x y", " x", "d/dx"])
+    def test_chart_coordinates_are_names_the_grammar_reads(self, coord):
+        with pytest.raises(SymExprError, match="is not a coordinate name in chart 'M'"):
+            Chart("M", ("t", coord))
+
+    def test_chart_coordinate_names_read_back(self):
+        M = Chart("M", ("x_1", "_y", "theta2", "exp"))
+        for c in M.coords:
+            assert parse_expr(c, M) == M.coord(c)
 
     def test_rational_literals(self):
         f = parse_expr("3/4*x^2 - 1/2", R2)
@@ -718,7 +726,7 @@ def stack_of(rows, points):
     OverflowError it raises."""
     captured = []
 
-    def capture(stack, tol=None):
+    def capture(stack):
         captured.append(stack.copy())
         return [0] * len(stack)
 
