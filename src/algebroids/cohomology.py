@@ -311,16 +311,20 @@ def solve_exact(
     if not is_cocycle(alpha):
         raise PreconditionFailure("solve_exact expects a closed 1-form")
     op = space.operator(a)
-    rhs: dict[int, Fraction] = {}
-    outside: list[Fraction] = []
-    for i in range(a.rank):
-        for key, q in alpha.component((i,)).terms.items():
+    # every component's numerators, over the lcm of their denominators
+    comps = [alpha.component((i,)) for i in range(a.rank)]
+    den = lcm(*(f.den for f in comps))
+    rhs: dict[int, int] = {}
+    outside: list[int] = []
+    for i, f in enumerate(comps):
+        scale = den // f.den
+        for key, q in f.num.items():
             r = op.index.get((i, key))
             if r is None:
-                outside.append(q)
+                outside.append(q * scale)
             else:
-                rhs[r] = q
-    sol, witness = op.system.solve(rhs, outside)
+                rhs[r] = q * scale
+    sol, witness = op.system.solve(rhs, outside, den)
     if sol is None:
         return NoSolutionInAnsatz(witness, "inconsistent coefficient matching")
     return lincomb(a.chart, [(c, b) for c, b in zip(sol, op.basis) if c])

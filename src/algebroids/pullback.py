@@ -17,18 +17,24 @@ the base-map matrix [-Jacobian(phi) | rho_B o phi] with a row per target
 coordinate (`_constraint_matrix`): the pull-back exists where the kernel
 of (v, a) -> rho(a) - dphi(v) has constant rank, and phi is transverse
 where that map is onto.  The frame validation pairs the same rows with
-its pairs.  Rank verdicts are probabilistic (random-point sampling) with
-an exact upgrade when minors certify the rank symbolically; reports always
-disclose which method decided.  The exact side is one
-`ratlinalg.rank_certificate` per check: the generic rank R by bordering
-minors and a unit R-minor, if any, which makes R the rank at every point.
-Without a unit minor, transversality still fails exactly when R is below
-the target dimension.  The certificate goes into ``rep.data["minors"]``,
-which reports do not print.  A sampled check draws all its points first
+its pairs, and its pairs are pointwise independent where the matrix of
+their rows has full row rank, the question transversality asks too
+(`_full_row_rank`).  Every one of these rank verdicts is exact when
+`ratlinalg.rank_certificate` finds, beside the generic rank R (bordering
+minors), an R-minor that `ratlinalg.nowhere_zero` certifies: a unit, a
+unit times a one-variable polynomial without real roots (Sturm), or a
+unit times a trig polynomial whose constant term dominates.  Then R is
+the rank at every point.  Without such a minor a full-rank question still
+fails exactly when R is too small, and otherwise the verdict is
+probabilistic (random-point sampling); reports always disclose which
+method decided.  The certificate goes into ``rep.data["minors"]``, which
+reports do not print.  A sampled check draws all its points first
 (`ratlinalg.sample_points`) and ranks the matrix at every point in one
 batch (`ratlinalg.sampled_ranks`): each non-zero entry is evaluated once
 over all the points, the entries share one table of atom values, and the
-stack is ranked by one `float_rank` call.
+stack is ranked by one `float_rank` call.  The extension and
+regular-Poisson rank checks (`extensions`) still sample without trying a
+certificate.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ def _admissibility(
     rep = CheckReport(f"admissibility of the base map into {b.name}")
     total = b.rank + source_chart.dim
     cert = rep.data["minors"] = rank_certificate(rows)
-    if cert.unit is not None:
+    if cert.witness is not None:
         rank = total - cert.rank
         rep.add("constraint space has constant rank", True, f"rank {rank}")
         rep.note("method: exact minor certificate")
@@ -142,40 +148,43 @@ def check_transverse(
     seed: int = 0,
     samples: int = 50,
 ) -> CheckReport:
-    """Anchor image plus differential image spans the target tangent space."""
-    rep = CheckReport(f"transversality of the base map to {b.name}")
-    n = b.chart.dim
-    if n == 0:
+    """Anchor image plus differential image spans the target tangent space:
+    the base-map matrix has full row rank at every point, certified by a
+    nowhere-zero minor of the generic rank, refuted exactly by a generic
+    rank below the target dimension, and sampled otherwise."""
+    title = f"transversality of the base map to {b.name}"
+    if b.chart.dim == 0:
+        rep = CheckReport(title)
         rep.add("target tangent space spanned", True, "zero-dimensional target")
         rep.data["method"] = "exact"
         return rep
     rows = _constraint_matrix(b, source_chart, basemap)
+    return _full_row_rank(title, "target tangent space spanned", rows, source_chart.dim, seed, samples)
+
+
+def _full_row_rank(
+    title: str, label: str, rows: list[list[ScalarFn]], dim: int, seed: int, samples: int
+) -> CheckReport:
+    """The report ``title`` with one item ``label``: the matrix ``rows`` over
+    a chart of dimension ``dim`` has rank len(rows) at every point.  Exact
+    when its `rank_certificate` has a witness, or a generic rank below
+    len(rows), which makes every maximal minor vanish identically; sampled
+    otherwise.  The certificate and the method go into ``data``."""
+    rep = CheckReport(title)
+    n = len(rows)
     cert = rep.data["minors"] = rank_certificate(rows)
-    if cert.unit is not None:
-        rep.add(
-            "target tangent space spanned",
-            cert.rank == n,
-            f"rank {cert.rank} of {n} at every point",
-        )
-        rep.note("method: exact minor certificate")
-        rep.data["method"] = "exact"
+    if cert.witness is not None:
+        rep.add(label, cert.rank == n, f"rank {cert.rank} of {n} at every point")
+    elif cert.rank < n:
+        rep.add(label, False, f"rank < {n} at every point")
+    else:
+        ranks = sampled_ranks(rows, sample_points(dim, seed, samples, *_BOX))
+        rep.add(label, min(ranks) == n, f"sampled rank range [{min(ranks)}, {max(ranks)}] of {n}")
+        rep.note(f"method: probabilistic rank sampling (seed={seed})")
+        rep.data["method"] = "sampled"
         return rep
-    # a sound negative certificate: with generic rank below n every
-    # maximal minor vanishes identically
-    if cert.rank < n:
-        rep.add("target tangent space spanned", False, f"rank < {n} at every point")
-        rep.note("method: exact minor certificate")
-        rep.data["method"] = "exact"
-        return rep
-    ranks = sampled_ranks(rows, sample_points(source_chart.dim, seed, samples, *_BOX))
-    ok = min(ranks) == n
-    rep.add(
-        "target tangent space spanned",
-        ok,
-        f"sampled rank range [{min(ranks)}, {max(ranks)}] of {n}",
-    )
-    rep.note(f"method: probabilistic rank sampling (seed={seed})")
-    rep.data["method"] = "sampled"
+    rep.note("method: exact minor certificate")
+    rep.data["method"] = "exact"
     return rep
 
 
@@ -225,7 +234,9 @@ def product_submersion_frame(
 
 
 def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> CheckReport:
-    """Exact compatibility of each pair; sampled independence and spanning."""
+    """Exact compatibility of each pair; pointwise independence of the
+    pairs and spanning of the constraint space, each certified by a
+    nowhere-zero minor when one exists and sampled otherwise."""
     rep = CheckReport("pull-back frame")
     b, chart = pf.target, pf.source_chart
     # the residual of a pair on coordinate j is row j applied to the pair
@@ -237,15 +248,9 @@ def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> Check
                 f"pair {idx}: anchor constraint on {coord}",
                 lincomb(chart, [(1, f, g) for f, g in zip(row, vec) if not g.is_zero()]),
             )
-    rows = [list(p.bcoeffs) + list(p.vf) for p in pf.pairs]
-    ranks = sampled_ranks(rows, sample_points(chart.dim, seed, samples, *_BOX)) if rows else []
-    indep = bool(ranks) and min(ranks) == len(pf.pairs)
     if pf.pairs:
-        rep.add(
-            "pairs pointwise independent",
-            indep,
-            f"sampled rank range [{min(ranks)}, {max(ranks)}] of {len(pf.pairs)}",
-        )
+        rows = [list(p.bcoeffs) + list(p.vf) for p in pf.pairs]
+        rep.merge(_full_row_rank("pairs", "pairs pointwise independent", rows, chart.dim, seed, samples))
     adm = _admissibility(b, chart, constraint, seed, samples)
     rep.merge(adm)
     want = adm.data.get("rank")
@@ -254,7 +259,6 @@ def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> Check
         want is not None and want == len(pf.pairs),
         f"constraint rank {want}, frame size {len(pf.pairs)}",
     )
-    rep.note(f"spanning checked probabilistically (seed={seed}, samples={samples})")
     return rep
 
 

@@ -22,8 +22,15 @@
   dict across the minors of a matrix expand each distinct subminor once.
   `rank_certificate` is the one exact rank routine built on it: the
   generic rank R from the borders of a single non-zero minor (Kronecker's
-  bordering-minor theorem), then a search for a unit minor at size R only,
-  which certifies rank R at every point.
+  bordering-minor theorem), then a search at size R only for a minor that
+  `nowhere_zero` certifies, which makes R the rank at every point.
+* `nowhere_zero` is the one nowhere-vanishing test: a unit q*exp(d.x),
+  a unit times a polynomial in one non-periodic coordinate without real
+  roots (Sturm sequences of ``int`` pseudo-remainders, `_real_roots`), or a
+  unit times a trig polynomial whose constant term dominates the sum of
+  its other coefficients' absolute values.  The pull-back rank checks
+  (admissibility, transversality, frame validation) are exact through it;
+  the extension and regular-Poisson rank checks still sample.
 * `sample_points` is the one seeded sampler: every sampled check (the
   rank checks below, the period witness of `cohomology`, the spot check of
   an asserted-nonvanishing `LineSection`) draws its exact rational points
@@ -32,9 +39,9 @@
   matrix or of a whole stack in one call, and `sampled_ranks` evaluates a
   ScalarFn matrix entry by entry over a batch of sample points, with one
   table of atom values (x_j^e, sin/cos(c.x), exp(d.x)) shared by all the
-  entries, and ranks the stack: the one path of the probabilistic
-  admissibility, transversality, injectivity, surjectivity and
-  constant-rank checks.
+  entries, and ranks the stack: the one path of every sampled rank check
+  (the pull-back checks when no minor is certified; injectivity,
+  surjectivity and constant rank always).
 """
 
 from __future__ import annotations
@@ -193,27 +200,31 @@ class FactoredSystem:
                 self.contrib[k].append((s, v))
 
     def solve(
-        self, rhs: dict[int, Rational], outside: Sequence[Rational] = ()
+        self, rhs: dict[int, Rational], outside: Sequence[Rational] = (), den: int = 1
     ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
         """Solve A x = b for the sparse ``b`` given as ``{row: value}``.
 
         ``outside`` extends the system by zero rows of A with these
-        right-hand sides; a non-zero one is inconsistent at once.  A
-        witness has one entry per row of A, then one per ``outside`` value.
-        b is scaled to ``int`` numerators over one denominator D, so each
-        slot accumulates an ``int``; a solution entry is that ``int`` over
-        its pivot value times D, and a witness entry the check row's
-        transform value times D over its slot's ``int``.
+        right-hand sides; a non-zero one is inconsistent at once.  Each
+        value of ``rhs`` and ``outside`` stands for itself divided by the
+        positive ``int`` ``den``, so a caller holding ``int`` numerators
+        over one denominator passes them as they are.  A witness has one
+        entry per row of A, then one per ``outside`` value.  b is scaled to
+        ``int`` numerators over one denominator D, so each slot accumulates
+        an ``int``; a solution entry is that ``int`` over its pivot value
+        times D, and a witness entry the check row's transform value times
+        D over its slot's ``int``.
         """
-        nums, den = _integral(rhs)
+        nums, d = _integral(rhs)
         size = self.m + len(outside)
         if outside:
-            extra, d = _integral(dict(enumerate(outside, start=self.m)))
+            extra, e = _integral(dict(enumerate(outside, start=self.m)))
             for k, q in extra.items():
                 if q:
                     y = [Fraction(0)] * size
-                    y[k] = Fraction(d, q)
+                    y[k] = Fraction(e * den, q)
                     return None, y
+        den *= d
         acc: dict[int, int] = {}
         for k, q in nums.items():
             for s, v in self.contrib[k]:
@@ -391,6 +402,95 @@ def _minor(
     return det
 
 
+def _sign_changes(values: Sequence[int]) -> int:
+    """Sign changes along the non-zero ``values``."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of ``a`` by ``b``, divided by
+    its content; polynomials are ``int`` coefficient lists, lowest degree
+    first, without trailing zeros (``[]`` is zero).  Each step scales the
+    running remainder by |lc(b)| / g and subtracts a multiple of ``b``, so
+    the multiplier stays positive and every value stays ``int``."""
+    r = list(a)
+    lb = b[-1]
+    while len(r) >= len(b):
+        lr = r[-1]
+        g = gcd(lb, lr)
+        f, c = abs(lb) // g, (lr // g) * (1 if lb > 0 else -1)
+        shift = len(r) - len(b)
+        r = [f * x for x in r]
+        for k, y in enumerate(b):
+            r[shift + k] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    e = gcd(*r) if r else 1
+    return [x // e for x in r] if e > 1 else r
+
+
+def _real_roots(p: list[int]) -> int:
+    """The number of distinct real roots of the ``int`` polynomial ``p``
+    (lowest degree first, leading coefficient non-zero), by Sturm's theorem
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, 2006,
+    ch. 2): the sign changes of the Sturm sequence p, p', -rem(..), ... at
+    -infinity minus those at +infinity.  The remainders are positive
+    multiples of the rational ones (`_pseudo_remainder`), which changes no
+    sign; the count holds for repeated roots too."""
+    seq = [p, [k * c for k, c in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    at_pos = [s[-1] for s in seq]
+    at_neg = [s[-1] if len(s) % 2 else -s[-1] for s in seq]
+    return _sign_changes(at_neg) - _sign_changes(at_pos)
+
+
+def nowhere_zero(f: ScalarFn) -> bool:
+    """True when ``f`` is certified to vanish at no point of its chart.
+
+    Three kinds are certified exactly, each a unit u = q*exp(d.x) times a
+    factor with no real zero:
+
+    * a unit itself;
+    * u * P, with P a polynomial in one non-periodic coordinate that has
+      no real root, counted by Sturm's theorem (`_real_roots`);
+    * u * T, with T a trig polynomial without monomial factors whose
+      constant term exceeds in absolute value the sum of the absolute
+      values of its other coefficients, so |T| >= that excess > 0.
+
+    Anything else, nowhere zero or not, gives False: False is no claim.
+    """
+    num = f.num
+    if not num:
+        return False
+    keys = iter(num)
+    expv = next(keys)[2]
+    if any(k[2] != expv for k in keys):
+        return False
+    if len(num) == 1:
+        return f.is_unit()
+    if all(trig is None for _, trig, _ in num):
+        coords = {j for mono, _, _ in num for j, e in enumerate(mono) if e}
+        if len(coords) != 1:
+            return False
+        (j,) = coords
+        if f.chart.periodic[j]:
+            return False
+        degree = max(mono[j] for mono, _, _ in num)
+        p = [0] * (degree + 1)
+        for (mono, _, _), q in num.items():
+            p[mono[j]] = q
+        return _real_roots(p) == 0
+    if any(any(mono) for mono, _, _ in num):
+        return False
+    const = sum(q for (_, trig, _), q in num.items() if trig is None)
+    return abs(const) > sum(abs(q) for (_, trig, _), q in num.items() if trig is not None)
+
+
 Minor = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -398,18 +498,21 @@ class RankCertificate(NamedTuple):
     """The generic rank of a ScalarFn matrix and the minors that show it.
 
     ``bordered`` is the ``(rows, cols)`` of a non-zero ``rank``-minor whose
-    bordering minors all vanish, and ``unit`` the first ``rank``-minor that
-    is a unit, or None.  The empty minor is 1, so a zero matrix has both
-    ``((), ())``.
+    bordering minors all vanish, and ``witness`` the first ``rank``-minor
+    that `nowhere_zero` certifies (a unit, a unit times a one-variable
+    polynomial without real roots, or a unit times a trig polynomial with a
+    dominant constant term), or None.  The empty minor is 1, so a zero
+    matrix has both ``((), ())``.
     """
 
     rank: int
     bordered: Minor
-    unit: Optional[Minor]
+    witness: Optional[Minor]
 
 
 def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
-    """Generic rank by bordering minors, then a unit minor of that size.
+    """Generic rank by bordering minors, then a nowhere-zero minor of that
+    size.
 
     The entries are real-analytic on a connected chart and the zero test
     is exact, so the ring is an integral domain, and Kronecker's
@@ -421,9 +524,9 @@ def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
     its first step is the first non-zero entry.
 
     Then the R-minors are scanned, row combinations then column
-    combinations, for the first unit q*exp(d.x).  A unit is nowhere zero
-    and every (R+1)-minor vanishes identically, so a unit certifies rank R
-    at every point; without one ``unit`` is None.
+    combinations, for the first one `nowhere_zero` certifies.  Every
+    (R+1)-minor vanishes identically, so an R-minor that vanishes nowhere
+    certifies rank R at every point; without one ``witness`` is None.
 
     Both phases read minors through one memo (see ``scalar_det``), so each
     distinct j-minor is expanded once and none is larger than R + 1: an
@@ -448,16 +551,16 @@ def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
     r = len(bordered[0])
     if r == 0:
         return RankCertificate(0, bordered, bordered)
-    unit = next(
+    witness = next(
         (
             (rsel, csel)
             for rsel in combinations(range(m), r)
             for csel in combinations(range(n), r)
-            if scalar_det(rows, rsel, csel, memo).is_unit()
+            if nowhere_zero(scalar_det(rows, rsel, csel, memo))
         ),
         None,
     )
-    return RankCertificate(r, bordered, unit)
+    return RankCertificate(r, bordered, witness)
 
 
 def float_rank(rows: Union[Sequence, np.ndarray]) -> Union[int, list[int]]:

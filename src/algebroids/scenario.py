@@ -526,6 +526,9 @@ def _stmt_rep(cur: _Cursor, sc: Scenario, line: int) -> None:
     }
     got = _block(cur, line, "rep", fields)
     bundle, coeffs = got.get("bundle", []), got.get("coeff", {})
+    for fname in coeffs:
+        if fname not in a.frame:
+            raise ScenarioError(f"line {line}: rep references unknown frame section {fname!r}")
     m = len(bundle)
     zero = a.chart.zero()
     mats = []

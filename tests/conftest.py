@@ -35,8 +35,9 @@ from algebroids.symexpr import (
 
 
 # `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x),
-# elimination-reference and algebroid-block round-trip properties, which
-# take hypothesis' default budget in the tier-1 run, with a deeper search
+# elimination-reference, algebroid-block round-trip and nowhere-zero
+# properties, which take a smaller budget in the tier-1 run, with a deeper
+# search
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
@@ -277,11 +278,115 @@ def reference_det(rows):
     return total
 
 
+def _poly_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder over Fraction, lowest degree first."""
+    r, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    while len(r) >= len(b):
+        c, shift = r[-1] / b[-1], len(r) - len(b)
+        q[shift] = c
+        for k, y in enumerate(b):
+            r[shift + k] -= c * y
+        _poly_trim(r)
+    return q, r
+
+
+def reference_real_roots(coeffs):
+    """The number of distinct real roots of the polynomial with
+    ``coeffs`` (lowest degree first), by Descartes' rule of signs and
+    bisection over Fraction (the Vincent-Collins-Akritas method), not by
+    Sturm sequences: a test reference for `ratlinalg._real_roots`.
+
+    The polynomial is first made square-free, p / gcd(p, p'), so the
+    bisection ends.  Its roots lie in the open interval (-B, B) of
+    Cauchy's bound B = 1 + max |a_i / a_d|.  On (a, b) the sign variations
+    of (1 + x)^d p((a + b x) / (1 + x)) bound the roots there and have
+    their parity, so 0 and 1 are exact; otherwise (a, b) is halved, and
+    the midpoint checked on its own."""
+    p = _poly_trim([Fraction(c) for c in coeffs])
+    if len(p) <= 1:
+        return 0
+    g, r = p, _poly_trim([k * c for k, c in enumerate(p)][1:])
+    while r:
+        g, r = r, _poly_divmod(g, r)[1]
+    p = _poly_trim(_poly_divmod(p, g)[0])
+    if len(p) <= 1:
+        return 0
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    def variations(a, b):
+        d = len(p) - 1
+        total = [Fraction(0)] * (d + 1)
+        for i, c in enumerate(p):
+            term = [c]
+            for _ in range(i):
+                term = _poly_mul(term, [a, b])
+            for _ in range(d - i):
+                term = _poly_mul(term, [Fraction(1), Fraction(1)])
+            total = [x + y for x, y in zip(total, term)]
+        signs = [x > 0 for x in total if x]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    def count(a, b):
+        v = variations(a, b)
+        if v <= 1:
+            return v
+        mid = (a + b) / 2
+        return count(a, mid) + (value(mid) == 0) + count(mid, b)
+
+    bound = 1 + max(abs(c / p[-1]) for c in p[:-1])
+    return count(-bound, bound)
+
+
+def reference_nowhere_zero(f):
+    """Whether ``f`` is one of the nowhere-zero kinds `ratlinalg.nowhere_zero`
+    certifies, read off its rational terms: one exp factor shared by every
+    term times a constant, a one-variable polynomial in a non-periodic
+    coordinate without real roots (`reference_real_roots`), or a trig
+    polynomial whose constant dominates the sum of the other |coefficients|."""
+    terms = f.terms
+    if not terms or len({expv for _, _, expv in terms}) != 1:
+        return False
+    if all(trig is None for _, trig, _ in terms):
+        used = sorted({j for mono, _, _ in terms for j, e in enumerate(mono) if e})
+        if not used:
+            return True
+        if len(used) > 1 or f.chart.periodic[used[0]]:
+            return False
+        coeffs = [0] * (max(mono[used[0]] for mono, _, _ in terms) + 1)
+        for (mono, _, _), q in terms.items():
+            coeffs[mono[used[0]]] = q
+        return reference_real_roots(coeffs) == 0
+    if any(any(mono) for mono, _, _ in terms):
+        return False
+    const = sum(q for (_, trig, _), q in terms.items() if trig is None)
+    return abs(const) > sum(abs(q) for (_, trig, _), q in terms.items() if trig is not None)
+
+
 def check_rank_certificate(rows, cert):
     """Re-verify a `ratlinalg.RankCertificate` of ``rows`` by `reference_det`:
     its bordered minor is non-zero, every minor bordering it vanishes, and
-    its unit minor, if any, is a unit of the same size.  The empty minor is
-    1, so at rank 0 only the vanishing of every entry is left to check."""
+    its witness minor, if any, is of the same size and nowhere zero by
+    `reference_nowhere_zero`.  The empty minor is 1, so at rank 0 only the
+    vanishing of every entry is left to check."""
     m = len(rows)
     n = len(rows[0]) if m else 0
 
@@ -295,10 +400,10 @@ def check_rank_certificate(rows, cert):
     for i in sorted(set(range(m)) - set(rsel)):
         for j in sorted(set(range(n)) - set(csel)):
             assert minor(sorted((*rsel, i)), sorted((*csel, j))).is_zero()
-    if cert.unit is not None:
-        urows, ucols = cert.unit
-        assert len(urows) == len(ucols) == cert.rank
-        assert not urows or minor(urows, ucols).is_unit()
+    if cert.witness is not None:
+        wrows, wcols = cert.witness
+        assert len(wrows) == len(wcols) == cert.rank
+        assert not wrows or reference_nowhere_zero(minor(wrows, wcols))
 
 
 def product_basis(space):

@@ -237,6 +237,38 @@ class TestValidateFrameWork:
         assert all(note in rep.notes for note in adm.notes)
 
 
+def _line_frame(*coeffs):
+    """Pairs (f, f) over the tangent bundle of the line L, one per f: each
+    is compatible, and the constraint matrix [-1 | 1] has a unit minor."""
+    line = Chart("L", ("t",))
+    t = line.coord("t")
+    pairs = [PullbackFramePair((f(t),), (f(t),)) for f in coeffs]
+    return PullbackFrame(tangent_algebroid(line), line, (t,), pairs)
+
+
+class TestPairIndependence:
+    """`validate_frame` certifies the pointwise independence of its pairs
+    by a nowhere-zero maximal minor, refutes it exactly by a generic rank
+    below the number of pairs, and samples only without either."""
+
+    @pytest.mark.parametrize(
+        "coeffs, ok, detail",
+        [
+            ((lambda t: t * t + 1,), True, "rank 1 of 1 at every point"),
+            ((lambda t: 2 - cos(t),), True, "rank 1 of 1 at every point"),
+            ((lambda t: t * t + 1, lambda t: 3 * t * t + 3), False, "rank 1 of 2 at every point"),
+            ((lambda t: t * t + sin(t) + 2, lambda t: 3 * t * t + 3 * sin(t) + 6), False, "rank < 2 at every point"),
+            ((lambda t: t * t + sin(t) + 2,), True, "sampled rank range [1, 1] of 1"),
+        ],
+    )
+    def test_decided_exactly_when_a_minor_certifies(self, coeffs, ok, detail):
+        rep = validate_frame(_line_frame(*coeffs))
+        (item,) = [i for i in rep.items if i.label == "pairs pointwise independent"]
+        assert (item.ok, item.detail) == (ok, detail)
+        sampled = detail.startswith("sampled")
+        assert any("probabilistic" in n for n in rep.notes) == sampled
+
+
 class TestFactorize:
     def test_orbit_inclusion_factor_is_identity(self):
         b = cylinder_algebroid(N)
@@ -362,23 +394,33 @@ class TestSamplingDefects:
         sampled_ranks(rows, sample_points(r2.dim, 0, 50, *_BOX))
 
 
-def _planted_rank_input(n, q, r, k, smooth):
+def _planted_rank_input(n, q, r, k, kind):
     """Base map z -> (z_0..z_{q-1}, 0..0) into R^n and an anchor of r
     sections whose normal block (rows q..n-1) is L * diag(d_1..d_k) * R,
     with L and R unit triangular, so it has rank k everywhere.  The
-    base-map matrix is n x (q + r) of rank q + k.  Smooth diagonal entries
-    (s + 1) * (z^2 + 1) are nowhere zero but not units, so no minor of the
-    planted size certifies the rank; they carry no exp factor, which keeps
-    the sampled ranks clear of the scale defects pinned in
-    TestSamplingDefects."""
+    base-map matrix is n x (q + r) of rank q + k.  The diagonal entries
+    d_s are, by ``kind``:
+
+    * "unit": (s + 1) * exp(s z), so a unit minor certifies the rank;
+    * "smooth": (s + 1) * (z^2 + 1), nowhere zero but not units, so the
+      minor of the planted size that certifies the rank is a polynomial
+      without real roots;
+    * "mixed": (s + 1) * (z^2 + sin z + 2), nowhere zero but mixing
+      polynomial and trig terms, so no certificate decides and the checks
+      sample.
+
+    None but "unit" carries an exp factor, which keeps the sampled ranks
+    clear of the scale defects pinned in TestSamplingDefects."""
     src = Chart("S", tuple(f"z{j}" for j in range(q)))
     tgt = Chart("Y", tuple(f"y{j}" for j in range(n)))
     z = src.coord("z0")
     pool = [z, sin(z), src.const(2), cos(z)]
-    if smooth:
-        diag = [src.const(s + 1) * (z * z + 1) for s in range(k)]
-    else:
-        diag = [src.const(s + 1) * exp(src.const(s) * z) for s in range(k)]
+    factor = {
+        "unit": lambda s: exp(src.const(s) * z),
+        "smooth": lambda s: z * z + 1,
+        "mixed": lambda s: z * z + sin(z) + 2,
+    }
+    diag = [src.const(s + 1) * factor[kind](s) for s in range(k)]
 
     def lower(i, s):
         return src.one() if i == s else pool[(i + s) % 4] if s < i else src.zero()
@@ -425,7 +467,7 @@ class TestMinorWork:
         return rep, count
 
     def test_transverse_rank_4_of_5x10(self, monkeypatch):
-        args = _planted_rank_input(5, 2, 8, 2, smooth=False)
+        args = _planted_rank_input(5, 2, 8, 2, "unit")
         rep, count = self._count_products(monkeypatch, check_transverse, *args)
         assert not rep.passed
         assert rep.data["method"] == "exact"
@@ -433,29 +475,35 @@ class TestMinorWork:
         assert count <= _minor_work_bound(5, 10)
 
     def test_smooth_5x7_searches_only_the_generic_rank(self, monkeypatch):
-        # no 5-minor is a unit, so both checks fall back on sampling after
-        # the bordering minors and the search at the generic rank 5
-        args = _planted_rank_input(5, 2, 5, 3, smooth=True)
-        rep, count = self._count_products(monkeypatch, check_transverse, *args)
-        assert rep.passed and rep.data["method"] == "sampled"
-        assert rep.data["minors"].rank == 5 and rep.data["minors"].unit is None
-        assert count <= _minor_work_bound(5, 7)
-        rep, count = self._count_products(monkeypatch, check_admissible, *args)
-        assert (rep.data["rank"], rep.data["method"]) == (2, "sampled")
-        assert rep.data["minors"].rank == 5 and rep.data["minors"].unit is None
-        assert count <= _minor_work_bound(5, 7)
+        # no 5-minor is a unit; with "smooth" diagonals one is a polynomial
+        # without real roots, which certifies the rank, and with "mixed"
+        # ones none is certified, so both checks fall back on sampling
+        # after the bordering minors and the search at the generic rank 5
+        for kind, method in (("smooth", "exact"), ("mixed", "sampled")):
+            args = _planted_rank_input(5, 2, 5, 3, kind)
+            rep, count = self._count_products(monkeypatch, check_transverse, *args)
+            assert rep.passed and rep.data["method"] == method
+            cert = rep.data["minors"]
+            assert cert.rank == 5 and (cert.witness is not None) == (method == "exact")
+            assert count <= _minor_work_bound(5, 7)
+            rep, count = self._count_products(monkeypatch, check_admissible, *args)
+            assert (rep.data["rank"], rep.data["method"]) == (2, method)
+            assert rep.data["minors"] == cert
+            assert count <= _minor_work_bound(5, 7)
 
 
-# planted transversality inputs (n, q, r, k, smooth) of rank q + k: with and
-# without a unit minor, of full rank n and below it
+# planted transversality inputs (n, q, r, k, kind) of rank q + k: with a
+# unit witness, a polynomial one and none, of full rank n and below it
 CERTIFIED = [
-    (5, 2, 8, 2, False),
-    (5, 2, 5, 2, True),
-    (5, 2, 5, 3, True),
-    (4, 1, 4, 2, True),
-    (4, 1, 4, 3, False),
-    (3, 1, 3, 1, True),
-    (3, 1, 2, 0, False),
+    (5, 2, 8, 2, "unit"),
+    (5, 2, 5, 2, "smooth"),
+    (5, 2, 5, 3, "smooth"),
+    (4, 1, 4, 2, "smooth"),
+    (4, 1, 4, 3, "unit"),
+    (3, 1, 3, 1, "smooth"),
+    (3, 1, 2, 0, "unit"),
+    (5, 2, 5, 3, "mixed"),
+    (3, 1, 3, 2, "mixed"),
 ]
 
 
@@ -471,7 +519,8 @@ class TestRankCertificate:
             cert = rep.data["minors"]
             check_rank_certificate(_constraint_matrix(*args), cert)
             negative = check is check_transverse and cert.rank < planted[0]
-            assert (rep.data["method"] == "exact") == (cert.unit is not None or negative)
+            assert (rep.data["method"] == "exact") == (cert.witness is not None or negative)
+            assert (cert.witness is None) == (planted[4] == "mixed" and planted[3] > 0)
 
     @pytest.mark.parametrize("planted", CERTIFIED)
     def test_negative_transversality_iff_every_maximal_minor_vanishes(self, planted):
@@ -487,7 +536,7 @@ class TestRankCertificate:
         rep = check_transverse(*args)
         assert (rep.data["method"] == "exact" and not rep.passed) == all_zero
         negative = f"rank < {n} at every point" in rep.pretty()
-        assert negative == (all_zero and rep.data["minors"].unit is None)
+        assert negative == (all_zero and rep.data["minors"].witness is None)
 
     def test_orbit_inclusion(self):
         b = cylinder_algebroid(N)
@@ -521,18 +570,18 @@ def _reference_constraint_matrix(b, source_chart, basemap):
 
 @st.composite
 def planted_inputs(draw):
-    """(n, q, r, k, smooth) for `_planted_rank_input`, up to 5 x 9."""
+    """(n, q, r, k, kind) for `_planted_rank_input`, up to 5 x 9."""
     n = draw(st.integers(2, 5))
     q = draw(st.integers(1, n - 1))
     r = draw(st.integers(1, 5))
     k = draw(st.integers(0, min(n - q, r)))
-    return n, q, r, k, draw(st.booleans())
+    return n, q, r, k, draw(st.sampled_from(["unit", "smooth", "mixed"]))
 
 
 class TestMatrixLayout:
     """Negating or permuting the columns of the base-map matrix changes
-    neither its rank nor whether a unit minor exists, so both checks read
-    one layout."""
+    neither its rank nor whether a certified minor exists, so both checks
+    read one layout."""
 
     @settings(max_examples=30, deadline=None)
     @given(planted_inputs())
@@ -543,14 +592,14 @@ class TestMatrixLayout:
         for layout in (_reference_transversality_matrix, _reference_constraint_matrix):
             other = rank_certificate(layout(*args))
             assert other.rank == cert.rank
-            assert (other.unit is None) == (cert.unit is None)
+            assert (other.witness is None) == (cert.witness is None)
         rep = check_transverse(*args)
         assert rep.data["minors"] == cert
         check_rank_certificate(_constraint_matrix(*args), rep.data["minors"])
 
 
-# planted inputs sampled by the rank checks: (n, q, r, k, smooth)
-PLANTED = [(5, 2, 5, 3, True), (4, 1, 4, 2, False), (3, 1, 3, 1, True), (5, 2, 8, 2, False)]
+# planted inputs ranked at sample points: (n, q, r, k, kind)
+PLANTED = [(5, 2, 5, 3, "mixed"), (4, 1, 4, 2, "unit"), (3, 1, 3, 1, "smooth"), (5, 2, 8, 2, "unit")]
 
 
 def _reference_sampled_ranks(rows, chart, seed, samples):
@@ -578,17 +627,17 @@ class TestBatchedSampling:
     def test_checks_draw_the_pinned_points(self, monkeypatch):
         import algebroids.pullback as pullback
 
-        args = _planted_rank_input(5, 2, 5, 3, smooth=True)  # decided by sampling
+        args = _planted_rank_input(5, 2, 5, 3, "mixed")  # decided by sampling
         want = reference_points(args[1], 4, 30, 60, 13)
         for check in (check_admissible, check_transverse):
             assert capture_sampled_points(monkeypatch, pullback, check, *args, seed=4, samples=30) == [want]
-        pf = product_submersion_frame(cylinder_algebroid(N), M3)
+        pf = _line_frame(lambda t: t * t + sin(t) + 2)  # pair independence sampled
         batches = capture_sampled_points(monkeypatch, pullback, validate_frame, pf, seed=4, samples=30)
-        assert batches and all(batch == reference_points(M3, 4, 30, 60, 13) for batch in batches)
+        assert batches == [reference_points(pf.source_chart, 4, 30, 60, 13)]
 
     @pytest.mark.parametrize("check", [check_admissible, check_transverse])
     def test_no_samples_is_rejected(self, check):
-        args = _planted_rank_input(5, 2, 5, 3, smooth=True)  # decided by sampling
+        args = _planted_rank_input(5, 2, 5, 3, "mixed")  # decided by sampling
         for samples in (0, -1):
             with pytest.raises(ValueError, match="at least one sample point"):
                 check(*args, samples=samples)
@@ -600,7 +649,7 @@ class TestSampleWork:
 
     @pytest.mark.parametrize("samples", [50, 200])
     def test_admissible_and_transverse(self, monkeypatch, samples):
-        args = _planted_rank_input(5, 2, 5, 3, smooth=True)
+        args = _planted_rank_input(5, 2, 5, 3, "mixed")
         rows = _constraint_matrix(*args)
         for check in (check_admissible, check_transverse):
             rep, counts = count_sampling(monkeypatch, check, *args, samples=samples)

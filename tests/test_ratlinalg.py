@@ -3,8 +3,10 @@ FactoredSystem and rat_solve (its reduced rows read through the
 rat_nullspace reference of conftest), against a dense Gauss-Jordan
 reference kept here and value for value against the Fraction elimination
 it replaced (reference_factored in conftest), of the
-memoised minors of scalar_det, against a plain Laplace expansion, and of
-rank_certificate, against the search over every minor size kept here."""
+memoised minors of scalar_det, against a plain Laplace expansion, of
+rank_certificate, against the search over every minor size kept here, and
+of nowhere_zero, against functions with known real zeros and the
+Descartes-bisection root count of conftest."""
 
 from __future__ import annotations
 
@@ -22,7 +24,9 @@ from algebroids import ratlinalg
 from algebroids.ratlinalg import (
     FactoredSystem,
     _eliminate,
+    _real_roots,
     float_rank,
+    nowhere_zero,
     rank_certificate,
     rat_solve,
     sample_points,
@@ -37,7 +41,9 @@ from conftest import (
     rat_nullspace,
     reference_det,
     reference_factored,
+    reference_nowhere_zero,
     reference_points,
+    reference_real_roots,
 )
 
 
@@ -280,6 +286,9 @@ def test_factored_solves_equal_the_fraction_reference(case):
         assert got == solve(b, extra)
         for vec in got:
             assert vec is None or all(type(v) is Fraction for v in vec)
+        # the same right-hand side as int numerators over one denominator
+        den = lcm(1, *(Fraction(q).denominator for q in [*b.values(), *extra]))
+        assert system.solve({i: int(q * den) for i, q in b.items()}, [int(q * den) for q in extra], den) == got
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,8 +409,9 @@ def test_scalar_det_rejects_malformed_selections():
 
 def reference_certificate(rows):
     """The rank certified constant by minors, searching every size from
-    min(m, n) down: a unit r-minor certifies r when every larger minor
-    vanishes, and a zero matrix has rank 0; otherwise None."""
+    min(m, n) down: an r-minor that is nowhere zero by
+    `reference_nowhere_zero` certifies r when every larger minor vanishes,
+    and a zero matrix has rank 0; otherwise None."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     larger_all_zero = True
@@ -411,7 +421,7 @@ def reference_certificate(rows):
         for rsel in combinations(range(m), r):
             for csel in combinations(range(n), r):
                 minor = scalar_det(rows, rsel, csel, memo)
-                if minor.is_unit():
+                if reference_nowhere_zero(minor):
                     return r if larger_all_zero else None
                 all_zero = all_zero and minor.is_zero()
         larger_all_zero = all_zero
@@ -436,7 +446,9 @@ def generic_rank(rows):
 
 
 UNITS = [R2.one(), exp(_X), 2 * exp(-_Y), Fraction(-1, 2) * exp(_X - _Y)]
-NON_UNITS = [_X, 1 + _X * _X, sin(_Y), cos(_X + _Y), exp(_X - _Y) * _Y]
+# 1 + x^2 is certified nowhere zero, x^2 + sin(y) + 2 is nowhere zero but
+# mixes polynomial and trig terms, so no certificate decides it
+NON_UNITS = [_X, 1 + _X * _X, sin(_Y), cos(_X + _Y), exp(_X - _Y) * _Y, _X * _X + sin(_Y) + 2]
 
 
 @st.composite
@@ -476,7 +488,7 @@ def certificate_matrices(draw):
 def test_rank_certificate_matches_the_search_over_every_size(rows):
     cert = rank_certificate(rows)
     assert cert.rank == generic_rank(rows)
-    assert (None if cert.unit is None else cert.rank) == reference_certificate(rows)
+    assert (None if cert.witness is None else cert.rank) == reference_certificate(rows)
     check_rank_certificate(rows, cert)
 
 
@@ -511,6 +523,90 @@ def test_rank_certificate_of_zero_and_empty_matrices():
     zero = [[R2.zero()] * 3 for _ in range(2)]
     assert rank_certificate(zero) == (0, ((), ()), ((), ()))
     check_rank_certificate(zero, rank_certificate(zero))
+
+
+# -- nowhere_zero ---------------------------------------------------------------
+
+
+def small_fractions(bound=4):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 3))
+
+
+@st.composite
+def unit_factors(draw):
+    """q * exp(d.x) on R2, q non-zero."""
+    q = draw(small_fractions().filter(bool))
+    slopes = draw(st.tuples(small_fractions(), small_fractions()))
+    return q * exp(slopes[0] * _X + slopes[1] * _Y)
+
+
+@st.composite
+def polynomial_products(draw):
+    """(u * prod (x - a)^m * prod (x^2 + c), whether it has a real zero): a
+    linear factor or a c <= 0 gives one, and nothing else does."""
+    linear = draw(st.lists(st.tuples(small_fractions(), st.integers(1, 3)), max_size=2))
+    quadratic = draw(st.lists(small_fractions(), max_size=3))
+    f = draw(unit_factors())
+    for a, m in linear:
+        f = f * (_X - a) ** m
+    for c in quadratic:
+        f = f * (_X * _X + c)
+    return f, bool(linear) or any(c <= 0 for c in quadratic)
+
+
+@settings(deadline=None)
+@given(polynomial_products())
+def test_nowhere_zero_on_products_with_known_roots(case):
+    f, has_root = case
+    assert nowhere_zero(f) == (not has_root)
+
+
+SINES = [sin(_X), sin(2 * _Y), sin(_X - 3 * _Y)]
+COSINES = [cos(_X), cos(_X + _Y), cos(Fraction(1, 2) * _Y)]
+
+
+@st.composite
+def trig_sums(draw):
+    """(u * (c0 + sum c_k trig_k), c0, sum |c_k|) and the same sum with c0
+    chosen so that it vanishes at the origin."""
+    u = draw(unit_factors())
+    picks = draw(st.lists(st.tuples(small_fractions(), st.sampled_from(SINES + COSINES)), min_size=1, max_size=4))
+    c0 = draw(small_fractions(8))
+    rest = sum((c * t for c, t in picks), R2.zero())
+    at_origin = sum(c for c, t in picks if t in COSINES)
+    return u * (c0 + rest), c0, sum(abs(c) for c, _ in picks), u * (rest - at_origin)
+
+
+@settings(deadline=None)
+@given(trig_sums())
+def test_nowhere_zero_on_trig_sums(case):
+    f, c0, spread, vanishing = case
+    if abs(c0) > spread:
+        assert nowhere_zero(f)
+    assert not nowhere_zero(vanishing)
+
+
+def test_nowhere_zero_refuses_known_zeros_and_uncertified_kinds():
+    theta = Chart("S1", ("t",), (True,)).coord("t")
+    for f in (1 - cos(_X), sin(_X), _X, R2.zero(), cos(_X) + cos(_Y), 2 - 2 * cos(_X - _Y)):
+        assert not nowhere_zero(f)
+    # nowhere zero, but outside the three certified kinds
+    for f in (_X * _X + sin(_Y) + 2, _X * _X + _Y * _Y + 1, theta * theta + 1, exp(_X) + exp(_Y)):
+        assert not nowhere_zero(f)
+    for f in (exp(_X - _Y), 1 + _X * _X, (_Y**4 + _Y + 1) * exp(2 * _X), 3 + sin(_X) + cos(_Y), 2 * exp(_Y) * (2 - sin(_X))):
+        assert nowhere_zero(f)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=8), unit_factors())
+def test_nowhere_zero_agrees_with_the_reference_root_count(coeffs, u):
+    p = sum((c * _X**k for k, c in enumerate(coeffs)), R2.zero())
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if len(coeffs) > 1:
+        assert _real_roots(coeffs) == reference_real_roots(coeffs)
+    f = u * p
+    assert nowhere_zero(f) == reference_nowhere_zero(f) == (bool(coeffs) and reference_real_roots(coeffs) == 0)
 
 
 # -- sample_points, float_rank and sampled_ranks ---------------------------

@@ -207,6 +207,18 @@ BLOCK_ERRORS = [
         id='coeff-shape',
     ),
     pytest.param(
+        'rep R on B { bundle e ; coeff q = [[1]] }',
+        1,
+        "rep references unknown frame section 'q'",
+        id='coeff-unknown',
+    ),
+    pytest.param(
+        'rep R on B {\n  bundle e\n  coeff q = [[1]]\n}',
+        1,
+        "rep references unknown frame section 'q'",
+        id='coeff-unknown-lines',
+    ),
+    pytest.param(
         'bivector Q on T { comp [x, x] = 1 }',
         1,
         'bivector components need distinct coordinates',
