@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
-from .ratlinalg import FactoredSystem, rat_solve, sample_points
+from .ratlinalg import FactoredSystem, rat_solve, sample_pairs
 from .report import CheckReport
 from .symexpr import (
     Chart,
@@ -396,12 +396,13 @@ def period_certificate(
     if mean.is_zero():
         return Inconclusive("constant Fourier mode vanishes")
     # the mean does not depend on the circle coordinate: draw the others, put 0 there
-    pts = [(*p[:j], Fraction(0), *p[j:]) for p in sample_points(chart.dim - 1, seed, samples, 60, 13)]
-    values = mean.evaluate(pts).tolist()
+    pairs = [[*p[:j], (0, 1), *p[j:]] for p in sample_pairs(chart.dim - 1, seed, samples, 60, 13)]
+    values = mean.evaluate([[p / q for p, q in pt] for pt in pairs]).tolist()
     # the first largest |value|, a nan sample counting as 0
     sizes = [abs(v) if v == v else 0.0 for v in values]
     best = sizes.index(max(sizes))
-    return NonExactCertificate(coord, tuple(combo), mean, pts[best], values[best])
+    witness = tuple(Fraction(p, q) for p, q in pairs[best])
+    return NonExactCertificate(coord, tuple(combo), mean, witness, values[best])
 
 
 def classify(

@@ -5,7 +5,9 @@ field rho(e_i) in coordinates) and structure functions C^k_ij for i < j.
 Forms and multivectors are stored on strictly increasing index tuples, so
 antisymmetry is structural.  The differential, interior products, the
 Schouten–Gerstenhaber bracket and Lie derivatives of top forms are all
-computed exactly in the scalar-function ring.
+computed exactly in the scalar-function ring; the one coefficient of a
+frame section's bracket with a top multivector that the modular classes
+read has its closed trace form, `top_bracket`.
 """
 
 from __future__ import annotations
@@ -515,6 +517,20 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
                     sign = -1 if (qd - 1 - t) % 2 else 1
                     add(jkey[:t] + jkey[t + 1 :] + ikey, sign * -sign3, g, df)
     return Multivector(a, deg, _sums(a.chart, acc))
+
+
+def top_bracket(a: AlgebroidPresentation, i: int, s: ScalarFn) -> ScalarFn:
+    """The coefficient of [e_i, s e_1^..^e_r] on e_1^..^e_r, by the trace
+    formula rho(e_i)(s) + s * sum_k C^k_ik.
+
+    Of the bracket with a frame section only the anchor term and the
+    diagonal of its structure functions reach the top power, so this is
+    the top component of ``schouten(frame_vector(a, i), top_multivector(a,
+    s))`` without the rest of the graded expansion.
+    """
+    pieces = _vf_pieces(a.anchor[i], s, a.chart.coords, 1)
+    pieces += [(1, s, a.c(i, k, k)) for k in range(a.rank)]
+    return lincomb(a.chart, pieces)
 
 
 def lie_top(

@@ -29,13 +29,13 @@ from .core import (
     FormField,
     Multivector,
     d_A,
-    frame_vector,
     interior,
     interior_form,
     one_form,
     schouten,
     section_vector,
     tangent_algebroid,
+    top_bracket,
     top_form,
     top_multivector,
 )
@@ -121,14 +121,11 @@ def check_extension(ext: ExtensionPresentation, seed: int = 0, samples: int = 50
     surj_ok = not b.rank or all(r == b.rank for r in sampled_ranks(ext.proj.fiber, pts))
     rep.add("kernel map pointwise injective", inj_ok, f"sampled at {samples} points")
     rep.add("projection pointwise surjective", surj_ok, f"sampled at {samples} points")
-    if c.rank:
-        topk = top_multivector(c, ext.lam.coefficient)
-        for s in range(c.rank):
-            res = schouten(frame_vector(c, s), topk)
-            rep.residual(
-                f"kernel-invariant section: [{c.frame[s]}, lam] = 0",
-                res.comps.get(tuple(range(c.rank)), chart.zero()),
-            )
+    for s in range(c.rank):
+        rep.residual(
+            f"kernel-invariant section: [{c.frame[s]}, lam] = 0",
+            top_bracket(c, s, ext.lam.coefficient),
+        )
     return rep
 
 
@@ -315,8 +312,7 @@ def verify_extension_identity(
     s_mu_inv = s_mu.unit_inverse()
     theta_comps = []
     for j in range(a.rank):
-        br = schouten(frame_vector(a, j), omega)
-        t1 = br.comps.get(tuple(range(a.rank)), chart.zero()) * s_omega_inv
+        t1 = top_bracket(a, j, s_omega) * s_omega_inv
         y = section_vector(b, [ext.proj.fiber[t][j] for t in range(b.rank)])
         lie = d_A(interior(y, mu))  # Lie derivative of the top form mu along y
         t2 = lie.comps.get(tuple(range(b.rank)), chart.zero()) * s_mu_inv

@@ -31,12 +31,15 @@
   its other coefficients' absolute values.  The pull-back rank checks
   (admissibility, transversality, frame validation) are exact through it;
   the extension and regular-Poisson rank checks still sample.
-* `sample_points` is the one seeded sampler: every sampled check (the
+* `sample_pairs` is the one seeded sampler: every sampled check (the
   rank checks below, the period witness of `cohomology`, the spot check of
-  an asserted-nonvanishing `LineSection`) draws its exact rational points
-  from it, each site in its own box, and it alone refuses to sample no
-  points.  `float_rank` estimates rank numerically with numpy, of one
-  matrix or of a whole stack in one call, and `sampled_ranks` evaluates a
+  an asserted-nonvanishing `LineSection`) draws its rational points p/q
+  from it as int pairs (p, q), each site in its own box, and it alone
+  refuses to sample no points.  `sample_points` hands them to the float
+  consumers as p / q, with no `Fraction` built; only the one witness
+  point a period certificate shows is made exact.  `float_rank`
+  estimates rank numerically with numpy, of one matrix or of a whole
+  stack in one call, and `sampled_ranks` evaluates a
   ScalarFn matrix entry by entry over a batch of sample points, with one
   table of atom values (x_j^e, sin/cos(c.x), exp(d.x)) shared by all the
   entries, and ranks the stack: the one path of every sampled rank check
@@ -573,15 +576,22 @@ def float_rank(rows: Union[Sequence, np.ndarray]) -> Union[int, list[int]]:
     return np.linalg.matrix_rank(arr).tolist()
 
 
-def sample_points(dim: int, seed: int, count: int, bound: int, den: int) -> list[list[Fraction]]:
+def sample_pairs(dim: int, seed: int, count: int, bound: int, den: int) -> list[list[tuple[int, int]]]:
     """``count`` seeded random points of ``dim`` coordinates, each coordinate
-    p/q with p in [-bound, bound] and q in [1, den], drawn in that order,
-    point by point: the one sampler of every sampled check.  A check needs
-    evidence, so a ``count`` below 1 is an error."""
+    p/q given as its pair (p, q), p in [-bound, bound] and q in [1, den],
+    drawn in that order, point by point: the one sampler of every sampled
+    check.  A check needs evidence, so a ``count`` below 1 is an error."""
     if count < 1:
         raise ValueError(f"sampling needs at least one sample point, got {count}")
-    rng = random.Random(seed)
-    return [[Fraction(rng.randint(-bound, bound), rng.randint(1, den)) for _ in range(dim)] for _ in range(count)]
+    draw = random.Random(seed).randrange  # what randint(a, b) calls, as randrange(a, b + 1)
+    return [[(draw(-bound, bound + 1), draw(1, den + 1)) for _ in range(dim)] for _ in range(count)]
+
+
+def sample_points(dim: int, seed: int, count: int, bound: int, den: int) -> list[list[float]]:
+    """The points of `sample_pairs` as floats.  Int true division is
+    correctly rounded, so each p / q is ``float(Fraction(p, q))`` bit for
+    bit, without building the Fraction."""
+    return [[p / q for p, q in pt] for pt in sample_pairs(dim, seed, count, bound, den)]
 
 
 def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[int]:

@@ -19,11 +19,10 @@ from .core import (
     FormField,
     Multivector,
     d_A,
-    frame_vector,
     lie_top,
     one_form,
-    schouten,
     tangent_algebroid,
+    top_bracket,
     top_form,
     top_multivector,
     _vf_pieces,
@@ -285,7 +284,10 @@ def modular_cocycle(
     omega is a top multivector on the presentation with unit coefficient,
     mu a top form on the tangent presentation of the chart.  The value on
     e_i is the coefficient of [e_i, omega] relative to omega plus that of
-    the Lie derivative of mu along rho(e_i) relative to mu.
+    the Lie derivative of mu along rho(e_i) relative to mu.  With omega =
+    s e_1^..^e_r the first is the trace formula `top_bracket`,
+    (rho(e_i)(s) + s sum_k C^k_ik) / s, read off without the graded
+    bracket.
     """
     chart = a.chart
     top_key = tuple(range(a.rank))
@@ -301,8 +303,7 @@ def modular_cocycle(
     g_inv = g.unit_inverse()
     comps = []
     for i in range(a.rank):
-        br = schouten(frame_vector(a, i), omega)
-        t1 = br.comps.get(top_key, chart.zero()) * s_inv
+        t1 = top_bracket(a, i, s) * s_inv
         lie = lie_top(list(a.anchor[i]), mu)
         t2 = lie.comps.get(mu_key, chart.zero()) * g_inv
         comps.append(t1 + t2)

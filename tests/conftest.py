@@ -10,11 +10,19 @@ from hypothesis import strategies as st
 
 from algebroids.core import (
     AlgebroidPresentation,
+    coframe_form,
+    d_A,
+    frame_vector,
     lie_algebra_presentation,
+    lie_top,
+    one_form,
+    schouten,
     tangent_algebroid,
 )
 from algebroids import ratlinalg
 from algebroids.extensions import subalgebroid_from_vector_fields
+from algebroids.morphisms import pullback_form
+from algebroids.report import CheckReport
 from algebroids.symexpr import (
     Chart,
     PeriodicityViolation,
@@ -35,7 +43,8 @@ from algebroids.symexpr import (
 
 
 # `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x),
-# elimination-reference, algebroid-block round-trip and nowhere-zero
+# elimination-reference, algebroid-block round-trip, nowhere-zero and
+# closed-form identity (chain map, top bracket, modular cocycle)
 # properties, which take a smaller budget in the tier-1 run, with a deeper
 # search
 settings.register_profile("ci", max_examples=2000, deadline=None)
@@ -635,12 +644,18 @@ def count_sampling(monkeypatch, check, *args, **kwargs):
     return rep, counts
 
 
-def reference_points(chart, seed, count, bound, den):
-    """The points a sampled check draws, written out: a fresh
-    ``random.Random(seed)``, then per point and per coordinate a numerator
-    in [-bound, bound] and a denominator in [1, den]."""
+def reference_pairs(chart, seed, count, bound, den):
+    """The (numerator, denominator) pairs a sampled check draws, written
+    out: a fresh ``random.Random(seed)``, then per point and per coordinate
+    a numerator in [-bound, bound] and a denominator in [1, den]."""
     rng = random.Random(seed)
-    return [[Fraction(rng.randint(-bound, bound), rng.randint(1, den)) for _ in chart.coords] for _ in range(count)]
+    return [[(rng.randint(-bound, bound), rng.randint(1, den)) for _ in chart.coords] for _ in range(count)]
+
+
+def reference_points(chart, seed, count, bound, den):
+    """The points a sampled check hands its float consumers: each pair of
+    `reference_pairs` as the float of its exact fraction."""
+    return [[float(Fraction(p, q)) for p, q in pt] for pt in reference_pairs(chart, seed, count, bound, den)]
 
 
 def capture_sampled_points(monkeypatch, module, check, *args, **kwargs):
@@ -713,3 +728,44 @@ def frame_algebroids(draw):
                 columns[k][t] = f + draw(st.integers(1, 3)) * g
     alg, _ = subalgebroid_from_vector_fields("F", chart, columns)
     return alg
+
+
+# -- references of the closed-form identity checks -----------------------------
+
+
+def reference_check_morphism(phi):
+    """`morphisms.check_morphism` through the generic graded calculus: the
+    anchor rows, then on each target coframe form eps^t the residual
+    ``pullback_form(phi, d_A(eps^t)) - d_A(pullback_form(phi, eps^t))``."""
+    rep = CheckReport(f"morphism {phi.name}")
+    src, tgt = phi.source, phi.target
+    coords = src.chart.coords
+    for i in range(src.rank):
+        for j in range(tgt.chart.dim):
+            res = lincomb(
+                src.chart,
+                [(1, phi.fiber[t][i], phi.pull_scalar(tgt.anchor[t][j])) for t in range(tgt.rank)]
+                + [(-1, src.anchor[i][k], phi.basemap[j].partial(c)) for k, c in enumerate(coords)],
+            )
+            rep.residual(f"anchor: {src.frame[i]} vs {tgt.chart.coords[j]}", res)
+    for t in range(tgt.rank):
+        eps = coframe_form(tgt, t)
+        res = pullback_form(phi, d_A(eps)) - d_A(pullback_form(phi, eps))
+        rep.residual(f"chain map on {tgt.coframe[t]}", res)
+    return rep
+
+
+def reference_modular_cocycle(a, omega, mu):
+    """`reps.modular_cocycle` through the graded calculus: on e_i, the top
+    coefficient of ``schouten(e_i, omega)`` over that of omega, plus the
+    Lie derivative of mu along rho(e_i) over mu."""
+    chart = a.chart
+    top, vol = tuple(range(a.rank)), tuple(range(chart.dim))
+    s_inv = omega.comps[top].unit_inverse()
+    g_inv = mu.comps[vol].unit_inverse()
+    comps = [
+        schouten(frame_vector(a, i), omega).comps.get(top, chart.zero()) * s_inv
+        + lie_top(list(a.anchor[i]), mu).comps.get(vol, chart.zero()) * g_inv
+        for i in range(a.rank)
+    ]
+    return one_form(a, comps)

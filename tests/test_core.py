@@ -26,6 +26,7 @@ from algebroids.core import (
     schouten,
     section_vector,
     tangent_algebroid,
+    top_bracket,
     top_form,
     top_multivector,
     vector_field_bracket,
@@ -231,6 +232,15 @@ class TestSchouten:
         g = aff1()
         res = schouten(frame_vector(g, 0), top_multivector(g, g.chart.one()))
         assert res == top_multivector(g, g.chart.one())
+
+    @settings(deadline=None)
+    @given(frame_algebroids(), st.data())
+    def test_top_bracket_is_the_top_coefficient_of_schouten(self, alg, data):
+        s = data.draw(coeffs(alg.chart))
+        top = top_multivector(alg, s)
+        for i in range(alg.rank):
+            want = schouten(frame_vector(alg, i), top).comps.get(tuple(range(alg.rank)), alg.chart.zero())
+            assert top_bracket(alg, i, s) == want
 
     def test_graded_antisymmetry_and_jacobi(self):
         rng = random.Random(4)

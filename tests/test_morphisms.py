@@ -1,6 +1,9 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
 from algebroids.core import (
     AlgebroidPresentation,
     FormField,
@@ -34,7 +37,7 @@ from algebroids.reps import (
 )
 from algebroids.symexpr import Chart, ChartMap, cos, exp, sin
 
-from conftest import cylinder_algebroid
+from conftest import coeffs, cylinder_algebroid, frame_algebroids, reference_check_morphism
 
 
 def cylinder_setup():
@@ -168,6 +171,63 @@ class TestPullbackForm:
         assert pulled == FormField(TM, 2, {(0, 1): y})
 
 
+@st.composite
+def linear_basemaps(draw, chart):
+    """The identity of the chart, or x_j -> x_j + sum_k q_jk x_k with the
+    slopes that keep the map global: integer from a periodic source
+    coordinate into a periodic one, none from a periodic coordinate into
+    a non-periodic one."""
+    coords = [chart.coord(c) for c in chart.coords]
+    if draw(st.booleans()):
+        return coords
+    slopes = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    images = []
+    for j, per in enumerate(chart.periodic):
+        image = coords[j]
+        for k, per_k in enumerate(chart.periodic):
+            q = draw(slopes)
+            if k == j or (per_k and (not per or q != int(q))):
+                continue
+            image = image + q * coords[k]
+        images.append(image)
+    return images
+
+
+@st.composite
+def morphisms(draw):
+    """A bundle map into a frame algebroid B, whose structure functions are
+    in general not constant: the identity of B, the anchor of B as a map to
+    the tangent algebroid (both morphisms), or a random fiber from B or
+    from the tangent algebroid into B over an identity or rational-linear
+    base map (in general not a morphism)."""
+    b = draw(frame_algebroids())
+    chart = b.chart
+    tm = tangent_algebroid(chart)
+    kind = draw(st.sampled_from(["identity", "anchor", "random", "random", "random"]))
+    event(kind)
+    if kind == "identity":
+        return identity_morphism(b)
+    if kind == "anchor":
+        return base_preserving_morphism("rho", b, tm, [list(col) for col in zip(*b.anchor)])
+    src = draw(st.sampled_from([b, tm]))
+    fiber = [
+        [draw(coeffs(chart)) if draw(st.integers(0, 2)) else chart.zero() for _ in range(src.rank)]
+        for _ in range(b.rank)
+    ]
+    return Morphism("phi", src, b, draw(linear_basemaps(chart)), fiber)
+
+
+class TestClosedForm:
+    """The closed chain-map form gives the report of the generic calculus."""
+
+    @settings(deadline=None)
+    @given(morphisms())
+    def test_check_morphism_matches_the_reference(self, phi):
+        rep = check_morphism(phi)
+        event("morphism" if rep.passed else "not a morphism")
+        assert rep.to_dict() == reference_check_morphism(phi).to_dict()
+
+
 class TestPullOnce:
     """Within one call each target function is composed with the base map
     once, on first use."""
@@ -194,10 +254,11 @@ class TestPullOnce:
         x, y = M.coord("x"), M.coord("y")
         phi = Morphism("phi", TM, TN, [x * y, y], [[y, x], [M.zero(), M.one()]])
         psi = base_preserving_morphism("psi", TN, TN, [[N.const(1), N.const(2)], [N.const(3), N.const(4)]])
-        # the 4 anchor entries of TN, then one coefficient per coframe form
-        # (d_A of a coframe form of TN is 0)
+        # the 4 anchor entries of TN; TN has no structure functions, and the
+        # closed chain-map form composes nothing else (no constant 1 of a
+        # coframe form)
         rep, count = self._count_substitutions(monkeypatch, check_morphism, phi)
-        assert rep.passed and count == 4 + 2
+        assert rep.passed and count == 4
         # the 2 base map components of psi, then its 4 fiber entries
         _, count = self._count_substitutions(monkeypatch, compose, psi, phi)
         assert count == 2 + 4
@@ -206,6 +267,21 @@ class TestPullOnce:
         pulled, count = self._count_substitutions(monkeypatch, pullback_form, phi, beta)
         assert count == 2
         assert pulled == one_form(TM, [x * y * y, x * x * y + y])
+
+    def test_each_structure_function_is_pulled_once_per_call(self, monkeypatch):
+        # a bundle of Lie algebras over N with [e1, e2] = u e1 + v e2, and a
+        # rank-3 source whose three 2x2 fiber minors are all non-zero
+        N = Chart("N", ("u", "v"))
+        M = Chart("M", ("x", "y"))
+        u, v = N.coord("u"), N.coord("v")
+        x, y = M.coord("x"), M.coord("y")
+        tgt = AlgebroidPresentation("L", N, ("e1", "e2"), [[N.zero()] * 2] * 2, {(0, 1): {0: u, 1: v}})
+        src = AlgebroidPresentation("S", M, ("a", "b", "c"), [[M.zero()] * 2] * 3)
+        phi = Morphism("phi", src, tgt, [x * y, y], [[M.one(), x, M.zero()], [y, M.one(), x]])
+        # the 4 anchor entries of L, then C^1_12 and C^2_12 once each: one
+        # composition per pulled (u, v, t), though each meets three minors
+        rep, count = self._count_substitutions(monkeypatch, check_morphism, phi)
+        assert not rep.passed and count == 4 + 2
 
 
 class TestPullbackRep:

@@ -29,6 +29,7 @@ from algebroids.ratlinalg import (
     nowhere_zero,
     rank_certificate,
     rat_solve,
+    sample_pairs,
     sample_points,
     sampled_ranks,
     scalar_det,
@@ -42,6 +43,7 @@ from conftest import (
     reference_det,
     reference_factored,
     reference_nowhere_zero,
+    reference_pairs,
     reference_points,
     reference_real_roots,
 )
@@ -651,9 +653,11 @@ def test_sampled_ranks_stack():
 @pytest.mark.parametrize("dim", [0, 1, 3])
 def test_sample_points_draw_point_by_point(dim):
     for seed, count, bound, den in [(0, 1, 60, 13), (5, 20, 50, 11), (9, 7, 200, 40)]:
+        assert sample_pairs(dim, seed, count, bound, den) == reference_pairs(chart_r(dim), seed, count, bound, den)
         pts = sample_points(dim, seed, count, bound, den)
+        # p / q is float(Fraction(p, q)) bit for bit
         assert pts == reference_points(chart_r(dim), seed, count, bound, den)
-        assert all(type(x) is Fraction for p in pts for x in p)
+        assert all(type(x) is float for p in pts for x in p)
 
 
 def test_sample_points_reject_no_points():

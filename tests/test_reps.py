@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids.core import (
     FormField,
@@ -29,7 +31,15 @@ from algebroids.reps import (
 )
 from algebroids.symexpr import Chart, NotAUnit, ScalarFn, exp, sin
 
-from conftest import aff1, cylinder_algebroid, random_lie_algebra, reference_points, so3
+from conftest import (
+    aff1,
+    cylinder_algebroid,
+    frame_algebroids,
+    random_lie_algebra,
+    reference_modular_cocycle,
+    reference_points,
+    so3,
+)
 
 
 def adjoint_matrices(g):
@@ -233,7 +243,27 @@ class TestCharCocycle:
                 LineSection(R2.coord("x") ** 2 + 1, assert_nonvanishing=True, samples=samples)
 
 
+@st.composite
+def units(draw, chart):
+    """A unit of the chart's functions: q exp(sum_k d_k x_k) over the
+    non-periodic coordinates, q a non-zero rational."""
+    q = Fraction(draw(st.sampled_from([-3, -1, 1, 2, 5])), draw(st.integers(1, 3)))
+    f = chart.const(q)
+    for name, per in zip(chart.coords, chart.periodic):
+        d = draw(st.integers(-2, 2))
+        if d and not per:
+            f = f * exp(d * chart.coord(name))
+    return f
+
+
 class TestModularCocycle:
+    @settings(deadline=None)
+    @given(frame_algebroids(), st.data())
+    def test_matches_the_reference(self, alg, data):
+        omega = top_multivector(alg, data.draw(units(alg.chart)))
+        mu = top_form(tangent_algebroid(alg.chart), data.draw(units(alg.chart)))
+        assert modular_cocycle(alg, omega, mu) == reference_modular_cocycle(alg, omega, mu)
+
     def test_tangent_unimodular(self, R2):
         tm = tangent_algebroid(R2)
         omega, mu = canonical_sections(tm)
