@@ -12,6 +12,7 @@ modular cocycle of a presentation.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -25,7 +26,6 @@ from .core import (
     top_bracket,
     top_form,
     top_multivector,
-    _vf_pieces,
 )
 from .ratlinalg import sample_points
 from .report import CheckReport
@@ -130,11 +130,19 @@ class LineSection:
 
 
 def check_flat(d: Representation) -> CheckReport:
-    """Curvature residuals per frame pair; flat iff all are exactly zero."""
+    """Curvature residuals per frame pair; flat iff all are exactly zero.
+
+    Each partial of a connection entry g_j[s][t] is taken once per call, on
+    first use, so a pair that fails early pays for none of the later ones."""
     a = d.algebroid
     rep = CheckReport(f"flatness of {d.name}")
     coords = a.chart.coords
     m = d.bundle_rank
+
+    @cache
+    def entry_partial(j: int, s: int, t: int, c: int) -> ScalarFn:
+        return d.mats[j][s][t].partial(coords[c])
+
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             gi, gj = d.mats[i], d.mats[j]
@@ -146,8 +154,8 @@ def check_flat(d: Representation) -> CheckReport:
                     # rho_i(g_j) - rho_j(g_i) + [g_i, g_j] - g_[e_i, e_j], entry (s, t)
                     res = lincomb(
                         a.chart,
-                        _vf_pieces(a.anchor[i], gj[s][t], coords, 1)
-                        + _vf_pieces(a.anchor[j], gi[s][t], coords, -1)
+                        [(1, f, entry_partial(j, s, t, c)) for c, f in enumerate(a.anchor[i]) if not f.is_zero()]
+                        + [(-1, f, entry_partial(i, s, t, c)) for c, f in enumerate(a.anchor[j]) if not f.is_zero()]
                         + [(1, gi[s][u], gj[u][t]) for u in range(m)]
                         + [(-1, gj[s][u], gi[u][t]) for u in range(m)]
                         + [(-1, cf, d.mats[k][s][t]) for k, cf in brackets.items()],

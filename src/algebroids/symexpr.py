@@ -62,7 +62,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -199,11 +199,14 @@ def _norm_trig(kind: str, c: tuple[Rational, ...]) -> tuple[int, Trig]:
 
 
 def _vec_add(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
-    return tuple(_slope(x + y) for x, y in zip(a, b))
+    v = tuple(map(add, a, b))
+    # a sum of ints is in term-key form; only a Fraction may need `_slope`
+    return tuple(map(_slope, v)) if Fraction in map(type, v) else v
 
 
 def _vec_sub(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
-    return tuple(_slope(x - y) for x, y in zip(a, b))
+    v = tuple(map(sub, a, b))
+    return tuple(map(_slope, v)) if Fraction in map(type, v) else v
 
 
 def _trig_product(t1: Trig, t2: Trig) -> list[tuple[int, Trig]]:

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from algebroids.core import (
     AlgebroidPresentation,
+    FormField,
+    _vf_pieces,
     coframe_form,
     d_A,
     frame_vector,
@@ -43,8 +46,9 @@ from algebroids.symexpr import (
 
 
 # `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x),
-# elimination-reference, algebroid-block round-trip, nowhere-zero and
-# closed-form identity (chain map, top bracket, modular cocycle)
+# elimination-reference, algebroid-block round-trip, nowhere-zero,
+# closed-form identity (chain map, top bracket, modular cocycle), identity
+# check reference (axioms, frame Jacobi law, flatness) and slope-vector
 # properties, which take a smaller budget in the tier-1 run, with a deeper
 # search
 settings.register_profile("ci", max_examples=2000, deadline=None)
@@ -520,6 +524,14 @@ def reference_derivative_items(terms, j):
     return items
 
 
+def reference_vec_add(a, b):
+    return tuple(_slope(x + y) for x, y in zip(a, b))
+
+
+def reference_vec_sub(a, b):
+    return tuple(_slope(x - y) for x, y in zip(a, b))
+
+
 def reference_mul(f, g):
     items = []
     reference_product_items(items, f.items(), g.items(), 1)
@@ -769,3 +781,93 @@ def reference_modular_cocycle(a, omega, mu):
         for i in range(a.rank)
     ]
     return one_form(a, comps)
+
+
+def jacobiator(a: AlgebroidPresentation, i: int, j: int, k: int) -> list[ScalarFn]:
+    """Brute-force Jacobi defect of frame sections, in frame coefficients:
+    the test oracle of the frame Jacobi identity."""
+    def bracket_vec(x: Sequence[ScalarFn], y: Sequence[ScalarFn]) -> list[ScalarFn]:
+        return a.section_bracket(x, y)
+
+    e = lambda t: [
+        a.chart.one() if u == t else a.chart.zero() for u in range(a.rank)
+    ]
+    total = [a.chart.zero() for _ in range(a.rank)]
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = bracket_vec(e(x), e(y))
+        outer = bracket_vec(inner, e(z))
+        total = [acc + val for acc, val in zip(total, outer)]
+    return total
+
+
+def reference_check_axioms(a):
+    """`core.check_axioms` with every "d(d e^k)" item through the generic
+    calculus, ``d_A(d_A(coframe_form(a, k)))``.
+
+    The anchor residuals res_ijl = (rho([e_i, e_j]) - [rho(e_i), rho(e_j)])_l
+    are computed once.  For a coordinate x_l, d_A x_l is the 1-form
+    e_i -> rho(e_i)_l, so (d_A d_A x_l)(e_i, e_j) = rho(e_i)(rho(e_j)_l)
+    - rho(e_j)(rho(e_i)_l) - rho([e_i, e_j])_l = -res_ijl: the "d(d x_l)"
+    items are read off the residuals.
+    """
+    rep = CheckReport(f"axioms of {a.name}")
+    coords = a.chart.coords
+    residuals: dict[tuple[int, int], list[ScalarFn]] = {}
+    for i in range(a.rank):
+        for j in range(i + 1, a.rank):
+            brackets = a.structure.get((i, j), {})
+            ai, aj = a.anchor[i], a.anchor[j]
+            # rho([e_i, e_j]) - [rho(e_i), rho(e_j)], component l
+            residuals[(i, j)] = [
+                lincomb(
+                    a.chart,
+                    [(1, cf, a.anchor[k][l]) for k, cf in brackets.items()]
+                    + _vf_pieces(ai, aj[l], coords, -1)
+                    + _vf_pieces(aj, ai[l], coords, 1),
+                )
+                for l in range(len(coords))
+            ]
+    for l, coord in enumerate(coords):
+        res = FormField(a, 2, {key: -row[l] for key, row in residuals.items()})
+        rep.residual(f"d(d {coord}) = 0", res)
+    for k in range(a.rank):
+        res = d_A(d_A(coframe_form(a, k)))
+        rep.residual(f"d(d {a.coframe[k]}) = 0", res)
+    for (i, j), row in residuals.items():
+        for coord, res in zip(coords, row):
+            rep.residual(f"anchor([{a.frame[i]},{a.frame[j]}]) . {coord}", res)
+    return rep
+
+
+def reference_check_flat(d):
+    """`reps.check_flat` with the partials of each connection entry taken
+    again for every frame pair: curvature residuals per frame pair."""
+    a = d.algebroid
+    rep = CheckReport(f"flatness of {d.name}")
+    coords = a.chart.coords
+    m = d.bundle_rank
+    for i in range(a.rank):
+        for j in range(i + 1, a.rank):
+            gi, gj = d.mats[i], d.mats[j]
+            brackets = a.structure.get((i, j), {})
+            ok = True
+            worst = ""
+            for s in range(m):
+                for t in range(m):
+                    # rho_i(g_j) - rho_j(g_i) + [g_i, g_j] - g_[e_i, e_j], entry (s, t)
+                    res = lincomb(
+                        a.chart,
+                        _vf_pieces(a.anchor[i], gj[s][t], coords, 1)
+                        + _vf_pieces(a.anchor[j], gi[s][t], coords, -1)
+                        + [(1, gi[s][u], gj[u][t]) for u in range(m)]
+                        + [(-1, gj[s][u], gi[u][t]) for u in range(m)]
+                        + [(-1, cf, d.mats[k][s][t]) for k, cf in brackets.items()],
+                    )
+                    if not res.is_zero():
+                        ok = False
+                        worst = f"entry ({s},{t}): {res}"
+                        break
+                if not ok:
+                    break
+            rep.add(f"curvature({a.frame[i]},{a.frame[j]}) = 0", ok, worst)
+    return rep

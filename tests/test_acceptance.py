@@ -28,7 +28,6 @@ from algebroids.core import (
     check_axioms,
     d_A,
     function_form,
-    jacobiator,
     one_form,
     same_presentation,
     tangent_algebroid,
@@ -68,7 +67,7 @@ from algebroids.scenario import parse_scenario
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, sin
 
 import conftest
-from conftest import cylinder_algebroid, random_lie_algebra
+from conftest import cylinder_algebroid, jacobiator, random_lie_algebra
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

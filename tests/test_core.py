@@ -19,7 +19,6 @@ from algebroids.core import (
     function_form,
     interior,
     interior_form,
-    jacobiator,
     lie_algebra_presentation,
     lie_top,
     one_form,
@@ -34,7 +33,16 @@ from algebroids.core import (
 )
 from algebroids.symexpr import Chart, cos, sin
 
-from conftest import aff1, coeffs, cylinder_algebroid, frame_algebroids, random_lie_algebra, so3
+from conftest import (
+    aff1,
+    coeffs,
+    cylinder_algebroid,
+    frame_algebroids,
+    jacobiator,
+    random_lie_algebra,
+    reference_check_axioms,
+    so3,
+)
 
 
 @st.composite
@@ -71,6 +79,29 @@ class TestCheckAxioms:
         assert [item.label for item in rep.items[: len(coords)]] == [f"d(d {c}) = 0" for c in coords]
         for item, c in zip(rep.items, coords):
             want = d_A(d_A(function_form(a, a.chart.coord(c))))
+            assert (item.ok, item.detail) == (want.is_zero(), "" if want.is_zero() else str(want))
+
+    @settings(deadline=None)
+    @given(st.one_of(frame_algebroids(), corrupted_algebroids()))
+    def test_matches_the_reference(self, a):
+        """The closed form of d e^k and the partials taken once give the
+        report of the generic calculus, failing residuals included."""
+        rep = check_axioms(a)
+        event("passes" if rep.passed else "fails")
+        assert rep.to_dict() == reference_check_axioms(a).to_dict()
+
+    @settings(deadline=None)
+    @given(st.one_of(frame_algebroids(), corrupted_algebroids()))
+    def test_dde_items_are_the_frame_jacobi_law(self, a):
+        """Component (i, j, l) of the d(d e^k) residual is component k of
+        jacobiator(a, i, j, l), for every sorted frame triple."""
+        items = {item.label: item for item in check_axioms(a).items}
+        triples = list(combinations(range(a.rank), 3))
+        jac = {key: jacobiator(a, *key) for key in triples}
+        for k, name in enumerate(a.coframe):
+            want = FormField(a, 3, {key: jac[key][k] for key in triples})
+            event("jacobi holds" if want.is_zero() else "jacobi fails")
+            item = items[f"d(d {name}) = 0"]
             assert (item.ok, item.detail) == (want.is_zero(), "" if want.is_zero() else str(want))
 
     def test_tangent_plane(self, R2):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from algebroids.core import (
@@ -33,9 +33,11 @@ from algebroids.symexpr import Chart, NotAUnit, ScalarFn, exp, sin
 
 from conftest import (
     aff1,
+    coeffs,
     cylinder_algebroid,
     frame_algebroids,
     random_lie_algebra,
+    reference_check_flat,
     reference_modular_cocycle,
     reference_points,
     so3,
@@ -60,7 +62,36 @@ def exact_line_rep(a, f, name="Dexact"):
     return Representation(a, ("eps",), mats, name)
 
 
+@st.composite
+def line_sum_reps(draw):
+    """A flat representation on a frame algebroid: a sum of one or two
+    exact line representations, g_i = diag(rho(e_i)(f_s)).  In half the
+    draws one or two entries g_i[s][t] are shifted by a random coefficient,
+    so that the connection is in general no longer flat."""
+    a = draw(frame_algebroids())
+    m = draw(st.integers(1, 2))
+    fs = [draw(coeffs(a.chart)) for _ in range(m)]
+    zero = a.chart.zero()
+    mats = [[[a.rho_apply(i, fs[s]) if s == t else zero for t in range(m)] for s in range(m)] for i in range(a.rank)]
+    perturbed = draw(st.booleans())
+    if perturbed:
+        for _ in range(draw(st.integers(1, 2))):
+            i, s, t = (draw(st.integers(0, n - 1)) for n in (a.rank, m, m))
+            mats[i][s][t] = mats[i][s][t] + draw(coeffs(a.chart))
+    event("perturbed" if perturbed else "unperturbed")
+    return Representation(a, [f"eps{s}" for s in range(m)], mats)
+
+
 class TestCheckFlat:
+    @settings(deadline=None)
+    @given(line_sum_reps())
+    def test_matches_the_reference(self, d):
+        """Partials taken once per call give the report of the reference,
+        which takes them again for every frame pair."""
+        rep = check_flat(d)
+        event("flat" if rep.passed else "not flat")
+        assert rep.to_dict() == reference_check_flat(d).to_dict()
+
     def test_trivial(self, R2):
         tm = tangent_algebroid(R2)
         assert check_flat(trivial_rep(tm, ("e1", "e2"))).passed

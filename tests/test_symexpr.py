@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from algebroids import ratlinalg
@@ -20,6 +20,8 @@ from algebroids.symexpr import (
     ScalarFn,
     SymExprError,
     UnknownCoordinate,
+    _vec_add,
+    _vec_sub,
     cos,
     exp,
     lincomb,
@@ -36,6 +38,8 @@ from conftest import (
     reference_substitute,
     reference_linear_substitute,
     reference_unit_inverse,
+    reference_vec_add,
+    reference_vec_sub,
 )
 
 R2 = Chart("R2", ("x", "y"))
@@ -311,6 +315,8 @@ CHARTS = [Chart("A", ("x",)), Chart("B", ("x", "y")), Chart("C", ("x", "y", "z")
 # ones arrive with denominator 1 and must be normalised on the way in
 HALF = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
 COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+# int and Fraction slopes, integral Fractions included
+SLOPE = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 
 
 @st.composite
@@ -432,6 +438,22 @@ class TestRingProperties:
         assert prod == exp(x)
         ((_, _, expv),) = prod.terms
         assert expv == (1,) and type(expv[0]) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.tuples(*[st.lists(SLOPE, min_size=n, max_size=n).map(tuple)] * 2)
+        )
+    )
+    @example(((Fraction(1, 2), 3), (Fraction(1, 2), Fraction(-1, 3))))
+    def test_slope_vectors_match_the_reference(self, ab):
+        """Sums and differences of slope vectors are those of the
+        generator-expression reference, value for value and type for type:
+        1/2 + 1/2 gives int 1."""
+        a, b = ab
+        for got, want in ((_vec_add(a, b), reference_vec_add(a, b)), (_vec_sub(a, b), reference_vec_sub(a, b))):
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
 
     def test_fraction_and_int_slope_keys_merge(self):
         chart = CHARTS[0]
