@@ -187,10 +187,7 @@ class AnsatzOperator:
             raise SymExprError(f"chart mismatch: {a.chart.name!r} vs {basis[0].chart.name!r}")
         # per frame index, the non-zero anchor entries as
         # (coordinate, numerator items, denominator, has trig terms)
-        anchor = [
-            [(k, f.num.items(), f.den, _has_trig(f.num)) for k, f in enumerate(row) if f.num]
-            for row in a.anchor
-        ]
+        anchor = [[(k, f.num.items(), f.den, _has_trig(f.num)) for k, f in row] for row in a.anchor_rows]
         coords = {k for row in anchor for k, *_ in row}
         # a basis function is one key with numerator 1 over den 1, so each
         # derivative is its items over their slope scale s alone

@@ -1,7 +1,8 @@
 """Lie algebroid presentations over a single chart and their graded calculus.
 
 A presentation is a frame e_1..e_r, an anchor matrix (row i = the vector
-field rho(e_i) in coordinates) and structure functions C^k_ij for i < j.
+field rho(e_i) in coordinates, which the calculus reads as the sparse row
+of its non-zero entries) and structure functions C^k_ij for i < j.
 Forms and multivectors are stored on strictly increasing index tuples, so
 antisymmetry is structural.  The differential, interior products, the
 Schouten–Gerstenhaber bracket and Lie derivatives of top forms are all
@@ -15,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Optional, Sequence, Union
 
 from .report import CheckReport
@@ -33,7 +34,15 @@ class DegreeMismatch(AlgebroidError):
 
 
 class AlgebroidPresentation:
-    """A Lie algebroid over one chart, given by anchor and structure functions."""
+    """A Lie algebroid over one chart, given by anchor and structure functions.
+
+    The anchor is stored as sparse rows: ``anchor_rows[i]`` holds the pairs
+    (l, rho(e_i)_l) with a non-zero component, in coordinate order, and the
+    calculus iterates these, so a zero anchor entry costs nothing.
+    ``anchor`` is the dense read-only view, and ``structure`` keeps only
+    the non-zero C^k_ij.  Every entry must live on ``chart``, and each
+    upper index k of a structure function must be a frame index.
+    """
 
     def __init__(
         self,
@@ -55,13 +64,19 @@ class AlgebroidPresentation:
         for row in anchor:
             if len(row) != chart.dim:
                 raise AlgebroidError("anchor row length must equal chart dimension")
-            rows.append(tuple(row))
+            rows.append(tuple(_on_chart(chart, f, "anchor entry") for f in row))
         self.anchor = tuple(rows)
+        self.anchor_rows = tuple(_nonzero(row) for row in rows)
         struct: dict[tuple[int, int], dict[int, ScalarFn]] = {}
         for (i, j), comps in (structure or {}).items():
             if not (0 <= i < j < self.rank):
                 raise AlgebroidError(f"structure key ({i},{j}) must satisfy i < j < rank")
-            entries = {k: f for k, f in comps.items() if not f.is_zero()}
+            entries = {}
+            for k, f in comps.items():
+                if not 0 <= k < self.rank:
+                    raise AlgebroidError(f"structure function C^{k}_({i},{j}) needs a frame index k < rank")
+                if not _on_chart(chart, f, "structure function").is_zero():
+                    entries[k] = f
             if entries:
                 struct[(i, j)] = entries
         self.structure = struct
@@ -74,12 +89,7 @@ class AlgebroidPresentation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebroidPresentation):
             return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.frame == other.frame
-            and self.anchor == other.anchor
-            and self.structure == other.structure
-        )
+        return self.frame == other.frame and same_presentation(self, other)
 
     __hash__ = None
 
@@ -90,11 +100,7 @@ class AlgebroidPresentation:
 
     def c(self, i: int, j: int, k: int) -> ScalarFn:
         """Structure function C^k_ij with antisymmetry in (i, j)."""
-        if i == j:
-            return self.chart.zero()
-        if i > j:
-            return -self.c(j, i, k)
-        return self.structure.get((i, j), {}).get(k, self.chart.zero())
+        return self.bracket_frame(i, j).get(k, self.chart.zero())
 
     def bracket_frame(self, i: int, j: int) -> dict[int, ScalarFn]:
         """[e_i, e_j] as a sparse coefficient map."""
@@ -109,15 +115,15 @@ class AlgebroidPresentation:
 
     def rho_apply(self, i: int, f: ScalarFn) -> ScalarFn:
         """The vector field rho(e_i) applied to a function."""
-        return _vf_apply(self.anchor[i], f, self.chart)
+        return lincomb(self.chart, _vf_pieces(self.anchor_rows[i], f, self.chart.coords, 1))
 
     def rho_section(self, coeffs: Sequence[ScalarFn]) -> tuple[ScalarFn, ...]:
         """Anchor of a section given by frame coefficients."""
-        terms = [(g, row) for g, row in zip(coeffs, self.anchor) if not g.is_zero()]
-        return tuple(
-            lincomb(self.chart, [(1, g, row[k]) for g, row in terms])
-            for k in range(self.chart.dim)
-        )
+        pieces: list[list[tuple]] = [[] for _ in self.chart.coords]
+        for g, row in zip(coeffs, self.anchor_rows):
+            for l, f in row:
+                pieces[l].append((1, g, f))
+        return tuple(lincomb(self.chart, p) for p in pieces)
 
     def section_bracket(
         self, x: Sequence[ScalarFn], y: Sequence[ScalarFn]
@@ -136,8 +142,8 @@ class AlgebroidPresentation:
                 sign = 1 if i < j else -1
                 for k, cf in brackets.items():
                     pieces[k].append((sign, fg, cf))
-        rx = self.rho_section(x)
-        ry = self.rho_section(y)
+        rx = _nonzero(self.rho_section(x))
+        ry = _nonzero(self.rho_section(y))
         for j, g in enumerate(y):
             pieces[j] += _vf_pieces(rx, g, coords, 1)
         for i, f in enumerate(x):
@@ -145,13 +151,22 @@ class AlgebroidPresentation:
         return [lincomb(self.chart, p) for p in pieces]
 
 
-def _vf_pieces(vf: Sequence[ScalarFn], f: ScalarFn, coords: Sequence[str], sign: int) -> list[tuple]:
-    """The `lincomb` pieces of sign * vf(f) for a coordinate vector field."""
-    return [(sign, comp, f.partial(coord)) for comp, coord in zip(vf, coords) if not comp.is_zero()]
+def _on_chart(chart: Chart, f: ScalarFn, what: str) -> ScalarFn:
+    if f.chart is not chart and f.chart != chart:
+        raise AlgebroidError(f"{what} {f} lives on chart {f.chart.name!r}, not {chart.name!r}")
+    return f
 
 
-def _vf_apply(vf: Sequence[ScalarFn], f: ScalarFn, chart: Chart) -> ScalarFn:
-    return lincomb(chart, _vf_pieces(vf, f, chart.coords, 1))
+def _nonzero(vf: Sequence[ScalarFn]) -> tuple[tuple[int, ScalarFn], ...]:
+    """A coordinate vector field as its sparse row: the pairs (l, vf[l])
+    with vf[l] non-zero."""
+    return tuple((l, f) for l, f in enumerate(vf) if f.num)
+
+
+def _vf_pieces(row: Sequence[tuple[int, ScalarFn]], f: ScalarFn, coords: Sequence[str], sign: int) -> list[tuple]:
+    """The `lincomb` pieces of sign * vf(f) for a coordinate vector field
+    given by its sparse row."""
+    return [(sign, comp, f.partial(coords[l])) for l, comp in row]
 
 
 def vector_field_bracket(
@@ -159,8 +174,9 @@ def vector_field_bracket(
 ) -> list[ScalarFn]:
     """[u, v] of coordinate vector fields on a chart."""
     coords = chart.coords
+    su, sv = _nonzero(u), _nonzero(v)
     return [
-        lincomb(chart, _vf_pieces(u, v[k], coords, 1) + _vf_pieces(v, u[k], coords, -1))
+        lincomb(chart, _vf_pieces(su, v[k], coords, 1) + _vf_pieces(sv, u[k], coords, -1))
         for k in range(chart.dim)
     ]
 
@@ -174,15 +190,8 @@ def _sort_indices(idxs: Sequence[int]) -> Optional[tuple[int, tuple[int, ...]]]:
     """Sign and sorted tuple, or None when an index repeats."""
     if len(set(idxs)) != len(idxs):
         return None
-    seen = list(idxs)
-    # count inversions
-    inv = 0
-    for a in range(len(seen)):
-        for b in range(a + 1, len(seen)):
-            if seen[a] > seen[b]:
-                inv += 1
-    sign = -1 if inv % 2 else 1
-    return sign, tuple(sorted(idxs))
+    inversions = sum(x > y for x, y in combinations(idxs, 2))
+    return -1 if inversions % 2 else 1, tuple(sorted(idxs))
 
 
 class _AltTable:
@@ -387,9 +396,7 @@ def d_A(alpha: FormField) -> FormField:
             if val is None:
                 continue
             sign = -1 if t % 2 else 1
-            for j, comp in enumerate(a.anchor[key[t]]):
-                if comp.is_zero():
-                    continue
+            for j, comp in a.anchor_rows[key[t]]:
                 d = partials.get((sub, j))
                 if d is None:
                     d = partials[(sub, j)] = val.partial(coords[j])
@@ -527,10 +534,16 @@ def top_bracket(a: AlgebroidPresentation, i: int, s: ScalarFn) -> ScalarFn:
     Of the bracket with a frame section only the anchor term and the
     diagonal of its structure functions reach the top power, so this is
     the top component of ``schouten(frame_vector(a, i), top_multivector(a,
-    s))`` without the rest of the graded expansion.
+    s))`` without the rest of the graded expansion.  The anchor term runs
+    over the sparse row of e_i, and the trace over the stored pairs that
+    contain i: C^k_ik from (i, k) and -C^k_ki from (k, i).
     """
-    pieces = _vf_pieces(a.anchor[i], s, a.chart.coords, 1)
-    pieces += [(1, s, a.c(i, k, k)) for k in range(a.rank)]
+    pieces = _vf_pieces(a.anchor_rows[i], s, a.chart.coords, 1)
+    for (u, v), comps in a.structure.items():
+        if u == i and v in comps:
+            pieces.append((1, s, comps[v]))
+        elif v == i and u in comps:
+            pieces.append((-1, s, comps[u]))
     return lincomb(a.chart, pieces)
 
 
@@ -540,7 +553,7 @@ def lie_top(
     """Lie derivative of a top-degree form on a tangent presentation.
 
     For mu = g dx_1^..^dx_n and v = sum v_i d/dx_i this is
-    (sum_i d(g v_i)/dx_i) dx_1^..^dx_n.
+    (sum_i d(g v_i)/dx_i) dx_1^..^dx_n, summed over the non-zero v_i.
     """
     a = mu.algebroid
     chart = a.chart
@@ -548,7 +561,7 @@ def lie_top(
         raise DegreeMismatch("lie_top expects a top form on a tangent presentation")
     key = tuple(range(chart.dim))
     g = mu.comps.get(key, chart.zero())
-    total = lincomb(chart, [(1, (g * v[i]).partial(coord)) for i, coord in enumerate(chart.coords)])
+    total = lincomb(chart, [(1, (g * f).partial(chart.coords[l])) for l, f in _nonzero(v)])
     return FormField(a, mu.degree, {key: total})
 
 
@@ -561,13 +574,8 @@ def tangent_algebroid(chart: Chart, name: Optional[str] = None) -> AlgebroidPres
     """The tangent algebroid of a chart: identity anchor, zero brackets."""
     frame = tuple("d/d" + c for c in chart.coords)
     coframe = tuple("d" + c for c in chart.coords)
-    anchor = [
-        [chart.one() if i == k else chart.zero() for k in range(chart.dim)]
-        for i in range(chart.dim)
-    ]
-    return AlgebroidPresentation(
-        name or ("T" + chart.name), chart, frame, anchor, {}, coframe
-    )
+    anchor = [[chart.one() if i == k else chart.zero() for k in range(chart.dim)] for i in range(chart.dim)]
+    return AlgebroidPresentation(name or ("T" + chart.name), chart, frame, anchor, {}, coframe)
 
 
 def zero_algebroid(chart: Chart, name: Optional[str] = None) -> AlgebroidPresentation:
@@ -583,11 +591,8 @@ def lie_algebra_presentation(
     """A Lie algebra as an algebroid over a point (or a totally intransitive
     bundle with constant structure over any chart)."""
     chart = chart or point_chart()
-    anchor = [[chart.zero() for _ in range(chart.dim)] for _ in frame]
-    structure = {
-        key: {k: chart.const(v) for k, v in comps.items()}
-        for key, comps in brackets.items()
-    }
+    anchor = [[chart.zero()] * chart.dim for _ in frame]
+    structure = {key: {k: chart.const(v) for k, v in comps.items()} for key, comps in brackets.items()}
     return AlgebroidPresentation(name, chart, frame, anchor, structure)
 
 
@@ -598,50 +603,25 @@ def derivation_algebroid(
 
     Frame: d/dx_1..d/dx_n, then E_<t><s> acting by E_ts eps_s = eps_t.
     """
-    m = len(bundle_frame)
-    n = chart.dim
-    frame = ["d/d" + c for c in chart.coords]
-    for t in range(m):
-        for s in range(m):
-            frame.append(f"E[{bundle_frame[t]},{bundle_frame[s]}]")
-    anchor = []
-    for i in range(n):
-        anchor.append([chart.one() if k == i else chart.zero() for k in range(n)])
-    for _ in range(m * m):
-        anchor.append([chart.zero() for _ in range(n)])
+    n, m = chart.dim, len(bundle_frame)
+    frame = ["d/d" + c for c in chart.coords] + [f"E[{t},{s}]" for t in bundle_frame for s in bundle_frame]
+    anchor = tangent_algebroid(chart).anchor + ((chart.zero(),) * n,) * (m * m)
     idx = lambda t, s: n + t * m + s
     structure: dict[tuple[int, int], dict[int, ScalarFn]] = {}
-    for t in range(m):
-        for s in range(m):
-            for u in range(m):
-                for v in range(m):
-                    i, j = idx(t, s), idx(u, v)
-                    if i >= j:
-                        continue
-                    comps: dict[int, ScalarFn] = {}
-                    # [E_ts, E_uv] = delta_su E_tv - delta_vt E_us
-                    if s == u:
-                        k = idx(t, v)
-                        comps[k] = comps.get(k, chart.zero()) + chart.one()
-                    if v == t:
-                        k = idx(u, s)
-                        comps[k] = comps.get(k, chart.zero()) - chart.one()
-                    comps = {k: f for k, f in comps.items() if not f.is_zero()}
-                    if comps:
-                        structure[(i, j)] = comps
-    return AlgebroidPresentation(
-        name or f"D({chart.name})", chart, frame, anchor, structure
-    )
+    # pairs (t, s) < (u, v), so idx(t, s) < idx(u, v); the presentation drops zeros
+    for (t, s), (u, v) in combinations(product(range(m), repeat=2), 2):
+        # [E_ts, E_uv] = delta_su E_tv - delta_vt E_us
+        comps = structure.setdefault((idx(t, s), idx(u, v)), {})
+        if s == u:
+            comps[idx(t, v)] = chart.one()
+        if v == t:
+            comps[idx(u, s)] = comps.get(idx(u, s), chart.zero()) - chart.one()
+    return AlgebroidPresentation(name or f"D({chart.name})", chart, frame, anchor, structure)
 
 
 def same_presentation(a: AlgebroidPresentation, b: AlgebroidPresentation) -> bool:
     """Structural equality ignoring names (frame order must match)."""
-    return (
-        a.chart == b.chart
-        and a.rank == b.rank
-        and a.anchor == b.anchor
-        and a.structure == b.structure
-    )
+    return a.chart == b.chart and a.rank == b.rank and a.anchor == b.anchor and a.structure == b.structure
 
 
 # ---------------------------------------------------------------------------
@@ -674,21 +654,22 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
     def anchor_partial(j: int, l: int, c: int) -> ScalarFn:
         return a.anchor[j][l].partial(coords[c])
 
+    rows = a.anchor_rows
     residuals: dict[tuple[int, int], list[ScalarFn]] = {}
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
-            brackets = a.structure.get((i, j), {})
-            ai, aj = a.anchor[i], a.anchor[j]
-            # rho([e_i, e_j]) - [rho(e_i), rho(e_j)], component l
-            residuals[(i, j)] = [
-                lincomb(
-                    a.chart,
-                    [(1, cf, a.anchor[k][l]) for k, cf in brackets.items()]
-                    + [(-1, f, anchor_partial(j, l, c)) for c, f in enumerate(ai) if not f.is_zero()]
-                    + [(1, f, anchor_partial(i, l, c)) for c, f in enumerate(aj) if not f.is_zero()],
-                )
-                for l in range(len(coords))
-            ]
+            # rho([e_i, e_j]) - [rho(e_i), rho(e_j)], by component l
+            pieces: list[list[tuple]] = [[] for _ in coords]
+            for k, cf in a.structure.get((i, j), {}).items():
+                for l, f in rows[k]:
+                    pieces[l].append((1, cf, f))
+            for c, f in rows[i]:
+                for l, _ in rows[j]:
+                    pieces[l].append((-1, f, anchor_partial(j, l, c)))
+            for c, f in rows[j]:
+                for l, _ in rows[i]:
+                    pieces[l].append((1, f, anchor_partial(i, l, c)))
+            residuals[(i, j)] = [lincomb(a.chart, p) for p in pieces]
     for l, coord in enumerate(coords):
         res = FormField(a, 2, {key: -row[l] for key, row in residuals.items()})
         rep.residual(f"d(d {coord}) = 0", res)

@@ -195,14 +195,18 @@ def check_morphism(phi: Morphism) -> CheckReport:
     ]
     anchor = _pull_once(phi, lambda t, j: tgt.anchor[t][j])
     for i in range(src.rank):
-        for j in range(tgt.chart.dim):
-            # fiber . anchor o basemap  -  Jacobian . source anchor
-            res = lincomb(
-                src.chart,
-                [(1, phi.fiber[t][i], anchor(t, j)) for t in range(tgt.rank)]
-                + [(-1, src.anchor[i][k], jac[j][k]) for k in range(src.chart.dim)],
-            )
-            rep.residual(f"anchor: {src.frame[i]} vs {tgt.chart.coords[j]}", res)
+        # fiber . anchor o basemap  -  Jacobian . source anchor, by component j
+        pieces: list[list[tuple]] = [[] for _ in tgt.chart.coords]
+        for t, row in enumerate(tgt.anchor_rows):
+            f = phi.fiber[t][i]
+            if f.num:
+                for j, _ in row:
+                    pieces[j].append((1, f, anchor(t, j)))
+        for k, f in src.anchor_rows[i]:
+            for j, p in enumerate(pieces):
+                p.append((-1, f, jac[j][k]))
+        for coord, p in zip(tgt.chart.coords, pieces):
+            rep.residual(f"anchor: {src.frame[i]} vs {coord}", lincomb(src.chart, p))
     coords = src.chart.coords
     structure = _pull_once(phi, lambda t, u, v: tgt.structure[(u, v)][t])
     minors: dict = {}
@@ -223,12 +227,10 @@ def check_morphism(phi: Morphism) -> CheckReport:
                 if not minor.is_zero():
                     pieces.append((-1, structure(t, u, v), minor))
             for sign, k, m in ((-1, i, j), (1, j, i)):  # -rho_i(F_tj) + rho_j(F_ti)
-                if not row[m].is_zero():
-                    pieces += [
-                        (sign, f, fiber_partial(t, m, c)) for c, f in enumerate(src.anchor[k]) if not f.is_zero()
-                    ]
+                if row[m].num:
+                    pieces += [(sign, f, fiber_partial(t, m, c)) for c, f in src.anchor_rows[k]]
             brackets = src.structure.get((i, j), {})  # + sum_m c^m_ij F_tm
-            pieces += [(1, cf, row[m]) for m, cf in brackets.items() if not row[m].is_zero()]
+            pieces += [(1, cf, row[m]) for m, cf in brackets.items()]
             comps[(i, j)] = lincomb(src.chart, pieces)
         rep.residual(f"chain map on {tgt.coframe[t]}", FormField(src, 2, comps))
     return rep

@@ -45,6 +45,7 @@ from typing import Callable, Optional, Sequence
 from .core import (
     AlgebroidPresentation,
     Multivector,
+    _nonzero,
     _vf_pieces,
     interior,
     tangent_algebroid,
@@ -318,8 +319,9 @@ def _pair_bracket(
     part: the vector-field bracket.
     """
     b, chart = pf.target, pf.source_chart
+    u, v = _nonzero(p1.vf), _nonzero(p2.vf)
     pieces = [
-        _vf_pieces(p1.vf, g, chart.coords, 1) + _vf_pieces(p2.vf, f, chart.coords, -1)
+        _vf_pieces(u, g, chart.coords, 1) + _vf_pieces(v, f, chart.coords, -1)
         for f, g in zip(p1.bcoeffs, p2.bcoeffs)
     ]
     for i, fi in enumerate(p1.bcoeffs):

@@ -154,8 +154,8 @@ def check_flat(d: Representation) -> CheckReport:
                     # rho_i(g_j) - rho_j(g_i) + [g_i, g_j] - g_[e_i, e_j], entry (s, t)
                     res = lincomb(
                         a.chart,
-                        [(1, f, entry_partial(j, s, t, c)) for c, f in enumerate(a.anchor[i]) if not f.is_zero()]
-                        + [(-1, f, entry_partial(i, s, t, c)) for c, f in enumerate(a.anchor[j]) if not f.is_zero()]
+                        [(1, f, entry_partial(j, s, t, c)) for c, f in a.anchor_rows[i]]
+                        + [(-1, f, entry_partial(i, s, t, c)) for c, f in a.anchor_rows[j]]
                         + [(1, gi[s][u], gj[u][t]) for u in range(m)]
                         + [(-1, gj[s][u], gi[u][t]) for u in range(m)]
                         + [(-1, cf, d.mats[k][s][t]) for k, cf in brackets.items()],
@@ -211,8 +211,7 @@ def tensor_rep(d1: Representation, d2: Representation) -> Representation:
                             val = val + g1[s1][t1]
                         if s1 == t1:
                             val = val + g2[s2][t2]
-                        if not val.is_zero():
-                            mat[s1 * m2 + s2][t1 * m2 + t2] = val
+                        mat[s1 * m2 + s2][t1 * m2 + t2] = val
         mats.append(mat)
     return Representation(d1.algebroid, frame, mats, f"{d1.name}(x){d2.name}")
 

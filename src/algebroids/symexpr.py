@@ -10,7 +10,9 @@ canonical: trig products are rewritten by product-to-sum identities, exp
 factors merge additively, sin/cos arguments are sign-normalised (first
 nonzero slope positive), and zero coefficients are dropped.  Because the
 surviving basis functions are linearly independent, a function is zero
-iff its term map is empty, so the zero test is exact.
+iff its term map is empty, so the zero test is exact.  Every zero result
+of the ring is its chart's one zero function (`Chart.zero`), and a zero
+factor is skipped, not multiplied out.
 
 The slopes c and d in a term key are ``int`` when integral and
 ``Fraction`` only otherwise.  ``Fraction(3) == 3`` with equal hashes, so
@@ -124,6 +126,8 @@ class Chart:
             # a coordinate is a name the expression grammar reads back as itself
             if c == "pi" or [(t.kind, t.text) for t in toks] != [("name", c), ("end", "")]:
                 raise SymExprError(f"{c!r} is not a coordinate name in chart {self.name!r}")
+        # a constant of the chart, like its coordinates; not a dataclass field
+        object.__setattr__(self, "_zero", ScalarFn(self, {}))
 
     @property
     def dim(self) -> int:
@@ -153,7 +157,9 @@ class Chart:
         return ScalarFn(self, {((0,) * self.dim, None, self._zerovec()): n}, d)
 
     def zero(self) -> "ScalarFn":
-        return ScalarFn._make(self, [])
+        """The chart's one zero function: every zero result of the ring
+        operations is this object."""
+        return self._zero
 
     def one(self) -> "ScalarFn":
         return self.const(1)
@@ -377,6 +383,8 @@ class ScalarFn:
                     num[key] = acc
                 else:
                     del num[key]
+        if not num:
+            return chart._zero
         if len(num) > 1:
             num = {k: num[k] for k in sorted(num, key=_term_sort_key)}
         if den != 1:
@@ -456,6 +464,8 @@ class ScalarFn:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.num:
+            return self
         return ScalarFn(self.chart, {k: -q for k, q in self.num.items()}, self.den)
 
     def __sub__(self, other):
@@ -477,6 +487,8 @@ class ScalarFn:
         if o is None:
             return NotImplemented
         f, g = self.num, o.num
+        if not (f and g):
+            return self.chart._zero
         trig2 = _has_trig(f) and _has_trig(g)
         items: list[tuple[TermKey, int]] = []
         _product_items(items, f.items(), g.items(), 1, trig2)
@@ -527,6 +539,8 @@ class ScalarFn:
     def partial(self, coord: str) -> "ScalarFn":
         """Exact partial derivative with respect to a chart coordinate."""
         items, scale = derivative_items(self.num, self.chart.index(coord))
+        if not items:
+            return self.chart._zero
         return ScalarFn._make(self.chart, items, self.den * scale)
 
     def substitute(self, source: Chart, images: Sequence["ScalarFn"]) -> "ScalarFn":
@@ -672,7 +686,9 @@ def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
     over one running denominator, which grows to the lcm with a piece's
     denominator (and the items so far are rescaled) only when that piece
     brings a new one; the result equals the pairwise sum of the pieces,
-    term order included, since the canonical form is unique.
+    term order included, since the canonical form is unique.  A piece
+    with a zero factor is skipped once its charts are checked: it brings
+    no item, and no denominator.
     """
     items: list[tuple[TermKey, int]] = []
     den = 1
@@ -682,6 +698,8 @@ def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
         for h in piece[1:]:
             if h.chart is not chart and h.chart != chart:
                 raise SymExprError(f"chart mismatch: {chart.name!r} vs {h.chart.name!r}")
+        if not f.num or g is not None and not g.num:
+            continue
         if type(c) is int:
             pden = f.den
         else:
@@ -701,7 +719,7 @@ def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
             items += f.num.items()
         else:
             items += [(k, c * q) for k, q in f.num.items()]
-    return ScalarFn._make(chart, items, den)
+    return ScalarFn._make(chart, items, den) if items else chart._zero
 
 
 def _linear_combination(
@@ -721,9 +739,8 @@ def _linear_part(f: ScalarFn, what: str) -> tuple[Rational, ...]:
 
 def sin(f: ScalarFn) -> ScalarFn:
     c = _linear_part(f, "sin")
+    # sin(0) has multiplier 0, and its item merges to the shared zero
     mult, atom = _norm_trig("sin", c)
-    if mult == 0:
-        return f.chart.zero()
     return ScalarFn._make(f.chart, [(((0,) * f.chart.dim, atom, f.chart._zerovec()), mult)])
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
 
@@ -12,12 +13,9 @@ from hypothesis import strategies as st
 from algebroids.core import (
     AlgebroidPresentation,
     FormField,
-    _vf_pieces,
     coframe_form,
-    d_A,
     frame_vector,
     lie_algebra_presentation,
-    lie_top,
     one_form,
     schouten,
     tangent_algebroid,
@@ -48,7 +46,8 @@ from algebroids.symexpr import (
 # `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x),
 # elimination-reference, algebroid-block round-trip, nowhere-zero,
 # closed-form identity (chain map, top bracket, modular cocycle), identity
-# check reference (axioms, frame Jacobi law, flatness) and slope-vector
+# check reference (axioms, frame Jacobi law, flatness), slope-vector and
+# sparse-row (d_A, axioms, flatness, chain map, modular cocycle)
 # properties, which take a smaller budget in the tier-1 run, with a deeper
 # search
 settings.register_profile("ci", max_examples=2000, deadline=None)
@@ -87,6 +86,11 @@ def CYL():
 def aff1():
     """Nonabelian 2-dimensional algebra: [e1, e2] = e2."""
     return lie_algebra_presentation("aff1", ("e1", "e2"), {(0, 1): {1: 1}})
+
+
+def swapped_aff1():
+    """aff(1) with its frame swapped: [e1, e2] = -e1."""
+    return lie_algebra_presentation("aff1'", ("e1", "e2"), {(0, 1): {0: -1}})
 
 
 def so3():
@@ -742,13 +746,89 @@ def frame_algebroids(draw):
     return alg
 
 
-# -- references of the closed-form identity checks -----------------------------
+@st.composite
+def sparse_algebroids(draw):
+    """A frame algebroid plus a bundle of Lie algebras over its chart: the
+    direct sum, whose Lie algebra sections have zero anchor rows and
+    constant structure functions, and bracket to zero with the frame part.
+
+    The frame part has constant (diagonal) and zero anchor entries; the
+    Lie algebra is so(3) or the Heisenberg algebra, whose structure
+    diagonals sum_k C^k_ik are all zero, or aff(1) in either frame order,
+    whose trace is read off a stored pair (i, k) or (k, i).
+    """
+    b = draw(frame_algebroids())
+    g = draw(st.sampled_from([so3(), heisenberg(), aff1(), swapped_aff1()]))
+    chart, r = b.chart, b.rank
+    anchor = list(b.anchor) + [[chart.zero()] * chart.dim for _ in range(g.rank)]
+    structure = {key: dict(comps) for key, comps in b.structure.items()}
+    for (i, j), comps in g.structure.items():
+        structure[(r + i, r + j)] = {r + k: chart.const(f.constant_value()) for k, f in comps.items()}
+    return AlgebroidPresentation(f"F+{g.name}", chart, b.frame + g.frame, anchor, structure)
+
+
+# -- dense references of the sparse and closed-form identity checks -----------
+
+
+def dense_vf_pieces(vf, f, coords, sign):
+    """The `lincomb` pieces of sign * vf(f) for a coordinate vector field
+    given densely, one component per coordinate, zero ones skipped."""
+    return [(sign, comp, f.partial(coord)) for comp, coord in zip(vf, coords) if not comp.is_zero()]
+
+
+def reference_d_A(alpha):
+    """`core.d_A` over the dense anchor rows, each zero entry tested.
+
+    Each component is one `lincomb` of the anchor terms rho(e_t) alpha(..)
+    and the bracket terms C^m alpha(m, ..).  The partial derivative of a
+    component along a coordinate is taken once per call, on first use."""
+    a = alpha.algebroid
+    k = alpha.degree
+    coords = a.chart.coords
+    comps = alpha.comps
+    partials = {}
+    out = {}
+    for key in itertools.combinations(range(a.rank), k + 1):
+        pieces = []
+        for t in range(k + 1):
+            # an ordered sub-tuple of a sorted key is a stored key
+            sub = key[:t] + key[t + 1 :]
+            val = comps.get(sub)
+            if val is None:
+                continue
+            sign = -1 if t % 2 else 1
+            for j, comp in enumerate(a.anchor[key[t]]):
+                if comp.is_zero():
+                    continue
+                d = partials.get((sub, j))
+                if d is None:
+                    d = partials[(sub, j)] = val.partial(coords[j])
+                pieces.append((sign, comp, d))
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                brackets = a.structure.get((key[s], key[t]))
+                if not brackets:
+                    continue
+                rest = tuple(x for u, x in enumerate(key) if u not in (s, t))
+                for m, cf in brackets.items():
+                    # (m,) + rest sorts by moving m past `pos` indices
+                    pos = bisect_left(rest, m)
+                    if pos < len(rest) and rest[pos] == m:
+                        continue
+                    val = comps.get(rest[:pos] + (m,) + rest[pos:])
+                    if val is not None:
+                        pieces.append((-1 if (s + t + pos) % 2 else 1, cf, val))
+        total = lincomb(a.chart, pieces)
+        if not total.is_zero():
+            out[key] = total
+    return FormField(a, k + 1, out)
 
 
 def reference_check_morphism(phi):
     """`morphisms.check_morphism` through the generic graded calculus: the
-    anchor rows, then on each target coframe form eps^t the residual
-    ``pullback_form(phi, d_A(eps^t)) - d_A(pullback_form(phi, eps^t))``."""
+    dense anchor rows, then on each target coframe form eps^t the residual
+    ``pullback_form(phi, d_A(eps^t)) - d_A(pullback_form(phi, eps^t))``
+    with d_A by `reference_d_A`."""
     rep = CheckReport(f"morphism {phi.name}")
     src, tgt = phi.source, phi.target
     coords = src.chart.coords
@@ -762,7 +842,7 @@ def reference_check_morphism(phi):
             rep.residual(f"anchor: {src.frame[i]} vs {tgt.chart.coords[j]}", res)
     for t in range(tgt.rank):
         eps = coframe_form(tgt, t)
-        res = pullback_form(phi, d_A(eps)) - d_A(pullback_form(phi, eps))
+        res = pullback_form(phi, reference_d_A(eps)) - reference_d_A(pullback_form(phi, eps))
         rep.residual(f"chain map on {tgt.coframe[t]}", res)
     return rep
 
@@ -770,14 +850,15 @@ def reference_check_morphism(phi):
 def reference_modular_cocycle(a, omega, mu):
     """`reps.modular_cocycle` through the graded calculus: on e_i, the top
     coefficient of ``schouten(e_i, omega)`` over that of omega, plus the
-    Lie derivative of mu along rho(e_i) over mu."""
+    Lie derivative of mu along rho(e_i) over mu, sum_l d(g rho(e_i)_l)/dx_l
+    over the dense anchor row."""
     chart = a.chart
     top, vol = tuple(range(a.rank)), tuple(range(chart.dim))
     s_inv = omega.comps[top].unit_inverse()
-    g_inv = mu.comps[vol].unit_inverse()
+    g = mu.comps[vol]
     comps = [
         schouten(frame_vector(a, i), omega).comps.get(top, chart.zero()) * s_inv
-        + lie_top(list(a.anchor[i]), mu).comps.get(vol, chart.zero()) * g_inv
+        + lincomb(chart, [(1, (g * v).partial(c)) for v, c in zip(a.anchor[i], chart.coords)]) * g.unit_inverse()
         for i in range(a.rank)
     ]
     return one_form(a, comps)
@@ -801,8 +882,9 @@ def jacobiator(a: AlgebroidPresentation, i: int, j: int, k: int) -> list[ScalarF
 
 
 def reference_check_axioms(a):
-    """`core.check_axioms` with every "d(d e^k)" item through the generic
-    calculus, ``d_A(d_A(coframe_form(a, k)))``.
+    """`core.check_axioms` over the dense anchor rows, with every "d(d e^k)"
+    item through the generic calculus, ``d_A(d_A(coframe_form(a, k)))``
+    by `reference_d_A`.
 
     The anchor residuals res_ijl = (rho([e_i, e_j]) - [rho(e_i), rho(e_j)])_l
     are computed once.  For a coordinate x_l, d_A x_l is the 1-form
@@ -822,8 +904,8 @@ def reference_check_axioms(a):
                 lincomb(
                     a.chart,
                     [(1, cf, a.anchor[k][l]) for k, cf in brackets.items()]
-                    + _vf_pieces(ai, aj[l], coords, -1)
-                    + _vf_pieces(aj, ai[l], coords, 1),
+                    + dense_vf_pieces(ai, aj[l], coords, -1)
+                    + dense_vf_pieces(aj, ai[l], coords, 1),
                 )
                 for l in range(len(coords))
             ]
@@ -831,7 +913,7 @@ def reference_check_axioms(a):
         res = FormField(a, 2, {key: -row[l] for key, row in residuals.items()})
         rep.residual(f"d(d {coord}) = 0", res)
     for k in range(a.rank):
-        res = d_A(d_A(coframe_form(a, k)))
+        res = reference_d_A(reference_d_A(coframe_form(a, k)))
         rep.residual(f"d(d {a.coframe[k]}) = 0", res)
     for (i, j), row in residuals.items():
         for coord, res in zip(coords, row):
@@ -857,8 +939,8 @@ def reference_check_flat(d):
                     # rho_i(g_j) - rho_j(g_i) + [g_i, g_j] - g_[e_i, e_j], entry (s, t)
                     res = lincomb(
                         a.chart,
-                        _vf_pieces(a.anchor[i], gj[s][t], coords, 1)
-                        + _vf_pieces(a.anchor[j], gi[s][t], coords, -1)
+                        dense_vf_pieces(a.anchor[i], gj[s][t], coords, 1)
+                        + dense_vf_pieces(a.anchor[j], gi[s][t], coords, -1)
                         + [(1, gi[s][u], gj[u][t]) for u in range(m)]
                         + [(-1, gj[s][u], gi[u][t]) for u in range(m)]
                         + [(-1, cf, d.mats[k][s][t]) for k, cf in brackets.items()],

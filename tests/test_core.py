@@ -31,7 +31,7 @@ from algebroids.core import (
     vector_field_bracket,
     zero_algebroid,
 )
-from algebroids.symexpr import Chart, cos, sin
+from algebroids.symexpr import Chart, cos, point_chart, sin
 
 from conftest import (
     aff1,
@@ -41,16 +41,18 @@ from conftest import (
     jacobiator,
     random_lie_algebra,
     reference_check_axioms,
+    reference_d_A,
     so3,
+    sparse_algebroids,
 )
 
 
 @st.composite
-def corrupted_algebroids(draw):
-    """A frame algebroid with one or two anchor entries or structure
-    functions shifted by a random coefficient, so that the anchor is in
-    general no longer a homomorphism."""
-    a = draw(frame_algebroids())
+def corrupted_algebroids(draw, algebroids=frame_algebroids()):
+    """An algebroid of ``algebroids`` with one or two anchor entries or
+    structure functions shifted by a random coefficient, so that the anchor
+    is in general no longer a homomorphism."""
+    a = draw(algebroids)
     chart = a.chart
     anchor = [list(row) for row in a.anchor]
     structure = {key: dict(comps) for key, comps in a.structure.items()}
@@ -132,6 +134,63 @@ class TestCheckAxioms:
 
     def test_zero_algebroid(self, R2):
         assert check_axioms(zero_algebroid(R2)).passed
+
+
+class TestSparseRows:
+    """The calculus over the sparse anchor rows gives what it gives over
+    the dense ones, on presentations with zero anchor rows, constant anchor
+    entries and zero structure diagonals, valid or corrupted."""
+
+    @settings(deadline=None)
+    @given(st.one_of(frame_algebroids(), sparse_algebroids(), corrupted_algebroids(sparse_algebroids())), st.data())
+    def test_d_A_matches_the_reference(self, a, data):
+        alpha = data.draw(tables(a, FormField, data.draw(st.integers(0, min(a.rank, 3)))))
+        assert d_A(alpha) == reference_d_A(alpha)
+
+    @settings(deadline=None)
+    @given(st.one_of(sparse_algebroids(), corrupted_algebroids(sparse_algebroids())))
+    def test_check_axioms_matches_the_reference(self, a):
+        rep = check_axioms(a)
+        event("passes" if rep.passed else "fails")
+        assert rep.to_dict() == reference_check_axioms(a).to_dict()
+
+    def test_anchor_rows_hold_the_non_zero_entries(self, R2):
+        x = R2.coord("x")
+        a = AlgebroidPresentation("A", R2, ("a", "b", "c"), [[R2.zero(), x], [R2.one(), R2.zero()], [R2.zero()] * 2])
+        assert a.anchor_rows == (((1, x),), ((0, R2.one()),), ())
+        assert a.anchor == ((R2.zero(), x), (R2.one(), R2.zero()), (R2.zero(), R2.zero()))
+
+
+class TestPresentationChecks:
+    """An invalid structure index or an entry on another chart is refused
+    when the presentation is made."""
+
+    def test_upper_index_past_the_rank(self):
+        pt = point_chart()
+        with pytest.raises(AlgebroidError, match="frame index"):
+            AlgebroidPresentation("g", pt, ("a", "b"), [[], []], {(0, 1): {5: pt.one()}})
+
+    def test_negative_upper_index(self):
+        pt = point_chart()
+        with pytest.raises(AlgebroidError, match="frame index"):
+            AlgebroidPresentation("g", pt, ("a", "b"), [[], []], {(0, 1): {-1: pt.one()}})
+
+    def test_anchor_entry_on_another_chart(self, R1, R2):
+        with pytest.raises(AlgebroidError, match="anchor entry .* chart 'R2'"):
+            AlgebroidPresentation("A", R1, ("a",), [[R2.coord("x")]])
+
+    def test_structure_function_on_another_chart(self, R1, R2):
+        with pytest.raises(AlgebroidError, match="structure function .* chart 'R2'"):
+            AlgebroidPresentation("A", R1, ("a", "b"), [[R1.zero()]] * 2, {(0, 1): {0: R2.coord("y")}})
+
+    def test_zero_structure_function_on_another_chart(self, R1, R2):
+        with pytest.raises(AlgebroidError, match="structure function"):
+            AlgebroidPresentation("A", R1, ("a", "b"), [[R1.zero()]] * 2, {(0, 1): {0: R2.zero()}})
+
+    def test_equal_chart_is_the_same_chart(self, R2):
+        x = Chart("R2", ("x", "y")).coord("x")
+        a = AlgebroidPresentation("A", R2, ("a",), [[x, R2.zero()]])
+        assert a.anchor_rows == (((0, R2.coord("x")),),)
 
 
 class TestDifferential:

@@ -41,6 +41,7 @@ from conftest import (
     reference_modular_cocycle,
     reference_points,
     so3,
+    sparse_algebroids,
 )
 
 
@@ -63,12 +64,12 @@ def exact_line_rep(a, f, name="Dexact"):
 
 
 @st.composite
-def line_sum_reps(draw):
-    """A flat representation on a frame algebroid: a sum of one or two
-    exact line representations, g_i = diag(rho(e_i)(f_s)).  In half the
-    draws one or two entries g_i[s][t] are shifted by a random coefficient,
-    so that the connection is in general no longer flat."""
-    a = draw(frame_algebroids())
+def line_sum_reps(draw, algebroids=frame_algebroids()):
+    """A flat representation on an algebroid of ``algebroids``: a sum of
+    one or two exact line representations, g_i = diag(rho(e_i)(f_s)).  In
+    half the draws one or two entries g_i[s][t] are shifted by a random
+    coefficient, so that the connection is in general no longer flat."""
+    a = draw(algebroids)
     m = draw(st.integers(1, 2))
     fs = [draw(coeffs(a.chart)) for _ in range(m)]
     zero = a.chart.zero()
@@ -88,6 +89,15 @@ class TestCheckFlat:
     def test_matches_the_reference(self, d):
         """Partials taken once per call give the report of the reference,
         which takes them again for every frame pair."""
+        rep = check_flat(d)
+        event("flat" if rep.passed else "not flat")
+        assert rep.to_dict() == reference_check_flat(d).to_dict()
+
+    @settings(deadline=None)
+    @given(line_sum_reps(sparse_algebroids()))
+    def test_sparse_rows_match_the_reference(self, d):
+        """Over zero anchor rows and constant anchor entries the sparse rows
+        give the report of the dense reference."""
         rep = check_flat(d)
         event("flat" if rep.passed else "not flat")
         assert rep.to_dict() == reference_check_flat(d).to_dict()
@@ -291,6 +301,16 @@ class TestModularCocycle:
     @settings(deadline=None)
     @given(frame_algebroids(), st.data())
     def test_matches_the_reference(self, alg, data):
+        omega = top_multivector(alg, data.draw(units(alg.chart)))
+        mu = top_form(tangent_algebroid(alg.chart), data.draw(units(alg.chart)))
+        assert modular_cocycle(alg, omega, mu) == reference_modular_cocycle(alg, omega, mu)
+
+    @settings(deadline=None)
+    @given(sparse_algebroids(), st.data())
+    def test_sparse_rows_match_the_reference(self, alg, data):
+        """The trace read off the stored structure pairs and the Lie
+        derivative over the sparse anchor rows give the graded-calculus
+        cocycle, with zero and non-zero structure diagonals."""
         omega = top_multivector(alg, data.draw(units(alg.chart)))
         mu = top_form(tangent_algebroid(alg.chart), data.draw(units(alg.chart)))
         assert modular_cocycle(alg, omega, mu) == reference_modular_cocycle(alg, omega, mu)

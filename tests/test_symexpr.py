@@ -215,6 +215,51 @@ class TestEvaluateAndZeroTest:
             assert any(hits)
 
 
+class TestSharedZero:
+    """Every zero result on a chart is the chart's one zero function."""
+
+    def test_one_zero_per_chart(self):
+        assert R2.zero() is R2.zero()
+        assert R2.const(0) is R2.zero()
+        assert R2.zero().num == {} and R2.zero().den == 1
+
+    def test_zero_results_are_the_shared_zero(self):
+        x, y = R2.coord("x"), R2.coord("y")
+        zero = R2.zero()
+        assert R2.const(Fraction(3, 2)).partial("x") is zero
+        assert (x * y).partial("x").partial("x") is zero
+        assert zero.partial("y") is zero
+        assert -zero is zero
+        assert lincomb(R2, [(1, zero), (3, zero, x), (-1, x, zero)]) is zero
+        assert lincomb(R2, []) is zero
+        assert lincomb(R2, [(1, x), (-1, x)]) is zero
+        assert x * zero is zero and zero * x is zero
+        assert x - x is zero and (x + y) - (y + x) is zero
+
+    def test_partial_of_zero_still_checks_the_coordinate(self):
+        with pytest.raises(UnknownCoordinate):
+            R2.zero().partial("z")
+
+    def test_lincomb_checks_the_chart_of_a_zero_piece(self):
+        x = R2.coord("x")
+        other = Chart("R3", ("x", "y", "z"))
+        with pytest.raises(SymExprError, match="chart mismatch"):
+            lincomb(R2, [(1, other.zero())])
+        with pytest.raises(SymExprError, match="chart mismatch"):
+            lincomb(R2, [(1, x, other.zero())])
+        with pytest.raises(SymExprError, match="chart mismatch"):
+            lincomb(R2, [(1, R2.zero(), other.coord("z"))])
+
+    def test_equal_charts_have_equal_zeros(self):
+        a, b = Chart("P", ("u", "v")), Chart("P", ("u", "v"))
+        assert a == b and a.zero() is not b.zero()
+        assert a.zero() == b.zero()
+        assert a.zero() + b.coord("u") == a.coord("u")
+        # the chart's fields alone decide equality and hash
+        assert hash(a) == hash(b) and {a: 1}[b] == 1
+        assert repr(a) == "Chart(name='P', coords=('u', 'v'), periodic=(False, False))"
+
+
 class TestUnitsAndDivision:
     def test_unit_inverse(self):
         x = R2.coord("x")
