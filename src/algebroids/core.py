@@ -19,6 +19,7 @@ from functools import cache
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence, Union
 
+from .ratlinalg import generic_rank
 from .report import CheckReport
 from .symexpr import Chart, ScalarFn, lincomb, point_chart
 
@@ -152,6 +153,8 @@ class AlgebroidPresentation:
 
 
 def _on_chart(chart: Chart, f: ScalarFn, what: str) -> ScalarFn:
+    if not isinstance(f, ScalarFn):
+        raise AlgebroidError(f"{what} {f!r} is not a ScalarFn")
     if f.chart is not chart and f.chart != chart:
         raise AlgebroidError(f"{what} {f} lives on chart {f.chart.name!r}, not {chart.name!r}")
     return f
@@ -644,8 +647,25 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
 
     is read off the structure functions, and one d_A of it gives the
     "d(d e^k)" item.  Its (i, j, l) component is component k of the Jacobi
-    sum [[e_i, e_j], e_l] + [[e_j, e_l], e_i] + [[e_l, e_i], e_j]: these
-    items are the Jacobi identity of the frame.
+    sum Jac(e_i, e_j, e_l) = [[e_i, e_j], e_l] + [[e_j, e_l], e_i]
+    + [[e_l, e_i], e_j]: these items are the Jacobi identity of the frame.
+
+    When the anchor is generically injective they are read off the
+    residuals instead.  R(x, y) = rho[x, y] - [rho x, rho y] is tensorial
+    (the Leibniz terms rho(x)(f) rho(y) cancel), so it vanishes when every
+    R(e_i, e_j) = res_ij does.  Expanding rho[[x, y], z] twice by R and
+    summing cyclically, the Jacobi identity of vector fields leaves
+
+        rho(Jac(x, y, z)) = sum_cyc ([R(x, y), rho z] + R([x, y], z)),
+
+    so R = 0 gives sum_k Jac^k rho(e_k) = 0.  The ring is an integral
+    domain (see `ratlinalg.generic_rank`), so if the anchor rows are
+    independent over its fraction field, which a non-zero rank-minor of
+    the anchor shows, every Jac^k is zero: each "d(d e^k)" item passes
+    with no d_A taken.  Only the generic rank matters, not a minor that
+    vanishes nowhere.  ``data["jacobi"]`` records the method: that minor,
+    or "d_A" when the residuals do not vanish, the rank is 0 or exceeds
+    the chart dimension, or the anchor is not generically injective.
     """
     rep = CheckReport(f"axioms of {a.name}")
     coords = a.chart.coords
@@ -673,11 +693,21 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
     for l, coord in enumerate(coords):
         res = FormField(a, 2, {key: -row[l] for key, row in residuals.items()})
         rep.residual(f"d(d {coord}) = 0", res)
+    jacobi = "d_A"
+    if 0 < a.rank <= a.chart.dim and all(f.is_zero() for row in residuals.values() for f in row):
+        minor = generic_rank(a.anchor)
+        if len(minor[0]) == a.rank:
+            jacobi = minor
+    rep.data["jacobi"] = jacobi
     for k in range(a.rank):
+        label = f"d(d {a.coframe[k]}) = 0"
+        if jacobi != "d_A":
+            rep.add(label, True)
+            continue
         # d_A is linear: the sign of d_A e^k is applied to the residual,
         # which is zero when the check passes
         c_k = FormField(a, 2, {key: comps[k] for key, comps in a.structure.items() if k in comps})
-        rep.residual(f"d(d {a.coframe[k]}) = 0", -d_A(c_k))
+        rep.residual(label, -d_A(c_k))
     for (i, j), row in residuals.items():
         for coord, res in zip(coords, row):
             rep.residual(f"anchor([{a.frame[i]},{a.frame[j]}]) . {coord}", res)

@@ -20,9 +20,10 @@
 * `scalar_det` computes exact determinants and minors over that ring by
   cofactor expansion with memoised subminors: callers that share one memo
   dict across the minors of a matrix expand each distinct subminor once.
-  `rank_certificate` is the one exact rank routine built on it: the
-  generic rank R from the borders of a single non-zero minor (Kronecker's
-  bordering-minor theorem), then a search at size R only for a minor that
+  `generic_rank` is the one exact rank routine built on it: the generic
+  rank R from the borders of a single non-zero minor (Kronecker's
+  bordering-minor theorem), which it returns.  `rank_certificate` takes
+  that minor and then searches at size R only for a minor that
   `nowhere_zero` certifies, which makes R the rank at every point.
 * `nowhere_zero` is the one nowhere-vanishing test: a unit q*exp(d.x),
   a unit times a polynomial in one non-periodic coordinate without real
@@ -513,9 +514,9 @@ class RankCertificate(NamedTuple):
     witness: Optional[Minor]
 
 
-def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
-    """Generic rank by bordering minors, then a nowhere-zero minor of that
-    size.
+def generic_rank(rows: Sequence[Sequence[ScalarFn]], memo: Optional[dict] = None) -> Minor:
+    """A non-zero minor of the generic rank R of a ScalarFn matrix whose
+    bordering minors all vanish, as its ``(rows, cols)``; R is its size.
 
     The entries are real-analytic on a connected chart and the zero test
     is exact, so the ring is an integral domain, and Kronecker's
@@ -524,21 +525,12 @@ def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
     bordering (r+1)-minors all vanish makes r the generic rank R.  The
     minor grows from the empty one by its first non-zero border (added
     rows, then added columns, in order; rows and columns stay sorted), so
-    its first step is the first non-zero entry.
-
-    Then the R-minors are scanned, row combinations then column
-    combinations, for the first one `nowhere_zero` certifies.  Every
-    (R+1)-minor vanishes identically, so an R-minor that vanishes nowhere
-    certifies rank R at every point; without one ``witness`` is None.
-
-    Both phases read minors through one memo (see ``scalar_det``), so each
-    distinct j-minor is expanded once and none is larger than R + 1: an
-    m x n matrix costs at most sum_{j <= R+1} j * C(m, j) * C(n, j) ring
-    multiplications.
+    its first step is the first non-zero entry.  Minors are read through
+    ``memo`` (see ``scalar_det``), so none larger than R + 1 is expanded.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    memo: dict = {}
+    memo = {} if memo is None else memo
 
     def borders(rsel: tuple[int, ...], csel: tuple[int, ...]):
         for i in range(m):
@@ -551,6 +543,27 @@ def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
     bordered: Minor = ((), ())
     while grown := next((b for b in borders(*bordered) if not scalar_det(rows, *b, memo).is_zero()), None):
         bordered = grown
+    return bordered
+
+
+def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
+    """Generic rank by bordering minors (`generic_rank`), then a
+    nowhere-zero minor of that size.
+
+    The R-minors are scanned, row combinations then column combinations,
+    for the first one `nowhere_zero` certifies.  Every (R+1)-minor
+    vanishes identically, so an R-minor that vanishes nowhere certifies
+    rank R at every point; without one ``witness`` is None.
+
+    Both phases read minors through one memo (see ``scalar_det``), so each
+    distinct j-minor is expanded once and none is larger than R + 1: an
+    m x n matrix costs at most sum_{j <= R+1} j * C(m, j) * C(n, j) ring
+    multiplications.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    memo: dict = {}
+    bordered = generic_rank(rows, memo)
     r = len(bordered[0])
     if r == 0:
         return RankCertificate(0, bordered, bordered)

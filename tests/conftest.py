@@ -46,10 +46,10 @@ from algebroids.symexpr import (
 # `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x),
 # elimination-reference, algebroid-block round-trip, nowhere-zero,
 # closed-form identity (chain map, top bracket, modular cocycle), identity
-# check reference (axioms, frame Jacobi law, flatness), slope-vector and
-# sparse-row (d_A, axioms, flatness, chain map, modular cocycle)
-# properties, which take a smaller budget in the tier-1 run, with a deeper
-# search
+# check reference (axioms, frame Jacobi law, flatness), slope-vector,
+# sparse-row (d_A, axioms, flatness, chain map, modular cocycle) and
+# generic-rank properties, which take a smaller budget in the tier-1 run,
+# with a deeper search
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
@@ -93,10 +93,10 @@ def swapped_aff1():
     return lie_algebra_presentation("aff1'", ("e1", "e2"), {(0, 1): {0: -1}})
 
 
-def so3():
-    """[e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2."""
+def so3(chart=None):
+    """[e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2, over a point or over ``chart``."""
     return lie_algebra_presentation(
-        "so3", ("e1", "e2", "e3"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
+        "so3", ("e1", "e2", "e3"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}, chart
     )
 
 
@@ -396,6 +396,41 @@ def reference_nowhere_zero(f):
         return False
     const = sum(q for (_, trig, _), q in terms.items() if trig is None)
     return abs(const) > sum(abs(q) for (_, trig, _), q in terms.items() if trig is not None)
+
+
+def reference_rank_certificate(rows):
+    """`ratlinalg.rank_certificate` as one routine, before its bordering
+    phase became `ratlinalg.generic_rank`: the bordered minor grown from
+    the empty one by its first non-zero border, then the first minor of
+    its size that `nowhere_zero` certifies."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    memo: dict = {}
+
+    def borders(rsel, csel):
+        for i in range(m):
+            if i in rsel:
+                continue
+            for j in range(n):
+                if j not in csel:
+                    yield tuple(sorted((*rsel, i))), tuple(sorted((*csel, j)))
+
+    bordered = ((), ())
+    while grown := next((b for b in borders(*bordered) if not ratlinalg.scalar_det(rows, *b, memo).is_zero()), None):
+        bordered = grown
+    r = len(bordered[0])
+    if r == 0:
+        return ratlinalg.RankCertificate(0, bordered, bordered)
+    witness = next(
+        (
+            (rsel, csel)
+            for rsel in itertools.combinations(range(m), r)
+            for csel in itertools.combinations(range(n), r)
+            if ratlinalg.nowhere_zero(ratlinalg.scalar_det(rows, rsel, csel, memo))
+        ),
+        None,
+    )
+    return ratlinalg.RankCertificate(r, bordered, witness)
 
 
 def check_rank_certificate(rows, cert):

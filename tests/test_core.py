@@ -6,6 +6,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from algebroids import core
+from algebroids.cli import load_scenario
 from algebroids.core import (
     AlgebroidError,
     AlgebroidPresentation,
@@ -31,7 +33,8 @@ from algebroids.core import (
     vector_field_bracket,
     zero_algebroid,
 )
-from algebroids.symexpr import Chart, cos, point_chart, sin
+from algebroids.extensions import subalgebroid_from_vector_fields
+from algebroids.symexpr import Chart, cos, exp, point_chart, sin
 
 from conftest import (
     aff1,
@@ -136,6 +139,83 @@ class TestCheckAxioms:
         assert check_axioms(zero_algebroid(R2)).passed
 
 
+def count_d_A(monkeypatch):
+    """Make `check_axioms` count its d_A calls in the returned list."""
+    calls = []
+
+    def counting(alpha):
+        calls.append(alpha)
+        return d_A(alpha)
+
+    monkeypatch.setattr(core, "d_A", counting)
+    return calls
+
+
+def injective_frame():
+    """A unit-triangular frame of TR^3 with non-constant structure
+    functions: its anchor is injective, its generic rank 3 shown by the
+    minor on every row and column."""
+    chart = Chart("R3", ("x", "y", "z"))
+    x, y, z = (chart.coord(c) for c in chart.coords)
+    one, zero = chart.one(), chart.zero()
+    columns = [[one, zero, zero], [y * z, one, zero], [exp(x), x * y, one]]
+    return subalgebroid_from_vector_fields("F", chart, columns)[0]
+
+
+class TestJacobiFromTheAnchor:
+    """With zero anchor residuals and a generically injective anchor, the
+    d(d e^k) items are read off the anchor; otherwise each takes one d_A."""
+
+    def test_injective_frame_takes_no_d_A(self, monkeypatch):
+        a = injective_frame()
+        assert any(not f.is_constant() for comps in a.structure.values() for f in comps.values())
+        calls = count_d_A(monkeypatch)
+        rep = check_axioms(a)
+        assert calls == []
+        assert rep.data["jacobi"] == ((0, 1, 2), (0, 1, 2))
+        assert rep.passed
+        assert rep.to_dict() == reference_check_axioms(a).to_dict()
+
+    def test_shifted_structure_function_falls_back_to_d_A(self, monkeypatch):
+        a = injective_frame()
+        (i, j), comps = next(iter(a.structure.items()))
+        k, f = next(iter(comps.items()))
+        structure = {key: dict(c) for key, c in a.structure.items()}
+        structure[(i, j)][k] = f + 1
+        bad = AlgebroidPresentation("X", a.chart, a.frame, a.anchor, structure)
+        calls = count_d_A(monkeypatch)
+        rep = check_axioms(bad)
+        assert len(calls) == bad.rank
+        assert rep.data["jacobi"] == "d_A"
+        assert not rep.passed
+        items = {item.label: item for item in rep.items}
+        jac = jacobiator(bad, 0, 1, 2)
+        for t, name in enumerate(bad.coframe):
+            want = FormField(bad, 3, {(0, 1, 2): jac[t]})
+            item = items[f"d(d {name}) = 0"]
+            assert (item.ok, item.detail) == (want.is_zero(), "" if want.is_zero() else str(want))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # the cotangent algebroid of a regular Poisson bivector: generic rank 2 of 3
+            lambda: load_scenario("poisson_spiral.scn").algebroid("CT"),
+            # rank 3 over a 2-D chart
+            lambda: so3(Chart("R2", ("x", "y"))),
+            lambda: zero_algebroid(Chart("R2", ("x", "y"))),
+        ],
+        ids=["poisson-cotangent", "so3-over-R2", "zero"],
+    )
+    def test_non_injective_anchors_take_d_A(self, monkeypatch, make):
+        a = make()
+        calls = count_d_A(monkeypatch)
+        rep = check_axioms(a)
+        assert rep.data["jacobi"] == "d_A"
+        assert len(calls) == a.rank
+        assert rep.passed
+        assert rep.to_dict() == reference_check_axioms(a).to_dict()
+
+
 class TestSparseRows:
     """The calculus over the sparse anchor rows gives what it gives over
     the dense ones, on presentations with zero anchor rows, constant anchor
@@ -186,6 +266,14 @@ class TestPresentationChecks:
     def test_zero_structure_function_on_another_chart(self, R1, R2):
         with pytest.raises(AlgebroidError, match="structure function"):
             AlgebroidPresentation("A", R1, ("a", "b"), [[R1.zero()]] * 2, {(0, 1): {0: R2.zero()}})
+
+    def test_anchor_entry_that_is_not_a_function(self):
+        with pytest.raises(AlgebroidError, match="anchor entry 1 is not a ScalarFn"):
+            AlgebroidPresentation("A", Chart("R", ("x",)), ("a",), [[1]])
+
+    def test_structure_function_that_is_not_a_function(self, R1):
+        with pytest.raises(AlgebroidError, match="structure function 2 is not a ScalarFn"):
+            AlgebroidPresentation("A", R1, ("a", "b"), [[R1.one()], [R1.zero()]], {(0, 1): {0: 2}})
 
     def test_equal_chart_is_the_same_chart(self, R2):
         x = Chart("R2", ("x", "y")).coord("x")

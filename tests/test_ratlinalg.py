@@ -4,7 +4,8 @@ rat_nullspace reference of conftest), against a dense Gauss-Jordan
 reference kept here and value for value against the Fraction elimination
 it replaced (reference_factored in conftest), of the
 memoised minors of scalar_det, against a plain Laplace expansion, of
-rank_certificate, against the search over every minor size kept here, and
+rank_certificate, against the search over every minor size kept here, of
+generic_rank, against the one-routine certificate of conftest, and
 of nowhere_zero, against functions with known real zeros and the
 Descartes-bisection root count of conftest."""
 
@@ -26,6 +27,7 @@ from algebroids.ratlinalg import (
     _eliminate,
     _real_roots,
     float_rank,
+    generic_rank,
     nowhere_zero,
     rank_certificate,
     rat_solve,
@@ -45,6 +47,7 @@ from conftest import (
     reference_nowhere_zero,
     reference_pairs,
     reference_points,
+    reference_rank_certificate,
     reference_real_roots,
 )
 
@@ -430,7 +433,7 @@ def reference_certificate(rows):
     return 0 if larger_all_zero else None
 
 
-def generic_rank(rows):
+def largest_nonzero_minor(rows):
     """The largest size of a non-zero minor, by trying them all."""
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -489,9 +492,20 @@ def certificate_matrices(draw):
 @given(certificate_matrices())
 def test_rank_certificate_matches_the_search_over_every_size(rows):
     cert = rank_certificate(rows)
-    assert cert.rank == generic_rank(rows)
+    assert cert.rank == largest_nonzero_minor(rows)
     assert (None if cert.witness is None else cert.rank) == reference_certificate(rows)
     check_rank_certificate(rows, cert)
+
+
+@settings(deadline=None)
+@given(st.one_of(certificate_matrices(), square, planted_matrices(max_m=5, max_n=6).map(lambda case: case[0])))
+def test_generic_rank_is_the_bordered_minor_of_the_one_routine(rows):
+    """generic_rank returns the bordered minor of the rank certificate as
+    it was computed before its bordering phase was split out, and the
+    certificate built on it is unchanged."""
+    want = reference_rank_certificate(rows)
+    assert generic_rank(rows) == want.bordered
+    assert rank_certificate(rows) == want
 
 
 @settings(max_examples=60, deadline=None)
