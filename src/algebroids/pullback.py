@@ -18,23 +18,16 @@ coordinate (`_constraint_matrix`): the pull-back exists where the kernel
 of (v, a) -> rho(a) - dphi(v) has constant rank, and phi is transverse
 where that map is onto.  The frame validation pairs the same rows with
 its pairs, and its pairs are pointwise independent where the matrix of
-their rows has full row rank, the question transversality asks too
-(`_full_row_rank`).  Every one of these rank verdicts is exact when
-`ratlinalg.rank_certificate` finds, beside the generic rank R (bordering
-minors), an R-minor that `ratlinalg.nowhere_zero` certifies: a unit, a
-unit times a one-variable polynomial without real roots (Sturm), or a
-unit times a trig polynomial whose constant term dominates.  Then R is
-the rank at every point.  Without such a minor a full-rank question still
-fails exactly when R is too small, and otherwise the verdict is
-probabilistic (random-point sampling); reports always disclose which
-method decided.  The certificate goes into ``rep.data["minors"]``, which
-reports do not print.  A sampled check draws all its points first
-(`ratlinalg.sample_points`) and ranks the matrix at every point in one
-batch (`ratlinalg.sampled_ranks`): each non-zero entry is evaluated once
-over all the points, the entries share one table of atom values, and the
-stack is ranked by one `float_rank` call.  The extension and
-regular-Poisson rank checks (`extensions`) still sample without trying a
-certificate.
+their rows has full row rank, the question transversality asks too.
+Every one of these verdicts is decided by `ratlinalg.pointwise_rank`, the
+one pointwise-rank routine, and each check only phrases its item.  It is
+exact when a minor of the generic rank R is certified nowhere zero (then
+R is the rank at every point), and a full-rank question fails exactly
+when R is too small; otherwise the verdict is probabilistic (random-point
+sampling) and reports always disclose which method decided.  The
+certificate goes into ``rep.data["minors"]``, which reports do not print.
+`extensions.check_extension` is the one rank site that still samples
+directly, without trying a certificate.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ from .core import (
     vector_field_bracket,
 )
 from .morphisms import Morphism, base_preserving_morphism, check_morphism, compose, pullback_form
-from .ratlinalg import bracket_structure, rank_certificate, sample_points, sampled_ranks, unit_pivot_solve
+from .ratlinalg import PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
 from .report import CheckReport
 from .reps import modular_cocycle
 from .symexpr import Chart, ChartMap, ScalarFn, lincomb
@@ -86,10 +79,6 @@ class PullbackFrame:
     names: Optional[tuple[str, ...]] = None
 
 
-# the box of the sampled rank checks: numerators up to 60, denominators up to 13
-_BOX = (60, 13)
-
-
 def _constraint_matrix(
     b: AlgebroidPresentation, source_chart: Chart, basemap: Sequence[ScalarFn]
 ) -> list[list[ScalarFn]]:
@@ -111,34 +100,24 @@ def check_admissible(
     samples: int = 50,
 ) -> CheckReport:
     """Constant rank of the compatibility constraint space."""
-    return _admissibility(b, source_chart, _constraint_matrix(b, source_chart, basemap), seed, samples)
+    return _constraint_space(b, _constraint_matrix(b, source_chart, basemap), source_chart.dim, seed, samples)
 
 
-def _admissibility(
-    b: AlgebroidPresentation, source_chart: Chart, rows: list[list[ScalarFn]], seed: int, samples: int
+def _constraint_space(
+    b: AlgebroidPresentation, rows: list[list[ScalarFn]], dim: int, seed: int, samples: int
 ) -> CheckReport:
-    """`check_admissible` on the constraint matrix ``rows`` already built."""
-    rep = CheckReport(f"admissibility of the base map into {b.name}")
-    total = b.rank + source_chart.dim
-    cert = rep.data["minors"] = rank_certificate(rows)
-    if cert.witness is not None:
-        rank = total - cert.rank
-        rep.add("constraint space has constant rank", True, f"rank {rank}")
-        rep.note("method: exact minor certificate")
-        rep.data["rank"] = rank
-        rep.data["method"] = "exact"
-        return rep
-    ranks = sampled_ranks(rows, sample_points(source_chart.dim, seed, samples, *_BOX))
-    lo, hi = total - max(ranks), total - min(ranks)
-    ok = lo == hi
-    rep.add(
-        "constraint space has constant sampled rank",
-        ok,
-        f"rank range [{lo}, {hi}] over {samples} samples",
-    )
-    rep.note(f"method: probabilistic rank sampling (seed={seed})")
-    rep.data["rank"] = lo if ok else None
-    rep.data["method"] = "sampled"
+    """`check_admissible` on the constraint matrix ``rows`` already built,
+    over a source chart of dimension ``dim``: the constraint space is the
+    kernel of ``rows``, of rank ``b.rank + dim`` minus theirs."""
+    verdict = pointwise_rank(rows, None, seed, samples)
+    total = b.rank + dim
+    lo, hi = total - verdict.ranks[1], total - verdict.ranks[0]
+    if verdict.method == "exact":
+        label, detail = "constraint space has constant rank", f"rank {lo}"
+    else:
+        label, detail = "constraint space has constant sampled rank", f"rank range [{lo}, {hi}] over {samples} samples"
+    rep = _decided(f"admissibility of the base map into {b.name}", label, verdict, detail, seed)
+    rep.data["rank"] = lo if verdict.holds else None
     return rep
 
 
@@ -150,42 +129,39 @@ def check_transverse(
     samples: int = 50,
 ) -> CheckReport:
     """Anchor image plus differential image spans the target tangent space:
-    the base-map matrix has full row rank at every point, certified by a
-    nowhere-zero minor of the generic rank, refuted exactly by a generic
-    rank below the target dimension, and sampled otherwise."""
-    title = f"transversality of the base map to {b.name}"
-    if b.chart.dim == 0:
-        rep = CheckReport(title)
-        rep.add("target tangent space spanned", True, "zero-dimensional target")
-        rep.data["method"] = "exact"
-        return rep
+    the base-map matrix has full row rank at every point (a zero-dimensional
+    target has no rows, which the empty minor certifies)."""
     rows = _constraint_matrix(b, source_chart, basemap)
-    return _full_row_rank(title, "target tangent space spanned", rows, source_chart.dim, seed, samples)
+    return _onto(f"transversality of the base map to {b.name}", "target tangent space spanned", rows, seed, samples)
 
 
-def _full_row_rank(
-    title: str, label: str, rows: list[list[ScalarFn]], dim: int, seed: int, samples: int
-) -> CheckReport:
-    """The report ``title`` with one item ``label``: the matrix ``rows`` over
-    a chart of dimension ``dim`` has rank len(rows) at every point.  Exact
-    when its `rank_certificate` has a witness, or a generic rank below
-    len(rows), which makes every maximal minor vanish identically; sampled
-    otherwise.  The certificate and the method go into ``data``."""
-    rep = CheckReport(title)
+def _onto(title: str, label: str, rows: list[list[ScalarFn]], seed: int, samples: int) -> CheckReport:
+    """The report ``title`` with one item ``label``: the matrix ``rows`` has
+    rank len(rows) at every point."""
     n = len(rows)
-    cert = rep.data["minors"] = rank_certificate(rows)
-    if cert.witness is not None:
-        rep.add(label, cert.rank == n, f"rank {cert.rank} of {n} at every point")
-    elif cert.rank < n:
-        rep.add(label, False, f"rank < {n} at every point")
+    verdict = pointwise_rank(rows, n, seed, samples)
+    lo, hi = verdict.ranks
+    if verdict.method == "sampled":
+        detail = f"sampled rank range [{lo}, {hi}] of {n}"
+    elif verdict.certificate.witness is None:
+        detail = f"rank < {n} at every point"
     else:
-        ranks = sampled_ranks(rows, sample_points(dim, seed, samples, *_BOX))
-        rep.add(label, min(ranks) == n, f"sampled rank range [{min(ranks)}, {max(ranks)}] of {n}")
+        detail = f"rank {lo} of {n} at every point"
+    return _decided(title, label, verdict, detail, seed)
+
+
+def _decided(title: str, label: str, verdict: PointwiseRank, detail: str, seed: int) -> CheckReport:
+    """The report ``title`` with one item ``label``, of the verdict and
+    ``detail``, the note of the method that decided it, and the
+    certificate and the method in its ``data``."""
+    rep = CheckReport(title)
+    rep.add(label, verdict.holds, detail)
+    if verdict.method == "exact":
+        rep.note("method: exact minor certificate")
+    else:
         rep.note(f"method: probabilistic rank sampling (seed={seed})")
-        rep.data["method"] = "sampled"
-        return rep
-    rep.note("method: exact minor certificate")
-    rep.data["method"] = "exact"
+    rep.data["minors"] = verdict.certificate
+    rep.data["method"] = verdict.method
     return rep
 
 
@@ -251,8 +227,8 @@ def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> Check
             )
     if pf.pairs:
         rows = [list(p.bcoeffs) + list(p.vf) for p in pf.pairs]
-        rep.merge(_full_row_rank("pairs", "pairs pointwise independent", rows, chart.dim, seed, samples))
-    adm = _admissibility(b, chart, constraint, seed, samples)
+        rep.merge(_onto("pairs", "pairs pointwise independent", rows, seed, samples))
+    adm = _constraint_space(b, constraint, chart.dim, seed, samples)
     rep.merge(adm)
     want = adm.data.get("rank")
     rep.add(

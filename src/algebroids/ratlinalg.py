@@ -29,23 +29,23 @@
   a unit times a polynomial in one non-periodic coordinate without real
   roots (Sturm sequences of ``int`` pseudo-remainders, `_real_roots`), or a
   unit times a trig polynomial whose constant term dominates the sum of
-  its other coefficients' absolute values.  The pull-back rank checks
-  (admissibility, transversality, frame validation) are exact through it;
-  the extension and regular-Poisson rank checks still sample.
+  its other coefficients' absolute values.
+* `pointwise_rank` is the one routine that decides "rank R at every
+  point" or constant rank: exactly when `rank_certificate` has a witness
+  or the generic rank refutes the claim, by sampling otherwise.  Every
+  pointwise rank check but `extensions.check_extension`, which still
+  samples directly, goes through it.
 * `sample_pairs` is the one seeded sampler: every sampled check (the
-  rank checks below, the period witness of `cohomology`, the spot check of
-  an asserted-nonvanishing `LineSection`) draws its rational points p/q
-  from it as int pairs (p, q), each site in its own box, and it alone
-  refuses to sample no points.  `sample_points` hands them to the float
-  consumers as p / q, with no `Fraction` built; only the one witness
-  point a period certificate shows is made exact.  `float_rank`
-  estimates rank numerically with numpy, of one matrix or of a whole
-  stack in one call, and `sampled_ranks` evaluates a
-  ScalarFn matrix entry by entry over a batch of sample points, with one
-  table of atom values (x_j^e, sin/cos(c.x), exp(d.x)) shared by all the
-  entries, and ranks the stack: the one path of every sampled rank check
-  (the pull-back checks when no minor is certified; injectivity,
-  surjectivity and constant rank always).
+  sampled rank checks and the period witness of `cohomology`) draws its
+  rational points p/q from it as int pairs (p, q), each site in its own
+  box, and it alone refuses to sample no points.  `sample_points` hands
+  them to the float consumers as p / q, with no `Fraction` built; only
+  the one witness point a period certificate shows is made exact.
+  `float_rank` estimates rank numerically with numpy, of one matrix or of
+  a whole stack in one call, and `sampled_ranks` evaluates a ScalarFn
+  matrix entry by entry over a batch of sample points, with one table of
+  atom values (x_j^e, sin/cos(c.x), exp(d.x)) shared by all the entries,
+  and ranks the stack: the one path of every sampled rank check.
 """
 
 from __future__ import annotations
@@ -624,3 +624,38 @@ def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[
             if not f.is_zero():
                 stack[:, i, j] = f.evaluate(pts, atoms)
     return float_rank(stack)
+
+
+class PointwiseRank(NamedTuple):
+    """A verdict of `pointwise_rank`.  ``ranks`` is the lowest and highest
+    rank: the generic rank R twice when ``method`` is ``"exact"`` (the rank
+    at every point when ``certificate`` has a witness, the largest rank of
+    any point otherwise), the extremes of the sampled ranks when it is
+    ``"sampled"``."""
+
+    holds: bool
+    method: str
+    ranks: tuple[int, int]
+    certificate: RankCertificate
+
+
+def pointwise_rank(
+    rows: Sequence[Sequence[ScalarFn]], want: Optional[int], seed: int, samples: int
+) -> PointwiseRank:
+    """Decide "``rows`` has rank ``want`` at every point", or with ``want``
+    None "``rows`` has constant rank".
+
+    Exact when `rank_certificate` has a witness, and refuted exactly when
+    ``want`` differs from the generic rank R, the rank on a dense open set.
+    Otherwise the matrix is ranked in one batch at ``samples`` points of
+    ``seed`` (numerators up to 60, denominators up to 13) on the chart of
+    its entries, which exist as R >= 1, and the claim holds when every
+    sampled rank is R: a float rank that disagrees with R is no agreement.
+    """
+    cert = rank_certificate(rows)
+    r = cert.rank
+    if cert.witness is not None or want not in (None, r):
+        return PointwiseRank(want in (None, r), "exact", (r, r), cert)
+    ranks = sampled_ranks(rows, sample_points(rows[0][0].chart.dim, seed, samples, 60, 13))
+    lo, hi = min(ranks), max(ranks)
+    return PointwiseRank(lo == hi == r, "sampled", (lo, hi), cert)

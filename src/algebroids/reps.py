@@ -27,7 +27,6 @@ from .core import (
     top_form,
     top_multivector,
 )
-from .ratlinalg import sample_points
 from .report import CheckReport
 from .symexpr import NotAUnit, ScalarFn, lincomb
 
@@ -92,41 +91,18 @@ class Representation:
 
 
 class LineSection:
-    """A declared-nonvanishing section of a framed line bundle.
+    """A nowhere-vanishing section of a framed line bundle, by its
+    coefficient, which must be a unit of the expression class (NotAUnit
+    otherwise): `char_cocycle` and `extensions.induced_rep` divide by it
+    (`ScalarFn.unit_inverse`).  Nonvanishing is never sampled here; the
+    sampled checks are rank claims, decided by `ratlinalg.pointwise_rank`
+    or, at the one site that still samples directly, by
+    `extensions.check_extension`."""
 
-    The coefficient must be a unit of the expression class, or be asserted
-    nonvanishing by the caller, in which case 100 random sample points are
-    required to stay away from zero.
-    """
-
-    def __init__(
-        self,
-        coefficient: ScalarFn,
-        assert_nonvanishing: bool = False,
-        seed: int = 0,
-        samples: int = 100,
-    ):
+    def __init__(self, coefficient: ScalarFn):
+        if not coefficient.is_unit():
+            raise NotAUnit(f"line-section coefficient {coefficient} is not a unit")
         self.coefficient = coefficient
-        if coefficient.is_unit():
-            self.evidence = "unit"
-            return
-        if not assert_nonvanishing:
-            raise NotAUnit(
-                f"line-section coefficient {coefficient} is not a unit; "
-                "pass assert_nonvanishing=True to spot-check instead"
-            )
-        pts = sample_points(coefficient.chart.dim, seed, samples, 200, 40)
-        values = coefficient.evaluate(pts).tolist()
-        if any(abs(v) < 1e-9 for v in values):
-            raise NotAUnit(
-                f"asserted-nonvanishing coefficient {coefficient} is zero at a sample point"
-            )
-        if min(values) < 0 < max(values):
-            raise NotAUnit(
-                f"asserted-nonvanishing coefficient {coefficient} changes sign, "
-                "so it vanishes somewhere on the chart"
-            )
-        self.evidence = f"sampled({samples}, seed={seed})"
 
 
 def check_flat(d: Representation) -> CheckReport:

@@ -709,9 +709,18 @@ def reference_points(chart, seed, count, bound, den):
     return [[float(Fraction(p, q)) for p, q in pt] for pt in reference_pairs(chart, seed, count, bound, den)]
 
 
+def reference_sampled_ranks(rows, chart, seed, samples):
+    """The ranks a sampled rank check sees, point by point: draw a point
+    in the +-60/13 box, evaluate every entry there, rank that one matrix."""
+    points = [[Fraction(p, q) for p, q in pt] for pt in reference_pairs(chart, seed, samples, 60, 13)]
+    return [ratlinalg.float_rank([[f.evaluate(pt) for f in row] for row in rows]) for pt in points]
+
+
 def capture_sampled_points(monkeypatch, module, check, *args, **kwargs):
     """Run one check and return the point batches it hands to the
-    `sampled_ranks` bound in ``module``, in call order."""
+    `sampled_ranks` bound in ``module``, in call order: `ratlinalg` for
+    the checks that sample through `pointwise_rank`, `extensions` for
+    `check_extension`."""
     batches = []
     real = module.sampled_ranks
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from algebroids.extensions import (
 )
 from algebroids.morphisms import base_preserving_morphism, identity_morphism
 from algebroids.ratlinalg import FrameSolveFailure
+from algebroids.report import CheckItem
 from algebroids.reps import LineSection, char_cocycle, check_flat
 from algebroids.symexpr import Chart, exp, sin
 
@@ -423,47 +425,57 @@ class TestRegularPoisson:
         assert rep.data["eta_k"].is_zero()
 
     def test_draws_the_pinned_points(self, monkeypatch):
-        # its own constant-rank batch, then the two of its extension check
+        # the sharp map of exp(z) dx^dy has a unit minor, so only the two
+        # batches of the extension check are drawn
         import algebroids.extensions as extensions
+        import algebroids.ratlinalg as ratlinalg
 
-        tm = tangent_algebroid(R3)
+        kit, complement = self._exp_leaves()
+        args = (verify_regular_poisson, kit, complement, AnsatzSpace(R3, degree=1), 2)
+        assert capture_sampled_points(monkeypatch, extensions, *args) == [reference_points(R3, 2, 50, 50, 11)] * 2
+        assert capture_sampled_points(monkeypatch, ratlinalg, *args) == []
+
+    @staticmethod
+    def _exp_leaves():
+        """The kit and the complement of exp(z) dx^dy on R^3."""
         z = R3.coord("z")
-        pi = Multivector(tm, 2, {(0, 1): exp(z)})
         one, zero = R3.one(), R3.zero()
+        pi = Multivector(tangent_algebroid(R3), 2, {(0, 1): exp(z)})
         kit = poisson_kit(
-            pi,
-            image_columns=[[one, zero], [zero, one], [zero, zero]],
-            kernel_columns=[[zero], [zero], [one]],
+            pi, image_columns=[[one, zero], [zero, one], [zero, zero]], kernel_columns=[[zero], [zero], [one]]
         )
-        batches = capture_sampled_points(
-            monkeypatch,
-            extensions,
-            verify_regular_poisson,
-            kit,
-            complement_columns=[[zero], [zero], [one]],
-            ansatz=AnsatzSpace(R3, degree=1),
-            seed=2,
-        )
-        assert batches == [reference_points(R3, 2, 50, 40, 9)] + [reference_points(R3, 2, 50, 50, 11)] * 2
+        return kit, [[zero], [zero], [one]]
+
+    def test_uncertified_sharp_map_is_sampled(self, monkeypatch):
+        # poisson_kit solves for the image frame and the lifts by unit
+        # pivots, so the sharp map of a kit it builds always has a unit
+        # minor; a sharp map without a certified minor is put in by hand
+        import algebroids.ratlinalg as ratlinalg
+
+        tm = tangent_algebroid(R2)
+        one, zero = R2.one(), R2.zero()
+        kit = poisson_kit(Multivector(tm, 2, {(0, 1): one}), [[one, zero], [zero, one]], [[], []])
+        x = R2.coord("x")
+        f = x * x + sin(x) + 2
+        kit = replace(kit, sharp=base_preserving_morphism("sharp", kit.cotangent, tm, [[zero, -f], [f, zero]]))
+        args = (kit, [[], []], AnsatzSpace(R2, degree=1), 3)
+        batches = capture_sampled_points(monkeypatch, ratlinalg, verify_regular_poisson, *args)
+        assert batches == [reference_points(R2, 3, 50, 60, 13)]
+        rep = verify_regular_poisson(*args)
+        assert rep.items[0] == CheckItem("constant rank (sampled)", True, "rank range [2, 2], image rank 2")
+        assert rep.data["method"] == "sampled"
+        assert rep.data["minors"].witness is None
 
     def test_exponential_symplectic_leaves(self):
-        tm = tangent_algebroid(R3)
-        z = R3.coord("z")
-        pi = Multivector(tm, 2, {(0, 1): exp(z)})
-        one, zero = R3.one(), R3.zero()
-        kit = poisson_kit(
-            pi,
-            image_columns=[[one, zero], [zero, one], [zero, zero]],
-            kernel_columns=[[zero], [zero], [one]],
-        )
-        rep = verify_regular_poisson(
-            kit,
-            complement_columns=[[zero], [zero], [one]],
-            ansatz=AnsatzSpace(R3, degree=2),
-        )
+        kit, complement = self._exp_leaves()
+        rep = verify_regular_poisson(kit, complement, ansatz=AnsatzSpace(R3, degree=2))
         assert rep.passed
         cls = classify(rep.data["mod_sharp"], AnsatzSpace(R3, degree=2))
         assert cls.status == "exact"
+        # the sharp map's rank is certified by a unit minor
+        assert rep.items[0] == CheckItem("constant rank (exact)", True, "generic rank 2, image rank 2")
+        assert rep.data["method"] == "exact"
+        assert rep.data["minors"] == (2, ((0, 1), (0, 1)), ((0, 1), (0, 1)))
 
     def test_spiral_doubling_identity(self):
         tm = tangent_algebroid(TXY)

@@ -1,5 +1,3 @@
-import random
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -26,7 +24,6 @@ from algebroids.pullback import (
     BuiltPullback,
     PullbackFrame,
     PullbackFramePair,
-    _BOX,
     _constraint_matrix,
     build_pullback,
     check_admissible,
@@ -36,7 +33,7 @@ from algebroids.pullback import (
     validate_frame,
     verify_submersion_vanishing,
 )
-from algebroids.ratlinalg import float_rank, rank_certificate, sample_points, sampled_ranks, scalar_det
+from algebroids.ratlinalg import rank_certificate, sample_points, sampled_ranks, scalar_det
 from algebroids.reps import canonical_sections
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, parse_expr, sin
 
@@ -47,6 +44,7 @@ from conftest import (
     count_sampling,
     cylinder_algebroid,
     reference_points,
+    reference_sampled_ranks,
     so3,
 )
 
@@ -119,6 +117,16 @@ class TestTransversality:
         basemap = [pt.zero(), pt.zero()]
         rep = check_transverse(b, pt, basemap)
         assert rep.passed
+
+    def test_zero_dimensional_target(self):
+        # no rows: the empty minor certifies rank 0 of 0
+        from algebroids.symexpr import point_chart
+
+        b = AlgebroidPresentation("P", point_chart(), ("e",), [[]])
+        rep = check_transverse(b, S1, [])
+        assert [(i.ok, i.detail) for i in rep.items] == [(True, "rank 0 of 0 at every point")]
+        assert rep.data["method"] == "exact"
+        assert rep.data["minors"] == (0, ((), ()), ((), ()))
 
 
 class TestBuildPullback:
@@ -384,14 +392,14 @@ class TestSamplingDefects:
     def test_no_spurious_rank_drop(self):
         # no exact certificate decides these rows, so sampling does
         r2, rows = _scaled_rows(20)
-        assert sampled_ranks(rows, sample_points(r2.dim, 0, 50, *_BOX)) == [2] * 50
+        assert sampled_ranks(rows, sample_points(r2.dim, 0, 50, 60, 13)) == [2] * 50
 
     @pytest.mark.xfail(
         strict=True, raises=OverflowError, reason="float evaluation overflows on exp(100*x)"
     )
     def test_no_overflow(self):
         r2, rows = _scaled_rows(100)
-        sampled_ranks(rows, sample_points(r2.dim, 0, 50, *_BOX))
+        sampled_ranks(rows, sample_points(r2.dim, 0, 50, 60, 13))
 
 
 def _planted_rank_input(n, q, r, k, kind):
@@ -602,17 +610,6 @@ class TestMatrixLayout:
 PLANTED = [(5, 2, 5, 3, "mixed"), (4, 1, 4, 2, "unit"), (3, 1, 3, 1, "smooth"), (5, 2, 8, 2, "unit")]
 
 
-def _reference_sampled_ranks(rows, chart, seed, samples):
-    """Point by point: draw a point in the +-60/13 box, evaluate every
-    entry there, rank that one matrix."""
-    rng = random.Random(seed)
-    ranks = []
-    for _ in range(samples):
-        pt = [Fraction(rng.randint(-60, 60), rng.randint(1, 13)) for _ in chart.coords]
-        ranks.append(float_rank([[f.evaluate(pt) for f in row] for row in rows]))
-    return ranks
-
-
 class TestBatchedSampling:
     @pytest.mark.parametrize("planted", PLANTED)
     def test_sampled_ranks_match_point_by_point(self, planted):
@@ -620,19 +617,20 @@ class TestBatchedSampling:
         src = args[1]
         rows = _constraint_matrix(*args)
         for seed in (0, 7):
-            assert sampled_ranks(rows, sample_points(src.dim, seed, 50, *_BOX)) == _reference_sampled_ranks(
+            assert sampled_ranks(rows, sample_points(src.dim, seed, 50, 60, 13)) == reference_sampled_ranks(
                 rows, src, seed, 50
             )
 
     def test_checks_draw_the_pinned_points(self, monkeypatch):
-        import algebroids.pullback as pullback
+        # the checks sample through ratlinalg.pointwise_rank
+        import algebroids.ratlinalg as ratlinalg
 
         args = _planted_rank_input(5, 2, 5, 3, "mixed")  # decided by sampling
         want = reference_points(args[1], 4, 30, 60, 13)
         for check in (check_admissible, check_transverse):
-            assert capture_sampled_points(monkeypatch, pullback, check, *args, seed=4, samples=30) == [want]
+            assert capture_sampled_points(monkeypatch, ratlinalg, check, *args, seed=4, samples=30) == [want]
         pf = _line_frame(lambda t: t * t + sin(t) + 2)  # pair independence sampled
-        batches = capture_sampled_points(monkeypatch, pullback, validate_frame, pf, seed=4, samples=30)
+        batches = capture_sampled_points(monkeypatch, ratlinalg, validate_frame, pf, seed=4, samples=30)
         assert batches == [reference_points(pf.source_chart, 4, 30, 60, 13)]
 
     @pytest.mark.parametrize("check", [check_admissible, check_transverse])

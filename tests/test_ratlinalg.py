@@ -5,9 +5,10 @@ reference kept here and value for value against the Fraction elimination
 it replaced (reference_factored in conftest), of the
 memoised minors of scalar_det, against a plain Laplace expansion, of
 rank_certificate, against the search over every minor size kept here, of
-generic_rank, against the one-routine certificate of conftest, and
-of nowhere_zero, against functions with known real zeros and the
-Descartes-bisection root count of conftest."""
+generic_rank and pointwise_rank, against the one-routine certificate
+and the point-by-point sampler of conftest, and of nowhere_zero, against
+functions with known real zeros and the Descartes-bisection root count of
+conftest."""
 
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from algebroids.ratlinalg import (
     float_rank,
     generic_rank,
     nowhere_zero,
+    pointwise_rank,
     rank_certificate,
     rat_solve,
     sample_pairs,
@@ -49,6 +51,7 @@ from conftest import (
     reference_points,
     reference_rank_certificate,
     reference_real_roots,
+    reference_sampled_ranks,
 )
 
 
@@ -506,6 +509,39 @@ def test_generic_rank_is_the_bordered_minor_of_the_one_routine(rows):
     want = reference_rank_certificate(rows)
     assert generic_rank(rows) == want.bordered
     assert rank_certificate(rows) == want
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_pointwise_rank_decides_as_the_references(data):
+    """An exact verdict is read off the one-routine certificate of
+    conftest: it holds with a witness of the claimed rank, and fails when a
+    claimed rank is not the generic one.  Otherwise it holds when the
+    point-by-point reference sampler sees the generic rank at every point.
+    """
+    rows = data.draw(st.one_of(certificate_matrices(), planted_matrices().map(lambda case: case[0])))
+    want = data.draw(st.one_of(st.none(), st.integers(0, min(len(rows), len(rows[0])))))
+    seed = data.draw(st.integers(0, 9))
+    verdict = pointwise_rank(rows, want, seed, 20)
+    cert = reference_rank_certificate(rows)
+    assert verdict.certificate == cert
+    if cert.witness is not None or want not in (None, cert.rank):
+        assert verdict == (want in (None, cert.rank), "exact", (cert.rank, cert.rank), cert)
+    else:
+        ranks = reference_sampled_ranks(rows, R2, seed, 20)
+        lo, hi = min(ranks), max(ranks)
+        assert verdict == (lo == hi == cert.rank, "sampled", (lo, hi), cert)
+
+
+def test_pointwise_rank_counts_no_uniform_float_drop_as_agreement():
+    # generic rank 2 with no certified minor; the second row is below
+    # numpy's rank tolerance at every sample point, so each sampled rank
+    # is 1, which disagrees with the generic rank whatever the claim
+    f = _X * _X + sin(_X) + 2
+    rows = [[f, R2.zero()], [R2.zero(), Fraction(1, 10**17) * f]]
+    for want in (None, 2):
+        verdict = pointwise_rank(rows, want, 0, 20)
+        assert (verdict.holds, verdict.method, verdict.ranks) == (False, "sampled", (1, 1))
 
 
 @settings(max_examples=60, deadline=None)

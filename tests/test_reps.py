@@ -29,7 +29,7 @@ from algebroids.reps import (
     tensor_rep,
     trivial_rep,
 )
-from algebroids.symexpr import Chart, NotAUnit, ScalarFn, exp, sin
+from algebroids.symexpr import Chart, NotAUnit, exp, sin
 
 from conftest import (
     aff1,
@@ -39,7 +39,6 @@ from conftest import (
     random_lie_algebra,
     reference_check_flat,
     reference_modular_cocycle,
-    reference_points,
     so3,
     sparse_algebroids,
 )
@@ -261,27 +260,10 @@ class TestCharCocycle:
             LineSection(R2.coord("x") + 1)
 
     def test_asserted_nonvanishing_spot_check(self, R2):
-        s = LineSection(R2.coord("x") ** 2 + 1, assert_nonvanishing=True, seed=3)
-        assert s.evidence.startswith("sampled")
+        # x^2 + 1 vanishes nowhere but is not a unit, and no spot check
+        # stands in for one
         with pytest.raises(NotAUnit):
-            LineSection(R2.coord("x"), assert_nonvanishing=True, seed=3)
-
-    def test_spot_check_draws_the_pinned_points(self, R2, monkeypatch):
-        drawn = []
-        evaluate = ScalarFn.evaluate
-
-        def capturing(self, points):
-            drawn.append([list(p) for p in points])
-            return evaluate(self, points)
-
-        monkeypatch.setattr(ScalarFn, "evaluate", capturing)
-        LineSection(R2.coord("x") ** 2 + 1, assert_nonvanishing=True, seed=3, samples=60)
-        assert drawn == [reference_points(R2, 3, 60, 200, 40)]
-
-    def test_spot_check_needs_a_sample(self, R2):
-        for samples in (0, -2):
-            with pytest.raises(ValueError, match="at least one sample"):
-                LineSection(R2.coord("x") ** 2 + 1, assert_nonvanishing=True, samples=samples)
+            LineSection(R2.coord("x") ** 2 + 1)
 
 
 @st.composite

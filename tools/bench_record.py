@@ -17,7 +17,11 @@ holds:
   than the parent's interquartile range;
 * every per-layer metric of BENCHMARK.json from the traced run
   (`--trace 1`) with the lowest seed, for both sides;
-* the seeds, the `--seconds` of the runs and their share of wrong verdicts.
+* the seeds, the `--seconds` of the runs and their share of wrong verdicts;
+* `digests`: whether every change run's verdict digests equal the parent
+  run's at the same seed and `--trace`, and the seeds at which they
+  differ.  A difference is recorded, not refused: a change may move a
+  verdict on purpose, and a reader weighs any gain against it.
 
 Writing refuses a run that reported problems (`"correct": false`), whose
 `src_lines` differ from its checkout's, or that is older than the newest
@@ -151,6 +155,13 @@ def workload_record(spec: dict, name: str, runs: dict[str, dict]) -> dict:
             "error_share": statistics.median(r["error_share"] for r in plain[side]),
             "traced_seed": traced[side][0]["seed"] if traced[side] else None,
         }
+    differ = {
+        p["seed"]
+        for pair in (plain, traced)
+        for p, c in zip(pair["parent"], pair["change"])
+        if p["digests"] != c["digests"]
+    }
+    out["digests"] = {"equal": not differ, "differing_seeds": sorted(differ)}
     for m in spec["end_to_end"]:
         out["end_to_end"][m["name"]] = metric_entry(m, plain)
     for m in spec["per_layer"]:
@@ -181,6 +192,8 @@ def write(args) -> int:
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
     for name, wl in record["workloads"].items():
+        same = wl["digests"]
+        print(f"{name} digests: " + ("equal" if same["equal"] else f"differ at seeds {same['differing_seeds']}"))
         for metric, e in wl["end_to_end"].items():
             gain = ", gain shown" if e["gain_shown"] else ""
             print(
