@@ -37,9 +37,11 @@ every raw product term into one canonical pass instead of re-merging and
 re-sorting the running total after each pairwise ``+``.
 
 Composition with a map of charts is :class:`ChartMap`, prepared once per
-map: it reads the linear slopes of the images once, so that a trig or exp
-argument over linear images is composed by its slope vector alone, keeps
-each image power, and returns a function unchanged under the identity map.
+map.  A term over single-term images (0 or q*z^a, such as coordinates) is
+rewritten by key arithmetic alone; only powers of multi-term images are
+multiplied out, each once per map.  A trig or exp argument over linear
+images is composed by its slope vector alone, and the identity map returns
+a function unchanged.
 ``ScalarFn.substitute`` is a one-off map; callers that pull many functions
 through one base map hold the map.
 
@@ -767,6 +769,20 @@ def _slopes_or_none(f: ScalarFn) -> Optional[tuple[Rational, ...]]:
     return tuple(slopes)
 
 
+def _single_term(f: ScalarFn) -> Optional[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """f = p/d * z^a as (p, d, the pairs (i, a_i) with a_i nonzero), with
+    p = 0 for the zero function; None when f has two or more terms or a
+    trig or exp factor."""
+    if not f.num:
+        return 0, 1, ()
+    if len(f.num) > 1:
+        return None
+    ((mono, trig, expv), p), = f.num.items()
+    if trig is not None or any(expv):
+        return None
+    return p, f.den, tuple((i, a) for i, a in enumerate(mono) if a)
+
+
 class ChartMap:
     """Composition with one map of charts, prepared once.
 
@@ -778,15 +794,20 @@ class ChartMap:
     integer slope in periodic source coordinates (PeriodicityViolation
     otherwise).
 
-    The map reads the rational-linear slopes of each image once (None for
-    an image with a constant, trig, exp or non-linear term), so a trig or
-    exp argument over linear images is its slope vector times the slope
-    matrix, with no ring arithmetic.  Image powers are computed once per
-    map, each periodic image is checked once, and the identity map of a
-    chart returns the function itself.
+    The map sorts its images once.  A single-term image is 0 or q*z^a with
+    no trig or exp factor, most often a scaled coordinate; a term of f
+    whose monomial uses single-term images only becomes one term by key
+    arithmetic: the exponents add up, the coefficient takes the factors q,
+    and the term vanishes with an image 0.  Only a term with a power of
+    another image is multiplied out through the ring, each image power
+    computed once per map.  The slopes of each image are read once too
+    (None for an image with a constant, trig, exp or non-linear term), so
+    a trig or exp argument over linear images is its slope vector times
+    the slope matrix.  Each periodic image is checked once, and the
+    identity map of a chart returns the function itself.
     """
 
-    __slots__ = ("target", "source", "images", "identity", "_slopes", "_powers", "_periodic_ok", "_one", "_zero")
+    __slots__ = ("target", "source", "images", "identity", "_slopes", "_single", "_powers", "_periodic_ok", "_zero")
 
     def __init__(self, target: Chart, source: Chart, images: Sequence[ScalarFn]):
         if len(images) != target.dim:
@@ -801,9 +822,9 @@ class ChartMap:
         self.identity = target == source and all(
             s == tuple(int(i == j) for i in range(source.dim)) for j, s in enumerate(self._slopes)
         )
+        self._single = [_single_term(img) for img in images]
         self._powers: dict[tuple[int, int], ScalarFn] = {}
         self._periodic_ok: set[int] = set()
-        self._one = source.one()
         self._zero = (0,) * source.dim
 
     def pull(self, f: ScalarFn) -> ScalarFn:
@@ -813,7 +834,11 @@ class ChartMap:
         if self.identity:
             return f
         self._check_periodic(f)
-        source, zero = self.source, self._zero
+        source, zero, single = self.source, self._zero, self._single
+        # the rewritten terms as numerator items over `den`, the others as
+        # lincomb pieces
+        items: list[tuple[TermKey, int]] = []
+        den = 1
         pieces: list[tuple] = []
         for (mono, trig, expv), q in f.num.items():
             mult, atom = 1, None
@@ -822,14 +847,39 @@ class ChartMap:
             expo = self._argument(expv) if any(expv) else zero
             if not mult:
                 continue  # sin(0)
-            factors = [self._monomial(mono)] if any(mono) else []
+            q *= mult
+            c, cden, exps = q, 1, list(zero)
+            for j, e in enumerate(mono):
+                if e:
+                    image = single[j]
+                    if image is None:
+                        break
+                    p, d, support = image
+                    c *= p**e
+                    cden *= d**e
+                    for i, a in support:
+                        exps[i] += a * e
+            else:
+                if not c:
+                    continue  # an image is 0
+                if cden != den:
+                    d = lcm(den, cden)
+                    if d != den:
+                        items = [(k, n * (d // den)) for k, n in items]
+                        den = d
+                    c *= den // cden
+                items.append(((tuple(exps), atom, expo), c))
+                continue
+            # a power of another image, multiplied out through the ring
+            factors = [self._monomial(mono)]
             if atom is not None or any(expo):
                 factors.append(ScalarFn(source, {(zero, atom, expo): 1}))
-            pieces.append((q * mult, *factors) if factors else (q * mult, self._one))
-        total = lincomb(source, pieces)
-        if f.den == 1:
-            return total
-        return ScalarFn._make(source, total.num.items(), total.den * f.den)
+            pieces.append((q, *factors))
+        if pieces:
+            pieces.append((1, ScalarFn._make(source, items, den)))
+            total = lincomb(source, pieces)
+            items, den = total.num.items(), total.den
+        return ScalarFn._make(source, items, den * f.den)
 
     def _argument(self, vec: tuple[Rational, ...]) -> tuple[Rational, ...]:
         """The slopes on the source of the linear argument sum_j vec_j x_j

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from algebroids import ratlinalg
+from algebroids import ratlinalg, symexpr
 from algebroids.symexpr import (
     Chart,
     ChartMap,
@@ -360,6 +360,7 @@ CHARTS = [Chart("A", ("x",)), Chart("B", ("x", "y")), Chart("C", ("x", "y", "z")
 # ones arrive with denominator 1 and must be normalised on the way in
 HALF = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
 COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+NONZERO = st.builds(Fraction, st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), st.integers(1, 3))
 # int and Fraction slopes, integral Fractions included
 SLOPE = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 
@@ -705,19 +706,27 @@ MAP_CHARTS = CHARTS + [S1, CYL, Chart("T2", ("theta", "phi"), (True, True))]
 
 @st.composite
 def images(draw, source):
-    """One image of a target coordinate on ``source``: a coordinate, a
-    scaled coordinate, a rational-linear or affine combination, a
-    polynomial, or a trig or exp atom."""
-    kind = draw(st.sampled_from(["coord", "scaled", "linear", "affine", "polynomial", "atom"]))
+    """One image of a target coordinate on ``source``: zero, a coordinate,
+    a scaled coordinate, a one-term monomial q*z^a, a rational-linear or
+    affine combination, a polynomial, or a trig or exp atom."""
+    kinds = ["zero", "coord", "scaled", "monomial", "linear", "affine", "polynomial", "atom"]
+    kind = draw(st.sampled_from(kinds))
     coord = source.coord(draw(st.sampled_from(source.coords)))
+    if kind == "zero":
+        return source.zero()
     if kind == "coord":
         return coord
     if kind == "scaled":
         return source.const(draw(COEFF)) * coord
+    if kind == "monomial":
+        out = source.const(draw(NONZERO))
+        for name in source.coords:
+            out = out * source.coord(name) ** draw(st.integers(0, 2))
+        return out
     if kind == "linear":
         return draw(linear_args(source))
     if kind == "affine":
-        return draw(linear_args(source)) + source.const(draw(COEFF.filter(bool)))
+        return draw(linear_args(source)) + source.const(draw(NONZERO))
     if kind == "polynomial":
         return coord ** draw(st.integers(2, 3)) + draw(linear_args(source))
     return draw(atoms(source))
@@ -749,9 +758,19 @@ class TestChartMap:
             imgs = [data.draw(images(source)) for _ in target.coords]
         m = ChartMap(target, source, imgs)
         assert m.identity == (source == target and imgs == [target.coord(c) for c in target.coords])
+        one_term = [len(img.num) <= 1 and all(t is None and not any(e) for _, t, e in img.num) for img in imgs]
         for f in data.draw(st.lists(fns(target), min_size=1, max_size=3)):
             want = outcome(lambda: reference_substitute(f, source, imgs))
             event(want[0].__name__ if isinstance(want[0], type) else "composed")
+            # which branch of `pull` the terms of f take
+            for mono, _, _ in f.num:
+                used = [j for j, e in enumerate(mono) if e]
+                if not all(one_term[j] for j in used):
+                    event("term multiplied out")
+                elif any(imgs[j].is_zero() for j in used):
+                    event("term vanishes with its image")
+                elif used:
+                    event("term rewritten by its key")
             for _ in range(2):
                 assert outcome(lambda: m.pull(f)) == want
             assert outcome(lambda: f.substitute(source, imgs)) == want
@@ -768,6 +787,33 @@ class TestChartMap:
         x, y = R2.coord("x"), R2.coord("y")
         swap = ChartMap(R2, R2, [y, x])
         assert not swap.identity and swap.pull(x) == y
+
+    def test_coordinate_map_rewrites_keys(self, monkeypatch):
+        """(x, y) -> (z, 0) sends x^2 y + x sin(x - y) exp(2y) + cos(y) to
+        z sin(z) + 1 by key arithmetic, with no ring product."""
+        line = Chart("L", ("z",))
+        x, y, z = R2.coord("x"), R2.coord("y"), line.coord("z")
+        f = x**2 * y + x * sin(x - y) * exp(2 * y) + cos(y)
+        m = ChartMap(R2, line, [z, line.zero()])
+        calls = []
+        product_items = symexpr._product_items
+        monkeypatch.setattr(symexpr, "_product_items", lambda *a: calls.append(a) or product_items(*a))
+        assert outcome(lambda: m.pull(f)) == outcome(lambda: lincomb(line, [(1, z, sin(z)), (1, line.one())]))
+        assert len(calls) == 1  # the product z * sin(z) of the expected value
+        calls.clear()
+        m.pull(f)
+        assert calls == []
+
+    def test_rewritten_terms_share_one_denominator(self):
+        """Terms rewritten over different image denominators are brought
+        to their lcm, whatever order they come in."""
+        plane = Chart("P", ("z", "w"))
+        x, y = R2.coord("x"), R2.coord("y")
+        imgs = [plane.const(Fraction(2, 3)) * plane.coord("z"), plane.const(Fraction(1, 2)) * plane.coord("w")]
+        for f in [x + y + x * y, 3 * y + x**2, y**2 + 5 * x + 7]:
+            assert outcome(lambda: ChartMap(R2, plane, imgs).pull(f)) == outcome(
+                lambda: reference_substitute(f, plane, imgs)
+            )
 
     def test_map_and_function_charts_are_checked(self):
         x = R2.coord("x")
