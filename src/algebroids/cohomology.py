@@ -347,20 +347,22 @@ def find_circle_section(
     return tuple(sol)
 
 
+PERIOD_SAMPLES = 20  # the points a period certificate picks its witness from
+
+
 def period_certificate(
     alpha: FormField,
     combo: Sequence[Fraction],
     coord: str,
     seed: int = 0,
-    samples: int = 20,
 ) -> Union[NonExactCertificate, Inconclusive]:
     """Vanishing-mean obstruction along a periodic coordinate.
 
     `combo` must have rational-constant coefficients and anchor exactly the
     coordinate field of `coord` (PreconditionFailure otherwise).  The exact
     theta-mean of the pairing decides: a non-zero one is the certificate,
-    however small its values.  The mean is evaluated at `samples` points
-    only to pick the displayed witness, the first largest value.
+    however small its values.  The mean is evaluated at `PERIOD_SAMPLES`
+    points only to pick the displayed witness, the first largest value.
     """
     a = alpha.algebroid
     chart = a.chart
@@ -393,7 +395,7 @@ def period_certificate(
     if mean.is_zero():
         return Inconclusive("constant Fourier mode vanishes")
     # the mean does not depend on the circle coordinate: draw the others, put 0 there
-    pairs = [[*p[:j], (0, 1), *p[j:]] for p in sample_pairs(chart.dim - 1, seed, samples, 60, 13)]
+    pairs = [[*p[:j], (0, 1), *p[j:]] for p in sample_pairs(chart.dim - 1, seed, PERIOD_SAMPLES, 60, 13)]
     values = mean.evaluate([[p / q for p, q in pt] for pt in pairs]).tolist()
     # the first largest |value|, a nan sample counting as 0
     sizes = [abs(v) if v == v else 0.0 for v in values]

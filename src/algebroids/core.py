@@ -111,9 +111,6 @@ class AlgebroidPresentation:
             return dict(self.structure.get((i, j), {}))
         return {k: -f for k, f in self.structure.get((j, i), {}).items()}
 
-    def rho(self, i: int) -> tuple[ScalarFn, ...]:
-        return self.anchor[i]
-
     def rho_apply(self, i: int, f: ScalarFn) -> ScalarFn:
         """The vector field rho(e_i) applied to a function."""
         return lincomb(self.chart, _vf_pieces(self.anchor_rows[i], f, self.chart.coords, 1))
@@ -199,8 +196,6 @@ def _sort_indices(idxs: Sequence[int]) -> Optional[tuple[int, tuple[int, ...]]]:
 
 class _AltTable:
     """Shared implementation of forms and multivectors on a frame."""
-
-    kind = "table"
 
     def __init__(
         self,
@@ -321,16 +316,12 @@ class _AltTable:
 class FormField(_AltTable):
     """A differential form on the algebroid, in the coframe."""
 
-    kind = "form"
-
     def _names(self) -> Sequence[str]:
         return self.algebroid.coframe
 
 
 class Multivector(_AltTable):
     """A multivector field on the algebroid, in the frame."""
-
-    kind = "multivector"
 
     def _names(self) -> Sequence[str]:
         return self.algebroid.frame

@@ -49,6 +49,7 @@ from .morphisms import (
     relative_modular,
 )
 from .ratlinalg import (
+    RANK_SAMPLES,
     FrameSolveFailure,
     bracket_structure,
     pointwise_rank,
@@ -107,13 +108,14 @@ class ExtensionPresentation:
         return self.total.chart
 
 
-def check_extension(ext: ExtensionPresentation, seed: int = 0, samples: int = 50) -> CheckReport:
+def check_extension(ext: ExtensionPresentation, seed: int = 0) -> CheckReport:
     """Exactness of the extension data.  Its pointwise injectivity and
-    surjectivity are the one rank check that samples without trying a
-    certificate: every extension input of the benchmark's `rank` workload
-    has one, and `perfbench/run.py` refuses a traced run in which
-    `ratlinalg.float_rank` goes uncalled, so they move to
-    `ratlinalg.pointwise_rank` once that workload has uncertified inputs."""
+    surjectivity are the one rank check that samples, at `RANK_SAMPLES`
+    points in its own box, without trying a certificate: every extension
+    input of the benchmark's `rank` workload has one, and
+    `perfbench/run.py` refuses a traced run in which `ratlinalg.float_rank`
+    goes uncalled, so they move to `ratlinalg.pointwise_rank` once that
+    workload has uncertified inputs."""
     rep = CheckReport("extension data")
     c, a, b = ext.kernel, ext.total, ext.quotient
     rep.add(
@@ -129,11 +131,11 @@ def check_extension(ext: ExtensionPresentation, seed: int = 0, samples: int = 50
         all(f.is_zero() for row in comp.fiber for f in row),
     )
     chart = a.chart
-    pts = sample_points(chart.dim, seed, samples, 50, 11)
+    pts = sample_points(chart.dim, seed, RANK_SAMPLES, 50, 11)
     inj_ok = not c.rank or all(r == c.rank for r in sampled_ranks(ext.incl.fiber, pts))
     surj_ok = not b.rank or all(r == b.rank for r in sampled_ranks(ext.proj.fiber, pts))
-    rep.add("kernel map pointwise injective", inj_ok, f"sampled at {samples} points")
-    rep.add("projection pointwise surjective", surj_ok, f"sampled at {samples} points")
+    rep.add("kernel map pointwise injective", inj_ok, f"sampled at {RANK_SAMPLES} points")
+    rep.add("projection pointwise surjective", surj_ok, f"sampled at {RANK_SAMPLES} points")
     for s in range(c.rank):
         rep.residual(
             f"kernel-invariant section: [{c.frame[s]}, lam] = 0",
@@ -189,7 +191,7 @@ def _trace(mat: Sequence[Sequence[ScalarFn]], chart) -> ScalarFn:
     return lincomb(chart, [(1, mat[s][s]) for s in range(len(mat))])
 
 
-def top_rep(ext: ExtensionPresentation, adj: Optional[Representation] = None) -> Representation:
+def top_rep(ext: ExtensionPresentation) -> Representation:
     """Induced line representation on the kernel's top power.
 
     Raises UnimodularityFailure unless the action along kernel directions
@@ -197,7 +199,7 @@ def top_rep(ext: ExtensionPresentation, adj: Optional[Representation] = None) ->
     """
     a = ext.total
     chart = a.chart
-    adj = adj or adjoint_rep(ext)
+    adj = adjoint_rep(ext)
     traces = [_trace(adj.mats[j], chart) for j in range(a.rank)]
     lam = ext.lam.coefficient
     for s in range(ext.kernel.rank):
@@ -220,11 +222,7 @@ def top_rep(ext: ExtensionPresentation, adj: Optional[Representation] = None) ->
     return d
 
 
-def induced_rep(
-    ext: ExtensionPresentation,
-    lifts: Optional[Sequence[Sequence[ScalarFn]]] = None,
-    topk: Optional[Representation] = None,
-) -> Representation:
+def induced_rep(ext: ExtensionPresentation, lifts: Optional[Sequence[Sequence[ScalarFn]]] = None) -> Representation:
     """Descend the top-power representation to the quotient through lifts.
 
     ``lifts`` is a rank_total x rank_quotient matrix with proj . lifts = id;
@@ -233,7 +231,7 @@ def induced_rep(
     """
     a, b = ext.total, ext.quotient
     chart = a.chart
-    topk = topk or top_rep(ext)
+    topk = top_rep(ext)
     if lifts is None:
         rows = [list(r) for r in ext.proj.fiber]
         rhs = [
@@ -297,9 +295,9 @@ def rational_multiple(x, y) -> Optional[Fraction]:
 
 def verify_extension_identity(
     ext: ExtensionPresentation,
+    ansatz: AnsatzSpace,
     omega_total: Optional[Multivector] = None,
     mu_quotient: Optional[FormField] = None,
-    ansatz: Optional[AnsatzSpace] = None,
     seed: int = 0,
 ) -> CheckReport:
     """Cochain identity between the relative modular cocycle of the quotient
@@ -309,10 +307,7 @@ def verify_extension_identity(
     quotient coframe.  When the contraction of omega_total by the pulled-back
     mu_quotient is a rational multiple of the included invariant section, the
     identity holds exactly; otherwise it is checked up to an exact form in
-    the ansatz.  Without `ansatz` a default `AnsatzSpace(chart)` is built
-    for this call alone, so its basis and d_A are built again on every
-    call: a caller checking several identities on one chart should pass
-    one space.
+    ``ansatz``, a space on the extension's chart.
     """
     a, b, c = ext.total, ext.quotient, ext.kernel
     chart = a.chart
@@ -332,10 +327,7 @@ def verify_extension_identity(
         theta_comps.append(t1 + t2)
     theta = one_form(a, theta_comps)
     rep.residual("theta closed", d_A(theta))
-    adj = adjoint_rep(ext)
-    topk = top_rep(ext, adj)
-    dbk = induced_rep(ext, topk=topk)
-    eta = char_cocycle(dbk, ext.lam)
+    eta = char_cocycle(induced_rep(ext), ext.lam)
     pulled = pullback_form(ext.proj, eta)
     # compatibility: contraction of omega by the pulled-back mu against the
     # included invariant section
@@ -352,8 +344,7 @@ def verify_extension_identity(
     if compatible:
         rep.residual("cochain identity theta = proj^*(eta)", theta - pulled)
     else:
-        space = ansatz or AnsatzSpace(chart)
-        verdict = cohomologous(theta, pulled, space, seed=seed)
+        verdict = cohomologous(theta, pulled, ansatz, seed=seed)
         rep.add(
             "class identity theta ~ proj^*(eta)",
             verdict.verdict == "cohomologous",
@@ -409,7 +400,7 @@ def verify_constant_rank_identity(
     ext: ExtensionPresentation,
     b_in_ambient: Morphism,
     complement: Sequence[Sequence[ScalarFn]],
-    ansatz: Optional[AnsatzSpace] = None,
+    ansatz: AnsatzSpace,
     seed: int = 0,
 ) -> CheckReport:
     """Relative modular cocycle of a constant-rank base-preserving morphism
@@ -419,9 +410,8 @@ def verify_constant_rank_identity(
     the identity compares the relative cocycle of phi with the pull-back of
     char(kernel top) - char(cokernel top), and the intermediate identity
     compares the restriction of the ambient modular cocycle with the image
-    one plus the cokernel characteristic cocycle.  Without `ansatz` a
-    default `AnsatzSpace(chart)` is built for this call alone; pass one
-    space to reuse its basis and d_A across calls on the chart.
+    one plus the cokernel characteristic cocycle; each is decided exactly
+    or up to an exact form in ``ansatz``, a space on the chart.
     """
     rep = CheckReport(f"constant-rank modular identity for {phi.name}")
     a = ext.total
@@ -431,18 +421,17 @@ def verify_constant_rank_identity(
     recomposed = compose(b_in_ambient, ext.proj)
     ok = recomposed.fiber == phi.fiber and tuple(recomposed.basemap) == tuple(phi.basemap)
     rep.add("morphism factors through the image", ok)
-    space = ansatz or AnsatzSpace(chart)
     dq = quotient_top_rep(b_in_ambient, complement)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
     eta_k = char_cocycle(induced_rep(ext), ext.lam)
     mod_phi = relative_modular(
         phi, Trivialization(*canonical_sections(a)), Trivialization(*canonical_sections(amb))
     )
-    _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, eta_k - eta_q), space, seed)
+    _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, eta_k - eta_q), ansatz, seed)
     mod_amb = modular_cocycle(amb, *canonical_sections(amb))
     mod_b = modular_cocycle(b, *canonical_sections(b))
     _identity(
-        rep, "intermediate identity", pullback_form(b_in_ambient, mod_amb) - mod_b, eta_q, space, seed
+        rep, "intermediate identity", pullback_form(b_in_ambient, mod_amb) - mod_b, eta_q, ansatz, seed
     )
     rep.data["eta_k"] = eta_k
     rep.data["eta_q"] = eta_q
@@ -585,34 +574,32 @@ def poisson_kit(
 def verify_regular_poisson(
     kit: PoissonKit,
     complement_columns: Sequence[Sequence[ScalarFn]],
-    ansatz: Optional[AnsatzSpace] = None,
+    ansatz: AnsatzSpace,
     seed: int = 0,
 ) -> CheckReport:
     """The two modular identities of a regular bivector, the duality between
     the kernel-top and cokernel-top representations, and the invariant
-    transverse volume criterion, each decided exactly or in the ansatz.
+    transverse volume criterion, each decided exactly or in ``ansatz``, a
+    space on the chart.
 
     `kit` is the bivector's `poisson_kit`, so a caller that also asks for
-    its cocycles builds it once.  Without `ansatz` a default
-    `AnsatzSpace(chart)` is built for this call alone; pass one space to
-    reuse its basis and d_A across calls on the chart."""
+    its cocycles builds it once."""
     rep = CheckReport("regular Poisson identities")
     chart = kit.cotangent.chart
     apres, bpres, sharp, sharp_b = kit.cotangent, kit.image, kit.sharp, kit.sharp_b
     mod_sharp, eta_k, pulled = kit.mod_sharp, kit.eta_k, kit.half
-    verdict = pointwise_rank(sharp.fiber, bpres.rank, seed, 50)
+    verdict = pointwise_rank(sharp.fiber, bpres.rank, seed)
     lo, hi = verdict.ranks
     ranks = f"rank range [{lo}, {hi}]" if verdict.method == "sampled" else f"generic rank {lo}"
     rep.add(f"constant rank ({verdict.method})", verdict.holds, f"{ranks}, image rank {bpres.rank}")
     rep.data["minors"], rep.data["method"] = verdict.certificate, verdict.method
     extrep = check_extension(kit.ext, seed=seed)
     rep.add("extension data valid", extrep.passed)
-    space = ansatz or AnsatzSpace(chart)
     mod_sharp_b = relative_modular(
         sharp_b, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(bpres))
     )
-    _identity(rep, "image identity", mod_sharp_b, pulled, space, seed)
-    _identity(rep, "doubling identity", mod_sharp, pulled.scale(2), space, seed)
+    _identity(rep, "image identity", mod_sharp_b, pulled, ansatz, seed)
+    _identity(rep, "doubling identity", mod_sharp, pulled.scale(2), ansatz, seed)
     # duality of the cokernel-top representation with the kernel-top one
     dq = quotient_top_rep(kit.image_in_tm, complement_columns)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
@@ -620,11 +607,11 @@ def verify_regular_poisson(
     if dual_res.is_zero():
         rep.add("cokernel rep dual to kernel rep (exact)", True)
     else:
-        v = cohomologous(eta_q, -eta_k, space, seed=seed)
+        v = cohomologous(eta_q, -eta_k, ansatz, seed=seed)
         rep.add("cokernel rep dual to kernel rep (class)", v.verdict == "cohomologous", v.verdict)
     # invariant transverse volume criterion
-    unimodular = classify(mod_sharp, space, seed=seed)
-    transverse = classify(eta_q, space, seed=seed)
+    unimodular = classify(mod_sharp, ansatz, seed=seed)
+    transverse = classify(eta_q, ansatz, seed=seed)
     agree = (unimodular.status == "exact") == (transverse.status == "exact")
     rep.add(
         "unimodular iff invariant transverse volume (in ansatz)",

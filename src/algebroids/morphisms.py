@@ -347,16 +347,17 @@ def check_rep_morphism(
     dual_tgt = dual_rep(d_tgt)
     dual_src = dual_rep(d_src)
     for t in range(m_f):
-        # d on the dual generator: components (i-form coefficient) per dual index u
+        # d on the dual generator: components (i-form coefficient) per dual
+        # index u, pulled back once, since the pull-back does not depend on s
+        pulled = [
+            pullback_form(phi, one_form(phi.target, [dual_tgt.mats[i][u][t] for i in range(phi.target.rank)]))
+            for u in range(m_f)
+        ]
         lhs_cols = []
         for s in range(m_e):
             total = one_form(src, [zero] * src.rank)
             for u in range(m_f):
-                beta_u = one_form(
-                    phi.target,
-                    [dual_tgt.mats[i][u][t] for i in range(phi.target.rank)],
-                )
-                total = total + pullback_form(phi, beta_u).scale(psi_fiber[u][s])
+                total = total + pulled[u].scale(psi_fiber[u][s])
             lhs_cols.append(total)
         # rhs: d_{A,E*} of (sum_s psi[t][s] eps^s)
         rhs_cols = []

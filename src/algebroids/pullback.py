@@ -24,7 +24,8 @@ one pointwise-rank routine, and each check only phrases its item.  It is
 exact when a minor of the generic rank R is certified nowhere zero (then
 R is the rank at every point), and a full-rank question fails exactly
 when R is too small; otherwise the verdict is probabilistic (random-point
-sampling) and reports always disclose which method decided.  The
+sampling at `ratlinalg.RANK_SAMPLES` points of the check's seed, a count
+no caller sets) and reports always disclose which method decided.  The
 certificate goes into ``rep.data["minors"]``, which reports do not print.
 `extensions.check_extension` is the one rank site that still samples
 directly, without trying a certificate.
@@ -47,7 +48,7 @@ from .core import (
     vector_field_bracket,
 )
 from .morphisms import Morphism, base_preserving_morphism, check_morphism, compose, pullback_form
-from .ratlinalg import PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
+from .ratlinalg import RANK_SAMPLES, PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
 from .report import CheckReport
 from .reps import modular_cocycle
 from .symexpr import Chart, ChartMap, ScalarFn, lincomb
@@ -97,25 +98,23 @@ def check_admissible(
     source_chart: Chart,
     basemap: Sequence[ScalarFn],
     seed: int = 0,
-    samples: int = 50,
 ) -> CheckReport:
     """Constant rank of the compatibility constraint space."""
-    return _constraint_space(b, _constraint_matrix(b, source_chart, basemap), source_chart.dim, seed, samples)
+    return _constraint_space(b, _constraint_matrix(b, source_chart, basemap), source_chart.dim, seed)
 
 
-def _constraint_space(
-    b: AlgebroidPresentation, rows: list[list[ScalarFn]], dim: int, seed: int, samples: int
-) -> CheckReport:
+def _constraint_space(b: AlgebroidPresentation, rows: list[list[ScalarFn]], dim: int, seed: int) -> CheckReport:
     """`check_admissible` on the constraint matrix ``rows`` already built,
     over a source chart of dimension ``dim``: the constraint space is the
     kernel of ``rows``, of rank ``b.rank + dim`` minus theirs."""
-    verdict = pointwise_rank(rows, None, seed, samples)
+    verdict = pointwise_rank(rows, None, seed)
     total = b.rank + dim
     lo, hi = total - verdict.ranks[1], total - verdict.ranks[0]
     if verdict.method == "exact":
         label, detail = "constraint space has constant rank", f"rank {lo}"
     else:
-        label, detail = "constraint space has constant sampled rank", f"rank range [{lo}, {hi}] over {samples} samples"
+        label = "constraint space has constant sampled rank"
+        detail = f"rank range [{lo}, {hi}] over {RANK_SAMPLES} samples"
     rep = _decided(f"admissibility of the base map into {b.name}", label, verdict, detail, seed)
     rep.data["rank"] = lo if verdict.holds else None
     return rep
@@ -126,20 +125,19 @@ def check_transverse(
     source_chart: Chart,
     basemap: Sequence[ScalarFn],
     seed: int = 0,
-    samples: int = 50,
 ) -> CheckReport:
     """Anchor image plus differential image spans the target tangent space:
     the base-map matrix has full row rank at every point (a zero-dimensional
     target has no rows, which the empty minor certifies)."""
     rows = _constraint_matrix(b, source_chart, basemap)
-    return _onto(f"transversality of the base map to {b.name}", "target tangent space spanned", rows, seed, samples)
+    return _onto(f"transversality of the base map to {b.name}", "target tangent space spanned", rows, seed)
 
 
-def _onto(title: str, label: str, rows: list[list[ScalarFn]], seed: int, samples: int) -> CheckReport:
+def _onto(title: str, label: str, rows: list[list[ScalarFn]], seed: int) -> CheckReport:
     """The report ``title`` with one item ``label``: the matrix ``rows`` has
     rank len(rows) at every point."""
     n = len(rows)
-    verdict = pointwise_rank(rows, n, seed, samples)
+    verdict = pointwise_rank(rows, n, seed)
     lo, hi = verdict.ranks
     if verdict.method == "sampled":
         detail = f"sampled rank range [{lo}, {hi}] of {n}"
@@ -210,7 +208,7 @@ def product_submersion_frame(
     )
 
 
-def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> CheckReport:
+def validate_frame(pf: PullbackFrame, seed: int = 0) -> CheckReport:
     """Exact compatibility of each pair; pointwise independence of the
     pairs and spanning of the constraint space, each certified by a
     nowhere-zero minor when one exists and sampled otherwise."""
@@ -227,8 +225,8 @@ def validate_frame(pf: PullbackFrame, seed: int = 0, samples: int = 50) -> Check
             )
     if pf.pairs:
         rows = [list(p.bcoeffs) + list(p.vf) for p in pf.pairs]
-        rep.merge(_onto("pairs", "pairs pointwise independent", rows, seed, samples))
-    adm = _constraint_space(b, constraint, chart.dim, seed, samples)
+        rep.merge(_onto("pairs", "pairs pointwise independent", rows, seed))
+    adm = _constraint_space(b, constraint, chart.dim, seed)
     rep.merge(adm)
     want = adm.data.get("rank")
     rep.add(

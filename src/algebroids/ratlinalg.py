@@ -34,13 +34,15 @@
   point" or constant rank: exactly when `rank_certificate` has a witness
   or the generic rank refutes the claim, by sampling otherwise.  Every
   pointwise rank check but `extensions.check_extension`, which still
-  samples directly, goes through it.
+  samples directly, goes through it.  Both rank at `RANK_SAMPLES` points,
+  which no caller chooses.
 * `sample_pairs` is the one seeded sampler: every sampled check (the
   sampled rank checks and the period witness of `cohomology`) draws its
   rational points p/q from it as int pairs (p, q), each site in its own
-  box, and it alone refuses to sample no points.  `sample_points` hands
-  them to the float consumers as p / q, with no `Fraction` built; only
-  the one witness point a period certificate shows is made exact.
+  box and with its own fixed count, and it alone refuses to sample no
+  points.  `sample_points` hands them to the float consumers as p / q,
+  with no `Fraction` built; only the one witness point a period
+  certificate shows is made exact.
   `float_rank` estimates rank numerically with numpy, of one matrix or of
   a whole stack in one call, and `sampled_ranks` evaluates a ScalarFn
   matrix entry by entry over a batch of sample points, with one table of
@@ -589,6 +591,9 @@ def float_rank(rows: Union[Sequence, np.ndarray]) -> Union[int, list[int]]:
     return np.linalg.matrix_rank(arr).tolist()
 
 
+RANK_SAMPLES = 50  # the points every sampled rank check ranks at
+
+
 def sample_pairs(dim: int, seed: int, count: int, bound: int, den: int) -> list[list[tuple[int, int]]]:
     """``count`` seeded random points of ``dim`` coordinates, each coordinate
     p/q given as its pair (p, q), p in [-bound, bound] and q in [1, den],
@@ -639,15 +644,13 @@ class PointwiseRank(NamedTuple):
     certificate: RankCertificate
 
 
-def pointwise_rank(
-    rows: Sequence[Sequence[ScalarFn]], want: Optional[int], seed: int, samples: int
-) -> PointwiseRank:
+def pointwise_rank(rows: Sequence[Sequence[ScalarFn]], want: Optional[int], seed: int) -> PointwiseRank:
     """Decide "``rows`` has rank ``want`` at every point", or with ``want``
     None "``rows`` has constant rank".
 
     Exact when `rank_certificate` has a witness, and refuted exactly when
     ``want`` differs from the generic rank R, the rank on a dense open set.
-    Otherwise the matrix is ranked in one batch at ``samples`` points of
+    Otherwise the matrix is ranked in one batch at `RANK_SAMPLES` points of
     ``seed`` (numerators up to 60, denominators up to 13) on the chart of
     its entries, which exist as R >= 1, and the claim holds when every
     sampled rank is R: a float rank that disagrees with R is no agreement.
@@ -656,6 +659,6 @@ def pointwise_rank(
     r = cert.rank
     if cert.witness is not None or want not in (None, r):
         return PointwiseRank(want in (None, r), "exact", (r, r), cert)
-    ranks = sampled_ranks(rows, sample_points(rows[0][0].chart.dim, seed, samples, 60, 13))
+    ranks = sampled_ranks(rows, sample_points(rows[0][0].chart.dim, seed, RANK_SAMPLES, 60, 13))
     lo, hi = min(ranks), max(ranks)
     return PointwiseRank(lo == hi == r, "sampled", (lo, hi), cert)

@@ -72,9 +72,6 @@ class Representation:
     def chart(self):
         return self.algebroid.chart
 
-    def mat(self, i: int) -> Matrix:
-        return self.mats[i]
-
     def is_line(self) -> bool:
         return self.bundle_rank == 1
 

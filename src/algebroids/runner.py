@@ -56,7 +56,7 @@ from .pullback import (
     factorize,
     verify_submersion_vanishing,
 )
-from .reps import LineSection, canonical_sections, char_cocycle, check_flat, modular_cocycle
+from .reps import LineSection, canonical_sections, char_cocycle, check_flat, dual_rep, modular_cocycle, tensor_rep
 from .report import CheckReport
 from .scenario import Assertion, Scenario, ScenarioError
 from .symexpr import parse_expr
@@ -326,8 +326,6 @@ class Session:
 
     def _assert_charids(self, args) -> tuple[str, str]:
         """Dual negates and tensor adds, with consistent sections."""
-        from .reps import dual_rep, tensor_rep
-
         d1 = self.sc.reps[args["rep"]]
         d2 = self.sc.reps[args["other"]]
         lam = LineSection(d1.chart.one())

@@ -43,7 +43,15 @@ from .core import (
 )
 from .diagrams import Diagram, DiagramError
 from .extensions import ExtensionError, ExtensionPresentation, cotangent_algebroid
-from .morphisms import Morphism, MorphismError, Trivialization, compose, identity_morphism
+from .morphisms import (
+    Morphism,
+    MorphismError,
+    Trivialization,
+    base_preserving_morphism,
+    compose,
+    identity_morphism,
+    pullback_rep,
+)
 from .pullback import PullbackError, PullbackFrame, PullbackFramePair, product_submersion_frame
 from .reps import LineSection, Representation, RepresentationError, canonical_sections
 from .symexpr import Chart, ScalarFn, SymExprError, parse_expr
@@ -512,8 +520,6 @@ def _stmt_rep(cur: _Cursor, sc: Scenario, line: int) -> None:
         repname = cur.word()
         cur.expect("along")
         morphname = cur.word()
-        from .morphisms import pullback_rep
-
         d = _need(sc, "reps", repname, cur)
         phi = _need(sc, "morphisms", morphname, cur)
         _define(sc, "reps", name, pullback_rep(phi, d, name), cur)
@@ -631,8 +637,6 @@ def _stmt_extension(cur: _Cursor, sc: Scenario, line: int) -> None:
     fields |= {"incl": matrix, "proj": matrix, "lambda": expr, "mu": expr}
     got = _block(cur, line, "extension", fields, ("kernel", "total", "quotient", "incl", "proj"), name)
     c, a, b = got["kernel"], got["total"], got["quotient"]
-    from .morphisms import base_preserving_morphism
-
     incl = base_preserving_morphism(f"{name}_incl", c, a, got["incl"])
     proj = base_preserving_morphism(f"{name}_proj", a, b, got["proj"])
     lam = LineSection(got.get("lambda", a.chart.one()))

@@ -289,8 +289,9 @@ def test_criterion_06_extension_identities():
         so3_kernel_extension,
     )
 
-    rep1 = verify_extension_identity(abelian_kernel_extension())
-    rep2 = verify_extension_identity(so3_kernel_extension())
+    abelian, so3 = abelian_kernel_extension(), so3_kernel_extension()
+    rep1 = verify_extension_identity(abelian, AnsatzSpace(abelian.chart))
+    rep2 = verify_extension_identity(so3, AnsatzSpace(so3.chart))
     ok_fail = False
     try:
         top_rep(aff1_kernel_extension())

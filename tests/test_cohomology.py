@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import algebroids.cohomology as cohomology
 from algebroids.cohomology import (
     MAX_ANSATZ_BASIS,
+    PERIOD_SAMPLES,
     AnsatzOperator,
     AnsatzSpace,
     AnsatzTooLarge,
@@ -376,9 +377,9 @@ class TestPeriodCertificate:
         x = CYLC.coord("x")
         alpha = one_form(tc, [x * x - 4, CYLC.zero()])  # mean x^2 - 4
         combo = find_circle_section(tc, "theta")
-        cert = period_certificate(alpha, combo, "theta", seed=5, samples=30)
+        cert = period_certificate(alpha, combo, "theta", seed=5)
         rng = random.Random(5)
-        pts = [(Fraction(0), Fraction(rng.randint(-60, 60), rng.randint(1, 13))) for _ in range(30)]
+        pts = [(Fraction(0), Fraction(rng.randint(-60, 60), rng.randint(1, 13))) for _ in range(PERIOD_SAMPLES)]
         sizes = [abs(float(p[1]) ** 2 - 4) for p in pts]
         assert cert.witness_point == pts[sizes.index(max(sizes))]
         assert type(cert.witness_value) is float
@@ -391,10 +392,11 @@ class TestPeriodCertificate:
         # an overflowing sample can read nan; it counts as 0, not as largest
         tc = tangent_algebroid(CYLC)
         combo = find_circle_section(tc, "theta")
-        monkeypatch.setattr(ScalarFn, "evaluate", lambda self, pts: np.array([np.nan, 2.0, -3.0, 3.0]))
-        cert = period_certificate(one_form(tc, [CYLC.coord("x"), CYLC.zero()]), combo, "theta", seed=5, samples=4)
+        values = np.array([np.nan, 2.0, -3.0, 3.0] + [0.0] * (PERIOD_SAMPLES - 4))
+        monkeypatch.setattr(ScalarFn, "evaluate", lambda self, pts: values)
+        cert = period_certificate(one_form(tc, [CYLC.coord("x"), CYLC.zero()]), combo, "theta", seed=5)
         rng = random.Random(5)
-        pts = [(Fraction(0), Fraction(rng.randint(-60, 60), rng.randint(1, 13))) for _ in range(4)]
+        pts = [(Fraction(0), Fraction(rng.randint(-60, 60), rng.randint(1, 13))) for _ in range(PERIOD_SAMPLES)]
         assert cert.witness_point == pts[2]
         assert cert.witness_value == -3.0 and type(cert.witness_value) is float
 
@@ -405,11 +407,6 @@ class TestPeriodCertificate:
         cert = period_certificate(one_form(ts1, [tiny]), (Fraction(1),), "theta")
         assert isinstance(cert, NonExactCertificate)
         assert cert.mean == tiny and cert.witness_value == 1e-12
-
-    def test_no_samples_is_rejected(self):
-        ts1 = tangent_algebroid(S1)
-        with pytest.raises(ValueError, match="at least one sample"):
-            period_certificate(one_form(ts1, [S1.const(-1)]), (Fraction(1),), "theta", samples=0)
 
     def test_precondition_failure(self):
         b = cylinder_algebroid()

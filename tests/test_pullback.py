@@ -33,7 +33,7 @@ from algebroids.pullback import (
     validate_frame,
     verify_submersion_vanishing,
 )
-from algebroids.ratlinalg import rank_certificate, sample_points, sampled_ranks, scalar_det
+from algebroids.ratlinalg import RANK_SAMPLES, rank_certificate, sample_points, sampled_ranks, scalar_det
 from algebroids.reps import canonical_sections
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, parse_expr, sin
 
@@ -89,7 +89,7 @@ class TestAdmissibility:
 
         b = AlgebroidPresentation("Bx", r1, ("b",), [[r1.coord("x")]])
         line = Chart("L", ("t",))
-        rep = check_admissible(b, line, [line.coord("t") ** 2], samples=80)
+        rep = check_admissible(b, line, [line.coord("t") ** 2])
         assert rep.data["method"] == "sampled"
         assert any("probabilistic" in n for n in rep.notes)
 
@@ -626,31 +626,28 @@ class TestBatchedSampling:
         import algebroids.ratlinalg as ratlinalg
 
         args = _planted_rank_input(5, 2, 5, 3, "mixed")  # decided by sampling
-        want = reference_points(args[1], 4, 30, 60, 13)
+        want = reference_points(args[1], 4, RANK_SAMPLES, 60, 13)
         for check in (check_admissible, check_transverse):
-            assert capture_sampled_points(monkeypatch, ratlinalg, check, *args, seed=4, samples=30) == [want]
+            assert capture_sampled_points(monkeypatch, ratlinalg, check, *args, seed=4) == [want]
         pf = _line_frame(lambda t: t * t + sin(t) + 2)  # pair independence sampled
-        batches = capture_sampled_points(monkeypatch, ratlinalg, validate_frame, pf, seed=4, samples=30)
-        assert batches == [reference_points(pf.source_chart, 4, 30, 60, 13)]
-
-    @pytest.mark.parametrize("check", [check_admissible, check_transverse])
-    def test_no_samples_is_rejected(self, check):
-        args = _planted_rank_input(5, 2, 5, 3, "mixed")  # decided by sampling
-        for samples in (0, -1):
-            with pytest.raises(ValueError, match="at least one sample point"):
-                check(*args, samples=samples)
+        batches = capture_sampled_points(monkeypatch, ratlinalg, validate_frame, pf, seed=4)
+        assert batches == [reference_points(pf.source_chart, 4, RANK_SAMPLES, 60, 13)]
 
 
 class TestSampleWork:
     """A sampled check evaluates each non-zero entry once and ranks each
-    matrix family once, whatever the sample count."""
+    matrix family once, whatever the sample count: the library's count and
+    a larger one patched in."""
 
-    @pytest.mark.parametrize("samples", [50, 200])
+    @pytest.mark.parametrize("samples", [RANK_SAMPLES, 200])
     def test_admissible_and_transverse(self, monkeypatch, samples):
+        import algebroids.ratlinalg as ratlinalg
+
         args = _planted_rank_input(5, 2, 5, 3, "mixed")
         rows = _constraint_matrix(*args)
         for check in (check_admissible, check_transverse):
-            rep, counts = count_sampling(monkeypatch, check, *args, samples=samples)
+            monkeypatch.setattr(ratlinalg, "RANK_SAMPLES", samples)
+            rep, counts = count_sampling(monkeypatch, check, *args)
             assert rep.passed and rep.data["method"] == "sampled"
             assert counts["evaluate"] <= sum(not f.is_zero() for row in rows for f in row)
             assert counts["float_rank"] == 1

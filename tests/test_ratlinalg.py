@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from algebroids import ratlinalg
 from algebroids.ratlinalg import (
+    RANK_SAMPLES,
     FactoredSystem,
     _eliminate,
     _real_roots,
@@ -522,13 +523,13 @@ def test_pointwise_rank_decides_as_the_references(data):
     rows = data.draw(st.one_of(certificate_matrices(), planted_matrices().map(lambda case: case[0])))
     want = data.draw(st.one_of(st.none(), st.integers(0, min(len(rows), len(rows[0])))))
     seed = data.draw(st.integers(0, 9))
-    verdict = pointwise_rank(rows, want, seed, 20)
+    verdict = pointwise_rank(rows, want, seed)
     cert = reference_rank_certificate(rows)
     assert verdict.certificate == cert
     if cert.witness is not None or want not in (None, cert.rank):
         assert verdict == (want in (None, cert.rank), "exact", (cert.rank, cert.rank), cert)
     else:
-        ranks = reference_sampled_ranks(rows, R2, seed, 20)
+        ranks = reference_sampled_ranks(rows, R2, seed, RANK_SAMPLES)
         lo, hi = min(ranks), max(ranks)
         assert verdict == (lo == hi == cert.rank, "sampled", (lo, hi), cert)
 
@@ -540,7 +541,7 @@ def test_pointwise_rank_counts_no_uniform_float_drop_as_agreement():
     f = _X * _X + sin(_X) + 2
     rows = [[f, R2.zero()], [R2.zero(), Fraction(1, 10**17) * f]]
     for want in (None, 2):
-        verdict = pointwise_rank(rows, want, 0, 20)
+        verdict = pointwise_rank(rows, want, 0)
         assert (verdict.holds, verdict.method, verdict.ranks) == (False, "sampled", (1, 1))
 
 
