@@ -454,16 +454,6 @@ def interior_form(alpha: FormField, p: Multivector) -> Multivector:
     return Multivector(p.algebroid, p.degree - alpha.degree, _contract(alpha, p))
 
 
-def pairing(alpha: FormField, p: Multivector) -> ScalarFn:
-    """Full pairing of a degree-k form with a degree-k multivector."""
-    if alpha.degree != p.degree:
-        raise DegreeMismatch("pairing requires equal degrees")
-    return lincomb(
-        alpha.algebroid.chart,
-        [(1, f, alpha.comps[key]) for key, f in p.comps.items() if key in alpha.comps],
-    )
-
-
 def schouten(p: Multivector, q: Multivector) -> Multivector:
     """Schouten–Gerstenhaber bracket of multivectors.
 

@@ -11,10 +11,11 @@ extends it to constant-rank morphisms through a quotient representation on
 the cokernel top power, and applies the machinery to regular Poisson
 bivectors on the cotangent algebroid.
 
-The structure functions of the image subalgebroid and of the Poisson
-kernel come from `ratlinalg.bracket_structure`, the one re-expansion of
-the brackets of a spanning frame; the adjoint and cokernel actions read
-their matrices from one re-expansion of the brackets [x, y_s] as well.
+The image subalgebroid and the kernel of a Poisson kit both come from
+`span_subalgebroid`, whose brackets are `ratlinalg.bracket_structure`, the
+one re-expansion of the brackets of a spanning frame; the adjoint and
+cokernel actions read their matrices from one re-expansion of the brackets
+[x, y_s] as well.
 """
 
 from __future__ import annotations
@@ -296,31 +297,28 @@ def rational_multiple(x, y) -> Optional[Fraction]:
 def verify_extension_identity(
     ext: ExtensionPresentation,
     ansatz: AnsatzSpace,
-    omega_total: Optional[Multivector] = None,
     mu_quotient: Optional[FormField] = None,
     seed: int = 0,
 ) -> CheckReport:
     """Cochain identity between the relative modular cocycle of the quotient
     map and the pull-back of the descended characteristic cocycle.
 
-    omega_total trivializes the total top power, mu_quotient the top of the
-    quotient coframe.  When the contraction of omega_total by the pulled-back
-    mu_quotient is a rational multiple of the included invariant section, the
-    identity holds exactly; otherwise it is checked up to an exact form in
-    ``ansatz``, a space on the extension's chart.
+    The unit multivector trivializes the total top power, mu_quotient the
+    top of the quotient coframe.  When the contraction of the former by the
+    pulled-back mu_quotient is a rational multiple of the included
+    invariant section, the identity holds exactly; otherwise it is checked
+    up to an exact form in ``ansatz``, a space on the extension's chart.
     """
-    a, b, c = ext.total, ext.quotient, ext.kernel
+    a, b = ext.total, ext.quotient
     chart = a.chart
     rep = CheckReport("extension modular identity")
-    omega = omega_total if omega_total is not None else top_multivector(a, chart.one())
+    omega = top_multivector(a, chart.one())
     mu = mu_quotient if mu_quotient is not None else top_form(b, chart.one())
-    s_omega = omega.comps.get(tuple(range(a.rank)), chart.zero())
     s_mu = mu.comps.get(tuple(range(b.rank)), chart.zero())
-    s_omega_inv = s_omega.unit_inverse()
     s_mu_inv = s_mu.unit_inverse()
     theta_comps = []
     for j in range(a.rank):
-        t1 = top_bracket(a, j, s_omega) * s_omega_inv
+        t1 = top_bracket(a, j, chart.one())
         y = section_vector(b, [ext.proj.fiber[t][j] for t in range(b.rank)])
         lie = d_A(interior(y, mu))  # Lie derivative of the top form mu along y
         t2 = lie.comps.get(tuple(range(b.rank)), chart.zero()) * s_mu_inv
@@ -488,20 +486,30 @@ def cotangent_algebroid(
     )
 
 
+def span_subalgebroid(
+    name: str, ambient: AlgebroidPresentation, columns: Sequence[Sequence[ScalarFn]], prefix: str, incl_name: str
+) -> tuple[AlgebroidPresentation, Morphism]:
+    """The subalgebroid of ``ambient`` spanned by the columns of ``columns``
+    (a matrix given by its rows, in the ambient frame), plus its inclusion.
+
+    Frame section t is named ``prefix`` t+1, its anchor is the ambient
+    anchor of its column, and the brackets are re-expanded by unit pivots
+    (FrameSolveFailure when the span is not visibly closed)."""
+    rows = [list(row) for row in columns] or [[] for _ in range(ambient.rank)]
+    sections = _columns(rows)
+    anchor = [ambient.rho_section(col) for col in sections]
+    structure = bracket_structure(rows, sections, ambient.section_bracket)
+    frame = tuple(f"{prefix}{t+1}" for t in range(len(sections)))
+    pres = AlgebroidPresentation(name, ambient.chart, frame, anchor, structure)
+    return pres, base_preserving_morphism(incl_name, pres, ambient, rows)
+
+
 def subalgebroid_from_vector_fields(
     name: str, chart, columns: Sequence[Sequence[ScalarFn]]
 ) -> tuple[AlgebroidPresentation, Morphism]:
     """An involutive family of vector fields as a presentation plus its
-    inclusion into the tangent algebroid; brackets re-expanded by unit
-    pivots (FrameSolveFailure when the family is not visibly involutive)."""
-    tm = tangent_algebroid(chart)
-    rows = [list(row) for row in columns]
-    anchor = _columns(rows)
-    structure = bracket_structure(rows, anchor, tm.section_bracket)
-    frame = tuple(f"b{t+1}" for t in range(len(anchor)))
-    pres = AlgebroidPresentation(name, chart, frame, anchor, structure)
-    incl = base_preserving_morphism(f"{name}_in_T", pres, tm, rows)
-    return pres, incl
+    inclusion into the tangent algebroid (`span_subalgebroid`)."""
+    return span_subalgebroid(name, tangent_algebroid(chart), columns, "b", f"{name}_in_T")
 
 
 @dataclass
@@ -533,7 +541,9 @@ def poisson_kit(
     """Assemble the extension data of a regular bivector: the cotangent
     algebroid, the image subalgebroid of the map induced by the bivector,
     the kernel with its inclusion, and the factored anchor morphism; then
-    derive the modular cocycles the Poisson identities compare."""
+    derive the modular cocycles the Poisson identities compare.  Image and
+    kernel are `span_subalgebroid`s, so a kernel column off the kernel of
+    the anchor keeps its anchor and fails `check_extension`."""
     tm = pi.algebroid
     chart = tm.chart
     apres = cotangent_algebroid(pi)
@@ -550,17 +560,7 @@ def poisson_kit(
     sharp_b = base_preserving_morphism(
         "sharp_B", apres, bpres, [[sols[i][t] for i in range(apres.rank)] for t in range(bpres.rank)]
     )
-    # kernel presentation: totally intransitive, brackets re-expanded
-    rows_k = [list(row) for row in kernel_columns] or [[] for _ in range(apres.rank)]
-    sections_k = _columns(rows_k)
-    cpres = AlgebroidPresentation(
-        "C",
-        chart,
-        tuple(f"k{s+1}" for s in range(len(sections_k))),
-        [[chart.zero()] * chart.dim for _ in sections_k],
-        bracket_structure(rows_k, sections_k, apres.section_bracket),
-    )
-    incl = base_preserving_morphism("C_in_A", cpres, apres, rows_k)
+    cpres, incl = span_subalgebroid("C", apres, kernel_columns, "k", "C_in_A")
     lam = LineSection(lam_coeff if lam_coeff is not None else chart.one())
     ext = ExtensionPresentation(cpres, apres, bpres, incl, sharp_b, lam)
     mod_sharp = relative_modular(
@@ -583,7 +583,8 @@ def verify_regular_poisson(
     space on the chart.
 
     `kit` is the bivector's `poisson_kit`, so a caller that also asks for
-    its cocycles builds it once."""
+    its cocycles builds it once and reads them there; `data` adds the rank
+    certificate (`minors`, `method`) and the cokernel-top cocycle `eta_q`."""
     rep = CheckReport("regular Poisson identities")
     chart = kit.cotangent.chart
     apres, bpres, sharp, sharp_b = kit.cotangent, kit.image, kit.sharp, kit.sharp_b
@@ -618,10 +619,5 @@ def verify_regular_poisson(
         agree,
         f"modular: {unimodular.status}, transverse volume: {transverse.status}",
     )
-    rep.data["mod_sharp"] = mod_sharp
-    rep.data["eta_k"] = eta_k
     rep.data["eta_q"] = eta_q
-    rep.data["cotangent"] = apres
-    rep.data["image"] = bpres
-    rep.data["sharp_b"] = sharp_b
     return rep

@@ -2,8 +2,8 @@
 
 A `Session` holds one scenario at one seed and answers the queries that
 both the assertions and the CLI subcommands ask: the cocycle a spec names,
-the trivialization of an algebroid, the ansatz on a chart and the exactness
-class of a cocycle.  `run` executes the assertions through a session.
+the ansatz on a chart and the exactness class of a cocycle (sections are
+`Scenario.trivialization`'s).  `run` executes the assertions through it.
 
 Every assertion maps onto one library operation; verdicts are pass, fail
 or error (an exception, with its message).  Reports are byte-identical
@@ -40,7 +40,6 @@ from .extensions import (
     verify_regular_poisson,
 )
 from .morphisms import (
-    Trivialization,
     check_composition_law,
     check_morphism,
     check_rep_morphism,
@@ -56,7 +55,7 @@ from .pullback import (
     factorize,
     verify_submersion_vanishing,
 )
-from .reps import LineSection, canonical_sections, char_cocycle, check_flat, dual_rep, modular_cocycle, tensor_rep
+from .reps import LineSection, char_cocycle, check_flat, dual_rep, modular_cocycle, tensor_rep
 from .report import CheckReport
 from .scenario import Assertion, Scenario, ScenarioError
 from .symexpr import parse_expr
@@ -127,7 +126,8 @@ class Session:
     """One scenario at one seed: the queries that assertions and CLI
     subcommands share.  Ansatz spaces and Poisson kits are built once per
     session, so each space factors d_A once per algebroid it is asked
-    about (one cotangent algebroid per Poisson structure)."""
+    about (one cotangent algebroid per Poisson structure); each section is
+    the one `Scenario.trivialization` chooses."""
 
     def __init__(self, sc: Scenario, seed: int = 0):
         self.sc = sc
@@ -156,16 +156,9 @@ class Session:
         """Exactness of `alpha` in the session's ansatz on its chart."""
         return classify(alpha, self.ansatz(alpha.algebroid.chart), seed=self.seed)
 
-    def trivialization(self, alg) -> Trivialization:
-        """The declared section of a named algebroid, else the canonical one."""
-        for name, a in self.sc.algebroids.items():
-            if a == alg:
-                return self.sc.section(name)
-        return Trivialization(*canonical_sections(alg))
-
     def sections(self, dia) -> dict:
         """The trivialization of every object of a diagram, by object name."""
-        return {name: self.trivialization(alg) for name, alg in dia.objects.items()}
+        return {name: self.sc.trivialization(alg) for name, alg in dia.objects.items()}
 
     def extension_identity(self, name: str) -> CheckReport:
         """The modular identity report of the named extension."""
@@ -183,7 +176,7 @@ class Session:
         sc = self.sc
         if kind == "modular":
             a = sc.algebroid(spec["name"])
-            tv = sc.section(spec["name"])
+            tv = sc.trivialization(a)
             return modular_cocycle(a, tv.omega, tv.mu)
         if kind == "zero":
             a = sc.algebroid(spec["name"])
@@ -192,8 +185,8 @@ class Session:
             phi = sc.morphisms[spec["name"]]
             return relative_modular(
                 phi,
-                self.trivialization(phi.source),
-                self.trivialization(phi.target),
+                sc.trivialization(phi.source),
+                sc.trivialization(phi.target),
             )
         if kind in ("poissonmod", "poissonhalf"):
             kit = self.poisson_kit(spec["name"])
@@ -301,8 +294,8 @@ class Session:
 
     def _assert_dphi(self, args) -> tuple[str, str]:
         phi = self.sc.morphisms[args["name"]]
-        sec_s = self.trivialization(phi.source)
-        sec_t = self.trivialization(phi.target)
+        sec_s = self.sc.trivialization(phi.source)
+        sec_t = self.sc.trivialization(phi.target)
         d = relative_canonical_rep(phi, sec_s, sec_t)
         alpha = char_cocycle(d, LineSection(phi.source.chart.one()))
         rel = relative_modular(phi, sec_s, sec_t)
@@ -343,9 +336,9 @@ class Session:
         return check_composition_law(
             first,
             second,
-            self.trivialization(first.source),
-            self.trivialization(first.target),
-            self.trivialization(second.target),
+            self.sc.trivialization(first.source),
+            self.sc.trivialization(first.target),
+            self.sc.trivialization(second.target),
         )
 
     def _assert_pullback(self, args) -> tuple[str, str]:

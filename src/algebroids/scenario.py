@@ -96,6 +96,10 @@ class QuotientData:
 
 @dataclass
 class Scenario:
+    """The parsed tables of one scenario file.  `trivialization` and the
+    arrow endpoints of a diagram find a scenario algebroid by identity, so
+    equal presentations under different names stay apart."""
+
     name: str = "scenario"
     charts: dict = field(default_factory=dict)
     algebroids: dict = field(default_factory=dict)
@@ -119,10 +123,13 @@ class Scenario:
             raise ScenarioError(f"unknown algebroid {name!r}")
         return self.algebroids[name]
 
-    def section(self, name: str) -> Trivialization:
-        if name in self.sections:
-            return self.sections[name]
-        return Trivialization(*canonical_sections(self.algebroid(name)))
+    def trivialization(self, alg: AlgebroidPresentation) -> Trivialization:
+        """The section declared for the scenario algebroid that is `alg`
+        (identity, not equality), else the canonical one."""
+        for name, triv in self.sections.items():
+            if self.algebroids[name] is alg:
+                return triv
+        return Trivialization(*canonical_sections(alg))
 
 
 def _strip_comments(text: str) -> str:
@@ -741,7 +748,7 @@ def _stmt_diagram(cur: _Cursor, sc: Scenario, line: int) -> None:
 
 
 def _resolve_object(dia: Diagram, alg: AlgebroidPresentation, cur: _Cursor) -> str:
-    matches = [n for n, a in dia.objects.items() if a == alg]
+    matches = [n for n, a in dia.objects.items() if a is alg]
     if len(matches) != 1:
         raise cur.error(
             "arrow endpoints must match exactly one declared object; got "

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algebroids.extensions as extensions
 from algebroids.cli import load_scenario
@@ -13,7 +15,9 @@ from algebroids.core import (
     Multivector,
     check_axioms,
     one_form,
+    same_presentation,
     tangent_algebroid,
+    top_form,
 )
 from algebroids.extensions import (
     ExtensionPresentation,
@@ -28,6 +32,7 @@ from algebroids.extensions import (
     poisson_kit,
     quotient_top_rep,
     rational_multiple,
+    span_subalgebroid,
     subalgebroid_from_vector_fields,
     top_rep,
     verify_constant_rank_identity,
@@ -42,7 +47,7 @@ from algebroids.runner import Session
 from algebroids.scenario import parse_scenario
 from algebroids.symexpr import Chart, exp, sin
 
-from conftest import capture_sampled_points, count_sampling, reference_points
+from conftest import capture_sampled_points, count_sampling, frame_algebroids, reference_points, sparse_algebroids
 
 
 R1 = Chart("R1", ("x",))
@@ -267,11 +272,13 @@ class TestExtensionIdentity:
 
     def test_incompatible_sections_fall_back_to_class_level(self):
         ext = abelian_kernel_extension()
-        from algebroids.core import top_multivector
-
-        omega = top_multivector(ext.total, exp(R2.coord("x")))
-        rep = verify_extension_identity(ext, omega_total=omega, ansatz=AnsatzSpace(R2, degree=3))
-        assert rep.passed
+        mu = top_form(ext.quotient, exp(R2.coord("x")))
+        rep = verify_extension_identity(ext, mu_quotient=mu, ansatz=AnsatzSpace(R2, degree=3))
+        assert rep.items == [
+            CheckItem("theta closed", True, ""),
+            CheckItem("sections compatible (rational multiple)", True, "not proportional; class-level check"),
+            CheckItem("class identity theta ~ proj^*(eta)", True, "cohomologous"),
+        ]
 
     def test_scenario_mu_reaches_the_class_level_in_the_session_space(self, monkeypatch):
         # a non-constant mu of an extension block makes the sections
@@ -334,6 +341,27 @@ class TestSubalgebroidFromVectorFields:
         x = R2.coord("x")
         b, _ = subalgebroid_from_vector_fields("B", R2, [[x], [x]])
         assert b.rank == 1 and b.structure == {}
+
+
+class TestSpanSubalgebroid:
+    @settings(deadline=None)
+    @given(st.one_of(frame_algebroids(), sparse_algebroids()))
+    def test_own_frame_spans_the_ambient(self, a):
+        chart = a.chart
+        frame = [[chart.one() if u == t else chart.zero() for t in range(a.rank)] for u in range(a.rank)]
+        sub, incl = span_subalgebroid("S", a, frame, "s", "S_in_A")
+        assert same_presentation(sub, a)
+        assert incl.source is sub and incl.target is a
+
+    def test_poisson_kernel_keeps_the_anchor_of_its_columns(self):
+        # dx is not in the kernel of the sharp map of dx^dy: its anchor is d/dy
+        one, zero = R2.one(), R2.zero()
+        pi = Multivector(tangent_algebroid(R2), 2, {(0, 1): one})
+        kit = poisson_kit(pi, image_columns=[[one, zero], [zero, one]], kernel_columns=[[one], [zero]])
+        assert kit.ext.kernel.anchor == ((zero, one),)
+        items = {i.label: i.ok for i in check_extension(kit.ext).items}
+        assert items["kernel totally intransitive"] is False
+        assert items["incl: anchor: k1 vs y"] is True
 
 
 class TestQuotientTopRep:
@@ -435,14 +463,12 @@ class TestRegularPoisson:
         tm = tangent_algebroid(R2)
         pi = Multivector(tm, 2, {(0, 1): R2.one()})
         one, zero = R2.one(), R2.zero()
-        rep = verify_regular_poisson(
-            poisson_kit(pi, image_columns=[[one, zero], [zero, one]], kernel_columns=[[], []]),
-            complement_columns=[[], []],
-            ansatz=AnsatzSpace(R2, degree=2),
-        )
+        kit = poisson_kit(pi, image_columns=[[one, zero], [zero, one]], kernel_columns=[[], []])
+        rep = verify_regular_poisson(kit, complement_columns=[[], []], ansatz=AnsatzSpace(R2, degree=2))
         assert rep.passed
-        assert rep.data["mod_sharp"].is_zero()
-        assert rep.data["eta_k"].is_zero()
+        assert kit.mod_sharp.is_zero()
+        assert kit.eta_k.is_zero()
+        assert rep.data.keys() == {"minors", "method", "eta_q"}
 
     def test_draws_the_pinned_points(self, monkeypatch):
         # the sharp map of exp(z) dx^dy has a unit minor, so only the two
@@ -502,7 +528,7 @@ class TestRegularPoisson:
         kit, complement = self._exp_leaves()
         rep = verify_regular_poisson(kit, complement, ansatz=AnsatzSpace(R3, degree=2))
         assert rep.passed
-        cls = classify(rep.data["mod_sharp"], AnsatzSpace(R3, degree=2))
+        cls = classify(kit.mod_sharp, AnsatzSpace(R3, degree=2))
         assert cls.status == "exact"
         # the sharp map's rank is certified by a unit minor
         assert rep.items[0] == CheckItem("constant rank (exact)", True, "generic rank 2, image rank 2")
@@ -525,7 +551,5 @@ class TestRegularPoisson:
             ansatz=AnsatzSpace(TXY, degree=2, fourier_modes=2),
         )
         assert rep.passed
-        assert rep.data["mod_sharp"] == one_form(
-            rep.data["cotangent"], [zero, zero, TXY.const(-2)]
-        )
-        assert rep.data["eta_k"] == one_form(rep.data["image"], [one, zero])
+        assert kit.mod_sharp == one_form(kit.cotangent, [zero, zero, TXY.const(-2)])
+        assert kit.eta_k == one_form(kit.image, [one, zero])

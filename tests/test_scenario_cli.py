@@ -29,6 +29,17 @@ assert morphism incl pass
 assert equal relmod incl = form TS1 (-1)
 """
 
+# two equal presentations, told apart by the section only A2 declares
+TWIN_SNIPPET = """
+chart R { coords x }
+algebroid A on R { frame a ; anchor a = (1) }
+algebroid A2 on R { frame a ; anchor a = (1) }
+section A2 { omega = exp(x) }
+morphism m : A -> A2 { base = (x) ; fiber = [[1]] }
+assert equal relmod m = form A (-1)
+assert equal modular A2 = form A2 (1)
+"""
+
 
 # every statement below follows BLOCK_PRELUDE; its error names a line of
 # the statement, counted from 1
@@ -610,6 +621,16 @@ class TestRunner:
         report = run(sc, seed=0)
         assert report.passed
         assert len(built) == len(sc.poissons) == 1
+
+    def test_sections_follow_the_algebroid_not_an_equal_one(self):
+        # A and A2 are equal presentations; only A2 declares a section
+        report = run(parse_scenario(TWIN_SNIPPET, "twins"))
+        assert [r.verdict for r in report.results] == ["pass", "pass"]
+
+    def test_diagram_arrows_tell_equal_objects_apart(self):
+        text = TWIN_SNIPPET + "diagram D { objects A A2 ; arrow m }\nassert diagram D coboundary pass\n"
+        report = run(parse_scenario(text, "twins"))
+        assert [r.verdict for r in report.results] == ["pass", "pass", "pass"]
 
     def test_json_shape(self):
         report = run(parse_scenario(CYL_SNIPPET, "snippet"), seed=0)
