@@ -209,7 +209,7 @@ class AnsatzOperator:
                     ditems, s = d[k]
                     trig2 = trig and trigs[j]
                     c = den // (e_den * s * 2) if trig2 else den // (e_den * s)
-                    _product_items(items, entry, ditems, c, trig2)
+                    _product_items(items, entry, ditems, c, trig2, a.chart._products)
                 merged: dict[TermKey, int] = {}
                 for key, q in items:
                     merged[key] = merged.get(key, 0) + q

@@ -586,6 +586,12 @@ def _stmt_composite(cur: _Cursor, sc: Scenario, line: int) -> None:
     second = _need(sc, "morphisms", cur.word(), cur)
     cur.expect(".")
     first = _need(sc, "morphisms", cur.word(), cur)
+    # objects are matched by identity, as diagram arrows are
+    if first.target is not second.source:
+        raise cur.error(
+            f"composite {name}: {first.name} ends at {first.target.name!r}, "
+            f"but {second.name} starts at {second.source.name!r}"
+        )
     _define(sc, "morphisms", name, compose(second, first, name), cur)
 
 

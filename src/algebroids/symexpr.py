@@ -36,6 +36,12 @@ A sum of many terms or products is built by :func:`lincomb`, which emits
 every raw product term into one canonical pass instead of re-merging and
 re-sorting the running total after each pairwise ``+``.
 
+Every ring product (``*``, :func:`lincomb`, the ansatz operator) reads
+its chart's multiplication table, so the product-to-sum pieces of a pair
+of trig atoms, and the sum of a pair of exp slope vectors, are computed
+once per chart: the checks on one chart meet the same few atoms again
+and again.
+
 Composition with a map of charts is :class:`ChartMap`, prepared once per
 map.  A term over single-term images (0 or q*z^a, such as coordinates) is
 rewritten by key arithmetic alone; only powers of multi-term images are
@@ -107,7 +113,12 @@ TermKey = tuple[tuple[int, ...], Trig, tuple[Rational, ...]]
 
 @dataclass(frozen=True)
 class Chart:
-    """A single coordinate chart; periodic coordinates have period 2*pi."""
+    """A single coordinate chart; periodic coordinates have period 2*pi.
+
+    It also holds its one zero function and the multiplication table of
+    the atoms met on it, which are not fields: equality and hashing read
+    the name, coordinates and periodic flags only.
+    """
 
     name: str
     coords: tuple[str, ...]
@@ -128,8 +139,10 @@ class Chart:
             # a coordinate is a name the expression grammar reads back as itself
             if c == "pi" or [(t.kind, t.text) for t in toks] != [("name", c), ("end", "")]:
                 raise SymExprError(f"{c!r} is not a coordinate name in chart {self.name!r}")
-        # a constant of the chart, like its coordinates; not a dataclass field
+        # a constant of the chart, like its coordinates, and the table that
+        # `_product_items` alone reads and fills; not dataclass fields
         object.__setattr__(self, "_zero", ScalarFn(self, {}))
+        object.__setattr__(self, "_products", {})
 
     @property
     def dim(self) -> int:
@@ -257,13 +270,19 @@ def _has_trig(num: dict[TermKey, int]) -> bool:
     return any(map(_trig_of, num))
 
 
-def _product_items(items: list, f_items: Iterable, g_items: Iterable, c: int, trig2: bool) -> None:
+def _product_items(items: list, f_items: Iterable, g_items: Iterable, c: int, trig2: bool, table: dict) -> None:
     """Append the unmerged numerator items of c*F*G, given the numerator
     items of F and G, to ``items``.
 
     With ``trig2`` set (both factors have trig terms) the items are those
     of 2*c*F*G, whose denominator the caller doubles: each trig x trig
     term then gets its product-to-sum half as an int, +-c*q1*q2.
+
+    ``table`` is the factors' ``Chart._products``: a pair of trig atoms
+    maps to its product-to-sum pieces and a pair of non-zero exp slope
+    vectors to their sum, each computed on the pair's first meeting.  A
+    trig atom starts with a str and a slope vector with a number, so the
+    two kinds of key never meet.
     """
     append = items.append
     c2 = 2 * c if trig2 else c
@@ -274,12 +293,17 @@ def _product_items(items: list, f_items: Iterable, g_items: Iterable, c: int, tr
         for m2, t2, e2, curved2, q2 in g_items:
             mono = tuple(map(add, m1, m2))
             # a zero exp vector adds nothing, and the other is in slope form
-            expv = e2 if flat1 else _vec_add(e1, e2) if curved2 else e1
+            expv = e2 if flat1 else table.get((e1, e2)) if curved2 else e1
+            if expv is None:
+                expv = table[e1, e2] = _vec_add(e1, e2)
             if t1 is None or t2 is None:
                 append(((mono, t1 or t2, expv), p1 * q2))
             else:
                 q = q1 * c * q2
-                for sign, atom in _trig_product(t1, t2):
+                pieces = table.get((t1, t2))
+                if pieces is None:
+                    pieces = table[t1, t2] = tuple(_trig_product(t1, t2))
+                for sign, atom in pieces:
                     append(((mono, atom, expv), q if sign > 0 else -q))
 
 
@@ -493,7 +517,7 @@ class ScalarFn:
             return self.chart._zero
         trig2 = _has_trig(f) and _has_trig(g)
         items: list[tuple[TermKey, int]] = []
-        _product_items(items, f.items(), g.items(), 1, trig2)
+        _product_items(items, f.items(), g.items(), 1, trig2, self.chart._products)
         den = self.den * o.den
         return ScalarFn._make(self.chart, items, 2 * den if trig2 else den)
 
@@ -716,7 +740,7 @@ def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
                 den = d
             c *= den // pden
         if g is not None:
-            _product_items(items, f.num.items(), g.num.items(), c, trig2)
+            _product_items(items, f.num.items(), g.num.items(), c, trig2, chart._products)
         elif c == 1:
             items += f.num.items()
         else:

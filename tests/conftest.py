@@ -43,7 +43,8 @@ from algebroids.symexpr import (
 )
 
 
-# `--hypothesis-profile=ci` reruns the chart-map, atom-table, d(d x),
+# `--hypothesis-profile=ci` reruns the chart-map, atom-table,
+# multiplication-table (cold and warm), d(d x),
 # elimination-reference, algebroid-block round-trip, nowhere-zero,
 # closed-form identity (chain map, top bracket, modular cocycle), identity
 # check reference (axioms, frame Jacobi law, flatness), slope-vector,

@@ -632,6 +632,12 @@ class TestRunner:
         report = run(parse_scenario(text, "twins"))
         assert [r.verdict for r in report.results] == ["pass", "pass", "pass"]
 
+    def test_composite_passes_through_the_object_itself(self):
+        # m ends at A2, which equals A but is not it, so n . m does not compose
+        text = TWIN_SNIPPET + "morphism n : A -> A { base = (x) ; fiber = [[1]] }\ncomposite c = n . m\n"
+        with pytest.raises(ScenarioError, match=r"^line 10: composite c: m ends at 'A2', but n starts at 'A'$"):
+            parse_scenario(text, "twins")
+
     def test_json_shape(self):
         report = run(parse_scenario(CYL_SNIPPET, "snippet"), seed=0)
         data = json.loads(report.to_json())

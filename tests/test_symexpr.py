@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -601,6 +602,57 @@ class TestRationalConstants:
             chart.const(bad)
         with pytest.raises(TypeError):
             chart.coord("x") * bad
+
+
+class TestMultiplicationTable:
+    """Each chart expands a pair of trig atoms, and adds a pair of exp
+    slope vectors, once: its multiplication table keeps the result."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        real = getattr(symexpr, name)
+        monkeypatch.setattr(symexpr, name, lambda a, b: calls.append((a, b)) or real(a, b))
+        return calls
+
+    @pytest.mark.parametrize(
+        "atom, kernel", [(sin, "_trig_product"), (exp, "_vec_add")], ids=["trig", "exp"]
+    )
+    def test_a_pair_is_multiplied_once_per_chart(self, monkeypatch, atom, kernel):
+        charts = [Chart("P", ("x", "y")), Chart("P", ("x", "y"))]
+        second = cos if atom is sin else exp
+        f, g = [(atom(c.coord("x")), second(c.coord("y"))) for c in charts]
+        calls = self.counted(monkeypatch, kernel)
+        prod = f[0] * f[1]
+        assert f[0] * f[1] == prod and lincomb(charts[0], [(2, *f)]) == 2 * prod
+        assert len(calls) == 1
+        # an equal chart that is another object fills its own table
+        assert g[0] * g[1] == prod
+        assert len(calls) == 2
+
+    def test_the_table_is_no_field_of_the_chart(self):
+        a, b = Chart("P", ("u", "v")), Chart("P", ("u", "v"))
+        u, v = a.coord("u"), a.coord("v")
+        assert sin(u) * cos(v) * exp(u) * exp(v) != 0  # fills a's table, not b's
+        assert [f.name for f in dataclasses.fields(Chart)] == ["name", "coords", "periodic"]
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert repr(a) == "Chart(name='P', coords=('u', 'v'), periodic=(False, False))"
+
+    @settings(deadline=None)
+    @given(chart_and_fns(2), st.data())
+    def test_cold_and_warm_tables_match_the_reference(self, cf, data):
+        """A product and a `lincomb` give the reference's terms twice on a
+        new chart: first from an empty table, then from the table the first
+        computation filled.  The reference expands every pair afresh."""
+        chart, (f, g) = cf
+        ps = data.draw(pieces(chart, 4))
+        want_mul, want_lc = reference_mul(f.terms, g.terms), reference_lincomb(ps)
+        cold_mul, cold_lc = (Chart(chart.name, chart.coords, chart.periodic) for _ in range(2))
+        f, g = (ScalarFn(cold_mul, h.num, h.den) for h in (f, g))
+        ps = [(c, *(ScalarFn(cold_lc, h.num, h.den) for h in hs)) for c, *hs in ps]
+        for _ in range(2):
+            assert list((f * g).terms.items()) == list(want_mul.items())
+            assert list(lincomb(cold_lc, ps).terms.items()) == list(want_lc.items())
 
 
 # ---------------------------------------------------------------------------
