@@ -18,8 +18,10 @@ one space across the `classify` and `cohomologous` calls on a chart, so
 that every cocycle after the first costs only its right-hand side.  The
 operator is written from term keys, not through the ring: each basis
 function is one key x^m * trig * exp, whose partial derivatives are at
-most three known keys (`symexpr.derivative_items`), and a column is those
-keys times the terms of the anchor, merged once per frame index.
+most three known keys (`symexpr.derivative_items`).  An anchor entry that
+is one trig-free term q * x^m * exp(d.x), the only kind the stock
+algebroids have, shifts those keys by (m, d) and scales their
+coefficients; only other entries are multiplied out term by term.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .core import AlgebroidPresentation, FormField, d_A, function_form
@@ -46,6 +49,7 @@ from .symexpr import (
     _product_items,
     _slope,
     _term_sort_key,
+    _vec_add,
     derivative_items,
     lincomb,
 )
@@ -74,8 +78,9 @@ class AnsatzSpace:
 
     Basis: monomials of total degree <= degree in non-periodic coordinates,
     times sin/cos of integer modes bounded by fourier_modes in the periodic
-    coordinates, times optional exp atoms with the given slope vectors over
-    non-periodic coordinates.
+    coordinates, times optional exp atoms with the given slope vectors.  A
+    slope vector has one int or Fraction per coordinate of the chart (a
+    ValueError or TypeError names any other).
 
     A space keeps its basis and, per algebroid it has solved for, d_A on
     that basis factored once (see `solve_exact`); reuse one space across
@@ -100,6 +105,17 @@ class AnsatzSpace:
                 f"ansatz degree and Fourier modes must be non-negative, "
                 f"got degree {self.degree} and {self.fourier_modes} modes"
             )
+        for s in self.exp_slopes:
+            if len(s) != self.chart.dim:
+                raise ValueError(
+                    f"exp slope {s!r} has {len(s)} entries, chart {self.chart.name!r} "
+                    f"has {self.chart.dim} coordinates"
+                )
+            for c in s:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(
+                        f"an exp slope must be an int or a Fraction, got {type(c).__name__} {c!r} in {s!r}"
+                    )
         size = self.size
         if size > MAX_ANSATZ_BASIS:
             raise AnsatzTooLarge(
@@ -143,8 +159,7 @@ class AnsatzSpace:
             if _lex_sign(modes) > 0:
                 slopes = spread(per, modes)
                 trigs += [("sin", slopes), ("cos", slopes)]
-        everywhere = range(chart.dim)
-        exps = [spread(everywhere, [_slope(Fraction(c)) for c in s]) for s in [(), *self.exp_slopes]]
+        exps = [tuple(_slope(Fraction(c)) for c in s) for s in [chart._zerovec(), *self.exp_slopes]]
         out = [ScalarFn(chart, {(m, t, e): 1}) for m in monos for t in trigs for e in exps]
         self._basis[:] = out  # one replacement: two fills leave one copy
         return list(out)
@@ -169,12 +184,19 @@ class AnsatzOperator:
     order.
 
     `build` writes the entries straight from term keys, in int numerators
-    over one denominator per frame index: the derivative items of each
-    basis function along each anchored coordinate are taken once,
-    multiplied by the numerators of the anchor entries and merged once per
-    (frame index, basis function).  The rows go to `FactoredSystem` as
-    those int numerators, with the frame index's denominator as the row
-    scale, so no entry is ever a ``Fraction``.
+    over one denominator per frame index.  The derivative items of each
+    basis function along each anchored coordinate are taken once, and each
+    frame index splits its anchor entries once.  An entry that is one
+    trig-free term q * x^m * exp(d.x) multiplies the items by key
+    arithmetic: m is added to the monomial, d to the exp slope, and the
+    numerator is scaled by one constant.  Any other entry goes through
+    `symexpr._product_items`.  A cell (frame index, basis function) merges
+    its items only when it has two entries or one of the other kind: one
+    shift of the distinct keys of a one-term derivative gives distinct
+    keys with non-zero values.  A new key opens a row, found again through
+    a dict per frame index.  The rows go to `FactoredSystem` as those int
+    numerators, with the frame index's denominator as the row scale, so no
+    entry is ever a ``Fraction``.
     """
 
     basis: list[ScalarFn]
@@ -185,10 +207,7 @@ class AnsatzOperator:
     def build(cls, a: AlgebroidPresentation, basis: list[ScalarFn]) -> "AnsatzOperator":
         if basis and basis[0].chart != a.chart:
             raise SymExprError(f"chart mismatch: {a.chart.name!r} vs {basis[0].chart.name!r}")
-        # per frame index, the non-zero anchor entries as
-        # (coordinate, numerator items, denominator, has trig terms)
-        anchor = [[(k, f.num.items(), f.den, _has_trig(f.num)) for k, f in row] for row in a.anchor_rows]
-        coords = {k for row in anchor for k, *_ in row}
+        coords = {k for row in a.anchor_rows for k, _ in row}
         # a basis function is one key with numerator 1 over den 1, so each
         # derivative is its items over their slope scale s alone
         derivs = [{k: derivative_items(b.num, k) for k in coords} for b in basis]
@@ -197,30 +216,57 @@ class AnsatzOperator:
         index: dict[tuple[int, TermKey], int] = {}
         rows: list[dict[int, int]] = []
         scales: list[int] = []
-        for i, entries in enumerate(anchor):
+        for i, row in enumerate(a.anchor_rows):
             # one denominator for the whole frame index: a multiple of the
             # denominator of every product written into its rows
-            den = lcm(*(e_den for _, _, e_den, _ in entries)) * scale
-            if any(trigs) and any(trig for *_, trig in entries):
+            den = lcm(*(f.den for _, f in row)) * scale
+            if any(trigs) and any(_has_trig(f.num) for _, f in row):
                 den *= 2
+            # an entry q * x^m * exp(d.x) shifts the keys of a derivative
+            # by (m, d), as (coordinate, q * den // its den, m, d), with m
+            # and d None when zero; any other entry is multiplied out
+            shifts = []
+            general = []
+            for k, f in row:
+                ((m, t, e), q), *more = f.num.items()
+                if more or t is not None:
+                    general.append((k, f.num.items(), den // f.den, _has_trig(f.num)))
+                else:
+                    shifts.append((k, q * (den // f.den), m if any(m) else None, e if any(e) else None))
+            # one shift gives distinct keys: only two entries or a product
+            # of many terms can meet on a key
+            merge = len(row) > 1 or general
+            rowof: dict[TermKey, int] = {}
             for j, d in enumerate(derivs):
                 items: list[tuple[TermKey, int]] = []
-                for k, entry, e_den, trig in entries:
+                for k, c, m1, e1 in shifts:
+                    ditems, s = d[k]
+                    c //= s
+                    if m1 is None and e1 is None:
+                        items += [(key, q * c) for key, q in ditems]
+                    else:
+                        for (m2, t2, e2), q in ditems:
+                            mono = m2 if m1 is None else tuple(map(add, m1, m2))
+                            expv = e2 if e1 is None else _vec_add(e1, e2)
+                            items.append(((mono, t2, expv), q * c))
+                for k, f_items, c, trig in general:
                     ditems, s = d[k]
                     trig2 = trig and trigs[j]
-                    c = den // (e_den * s * 2) if trig2 else den // (e_den * s)
-                    _product_items(items, entry, ditems, c, trig2, a.chart._products)
-                merged: dict[TermKey, int] = {}
-                for key, q in items:
-                    merged[key] = merged.get(key, 0) + q
-                nonzero = [(key, q) for key, q in merged.items() if q]
+                    c //= 2 * s if trig2 else s
+                    _product_items(items, f_items, ditems, c, trig2, a.chart._products)
+                if merge:
+                    merged: dict[TermKey, int] = {}
+                    for key, q in items:
+                        merged[key] = merged.get(key, 0) + q
+                    items = [(key, q) for key, q in merged.items() if q]
                 # a term met for the first time opens a row, in canonical order
-                for key in sorted((key for key, _ in nonzero if (i, key) not in index), key=_term_sort_key):
-                    index[(i, key)] = len(rows)
+                new = sorted([key for key, _ in items if key not in rowof], key=_term_sort_key)
+                for key in new:
+                    rowof[key] = index[(i, key)] = len(rows)
                     rows.append({})
-                    scales.append(den)
-                for key, q in nonzero:
-                    rows[index[(i, key)]][j] = q
+                scales += [den] * len(new)
+                for key, q in items:
+                    rows[rowof[key]][j] = q
         return cls(basis, index, FactoredSystem(rows, len(basis), scales))
 
 

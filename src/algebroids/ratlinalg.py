@@ -98,9 +98,10 @@ def _eliminate(
     zero entries, and stands for itself divided by its ``scales`` entry.
     Columns are processed left to right; the pivot of a column is the
     shortest unpivoted row with an entry there (ties to the lower index),
-    and the column is then cleared from every other row, so pivot rows end
-    in reduced row echelon form up to their pivot values, which are kept
-    and not scaled to 1.  Pivot columns are the leftmost independent ones
+    found in one walk over the rows that occupy the column, and the column
+    is then cleared from every other row, so pivot rows end in reduced row
+    echelon form up to their pivot values, which are kept and not scaled
+    to 1.  Pivot columns are the leftmost independent ones
     whatever the pivot rows.
 
     Clearing the pivot value f of row p from row i, where it is g, replaces
@@ -120,13 +121,17 @@ def _eliminate(
         for c in row:
             occupied.setdefault(c, set()).add(i)
     transforms = [{i: s} for i, s in enumerate(scales)]
-    pivoted: set[int] = set()
+    pivoted = [False] * len(rows)
     pivots: list[tuple[int, int]] = []
     for c in range(n):
-        cands = occupied.get(c, set()) - pivoted
-        if not cands:
+        p, size = -1, 0
+        for i in occupied.get(c, ()):
+            if not pivoted[i]:
+                length = len(rows[i])
+                if p < 0 or length < size or (length == size and i < p):
+                    p, size = i, length
+        if p < 0:
             continue
-        p = min(cands, key=lambda i: (len(rows[i]), i))
         prow, ptr = rows[p], transforms[p]
         f = prow[c]
         for i in list(occupied[c]):
@@ -160,7 +165,7 @@ def _eliminate(
                 for vec in (row, tr):
                     for k in vec:
                         vec[k] //= e
-        pivoted.add(p)
+        pivoted[p] = True
         pivots.append((p, c))
     return pivots, transforms
 

@@ -45,13 +45,24 @@ from algebroids.symexpr import (
 
 # `--hypothesis-profile=ci` reruns the chart-map, atom-table,
 # multiplication-table (cold and warm), d(d x),
-# elimination-reference, algebroid-block round-trip, nowhere-zero,
-# closed-form identity (chain map, top bracket, modular cocycle), identity
-# check reference (axioms, frame Jacobi law, flatness), slope-vector,
-# sparse-row (d_A, axioms, flatness, chain map, modular cocycle) and
-# generic-rank properties, which take a smaller budget in the tier-1 run,
-# with a deeper search
+# elimination-reference and elimination-pivot, algebroid-block round-trip,
+# nowhere-zero, closed-form identity (chain map, top bracket, modular
+# cocycle), identity check reference (axioms, frame Jacobi law, flatness),
+# slope-vector, sparse-row (d_A, axioms, flatness, chain map, modular
+# cocycle), ansatz-operator and generic-rank properties, which take a
+# smaller budget in the tier-1 run, with a deeper search
 settings.register_profile("ci", max_examples=2000, deadline=None)
+
+
+def examples(tier1):
+    """The example count of a property that runs ``tier1`` examples in the
+    tier-1 run and the `ci` profile's count under
+    ``--hypothesis-profile=ci``.  An explicit ``max_examples`` beats the
+    loaded profile, so a property with its own tier-1 count passes it
+    through here.  The profile is loaded before the test modules are
+    imported, when their decorators call this."""
+    ci = settings.get_profile("ci").max_examples
+    return ci if settings.default.max_examples == ci else tier1
 
 
 def chart_r(n, name=None, periodic=()):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import algebroids.cohomology as cohomology
@@ -43,7 +43,7 @@ from algebroids.reps import canonical_sections, modular_cocycle
 from algebroids.ratlinalg import FactoredSystem
 from algebroids.symexpr import Chart, ScalarFn, SymExprError, cos, exp, point_chart, sin
 
-from conftest import coeffs, cylinder_algebroid, frame_algebroids, product_basis
+from conftest import coeffs, cylinder_algebroid, examples, frame_algebroids, product_basis
 
 
 S1 = Chart("S1", ("theta",), (True,))
@@ -51,6 +51,7 @@ T2 = Chart("T2", ("theta", "phi"), (True, True))
 CYLC = Chart("C", ("theta", "x"), (True, False))
 R1 = Chart("R1", ("x",))
 R2 = Chart("R2", ("x", "y"))
+C3 = Chart("C3", ("theta", "x", "y"), (True, False, False))
 
 
 class TestIsCocycle:
@@ -218,6 +219,18 @@ class TestAnsatzBasis:
             space = AnsatzSpace(chart, degree=degree, fourier_modes=modes, exp_slopes=slopes)
             assert space.size == len(space.basis())
 
+    def test_slope_of_the_wrong_length_is_rejected(self):
+        # zip would pad (0,) to the zero vector, a second copy of exp 0
+        with pytest.raises(ValueError, match=r"exp slope \(0,\) has 1 entries, chart 'C' has 2 coordinates"):
+            AnsatzSpace(CYLC, 1, 1, exp_slopes=((0,),))
+        with pytest.raises(ValueError, match=r"\(0, 1, 2\) has 3 entries"):
+            AnsatzSpace(CYLC, 1, 1, exp_slopes=((0, 1), (0, 1, 2)))
+
+    def test_float_slope_is_rejected(self):
+        # Fraction(0.1) is a binary fraction, not 1/10
+        with pytest.raises(TypeError, match=r"must be an int or a Fraction, got float 0\.1 in \(0, 0\.1\)"):
+            AnsatzSpace(CYLC, 1, 1, exp_slopes=((0, 0.1),))
+
     def test_oversized_space_fails_before_building(self, monkeypatch):
         def no_basis(self):
             raise AssertionError("basis built for an oversized space")
@@ -329,18 +342,76 @@ def test_witness_annihilates_the_captured_operator(name):
         assert any(y[: len(rows)]) and len(y) == len(rows)
 
 
+@st.composite
+def one_terms(draw, chart):
+    """q * x^m * exp(d.x) over the non-periodic coordinates of ``chart``,
+    with fractional q and d: an anchor entry whose columns are key shifts."""
+    term = chart.const(Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 3))))
+    for name, periodic in zip(chart.coords, chart.periodic):
+        if not periodic:
+            x = chart.coord(name)
+            d = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+            term = term * x ** draw(st.integers(0, 2)) * exp(chart.const(d) * x)
+    return term
+
+
+@st.composite
+def one_term_anchors(draw):
+    """Two frame rows on C3, each with a one-term entry at one coordinate
+    and, at another, zero, a second one-term entry, the same entry again
+    (whose items meet the first's on a key) or a `coeffs` entry, which is
+    multiplied out."""
+    rows = []
+    for _ in range(2):
+        row = [C3.zero()] * 3
+        k, l, _ = draw(st.permutations(range(3)))
+        row[k] = draw(one_terms(C3))
+        row[l] = draw(st.one_of(st.just(C3.zero()), one_terms(C3), st.just(row[k]), coeffs(C3)))
+        rows.append(row)
+    return rows
+
+
 class TestAnsatzOperator:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(frame_algebroids(), st.integers(0, 2), st.integers(0, 2))
     def test_columns_are_d_A_of_the_basis(self, a, degree, modes):
         assert_operator_is_d_A(a, AnsatzSpace(a.chart, degree, modes))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(st.lists(coeffs(CYLC), min_size=2, max_size=2), st.integers(0, 2), st.integers(0, 2))
     def test_trig_and_exp_anchors_with_exp_slopes(self, anchor, degree, modes):
         a = AlgebroidPresentation("B", CYLC, ("b",), [anchor])
         slopes = ((0, 1), (0, Fraction(-3, 2)))
         assert_operator_is_d_A(a, AnsatzSpace(CYLC, degree, modes, exp_slopes=slopes))
+
+    @pytest.mark.parametrize("slopes", [(), ((0, 1, -1), (0, Fraction(-3, 2), Fraction(1, 2)))], ids=["plain", "exp"])
+    @settings(max_examples=examples(40), deadline=None)
+    @given(one_term_anchors(), st.integers(0, 2), st.integers(0, 1))
+    # x d/dx + y d/dy meets on every key; d/dx + d/dy cancels on exp(x - y)
+    @example([[C3.zero(), C3.coord("x"), C3.coord("y")], [C3.zero(), C3.one(), C3.one()]], 2, 1)
+    def test_one_term_anchor_entries(self, slopes, anchor, degree, modes):
+        a = AlgebroidPresentation("B", C3, ("b", "c"), anchor)
+        assert_operator_is_d_A(a, AnsatzSpace(C3, degree, modes, exp_slopes=slopes))
+
+    def test_only_other_entries_are_multiplied_out(self, monkeypatch):
+        """No workload anchor has an entry beyond one trig-free term, so
+        only a test reaches `_product_items`: once per basis function for
+        the one sin(theta) entry."""
+        calls = []
+        product_items = cohomology._product_items
+
+        def counting(*args):
+            calls.append(args)
+            return product_items(*args)
+
+        monkeypatch.setattr(cohomology, "_product_items", counting)
+        basis = AnsatzSpace(CYLC, 2, 2, exp_slopes=((0, 1),)).basis()
+        AnsatzOperator.build(tangent_algebroid(CYLC), basis)
+        AnsatzOperator.build(cylinder_algebroid(CYLC), basis)
+        assert calls == []
+        theta = CYLC.coord("theta")
+        AnsatzOperator.build(AlgebroidPresentation("B", CYLC, ("b",), [[CYLC.one(), sin(theta)]]), basis)
+        assert len(calls) == len(basis)
 
     def test_basis_on_another_chart_is_rejected(self):
         other = Chart("D", ("theta", "x"), (True, False))

@@ -44,8 +44,10 @@ from algebroids.symexpr import Chart, cos, exp, sin
 from conftest import (
     check_rank_certificate,
     chart_r,
+    examples,
     rat_nullspace,
     reference_det,
+    reference_eliminate,
     reference_factored,
     reference_nowhere_zero,
     reference_pairs,
@@ -307,6 +309,22 @@ def test_reduced_rows_and_transforms_are_int(case):
     reduced, scales = integral_rows(rows)
     _, transforms = _eliminate(reduced, scales, n)
     assert {type(v) for vec in reduced + transforms for v in vec.values()} <= {int}
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(sparse_systems())
+def test_pivots_and_supports_equal_the_reference(case):
+    """The fraction-free elimination picks the reference's (row, col)
+    pivots, and each of its rows and transforms ends with the support of
+    the reference's: it holds a non-zero multiple of that row."""
+    rows, n, _ = case
+    reduced, scales = integral_rows(rows)
+    pivots, transforms = _eliminate(reduced, scales, n)
+    ref = [dict(row) for row in rows]
+    ref_pivots, ref_transforms = reference_eliminate(ref, n)
+    assert pivots == ref_pivots
+    assert [set(row) for row in reduced] == [set(row) for row in ref]
+    assert [set(tr) for tr in transforms] == [set(tr) for tr in ref_transforms]
 
 
 def test_floats_are_refused_at_both_entry_points():

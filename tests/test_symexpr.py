@@ -32,6 +32,7 @@ from algebroids.symexpr import (
 )
 
 from conftest import (
+    examples,
     reference_derivative_items,
     reference_lincomb,
     reference_make,
@@ -486,7 +487,7 @@ class TestRingProperties:
         ((_, _, expv),) = prod.terms
         assert expv == (1,) and type(expv[0]) is int
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         st.integers(0, 4).flatmap(
             lambda n: st.tuples(*[st.lists(SLOPE, min_size=n, max_size=n).map(tuple)] * 2)
