@@ -101,8 +101,8 @@ def _eliminate(
     found in one walk over the rows that occupy the column, and the column
     is then cleared from every other row, so pivot rows end in reduced row
     echelon form up to their pivot values, which are kept and not scaled
-    to 1.  Pivot columns are the leftmost independent ones
-    whatever the pivot rows.
+    to 1.  Pivot columns are the leftmost independent ones whatever the
+    pivot rows.
 
     Clearing the pivot value f of row p from row i, where it is g, replaces
     row i by (f/h) row_i - (g/h) row_p with h = gcd(f, g) signed as f, and
