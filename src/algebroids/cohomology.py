@@ -394,6 +394,8 @@ def find_circle_section(
 
 
 PERIOD_SAMPLES = 20  # the points a period certificate picks its witness from
+# the one Inconclusive reason that decides the mean: it is zero
+MEAN_VANISHES = "constant Fourier mode vanishes"
 
 
 def period_certificate(
@@ -439,7 +441,7 @@ def period_certificate(
         mean_terms.append(((mono, trig, expv), q))
     mean = ScalarFn._make(chart, mean_terms, pairing.den)
     if mean.is_zero():
-        return Inconclusive("constant Fourier mode vanishes")
+        return Inconclusive(MEAN_VANISHES)
     # the mean does not depend on the circle coordinate: draw the others, put 0 there
     pairs = [[*p[:j], (0, 1), *p[j:]] for p in sample_pairs(chart.dim - 1, seed, PERIOD_SAMPLES, 60, 13)]
     values = mean.evaluate([[p / q for p, q in pt] for pt in pairs]).tolist()

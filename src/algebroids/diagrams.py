@@ -23,10 +23,6 @@ class DiagramError(Exception):
     pass
 
 
-class MissingComposition(DiagramError):
-    pass
-
-
 @dataclass
 class Arrow:
     name: str
@@ -61,12 +57,6 @@ class Diagram:
             if n not in self.arrows:
                 raise DiagramError(f"unknown arrow {n!r} in composition table")
         self.composition[(first, second)] = result
-
-    def composite(self, first: str, second: str) -> Arrow:
-        key = (first, second)
-        if key not in self.composition:
-            raise MissingComposition(f"no declared composite for {second} o {first}")
-        return self.arrows[self.composition[key]]
 
     def validate(self) -> CheckReport:
         rep = CheckReport("diagram")

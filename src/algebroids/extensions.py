@@ -223,36 +223,27 @@ def top_rep(ext: ExtensionPresentation) -> Representation:
     return d
 
 
-def induced_rep(ext: ExtensionPresentation, lifts: Optional[Sequence[Sequence[ScalarFn]]] = None) -> Representation:
+def induced_rep(ext: ExtensionPresentation) -> Representation:
     """Descend the top-power representation to the quotient through lifts.
 
-    ``lifts`` is a rank_total x rank_quotient matrix with proj . lifts = id;
-    solved automatically when a unit-pivot solve exists.  The result does
-    not depend on the lift (certified by the kernel vanishing in top_rep).
+    The lifts, a rank_total x rank_quotient matrix with proj . lifts = id,
+    come from a unit-pivot solve of the projection; LiftSolveFailure is
+    raised when that solve fails.  The result does not depend on the lift
+    (certified by the kernel vanishing in top_rep).
     """
     a, b = ext.total, ext.quotient
     chart = a.chart
     topk = top_rep(ext)
-    if lifts is None:
-        rows = [list(r) for r in ext.proj.fiber]
-        rhs = [
-            [chart.one() if u == t else chart.zero() for u in range(b.rank)]
-            for t in range(b.rank)
-        ]
-        try:
-            sols = unit_pivot_solve(rows, rhs, full_column_rank=False)
-        except FrameSolveFailure as e:
-            raise LiftSolveFailure(str(e)) from e
-        lifts = [[sols[t][u] for t in range(b.rank)] for u in range(a.rank)]
-    else:
-        for t in range(b.rank):
-            for t2 in range(b.rank):
-                val = lincomb(chart, [(1, ext.proj.fiber[t][u], lifts[u][t2]) for u in range(a.rank)])
-                want = chart.one() if t == t2 else chart.zero()
-                if val != want:
-                    raise LiftSolveFailure(
-                        f"lift check failed at ({t},{t2}): proj(lift) = {val}"
-                    )
+    rows = [list(r) for r in ext.proj.fiber]
+    rhs = [
+        [chart.one() if u == t else chart.zero() for u in range(b.rank)]
+        for t in range(b.rank)
+    ]
+    try:
+        sols = unit_pivot_solve(rows, rhs, full_column_rank=False)
+    except FrameSolveFailure as e:
+        raise LiftSolveFailure(str(e)) from e
+    lifts = [[sols[t][u] for t in range(b.rank)] for u in range(a.rank)]
     lam = ext.lam.coefficient
     lam_inv = lam.unit_inverse()
     coeffs = []

@@ -72,11 +72,14 @@ class PullbackFramePair:
 
 @dataclass
 class PullbackFrame:
+    """A frame of compatible pairs for the pull-back of ``target`` along
+    ``basemap``, from `product_submersion_frame` or given by the user;
+    `build_pullback` treats both alike."""
+
     target: AlgebroidPresentation
     source_chart: Chart
     basemap: tuple[ScalarFn, ...]
     pairs: list[PullbackFramePair]
-    mode: str = "user-supplied"  # or "product-submersion"
     names: Optional[tuple[str, ...]] = None
 
 
@@ -203,9 +206,7 @@ def product_submersion_frame(
         )
         pairs.append(PullbackFramePair(bco, vf))
         names.append("d/d" + source_chart.coords[k])
-    return PullbackFrame(
-        b, source_chart, basemap, pairs, "product-submersion", tuple(names)
-    )
+    return PullbackFrame(b, source_chart, basemap, pairs, tuple(names))
 
 
 def validate_frame(pf: PullbackFrame, seed: int = 0) -> CheckReport:

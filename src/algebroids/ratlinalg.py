@@ -17,9 +17,9 @@
   `bracket_structure` is its one frame re-expansion of brackets: the
   structure functions of every frame spanned by sections that is closed
   under a bracket (subalgebroids, Poisson kernels, pull-backs) come from it.
-* `scalar_det` computes exact determinants and minors over that ring by
-  cofactor expansion with memoised subminors: callers that share one memo
-  dict across the minors of a matrix expand each distinct subminor once.
+* `scalar_det` computes exact minors over that ring by cofactor
+  expansion with memoised subminors: every caller passes one memo dict
+  for the minors of a matrix, so each distinct subminor is expanded once.
   `generic_rank` is the one exact rank routine built on it: the generic
   rank R from the borders of a single non-zero minor (Kronecker's
   bordering-minor theorem), which it returns.  `rank_certificate` takes
@@ -361,33 +361,24 @@ def bracket_structure(
 
 def scalar_det(
     rows: Sequence[Sequence[ScalarFn]],
-    rsel: Optional[Sequence[int]] = None,
-    csel: Optional[Sequence[int]] = None,
-    memo: Optional[dict] = None,
+    rsel: Sequence[int],
+    csel: Sequence[int],
+    memo: dict,
 ) -> ScalarFn:
-    """Exact determinant of a square ScalarFn matrix, or of its minor on
-    rows ``rsel`` and columns ``csel``.
+    """Exact minor of a ScalarFn matrix on rows ``rsel`` and columns
+    ``csel``.
 
     The minor is expanded along its first selected row, skipping zero
     entries.  Every subminor of size two or more is stored in ``memo``
-    under ``(rsel, csel)``; callers that pass one dict for many minors of
-    the same matrix expand each distinct subminor once, so a k x k minor
+    under ``(rsel, csel)``; callers pass one dict for the minors of one
+    matrix, so each distinct subminor is expanded once and a k x k minor
     costs at most k ring multiplications over its (k-1)-subminors.
     """
-    if (rsel is None) != (csel is None):
-        raise ValueError("give both rsel and csel, or neither")
-    if rsel is None:
-        n = len(rows)
-        if n == 0:
-            raise ValueError("empty matrix")
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix is not square")
-        rsel = csel = tuple(range(n))
-    elif len(rsel) != len(csel):
+    if len(rsel) != len(csel):
         raise ValueError(f"minor on {len(rsel)} rows but {len(csel)} columns")
-    elif not rsel:
+    if not rsel:
         raise ValueError("empty minor")
-    return _minor(rows, tuple(rsel), tuple(csel), {} if memo is None else memo)
+    return _minor(rows, tuple(rsel), tuple(csel), memo)
 
 
 def _minor(

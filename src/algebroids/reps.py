@@ -75,11 +75,6 @@ class Representation:
     def is_line(self) -> bool:
         return self.bundle_rank == 1
 
-    def line_coefficients(self) -> list[ScalarFn]:
-        if not self.is_line():
-            raise RepresentationError("not a line-bundle representation")
-        return [self.mats[i][0][0] for i in range(self.algebroid.rank)]
-
     def __repr__(self) -> str:
         return (
             f"Representation({self.name!r}: {self.algebroid.name} on "

@@ -637,7 +637,7 @@ def _stmt_pullback(cur: _Cursor, sc: Scenario, line: int) -> None:
     else:
         names = tuple(got.get("names", ())) or None
         pairs = got.get("pair", [])
-        frame = PullbackFrame(b, chart, tuple(got["base"]), pairs, "user-supplied", names)
+        frame = PullbackFrame(b, chart, tuple(got["base"]), pairs, names)
     _define(sc, "pullframes", name, frame, cur)
 
 

@@ -43,14 +43,8 @@ from algebroids.symexpr import (
 )
 
 
-# `--hypothesis-profile=ci` reruns the chart-map, atom-table,
-# multiplication-table (cold and warm), d(d x),
-# elimination-reference and elimination-pivot, algebroid-block round-trip,
-# nowhere-zero, closed-form identity (chain map, top bracket, modular
-# cocycle), identity check reference (axioms, frame Jacobi law, flatness),
-# slope-vector, sparse-row (d_A, axioms, flatness, chain map, modular
-# cocycle), ansatz-operator and generic-rank properties, which take a
-# smaller budget in the tier-1 run, with a deeper search
+# `--hypothesis-profile=ci -m deep` reruns the properties marked `deep`,
+# which take a smaller budget in the tier-1 run, with a deeper search
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 

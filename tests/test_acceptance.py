@@ -99,7 +99,7 @@ def test_criterion_01_cylinder_counterexample():
     ok3 = isinstance(cert, NonExactCertificate) and cert.mean == S1.const(-1)
     pf = PullbackFrame(
         b, S1, (S1.coord("theta"), S1.zero()),
-        [PullbackFramePair((S1.one(),), (S1.one(),))], "user-supplied", ("t",),
+        [PullbackFramePair((S1.one(),), (S1.one(),))], ("t",),
     )
     built = build_pullback(pf)
     ok4 = same_presentation(built.presentation, ts1)

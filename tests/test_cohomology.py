@@ -372,11 +372,13 @@ def one_term_anchors(draw):
 
 
 class TestAnsatzOperator:
+    @pytest.mark.deep
     @settings(max_examples=examples(40), deadline=None)
     @given(frame_algebroids(), st.integers(0, 2), st.integers(0, 2))
     def test_columns_are_d_A_of_the_basis(self, a, degree, modes):
         assert_operator_is_d_A(a, AnsatzSpace(a.chart, degree, modes))
 
+    @pytest.mark.deep
     @settings(max_examples=examples(40), deadline=None)
     @given(st.lists(coeffs(CYLC), min_size=2, max_size=2), st.integers(0, 2), st.integers(0, 2))
     def test_trig_and_exp_anchors_with_exp_slopes(self, anchor, degree, modes):
@@ -384,6 +386,7 @@ class TestAnsatzOperator:
         slopes = ((0, 1), (0, Fraction(-3, 2)))
         assert_operator_is_d_A(a, AnsatzSpace(CYLC, degree, modes, exp_slopes=slopes))
 
+    @pytest.mark.deep
     @pytest.mark.parametrize("slopes", [(), ((0, 1, -1), (0, Fraction(-3, 2), Fraction(1, 2)))], ids=["plain", "exp"])
     @settings(max_examples=examples(40), deadline=None)
     @given(one_term_anchors(), st.integers(0, 2), st.integers(0, 1))
@@ -434,6 +437,14 @@ class TestPeriodCertificate:
         alpha = d_A(function_form(ts1, sin(S1.coord("theta"))))
         cert = period_certificate(alpha, (Fraction(1),), "theta")
         assert isinstance(cert, Inconclusive)
+
+    def test_exp_of_the_circle_coordinate_has_no_mean(self):
+        # e^theta dtheta = d(e^theta) off the circle only: no mean, so no certificate
+        tc = tangent_algebroid(CYLC)
+        alpha = one_form(tc, [exp(CYLC.coord("theta")), CYLC.zero()])
+        cert = period_certificate(alpha, find_circle_section(tc, "theta"), "theta")
+        assert cert == Inconclusive("pairing depends non-periodically on 'theta'; mean undefined")
+        assert classify(alpha, AnsatzSpace(CYLC, 1, 1)).status == "nonexact_in_ansatz"
 
     def test_mixed_chart(self):
         tc = tangent_algebroid(CYLC)

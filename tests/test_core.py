@@ -72,7 +72,24 @@ def corrupted_algebroids(draw, algebroids=frame_algebroids()):
     return AlgebroidPresentation("X", chart, a.frame, anchor, structure)
 
 
+def check_axioms_matches_the_reference(algebroids):
+    """The property, over the algebroids ``algebroids`` draws and their
+    corruptions, that the closed form of d e^k and the partials taken once
+    give the report of the generic calculus, failing residuals included."""
+
+    @pytest.mark.deep
+    @settings(deadline=None)
+    @given(st.one_of(algebroids, corrupted_algebroids(algebroids)))
+    def test(self, a):
+        rep = check_axioms(a)
+        event("passes" if rep.passed else "fails")
+        assert rep.to_dict() == reference_check_axioms(a).to_dict()
+
+    return test
+
+
 class TestCheckAxioms:
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(st.one_of(frame_algebroids(), corrupted_algebroids()))
     def test_ddx_items_match_d_A(self, a):
@@ -86,15 +103,9 @@ class TestCheckAxioms:
             want = d_A(d_A(function_form(a, a.chart.coord(c))))
             assert (item.ok, item.detail) == (want.is_zero(), "" if want.is_zero() else str(want))
 
-    @settings(deadline=None)
-    @given(st.one_of(frame_algebroids(), corrupted_algebroids()))
-    def test_matches_the_reference(self, a):
-        """The closed form of d e^k and the partials taken once give the
-        report of the generic calculus, failing residuals included."""
-        rep = check_axioms(a)
-        event("passes" if rep.passed else "fails")
-        assert rep.to_dict() == reference_check_axioms(a).to_dict()
+    test_matches_the_reference = check_axioms_matches_the_reference(frame_algebroids())
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(st.one_of(frame_algebroids(), corrupted_algebroids()))
     def test_dde_items_are_the_frame_jacobi_law(self, a):
@@ -221,18 +232,14 @@ class TestSparseRows:
     the dense ones, on presentations with zero anchor rows, constant anchor
     entries and zero structure diagonals, valid or corrupted."""
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(st.one_of(frame_algebroids(), sparse_algebroids(), corrupted_algebroids(sparse_algebroids())), st.data())
     def test_d_A_matches_the_reference(self, a, data):
         alpha = data.draw(tables(a, FormField, data.draw(st.integers(0, min(a.rank, 3)))))
         assert d_A(alpha) == reference_d_A(alpha)
 
-    @settings(deadline=None)
-    @given(st.one_of(sparse_algebroids(), corrupted_algebroids(sparse_algebroids())))
-    def test_check_axioms_matches_the_reference(self, a):
-        rep = check_axioms(a)
-        event("passes" if rep.passed else "fails")
-        assert rep.to_dict() == reference_check_axioms(a).to_dict()
+    test_check_axioms_matches_the_reference = check_axioms_matches_the_reference(sparse_algebroids())
 
     def test_anchor_rows_hold_the_non_zero_entries(self, R2):
         x = R2.coord("x")
@@ -411,6 +418,7 @@ class TestSchouten:
         res = schouten(frame_vector(g, 0), top_multivector(g, g.chart.one()))
         assert res == top_multivector(g, g.chart.one())
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(frame_algebroids(), st.data())
     def test_top_bracket_is_the_top_coefficient_of_schouten(self, alg, data):

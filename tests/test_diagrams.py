@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from algebroids.core import (
     FormField,
     d_A,
@@ -13,7 +11,6 @@ from algebroids.core import (
 )
 from algebroids.diagrams import (
     Diagram,
-    MissingComposition,
     delta0,
     delta1,
     exhibit_coboundary,
@@ -65,11 +62,6 @@ class TestDiagram:
     def test_validates(self):
         dia = cylinder_diagram()
         assert dia.validate().passed
-
-    def test_missing_composition(self):
-        dia = cylinder_diagram()
-        with pytest.raises(MissingComposition):
-            dia.composite("iB", "incl")
 
 
 class TestDelta:

@@ -1,4 +1,3 @@
-import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +21,6 @@ from algebroids.core import (
 from algebroids.extensions import (
     ExtensionPresentation,
     ImageClosureFailure,
-    LiftSolveFailure,
     NotPoisson,
     UnimodularityFailure,
     adjoint_rep,
@@ -221,24 +219,6 @@ class TestInducedRep:
         ext.lam = LineSection(3 * exp(R2.coord("x") - R2.coord("y")))
         assert induced_rep(ext).mats == base.mats
 
-    def test_lift_independence(self):
-        ext = abelian_kernel_extension()
-        base = induced_rep(ext)
-        rng = random.Random(4)
-        one, zero = R2.one(), R2.zero()
-        for _ in range(5):
-            c1 = R2.const(rng.randint(-3, 3)) * R2.coord("x")
-            c2 = R2.const(rng.randint(-3, 3))
-            lifts = [[one, zero], [zero, one], [c1, c2]]
-            again = induced_rep(ext, lifts=lifts)
-            assert again.mats == base.mats
-
-    def test_bad_lift_rejected(self):
-        ext = abelian_kernel_extension()
-        one, zero = R2.one(), R2.zero()
-        with pytest.raises(LiftSolveFailure):
-            induced_rep(ext, lifts=[[one, one], [zero, one], [zero, zero]])
-
 
 class TestExtensionIdentity:
     def test_abelian_exact_cochain(self):
@@ -344,6 +324,7 @@ class TestSubalgebroidFromVectorFields:
 
 
 class TestSpanSubalgebroid:
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(st.one_of(frame_algebroids(), sparse_algebroids()))
     def test_own_frame_spans_the_ambient(self, a):

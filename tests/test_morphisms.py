@@ -238,24 +238,25 @@ def morphisms(draw, algebroids=frame_algebroids()):
     return Morphism("phi", src, b, draw(linear_basemaps(chart)), fiber)
 
 
+def check_morphism_matches_the_reference(phis):
+    """The property, over the morphisms ``phis`` draws, that the closed
+    chain-map form gives the report of the generic calculus."""
+
+    @pytest.mark.deep
+    @settings(deadline=None)
+    @given(phis)
+    def test(self, phi):
+        rep = check_morphism(phi)
+        event("morphism" if rep.passed else "not a morphism")
+        assert rep.to_dict() == reference_check_morphism(phi).to_dict()
+
+    return test
+
+
 class TestClosedForm:
-    """The closed chain-map form gives the report of the generic calculus."""
-
-    @settings(deadline=None)
-    @given(morphisms())
-    def test_check_morphism_matches_the_reference(self, phi):
-        rep = check_morphism(phi)
-        event("morphism" if rep.passed else "not a morphism")
-        assert rep.to_dict() == reference_check_morphism(phi).to_dict()
-
-    @settings(deadline=None)
-    @given(morphisms(sparse_algebroids()))
-    def test_sparse_rows_match_the_reference(self, phi):
-        """Zero anchor rows and constant anchor entries on both sides give
-        the report of the dense reference."""
-        rep = check_morphism(phi)
-        event("morphism" if rep.passed else "not a morphism")
-        assert rep.to_dict() == reference_check_morphism(phi).to_dict()
+    test_check_morphism_matches_the_reference = check_morphism_matches_the_reference(morphisms())
+    # zero anchor rows and constant anchor entries on both sides
+    test_sparse_rows_match_the_reference = check_morphism_matches_the_reference(morphisms(sparse_algebroids()))
 
 
 class TestPullOnce:

@@ -144,7 +144,6 @@ class TestBuildPullback:
             S1,
             tuple(orbit_inclusion_basemap()),
             [PullbackFramePair((S1.one(),), (S1.one(),))],
-            "user-supplied",
             ("t",),
         )
         built = build_pullback(pf)
@@ -287,7 +286,6 @@ class TestFactorize:
             S1,
             tuple(orbit_inclusion_basemap()),
             [PullbackFramePair((S1.one(),), (S1.one(),))],
-            "user-supplied",
             ("t",),
         )
         built = build_pullback(pf)

@@ -281,6 +281,7 @@ def reference_cases(draw):
     return rows, n, sides, outside, form
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(reference_cases())
 def test_factored_solves_equal_the_fraction_reference(case):
@@ -311,6 +312,7 @@ def test_reduced_rows_and_transforms_are_int(case):
     assert {type(v) for vec in reduced + transforms for v in vec.values()} <= {int}
 
 
+@pytest.mark.deep
 @settings(max_examples=examples(150), deadline=None)
 @given(sparse_systems())
 def test_pivots_and_supports_equal_the_reference(case):
@@ -380,7 +382,8 @@ square = st.integers(1, 5).flatmap(lambda n: scalar_matrices(n, n))
 @settings(max_examples=100, deadline=None)
 @given(square)
 def test_scalar_det_matches_laplace(rows):
-    assert scalar_det(rows).terms == reference_det(rows).terms
+    full = tuple(range(len(rows)))
+    assert scalar_det(rows, full, full, {}).terms == reference_det(rows).terms
 
 
 @settings(max_examples=40, deadline=None)
@@ -408,27 +411,20 @@ def test_row_swap_negates_and_repeated_row_vanishes(case):
     i, j = rnd.sample(range(len(rows)), 2)
     swapped = list(rows)
     swapped[i], swapped[j] = rows[j], rows[i]
-    assert scalar_det(swapped).terms == (-scalar_det(rows)).terms
+    full = tuple(range(len(rows)))
+    assert scalar_det(swapped, full, full, {}).terms == (-scalar_det(rows, full, full, {})).terms
     repeated = list(rows)
     repeated[j] = rows[i]
-    assert scalar_det(repeated).is_zero()
+    assert scalar_det(repeated, full, full, {}).is_zero()
 
 
 def test_scalar_det_rejects_malformed_selections():
     rows = [[_X, _Y], [R2.one(), _X]]
     with pytest.raises(ValueError):
-        scalar_det([])
+        scalar_det(rows, (0, 1), (1,), {})
     with pytest.raises(ValueError):
-        scalar_det([[_X, _Y]])
-    with pytest.raises(ValueError):
-        scalar_det(rows, rsel=(0, 1))
-    with pytest.raises(ValueError):
-        scalar_det(rows, csel=(0, 1))
-    with pytest.raises(ValueError):
-        scalar_det(rows, (0, 1), (1,))
-    with pytest.raises(ValueError):
-        scalar_det(rows, (), ())
-    assert scalar_det(rows, (1,), (0,)) == R2.one()
+        scalar_det(rows, (), (), {})
+    assert scalar_det(rows, (1,), (0,), {}) == R2.one()
 
 
 # -- rank_certificate ---------------------------------------------------------
@@ -519,6 +515,7 @@ def test_rank_certificate_matches_the_search_over_every_size(rows):
     check_rank_certificate(rows, cert)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.one_of(certificate_matrices(), square, planted_matrices(max_m=5, max_n=6).map(lambda case: case[0])))
 def test_generic_rank_is_the_bordered_minor_of_the_one_routine(rows):
@@ -530,6 +527,7 @@ def test_generic_rank_is_the_bordered_minor_of_the_one_routine(rows):
     assert rank_certificate(rows) == want
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.data())
 def test_pointwise_rank_decides_as_the_references(data):
@@ -625,6 +623,7 @@ def polynomial_products(draw):
     return f, bool(linear) or any(c <= 0 for c in quadratic)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(polynomial_products())
 def test_nowhere_zero_on_products_with_known_roots(case):
@@ -648,6 +647,7 @@ def trig_sums(draw):
     return u * (c0 + rest), c0, sum(abs(c) for c, _ in picks), u * (rest - at_origin)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(trig_sums())
 def test_nowhere_zero_on_trig_sums(case):
@@ -668,6 +668,7 @@ def test_nowhere_zero_refuses_known_zeros_and_uncertified_kinds():
         assert nowhere_zero(f)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=8), unit_factors())
 def test_nowhere_zero_agrees_with_the_reference_root_count(coeffs, u):

@@ -482,6 +482,7 @@ def _algebroid_block(a, seps) -> str:
     return f"chart {a.chart.name} {{ coords {coords} }}\nalgebroid F on {a.chart.name} {{{body}\n}}\n"
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(frame_algebroids(), st.lists(st.sampled_from([" ; ", "\n  "]), min_size=7, max_size=7))
 def test_algebroid_block_round_trip(a, seps):
@@ -631,6 +632,16 @@ class TestRunner:
         text = TWIN_SNIPPET + "diagram D { objects A A2 ; arrow m }\nassert diagram D coboundary pass\n"
         report = run(parse_scenario(text, "twins"))
         assert [r.verdict for r in report.results] == ["pass", "pass", "pass"]
+
+    def test_period_mean_zero_needs_a_periodic_pairing(self):
+        # sin(theta) has mean 0; exp(theta) and theta have no mean at all
+        text = "chart N { coords theta* x }\nalgebroid TN tangent of N\n" + "".join(
+            f"assert period form TN ({f}, 0) combo (1, 0) coord theta mean 0\n"
+            for f in ("sin(theta)", "exp(theta)", "theta")
+        )
+        report = run(parse_scenario(text, "periods"))
+        assert [r.verdict for r in report.results] == ["pass", "fail", "fail"]
+        assert report.results[1].detail == "inconclusive: pairing depends non-periodically on 'theta'; mean undefined"
 
     def test_composite_passes_through_the_object_itself(self):
         # m ends at A2, which equals A but is not it, so n . m does not compose

@@ -487,6 +487,7 @@ class TestRingProperties:
         ((_, _, expv),) = prod.terms
         assert expv == (1,) and type(expv[0]) is int
 
+    @pytest.mark.deep
     @settings(max_examples=examples(300), deadline=None)
     @given(
         st.integers(0, 4).flatmap(
@@ -639,6 +640,7 @@ class TestMultiplicationTable:
         assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
         assert repr(a) == "Chart(name='P', coords=('u', 'v'), periodic=(False, False))"
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(chart_and_fns(2), st.data())
     def test_cold_and_warm_tables_match_the_reference(self, cf, data):
@@ -796,6 +798,7 @@ def outcome(call):
 
 
 class TestChartMap:
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(st.data())
     def test_pull_matches_reference(self, data):
@@ -928,6 +931,7 @@ SAMPLE_COORD = st.one_of(
 
 
 class TestAtomTable:
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(st.data())
     def test_sampled_stack_is_bitwise_per_entry_evaluate(self, data):
