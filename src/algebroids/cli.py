@@ -9,11 +9,11 @@
     algebroids extension SCENARIO EXT extension reports
     algebroids diagram SCENARIO DIA   diagram validation and coboundary check
 
-Every subcommand that needs a cocycle, a trivialization or an ansatz asks
-a `runner.Session`, the same object the assertions of `run` go through;
-`modular`, `relmod` and `char` share one payload.  Each subcommand accepts
-only the flags it reads: `--seed` where something is sampled, and
-`--ansatz-degree`/`--fourier-modes` where an ansatz is built.
+Every subcommand that needs a cocycle, a trivialization, an ansatz or a
+pull-back asks a `runner.Session`, the same object the assertions of `run`
+go through; `modular`, `relmod` and `char` share one payload.  Each
+subcommand accepts only the flags it reads: `--seed` where something is
+sampled, and `--ansatz-degree`/`--fourier-modes` where an ansatz is built.
 
 Scenario files bundled with the package (see the corpus directory) can be
 named by bare filename; local paths take precedence.
@@ -32,7 +32,6 @@ from .core import check_axioms
 from .diagrams import verify_mod_coboundary
 from .extensions import check_extension
 from .morphisms import check_morphism
-from .pullback import build_pullback
 from .report import CheckReport
 from .reps import check_flat
 from .runner import Session, run
@@ -131,8 +130,7 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
-    sc = load_scenario(args.scenario)
-    built = build_pullback(sc.pullframes[args.name], seed=args.seed)
+    built = Session(load_scenario(args.scenario), args.seed).pullback(args.name)
     pres = built.presentation
     payload = {
         "pullback": args.name,

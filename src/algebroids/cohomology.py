@@ -21,7 +21,9 @@ function is one key x^m * trig * exp, whose partial derivatives are at
 most three known keys (`symexpr.derivative_items`).  An anchor entry that
 is one trig-free term q * x^m * exp(d.x), the only kind the stock
 algebroids have, shifts those keys by (m, d) and scales their
-coefficients; only other entries are multiplied out term by term.
+coefficients; only other entries are multiplied out term by term.  The
+operator also keeps the algebroid's circle section per periodic
+coordinate, which `classify` searches once and reads after that.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class AnsatzSpace:
         return entry[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnsatzOperator:
     """d_A on an ansatz basis as a factored rational system.
 
@@ -197,11 +199,16 @@ class AnsatzOperator:
     a dict per frame index.  The rows go to `FactoredSystem` as those int
     numerators, with the frame index's denominator as the row scale, so no
     entry is ever a ``Fraction``.
+
+    `circles` keeps, per periodic coordinate, `find_circle_section`'s
+    answer for the operator's algebroid: `classify` fills it on first need
+    and reads it after that.
     """
 
     basis: list[ScalarFn]
     index: dict[tuple[int, TermKey], int]
     system: FactoredSystem
+    circles: dict[str, Optional[tuple[Fraction, ...]]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, a: AlgebroidPresentation, basis: list[ScalarFn]) -> "AnsatzOperator":
@@ -379,13 +386,8 @@ def find_circle_section(
     """Rational-constant frame coefficients c with rho(sum c_i e_i) exactly
     the unit vector field of the given periodic coordinate, if any."""
     j = a.chart.index(coord)
-    target = [
-        a.chart.one() if k == j else a.chart.zero() for k in range(a.chart.dim)
-    ]
-    equations = []
-    for k in range(a.chart.dim):
-        coeffs = [a.anchor[i][k] for i in range(a.rank)]
-        equations.append((coeffs, target[k]))
+    target = [a.chart.one() if k == j else a.chart.zero() for k in range(a.chart.dim)]
+    equations = [([a.anchor[i][k] for i in range(a.rank)], target[k]) for k in range(a.chart.dim)]
     rows, rhs = _match_terms(equations)
     sol, _ = rat_solve(rows, rhs) if rows else ([], None)
     if sol is None:
@@ -461,11 +463,11 @@ def classify(
     if isinstance(res, ScalarFn):
         return CocycleClass(alpha, space, "exact", primitive=res)
     a = alpha.algebroid
-    for k, per in enumerate(a.chart.periodic):
-        if not per:
-            continue
-        coord = a.chart.coords[k]
-        combo = find_circle_section(a, coord)
+    circles = space.operator(a).circles
+    for coord in (c for c, per in zip(a.chart.coords, a.chart.periodic) if per):
+        if coord not in circles:
+            circles[coord] = find_circle_section(a, coord)
+        combo = circles[coord]
         if combo is None:
             continue
         cert = period_certificate(alpha, combo, coord, seed=seed)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cohomology import AnsatzSpace, classify, cohomologous
@@ -92,10 +93,17 @@ class NotPoisson(ExtensionError):
         self.residual = residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtensionPresentation:
     """kernel -> total -> quotient over one chart, with a kernel-invariant
-    trivializing section of the kernel's top power."""
+    trivializing section of the kernel's top power.
+
+    The extension owns the representations derived from it, each built on
+    first use and held after that: `top`, the kernel-top representation
+    (`top_rep`, through the one `adjoint_rep`), and `eta`, the
+    characteristic cocycle of its descent to the quotient under `lam`.  The
+    class is frozen so that no field can change under a held value;
+    `dataclasses.replace` gives a new extension that builds its own."""
 
     kernel: AlgebroidPresentation
     total: AlgebroidPresentation
@@ -107,6 +115,16 @@ class ExtensionPresentation:
     @property
     def chart(self):
         return self.total.chart
+
+    @cached_property
+    def top(self) -> Representation:
+        """The kernel-top representation (`top_rep`)."""
+        return top_rep(self)
+
+    @cached_property
+    def eta(self) -> FormField:
+        """The characteristic cocycle of the descended representation."""
+        return char_cocycle(induced_rep(self), self.lam)
 
 
 def check_extension(ext: ExtensionPresentation, seed: int = 0) -> CheckReport:
@@ -166,6 +184,13 @@ def _bracket_action(
     return [[[col[d] for col in sols[i * n : (i + 1) * n]] for d in block] for i in range(len(xs))]
 
 
+def _flat(d: Representation, error: type[ExtensionError], message: str) -> Representation:
+    """``d``, once `check_flat` passes on it; ``error(message)`` otherwise."""
+    if not check_flat(d).passed:
+        raise error(message)
+    return d
+
+
 def adjoint_rep(ext: ExtensionPresentation) -> Representation:
     """Action of the total algebroid on the kernel through the bracket.
 
@@ -182,10 +207,7 @@ def adjoint_rep(ext: ExtensionPresentation) -> Representation:
     except FrameSolveFailure as e:
         raise ImageClosureFailure(str(e)) from e
     d = Representation(a, c.frame, mats, "adj")
-    flat = check_flat(d)
-    if not flat.passed:
-        raise ImageClosureFailure("adjoint action is not flat; extension data inconsistent")
-    return d
+    return _flat(d, ImageClosureFailure, "adjoint action is not flat; extension data inconsistent")
 
 
 def _trace(mat: Sequence[Sequence[ScalarFn]], chart) -> ScalarFn:
@@ -217,14 +239,11 @@ def top_rep(ext: ExtensionPresentation) -> Representation:
             )
     mats = [[[traces[j]]] for j in range(a.rank)]
     d = Representation(a, ("K",), mats, "D^K")
-    flat = check_flat(d)
-    if not flat.passed:
-        raise ExtensionError("top-power representation is not flat")
-    return d
+    return _flat(d, ExtensionError, "top-power representation is not flat")
 
 
 def induced_rep(ext: ExtensionPresentation) -> Representation:
-    """Descend the top-power representation to the quotient through lifts.
+    """Descend the top-power representation `ext.top` to the quotient through lifts.
 
     The lifts, a rank_total x rank_quotient matrix with proj . lifts = id,
     come from a unit-pivot solve of the projection; LiftSolveFailure is
@@ -233,7 +252,7 @@ def induced_rep(ext: ExtensionPresentation) -> Representation:
     """
     a, b = ext.total, ext.quotient
     chart = a.chart
-    topk = top_rep(ext)
+    topk = ext.top
     rows = [list(r) for r in ext.proj.fiber]
     rhs = [
         [chart.one() if u == t else chart.zero() for u in range(b.rank)]
@@ -256,10 +275,7 @@ def induced_rep(ext: ExtensionPresentation) -> Representation:
                 pieces += [(1, lu, topk.mats[u][0][0]), (1, lu, a.rho_apply(u, lam) * lam_inv)]
         coeffs.append(lincomb(chart, pieces))
     d = Representation(b, ("K",), [[[c]] for c in coeffs], "D^{B,K}")
-    flat = check_flat(d)
-    if not flat.passed:
-        raise ExtensionError("descended representation is not flat")
-    return d
+    return _flat(d, ExtensionError, "descended representation is not flat")
 
 
 def _image_multivector(ext: ExtensionPresentation) -> Multivector:
@@ -316,8 +332,7 @@ def verify_extension_identity(
         theta_comps.append(t1 + t2)
     theta = one_form(a, theta_comps)
     rep.residual("theta closed", d_A(theta))
-    eta = char_cocycle(induced_rep(ext), ext.lam)
-    pulled = pullback_form(ext.proj, eta)
+    pulled = pullback_form(ext.proj, ext.eta)
     # compatibility: contraction of omega by the pulled-back mu against the
     # included invariant section
     mu_up = pullback_form(ext.proj, mu)
@@ -340,7 +355,7 @@ def verify_extension_identity(
             verdict.verdict,
         )
     rep.data["theta"] = theta
-    rep.data["eta"] = eta
+    rep.data["eta"] = ext.eta
     return rep
 
 
@@ -366,10 +381,7 @@ def quotient_top_rep(
         amb, rows, _columns(b_in_ambient.fiber), _columns(complement), range(b.rank, amb.rank)
     )
     d = Representation(b, ("Q",), [[[_trace(m, amb.chart)]] for m in mats], "D^{B,Q}")
-    flat = check_flat(d)
-    if not flat.passed:
-        raise ExtensionError("cokernel top representation is not flat")
-    return d
+    return _flat(d, ExtensionError, "cokernel top representation is not flat")
 
 
 def _identity(
@@ -412,17 +424,16 @@ def verify_constant_rank_identity(
     rep.add("morphism factors through the image", ok)
     dq = quotient_top_rep(b_in_ambient, complement)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
-    eta_k = char_cocycle(induced_rep(ext), ext.lam)
     mod_phi = relative_modular(
         phi, Trivialization(*canonical_sections(a)), Trivialization(*canonical_sections(amb))
     )
-    _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, eta_k - eta_q), ansatz, seed)
+    _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, ext.eta - eta_q), ansatz, seed)
     mod_amb = modular_cocycle(amb, *canonical_sections(amb))
     mod_b = modular_cocycle(b, *canonical_sections(b))
     _identity(
         rep, "intermediate identity", pullback_form(b_in_ambient, mod_amb) - mod_b, eta_q, ansatz, seed
     )
-    rep.data["eta_k"] = eta_k
+    rep.data["eta_k"] = ext.eta
     rep.data["eta_q"] = eta_q
     rep.data["mod_phi"] = mod_phi
     return rep
@@ -503,23 +514,21 @@ def subalgebroid_from_vector_fields(
     return span_subalgebroid(name, tangent_algebroid(chart), columns, "b", f"{name}_in_T")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoissonKit:
     """The extension data of a regular bivector and its two modular cocycles.
 
-    `mod_sharp` is the relative modular cocycle of the anchor `sharp` of the
-    cotangent algebroid, `eta_k` the characteristic cocycle of the kernel-top
-    representation, and `half` its pull-back along `sharp_b`; the doubling
-    identity says `mod_sharp` is cohomologous to twice `half`."""
+    `ext` is kernel -> cotangent algebroid -> image subalgebroid, with
+    `proj` the anchor factored through the image (sharp_B) and `eta` the
+    characteristic cocycle of the kernel-top representation.  `mod_sharp`
+    is the relative modular cocycle of the anchor `sharp` of the cotangent
+    algebroid, and `half` the pull-back of `ext.eta` along sharp_B; the
+    doubling identity says `mod_sharp` is cohomologous to twice `half`."""
 
-    cotangent: AlgebroidPresentation
-    image: AlgebroidPresentation
     image_in_tm: Morphism
     sharp: Morphism
-    sharp_b: Morphism
     ext: ExtensionPresentation
     mod_sharp: FormField
-    eta_k: FormField
     half: FormField
 
 
@@ -557,9 +566,7 @@ def poisson_kit(
     mod_sharp = relative_modular(
         sharp, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(tm))
     )
-    eta_k = char_cocycle(induced_rep(ext), ext.lam)
-    half = pullback_form(sharp_b, eta_k)
-    return PoissonKit(apres, bpres, b_in_tm, sharp, sharp_b, ext, mod_sharp, eta_k, half)
+    return PoissonKit(b_in_tm, sharp, ext, mod_sharp, pullback_form(sharp_b, ext.eta))
 
 
 def verify_regular_poisson(
@@ -577,15 +584,15 @@ def verify_regular_poisson(
     its cocycles builds it once and reads them there; `data` adds the rank
     certificate (`minors`, `method`) and the cokernel-top cocycle `eta_q`."""
     rep = CheckReport("regular Poisson identities")
-    chart = kit.cotangent.chart
-    apres, bpres, sharp, sharp_b = kit.cotangent, kit.image, kit.sharp, kit.sharp_b
-    mod_sharp, eta_k, pulled = kit.mod_sharp, kit.eta_k, kit.half
+    ext, sharp = kit.ext, kit.sharp
+    chart, apres, bpres, sharp_b = ext.chart, ext.total, ext.quotient, ext.proj
+    mod_sharp, eta_k, pulled = kit.mod_sharp, ext.eta, kit.half
     verdict = pointwise_rank(sharp.fiber, bpres.rank, seed)
     lo, hi = verdict.ranks
     ranks = f"rank range [{lo}, {hi}]" if verdict.method == "sampled" else f"generic rank {lo}"
     rep.add(f"constant rank ({verdict.method})", verdict.holds, f"{ranks}, image rank {bpres.rank}")
     rep.data["minors"], rep.data["method"] = verdict.certificate, verdict.method
-    extrep = check_extension(kit.ext, seed=seed)
+    extrep = check_extension(ext, seed=seed)
     rep.add("extension data valid", extrep.passed)
     mod_sharp_b = relative_modular(
         sharp_b, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(bpres))

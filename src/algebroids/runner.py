@@ -2,8 +2,10 @@
 
 A `Session` holds one scenario at one seed and answers the queries that
 both the assertions and the CLI subcommands ask: the cocycle a spec names,
-the ansatz on a chart and the exactness class of a cocycle (sections are
-`Scenario.trivialization`'s).  `run` executes the assertions through it.
+the ansatz on a chart, a Poisson kit, a built pull-back and the exactness
+class of a cocycle (sections are `Scenario.trivialization`'s).  It builds
+each named object once and holds it.  `run` executes the assertions
+through it.
 
 Every assertion maps onto one library operation; verdicts are pass, fail
 or error (an exception, with its message).  Reports are byte-identical
@@ -35,7 +37,6 @@ from .extensions import (
     UnimodularityFailure,
     check_extension,
     poisson_kit,
-    top_rep,
     verify_constant_rank_identity,
     verify_extension_identity,
     verify_regular_poisson,
@@ -50,6 +51,7 @@ from .morphisms import (
     relative_modular,
 )
 from .pullback import (
+    BuiltPullback,
     build_pullback,
     check_admissible,
     check_transverse,
@@ -125,33 +127,37 @@ class Report:
 
 class Session:
     """One scenario at one seed: the queries that assertions and CLI
-    subcommands share.  Ansatz spaces and Poisson kits are built once per
-    session, so each space factors d_A once per algebroid it is asked
-    about (one cotangent algebroid per Poisson structure); each section is
-    the one `Scenario.trivialization` chooses."""
+    subcommands share.  The session holds what it builds, by name: the
+    ansatz space of each chart, the kit of each Poisson structure and each
+    pull-back, each built on first use.  So each space factors d_A once per
+    algebroid it is asked about (one cotangent algebroid per Poisson
+    structure).  An extension holds its own representations, and each
+    section is the one `Scenario.trivialization` chooses."""
 
     def __init__(self, sc: Scenario, seed: int = 0):
         self.sc = sc
         self.seed = seed
-        self._ansatz_cache: dict = {}
-        self._poisson_cache: dict = {}
+        self._built: dict[tuple[str, str], object] = {}
+
+    def _hold(self, kind: str, name: str, build):
+        """The `kind` object called `name`, from `build()` on first use."""
+        if (kind, name) not in self._built:
+            self._built[kind, name] = build()
+        return self._built[kind, name]
 
     def ansatz(self, chart) -> AnsatzSpace:
-        key = chart.name
-        if key not in self._ansatz_cache:
-            self._ansatz_cache[key] = AnsatzSpace(
-                chart, self.sc.ansatz_degree, self.sc.ansatz_modes
-            )
-        return self._ansatz_cache[key]
+        sc = self.sc
+        return self._hold("ansatz", chart.name, lambda: AnsatzSpace(chart, sc.ansatz_degree, sc.ansatz_modes))
 
     def poisson_kit(self, name: str) -> PoissonKit:
         """The extension data of the named regular Poisson structure."""
-        if name not in self._poisson_cache:
-            data = self.sc.poissons[name]
-            self._poisson_cache[name] = poisson_kit(
-                data.bivector, data.image, data.kernel, lam_coeff=data.lam
-            )
-        return self._poisson_cache[name]
+        data = self.sc.poissons[name]
+        build = lambda: poisson_kit(data.bivector, data.image, data.kernel, lam_coeff=data.lam)
+        return self._hold("poisson", name, build)
+
+    def pullback(self, name: str) -> BuiltPullback:
+        """The named pull-back, built from its declared frame."""
+        return self._hold("pullback", name, lambda: build_pullback(self.sc.pullframes[name], seed=self.seed))
 
     def classify(self, alpha: FormField) -> CocycleClass:
         """Exactness of `alpha` in the session's ansatz on its chart."""
@@ -164,12 +170,8 @@ class Session:
     def extension_identity(self, name: str) -> CheckReport:
         """The modular identity report of the named extension."""
         ext = self.sc.extensions[name]
-        return verify_extension_identity(
-            ext,
-            mu_quotient=self.sc.extension_mu.get(name),
-            ansatz=self.ansatz(ext.chart),
-            seed=self.seed,
-        )
+        mu = self.sc.extension_mu.get(name)
+        return verify_extension_identity(ext, self.ansatz(ext.chart), mu_quotient=mu, seed=self.seed)
 
     def cocycle(self, spec: dict) -> FormField:
         """The 1-form a parsed cocycle spec names (`{"kind": ..., ...}`)."""
@@ -344,8 +346,7 @@ class Session:
         )
 
     def _assert_pullback(self, args) -> tuple[str, str]:
-        pf = self.sc.pullframes[args["name"]]
-        built = build_pullback(pf, seed=self.seed)
+        built = self.pullback(args["name"])
         target = self.sc.algebroid(args["algebroid"])
         ok = same_presentation(built.presentation, target)
         detail = "" if ok else "presentations differ"
@@ -378,8 +379,7 @@ class Session:
 
     def _assert_factor(self, args) -> CheckReport:
         phi = self.sc.morphisms[args["morphism"]]
-        built = build_pullback(self.sc.pullframes[args["pullback"]], seed=self.seed)
-        return factorize(phi, built)[1]
+        return factorize(phi, self.pullback(args["pullback"]))[1]
 
     def _assert_extension(self, args) -> tuple[str, str] | CheckReport:
         ext = self.sc.extensions[args["name"]]
@@ -388,7 +388,7 @@ class Session:
             return check_extension(ext, seed=self.seed)
         if sub == "unimodular":
             try:
-                top_rep(ext)
+                ext.top
                 return self._verdict(True, args["expect"], "invariant section verified")
             except UnimodularityFailure as e:
                 return self._verdict(False, args["expect"], str(e))
@@ -396,24 +396,13 @@ class Session:
 
     def _assert_quotientdata(self, args) -> CheckReport:
         qd = self.sc.quotientdata[args["name"]]
-        return verify_constant_rank_identity(
-            qd.phi,
-            qd.extension,
-            qd.include,
-            qd.complement,
-            ansatz=self.ansatz(qd.phi.source.chart),
-            seed=self.seed,
-        )
+        space = self.ansatz(qd.phi.source.chart)
+        return verify_constant_rank_identity(qd.phi, qd.extension, qd.include, qd.complement, space, self.seed)
 
     def _assert_poisson(self, args) -> CheckReport:
         name = args["name"]
         kit = self.poisson_kit(name)
-        return verify_regular_poisson(
-            kit,
-            self.sc.poissons[name].complement,
-            ansatz=self.ansatz(kit.cotangent.chart),
-            seed=self.seed,
-        )
+        return verify_regular_poisson(kit, self.sc.poissons[name].complement, self.ansatz(kit.ext.chart), self.seed)
 
     def _assert_diagram(self, args) -> tuple[str, str] | CheckReport:
         dia = self.sc.diagrams[args["name"]]

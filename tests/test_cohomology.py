@@ -163,6 +163,24 @@ class TestSharedSpace:
         assert shared.operator(tm) is shared.operator(tm)
         assert shared.operator(spiral) is not shared.operator(tm)
 
+    def test_circle_sections_are_searched_once_per_coordinate(self, monkeypatch):
+        # d sin(5 theta) is outside a 2-mode space, and no period decides
+        # it: each call tries both circles, and the operator holds them
+        searched = []
+        real = cohomology.find_circle_section
+
+        def counting(a, coord):
+            searched.append(coord)
+            return real(a, coord)
+
+        monkeypatch.setattr(cohomology, "find_circle_section", counting)
+        t2 = tangent_algebroid(T2)
+        space = AnsatzSpace(T2, degree=0, fourier_modes=2)
+        alpha = d_A(function_form(t2, sin(5 * T2.coord("theta"))))
+        assert [classify(alpha, space).status for _ in range(2)] == ["nonexact_in_ansatz"] * 2
+        assert searched == ["theta", "phi"]
+        assert space.operator(t2).circles == {"theta": (1, 0), "phi": (0, 1)}
+
     def test_memo_takes_no_part_in_equality(self):
         tm = tangent_algebroid(CYLC)
         used = AnsatzSpace(CYLC, degree=2, fourier_modes=2)

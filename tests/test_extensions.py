@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import algebroids.extensions as extensions
 from algebroids.cli import load_scenario
-from algebroids.cohomology import AnsatzSpace, classify
+from algebroids.cohomology import AnsatzSpace, CocycleClass, classify
 from algebroids.core import (
     AlgebroidPresentation,
     Multivector,
@@ -183,7 +183,7 @@ class TestAdjointAndTop:
         # k included as X1: [X2, X1] = -x K leaves the image
         ext = abelian_kernel_extension()
         zero, one = R2.zero(), R2.one()
-        ext.incl = base_preserving_morphism("i", ext.kernel, ext.total, [[one], [zero], [zero]])
+        ext = replace(ext, incl=base_preserving_morphism("i", ext.kernel, ext.total, [[one], [zero], [zero]]))
         with pytest.raises(ImageClosureFailure):
             adjoint_rep(ext)
 
@@ -197,10 +197,39 @@ class TestAdjointAndTop:
         with pytest.raises(UnimodularityFailure):
             top_rep(ext)
         # any other unit section fails too
-        ext2 = aff1_kernel_extension()
-        ext2.lam = LineSection(3 * exp(R1.coord("x")))
+        ext2 = replace(aff1_kernel_extension(), lam=LineSection(3 * exp(R1.coord("x"))))
         with pytest.raises(UnimodularityFailure):
             top_rep(ext2)
+
+    def test_a_replaced_extension_checks_its_own_section(self):
+        # the held representation belongs to one extension: a replaced
+        # section is checked again, and a failed check holds nothing
+        ext = aff1_kernel_extension()
+        with pytest.raises(UnimodularityFailure):
+            ext.top
+        with pytest.raises(UnimodularityFailure):
+            replace(ext, lam=LineSection(3 * exp(R1.coord("x")))).top
+
+    def test_fields_cannot_be_assigned(self):
+        # a field assignment would leave the held representations stale
+        ext = so3_kernel_extension()
+        assert ext.top is ext.top
+        with pytest.raises(FrozenInstanceError):
+            ext.lam = LineSection(3 * exp(R1.coord("x")))
+
+    def test_held_representations_build_the_adjoint_action_once(self, monkeypatch):
+        calls = []
+        real = extensions.adjoint_rep
+
+        def counting(ext):
+            calls.append(ext)
+            return real(ext)
+
+        monkeypatch.setattr(extensions, "adjoint_rep", counting)
+        ext = so3_kernel_extension()
+        assert ext.eta is ext.eta and ext.top is ext.top
+        assert verify_extension_identity(ext, AnsatzSpace(ext.chart)).passed
+        assert calls == [ext]
 
 
 class TestInducedRep:
@@ -216,7 +245,7 @@ class TestInducedRep:
         # non-constant unit section descends to the same representation
         ext = abelian_kernel_extension()
         base = induced_rep(ext)
-        ext.lam = LineSection(3 * exp(R2.coord("x") - R2.coord("y")))
+        ext = replace(ext, lam=LineSection(3 * exp(R2.coord("x") - R2.coord("y"))))
         assert induced_rep(ext).mats == base.mats
 
 
@@ -448,7 +477,7 @@ class TestRegularPoisson:
         rep = verify_regular_poisson(kit, complement_columns=[[], []], ansatz=AnsatzSpace(R2, degree=2))
         assert rep.passed
         assert kit.mod_sharp.is_zero()
-        assert kit.eta_k.is_zero()
+        assert kit.ext.eta.is_zero()
         assert rep.data.keys() == {"minors", "method", "eta_q"}
 
     def test_draws_the_pinned_points(self, monkeypatch):
@@ -484,7 +513,7 @@ class TestRegularPoisson:
         kit = poisson_kit(Multivector(tm, 2, {(0, 1): one}), [[one, zero], [zero, one]], [[], []])
         x = R2.coord("x")
         f = x * x + sin(x) + 2
-        kit = replace(kit, sharp=base_preserving_morphism("sharp", kit.cotangent, tm, [[zero, -f], [f, zero]]))
+        kit = replace(kit, sharp=base_preserving_morphism("sharp", kit.ext.total, tm, [[zero, -f], [f, zero]]))
         args = (kit, [[], []], AnsatzSpace(R2, degree=1), 3)
         batches = capture_sampled_points(monkeypatch, ratlinalg, verify_regular_poisson, *args)
         assert batches == [reference_points(R2, 3, RANK_SAMPLES, 60, 13)]
@@ -500,10 +529,27 @@ class TestRegularPoisson:
     def test_two_unknown_classes_are_no_agreement(self):
         session = Session(load_scenario("poisson_spiral.scn"), 0)
         kit = session.poisson_kit("SP")
-        rep = verify_regular_poisson(kit, session.sc.poissons["SP"].complement, session.ansatz(kit.cotangent.chart), 0)
+        rep = verify_regular_poisson(kit, session.sc.poissons["SP"].complement, session.ansatz(kit.ext.chart), 0)
         item = next(i for i in rep.items if i.label == "unimodular iff invariant transverse volume (in ansatz)")
         assert item.detail == "modular: nonexact_in_ansatz, transverse volume: nonexact_in_ansatz"
         assert not item.ok
+
+    def test_decided_disagreement_fails_the_volume_criterion(self, monkeypatch):
+        # an exact modular class against a certified non-exact transverse
+        # class: the criterion "unimodular iff invariant transverse volume"
+        # fails, whatever the other items say
+        session = Session(load_scenario("poisson_symplectic.scn"), 0)
+        kit = session.poisson_kit("SYM")
+
+        def decided(alpha, space, seed=0):
+            return CocycleClass(alpha, space, "exact" if alpha is kit.mod_sharp else "nonexact_certified")
+
+        monkeypatch.setattr(extensions, "classify", decided)
+        rep = verify_regular_poisson(kit, session.sc.poissons["SYM"].complement, session.ansatz(kit.ext.chart), 0)
+        item = next(i for i in rep.items if i.label == "unimodular iff invariant transverse volume (in ansatz)")
+        assert item.detail == "modular: exact, transverse volume: nonexact_certified"
+        assert not item.ok
+        assert not rep.passed
 
     def test_exponential_symplectic_leaves(self):
         kit, complement = self._exp_leaves()
@@ -532,5 +578,5 @@ class TestRegularPoisson:
             ansatz=AnsatzSpace(TXY, degree=2, fourier_modes=2),
         )
         assert rep.passed
-        assert kit.mod_sharp == one_form(kit.cotangent, [zero, zero, TXY.const(-2)])
-        assert kit.eta_k == one_form(kit.image, [one, zero])
+        assert kit.mod_sharp == one_form(kit.ext.total, [zero, zero, TXY.const(-2)])
+        assert kit.ext.eta == one_form(kit.ext.quotient, [one, zero])

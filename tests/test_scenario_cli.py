@@ -623,6 +623,33 @@ class TestRunner:
         assert report.passed
         assert len(built) == len(sc.poissons) == 1
 
+    def test_extension_builds_its_adjoint_action_once(self, monkeypatch):
+        # unimodular, identity and quotientdata all read the one extension
+        built = []
+        adjoint = extensions.adjoint_rep
+
+        def counting(ext):
+            built.append(ext)
+            return adjoint(ext)
+
+        monkeypatch.setattr(extensions, "adjoint_rep", counting)
+        assert main(["run", "extension_rank1.scn"]) == 0
+        assert len(built) == 1
+
+    def test_pullback_built_once_per_name(self, monkeypatch):
+        # cylinder.scn matches PB, factors through it, and matches PBID
+        built = []
+        build = runner.build_pullback
+
+        def counting(pf, *args, **kwargs):
+            built.append(pf)
+            return build(pf, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_pullback", counting)
+        sc = load_scenario("cylinder.scn")
+        assert run(sc, seed=0).passed
+        assert built == list(sc.pullframes.values())
+
     def test_sections_follow_the_algebroid_not_an_equal_one(self):
         # A and A2 are equal presentations; only A2 declares a section
         report = run(parse_scenario(TWIN_SNIPPET, "twins"))

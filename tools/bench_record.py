@@ -23,7 +23,8 @@ holds:
   differ.  A difference is recorded, not refused: a change may move a
   verdict on purpose, and a reader weighs any gain against it.
 
-Writing refuses a run that reported problems (`"correct": false`), whose
+Writing refuses a checkout in which `git rev-parse HEAD` names no commit,
+a run that reported problems (`"correct": false`), whose
 `src_lines` differ from its checkout's, or that is older than the newest
 file under the checkout's `src/`; and a workload whose two sides differ in
 seeds or `--seconds`, or whose untraced runs were not made as adjacent
@@ -95,8 +96,12 @@ def tier1_seconds(checkout: Path) -> float:
 
 
 def commit(checkout: Path) -> str:
+    """The commit checked out at `checkout`; refused when git names none,
+    since a record that cannot name its commits cannot be re-run."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return proc.stdout.strip() or "unknown"
+    if not proc.stdout.strip():
+        raise SystemExit(f"{checkout}: git rev-parse HEAD names no commit; record from a git checkout")
+    return proc.stdout.strip()
 
 
 def matched(name: str, trace: int, runs: dict[str, dict]) -> dict[str, list[dict]]:
@@ -175,10 +180,11 @@ def workload_record(spec: dict, name: str, runs: dict[str, dict]) -> dict:
 def write(args) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    commits = {side: commit(path) for side, path in checkouts.items()}
     runs = {side: load_runs(path) for side, path in checkouts.items()}
     workloads = {w["name"]: workload_record(spec, w["name"], runs) for w in spec["workloads"]}
     record = {
-        "parent_commit": commit(checkouts["parent"]),
+        "parent_commit": commits["parent"],
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
