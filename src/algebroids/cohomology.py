@@ -208,7 +208,9 @@ class AnsatzOperator:
     basis: list[ScalarFn]
     index: dict[tuple[int, TermKey], int]
     system: FactoredSystem
-    circles: dict[str, Optional[tuple[Fraction, ...]]] = field(default_factory=dict)
+    circles: dict[str, Optional[tuple[Fraction, ...]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def build(cls, a: AlgebroidPresentation, basis: list[ScalarFn]) -> "AnsatzOperator":
@@ -386,8 +388,13 @@ def find_circle_section(
     """Rational-constant frame coefficients c with rho(sum c_i e_i) exactly
     the unit vector field of the given periodic coordinate, if any."""
     j = a.chart.index(coord)
-    target = [a.chart.one() if k == j else a.chart.zero() for k in range(a.chart.dim)]
-    equations = [([a.anchor[i][k] for i in range(a.rank)], target[k]) for k in range(a.chart.dim)]
+    target = [
+        a.chart.one() if k == j else a.chart.zero() for k in range(a.chart.dim)
+    ]
+    equations = []
+    for k in range(a.chart.dim):
+        coeffs = [a.anchor[i][k] for i in range(a.rank)]
+        equations.append((coeffs, target[k]))
     rows, rhs = _match_terms(equations)
     sol, _ = rat_solve(rows, rhs) if rows else ([], None)
     if sol is None:

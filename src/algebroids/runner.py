@@ -170,8 +170,12 @@ class Session:
     def extension_identity(self, name: str) -> CheckReport:
         """The modular identity report of the named extension."""
         ext = self.sc.extensions[name]
-        mu = self.sc.extension_mu.get(name)
-        return verify_extension_identity(ext, self.ansatz(ext.chart), mu_quotient=mu, seed=self.seed)
+        return verify_extension_identity(
+            ext,
+            mu_quotient=self.sc.extension_mu.get(name),
+            ansatz=self.ansatz(ext.chart),
+            seed=self.seed,
+        )
 
     def cocycle(self, spec: dict) -> FormField:
         """The 1-form a parsed cocycle spec names (`{"kind": ..., ...}`)."""
@@ -396,13 +400,24 @@ class Session:
 
     def _assert_quotientdata(self, args) -> CheckReport:
         qd = self.sc.quotientdata[args["name"]]
-        space = self.ansatz(qd.phi.source.chart)
-        return verify_constant_rank_identity(qd.phi, qd.extension, qd.include, qd.complement, space, self.seed)
+        return verify_constant_rank_identity(
+            qd.phi,
+            qd.extension,
+            qd.include,
+            qd.complement,
+            ansatz=self.ansatz(qd.phi.source.chart),
+            seed=self.seed,
+        )
 
     def _assert_poisson(self, args) -> CheckReport:
         name = args["name"]
         kit = self.poisson_kit(name)
-        return verify_regular_poisson(kit, self.sc.poissons[name].complement, self.ansatz(kit.ext.chart), self.seed)
+        return verify_regular_poisson(
+            kit,
+            self.sc.poissons[name].complement,
+            ansatz=self.ansatz(kit.ext.chart),
+            seed=self.seed,
+        )
 
     def _assert_diagram(self, args) -> tuple[str, str] | CheckReport:
         dia = self.sc.diagrams[args["name"]]

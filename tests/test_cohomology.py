@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from unittest import mock
@@ -179,7 +180,12 @@ class TestSharedSpace:
         alpha = d_A(function_form(t2, sin(5 * T2.coord("theta"))))
         assert [classify(alpha, space).status for _ in range(2)] == ["nonexact_in_ansatz"] * 2
         assert searched == ["theta", "phi"]
-        assert space.operator(t2).circles == {"theta": (1, 0), "phi": (0, 1)}
+        op = space.operator(t2)
+        assert op.circles == {"theta": (1, 0), "phi": (0, 1)}
+        # the held sections are a memo: not a constructor argument, and no
+        # part of equality or repr
+        fresh = dataclasses.replace(op)
+        assert fresh.circles == {} and fresh == op and repr(fresh) == repr(op)
 
     def test_memo_takes_no_part_in_equality(self):
         tm = tangent_algebroid(CYLC)
