@@ -581,7 +581,7 @@ def lie_algebra_presentation(
 
 
 def derivation_algebroid(
-    chart: Chart, bundle_frame: Sequence[str], name: Optional[str] = None
+    chart: Chart, bundle_frame: Sequence[str]
 ) -> AlgebroidPresentation:
     """Derivations of a framed bundle: coordinate fields plus gl(m) matrices.
 
@@ -600,7 +600,7 @@ def derivation_algebroid(
             comps[idx(t, v)] = chart.one()
         if v == t:
             comps[idx(u, s)] = comps.get(idx(u, s), chart.zero()) - chart.one()
-    return AlgebroidPresentation(name or f"D({chart.name})", chart, frame, anchor, structure)
+    return AlgebroidPresentation(f"D({chart.name})", chart, frame, anchor, structure)
 
 
 def same_presentation(a: AlgebroidPresentation, b: AlgebroidPresentation) -> bool:

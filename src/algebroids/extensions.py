@@ -31,9 +31,7 @@ from .core import (
     FormField,
     Multivector,
     d_A,
-    interior,
     interior_form,
-    one_form,
     schouten,
     section_vector,
     tangent_algebroid,
@@ -66,7 +64,6 @@ from .reps import (
     canonical_sections,
     char_cocycle,
     check_flat,
-    modular_cocycle,
 )
 from .symexpr import ScalarFn, lincomb
 
@@ -311,8 +308,11 @@ def verify_extension_identity(
     map and the pull-back of the descended characteristic cocycle.
 
     The unit multivector trivializes the total top power, mu_quotient the
-    top of the quotient coframe.  When the contraction of the former by the
-    pulled-back mu_quotient is a rational multiple of the included
+    top of the quotient coframe, and theta is `morphisms.relative_modular`
+    of the quotient map with the section dual to mu_quotient (coefficient
+    1/s_mu) downstairs; the chart's volume form enters both modular
+    cocycles and cancels.  When the contraction of the unit multivector by
+    the pulled-back mu_quotient is a rational multiple of the included
     invariant section, the identity holds exactly; otherwise it is checked
     up to an exact form in ``ansatz``, a space on the extension's chart.
     """
@@ -322,15 +322,10 @@ def verify_extension_identity(
     omega = top_multivector(a, chart.one())
     mu = mu_quotient if mu_quotient is not None else top_form(b, chart.one())
     s_mu = mu.comps.get(tuple(range(b.rank)), chart.zero())
-    s_mu_inv = s_mu.unit_inverse()
-    theta_comps = []
-    for j in range(a.rank):
-        t1 = top_bracket(a, j, chart.one())
-        y = section_vector(b, [ext.proj.fiber[t][j] for t in range(b.rank)])
-        lie = d_A(interior(y, mu))  # Lie derivative of the top form mu along y
-        t2 = lie.comps.get(tuple(range(b.rank)), chart.zero()) * s_mu_inv
-        theta_comps.append(t1 + t2)
-    theta = one_form(a, theta_comps)
+    nu = top_form(tangent_algebroid(chart), chart.one())
+    theta = relative_modular(
+        ext.proj, Trivialization(omega, nu), Trivialization(top_multivector(b, s_mu.unit_inverse()), nu)
+    )
     rep.residual("theta closed", d_A(theta))
     pulled = pullback_form(ext.proj, ext.eta)
     # compatibility: contraction of omega by the pulled-back mu against the
@@ -428,11 +423,10 @@ def verify_constant_rank_identity(
         phi, Trivialization(*canonical_sections(a)), Trivialization(*canonical_sections(amb))
     )
     _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, ext.eta - eta_q), ansatz, seed)
-    mod_amb = modular_cocycle(amb, *canonical_sections(amb))
-    mod_b = modular_cocycle(b, *canonical_sections(b))
-    _identity(
-        rep, "intermediate identity", pullback_form(b_in_ambient, mod_amb) - mod_b, eta_q, ansatz, seed
+    mod_b_in_amb = relative_modular(
+        b_in_ambient, Trivialization(*canonical_sections(b)), Trivialization(*canonical_sections(amb))
     )
+    _identity(rep, "intermediate identity", -mod_b_in_amb, eta_q, ansatz, seed)
     rep.data["eta_k"] = ext.eta
     rep.data["eta_q"] = eta_q
     rep.data["mod_phi"] = mod_phi

@@ -35,10 +35,12 @@ from .core import (
 from .ratlinalg import scalar_det
 from .report import CheckReport
 from .reps import (
+    EValuedForm,
     Representation,
     RepresentationError,
     canonical_rep,
     check_flat,
+    d_AE,
     dual_rep,
     modular_cocycle,
     tensor_rep,
@@ -335,7 +337,7 @@ def check_rep_morphism(
     entries on the source chart); d_src lives on E over the source algebroid,
     d_tgt on F over the target.  For each dual generator of F the pull-back
     of its covariant differential must equal the covariant differential of
-    its pull-back.
+    its pull-back, which is `reps.d_AE` of the dual of d_src.
     """
     rep = CheckReport(f"representation morphism over {phi.name}")
     src = phi.source
@@ -360,16 +362,7 @@ def check_rep_morphism(
                 total = total + pulled[u].scale(psi_fiber[u][s])
             lhs_cols.append(total)
         # rhs: d_{A,E*} of (sum_s psi[t][s] eps^s)
-        rhs_cols = []
-        for s in range(m_e):
-            comp = d_A(FormField(src, 0, {(): psi_fiber[t][s]}))
-            comp = one_form(src, [comp.component((i,)) for i in range(src.rank)])
-            for s2 in range(m_e):
-                conn = one_form(
-                    src, [dual_src.mats[i][s][s2] for i in range(src.rank)]
-                )
-                comp = comp + conn.scale(psi_fiber[t][s2])
-            rhs_cols.append(comp)
+        rhs_cols = d_AE(dual_src, EValuedForm(dual_src, [FormField(src, 0, {(): f}) for f in psi_fiber[t]])).comps
         for s in range(m_e):
             res = lhs_cols[s] - rhs_cols[s]
             rep.residual(f"diagram on {d_tgt.bundle_frame[t]}^ / {d_src.bundle_frame[s]}^", res)

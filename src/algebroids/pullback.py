@@ -28,7 +28,9 @@ sampling at `ratlinalg.RANK_SAMPLES` points of the check's seed, a count
 no caller sets) and reports always disclose which method decided.  The
 certificate goes into ``rep.data["minors"]``, which reports do not print.
 `extensions.check_extension` is the one rank site that still samples
-directly, without trying a certificate.
+directly, without trying a certificate.  `verify_submersion_vanishing`
+takes a built product-submersion pull-back, which the scenario `Session`
+holds, and its residual is `morphisms.relative_modular` of the projection.
 """
 
 from __future__ import annotations
@@ -47,10 +49,17 @@ from .core import (
     top_multivector,
     vector_field_bracket,
 )
-from .morphisms import Morphism, base_preserving_morphism, check_morphism, compose, pullback_form
+from .morphisms import (
+    Morphism,
+    Trivialization,
+    base_preserving_morphism,
+    check_morphism,
+    compose,
+    pullback_form,
+    relative_modular,
+)
 from .ratlinalg import RANK_SAMPLES, PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
 from .report import CheckReport
-from .reps import modular_cocycle
 from .symexpr import Chart, ChartMap, ScalarFn, lincomb
 
 
@@ -247,7 +256,7 @@ class BuiltPullback:
 
 
 def build_pullback(
-    pf: PullbackFrame, name: Optional[str] = None, seed: int = 0
+    pf: PullbackFrame, seed: int = 0
 ) -> BuiltPullback:
     """Structure functions by evaluating the fiber-product bracket on frame
     pairs and re-expanding (unit-pivot solve); anchor = vector-field parts;
@@ -263,7 +272,7 @@ def build_pullback(
     structure = bracket_structure(rows, pf.pairs, lambda p1, p2: _pair_bracket(pf, pull, p1, p2))
     names = pf.names or tuple(f"p{g+1}" for g in range(len(pf.pairs)))
     pres = AlgebroidPresentation(
-        name or f"{b.name}^!",
+        f"{b.name}^!",
         chart,
         names,
         [list(p.vf) for p in pf.pairs],
@@ -340,25 +349,27 @@ def factorize(phi: Morphism, built: BuiltPullback) -> tuple[Morphism, CheckRepor
 
 
 def verify_submersion_vanishing(
-    b: AlgebroidPresentation,
-    source_chart: Chart,
+    built: BuiltPullback,
     sigma: ScalarFn,
     nu: ScalarFn,
     mu: ScalarFn,
-    seed: int = 0,
 ) -> CheckReport:
     """Cochain-level vanishing of the relative modular cocycle of the
     projection of a product-submersion pull-back.
 
-    sigma trivializes the top power of the target, nu and mu are volume
-    coefficients on target and source charts.  The top section upstairs is
-    transported through the vertical volume tau with i_tau mu = (base
-    pull-back of nu), and the residual (modular cocycle upstairs) minus
-    (pull-back of the one downstairs) must vanish identically.
+    ``built`` is the pull-back of `product_submersion_frame` (PullbackError
+    for any other frame).  sigma trivializes the top power of the target,
+    nu and mu are volume coefficients on target and source charts.  The top
+    section upstairs is transported through the vertical volume tau with
+    i_tau mu = (base pull-back of nu), and the residual, the
+    `morphisms.relative_modular` cocycle of the projection, must vanish
+    identically.
     """
+    pf = built.frame
+    b, source_chart = pf.target, pf.source_chart
+    if pf != product_submersion_frame(b, source_chart):
+        raise PullbackError("submersion vanishing needs the product-submersion pull-back")
     rep = CheckReport(f"submersion vanishing for {b.name}")
-    pf = product_submersion_frame(b, source_chart)
-    built = build_pullback(pf, seed=seed)
     rep.note(f"pull-back frame: {', '.join(built.presentation.frame)}")
     tgt_chart = b.chart
     tm_src = tangent_algebroid(source_chart)
@@ -392,7 +403,7 @@ def verify_submersion_vanishing(
     omega_up = top_multivector(
         built.presentation, built.projection.pull_scalar(sigma) * h
     )
-    gamma = modular_cocycle(built.presentation, omega_up, mu_form)
-    beta = modular_cocycle(b, top_multivector(b, sigma), top_form(tm_tgt, nu))
-    rep.residual("modular cocycle residual = 0", gamma - pullback_form(built.projection, beta))
+    sec_tgt = Trivialization(top_multivector(b, sigma), top_form(tm_tgt, nu))
+    residual = relative_modular(built.projection, Trivialization(omega_up, mu_form), sec_tgt)
+    rep.residual("modular cocycle residual = 0", residual)
     return rep

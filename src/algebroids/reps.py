@@ -13,7 +13,7 @@ modular cocycle of a presentation.
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     AlgebroidPresentation,
@@ -34,10 +34,6 @@ Matrix = tuple[tuple[ScalarFn, ...], ...]
 
 
 class RepresentationError(Exception):
-    pass
-
-
-class NotFlat(RepresentationError):
     pass
 
 
@@ -139,12 +135,12 @@ def check_flat(d: Representation) -> CheckReport:
 
 
 def trivial_rep(
-    a: AlgebroidPresentation, bundle_frame: Sequence[str], name: str = "triv"
+    a: AlgebroidPresentation, bundle_frame: Sequence[str]
 ) -> Representation:
     zero = a.chart.zero()
     m = len(bundle_frame)
     mats = [[[zero for _ in range(m)] for _ in range(m)] for _ in range(a.rank)]
-    return Representation(a, bundle_frame, mats, name)
+    return Representation(a, bundle_frame, mats, "triv")
 
 
 def dual_rep(d: Representation) -> Representation:
@@ -206,10 +202,9 @@ class EValuedForm:
         return all(c.is_zero() for c in self.comps)
 
 
-def d_AE(d: Representation, s: EValuedForm, checked: bool = True) -> EValuedForm:
-    """The degree-1 differential extending the representation by Leibniz."""
-    if checked and not check_flat(d).passed:
-        raise NotFlat(f"{d.name} has nonzero curvature")
+def d_AE(d: Representation, s: EValuedForm) -> EValuedForm:
+    """The degree-1 differential extending the representation by Leibniz; it
+    squares to zero exactly when ``d`` is flat, which `check_flat` decides."""
     a = d.algebroid
     k = s.degree
     out = []
@@ -298,7 +293,7 @@ def canonical_sections(
 
 
 def canonical_rep(
-    a: AlgebroidPresentation, omega: Multivector, mu: FormField, name: Optional[str] = None
+    a: AlgebroidPresentation, omega: Multivector, mu: FormField
 ) -> Representation:
     """The canonical line representation, trivialized by omega (x) mu.
 
@@ -307,4 +302,4 @@ def canonical_rep(
     """
     alpha = modular_cocycle(a, omega, mu)
     mats = [[[alpha.component((i,))]] for i in range(a.rank)]
-    return Representation(a, (f"L[{a.name}]",), mats, name or f"D^{a.name}")
+    return Representation(a, (f"L[{a.name}]",), mats, f"D^{a.name}")

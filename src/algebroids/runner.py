@@ -56,6 +56,7 @@ from .pullback import (
     check_admissible,
     check_transverse,
     factorize,
+    product_submersion_frame,
     verify_submersion_vanishing,
 )
 from .reps import LineSection, char_cocycle, check_flat, dual_rep, modular_cocycle, tensor_rep
@@ -128,8 +129,9 @@ class Report:
 class Session:
     """One scenario at one seed: the queries that assertions and CLI
     subcommands share.  The session holds what it builds, by name: the
-    ansatz space of each chart, the kit of each Poisson structure and each
-    pull-back, each built on first use.  So each space factors d_A once per
+    ansatz space of each chart, the kit of each Poisson structure, each
+    named pull-back and the product pull-back of each algebroid from each
+    chart, each built on first use.  So each space factors d_A once per
     algebroid it is asked about (one cotangent algebroid per Poisson
     structure).  An extension holds its own representations, and each
     section is the one `Scenario.trivialization` chooses."""
@@ -377,9 +379,9 @@ class Session:
     def _assert_ellphi(self, args) -> CheckReport:
         b = self.sc.algebroid(args["algebroid"])
         chart = self.sc.charts[args["chart"]]
-        return verify_submersion_vanishing(
-            b, chart, args["sigma"], args["nu"], args["mu"], seed=self.seed
-        )
+        build = lambda: build_pullback(product_submersion_frame(b, chart), seed=self.seed)
+        built = self._hold("product pullback", f"{args['algebroid']} from {args['chart']}", build)
+        return verify_submersion_vanishing(built, args["sigma"], args["nu"], args["mu"])
 
     def _assert_factor(self, args) -> CheckReport:
         phi = self.sc.morphisms[args["morphism"]]

@@ -48,6 +48,7 @@ from algebroids.pullback import (
     PullbackFrame,
     PullbackFramePair,
     build_pullback,
+    product_submersion_frame,
     verify_submersion_vanishing,
 )
 from algebroids.reps import (
@@ -139,7 +140,8 @@ def test_criterion_02_submersion_cochain_vanishing():
     cases.append(("split normal form target", cnf, V, W.one(), W.one(), V.one()))
     oks = []
     for label, target, src, sigma, nu, mu in cases:
-        rep = verify_submersion_vanishing(target, src, sigma, nu, mu)
+        built = build_pullback(product_submersion_frame(target, src))
+        rep = verify_submersion_vanishing(built, sigma, nu, mu)
         oks.append(rep.passed)
     report(
         "02 submersion cochain-level vanishing",
@@ -380,7 +382,7 @@ def test_criterion_08_axiom_flatness_suite():
         d = _random_flat_line_rep(alg, rng2)
         ok2 = ok2 and check_flat(d).passed
         s = EValuedForm(d, [function_form(alg, alg.chart.const(rng2.randint(1, 5)))])
-        ok2 = ok2 and d_AE(d, d_AE(d, s, checked=False), checked=False).is_zero()
+        ok2 = ok2 and d_AE(d, d_AE(d, s)).is_zero()
         flat_checked += 1
     # perturbations: curvature appears, and the two routes agree on it
     perturbed_failed = 0
@@ -406,7 +408,7 @@ def test_criterion_08_axiom_flatness_suite():
         flatrep = check_flat(d)
         s = EValuedForm(d, [function_form(d.algebroid, d.chart.one())] +
                         [function_form(d.algebroid, d.chart.zero())] * (d.bundle_rank - 1))
-        square = d_AE(d, d_AE(d, s, checked=False), checked=False)
+        square = d_AE(d, d_AE(d, s))
         if not flatrep.passed and not square.is_zero():
             perturbed_failed += 1
     ok3 = perturbed_failed == len(pert_cases)

@@ -288,6 +288,9 @@ class TestExtensionIdentity:
             CheckItem("sections compatible (rational multiple)", True, "not proportional; class-level check"),
             CheckItem("class identity theta ~ proj^*(eta)", True, "cohomologous"),
         ]
+        # the section dual to mu has coefficient exp(-x), which adds dx
+        x, y = R2.coord("x"), R2.coord("y")
+        assert rep.data["theta"] == one_form(ext.total, [1 + y, x, R2.zero()])
 
     def test_scenario_mu_reaches_the_class_level_in_the_session_space(self, monkeypatch):
         # a non-constant mu of an extension block makes the sections
@@ -434,6 +437,22 @@ class TestConstantRankIdentity:
         assert rep.passed
         assert rep.data["eta_k"].is_zero()
         assert rep.data["eta_q"].is_zero()
+
+    def test_proper_inclusion_with_a_nonzero_cokernel_class(self):
+        # B spanned by d/dx + y d/dy, cokernel framed by d/dy: [b1, d/dy] =
+        # -d/dy, so eta_q = -b1*, and the modular cocycle of B is +b1*
+        zero, one, y = R2.zero(), R2.one(), R2.coord("y")
+        b, b_in_tm = subalgebroid_from_vector_fields("B", R2, [[one], [y]])
+        c = AlgebroidPresentation("C0", R2, (), [])
+        incl = base_preserving_morphism("i", c, b, [[] for _ in range(b.rank)])
+        ext = ExtensionPresentation(c, b, b, incl, identity_morphism(b), LineSection(one))
+        rep = verify_constant_rank_identity(b_in_tm, ext, b_in_tm, [[zero], [one]], AnsatzSpace(R2))
+        assert rep.items == [
+            CheckItem("morphism factors through the image", True, ""),
+            CheckItem("main identity exact at cochain level", True, ""),
+            CheckItem("intermediate identity exact at cochain level", True, ""),
+        ]
+        assert rep.data["eta_q"] == one_form(b, [-one])
 
 
 class TestCotangentAlgebroid:

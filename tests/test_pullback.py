@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroids.cli import load_scenario
 from algebroids.core import (
     AlgebroidPresentation,
     check_axioms,
@@ -22,6 +23,7 @@ from algebroids.morphisms import (
 from algebroids.pullback import (
     AdmissibilityFailure,
     BuiltPullback,
+    PullbackError,
     PullbackFrame,
     PullbackFramePair,
     _constraint_matrix,
@@ -35,6 +37,7 @@ from algebroids.pullback import (
 )
 from algebroids.ratlinalg import RANK_SAMPLES, rank_certificate, sample_points, sampled_ranks, scalar_det
 from algebroids.reps import canonical_sections
+from algebroids.runner import Session
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, parse_expr, sin
 
 from conftest import (
@@ -347,30 +350,41 @@ class TestFactorize:
 class TestSubmersionVanishing:
     def test_tangent_target(self):
         b = tangent_algebroid(N, "TN")
-        rep = verify_submersion_vanishing(b, M3, N.one(), N.one(), M3.one())
+        built = build_pullback(product_submersion_frame(b, M3))
+        rep = verify_submersion_vanishing(built, N.one(), N.one(), M3.one())
         assert rep.passed
 
     def test_cylinder_target(self):
         b = cylinder_algebroid(N)
-        rep = verify_submersion_vanishing(b, M3, N.one(), N.one(), M3.one())
+        built = build_pullback(product_submersion_frame(b, M3))
+        rep = verify_submersion_vanishing(built, N.one(), N.one(), M3.one())
         assert rep.passed
 
     def test_lie_algebra_target(self):
-        from algebroids.symexpr import point_chart
-
         g = aff1()
         src = Chart("F", ("x", "y"))
-        rep = verify_submersion_vanishing(
-            g, src, g.chart.one(), g.chart.one(), src.one()
-        )
+        built = build_pullback(product_submersion_frame(g, src))
+        rep = verify_submersion_vanishing(built, g.chart.one(), g.chart.one(), src.one())
         assert rep.passed
 
     def test_nonunit_sections(self):
         b = cylinder_algebroid(N)
+        built = build_pullback(product_submersion_frame(b, M3))
         rep = verify_submersion_vanishing(
-            b, M3, exp(N.coord("x")), N.one(), exp(M3.coord("t"))
+            built, exp(N.coord("x")), N.one(), exp(M3.coord("t"))
         )
         assert rep.passed
+
+    def test_user_frames_are_refused(self):
+        # cylinder.scn's PB is an orbit inclusion, not a product projection;
+        # the rescaled frame differs from the product frame only in its pair
+        pb = Session(load_scenario("cylinder.scn")).pullback("PB")
+        two, x = N.const(2), N.coord("x")
+        pair = PullbackFramePair((two,), (two, two * x))
+        rescaled = PullbackFrame(cylinder_algebroid(N), N, (N.coord("theta"), x), [pair], ("b^",))
+        for built in (pb, build_pullback(rescaled)):
+            with pytest.raises(PullbackError, match="product"):
+                verify_submersion_vanishing(built, N.one(), N.one(), built.frame.source_chart.one())
 
 
 def _scaled_rows(s):

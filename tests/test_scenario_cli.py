@@ -650,6 +650,19 @@ class TestRunner:
         assert run(sc, seed=0).passed
         assert built == list(sc.pullframes.values())
 
+    def test_product_pullback_built_once_per_algebroid_and_chart(self, monkeypatch):
+        # submersion.scn asks ellphi of B from M twice, with other sections
+        built = []
+        build = runner.build_pullback
+
+        def counting(pf, *args, **kwargs):
+            built.append(pf)
+            return build(pf, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_pullback", counting)
+        assert main(["run", "submersion.scn"]) == 0
+        assert len(built) == 4
+
     def test_sections_follow_the_algebroid_not_an_equal_one(self):
         # A and A2 are equal presentations; only A2 declares a section
         report = run(parse_scenario(TWIN_SNIPPET, "twins"))

@@ -23,8 +23,13 @@ holds:
   differ.  A difference is recorded, not refused: a change may move a
   verdict on purpose, and a reader weighs any gain against it.
 
-Writing refuses a checkout in which `git rev-parse HEAD` names no commit,
-a run that reported problems (`"correct": false`), whose
+Writing refuses, before any slow step, parent and change checkouts that
+are not sibling directories with paths of equal length: the path is in
+every module's `__file__` and in `sys.path`, so the two sides then differ
+in their code alone.  It refuses a checkout in which `git rev-parse HEAD`
+names no commit or that is not the top of its own git checkout (a copy
+unpacked inside another checkout would name that one's commit), a run
+that reported problems (`"correct": false`), whose
 `src_lines` differ from its checkout's, or that is older than the newest
 file under the checkout's `src/`; and a workload whose two sides differ in
 seeds or `--seconds`, or whose untraced runs were not made as adjacent
@@ -97,10 +102,14 @@ def tier1_seconds(checkout: Path) -> float:
 
 def commit(checkout: Path) -> str:
     """The commit checked out at `checkout`; refused when git names none,
-    since a record that cannot name its commits cannot be re-run."""
+    since a record that cannot name its commits cannot be re-run, and when
+    `checkout` is not the top of its own checkout, whose commit git names."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     if not proc.stdout.strip():
         raise SystemExit(f"{checkout}: git rev-parse HEAD names no commit; record from a git checkout")
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=checkout, capture_output=True, text=True)
+    if Path(top.stdout.strip()).resolve() != checkout.resolve():
+        raise SystemExit(f"{checkout}: not the top of its own checkout, which is {top.stdout.strip()}")
     return proc.stdout.strip()
 
 
@@ -180,6 +189,9 @@ def workload_record(spec: dict, name: str, runs: dict[str, dict]) -> dict:
 def write(args) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    parent, change = checkouts.values()
+    if parent.parent != change.parent or len(str(parent)) != len(str(change)):
+        raise SystemExit(f"{parent}, {change}: record from sibling checkouts whose paths are equal in length")
     commits = {side: commit(path) for side, path in checkouts.items()}
     runs = {side: load_runs(path) for side, path in checkouts.items()}
     workloads = {w["name"]: workload_record(spec, w["name"], runs) for w in spec["workloads"]}
