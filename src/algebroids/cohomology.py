@@ -289,7 +289,6 @@ class NoSolutionInAnsatz:
     no row of the index, in frame order and canonical term order."""
 
     witness: list[Fraction]
-    detail: str = ""
 
 
 @dataclass
@@ -317,10 +316,8 @@ class Inconclusive:
 
 @dataclass
 class CocycleClass:
-    """A closed 1-form with its decided status inside an ansatz space."""
+    """The decided status of a closed 1-form inside an ansatz space."""
 
-    representative: FormField
-    ansatz: AnsatzSpace
     status: str  # "exact" | "nonexact_certified" | "nonexact_in_ansatz"
     primitive: Optional[ScalarFn] = None
     certificate: Optional[NonExactCertificate] = None
@@ -378,7 +375,7 @@ def solve_exact(
                 rhs[r] = q * scale
     sol, witness = op.system.solve(rhs, outside, den)
     if sol is None:
-        return NoSolutionInAnsatz(witness, "inconsistent coefficient matching")
+        return NoSolutionInAnsatz(witness)
     return lincomb(a.chart, [(c, b) for c, b in zip(sol, op.basis) if c])
 
 
@@ -452,7 +449,7 @@ def period_certificate(
     if mean.is_zero():
         return Inconclusive(MEAN_VANISHES)
     # the mean does not depend on the circle coordinate: draw the others, put 0 there
-    pairs = [[*p[:j], (0, 1), *p[j:]] for p in sample_pairs(chart.dim - 1, seed, PERIOD_SAMPLES, 60, 13)]
+    pairs = [[*p[:j], (0, 1), *p[j:]] for p in sample_pairs(chart.dim - 1, seed, PERIOD_SAMPLES)]
     values = mean.evaluate([[p / q for p, q in pt] for pt in pairs]).tolist()
     # the first largest |value|, a nan sample counting as 0
     sizes = [abs(v) if v == v else 0.0 for v in values]
@@ -468,7 +465,7 @@ def classify(
     unknown-within-ansatz.  Status never downgrades."""
     res = solve_exact(alpha, space)
     if isinstance(res, ScalarFn):
-        return CocycleClass(alpha, space, "exact", primitive=res)
+        return CocycleClass("exact", primitive=res)
     a = alpha.algebroid
     circles = space.operator(a).circles
     for coord in (c for c, per in zip(a.chart.coords, a.chart.periodic) if per):
@@ -479,8 +476,8 @@ def classify(
             continue
         cert = period_certificate(alpha, combo, coord, seed=seed)
         if isinstance(cert, NonExactCertificate):
-            return CocycleClass(alpha, space, "nonexact_certified", certificate=cert)
-    return CocycleClass(alpha, space, "nonexact_in_ansatz")
+            return CocycleClass("nonexact_certified", certificate=cert)
+    return CocycleClass("nonexact_in_ansatz")
 
 
 @dataclass

@@ -126,9 +126,9 @@ class ExtensionPresentation:
 
 def check_extension(ext: ExtensionPresentation, seed: int = 0) -> CheckReport:
     """Exactness of the extension data.  Its pointwise injectivity and
-    surjectivity are the one rank check that samples, at `RANK_SAMPLES`
-    points in its own box, without trying a certificate: every extension
-    input of the benchmark's `rank` workload has one, and
+    surjectivity are the one rank check that samples without trying a
+    certificate, at the points `pointwise_rank` samples (`sample_points`):
+    every extension input of the benchmark's `rank` workload has one, and
     `perfbench/run.py` refuses a traced run in which `ratlinalg.float_rank`
     goes uncalled, so they move to `ratlinalg.pointwise_rank` once that
     workload has uncertified inputs."""
@@ -146,8 +146,7 @@ def check_extension(ext: ExtensionPresentation, seed: int = 0) -> CheckReport:
         "projection kills the kernel",
         all(f.is_zero() for row in comp.fiber for f in row),
     )
-    chart = a.chart
-    pts = sample_points(chart.dim, seed, RANK_SAMPLES, 50, 11)
+    pts = sample_points(a.chart.dim, seed)
     inj_ok = not c.rank or all(r == c.rank for r in sampled_ranks(ext.incl.fiber, pts))
     surj_ok = not b.rank or all(r == b.rank for r in sampled_ranks(ext.proj.fiber, pts))
     rep.add("kernel map pointwise injective", inj_ok, f"sampled at {RANK_SAMPLES} points")

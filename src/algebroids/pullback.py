@@ -23,14 +23,14 @@ Every one of these verdicts is decided by `ratlinalg.pointwise_rank`, the
 one pointwise-rank routine, and each check only phrases its item.  It is
 exact when a minor of the generic rank R is certified nowhere zero (then
 R is the rank at every point), and a full-rank question fails exactly
-when R is too small; otherwise the verdict is probabilistic (random-point
-sampling at `ratlinalg.RANK_SAMPLES` points of the check's seed, a count
-no caller sets) and reports always disclose which method decided.  The
-certificate goes into ``rep.data["minors"]``, which reports do not print.
-`extensions.check_extension` is the one rank site that still samples
-directly, without trying a certificate.  `verify_submersion_vanishing`
-takes a built product-submersion pull-back, which the scenario `Session`
-holds, and its residual is `morphisms.relative_modular` of the projection.
+when R is too small; otherwise the verdict is probabilistic (sampled at
+the `ratlinalg.sample_points` of the check's seed, where
+`extensions.check_extension` samples without trying a certificate) and
+reports always disclose which method decided.  The certificate goes into
+``rep.data["minors"]``, which reports do not print.
+`verify_submersion_vanishing` takes a built product-submersion pull-back,
+which the scenario `Session` holds, and its residual is
+`morphisms.relative_modular` of the projection.
 """
 
 from __future__ import annotations
@@ -252,7 +252,6 @@ class BuiltPullback:
     presentation: AlgebroidPresentation
     projection: Morphism
     frame: PullbackFrame
-    validation: CheckReport
 
 
 def build_pullback(
@@ -279,7 +278,7 @@ def build_pullback(
         structure,
     )
     proj = Morphism(f"proj_{pres.name}", pres, b, list(pf.basemap), rows[: b.rank])
-    return BuiltPullback(pres, proj, pf, validation)
+    return BuiltPullback(pres, proj, pf)
 
 
 def _pair_matrix(pf: PullbackFrame) -> list[list[ScalarFn]]:

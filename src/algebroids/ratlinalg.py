@@ -34,15 +34,15 @@
   point" or constant rank: exactly when `rank_certificate` has a witness
   or the generic rank refutes the claim, by sampling otherwise.  Every
   pointwise rank check but `extensions.check_extension`, which still
-  samples directly, goes through it.  Both rank at `RANK_SAMPLES` points,
-  which no caller chooses.
+  samples directly, goes through it.
 * `sample_pairs` is the one seeded sampler: every sampled check (the
   sampled rank checks and the period witness of `cohomology`) draws its
-  rational points p/q from it as int pairs (p, q), each site in its own
-  box and with its own fixed count, and it alone refuses to sample no
-  points.  `sample_points` hands them to the float consumers as p / q,
-  with no `Fraction` built; only the one witness point a period
-  certificate shows is made exact.
+  rational points p/q from it as int pairs (p, q), all in one box,
+  `SAMPLE_BOX`, at one of two fixed counts: `RANK_SAMPLES` for a rank
+  check, `cohomology.PERIOD_SAMPLES` for a period witness.  It alone
+  refuses to sample no points.  `sample_points` hands a rank check's
+  points to the float consumers as p / q, with no `Fraction` built; only
+  the one witness point a period certificate shows is made exact.
   `float_rank` estimates rank numerically with numpy, of one matrix or of
   a whole stack in one call, and `sampled_ranks` evaluates a ScalarFn
   matrix entry by entry over a batch of sample points, with one table of
@@ -588,24 +588,26 @@ def float_rank(rows: Union[Sequence, np.ndarray]) -> Union[int, list[int]]:
 
 
 RANK_SAMPLES = 50  # the points every sampled rank check ranks at
+SAMPLE_BOX = (60, 13)  # each sampled coordinate p/q has |p| <= 60 and 1 <= q <= 13
 
 
-def sample_pairs(dim: int, seed: int, count: int, bound: int, den: int) -> list[list[tuple[int, int]]]:
-    """``count`` seeded random points of ``dim`` coordinates, each coordinate
-    p/q given as its pair (p, q), p in [-bound, bound] and q in [1, den],
-    drawn in that order, point by point: the one sampler of every sampled
-    check.  A check needs evidence, so a ``count`` below 1 is an error."""
+def sample_pairs(dim: int, seed: int, count: int) -> list[list[tuple[int, int]]]:
+    """``count`` seeded random points of ``dim`` coordinates in `SAMPLE_BOX`,
+    each coordinate p/q given as its pair (p, q), drawn in that order,
+    point by point: the one sampler of every sampled check.  A check
+    needs evidence, so a ``count`` below 1 is an error."""
     if count < 1:
         raise ValueError(f"sampling needs at least one sample point, got {count}")
+    bound, den = SAMPLE_BOX
     draw = random.Random(seed).randrange  # what randint(a, b) calls, as randrange(a, b + 1)
     return [[(draw(-bound, bound + 1), draw(1, den + 1)) for _ in range(dim)] for _ in range(count)]
 
 
-def sample_points(dim: int, seed: int, count: int, bound: int, den: int) -> list[list[float]]:
-    """The points of `sample_pairs` as floats.  Int true division is
-    correctly rounded, so each p / q is ``float(Fraction(p, q))`` bit for
-    bit, without building the Fraction."""
-    return [[p / q for p, q in pt] for pt in sample_pairs(dim, seed, count, bound, den)]
+def sample_points(dim: int, seed: int) -> list[list[float]]:
+    """The `RANK_SAMPLES` points of `sample_pairs` that a rank check ranks
+    at, as floats.  Int true division is correctly rounded, so each p / q
+    is ``float(Fraction(p, q))`` bit for bit, without the Fraction."""
+    return [[p / q for p, q in pt] for pt in sample_pairs(dim, seed, RANK_SAMPLES)]
 
 
 def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[int]:
@@ -646,15 +648,15 @@ def pointwise_rank(rows: Sequence[Sequence[ScalarFn]], want: Optional[int], seed
 
     Exact when `rank_certificate` has a witness, and refuted exactly when
     ``want`` differs from the generic rank R, the rank on a dense open set.
-    Otherwise the matrix is ranked in one batch at `RANK_SAMPLES` points of
-    ``seed`` (numerators up to 60, denominators up to 13) on the chart of
-    its entries, which exist as R >= 1, and the claim holds when every
-    sampled rank is R: a float rank that disagrees with R is no agreement.
+    Otherwise the matrix is ranked in one batch at the `sample_points` of
+    ``seed`` on the chart of its entries, which exist as R >= 1, and the
+    claim holds when every sampled rank is R: a float rank that disagrees
+    with R is no agreement.
     """
     cert = rank_certificate(rows)
     r = cert.rank
     if cert.witness is not None or want not in (None, r):
         return PointwiseRank(want in (None, r), "exact", (r, r), cert)
-    ranks = sampled_ranks(rows, sample_points(rows[0][0].chart.dim, seed, RANK_SAMPLES, 60, 13))
+    ranks = sampled_ranks(rows, sample_points(rows[0][0].chart.dim, seed))
     lo, hi = min(ranks), max(ranks)
     return PointwiseRank(lo == hi == r, "sampled", (lo, hi), cert)

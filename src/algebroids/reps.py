@@ -83,9 +83,8 @@ class LineSection:
     coefficient, which must be a unit of the expression class (NotAUnit
     otherwise): `char_cocycle` and `extensions.induced_rep` divide by it
     (`ScalarFn.unit_inverse`).  Nonvanishing is never sampled here; the
-    sampled checks are rank claims, decided by `ratlinalg.pointwise_rank`
-    or, at the one site that still samples directly, by
-    `extensions.check_extension`."""
+    sampled checks are rank claims, all drawn at the points of
+    `ratlinalg.sample_points`."""
 
     def __init__(self, coefficient: ScalarFn):
         if not coefficient.is_unit():
@@ -192,11 +191,6 @@ class EValuedForm:
         self.rep = rep
         self.comps = list(comps)
         self.degree = deg.pop() if deg else comps[0].degree
-
-    def __sub__(self, other: "EValuedForm") -> "EValuedForm":
-        return EValuedForm(
-            self.rep, [a - b for a, b in zip(self.comps, other.comps)]
-        )
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)

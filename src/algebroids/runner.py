@@ -52,6 +52,7 @@ from .morphisms import (
 )
 from .pullback import (
     BuiltPullback,
+    PullbackError,
     build_pullback,
     check_admissible,
     check_transverse,
@@ -158,8 +159,15 @@ class Session:
         return self._hold("poisson", name, build)
 
     def pullback(self, name: str) -> BuiltPullback:
-        """The named pull-back, built from its declared frame."""
-        return self._hold("pullback", name, lambda: build_pullback(self.sc.pullframes[name], seed=self.seed))
+        """The named pull-back, built from its declared frame; a frame equal
+        to the product one is held as the product pull-back `ellphi` uses."""
+        pf = self.sc.pullframes[name]
+        try:
+            product = pf == product_submersion_frame(pf.target, pf.source_chart)
+        except PullbackError:  # the source chart has no product frame
+            product = False
+        key = ("product pullback", f"{pf.target.name} from {pf.source_chart.name}") if product else ("pullback", name)
+        return self._hold(*key, lambda: build_pullback(pf, seed=self.seed))
 
     def classify(self, alpha: FormField) -> CocycleClass:
         """Exactness of `alpha` in the session's ansatz on its chart."""
@@ -380,7 +388,7 @@ class Session:
         b = self.sc.algebroid(args["algebroid"])
         chart = self.sc.charts[args["chart"]]
         build = lambda: build_pullback(product_submersion_frame(b, chart), seed=self.seed)
-        built = self._hold("product pullback", f"{args['algebroid']} from {args['chart']}", build)
+        built = self._hold("product pullback", f"{b.name} from {chart.name}", build)
         return verify_submersion_vanishing(built, args["sigma"], args["nu"], args["mu"])
 
     def _assert_factor(self, args) -> CheckReport:

@@ -284,7 +284,7 @@ def _combo(cur: _Cursor, chart: Chart, frame: tuple) -> dict[int, ScalarFn]:
     if raw.strip() == "0":
         return {}
     out: dict[int, ScalarFn] = {}
-    # split at top-level +/-
+    # split at top-level +/-, but not at the sign of an exponent (x^-1)
     terms = []
     depth = 0
     start = 0
@@ -297,7 +297,7 @@ def _combo(cur: _Cursor, chart: Chart, frame: tuple) -> dict[int, ScalarFn]:
             depth += 1
         elif ch in ")]":
             depth -= 1
-        elif depth == 0 and ch in "+-" and i > start:
+        elif depth == 0 and ch in "+-" and i > start and text[:i].rstrip()[-1:] != "^":
             terms.append((sign, text[start:i].strip()))
             sign = 1 if ch == "+" else -1
             start = i + 1

@@ -18,7 +18,6 @@ from algebroids.core import (
     lie_algebra_presentation,
     one_form,
     schouten,
-    tangent_algebroid,
 )
 from algebroids import ratlinalg
 from algebroids.extensions import subalgebroid_from_vector_fields
@@ -38,7 +37,6 @@ from algebroids.symexpr import (
     cos,
     exp,
     lincomb,
-    point_chart,
     sin,
 )
 
@@ -701,24 +699,24 @@ def count_sampling(monkeypatch, check, *args, **kwargs):
     return rep, counts
 
 
-def reference_pairs(chart, seed, count, bound, den):
+def reference_pairs(chart, seed, count):
     """The (numerator, denominator) pairs a sampled check draws, written
     out: a fresh ``random.Random(seed)``, then per point and per coordinate
-    a numerator in [-bound, bound] and a denominator in [1, den]."""
+    a numerator in [-60, 60] and a denominator in [1, 13]."""
     rng = random.Random(seed)
-    return [[(rng.randint(-bound, bound), rng.randint(1, den)) for _ in chart.coords] for _ in range(count)]
+    return [[(rng.randint(-60, 60), rng.randint(1, 13)) for _ in chart.coords] for _ in range(count)]
 
 
-def reference_points(chart, seed, count, bound, den):
+def reference_points(chart, seed, count):
     """The points a sampled check hands its float consumers: each pair of
     `reference_pairs` as the float of its exact fraction."""
-    return [[float(Fraction(p, q)) for p, q in pt] for pt in reference_pairs(chart, seed, count, bound, den)]
+    return [[float(Fraction(p, q)) for p, q in pt] for pt in reference_pairs(chart, seed, count)]
 
 
 def reference_sampled_ranks(rows, chart, seed, samples):
     """The ranks a sampled rank check sees, point by point: draw a point
-    in the +-60/13 box, evaluate every entry there, rank that one matrix."""
-    points = [[Fraction(p, q) for p, q in pt] for pt in reference_pairs(chart, seed, samples, 60, 13)]
+    of `reference_pairs`, evaluate every entry there, rank that one matrix."""
+    points = [[Fraction(p, q) for p, q in pt] for pt in reference_pairs(chart, seed, samples)]
     return [ratlinalg.float_rank([[f.evaluate(pt) for f in row] for row in rows]) for pt in points]
 
 

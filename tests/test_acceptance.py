@@ -10,8 +10,6 @@ one-line verdict, so the suite doubles as a readable report:
 import random
 from fractions import Fraction
 
-import pytest
-
 from algebroids.cli import corpus_scenarios, load_scenario
 from algebroids.cohomology import (
     AnsatzSpace,
@@ -23,8 +21,6 @@ from algebroids.cohomology import (
     solve_exact,
 )
 from algebroids.core import (
-    FormField,
-    Multivector,
     check_axioms,
     d_A,
     function_form,
@@ -32,7 +28,7 @@ from algebroids.core import (
     same_presentation,
     tangent_algebroid,
 )
-from algebroids.diagrams import delta0, delta1, modular_cochain, verify_mod_coboundary
+from algebroids.diagrams import delta0, delta1, verify_mod_coboundary
 from algebroids.extensions import UnimodularityFailure, top_rep, verify_extension_identity
 from algebroids.morphisms import (
     Morphism,
@@ -64,8 +60,7 @@ from algebroids.reps import (
     tensor_rep,
 )
 from algebroids.runner import Session, run
-from algebroids.scenario import parse_scenario
-from algebroids.symexpr import Chart, ScalarFn, cos, exp, sin
+from algebroids.symexpr import Chart, ScalarFn, exp, sin
 
 import conftest
 from conftest import cylinder_algebroid, jacobiator, random_lie_algebra

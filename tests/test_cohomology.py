@@ -16,7 +16,6 @@ from algebroids.cohomology import (
     AnsatzSpace,
     AnsatzTooLarge,
     CohomologyError,
-    CohomologousVerdict,
     Inconclusive,
     NonExactCertificate,
     NoSolutionInAnsatz,
@@ -31,7 +30,6 @@ from algebroids.cohomology import (
 )
 from algebroids.core import (
     AlgebroidPresentation,
-    FormField,
     Multivector,
     d_A,
     function_form,
@@ -39,7 +37,7 @@ from algebroids.core import (
     tangent_algebroid,
 )
 from algebroids.extensions import cotangent_algebroid
-from algebroids.morphisms import Morphism, Trivialization, identity_morphism
+from algebroids.morphisms import Morphism
 from algebroids.reps import canonical_sections, modular_cocycle
 from algebroids.ratlinalg import FactoredSystem
 from algebroids.symexpr import Chart, ScalarFn, SymExprError, cos, exp, point_chart, sin

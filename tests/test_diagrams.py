@@ -1,8 +1,6 @@
 import random
-from fractions import Fraction
 
 from algebroids.core import (
-    FormField,
     d_A,
     function_form,
     one_form,
@@ -25,7 +23,7 @@ from algebroids.morphisms import (
     identity_morphism,
 )
 from algebroids.reps import canonical_sections
-from algebroids.symexpr import Chart, cos, point_chart, sin
+from algebroids.symexpr import Chart, point_chart, sin
 
 from conftest import cylinder_algebroid
 

@@ -12,7 +12,6 @@ from algebroids.core import (
     function_form,
     one_form,
     tangent_algebroid,
-    same_presentation,
 )
 from algebroids.morphisms import (
     Morphism,

@@ -10,7 +10,6 @@ from algebroids.core import (
     AlgebroidPresentation,
     check_axioms,
     derivation_algebroid,
-    one_form,
     same_presentation,
     tangent_algebroid,
 )
@@ -22,7 +21,6 @@ from algebroids.morphisms import (
 )
 from algebroids.pullback import (
     AdmissibilityFailure,
-    BuiltPullback,
     PullbackError,
     PullbackFrame,
     PullbackFramePair,
@@ -404,14 +402,14 @@ class TestSamplingDefects:
     def test_no_spurious_rank_drop(self):
         # no exact certificate decides these rows, so sampling does
         r2, rows = _scaled_rows(20)
-        assert sampled_ranks(rows, sample_points(r2.dim, 0, 50, 60, 13)) == [2] * 50
+        assert sampled_ranks(rows, sample_points(r2.dim, 0)) == [2] * 50
 
     @pytest.mark.xfail(
         strict=True, raises=OverflowError, reason="float evaluation overflows on exp(100*x)"
     )
     def test_no_overflow(self):
         r2, rows = _scaled_rows(100)
-        sampled_ranks(rows, sample_points(r2.dim, 0, 50, 60, 13))
+        sampled_ranks(rows, sample_points(r2.dim, 0))
 
 
 def _planted_rank_input(n, q, r, k, kind):
@@ -629,21 +627,20 @@ class TestBatchedSampling:
         src = args[1]
         rows = _constraint_matrix(*args)
         for seed in (0, 7):
-            assert sampled_ranks(rows, sample_points(src.dim, seed, 50, 60, 13)) == reference_sampled_ranks(
-                rows, src, seed, 50
-            )
+            want = reference_sampled_ranks(rows, src, seed, RANK_SAMPLES)
+            assert sampled_ranks(rows, sample_points(src.dim, seed)) == want
 
     def test_checks_draw_the_pinned_points(self, monkeypatch):
         # the checks sample through ratlinalg.pointwise_rank
         import algebroids.ratlinalg as ratlinalg
 
         args = _planted_rank_input(5, 2, 5, 3, "mixed")  # decided by sampling
-        want = reference_points(args[1], 4, RANK_SAMPLES, 60, 13)
+        want = reference_points(args[1], 4, RANK_SAMPLES)
         for check in (check_admissible, check_transverse):
             assert capture_sampled_points(monkeypatch, ratlinalg, check, *args, seed=4) == [want]
         pf = _line_frame(lambda t: t * t + sin(t) + 2)  # pair independence sampled
         batches = capture_sampled_points(monkeypatch, ratlinalg, validate_frame, pf, seed=4)
-        assert batches == [reference_points(pf.source_chart, 4, RANK_SAMPLES, 60, 13)]
+        assert batches == [reference_points(pf.source_chart, 4, RANK_SAMPLES)]
 
 
 class TestSampleWork:

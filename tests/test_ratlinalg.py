@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroids import ratlinalg
+from algebroids.cohomology import PERIOD_SAMPLES
 from algebroids.ratlinalg import (
     RANK_SAMPLES,
     FactoredSystem,
@@ -722,15 +723,20 @@ def test_sampled_ranks_stack():
 
 @pytest.mark.parametrize("dim", [0, 1, 3])
 def test_sample_points_draw_point_by_point(dim):
-    for seed, count, bound, den in [(0, 1, 60, 13), (5, 20, 50, 11), (9, 7, 200, 40)]:
-        assert sample_pairs(dim, seed, count, bound, den) == reference_pairs(chart_r(dim), seed, count, bound, den)
-        pts = sample_points(dim, seed, count, bound, den)
-        # p / q is float(Fraction(p, q)) bit for bit
-        assert pts == reference_points(chart_r(dim), seed, count, bound, den)
+    # both counts in use, the period witness's and the rank checks', in the one box
+    for seed, count in [(0, 1), (5, PERIOD_SAMPLES), (9, RANK_SAMPLES)]:
+        assert sample_pairs(dim, seed, count) == reference_pairs(chart_r(dim), seed, count)
+    for seed in (0, 9):
+        pts = sample_points(dim, seed)
+        # p / q is float(Fraction(p, q)) bit for bit, at the rank checks' count
+        assert pts == reference_points(chart_r(dim), seed, RANK_SAMPLES)
         assert all(type(x) is float for p in pts for x in p)
 
 
-def test_sample_points_reject_no_points():
+def test_sample_points_reject_no_points(monkeypatch):
     for count in (0, -1):
         with pytest.raises(ValueError, match="at least one sample point"):
-            sample_points(2, 0, count, 60, 13)
+            sample_pairs(2, 0, count)
+        monkeypatch.setattr(ratlinalg, "RANK_SAMPLES", count)
+        with pytest.raises(ValueError, match="at least one sample point"):
+            sample_points(2, 0)

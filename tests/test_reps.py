@@ -6,7 +6,6 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from algebroids.core import (
-    FormField,
     d_A,
     function_form,
     one_form,
@@ -29,7 +28,7 @@ from algebroids.reps import (
     tensor_rep,
     trivial_rep,
 )
-from algebroids.symexpr import Chart, NotAUnit, exp, sin
+from algebroids.symexpr import Chart, NotAUnit, exp
 
 from conftest import (
     aff1,

@@ -12,6 +12,7 @@ from algebroids.cli import corpus_scenarios, load_scenario, main
 from algebroids.core import same_presentation
 from algebroids.runner import Session, run
 from algebroids.scenario import _ASSERTIONS, _STATEMENTS, ScenarioError, _strip_comments, parse_scenario
+from algebroids.symexpr import exp
 
 from conftest import frame_algebroids
 
@@ -540,6 +541,12 @@ class TestParsing:
             parse_scenario(bad)
         assert "q" in str(exc.value)
 
+    def test_negative_exponent_stays_in_its_term(self):
+        # the minus of ^-1 is part of the coefficient, not a term sign
+        sc = parse_scenario("chart N { coords x }\nalgebroid A on N { frame a b ; bracket [a, b] = exp(x)^-1*b }\n")
+        x = sc.charts["N"].coord("x")
+        assert sc.algebroids["A"].structure == {(0, 1): {1: exp(-x)}}
+
     def test_parse_error_has_line_number(self):
         bad = "chart N { coords x }\nalgebroid B on\n"
         with pytest.raises(ScenarioError) as exc:
@@ -662,6 +669,20 @@ class TestRunner:
         monkeypatch.setattr(runner, "build_pullback", counting)
         assert main(["run", "submersion.scn"]) == 0
         assert len(built) == 4
+
+    def test_named_product_pullback_is_the_product_one(self, monkeypatch):
+        # normal_form.scn matches NF, declared { mode product }, then asks
+        # ellphi of the same algebroid from the same chart
+        built = []
+        build = runner.build_pullback
+
+        def counting(pf, *args, **kwargs):
+            built.append(pf)
+            return build(pf, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_pullback", counting)
+        assert main(["run", "normal_form.scn"]) == 0
+        assert len(built) == 1
 
     def test_sections_follow_the_algebroid_not_an_equal_one(self):
         # A and A2 are equal presentations; only A2 declares a section
