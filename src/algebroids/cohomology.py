@@ -3,26 +3,34 @@
 Exactness of a cocycle alpha asks for a function f with d_A f = alpha.
 Globally this is undecidable, so the solver works inside a finite
 dimensional ansatz (polynomials up to a degree, Fourier modes up to a
-bound on periodic coordinates, optional exp slopes) with exact rational
-linear algebra, and the verdict is three-valued:
+bound on periodic coordinates, optional exp slopes) and the verdict is
+three-valued:
 
 * exact, with the primitive exhibited;
 * certified non-exact, via the vanishing-mean obstruction along a
   periodic coordinate (sound globally, not just in the ansatz);
 * not exact within the ansatz (unknown).
 
-The operator of that linear algebra, d_A on the basis of a space, depends
-only on the algebroid and the space, not on the cocycle: an `AnsatzSpace`
-factors it once per algebroid, on its first solve, and keeps it.  Reuse
-one space across the `classify` and `cohomologous` calls on a chart, so
-that every cocycle after the first costs only its right-hand side.  The
-operator is written from term keys, not through the ring: each basis
-function is one key x^m * trig * exp, whose partial derivatives are at
-most three known keys (`symexpr.derivative_items`).  An anchor entry that
-is one trig-free term q * x^m * exp(d.x), the only kind the stock
-algebroids have, shifts those keys by (m, d) and scales their
-coefficients; only other entries are multiplied out term by term.  The
-operator also keeps the algebroid's circle section per periodic
+On a tangent algebroid (identity anchor, no brackets) `classify` finds
+the primitive by integration, coordinate by coordinate, in closed form
+(`antiderivative`): the Poincare-lemma homotopy with periodic factors.
+The primitive is unique up to a constant, so alpha has one in the space
+exactly when every term of the integrated one is a basis key of the
+space (`AnsatzSpace.__contains__`), and no linear system is built.
+
+On any other algebroid `solve_exact` matches coefficients with exact
+rational linear algebra.  Its operator, d_A on the basis of a space,
+depends only on the algebroid and the space, not on the cocycle: an
+`AnsatzSpace` factors it once per algebroid, on its first solve, and
+keeps it.  Reuse one space across the `classify` and `cohomologous` calls
+on a chart, so that every cocycle after the first costs only its
+right-hand side.  The operator is written from term keys, not through the
+ring: each basis function is one key x^m * trig * exp, whose partial
+derivatives are at most three known keys (`symexpr.derivative_items`).
+An anchor entry that is one trig-free term q * x^m * exp(d.x), the only
+kind the stock algebroids have, shifts those keys by (m, d) and scales
+their coefficients; only other entries are multiplied out term by term.
+The space also keeps the algebroid's circle section per periodic
 coordinate, which `classify` searches once and reads after that.
 """
 
@@ -84,10 +92,13 @@ class AnsatzSpace:
     slope vector has one int or Fraction per coordinate of the chart (a
     ValueError or TypeError names any other).
 
-    A space keeps its basis and, per algebroid it has solved for, d_A on
-    that basis factored once (see `solve_exact`); reuse one space across
-    the `classify` and `cohomologous` calls on its chart.  The memo takes
-    no part in `==` and `hash`.
+    A space keeps, per algebroid it has answered for, d_A on its basis
+    factored once (see `solve_exact`) and the algebroid's circle section
+    per periodic coordinate (see `circle_section`); the basis and the
+    operators are built only for algebroids that are not tangent, whose
+    questions `classify` answers by integration and `in`.  Reuse one space
+    across the `classify` and `cohomologous` calls on its chart.  The memo
+    takes no part in `==` and `hash`.
     """
 
     chart: Chart
@@ -95,9 +106,13 @@ class AnsatzSpace:
     fourier_modes: int = 4
     exp_slopes: tuple[tuple[Fraction, ...], ...] = ()
     _basis: list[ScalarFn] = field(default_factory=list, init=False, compare=False, repr=False)
-    # id(algebroid) -> (algebroid, its factored operator); the algebroid is
-    # held so that its id is not reused while the entry lives
+    # id(algebroid) -> (algebroid, its factored operator) and (algebroid,
+    # its circle sections by coordinate); the algebroid is held so that its
+    # id is not reused while the entry lives
     _operators: dict[int, tuple[AlgebroidPresentation, "AnsatzOperator"]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _circles: dict[int, tuple[AlgebroidPresentation, dict[str, Optional[tuple[Fraction, ...]]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -137,6 +152,22 @@ class AnsatzSpace:
         trigs = (2 * self.fourier_modes + 1) ** per
         return comb(self.degree + nonper, nonper) * trigs * (1 + len(self.exp_slopes))
 
+    def __contains__(self, key: TermKey) -> bool:
+        """Whether the term key is the key of a basis function, read off
+        the degree, the modes and the exp slopes without building the
+        basis: no power of a periodic coordinate, total degree at most
+        `degree`, integral modes on periodic coordinates only, each at most
+        `fourier_modes` in size, and a zero or listed exp slope."""
+        mono, trig, expv = key
+        if sum(mono) > self.degree or any(m for m, p in zip(mono, self.chart.periodic) if p):
+            return False
+        if trig is not None and not all(
+            type(c) is int and abs(c) <= self.fourier_modes if p else c == 0
+            for c, p in zip(trig[1], self.chart.periodic)
+        ):
+            return False
+        return not any(expv) or any(expv == tuple(s) for s in self.exp_slopes)
+
     def basis(self) -> list[ScalarFn]:
         """Monomial x trig atom x exp atom, each function built as its one
         term key with coefficient 1, in that nesting order."""
@@ -173,6 +204,13 @@ class AnsatzSpace:
             entry = self._operators[id(a)] = (a, AnsatzOperator.build(a, self.basis()))
         return entry[1]
 
+    def circle_section(self, a: AlgebroidPresentation, coord: str) -> Optional[tuple[Fraction, ...]]:
+        """`find_circle_section(a, coord)`, searched on first use."""
+        held = self._circles.setdefault(id(a), (a, {}))[1]
+        if coord not in held:
+            held[coord] = find_circle_section(a, coord)
+        return held[coord]
+
 
 @dataclass(frozen=True)
 class AnsatzOperator:
@@ -200,17 +238,13 @@ class AnsatzOperator:
     numerators, with the frame index's denominator as the row scale, so no
     entry is ever a ``Fraction``.
 
-    `circles` keeps, per periodic coordinate, `find_circle_section`'s
-    answer for the operator's algebroid: `classify` fills it on first need
-    and reads it after that.
+    Only `solve_exact` builds it: `classify` integrates on a tangent
+    algebroid and builds none there.
     """
 
     basis: list[ScalarFn]
     index: dict[tuple[int, TermKey], int]
     system: FactoredSystem
-    circles: dict[str, Optional[tuple[Fraction, ...]]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @classmethod
     def build(cls, a: AlgebroidPresentation, basis: list[ScalarFn]) -> "AnsatzOperator":
@@ -327,6 +361,10 @@ def is_cocycle(alpha: FormField) -> bool:
     return d_A(alpha).is_zero()
 
 
+# the PreconditionFailure of a form that is not closed, on both routes
+NOT_CLOSED = "solve_exact expects a closed 1-form"
+
+
 def _match_terms(equations: list[tuple[list[ScalarFn], ScalarFn]]):
     """Turn ScalarFn-linear equations sum_b c_b f_b = g into rational rows."""
     rows: list[list[Fraction]] = []
@@ -355,10 +393,12 @@ def solve_exact(
 
     The coefficients of alpha are matched against the operator the space
     keeps for alpha's algebroid; the primitive has every free basis
-    coefficient zero."""
+    coefficient zero.  This is the general route, and the only one that
+    gives a Farkas witness; `classify` takes it on algebroids that are not
+    tangent."""
     a = alpha.algebroid
     if not is_cocycle(alpha):
-        raise PreconditionFailure("solve_exact expects a closed 1-form")
+        raise PreconditionFailure(NOT_CLOSED)
     op = space.operator(a)
     # every component's numerators, over the lcm of their denominators
     comps = [alpha.component((i,)) for i in range(a.rank)]
@@ -458,20 +498,102 @@ def period_certificate(
     return NonExactCertificate(coord, tuple(combo), mean, witness, values[best])
 
 
+def antiderivative(f: ScalarFn, j: int) -> ScalarFn:
+    """A function whose partial derivative along coordinate ``j`` is ``f``,
+    term by term in closed form; it has no constant term.
+
+    A term q * x^m * trig(c.x) * exp(d.x) is q * x^m times the real (cos,
+    or no trig atom) or imaginary (sin) part of exp((d + i c).x).  Along
+    x = x_j, with lambda = d_j + i c_j, the integral of x^m is x^(m+1) /
+    (m+1) when lambda = 0, and otherwise
+
+        int x^m e^(lambda x) dx = e^(lambda x) sum_k (-1)^k m!/(m-k)! x^(m-k) / lambda^(k+1).
+
+    With L the lcm of the denominators of c_j and d_j, 1/lambda is
+    (A + iB)/N for the ints A = L^2 d_j, B = -L^2 c_j and N = L^2 (d_j^2 +
+    c_j^2), so the term's items are int numerators over N^(m+1): the real
+    part of each coefficient goes to the term's own atom and the imaginary
+    part to the other atom of c.  The items of all terms go into one
+    `ScalarFn._make`, over the lcm of their denominators.
+    """
+    pieces: list[tuple[list[tuple[TermKey, int]], int]] = []
+    for (mono, trig, expv), q in f.num.items():
+        m = mono[j]
+        c = trig[1][j] if trig is not None else 0
+        d = expv[j]
+        if not c and not d:
+            pieces.append(([((mono[:j] + (m + 1,) + mono[j + 1 :], trig, expv), q)], m + 1))
+            continue
+        scale = lcm(c.denominator, d.denominator)
+        dl, cl = d.numerator * (scale // d.denominator), c.numerator * (scale // c.denominator)
+        a, b, n = scale * dl, -scale * cl, dl * dl + cl * cl
+        if trig is not None:
+            # with u = c.x: Re((p + ir) e^(iu)) = p cos u - r sin u and
+            # Im((p + ir) e^(iu)) = p sin u + r cos u
+            other = ("sin" if trig[0] == "cos" else "cos", trig[1])
+            sign = -1 if trig[0] == "cos" else 1
+        # (A + iB)^(k+1), (-1)^k m!/(m-k)! and N^(m-k) at k = 0
+        re, im, fall, npow = a, b, 1, n**m
+        items = []
+        for k in range(m + 1):
+            mono_k = mono[:j] + (m - k,) + mono[j + 1 :]
+            items.append(((mono_k, trig, expv), q * fall * re * npow))
+            if trig is not None:
+                items.append(((mono_k, other, expv), sign * q * fall * im * npow))
+            fall *= k - m
+            re, im = re * a - im * b, re * b + im * a
+            npow //= n
+        pieces.append((items, n ** (m + 1)))
+    den = lcm(*(s for _, s in pieces))
+    items = [(key, q * (den // s)) for part, s in pieces for key, q in part]
+    return ScalarFn._make(f.chart, items, den * f.den)
+
+
+def _is_tangent(a: AlgebroidPresentation) -> bool:
+    """Identity anchor on the chart's coordinates and no brackets, so that
+    d_A f is (df/dx_i)_i."""
+    return (
+        a.rank == a.chart.dim
+        and not a.structure
+        and all(row == ((i, 1),) for i, row in enumerate(a.anchor_rows))
+    )
+
+
+def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
+    """The primitive of alpha in the space that `solve_exact` finds, or
+    None when the space holds none.  On a tangent algebroid F is built
+    coordinate by coordinate, F += the antiderivative of alpha_j - dF/dx_j
+    along x_j; dF is closed, so dF == alpha iff alpha is closed.  F has no
+    constant term, like the primitive of `solve_exact`, and primitives
+    differ by constants, so alpha has one in the space iff F is in it."""
+    a = alpha.algebroid
+    if not _is_tangent(a):
+        res = solve_exact(alpha, space)
+        return res if isinstance(res, ScalarFn) else None
+    coords = a.chart.coords
+    comps = [alpha.component((j,)) for j in range(a.rank)]
+    f = a.chart.zero()
+    for j, (x, g) in enumerate(zip(coords, comps)):
+        f = f + antiderivative(g - f.partial(x), j)
+    if any(f.partial(x) != g for x, g in zip(coords, comps)):
+        raise PreconditionFailure(NOT_CLOSED)
+    return f if all(key in space for key in f.num) else None
+
+
 def classify(
     alpha: FormField, space: AnsatzSpace, seed: int = 0
 ) -> CocycleClass:
     """Exactness verdict: primitive, sound nonexactness certificate, or
-    unknown-within-ansatz.  Status never downgrades."""
-    res = solve_exact(alpha, space)
-    if isinstance(res, ScalarFn):
+    unknown-within-ansatz.  Status never downgrades.  The primitive comes
+    from integration on a tangent algebroid and from `solve_exact` on any
+    other, the same function either way; a form that is not closed raises
+    PreconditionFailure."""
+    res = _primitive(alpha, space)
+    if res is not None:
         return CocycleClass("exact", primitive=res)
     a = alpha.algebroid
-    circles = space.operator(a).circles
     for coord in (c for c, per in zip(a.chart.coords, a.chart.periodic) if per):
-        if coord not in circles:
-            circles[coord] = find_circle_section(a, coord)
-        combo = circles[coord]
+        combo = space.circle_section(a, coord)
         if combo is None:
             continue
         cert = period_certificate(alpha, combo, coord, seed=seed)
@@ -523,9 +645,12 @@ def check_pullback_injectivity(
         k for k, c in enumerate(src_chart.coords) if c not in tgt_chart.coords
     ]
     pulled = pullback_form(proj, alpha)
-    rep.add("pulled cocycle is closed", is_cocycle(pulled))
-    res = solve_exact(pulled, space_source)
-    if isinstance(res, ScalarFn):
+    closed = is_cocycle(pulled)
+    rep.add("pulled cocycle is closed", closed)
+    if not closed:
+        return rep
+    res = _primitive(pulled, space_source)
+    if res is not None:
         basic = _is_basic(res, fiber_idx)
         rep.add("primitive of the pull-back is basic", basic, str(res))
         if basic:

@@ -20,6 +20,7 @@ from algebroids.cohomology import (
     NonExactCertificate,
     NoSolutionInAnsatz,
     PreconditionFailure,
+    antiderivative,
     check_pullback_injectivity,
     classify,
     cohomologous,
@@ -31,6 +32,7 @@ from algebroids.cohomology import (
 from algebroids.core import (
     AlgebroidPresentation,
     Multivector,
+    coframe_form,
     d_A,
     function_form,
     one_form,
@@ -40,7 +42,7 @@ from algebroids.extensions import cotangent_algebroid
 from algebroids.morphisms import Morphism
 from algebroids.reps import canonical_sections, modular_cocycle
 from algebroids.ratlinalg import FactoredSystem
-from algebroids.symexpr import Chart, ScalarFn, SymExprError, cos, exp, point_chart, sin
+from algebroids.symexpr import Chart, ScalarFn, SymExprError, cos, exp, lincomb, point_chart, sin
 
 from conftest import coeffs, cylinder_algebroid, examples, frame_algebroids, product_basis
 
@@ -94,7 +96,7 @@ class TestSolveExact:
 
     def test_primitives_differ_by_constant(self):
         rng = random.Random(6)
-        tm = tangent_angent = tangent_algebroid(R2)
+        tm = tangent_algebroid(R2)
         space = AnsatzSpace(R2, degree=3)
         for _ in range(10):
             f = R2.zero()
@@ -164,7 +166,7 @@ class TestSharedSpace:
 
     def test_circle_sections_are_searched_once_per_coordinate(self, monkeypatch):
         # d sin(5 theta) is outside a 2-mode space, and no period decides
-        # it: each call tries both circles, and the operator holds them
+        # it: each call tries both circles, and the space holds them
         searched = []
         real = cohomology.find_circle_section
 
@@ -178,12 +180,13 @@ class TestSharedSpace:
         alpha = d_A(function_form(t2, sin(5 * T2.coord("theta"))))
         assert [classify(alpha, space).status for _ in range(2)] == ["nonexact_in_ansatz"] * 2
         assert searched == ["theta", "phi"]
-        op = space.operator(t2)
-        assert op.circles == {"theta": (1, 0), "phi": (0, 1)}
+        # reading the held sections searches no more
+        assert [space.circle_section(t2, c) for c in T2.coords] == [(1, 0), (0, 1)]
+        assert searched == ["theta", "phi"]
         # the held sections are a memo: not a constructor argument, and no
         # part of equality or repr
-        fresh = dataclasses.replace(op)
-        assert fresh.circles == {} and fresh == op and repr(fresh) == repr(op)
+        fresh = dataclasses.replace(space)
+        assert fresh._circles == {} and fresh == space and repr(fresh) == repr(space)
 
     def test_memo_takes_no_part_in_equality(self):
         tm = tangent_algebroid(CYLC)
@@ -225,6 +228,31 @@ class TestAnsatzBasis:
         assert [repr(list(f.terms.items())) for f in got] == [
             repr(list(f.terms.items())) for f in want
         ]
+
+    @pytest.mark.parametrize(
+        "chart, slopes",
+        [
+            (T2, ((1, 0), (Fraction(4, 2), Fraction(-1, 3)))),
+            (CYLC, ((0, 1), (0, Fraction(-3, 2)))),
+            (C3, ((0, 2, Fraction(1, 3)), (0, 0, -1))),
+            (point_chart(), ((), ())),
+        ],
+        ids=["periodic", "mixed", "3d", "point"],
+    )
+    def test_membership_reads_the_basis(self, chart, slopes):
+        """`in` agrees with the keys of the basis on the keys of a wider
+        space and on keys no space has: a power or a half mode of a
+        periodic coordinate, and a trig atom of a non-periodic one."""
+        space = AnsatzSpace(chart, degree=2, fourier_modes=2, exp_slopes=slopes)
+        keys = {key for f in space.basis() for key in f.num}
+        half = tuple(Fraction(1, 2) for _ in chart.coords)
+        wider = AnsatzSpace(chart, degree=3, fourier_modes=3, exp_slopes=slopes + (half,))
+        others = [chart.coord(c) for c in chart.coords]
+        others += [sin(chart.const(Fraction(1, 2)) * x) for x in others] + [cos(x) for x in others]
+        candidates = [key for f in wider.basis() + others for key in f.num]
+        # on the point chart every key is the constant one
+        assert any(key not in keys for key in candidates) == bool(chart.dim)
+        assert [key in space for key in candidates] == [key in keys for key in candidates]
 
     @pytest.mark.parametrize("size", [{"degree": -1}, {"fourier_modes": -1}])
     def test_negative_size_is_rejected(self, size):
@@ -588,6 +616,17 @@ class TestPullbackInjectivity:
         )
         assert rep.passed
 
+    def test_pulled_form_that_is_not_closed_fails_its_item(self):
+        # the fiber entry t makes the projection no chain map: it pulls
+        # -dtheta back to -t dtheta, which is not closed
+        ts1 = tangent_algebroid(S1)
+        big = Chart("P", ("theta", "t"), (True, False))
+        proj = Morphism("pr", tangent_algebroid(big), ts1, [big.coord("theta")], [[big.coord("t"), big.zero()]])
+        alpha = one_form(ts1, [S1.const(-1)])
+        rep = check_pullback_injectivity(proj, alpha, AnsatzSpace(S1, 2, 2), AnsatzSpace(big, 2, 2))
+        assert [(item.label, item.ok) for item in rep.items] == [("pulled cocycle is closed", False)]
+        assert not rep.passed
+
     def test_random_exact_on_plane(self):
         rng = random.Random(3)
         r3 = Chart("R3", ("x", "y", "z"))
@@ -612,3 +651,124 @@ class TestPullbackInjectivity:
                 proj, alpha, AnsatzSpace(R2, 3), AnsatzSpace(r3, 3)
             )
             assert rep.passed
+
+
+RATIONALS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+# a slope: zero one time in three, so that lambda = d_j + i c_j is often 0
+SLOPES = st.one_of(st.just(0), st.integers(-2, 2), RATIONALS)
+
+
+@st.composite
+def terms(draw, chart):
+    """q * x^m * trig(c.x) * exp(d.x) on ``chart``, powers of periodic
+    coordinates included, with int or Fraction slopes c and d (c integral
+    on periodic coordinates); a zero slope vector leaves the atom out, and
+    a term often does not depend on a coordinate at all."""
+    term = chart.const(draw(RATIONALS))
+    trig = exp_arg = chart.zero()
+    for name, periodic in zip(chart.coords, chart.periodic):
+        x = chart.coord(name)
+        term = term * x ** draw(st.integers(0, 2))
+        c = draw(st.integers(-2, 2) if periodic else SLOPES)
+        trig = trig + chart.const(c) * x
+        exp_arg = exp_arg + chart.const(draw(SLOPES)) * x
+    kind = draw(st.sampled_from([None, sin, cos]))
+    if kind is not None and not trig.is_zero():
+        term = term * kind(trig)
+    return term * exp(exp_arg)
+
+
+def operator_route(alpha, space, seed=0):
+    """`classify`'s status and primitive read through `solve_exact`, the
+    operator route, with the circle sections searched afresh."""
+    res = solve_exact(alpha, space)
+    if isinstance(res, ScalarFn):
+        return "exact", res
+    a = alpha.algebroid
+    for coord in (c for c, per in zip(a.chart.coords, a.chart.periodic) if per):
+        combo = find_circle_section(a, coord)
+        if combo is not None and isinstance(period_certificate(alpha, combo, coord, seed), NonExactCertificate):
+            return "nonexact_certified", None
+    return "nonexact_in_ansatz", None
+
+
+@st.composite
+def tangent_questions(draw):
+    """A 1-form on the tangent algebroid of R^2, the cylinder, T^2 or the
+    3-D cylinder and a space on its chart: d of a span function, d of a
+    span function plus a `terms` term (mostly outside the span), or d of a
+    span function plus c dx_k."""
+    chart, degree, modes = draw(st.sampled_from([(R2, 2, 0), (CYLC, 2, 2), (T2, 0, 2), (C3, 2, 1)]))
+    space = AnsatzSpace(chart, degree, modes)
+    a = tangent_algebroid(chart)
+    span = draw(st.lists(st.tuples(RATIONALS, st.sampled_from(space.basis())), max_size=4))
+    f = lincomb(chart, span)
+    kind = draw(st.sampled_from(["span", "outside", "period"]))
+    if kind == "outside":
+        f = f + draw(terms(chart))
+    alpha = d_A(function_form(a, f))
+    if kind == "period":
+        alpha = alpha + coframe_form(a, draw(st.integers(0, chart.dim - 1))).scale(draw(RATIONALS))
+    return alpha, space
+
+
+class TestIntegration:
+    """On a tangent algebroid `classify` finds the primitive by
+    integration; it answers as the operator route does and builds no
+    operator."""
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.lists(terms(C3), min_size=1, max_size=3), st.integers(0, 2))
+    # lambda = 0 and no x_j at all; lambda = 0 with x_j; fractional lambda
+    @example([C3.coord("y") * cos(C3.coord("theta"))], 1)
+    @example([C3.coord("x") ** 2 * exp(C3.coord("y"))], 1)
+    @example([C3.coord("x") * sin(Fraction(1, 2) * C3.coord("x")) * exp(Fraction(-2, 3) * C3.coord("x"))], 1)
+    def test_antiderivative_differentiates_back(self, parts, j):
+        f = lincomb(C3, [(1, g) for g in parts])
+        g = antiderivative(f, j)
+        assert g.partial(C3.coords[j]) == f
+        assert (C3._zerovec(), None, C3._zerovec()) not in g.num
+
+    @pytest.mark.deep
+    @settings(max_examples=examples(60), deadline=None)
+    @given(tangent_questions(), st.integers(0, 3))
+    def test_agrees_with_the_operator_route(self, question, seed):
+        alpha, space = question
+        got = classify(alpha, space, seed=seed)
+        fresh = AnsatzSpace(space.chart, space.degree, space.fourier_modes)
+        assert (got.status, got.primitive) == operator_route(alpha, fresh, seed)
+        assert space._operators == {}
+
+    def test_tangent_questions_build_no_operator(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("operator built for a tangent algebroid")
+
+        monkeypatch.setattr(AnsatzOperator, "build", no_build)
+        tc = tangent_algebroid(CYLC)
+        space = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
+        cocycles = TestSharedSpace.cocycles(tc)
+        assert [classify(alpha, space).status for alpha in cocycles] == [
+            "exact",
+            "exact",
+            "nonexact_in_ansatz",
+            "nonexact_in_ansatz",
+            "nonexact_certified",
+        ]
+        verdicts = [cohomologous(alpha, cocycles[0], space).verdict for alpha in cocycles]
+        assert verdicts == ["cohomologous", "cohomologous", "unknown_in_ansatz", "unknown_in_ansatz", "distinct_certified"]
+        assert space._operators == {} and space._basis == []
+
+    @pytest.mark.parametrize(
+        "chart, comps",
+        [(R2, lambda x, y: [R2.zero(), x]), (CYLC, lambda theta, x: [x, CYLC.zero()])],
+        ids=["plane", "cylinder"],
+    )
+    def test_form_that_is_not_closed_is_refused(self, chart, comps):
+        a = tangent_algebroid(chart)
+        alpha = one_form(a, comps(*(chart.coord(c) for c in chart.coords)))
+        space = AnsatzSpace(chart, 2, 2)
+        with pytest.raises(PreconditionFailure, match="expects a closed 1-form"):
+            classify(alpha, space)
+        with pytest.raises(PreconditionFailure, match="expects a closed 1-form"):
+            cohomologous(alpha, one_form(a, [chart.zero()] * 2), space)
+        assert space._operators == {}

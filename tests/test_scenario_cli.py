@@ -704,6 +704,18 @@ class TestRunner:
         assert [r.verdict for r in report.results] == ["pass", "fail", "fail"]
         assert report.results[1].detail == "inconclusive: pairing depends non-periodically on 'theta'; mean undefined"
 
+    def test_inj_of_a_projection_that_is_no_chain_map_fails(self):
+        # fiber t pulls -dtheta back to -t dtheta, which is not closed
+        text = (
+            "chart S1 { coords theta* }\nchart PS { coords theta* t }\n"
+            "algebroid TS1 tangent of S1\nalgebroid TPS tangent of PS\n"
+            "morphism pr : TPS -> TS1 { base = (theta) ; fiber = [[t, 0]] }\n"
+            "assert inj pr form TS1 (-1) pass\n"
+        )
+        result = run(parse_scenario(text, "inj")).results[0]
+        assert result.verdict == "fail"
+        assert "pulled cocycle is closed" in result.detail
+
     def test_composite_passes_through_the_object_itself(self):
         # m ends at A2, which equals A but is not it, so n . m does not compose
         text = TWIN_SNIPPET + "morphism n : A -> A { base = (x) ; fiber = [[1]] }\ncomposite c = n . m\n"
