@@ -654,7 +654,7 @@ class TestPullbackInjectivity:
 
 
 RATIONALS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
-# a slope: zero one time in three, so that lambda = d_j + i c_j is often 0
+# a slope, often zero, so that lambda = d_j + i c_j is often 0
 SLOPES = st.one_of(st.just(0), st.integers(-2, 2), RATIONALS)
 
 
