@@ -13,7 +13,9 @@ Every subcommand that needs a cocycle, a trivialization, an ansatz or a
 pull-back asks a `runner.Session`, the same object the assertions of `run`
 go through; `modular`, `relmod` and `char` share one payload.  Each
 subcommand accepts only the flags it reads: `--seed` where something is
-sampled, and `--ansatz-degree`/`--fourier-modes` where an ansatz is built.
+sampled (`run`, `pullback` and `extension`: a period certificate is exact
+and samples nothing), and `--ansatz-degree`/`--fourier-modes` where an
+ansatz is built.
 
 Scenario files bundled with the package (see the corpus directory) can be
 named by bare filename; local paths take precedence.
@@ -77,13 +79,14 @@ def _emit_reports(blocks: list, fmt: str) -> int:
 
 
 def _session(args) -> Session:
-    """Load the scenario with the ansatz overrides applied, at `--seed`."""
+    """Load the scenario with the ansatz overrides applied, at `--seed` where
+    the subcommand reads one."""
     sc = load_scenario(args.scenario)
     if args.ansatz_degree is not None:
         sc.ansatz_degree = args.ansatz_degree
     if args.fourier_modes is not None:
         sc.ansatz_modes = args.fourier_modes
-    return Session(sc, args.seed)
+    return Session(sc, getattr(args, "seed", 0))
 
 
 def _cmd_run(args) -> int:
@@ -121,10 +124,7 @@ def _cmd_cocycle(args) -> int:
     if cls.primitive is not None:
         payload["primitive"] = str(cls.primitive)
     if cls.certificate is not None:
-        payload["certificate"] = (
-            f"nonzero mean {cls.certificate.mean} along {cls.certificate.coord} "
-            f"(witness value {cls.certificate.witness_value:.6g})"
-        )
+        payload["certificate"] = f"nonzero mean {cls.certificate.mean} along {cls.certificate.coord}"
     _emit(payload, args.format)
     return 0
 
@@ -187,7 +187,7 @@ _SUBCOMMANDS = [
     ("diagram", _cmd_diagram, "diagram name", "diagram validation and coboundary check"),
 ]
 # the subcommands that read --seed, and those that read the ansatz overrides
-_SEEDED = {"run", "modular", "relmod", "pullback", "char", "extension"}
+_SEEDED = {"run", "pullback", "extension"}
 _ANSATZ = {"run", "modular", "relmod", "char", "extension"}
 
 

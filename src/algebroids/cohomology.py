@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Union
 
 from .core import AlgebroidPresentation, FormField, d_A, function_form
 from .morphisms import Morphism, pullback_form
-from .ratlinalg import FactoredSystem, rat_solve, sample_pairs
+from .ratlinalg import FactoredSystem, rat_solve
 from .report import CheckReport
 from .symexpr import (
     Chart,
@@ -89,8 +89,9 @@ class AnsatzSpace:
     Basis: monomials of total degree <= degree in non-periodic coordinates,
     times sin/cos of integer modes bounded by fourier_modes in the periodic
     coordinates, times optional exp atoms with the given slope vectors.  A
-    slope vector has one int or Fraction per coordinate of the chart (a
-    ValueError or TypeError names any other).
+    slope vector has one int or Fraction per coordinate of the chart, is
+    not zero and differs from the others (a ValueError or TypeError names
+    any other).
 
     A space keeps, per algebroid it has answered for, d_A on its basis
     factored once (see `solve_exact`) and the algebroid's circle section
@@ -122,7 +123,7 @@ class AnsatzSpace:
                 f"ansatz degree and Fourier modes must be non-negative, "
                 f"got degree {self.degree} and {self.fourier_modes} modes"
             )
-        for s in self.exp_slopes:
+        for n, s in enumerate(self.exp_slopes):
             if len(s) != self.chart.dim:
                 raise ValueError(
                     f"exp slope {s!r} has {len(s)} entries, chart {self.chart.name!r} "
@@ -133,6 +134,9 @@ class AnsatzSpace:
                     raise TypeError(
                         f"an exp slope must be an int or a Fraction, got {type(c).__name__} {c!r} in {s!r}"
                     )
+            # a zero slope is the basis without exp, a repeated one its copy
+            if not any(s) or s in self.exp_slopes[:n]:
+                raise ValueError(f"exp slope {s!r} is {'repeated' if any(s) else 'zero'}")
         size = self.size
         if size > MAX_ANSATZ_BASIS:
             raise AnsatzTooLarge(
@@ -332,15 +336,12 @@ class NonExactCertificate:
     Any global primitive is periodic in the coordinate, so the pairing of
     the cocycle with a frame combination anchored exactly on that circle
     direction must have zero constant Fourier mode; `mean` is that mode,
-    exactly non-zero, and `witness_point` the sample of the remaining
-    coordinates where its float value is largest, shown for illustration.
+    exactly non-zero, and it is the whole certificate: no point is sampled.
     """
 
     coord: str
     combo: tuple[Fraction, ...]
     mean: ScalarFn
-    witness_point: tuple[Fraction, ...]
-    witness_value: float
 
 
 @dataclass
@@ -439,7 +440,6 @@ def find_circle_section(
     return tuple(sol)
 
 
-PERIOD_SAMPLES = 20  # the points a period certificate picks its witness from
 # the one Inconclusive reason that decides the mean: it is zero
 MEAN_VANISHES = "constant Fourier mode vanishes"
 
@@ -448,15 +448,13 @@ def period_certificate(
     alpha: FormField,
     combo: Sequence[Fraction],
     coord: str,
-    seed: int = 0,
 ) -> Union[NonExactCertificate, Inconclusive]:
     """Vanishing-mean obstruction along a periodic coordinate.
 
     `combo` must have rational-constant coefficients and anchor exactly the
     coordinate field of `coord` (PreconditionFailure otherwise).  The exact
     theta-mean of the pairing decides: a non-zero one is the certificate,
-    however small its values.  The mean is evaluated at `PERIOD_SAMPLES`
-    points only to pick the displayed witness, the first largest value.
+    however small its values, and nothing is evaluated at a point.
     """
     a = alpha.algebroid
     chart = a.chart
@@ -488,14 +486,7 @@ def period_certificate(
     mean = ScalarFn._make(chart, mean_terms, pairing.den)
     if mean.is_zero():
         return Inconclusive(MEAN_VANISHES)
-    # the mean does not depend on the circle coordinate: draw the others, put 0 there
-    pairs = [[*p[:j], (0, 1), *p[j:]] for p in sample_pairs(chart.dim - 1, seed, PERIOD_SAMPLES)]
-    values = mean.evaluate([[p / q for p, q in pt] for pt in pairs]).tolist()
-    # the first largest |value|, a nan sample counting as 0
-    sizes = [abs(v) if v == v else 0.0 for v in values]
-    best = sizes.index(max(sizes))
-    witness = tuple(Fraction(p, q) for p, q in pairs[best])
-    return NonExactCertificate(coord, tuple(combo), mean, witness, values[best])
+    return NonExactCertificate(coord, tuple(combo), mean)
 
 
 def antiderivative(f: ScalarFn, j: int) -> ScalarFn:
@@ -587,7 +578,8 @@ def classify(
     unknown-within-ansatz.  Status never downgrades.  The primitive comes
     from integration on a tangent algebroid and from `solve_exact` on any
     other, the same function either way; a form that is not closed raises
-    PreconditionFailure."""
+    PreconditionFailure.  Nothing is sampled: ``seed`` is accepted and
+    unread, only because the benchmark's workloads still pass it."""
     res = _primitive(alpha, space)
     if res is not None:
         return CocycleClass("exact", primitive=res)
@@ -596,7 +588,7 @@ def classify(
         combo = space.circle_section(a, coord)
         if combo is None:
             continue
-        cert = period_certificate(alpha, combo, coord, seed=seed)
+        cert = period_certificate(alpha, combo, coord)
         if isinstance(cert, NonExactCertificate):
             return CocycleClass("nonexact_certified", certificate=cert)
     return CocycleClass("nonexact_in_ansatz")
@@ -612,7 +604,9 @@ class CohomologousVerdict:
 def cohomologous(
     alpha: FormField, beta: FormField, space: AnsatzSpace, seed: int = 0
 ) -> CohomologousVerdict:
-    cls = classify(alpha - beta, space, seed=seed)
+    """The `classify` verdict on alpha - beta, read as a class relation.
+    ``seed`` is accepted and unread, as in `classify`."""
+    cls = classify(alpha - beta, space)
     if cls.status == "exact":
         return CohomologousVerdict("cohomologous", primitive=cls.primitive)
     if cls.status == "nonexact_certified":
@@ -625,7 +619,6 @@ def check_pullback_injectivity(
     alpha: FormField,
     space_target: AnsatzSpace,
     space_source: AnsatzSpace,
-    seed: int = 0,
 ) -> CheckReport:
     """Injectivity mechanism of pull-back on degree-1 classes, at ansatz level.
 
@@ -658,8 +651,8 @@ def check_pullback_injectivity(
             residual = alpha - d_A(function_form(proj.target, g))
             rep.residual("descended primitive solves the base cocycle", residual)
     else:
-        cls_base = classify(alpha, space_target, seed=seed)
-        cls_pull = classify(pulled, space_source, seed=seed)
+        cls_base = classify(alpha, space_target)
+        cls_pull = classify(pulled, space_source)
         rep.add(
             "both levels non-exact",
             cls_base.status != "exact" and cls_pull.status != "exact",

@@ -301,7 +301,6 @@ def verify_extension_identity(
     ext: ExtensionPresentation,
     ansatz: AnsatzSpace,
     mu_quotient: Optional[FormField] = None,
-    seed: int = 0,
 ) -> CheckReport:
     """Cochain identity between the relative modular cocycle of the quotient
     map and the pull-back of the descended characteristic cocycle.
@@ -342,7 +341,7 @@ def verify_extension_identity(
     if compatible:
         rep.residual("cochain identity theta = proj^*(eta)", theta - pulled)
     else:
-        verdict = cohomologous(theta, pulled, ansatz, seed=seed)
+        verdict = cohomologous(theta, pulled, ansatz)
         rep.add(
             "class identity theta ~ proj^*(eta)",
             verdict.verdict == "cohomologous",
@@ -379,14 +378,14 @@ def quotient_top_rep(
 
 
 def _identity(
-    rep: CheckReport, name: str, lhs: FormField, rhs: FormField, space: AnsatzSpace, seed: int
+    rep: CheckReport, name: str, lhs: FormField, rhs: FormField, space: AnsatzSpace
 ) -> None:
     """Add the verdict on lhs = rhs: exact at cochain level when the
     difference vanishes, else up to an exact form by `cohomologous`."""
     if (lhs - rhs).is_zero():
         rep.add(f"{name} exact at cochain level", True)
     else:
-        verdict = cohomologous(lhs, rhs, space, seed=seed).verdict
+        verdict = cohomologous(lhs, rhs, space).verdict
         rep.add(f"{name} up to an exact form", verdict == "cohomologous", verdict)
 
 
@@ -396,7 +395,6 @@ def verify_constant_rank_identity(
     b_in_ambient: Morphism,
     complement: Sequence[Sequence[ScalarFn]],
     ansatz: AnsatzSpace,
-    seed: int = 0,
 ) -> CheckReport:
     """Relative modular cocycle of a constant-rank base-preserving morphism
     against the two characteristic cocycles of its image algebroid.
@@ -421,11 +419,11 @@ def verify_constant_rank_identity(
     mod_phi = relative_modular(
         phi, Trivialization(*canonical_sections(a)), Trivialization(*canonical_sections(amb))
     )
-    _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, ext.eta - eta_q), ansatz, seed)
+    _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, ext.eta - eta_q), ansatz)
     mod_b_in_amb = relative_modular(
         b_in_ambient, Trivialization(*canonical_sections(b)), Trivialization(*canonical_sections(amb))
     )
-    _identity(rep, "intermediate identity", -mod_b_in_amb, eta_q, ansatz, seed)
+    _identity(rep, "intermediate identity", -mod_b_in_amb, eta_q, ansatz)
     rep.data["eta_k"] = ext.eta
     rep.data["eta_q"] = eta_q
     rep.data["mod_phi"] = mod_phi
@@ -590,8 +588,8 @@ def verify_regular_poisson(
     mod_sharp_b = relative_modular(
         sharp_b, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(bpres))
     )
-    _identity(rep, "image identity", mod_sharp_b, pulled, ansatz, seed)
-    _identity(rep, "doubling identity", mod_sharp, pulled.scale(2), ansatz, seed)
+    _identity(rep, "image identity", mod_sharp_b, pulled, ansatz)
+    _identity(rep, "doubling identity", mod_sharp, pulled.scale(2), ansatz)
     # duality of the cokernel-top representation with the kernel-top one
     dq = quotient_top_rep(kit.image_in_tm, complement_columns)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
@@ -599,11 +597,11 @@ def verify_regular_poisson(
     if dual_res.is_zero():
         rep.add("cokernel rep dual to kernel rep (exact)", True)
     else:
-        v = cohomologous(eta_q, -eta_k, ansatz, seed=seed)
+        v = cohomologous(eta_q, -eta_k, ansatz)
         rep.add("cokernel rep dual to kernel rep (class)", v.verdict == "cohomologous", v.verdict)
     # invariant transverse volume criterion
-    unimodular = classify(mod_sharp, ansatz, seed=seed)
-    transverse = classify(eta_q, ansatz, seed=seed)
+    unimodular = classify(mod_sharp, ansatz)
+    transverse = classify(eta_q, ansatz)
     agree = (unimodular.status == "exact") == (transverse.status == "exact")
     rep.add(
         "unimodular iff invariant transverse volume (in ansatz)",

@@ -35,14 +35,10 @@
   or the generic rank refutes the claim, by sampling otherwise.  Every
   pointwise rank check but `extensions.check_extension`, which still
   samples directly, goes through it.
-* `sample_pairs` is the one seeded sampler: every sampled check (the
-  sampled rank checks and the period witness of `cohomology`) draws its
-  rational points p/q from it as int pairs (p, q), all in one box,
-  `SAMPLE_BOX`, at one of two fixed counts: `RANK_SAMPLES` for a rank
-  check, `cohomology.PERIOD_SAMPLES` for a period witness.  It alone
-  refuses to sample no points.  `sample_points` hands a rank check's
-  points to the float consumers as p / q, with no `Fraction` built; only
-  the one witness point a period certificate shows is made exact.
+* `sample_points` is the one seeded sampler: every sampled check is a
+  rank check, and draws its `RANK_SAMPLES` rational points p/q from it,
+  all in one box, `SAMPLE_BOX`, as the floats p / q with no `Fraction`
+  built.  It alone refuses to sample no points.
   `float_rank` estimates rank numerically with numpy, of one matrix or of
   a whole stack in one call, and `sampled_ranks` evaluates a ScalarFn
   matrix entry by entry over a batch of sample points, with one table of
@@ -591,23 +587,18 @@ RANK_SAMPLES = 50  # the points every sampled rank check ranks at
 SAMPLE_BOX = (60, 13)  # each sampled coordinate p/q has |p| <= 60 and 1 <= q <= 13
 
 
-def sample_pairs(dim: int, seed: int, count: int) -> list[list[tuple[int, int]]]:
-    """``count`` seeded random points of ``dim`` coordinates in `SAMPLE_BOX`,
-    each coordinate p/q given as its pair (p, q), drawn in that order,
-    point by point: the one sampler of every sampled check.  A check
-    needs evidence, so a ``count`` below 1 is an error."""
-    if count < 1:
-        raise ValueError(f"sampling needs at least one sample point, got {count}")
+def sample_points(dim: int, seed: int) -> list[list[float]]:
+    """`RANK_SAMPLES` seeded random points of ``dim`` coordinates in
+    `SAMPLE_BOX`, each coordinate p/q drawn as p then q, point by point:
+    the one sampler of every sampled check.  Int true division is
+    correctly rounded, so each p / q is ``float(Fraction(p, q))`` bit for
+    bit, without the Fraction.  A check needs evidence, so a count below 1
+    is an error."""
+    if RANK_SAMPLES < 1:
+        raise ValueError(f"sampling needs at least one sample point, got {RANK_SAMPLES}")
     bound, den = SAMPLE_BOX
     draw = random.Random(seed).randrange  # what randint(a, b) calls, as randrange(a, b + 1)
-    return [[(draw(-bound, bound + 1), draw(1, den + 1)) for _ in range(dim)] for _ in range(count)]
-
-
-def sample_points(dim: int, seed: int) -> list[list[float]]:
-    """The `RANK_SAMPLES` points of `sample_pairs` that a rank check ranks
-    at, as floats.  Int true division is correctly rounded, so each p / q
-    is ``float(Fraction(p, q))`` bit for bit, without the Fraction."""
-    return [[p / q for p, q in pt] for pt in sample_pairs(dim, seed, RANK_SAMPLES)]
+    return [[draw(-bound, bound + 1) / draw(1, den + 1) for _ in range(dim)] for _ in range(RANK_SAMPLES)]
 
 
 def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[int]:

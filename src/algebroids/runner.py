@@ -171,7 +171,7 @@ class Session:
 
     def classify(self, alpha: FormField) -> CocycleClass:
         """Exactness of `alpha` in the session's ansatz on its chart."""
-        return classify(alpha, self.ansatz(alpha.algebroid.chart), seed=self.seed)
+        return classify(alpha, self.ansatz(alpha.algebroid.chart))
 
     def sections(self, dia) -> dict:
         """The trivialization of every object of a diagram, by object name."""
@@ -184,7 +184,6 @@ class Session:
             ext,
             mu_quotient=self.sc.extension_mu.get(name),
             ansatz=self.ansatz(ext.chart),
-            seed=self.seed,
         )
 
     def cocycle(self, spec: dict) -> FormField:
@@ -282,9 +281,7 @@ class Session:
     def _assert_cohomologous(self, args) -> tuple[str, str]:
         left = self.cocycle(args["left"])
         right = self.cocycle(args["right"])
-        verdict = cohomologous(
-            left, right, self.ansatz(left.algebroid.chart), seed=self.seed
-        )
+        verdict = cohomologous(left, right, self.ansatz(left.algebroid.chart))
         got = {
             "cohomologous": "yes",
             "distinct_certified": "no",
@@ -296,19 +293,14 @@ class Session:
         alpha = self.cocycle(args["spec"])
         chart = alpha.algebroid.chart
         mean_expect = parse_expr(args["mean_raw"], chart)
-        cert = period_certificate(
-            alpha, args["combo"], args["coord"], seed=self.seed
-        )
+        cert = period_certificate(alpha, args["combo"], args["coord"])
         if isinstance(cert, Inconclusive):
             # a non-periodic pairing has no mean, so it has no mean 0 either
             if cert.reason == MEAN_VANISHES and mean_expect.is_zero():
                 return "pass", f"inconclusive as expected: {cert.reason}"
             return "fail", f"inconclusive: {cert.reason}"
         ok = (cert.mean - mean_expect).is_zero()
-        return (
-            ("pass" if ok else "fail"),
-            f"mean {cert.mean}; witness value {cert.witness_value:.6g}",
-        )
+        return ("pass" if ok else "fail"), f"mean {cert.mean}"
 
     def _assert_dphi(self, args) -> tuple[str, str]:
         phi = self.sc.morphisms[args["name"]]
@@ -416,7 +408,6 @@ class Session:
             qd.include,
             qd.complement,
             ansatz=self.ansatz(qd.phi.source.chart),
-            seed=self.seed,
         )
 
     def _assert_poisson(self, args) -> CheckReport:
@@ -464,7 +455,6 @@ class Session:
             alpha,
             self.ansatz(proj.target.chart),
             self.ansatz(proj.source.chart),
-            seed=self.seed,
         )
 
     def _assert_bundlemap(self, args) -> CheckReport:

@@ -748,12 +748,6 @@ def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
     return ScalarFn._make(chart, items, den) if items else chart._zero
 
 
-def _linear_combination(
-    chart: Chart, coeffs: Sequence[Rational], fns: Sequence[ScalarFn]
-) -> ScalarFn:
-    return lincomb(chart, [(c, f) for c, f in zip(coeffs, fns) if c])
-
-
 def _linear_part(f: ScalarFn, what: str) -> tuple[Rational, ...]:
     try:
         return f.linear_slopes()
@@ -911,7 +905,7 @@ class ChartMap:
         involved = [(c, self._slopes[j]) for j, c in enumerate(vec) if c]
         if all(s is not None for _, s in involved):
             return tuple(_slope(sum(c * s[i] for c, s in involved)) for i in range(len(self._zero)))
-        return _linear_combination(self.source, vec, self.images).linear_slopes()
+        return lincomb(self.source, [(c, f) for c, f in zip(vec, self.images) if c]).linear_slopes()
 
     def _monomial(self, mono: tuple[int, ...]) -> ScalarFn:
         """The product of image powers images[j]^mono[j]."""

@@ -28,7 +28,6 @@ from algebroids.symexpr import (
     PeriodicityViolation,
     ScalarFn,
     SymExprError,
-    _linear_combination,
     _norm_trig,
     _slope,
     _term_sort_key,
@@ -650,11 +649,11 @@ def reference_substitute(f, source, images):
             if e:
                 part = part * images[j] ** e
         if trig is not None:
-            arg = _linear_combination(source, trig[1], images)
+            arg = lincomb(source, [(c, g) for c, g in zip(trig[1], images) if c])
             arg.linear_slopes()  # ClosureViolation if not pure-linear
             part = part * (sin(arg) if trig[0] == "sin" else cos(arg))
         if any(expv):
-            arg = _linear_combination(source, expv, images)
+            arg = lincomb(source, [(c, g) for c, g in zip(expv, images) if c])
             arg.linear_slopes()
             part = part * exp(arg)
         pieces.append((q, part))

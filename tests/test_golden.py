@@ -10,6 +10,7 @@ CHANGES.md) with:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,21 @@ def test_golden_set_complete():
 def test_golden_report(name, seed):
     for fname, text in _reports(name, seed).items():
         assert text == (GOLDEN / fname).read_text(), fname
+
+
+@pytest.mark.parametrize("name", corpus_scenarios())
+def test_reports_do_not_depend_on_the_seed(name):
+    """Past the seed in the text header and the JSON "seed" key, the seed-0
+    and seed-1 reports are equal: no sampled value reaches a report line."""
+    texts, payloads = [], []
+    for seed in SEEDS:
+        txt, js = _names(name, seed)
+        texts.append((GOLDEN / txt).read_text().split("\n", 1)[1])
+        payload = json.loads((GOLDEN / js).read_text())
+        assert payload.pop("seed") == seed
+        payloads.append(payload)
+    assert texts[0] == texts[1]
+    assert payloads[0] == payloads[1]
 
 
 if __name__ == "__main__":

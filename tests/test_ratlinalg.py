@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroids import ratlinalg
-from algebroids.cohomology import PERIOD_SAMPLES
 from algebroids.ratlinalg import (
     RANK_SAMPLES,
     FactoredSystem,
@@ -35,7 +34,6 @@ from algebroids.ratlinalg import (
     pointwise_rank,
     rank_certificate,
     rat_solve,
-    sample_pairs,
     sample_points,
     sampled_ranks,
     scalar_det,
@@ -51,7 +49,6 @@ from conftest import (
     reference_eliminate,
     reference_factored,
     reference_nowhere_zero,
-    reference_pairs,
     reference_points,
     reference_rank_certificate,
     reference_real_roots,
@@ -723,20 +720,16 @@ def test_sampled_ranks_stack():
 
 @pytest.mark.parametrize("dim", [0, 1, 3])
 def test_sample_points_draw_point_by_point(dim):
-    # both counts in use, the period witness's and the rank checks', in the one box
-    for seed, count in [(0, 1), (5, PERIOD_SAMPLES), (9, RANK_SAMPLES)]:
-        assert sample_pairs(dim, seed, count) == reference_pairs(chart_r(dim), seed, count)
-    for seed in (0, 9):
+    # p then q per coordinate, point by point, in the one box, at the one
+    # count; p / q is float(Fraction(p, q)) bit for bit
+    for seed in (0, 5, 9):
         pts = sample_points(dim, seed)
-        # p / q is float(Fraction(p, q)) bit for bit, at the rank checks' count
         assert pts == reference_points(chart_r(dim), seed, RANK_SAMPLES)
         assert all(type(x) is float for p in pts for x in p)
 
 
 def test_sample_points_reject_no_points(monkeypatch):
     for count in (0, -1):
-        with pytest.raises(ValueError, match="at least one sample point"):
-            sample_pairs(2, 0, count)
         monkeypatch.setattr(ratlinalg, "RANK_SAMPLES", count)
         with pytest.raises(ValueError, match="at least one sample point"):
             sample_points(2, 0)

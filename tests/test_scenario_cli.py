@@ -818,6 +818,9 @@ class TestCLI:
         "argv",
         [
             ["validate", "corrupted.scn", "--seed", "1"],
+            ["modular", "cylinder.scn", "B", "--seed", "1"],
+            ["relmod", "cylinder.scn", "incl", "--seed", "1"],
+            ["char", "cylinder.scn", "D", "--seed", "1"],
             ["diagram", "diagram_point.scn", "DIA", "--ansatz-degree", "2"],
             ["pullback", "cylinder.scn", "PB", "--fourier-modes", "2"],
         ],

@@ -12,9 +12,15 @@ holds:
 
 * for every end-to-end metric, each pair's two values by seed, the median
   of each side, the parent's quartiles, the number of pairs the change
-  wins, and `gain_shown`: at least 10 pairs, the change better in at
-  least 9 of every 10, and its median better than the parent's by more
-  than the parent's interquartile range;
+  wins, and three verdicts: `gain_shown`, at least 10 pairs, the change
+  better in at least 9 of every 10, and its median better than the
+  parent's by more than the parent's interquartile range; `regressed`,
+  the change's median worse than the parent's by more than the metric's
+  `bound` times the parent's median; and `unresolved`, the parent's
+  interquartile range over its median wider than `bound` (the spread of
+  a single run is unknown and counts as wider) while not every change
+  run beats every parent run, so that the runs cannot tell a change of
+  that size from noise;
 * every per-layer metric of BENCHMARK.json from the traced run
   (`--trace 1`) with the lowest seed, for both sides;
 * the seeds, the `--seconds` of the runs and their share of wrong verdicts;
@@ -145,13 +151,17 @@ def metric_entry(m: dict, plain: dict[str, list[dict]]) -> dict:
     n = len(vals["parent"])
     wins = sum(sign * (p - c) > 0 for p, c in zip(vals["parent"], vals["change"]))
     entry["wins"] = wins
+    gap = sign * (entry["parent"] - entry["change"])
+    entry["regressed"] = -gap > m["bound"] * abs(entry["parent"])
+    beats_all = all(sign * (p - c) > 0 for p in vals["parent"] for c in vals["change"])
     if n >= 2:
         q1, _, q3 = statistics.quantiles(vals["parent"], n=4, method="inclusive")
         entry["parent_quartiles"] = [q1, q3]
-        gap = sign * (entry["parent"] - entry["change"])
         entry["gain_shown"] = n >= MIN_PAIRS and 10 * wins >= 9 * n and gap > q3 - q1
+        entry["unresolved"] = q3 - q1 > m["bound"] * abs(entry["parent"]) and not beats_all
     else:
         entry["gain_shown"] = False
+        entry["unresolved"] = not beats_all
     return entry
 
 
@@ -213,10 +223,10 @@ def write(args) -> int:
         same = wl["digests"]
         print(f"{name} digests: " + ("equal" if same["equal"] else f"differ at seeds {same['differing_seeds']}"))
         for metric, e in wl["end_to_end"].items():
-            gain = ", gain shown" if e["gain_shown"] else ""
+            flags = "".join(f", {flag.replace('_', ' ')}" for flag in ("gain_shown", "regressed", "unresolved") if e[flag])
             print(
                 f"{name} {metric}: {e['parent']:.4g} -> {e['change']:.4g} {e['unit']}"
-                f" (change wins {e['wins']} of {len(e['pairs'])}{gain})"
+                f" (change wins {e['wins']} of {len(e['pairs'])}{flags})"
             )
     return 0
 
