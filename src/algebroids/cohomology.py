@@ -30,8 +30,12 @@ derivatives are at most three known keys (`symexpr.derivative_items`).
 An anchor entry that is one trig-free term q * x^m * exp(d.x), the only
 kind the stock algebroids have, shifts those keys by (m, d) and scales
 their coefficients; only other entries are multiplied out term by term.
-The space also keeps the algebroid's circle section per periodic
-coordinate, which `classify` searches once and reads after that.
+
+A zero form is exact with primitive 0 on either route, so `classify`
+builds no operator for it.  A period certificate needs a circle section:
+constant frame coefficients anchored on a periodic coordinate field.  On
+a tangent algebroid that is the coordinate's own frame vector, read off;
+on any other `find_circle_section` matches coefficients and solves.
 """
 
 from __future__ import annotations
@@ -93,10 +97,9 @@ class AnsatzSpace:
     not zero and differs from the others (a ValueError or TypeError names
     any other).
 
-    A space keeps, per algebroid it has answered for, d_A on its basis
-    factored once (see `solve_exact`) and the algebroid's circle section
-    per periodic coordinate (see `circle_section`); the basis and the
-    operators are built only for algebroids that are not tangent, whose
+    A space keeps one memo: per algebroid it has solved for, d_A on its
+    basis factored once (see `solve_exact`).  The basis is built for each
+    operator, and only for algebroids that are not tangent, whose
     questions `classify` answers by integration and `in`.  Reuse one space
     across the `classify` and `cohomologous` calls on its chart.  The memo
     takes no part in `==` and `hash`.
@@ -106,14 +109,9 @@ class AnsatzSpace:
     degree: int = 4
     fourier_modes: int = 4
     exp_slopes: tuple[tuple[Fraction, ...], ...] = ()
-    _basis: list[ScalarFn] = field(default_factory=list, init=False, compare=False, repr=False)
-    # id(algebroid) -> (algebroid, its factored operator) and (algebroid,
-    # its circle sections by coordinate); the algebroid is held so that its
-    # id is not reused while the entry lives
+    # id(algebroid) -> (algebroid, its factored operator); the algebroid is
+    # held so that its id is not reused while the entry lives
     _operators: dict[int, tuple[AlgebroidPresentation, "AnsatzOperator"]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _circles: dict[int, tuple[AlgebroidPresentation, dict[str, Optional[tuple[Fraction, ...]]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -175,8 +173,6 @@ class AnsatzSpace:
     def basis(self) -> list[ScalarFn]:
         """Monomial x trig atom x exp atom, each function built as its one
         term key with coefficient 1, in that nesting order."""
-        if self._basis:
-            return list(self._basis)
         chart = self.chart
         nonper = [i for i, p in enumerate(chart.periodic) if not p]
         per = [i for i, p in enumerate(chart.periodic) if p]
@@ -197,9 +193,7 @@ class AnsatzSpace:
                 slopes = spread(per, modes)
                 trigs += [("sin", slopes), ("cos", slopes)]
         exps = [tuple(_slope(Fraction(c)) for c in s) for s in [chart._zerovec(), *self.exp_slopes]]
-        out = [ScalarFn(chart, {(m, t, e): 1}) for m in monos for t in trigs for e in exps]
-        self._basis[:] = out  # one replacement: two fills leave one copy
-        return list(out)
+        return [ScalarFn(chart, {(m, t, e): 1}) for m in monos for t in trigs for e in exps]
 
     def operator(self, a: AlgebroidPresentation) -> "AnsatzOperator":
         """d_A on the basis for the algebroid `a`, built on first use."""
@@ -207,13 +201,6 @@ class AnsatzSpace:
         if entry is None:
             entry = self._operators[id(a)] = (a, AnsatzOperator.build(a, self.basis()))
         return entry[1]
-
-    def circle_section(self, a: AlgebroidPresentation, coord: str) -> Optional[tuple[Fraction, ...]]:
-        """`find_circle_section(a, coord)`, searched on first use."""
-        held = self._circles.setdefault(id(a), (a, {}))[1]
-        if coord not in held:
-            held[coord] = find_circle_section(a, coord)
-        return held[coord]
 
 
 @dataclass(frozen=True)
@@ -243,7 +230,7 @@ class AnsatzOperator:
     entry is ever a ``Fraction``.
 
     Only `solve_exact` builds it: `classify` integrates on a tangent
-    algebroid and builds none there.
+    algebroid and builds none there, nor for a zero form.
     """
 
     basis: list[ScalarFn]
@@ -424,8 +411,12 @@ def find_circle_section(
     a: AlgebroidPresentation, coord: str
 ) -> Optional[tuple[Fraction, ...]]:
     """Rational-constant frame coefficients c with rho(sum c_i e_i) exactly
-    the unit vector field of the given periodic coordinate, if any."""
+    the unit vector field of the given periodic coordinate, if any.  On a
+    tangent algebroid the anchor is the identity, so c is the coordinate's
+    unit vector, the only solution, and nothing is solved."""
     j = a.chart.index(coord)
+    if _is_tangent(a):
+        return tuple(Fraction(int(i == j)) for i in range(a.rank))
     target = [
         a.chart.one() if k == j else a.chart.zero() for k in range(a.chart.dim)
     ]
@@ -552,12 +543,18 @@ def _is_tangent(a: AlgebroidPresentation) -> bool:
 
 def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
     """The primitive of alpha in the space that `solve_exact` finds, or
-    None when the space holds none.  On a tangent algebroid F is built
-    coordinate by coordinate, F += the antiderivative of alpha_j - dF/dx_j
-    along x_j; dF is closed, so dF == alpha iff alpha is closed.  F has no
-    constant term, like the primitive of `solve_exact`, and primitives
-    differ by constants, so alpha has one in the space iff F is in it."""
+    None when the space holds none.  A space on another chart is refused,
+    and a zero form has the primitive 0, with no operator built.  On a
+    tangent algebroid F is built coordinate by coordinate, F += the
+    antiderivative of alpha_j - dF/dx_j along x_j; dF is closed, so dF ==
+    alpha iff alpha is closed.  F has no constant term, like the primitive
+    of `solve_exact`, and primitives differ by constants, so alpha has one
+    in the space iff F is in it."""
     a = alpha.algebroid
+    if space.chart != a.chart:
+        raise SymExprError(f"chart mismatch: {a.chart.name!r} vs {space.chart.name!r}")
+    if alpha.is_zero():
+        return a.chart.zero()
     if not _is_tangent(a):
         res = solve_exact(alpha, space)
         return res if isinstance(res, ScalarFn) else None
@@ -575,17 +572,19 @@ def classify(
     alpha: FormField, space: AnsatzSpace, seed: int = 0
 ) -> CocycleClass:
     """Exactness verdict: primitive, sound nonexactness certificate, or
-    unknown-within-ansatz.  Status never downgrades.  The primitive comes
-    from integration on a tangent algebroid and from `solve_exact` on any
-    other, the same function either way; a form that is not closed raises
-    PreconditionFailure.  Nothing is sampled: ``seed`` is accepted and
-    unread, only because the benchmark's workloads still pass it."""
+    unknown-within-ansatz.  Status never downgrades.  The zero form is
+    exact with primitive 0; any other primitive comes from integration on
+    a tangent algebroid and from `solve_exact` on any other, the same
+    function either way.  A form that is not closed raises
+    PreconditionFailure, and a space on another chart SymExprError.
+    Nothing is sampled: ``seed`` is accepted and unread, only because the
+    benchmark's workloads still pass it."""
     res = _primitive(alpha, space)
     if res is not None:
         return CocycleClass("exact", primitive=res)
     a = alpha.algebroid
     for coord in (c for c, per in zip(a.chart.coords, a.chart.periodic) if per):
-        combo = space.circle_section(a, coord)
+        combo = find_circle_section(a, coord)
         if combo is None:
             continue
         cert = period_certificate(alpha, combo, coord)
@@ -642,7 +641,8 @@ def check_pullback_injectivity(
     rep.add("pulled cocycle is closed", closed)
     if not closed:
         return rep
-    res = _primitive(pulled, space_source)
+    cls_pull = classify(pulled, space_source)
+    res = cls_pull.primitive
     if res is not None:
         basic = _is_basic(res, fiber_idx)
         rep.add("primitive of the pull-back is basic", basic, str(res))
@@ -652,10 +652,9 @@ def check_pullback_injectivity(
             rep.residual("descended primitive solves the base cocycle", residual)
     else:
         cls_base = classify(alpha, space_target)
-        cls_pull = classify(pulled, space_source)
         rep.add(
             "both levels non-exact",
-            cls_base.status != "exact" and cls_pull.status != "exact",
+            cls_base.status != "exact",
             f"base: {cls_base.status}, pull-back: {cls_pull.status}",
         )
     return rep

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from unittest import mock
@@ -162,29 +161,21 @@ class TestSharedSpace:
         assert shared.operator(tm) is shared.operator(tm)
         assert shared.operator(spiral) is not shared.operator(tm)
 
-    def test_circle_sections_are_searched_once_per_coordinate(self, monkeypatch):
+    def test_tangent_circle_sections_are_read(self, monkeypatch):
         # d sin(5 theta) is outside a 2-mode space, and no period decides
-        # it: each call tries both circles, and the space holds them
-        searched = []
-        real = cohomology.find_circle_section
+        # it: each call tries both circles, whose sections are the frame
+        # vectors of the coordinates, read off with no system solved
+        def no_solve(*args):
+            raise AssertionError("circle section solved on a tangent algebroid")
 
-        def counting(a, coord):
-            searched.append(coord)
-            return real(a, coord)
-
-        monkeypatch.setattr(cohomology, "find_circle_section", counting)
+        monkeypatch.setattr(cohomology, "rat_solve", no_solve)
         t2 = tangent_algebroid(T2)
         space = AnsatzSpace(T2, degree=0, fourier_modes=2)
         alpha = d_A(function_form(t2, sin(5 * T2.coord("theta"))))
         assert [classify(alpha, space).status for _ in range(2)] == ["nonexact_in_ansatz"] * 2
-        assert searched == ["theta", "phi"]
-        # reading the held sections searches no more
-        assert [space.circle_section(t2, c) for c in T2.coords] == [(1, 0), (0, 1)]
-        assert searched == ["theta", "phi"]
-        # the held sections are a memo: not a constructor argument, and no
-        # part of equality or repr
-        fresh = dataclasses.replace(space)
-        assert fresh._circles == {} and fresh == space and repr(fresh) == repr(space)
+        sections = [find_circle_section(t2, c) for c in T2.coords]
+        assert sections == [(1, 0), (0, 1)]
+        assert all(type(c) is Fraction for combo in sections for c in combo)
 
     def test_memo_takes_no_part_in_equality(self):
         tm = tangent_algebroid(CYLC)
@@ -203,6 +194,41 @@ class TestSharedSpace:
             if not name.startswith("__") and isinstance(value, (dict, list, set))
         ]
         assert state == []
+
+
+class TestZeroClass:
+    """The zero form is exact with primitive 0 on every algebroid, decided
+    before a route is picked, and a space on another chart is refused
+    first."""
+
+    def test_zero_form_builds_no_operator(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("operator built for a zero form")
+
+        monkeypatch.setattr(AnsatzOperator, "build", no_build)
+        spiral = cylinder_algebroid(CYLC)
+        space = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
+        got = classify(one_form(spiral, [CYLC.zero()]), space)
+        assert (got.status, got.primitive) == ("exact", CYLC.zero())
+        alpha = modular_cocycle(spiral, *canonical_sections(spiral))
+        same = cohomologous(alpha, alpha, space)
+        assert (same.verdict, same.primitive) == ("cohomologous", CYLC.zero())
+        assert space._operators == {}
+
+    def test_space_on_another_chart_is_refused(self):
+        plane = Chart("A", ("x", "y"))
+        line = Chart("B", ("t",), (True,))
+        space = AnsatzSpace(line, 2, 1)
+        forms = [
+            # the tangent route, the operator route and a zero form
+            one_form(tangent_algebroid(plane), [plane.zero(), plane.one()]),
+            one_form(cylinder_algebroid(plane), [plane.one()]),
+            one_form(tangent_algebroid(plane), [plane.zero(), plane.zero()]),
+        ]
+        for alpha in forms:
+            with pytest.raises(SymExprError, match="chart mismatch: 'A' vs 'B'"):
+                classify(alpha, space)
+        assert space._operators == {}
 
 
 class TestAnsatzBasis:
@@ -752,7 +778,7 @@ class TestIntegration:
         ]
         verdicts = [cohomologous(alpha, cocycles[0], space).verdict for alpha in cocycles]
         assert verdicts == ["cohomologous", "cohomologous", "unknown_in_ansatz", "unknown_in_ansatz", "distinct_certified"]
-        assert space._operators == {} and space._basis == []
+        assert space._operators == {}
 
     @pytest.mark.parametrize(
         "chart, comps",

@@ -15,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+import algebroids.cohomology as cohomology
 from algebroids.cli import corpus_scenarios, load_scenario
 from algebroids.runner import run
+from test_golden_cli import COMMANDS, _fname, _output
+from test_golden_cli import GOLDEN as CLI_GOLDEN
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (0, 1)
@@ -43,6 +46,27 @@ def test_golden_set_complete():
 def test_golden_report(name, seed):
     for fname, text in _reports(name, seed).items():
         assert text == (GOLDEN / fname).read_text(), fname
+
+
+@pytest.fixture
+def operator_route(monkeypatch):
+    """Every class through `solve_exact` and every circle section through
+    `rat_solve`: no algebroid reads as tangent."""
+    monkeypatch.setattr(cohomology, "_is_tangent", lambda a: False)
+
+
+@pytest.mark.parametrize("name", corpus_scenarios())
+def test_golden_report_on_the_operator_route(name, operator_route):
+    """The tangent shortcuts (integration, read circle sections) never
+    show in a report."""
+    for fname, text in _reports(name, 0).items():
+        assert text == (GOLDEN / fname).read_text(), fname
+
+
+@pytest.mark.parametrize("stem", [s for s in COMMANDS if s.split(".")[0] in ("modular", "relmod", "char")])
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_golden_cli_output_on_the_operator_route(stem, fmt, operator_route):
+    assert _output(stem, fmt) == (CLI_GOLDEN / _fname(stem, fmt)).read_text()
 
 
 @pytest.mark.parametrize("name", corpus_scenarios())

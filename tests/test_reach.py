@@ -1,0 +1,66 @@
+"""The collector of the reach sweep in `tools/reach.py`."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from algebroids.symexpr import Chart
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "reach.py"
+spec = importlib.util.spec_from_file_location("reach", TOOL)
+reach = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(reach)
+
+TINY = '''import functools
+
+
+class Box:
+    @property
+    def size(self):
+        return 1
+
+    @functools.lru_cache(maxsize=None)
+    def cached(self):
+        return 2
+
+    def never(self):
+        return 3
+
+
+def outer():
+    def inner():
+        return 4
+
+    return inner()
+
+
+def unused():
+    pass
+'''
+
+
+def test_a_tiny_package_lists_what_a_call_never_enters(tmp_path):
+    (tmp_path / "tiny.py").write_text(TINY)
+    spec = importlib.util.spec_from_file_location("tiny", tmp_path / "tiny.py")
+    tiny = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tiny)
+
+    def run():
+        box = tiny.Box()
+        return box.size + box.cached() + tiny.outer()
+
+    names = sorted(reach.defined(tmp_path).values())
+    assert names == ["tiny.Box.cached", "tiny.Box.never", "tiny.Box.size", "tiny.outer", "tiny.outer.<locals>.inner", "tiny.unused"]
+    # decorated methods are found at their first decorator, nested
+    # functions by their own code
+    assert reach.unreached(run, tmp_path) == ["tiny.Box.never", "tiny.unused"]
+
+
+def test_the_library_is_traced_and_the_profile_restored():
+    previous = sys.getprofile()
+    got = reach.entered(lambda: Chart("R", ("x",)).coord("x"))
+    assert sys.getprofile() is previous
+    names = reach.defined()
+    reached = {names[key] for key in got if key in names}
+    assert "symexpr.Chart.coord" in reached
+    assert "cohomology.classify" not in reached
