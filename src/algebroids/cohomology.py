@@ -32,10 +32,17 @@ kind the stock algebroids have, shifts those keys by (m, d) and scales
 their coefficients; only other entries are multiplied out term by term.
 
 A zero form is exact with primitive 0 on either route, so `classify`
-builds no operator for it.  A period certificate needs a circle section:
-constant frame coefficients anchored on a periodic coordinate field.  On
-a tangent algebroid that is the coordinate's own frame vector, read off;
-on any other `find_circle_section` matches coefficients and solves.
+builds no operator for it.  Neither route tests closedness up front: the
+integrated F has dF == alpha exactly when alpha is closed, and a solution
+of the operator route proves d_A f = alpha, so `solve_exact` runs
+`is_cocycle` only on an infeasible system.  A form that is not a closed
+1-form raises PreconditionFailure(NOT_CLOSED) on both routes, and
+`check_pullback_injectivity` reads its closedness item from that.
+
+A period certificate needs a circle section: constant frame coefficients
+anchored on a periodic coordinate field.  On a tangent algebroid that is
+the coordinate's own frame vector, read off; on any other
+`find_circle_section` matches coefficients and solves.
 """
 
 from __future__ import annotations
@@ -383,9 +390,11 @@ def solve_exact(
     keeps for alpha's algebroid; the primitive has every free basis
     coefficient zero.  This is the general route, and the only one that
     gives a Farkas witness; `classify` takes it on algebroids that are not
-    tangent."""
+    tangent.  A solution proves d_A f = alpha, so alpha is tested for
+    closedness only when the system is infeasible (PreconditionFailure if
+    it is not closed, or not a 1-form)."""
     a = alpha.algebroid
-    if not is_cocycle(alpha):
+    if alpha.degree != 1:
         raise PreconditionFailure(NOT_CLOSED)
     op = space.operator(a)
     # every component's numerators, over the lcm of their denominators
@@ -403,6 +412,8 @@ def solve_exact(
                 rhs[r] = q * scale
     sol, witness = op.system.solve(rhs, outside, den)
     if sol is None:
+        if not is_cocycle(alpha):
+            raise PreconditionFailure(NOT_CLOSED)
         return NoSolutionInAnsatz(witness)
     return lincomb(a.chart, [(c, b) for c, b in zip(sol, op.basis) if c])
 
@@ -544,7 +555,8 @@ def _is_tangent(a: AlgebroidPresentation) -> bool:
 def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
     """The primitive of alpha in the space that `solve_exact` finds, or
     None when the space holds none.  A space on another chart is refused,
-    and a zero form has the primitive 0, with no operator built.  On a
+    and so is a form of another degree than 1; a zero 1-form has the
+    primitive 0, with no operator built.  On a
     tangent algebroid F is built coordinate by coordinate, F += the
     antiderivative of alpha_j - dF/dx_j along x_j; dF is closed, so dF ==
     alpha iff alpha is closed.  F has no constant term, like the primitive
@@ -553,6 +565,8 @@ def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
     a = alpha.algebroid
     if space.chart != a.chart:
         raise SymExprError(f"chart mismatch: {a.chart.name!r} vs {space.chart.name!r}")
+    if alpha.degree != 1:
+        raise PreconditionFailure(NOT_CLOSED)
     if alpha.is_zero():
         return a.chart.zero()
     if not _is_tangent(a):
@@ -626,7 +640,9 @@ def check_pullback_injectivity(
     cocycle is exact in the source ansatz, its primitive must be basic
     (independent of the fiber coordinates), and the induced base function
     must be a primitive of alpha.  When the pull-back is not exact, both
-    levels are classified and should agree.
+    levels are classified and should agree.  The pulled cocycle is closed
+    unless `classify` refuses it with the PreconditionFailure NOT_CLOSED,
+    so its closedness is decided once, by `classify`.
     """
     rep = CheckReport(f"pull-back injectivity along {proj.name}")
     if alpha.algebroid != proj.target:
@@ -636,12 +652,14 @@ def check_pullback_injectivity(
     fiber_idx = [
         k for k, c in enumerate(src_chart.coords) if c not in tgt_chart.coords
     ]
-    pulled = pullback_form(proj, alpha)
-    closed = is_cocycle(pulled)
-    rep.add("pulled cocycle is closed", closed)
-    if not closed:
+    try:
+        cls_pull = classify(pullback_form(proj, alpha), space_source)
+    except PreconditionFailure as exc:
+        if exc.args != (NOT_CLOSED,):
+            raise
+        rep.add("pulled cocycle is closed", False)
         return rep
-    cls_pull = classify(pulled, space_source)
+    rep.add("pulled cocycle is closed", True)
     res = cls_pull.primitive
     if res is not None:
         basic = _is_basic(res, fiber_idx)

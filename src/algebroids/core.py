@@ -290,9 +290,6 @@ class _AltTable:
 
     __hash__ = None
 
-    def _names(self) -> Sequence[str]:
-        raise NotImplementedError
-
     def __str__(self) -> str:
         if not self.comps:
             return "0"

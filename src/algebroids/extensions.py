@@ -453,21 +453,13 @@ def cotangent_algebroid(
     if not res.is_zero():
         raise NotPoisson(res)
     n = chart.dim
-
-    def entry(i, j):
-        if i == j:
-            return chart.zero()
-        if i < j:
-            return pi.comps.get((i, j), chart.zero())
-        return -pi.comps.get((j, i), chart.zero())
-
     frame = tuple("d" + c for c in chart.coords)
-    anchor = [[entry(i, j) for j in range(n)] for i in range(n)]
+    anchor = [[pi.component((i, j)) for j in range(n)] for i in range(n)]
     structure: dict[tuple[int, int], dict[int, ScalarFn]] = {}
     for i in range(n):
         for j in range(i + 1, n):
             comps = {}
-            pij = entry(i, j)
+            pij = anchor[i][j]
             for k, coord in enumerate(chart.coords):
                 d = pij.partial(coord)
                 if not d.is_zero():

@@ -40,10 +40,9 @@ from typing import Callable, Optional, Sequence
 
 from .core import (
     AlgebroidPresentation,
-    Multivector,
     _nonzero,
+    _sort_indices,
     _vf_pieces,
-    interior,
     tangent_algebroid,
     top_form,
     top_multivector,
@@ -55,7 +54,6 @@ from .morphisms import (
     base_preserving_morphism,
     check_morphism,
     compose,
-    pullback_form,
     relative_modular,
 )
 from .ratlinalg import RANK_SAMPLES, PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
@@ -362,7 +360,15 @@ def verify_submersion_vanishing(
     section upstairs is transported through the vertical volume tau with
     i_tau mu = (base pull-back of nu), and the residual, the
     `morphisms.relative_modular` cocycle of the projection, must vanish
-    identically.
+    identically.  With F and B the fiber and base coordinate indices of the
+    source chart in increasing order, tau = h d/dx^F and
+
+        i_{d/dx^F} (mu dx^1..dx^n) = eps(F B) mu dx^B,
+        phi^*(nu dy^1..dy^m) = eps(base) (nu o phi) dx^B,
+
+    where eps(F B) is the parity of the fiber-then-base shuffle and
+    eps(base) that of the target coordinates' positions on the source, so
+    h = eps(base) (nu o phi) / (eps(F B) mu); no form is contracted.
     """
     pf = built.frame
     b, source_chart = pf.target, pf.source_chart
@@ -370,39 +376,17 @@ def verify_submersion_vanishing(
         raise PullbackError("submersion vanishing needs the product-submersion pull-back")
     rep = CheckReport(f"submersion vanishing for {b.name}")
     rep.note(f"pull-back frame: {', '.join(built.presentation.frame)}")
-    tgt_chart = b.chart
-    tm_src = tangent_algebroid(source_chart)
-    tm_tgt = tangent_algebroid(tgt_chart)
-    base_idx = [source_chart.index(c) for c in tgt_chart.coords]
+    base_idx = [source_chart.index(c) for c in b.chart.coords]
     fiber_idx = [k for k in range(source_chart.dim) if k not in base_idx]
-    mu_form = top_form(tm_src, mu)
-    # tau: vertical top multivector with i_tau mu = pull-back of nu
-    vert = Multivector(
-        tm_src, len(fiber_idx), {tuple(sorted(fiber_idx)): source_chart.one()}
-    )
-    contracted = interior(vert, mu_form)
-    base_key = tuple(sorted(base_idx))
-    denom = contracted.comps.get(base_key, source_chart.zero())
-    tproj = Morphism(
-        "Tproj",
-        tm_src,
-        tm_tgt,
-        list(pf.basemap),
-        [
-            [
-                source_chart.one() if k == base_idx[j] else source_chart.zero()
-                for k in range(source_chart.dim)
-            ]
-            for j in range(tgt_chart.dim)
-        ],
-    )
-    nu_pulled = pullback_form(tproj, top_form(tm_tgt, nu))
-    numer = nu_pulled.comps.get(base_key, source_chart.zero())
+    # the dx^B coefficients of phi^*(nu dy^1..dy^m) and of i_{d/dx^F} (mu dx^1..dx^n)
+    numer = _sort_indices(base_idx)[0] * built.projection.pull_scalar(nu)
+    denom = _sort_indices(fiber_idx + sorted(base_idx))[0] * mu
     h = numer * denom.unit_inverse()
     omega_up = top_multivector(
         built.presentation, built.projection.pull_scalar(sigma) * h
     )
-    sec_tgt = Trivialization(top_multivector(b, sigma), top_form(tm_tgt, nu))
+    mu_form = top_form(tangent_algebroid(source_chart), mu)
+    sec_tgt = Trivialization(top_multivector(b, sigma), top_form(tangent_algebroid(b.chart), nu))
     residual = relative_modular(built.projection, Trivialization(omega_up, mu_form), sec_tgt)
     rep.residual("modular cocycle residual = 0", residual)
     return rep

@@ -104,6 +104,31 @@ class TestSolveExact:
             assert isinstance(g, ScalarFn)
             assert (f - g).is_constant()
 
+    def test_closedness_is_tested_only_without_a_solution(self, monkeypatch):
+        # on the spiral B, d_A x = x: the solution proves the form closed;
+        # -1 has no primitive in the space, and only then is d_A taken
+        calls = []
+        real = cohomology.is_cocycle
+        monkeypatch.setattr(cohomology, "is_cocycle", lambda alpha: calls.append(alpha) or real(alpha))
+        spiral = cylinder_algebroid(CYLC)
+        space = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
+        got = classify(one_form(spiral, [CYLC.coord("x")]), space)
+        assert (got.status, got.primitive) == ("exact", CYLC.coord("x"))
+        assert calls == []
+        minus_one = one_form(spiral, [CYLC.const(-1)])
+        assert classify(minus_one, space).status == "nonexact_in_ansatz"
+        assert calls == [minus_one]
+
+    def test_form_that_is_not_closed_is_refused_after_the_solve(self):
+        tm = tangent_algebroid(R2)
+        space = AnsatzSpace(R2, degree=2)
+        x_dy = one_form(tm, [R2.zero(), R2.coord("x")])
+        with pytest.raises(PreconditionFailure, match="expects a closed 1-form"):
+            solve_exact(x_dy, space)
+        # dx^dy is closed, but no function has it as its differential
+        with pytest.raises(PreconditionFailure, match="expects a closed 1-form"):
+            solve_exact(d_A(x_dy), space)
+
 
 def assert_witness(alpha, space, res):
     """The witness of `res` reads 0 = nonzero on the stored rows of d_A,
@@ -649,6 +674,27 @@ class TestPullbackInjectivity:
         assert [(item.label, item.ok) for item in rep.items] == [("pulled cocycle is closed", False)]
         assert not rep.passed
 
+    def test_not_closed_on_the_operator_route_fails_its_item(self, monkeypatch):
+        # solve_exact finds no primitive of -t dtheta, and then refuses it
+        monkeypatch.setattr(cohomology, "_is_tangent", lambda a: False)
+        ts1 = tangent_algebroid(S1)
+        big = Chart("P", ("theta", "t"), (True, False))
+        proj = Morphism("pr", tangent_algebroid(big), ts1, [big.coord("theta")], [[big.coord("t"), big.zero()]])
+        alpha = one_form(ts1, [S1.const(-1)])
+        rep = check_pullback_injectivity(proj, alpha, AnsatzSpace(S1, 2, 2), AnsatzSpace(big, 2, 2))
+        assert [(item.label, item.ok) for item in rep.items] == [("pulled cocycle is closed", False)]
+
+    def test_other_refusals_are_raised(self, monkeypatch):
+        def refuse(alpha, space):
+            raise PreconditionFailure("another precondition")
+
+        monkeypatch.setattr(cohomology, "classify", refuse)
+        ts1 = tangent_algebroid(S1)
+        big = Chart("P", ("theta", "t"), (True, False))
+        proj = Morphism("pr", tangent_algebroid(big), ts1, [big.coord("theta")], [[big.one(), big.zero()]])
+        with pytest.raises(PreconditionFailure, match="another precondition"):
+            check_pullback_injectivity(proj, one_form(ts1, [S1.one()]), AnsatzSpace(S1, 2, 2), AnsatzSpace(big, 2, 2))
+
     def test_random_exact_on_plane(self):
         rng = random.Random(3)
         r3 = Chart("R3", ("x", "y", "z"))
@@ -794,3 +840,14 @@ class TestIntegration:
         with pytest.raises(PreconditionFailure, match="expects a closed 1-form"):
             cohomologous(alpha, one_form(a, [chart.zero()] * 2), space)
         assert space._operators == {}
+
+    @pytest.mark.parametrize("tangent", [True, False], ids=["integration", "operator"])
+    def test_forms_of_other_degrees_are_refused(self, monkeypatch, tangent):
+        # dx^dy is closed and the function x is a form, but neither is a
+        # 1-form, so neither has a primitive function
+        monkeypatch.setattr(cohomology, "_is_tangent", lambda a: tangent)
+        tm = tangent_algebroid(R2)
+        space = AnsatzSpace(R2, 2)
+        for alpha in (d_A(one_form(tm, [R2.zero(), R2.coord("x")])), function_form(tm, R2.coord("x"))):
+            with pytest.raises(PreconditionFailure, match="expects a closed 1-form"):
+                classify(alpha, space)

@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algebroids.pullback as pullback_module
 from algebroids.cli import load_scenario
 from algebroids.core import (
     AlgebroidPresentation,
+    Multivector,
     check_axioms,
     derivation_algebroid,
+    interior,
     same_presentation,
     tangent_algebroid,
+    top_form,
 )
 from algebroids.morphisms import (
     Morphism,
     Trivialization,
     check_morphism,
+    pullback_form,
     relative_modular,
 )
 from algebroids.pullback import (
@@ -373,6 +378,39 @@ class TestSubmersionVanishing:
         )
         assert rep.passed
 
+    # the target coordinates (theta, x) sit at source positions (2, 0) in
+    # (x, t, theta): an odd base order with an odd fiber-then-base shuffle
+    # (1, 0, 2); in (theta, t, x) at (0, 2): even, with the same odd shuffle
+    @pytest.mark.parametrize(
+        "coords, periodic, sign",
+        [(("x", "t", "theta"), (False, False, True), 1), (("theta", "t", "x"), (True, False, False), -1)],
+        ids=["odd-base", "odd-shuffle"],
+    )
+    @pytest.mark.parametrize("target", [lambda: tangent_algebroid(N, "TN"), lambda: cylinder_algebroid(N)], ids=["TN", "B"])
+    def test_shuffled_source_coordinates(self, monkeypatch, coords, periodic, sign, target):
+        src = Chart("Msh", coords, periodic)
+        b = target()
+        built = build_pullback(product_submersion_frame(b, src))
+        sigma = parse_expr("2*exp(x)", N)
+        nu = parse_expr("-3*exp(-x)", N)
+        mu = parse_expr("5*exp(t - x)", src)
+        tops = []
+        made = pullback_module.top_multivector
+
+        def spy(a, coeff):
+            if a is built.presentation:
+                tops.append(coeff)
+            return made(a, coeff)
+
+        monkeypatch.setattr(pullback_module, "top_multivector", spy)
+        rep = verify_submersion_vanishing(built, sigma, nu, mu)
+        assert rep.passed
+        # the section upstairs is sigma o phi times tau's coefficient h, with
+        # i_tau mu = phi^*(nu) read off the forms themselves
+        pull = built.projection.pull_scalar
+        assert tops == [_reference_top(built, sigma, nu, mu)]
+        assert tops == [pull(sigma) * pull(nu) * mu.unit_inverse() * sign]
+
     def test_user_frames_are_refused(self):
         # cylinder.scn's PB is an orbit inclusion, not a product projection;
         # the rescaled frame differs from the product frame only in its pair
@@ -383,6 +421,23 @@ class TestSubmersionVanishing:
         for built in (pb, build_pullback(rescaled)):
             with pytest.raises(PullbackError, match="product"):
                 verify_submersion_vanishing(built, N.one(), N.one(), built.frame.source_chart.one())
+
+
+def _reference_top(built, sigma, nu, mu):
+    """sigma o phi times h, where the vertical volume tau = h d/dx^F has
+    i_tau mu = phi^*(nu), read off by contracting d/dx^F into mu and pulling
+    nu back along the tangent map of the projection."""
+    pf = built.frame
+    src, tgt = pf.source_chart, pf.target.chart
+    tm_src, tm_tgt = tangent_algebroid(src), tangent_algebroid(tgt)
+    base_idx = [src.index(c) for c in tgt.coords]
+    fiber = tuple(k for k in range(src.dim) if k not in base_idx)
+    key = tuple(sorted(base_idx))
+    denom = interior(Multivector(tm_src, len(fiber), {fiber: src.one()}), top_form(tm_src, mu)).component(key)
+    tangent_map = [[src.one() if k == base_idx[j] else src.zero() for k in range(src.dim)] for j in range(tgt.dim)]
+    tproj = Morphism("Tproj", tm_src, tm_tgt, list(pf.basemap), tangent_map)
+    numer = pullback_form(tproj, top_form(tm_tgt, nu)).component(key)
+    return built.projection.pull_scalar(sigma) * numer * denom.unit_inverse()
 
 
 def _scaled_rows(s):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids import extensions, runner
+from algebroids import cohomology, extensions, runner
 from algebroids import scenario
 from algebroids.cli import corpus_scenarios, load_scenario, main
 from algebroids.core import same_presentation
@@ -715,6 +715,36 @@ class TestRunner:
         result = run(parse_scenario(text, "inj")).results[0]
         assert result.verdict == "fail"
         assert "pulled cocycle is closed" in result.detail
+
+    def test_inj_decides_closedness_once(self, monkeypatch):
+        # the two inj assertions of submersion.scn: classify's own
+        # closedness test is the item, and d_A is taken only for the
+        # descended primitive of cos(theta)
+        counts = {"is_cocycle": 0, "d_A": 0}
+        inside = []
+
+        def counted(name):
+            real = getattr(cohomology, name)
+
+            def call(*args):
+                counts[name] += bool(inside)
+                return real(*args)
+
+            return call
+
+        def check(*args):
+            inside.append(True)
+            try:
+                return injectivity(*args)
+            finally:
+                inside.pop()
+
+        injectivity = runner.check_pullback_injectivity
+        for name in counts:
+            monkeypatch.setattr(cohomology, name, counted(name))
+        monkeypatch.setattr(runner, "check_pullback_injectivity", check)
+        assert main(["run", "submersion.scn"]) == 0
+        assert counts == {"is_cocycle": 0, "d_A": 1}
 
     def test_composite_passes_through_the_object_itself(self):
         # m ends at A2, which equals A but is not it, so n . m does not compose
