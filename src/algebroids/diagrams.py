@@ -16,7 +16,6 @@ from typing import Mapping
 from .core import AlgebroidPresentation, FormField
 from .morphisms import Morphism, Trivialization, check_morphism, compose, pullback_form, relative_modular
 from .report import CheckReport
-from .reps import modular_cocycle
 
 
 class DiagramError(Exception):
@@ -117,9 +116,10 @@ def delta1(diagram: Diagram, v: Cochain1) -> dict[tuple[str, str], FormField]:
 def modular_cochain(
     diagram: Diagram, sections: Mapping[str, Trivialization]
 ) -> dict[str, FormField]:
-    """The object-wise modular cocycles for chosen trivializations."""
+    """The object-wise modular cocycles for chosen trivializations, the
+    ones the trivializations hold."""
     return {
-        name: modular_cocycle(alg, sections[name].omega, sections[name].mu)
+        name: sections[name].modular_on(alg)
         for name, alg in diagram.objects.items()
     }
 

@@ -416,13 +416,10 @@ def verify_constant_rank_identity(
     rep.add("morphism factors through the image", ok)
     dq = quotient_top_rep(b_in_ambient, complement)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
-    mod_phi = relative_modular(
-        phi, Trivialization(*canonical_sections(a)), Trivialization(*canonical_sections(amb))
-    )
+    triv_amb = Trivialization(*canonical_sections(amb))
+    mod_phi = relative_modular(phi, Trivialization(*canonical_sections(a)), triv_amb)
     _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, ext.eta - eta_q), ansatz)
-    mod_b_in_amb = relative_modular(
-        b_in_ambient, Trivialization(*canonical_sections(b)), Trivialization(*canonical_sections(amb))
-    )
+    mod_b_in_amb = relative_modular(b_in_ambient, Trivialization(*canonical_sections(b)), triv_amb)
     _identity(rep, "intermediate identity", -mod_b_in_amb, eta_q, ansatz)
     rep.data["eta_k"] = ext.eta
     rep.data["eta_q"] = eta_q
@@ -506,13 +503,16 @@ class PoissonKit:
     characteristic cocycle of the kernel-top representation.  `mod_sharp`
     is the relative modular cocycle of the anchor `sharp` of the cotangent
     algebroid, and `half` the pull-back of `ext.eta` along sharp_B; the
-    doubling identity says `mod_sharp` is cohomologous to twice `half`."""
+    doubling identity says `mod_sharp` is cohomologous to twice `half`.
+    `section` is the canonical trivialization of the cotangent algebroid,
+    which holds the modular cocycle that both relative cocycles read."""
 
     image_in_tm: Morphism
     sharp: Morphism
     ext: ExtensionPresentation
     mod_sharp: FormField
     half: FormField
+    section: Trivialization
 
 
 def poisson_kit(
@@ -546,10 +546,9 @@ def poisson_kit(
     cpres, incl = span_subalgebroid("C", apres, kernel_columns, "k", "C_in_A")
     lam = LineSection(lam_coeff if lam_coeff is not None else chart.one())
     ext = ExtensionPresentation(cpres, apres, bpres, incl, sharp_b, lam)
-    mod_sharp = relative_modular(
-        sharp, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(tm))
-    )
-    return PoissonKit(b_in_tm, sharp, ext, mod_sharp, pullback_form(sharp_b, ext.eta))
+    section = Trivialization(*canonical_sections(apres))
+    mod_sharp = relative_modular(sharp, section, Trivialization(*canonical_sections(tm)))
+    return PoissonKit(b_in_tm, sharp, ext, mod_sharp, pullback_form(sharp_b, ext.eta), section)
 
 
 def verify_regular_poisson(
@@ -568,7 +567,7 @@ def verify_regular_poisson(
     certificate (`minors`, `method`) and the cokernel-top cocycle `eta_q`."""
     rep = CheckReport("regular Poisson identities")
     ext, sharp = kit.ext, kit.sharp
-    chart, apres, bpres, sharp_b = ext.chart, ext.total, ext.quotient, ext.proj
+    chart, bpres, sharp_b = ext.chart, ext.quotient, ext.proj
     mod_sharp, eta_k, pulled = kit.mod_sharp, ext.eta, kit.half
     verdict = pointwise_rank(sharp.fiber, bpres.rank, seed)
     lo, hi = verdict.ranks
@@ -577,9 +576,7 @@ def verify_regular_poisson(
     rep.data["minors"], rep.data["method"] = verdict.certificate, verdict.method
     extrep = check_extension(ext, seed=seed)
     rep.add("extension data valid", extrep.passed)
-    mod_sharp_b = relative_modular(
-        sharp_b, Trivialization(*canonical_sections(apres)), Trivialization(*canonical_sections(bpres))
-    )
+    mod_sharp_b = relative_modular(sharp_b, kit.section, Trivialization(*canonical_sections(bpres)))
     _identity(rep, "image identity", mod_sharp_b, pulled, ansatz)
     _identity(rep, "doubling identity", mod_sharp, pulled.scale(2), ansatz)
     # duality of the cokernel-top representation with the kernel-top one

@@ -21,7 +21,7 @@ no composed function is kept between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -38,11 +38,11 @@ from .reps import (
     EValuedForm,
     Representation,
     RepresentationError,
-    canonical_rep,
     check_flat,
     d_AE,
     dual_rep,
     modular_cocycle,
+    modular_rep,
     tensor_rep,
 )
 from .symexpr import ChartMap, ScalarFn, lincomb
@@ -69,7 +69,7 @@ class Morphism:
         if len(basemap) != target.chart.dim:
             raise MorphismError("basemap needs one component per target coordinate")
         for f in basemap:
-            if f.chart != source.chart:
+            if f.chart is not source.chart and f.chart != source.chart:
                 raise MorphismError("basemap components must live on the source chart")
         self.basemap = tuple(basemap)
         self.chart_map = ChartMap(target.chart, source.chart, self.basemap)
@@ -77,7 +77,7 @@ class Morphism:
             raise MorphismError("fiber matrix must be rank_target x rank_source")
         for row in fiber:
             for f in row:
-                if f.chart != source.chart:
+                if f.chart is not source.chart and f.chart != source.chart:
                     raise MorphismError("fiber entries must live on the source chart")
         self.fiber = tuple(tuple(r) for r in fiber)
 
@@ -120,7 +120,7 @@ def base_preserving_morphism(
     target: AlgebroidPresentation,
     fiber: Sequence[Sequence[ScalarFn]],
 ) -> Morphism:
-    if source.chart != target.chart:
+    if source.chart is not target.chart and source.chart != target.chart:
         raise MorphismError("base-preserving morphism requires a common chart")
     chart = source.chart
     return Morphism(name, source, target, [chart.coord(c) for c in chart.coords], fiber)
@@ -268,21 +268,39 @@ def pullback_rep(phi: Morphism, d: Representation, name: Optional[str] = None) -
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trivialization:
-    """Unit trivializing data for the canonical line bundle of a presentation."""
+    """Unit trivializing data for the canonical line bundle of a presentation,
+    the one the top multivector ``omega`` lives on.
+
+    The trivialization owns its modular cocycle, `modular`, built on first
+    use and held after that.  The class is frozen so that no field can
+    change under the held cocycle."""
 
     omega: Multivector
     mu: FormField
+
+    @cached_property
+    def modular(self) -> FormField:
+        """`reps.modular_cocycle` for omega (x) mu."""
+        return modular_cocycle(self.omega.algebroid, self.omega, self.mu)
+
+    def modular_on(self, a: AlgebroidPresentation) -> FormField:
+        """`modular`, refused as `reps.modular_cocycle` refuses it when
+        omega does not live on ``a``."""
+        if self.omega.algebroid is not a and self.omega.algebroid != a:
+            raise RepresentationError("omega must be a top multivector on the presentation")
+        return self.modular
 
 
 def relative_modular(
     phi: Morphism, sec_src: Trivialization, sec_tgt: Trivialization
 ) -> FormField:
     """The relative modular cocycle: source modular cocycle minus the
-    pull-back of the target one.  Certified exactly closed."""
-    mod_src = modular_cocycle(phi.source, sec_src.omega, sec_src.mu)
-    mod_tgt = modular_cocycle(phi.target, sec_tgt.omega, sec_tgt.mu)
+    pull-back of the target one, each the one its trivialization holds.
+    Certified exactly closed."""
+    mod_src = sec_src.modular_on(phi.source)
+    mod_tgt = sec_tgt.modular_on(phi.target)
     alpha = mod_src - pullback_form(phi, mod_tgt)
     res = d_A(alpha)
     if not res.is_zero():
@@ -295,9 +313,10 @@ def relative_canonical_rep(
 ) -> Representation:
     """The line representation whose characteristic cocycle is the relative
     modular cocycle: canonical rep of the source tensored with the pull-back
-    of the dual canonical rep of the target."""
-    d_src = canonical_rep(phi.source, sec_src.omega, sec_src.mu)
-    d_tgt = canonical_rep(phi.target, sec_tgt.omega, sec_tgt.mu)
+    of the dual canonical rep of the target, each built from the modular
+    cocycle its trivialization holds."""
+    d_src = modular_rep(sec_src.modular_on(phi.source))
+    d_tgt = modular_rep(sec_tgt.modular_on(phi.target))
     pulled_dual = pullback_rep(phi, dual_rep(d_tgt))
     return tensor_rep(d_src, pulled_dual)
 

@@ -2,6 +2,9 @@
 
 Checks never throw on mathematical failure; they return a report listing
 each residual (pretty-printed exactly) so a caller or the CLI can decide.
+A failing residual item holds the residual itself and formats it the
+first time its `detail` is read, so a caller that reads only `passed`
+formats nothing, and a report that is printed prints the same text.
 """
 
 from __future__ import annotations
@@ -9,11 +12,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckItem:
-    label: str
-    ok: bool
-    detail: str = ""
+    """One line of a report: a label, whether it holds, and a detail.
+
+    ``detail`` may be given as a residual, which is formatted with `str`
+    the first time `detail` is read and held after that.  Equality and repr
+    read `detail`, so they are those of the item with the formatted string.
+    """
+
+    __slots__ = ("label", "ok", "_detail")
+    __hash__ = None  # mutable, like a dataclass with eq
+
+    def __init__(self, label: str, ok: bool, detail="") -> None:
+        self.label = label
+        self.ok = ok
+        self._detail = detail
+
+    @property
+    def detail(self) -> str:
+        if not isinstance(self._detail, str):
+            self._detail = str(self._detail)
+        return self._detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.ok, self.detail) == (other.label, other.ok, other.detail)
+
+    def __repr__(self) -> str:
+        return f"CheckItem(label={self.label!r}, ok={self.ok!r}, detail={self.detail!r})"
 
 
 @dataclass
@@ -34,16 +61,16 @@ class CheckReport:
         """An item that passes iff the exact residual ``res`` is zero,
         with the residual as its detail otherwise."""
         zero = res.is_zero()
-        self.add(label, zero, "" if zero else str(res))
+        self.add(label, zero, "" if zero else res)
 
     def note(self, text: str) -> None:
         self.notes.append(text)
 
     def merge(self, other: "CheckReport", prefix: str = "") -> None:
+        """Append ``other``'s items, labels prefixed, and its notes; a
+        residual not formatted yet stays unformatted."""
         for item in other.items:
-            self.items.append(
-                CheckItem(prefix + item.label if prefix else item.label, item.ok, item.detail)
-            )
+            self.items.append(CheckItem(prefix + item.label, item.ok, item._detail))
         self.notes.extend(other.notes)
 
     def pretty(self) -> str:

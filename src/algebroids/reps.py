@@ -294,6 +294,12 @@ def canonical_rep(
     Its characteristic cocycle with respect to the unit section equals the
     modular cocycle for omega (x) mu.
     """
-    alpha = modular_cocycle(a, omega, mu)
+    return modular_rep(modular_cocycle(a, omega, mu))
+
+
+def modular_rep(alpha: FormField) -> Representation:
+    """The canonical line representation of the algebroid of ``alpha``, a
+    modular cocycle: its coefficients are the components of ``alpha``."""
+    a = alpha.algebroid
     mats = [[[alpha.component((i,))]] for i in range(a.rank)]
     return Representation(a, (f"L[{a.name}]",), mats, f"D^{a.name}")

@@ -60,7 +60,7 @@ from .pullback import (
     product_submersion_frame,
     verify_submersion_vanishing,
 )
-from .reps import LineSection, char_cocycle, check_flat, dual_rep, modular_cocycle, tensor_rep
+from .reps import LineSection, char_cocycle, check_flat, dual_rep, tensor_rep
 from .report import CheckReport
 from .scenario import Assertion, Scenario, ScenarioError
 from .symexpr import parse_expr
@@ -192,8 +192,7 @@ class Session:
         sc = self.sc
         if kind == "modular":
             a = sc.algebroid(spec["name"])
-            tv = sc.trivialization(a)
-            return modular_cocycle(a, tv.omega, tv.mu)
+            return sc.trivialization(a).modular
         if kind == "zero":
             a = sc.algebroid(spec["name"])
             return one_form(a, [a.chart.zero()] * a.rank)

@@ -470,7 +470,7 @@ class ScalarFn:
 
     def _coerce(self, other) -> Optional["ScalarFn"]:
         if isinstance(other, ScalarFn):
-            if other.chart != self.chart:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise SymExprError(
                     f"chart mismatch: {self.chart.name!r} vs {other.chart.name!r}"
                 )
@@ -831,13 +831,13 @@ class ChartMap:
         if len(images) != target.dim:
             raise SymExprError("basemap component count mismatch")
         for img in images:
-            if img.chart != source:
+            if img.chart is not source and img.chart != source:
                 raise SymExprError("basemap component on wrong chart")
         self.target = target
         self.source = source
         self.images = tuple(images)
         self._slopes = [_slopes_or_none(img) for img in images]
-        self.identity = target == source and all(
+        self.identity = (target is source or target == source) and all(
             s == tuple(int(i == j) for i in range(source.dim)) for j, s in enumerate(self._slopes)
         )
         self._single = [_single_term(img) for img in images]
@@ -847,7 +847,7 @@ class ChartMap:
 
     def pull(self, f: ScalarFn) -> ScalarFn:
         """f o images, on the source chart."""
-        if f.chart != self.target:
+        if f.chart is not self.target and f.chart != self.target:
             raise SymExprError(f"chart mismatch: {f.chart.name!r} vs {self.target.name!r}")
         if self.identity:
             return f

@@ -1,4 +1,5 @@
 import pytest
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from hypothesis import event, given, settings
@@ -30,9 +31,11 @@ from algebroids.morphisms import (
 from algebroids.reps import (
     LineSection,
     Representation,
+    RepresentationError,
     canonical_sections,
     char_cocycle,
     check_flat,
+    modular_cocycle,
     trivial_rep,
 )
 from algebroids.symexpr import Chart, ChartMap, cos, exp, sin
@@ -373,6 +376,52 @@ class TestRelativeModular:
             alpha = char_cocycle(d, LineSection(phi.source.chart.one()))
             rel = relative_modular(phi, triv(phi.source), triv(phi.target))
             assert (alpha - rel).is_zero()
+
+
+    def test_each_trivialization_builds_its_cocycle_once(self, monkeypatch):
+        """The rep and the cocycle of one pair read the cocycles the two
+        trivializations hold: one `modular_cocycle` call per trivialization."""
+        import algebroids.morphisms as morphisms
+        import algebroids.reps as reps
+
+        seen = []
+        build = reps.modular_cocycle
+
+        def counted(a, omega, mu):
+            seen.append(a)
+            return build(a, omega, mu)
+
+        monkeypatch.setattr(reps, "modular_cocycle", counted)
+        monkeypatch.setattr(morphisms, "modular_cocycle", counted)
+        S1, N, TS1, B, TN, incl, _ = cylinder_setup()
+        sec_s, sec_t = triv(TS1), triv(B)
+        d = relative_canonical_rep(incl, sec_s, sec_t)
+        rel = relative_modular(incl, sec_s, sec_t)
+        assert (char_cocycle(d, LineSection(S1.one())) - rel).is_zero()
+        assert seen == [TS1, B]
+        assert sec_s.modular == modular_cocycle(TS1, *canonical_sections(TS1))
+
+    @pytest.mark.parametrize("build", [relative_modular, relative_canonical_rep])
+    @pytest.mark.parametrize("wrong", ["source", "target"])
+    def test_trivialization_of_another_algebroid_is_refused(self, build, wrong):
+        S1, N, TS1, B, TN, incl, _ = cylinder_setup()
+        sec_s, sec_t = triv(TS1), triv(B)
+        if wrong == "source":
+            sec_s = triv(B)
+        else:
+            sec_t = triv(TN)
+        with pytest.raises(RepresentationError, match="omega must be a top multivector on the presentation"):
+            build(incl, sec_s, sec_t)
+
+    def test_trivialization_is_frozen(self):
+        b = cylinder_algebroid()
+        sec = triv(b)
+        held = sec.modular
+        with pytest.raises(FrozenInstanceError):
+            sec.mu = canonical_sections(b)[1]
+        with pytest.raises(FrozenInstanceError):
+            sec.omega = canonical_sections(b)[0]
+        assert sec.modular is held
 
 
 class TestCompositionLaw:
