@@ -38,7 +38,6 @@ from .reps import (
     EValuedForm,
     Representation,
     RepresentationError,
-    check_flat,
     d_AE,
     dual_rep,
     modular_cocycle,
@@ -239,7 +238,9 @@ def check_morphism(phi: Morphism) -> CheckReport:
 
 
 def pullback_rep(phi: Morphism, d: Representation, name: Optional[str] = None) -> Representation:
-    """Pull a representation back along a morphism; flatness re-certified."""
+    """Pull a representation back along a morphism.  Flatness is read off
+    the pulled representation's curvature, which that representation then
+    holds for `check_flat` and `char_cocycle`."""
     if d.algebroid != phi.target:
         raise MorphismError("representation does not live on the morphism's target")
     src = phi.source
@@ -259,8 +260,7 @@ def pullback_rep(phi: Morphism, d: Representation, name: Optional[str] = None) -
                         mat[u][v] = mat[u][v] + f * phi.pull_scalar(entry)
         mats.append(mat)
     out = Representation(src, d.bundle_frame, mats, name or f"{phi.name}!{d.name}")
-    flat = check_flat(out)
-    if not flat.passed:
+    if not out.is_flat():
         raise RepresentationError(
             f"pull-back of {d.name} along {phi.name} is not flat; "
             "check the morphism and the representation"

@@ -3,7 +3,10 @@
 A representation is stored by one coefficient matrix per algebroid frame
 section: D(e_i) eps_s = sum_t mats[i][t][s] eps_t.  Tensoriality and the
 Leibniz rule hold by construction; only flatness needs checking, and it is
-equivalent to the associated degree-1 differential squaring to zero.
+equivalent to the associated degree-1 differential squaring to zero.  A
+representation is frozen and owns its curvature, computed once, on first
+use: `check_flat` reports it, and `char_cocycle` reads the closedness of
+a connection form off it.
 
 Also here: characteristic cocycles of line-bundle representations, the
 canonical representation on top-multivectors tensor top-coforms, and the
@@ -12,8 +15,11 @@ modular cocycle of a presentation.
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cache, cached_property
+from itertools import combinations, product
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     AlgebroidPresentation,
@@ -37,28 +43,38 @@ class RepresentationError(Exception):
     pass
 
 
+@dataclass(frozen=True, eq=False)
 class Representation:
-    """A flat connection candidate on a framed bundle over an algebroid."""
+    """A flat connection candidate on a framed bundle over an algebroid.
 
-    def __init__(
-        self,
-        algebroid: AlgebroidPresentation,
-        bundle_frame: Sequence[str],
-        mats: Sequence[Sequence[Sequence[ScalarFn]]],
-        name: str = "D",
-    ):
-        self.algebroid = algebroid
-        self.bundle_frame = tuple(bundle_frame)
+    Every coefficient entry is a `ScalarFn` on the algebroid's chart; any
+    other entry is refused here, when the representation is made.  The
+    representation owns its curvature, `curvature`, computed on first use
+    and held after that; `check_flat`, `is_flat` and `char_cocycle` read
+    it.  The class is frozen so that no field can change under it."""
+
+    algebroid: AlgebroidPresentation
+    bundle_frame: tuple[str, ...]
+    mats: tuple[Matrix, ...]
+    name: str = "D"
+
+    def __post_init__(self):
+        a = self.algebroid
+        chart = a.chart
         m = len(self.bundle_frame)
-        if len(mats) != algebroid.rank:
+        if len(self.mats) != a.rank:
             raise RepresentationError("one coefficient matrix per frame section required")
-        self.mats: tuple[Matrix, ...] = tuple(
-            tuple(tuple(row) for row in mat) for mat in mats
-        )
-        for mat in self.mats:
+        mats = tuple(tuple(tuple(row) for row in mat) for mat in self.mats)
+        for mat in mats:
             if len(mat) != m or any(len(row) != m for row in mat):
                 raise RepresentationError("coefficient matrix shape mismatch")
-        self.name = name
+        for f in (f for mat in mats for row in mat for f in row):
+            if not isinstance(f, ScalarFn):
+                raise RepresentationError(f"coefficient entry {f!r} is not a ScalarFn")
+            if f.chart is not chart and f.chart != chart:
+                raise RepresentationError(f"coefficient entry {f} lives on chart {f.chart.name!r}, not {chart.name!r}")
+        object.__setattr__(self, "bundle_frame", tuple(self.bundle_frame))
+        object.__setattr__(self, "mats", mats)
 
     @property
     def bundle_rank(self) -> int:
@@ -70,6 +86,51 @@ class Representation:
 
     def is_line(self) -> bool:
         return self.bundle_rank == 1
+
+    @cached_property
+    def curvature(self) -> Mapping[tuple[int, int], Optional[tuple[int, int, ScalarFn]]]:
+        """For each frame pair (i, j), i < j, None when the curvature
+        vanishes on it, else its first non-zero entry (s, t, residual) in
+        row-major order.  Entry (s, t) is
+
+            rho_i(g_j) - rho_j(g_i) + [g_i, g_j] - g_[e_i, e_j];
+
+        the commutator products with s == u == t, g_i[s][s] g_j[s][s] -
+        g_j[s][s] g_i[s][s], cancel in the commutative ring and are not
+        formed, so on a line bundle no commutator product is.  Each partial
+        of an entry g_j[s][t] is taken once, on first use, so a pair that
+        fails early pays for none of the later ones."""
+        a = self.algebroid
+        coords = a.chart.coords
+        m = self.bundle_rank
+        mats = self.mats
+
+        @cache
+        def entry_partial(j: int, s: int, t: int, c: int) -> ScalarFn:
+            return mats[j][s][t].partial(coords[c])
+
+        out = {}
+        for i, j in combinations(range(a.rank), 2):
+            gi, gj = mats[i], mats[j]
+            brackets = a.structure.get((i, j), {})
+            out[i, j] = None
+            for s, t in product(range(m), repeat=2):
+                us = [u for u in range(m) if not s == u == t]
+                res = lincomb(
+                    a.chart,
+                    [(1, f, entry_partial(j, s, t, c)) for c, f in a.anchor_rows[i]]
+                    + [(-1, f, entry_partial(i, s, t, c)) for c, f in a.anchor_rows[j]]
+                    + [(1, gi[s][u], gj[u][t]) for u in us]
+                    + [(-1, gj[s][u], gi[u][t]) for u in us]
+                    + [(-1, cf, mats[k][s][t]) for k, cf in brackets.items()],
+                )
+                if not res.is_zero():
+                    out[i, j] = (s, t, res)
+                    break
+        return MappingProxyType(out)
+
+    def is_flat(self) -> bool:
+        return all(worst is None for worst in self.curvature.values())
 
     def __repr__(self) -> str:
         return (
@@ -95,41 +156,14 @@ class LineSection:
 def check_flat(d: Representation) -> CheckReport:
     """Curvature residuals per frame pair; flat iff all are exactly zero.
 
-    Each partial of a connection entry g_j[s][t] is taken once per call, on
-    first use, so a pair that fails early pays for none of the later ones."""
+    A new report on each call, read off the curvature ``d`` holds
+    (`Representation.curvature`), so the curvature is computed once per
+    representation however often it is checked."""
     a = d.algebroid
     rep = CheckReport(f"flatness of {d.name}")
-    coords = a.chart.coords
-    m = d.bundle_rank
-
-    @cache
-    def entry_partial(j: int, s: int, t: int, c: int) -> ScalarFn:
-        return d.mats[j][s][t].partial(coords[c])
-
-    for i in range(a.rank):
-        for j in range(i + 1, a.rank):
-            gi, gj = d.mats[i], d.mats[j]
-            brackets = a.structure.get((i, j), {})
-            ok = True
-            worst = ""
-            for s in range(m):
-                for t in range(m):
-                    # rho_i(g_j) - rho_j(g_i) + [g_i, g_j] - g_[e_i, e_j], entry (s, t)
-                    res = lincomb(
-                        a.chart,
-                        [(1, f, entry_partial(j, s, t, c)) for c, f in a.anchor_rows[i]]
-                        + [(-1, f, entry_partial(i, s, t, c)) for c, f in a.anchor_rows[j]]
-                        + [(1, gi[s][u], gj[u][t]) for u in range(m)]
-                        + [(-1, gj[s][u], gi[u][t]) for u in range(m)]
-                        + [(-1, cf, d.mats[k][s][t]) for k, cf in brackets.items()],
-                    )
-                    if not res.is_zero():
-                        ok = False
-                        worst = f"entry ({s},{t}): {res}"
-                        break
-                if not ok:
-                    break
-            rep.add(f"curvature({a.frame[i]},{a.frame[j]}) = 0", ok, worst)
+    for (i, j), worst in d.curvature.items():
+        detail = "" if worst is None else f"entry ({worst[0]},{worst[1]}): {worst[2]}"
+        rep.add(f"curvature({a.frame[i]},{a.frame[j]}) = 0", worst is None, detail)
     return rep
 
 
@@ -219,12 +253,20 @@ def char_cocycle(d: Representation, lam: LineSection) -> FormField:
     """Characteristic cocycle of a line-bundle representation.
 
     With lam = s*eps the value on e_i is gamma_i + rho(e_i)(s)/s; the
-    result is certified exactly closed.
+    result is certified exactly closed.  For a constant s that is the
+    connection form gamma, and d_A gamma is the curvature of ``d``, so
+    closedness is read off `Representation.curvature`; d_A runs only to
+    report a curvature that does not vanish.
     """
     if not d.is_line():
         raise RepresentationError("characteristic cocycle needs a line bundle")
     a = d.algebroid
     s = lam.coefficient
+    if s.is_constant():
+        alpha = one_form(a, [mat[0][0] for mat in d.mats])
+        if not d.is_flat():
+            _certify_closed(alpha, "characteristic cocycle")
+        return alpha
     inv = s.unit_inverse()  # NotAUnit if s is not invertible in the class
     comps = []
     for i in range(a.rank):

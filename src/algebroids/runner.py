@@ -3,7 +3,7 @@
 A `Session` holds one scenario at one seed and answers the queries that
 both the assertions and the CLI subcommands ask: the cocycle a spec names,
 the ansatz on a chart, a Poisson kit, a built pull-back and the exactness
-class of a cocycle (sections are `Scenario.trivialization`'s).  It builds
+class of a cocycle (sections are `Session.trivialization`'s).  It builds
 each named object once and holds it.  `run` executes the assertions
 through it.
 
@@ -30,7 +30,7 @@ from .cohomology import (
     cohomologous,
     period_certificate,
 )
-from .core import FormField, check_axioms, one_form, same_presentation
+from .core import AlgebroidPresentation, FormField, check_axioms, one_form, same_presentation
 from .diagrams import exhibit_coboundary, delta0, modular_cochain, verify_mod_coboundary
 from .extensions import (
     PoissonKit,
@@ -42,6 +42,7 @@ from .extensions import (
     verify_regular_poisson,
 )
 from .morphisms import (
+    Trivialization,
     check_composition_law,
     check_morphism,
     check_rep_morphism,
@@ -60,7 +61,7 @@ from .pullback import (
     product_submersion_frame,
     verify_submersion_vanishing,
 )
-from .reps import LineSection, char_cocycle, check_flat, dual_rep, tensor_rep
+from .reps import LineSection, canonical_sections, char_cocycle, check_flat, dual_rep, tensor_rep
 from .report import CheckReport
 from .scenario import Assertion, Scenario, ScenarioError
 from .symexpr import parse_expr
@@ -135,18 +136,30 @@ class Session:
     chart, each built on first use.  So each space factors d_A once per
     algebroid it is asked about (one cotangent algebroid per Poisson
     structure).  An extension holds its own representations, and each
-    section is the one `Scenario.trivialization` chooses."""
+    section is the one `trivialization` chooses, so the canonical modular
+    cocycle of an algebroid is built once per session."""
 
     def __init__(self, sc: Scenario, seed: int = 0):
         self.sc = sc
         self.seed = seed
-        self._built: dict[tuple[str, str], object] = {}
+        self._built: dict[tuple, object] = {}
 
-    def _hold(self, kind: str, name: str, build):
+    def _hold(self, kind: str, name, build):
         """The `kind` object called `name`, from `build()` on first use."""
         if (kind, name) not in self._built:
             self._built[kind, name] = build()
         return self._built[kind, name]
+
+    def trivialization(self, alg: AlgebroidPresentation) -> Trivialization:
+        """The section declared for the scenario algebroid that is `alg`
+        (identity, not equality), else the canonical one, built once per
+        algebroid object."""
+        for name, triv in self.sc.sections.items():
+            if self.sc.algebroids[name] is alg:
+                return triv
+        # keyed by identity; the held pair keeps `alg`, so its id is not reused
+        build = lambda: (alg, Trivialization(*canonical_sections(alg)))
+        return self._hold("canonical trivialization", id(alg), build)[1]
 
     def ansatz(self, chart) -> AnsatzSpace:
         sc = self.sc
@@ -175,7 +188,7 @@ class Session:
 
     def sections(self, dia) -> dict:
         """The trivialization of every object of a diagram, by object name."""
-        return {name: self.sc.trivialization(alg) for name, alg in dia.objects.items()}
+        return {name: self.trivialization(alg) for name, alg in dia.objects.items()}
 
     def extension_identity(self, name: str) -> CheckReport:
         """The modular identity report of the named extension."""
@@ -192,7 +205,7 @@ class Session:
         sc = self.sc
         if kind == "modular":
             a = sc.algebroid(spec["name"])
-            return sc.trivialization(a).modular
+            return self.trivialization(a).modular
         if kind == "zero":
             a = sc.algebroid(spec["name"])
             return one_form(a, [a.chart.zero()] * a.rank)
@@ -200,8 +213,8 @@ class Session:
             phi = sc.morphisms[spec["name"]]
             return relative_modular(
                 phi,
-                sc.trivialization(phi.source),
-                sc.trivialization(phi.target),
+                self.trivialization(phi.source),
+                self.trivialization(phi.target),
             )
         if kind in ("poissonmod", "poissonhalf"):
             kit = self.poisson_kit(spec["name"])
@@ -303,8 +316,8 @@ class Session:
 
     def _assert_dphi(self, args) -> tuple[str, str]:
         phi = self.sc.morphisms[args["name"]]
-        sec_s = self.sc.trivialization(phi.source)
-        sec_t = self.sc.trivialization(phi.target)
+        sec_s = self.trivialization(phi.source)
+        sec_t = self.trivialization(phi.target)
         d = relative_canonical_rep(phi, sec_s, sec_t)
         alpha = char_cocycle(d, LineSection(phi.source.chart.one()))
         rel = relative_modular(phi, sec_s, sec_t)
@@ -345,9 +358,9 @@ class Session:
         return check_composition_law(
             first,
             second,
-            self.sc.trivialization(first.source),
-            self.sc.trivialization(first.target),
-            self.sc.trivialization(second.target),
+            self.trivialization(first.source),
+            self.trivialization(first.target),
+            self.trivialization(second.target),
         )
 
     def _assert_pullback(self, args) -> tuple[str, str]:

@@ -53,7 +53,7 @@ from .morphisms import (
     pullback_rep,
 )
 from .pullback import PullbackError, PullbackFrame, PullbackFramePair, product_submersion_frame
-from .reps import LineSection, Representation, RepresentationError, canonical_sections
+from .reps import LineSection, Representation, RepresentationError
 from .symexpr import Chart, ScalarFn, SymExprError, parse_expr
 
 
@@ -96,9 +96,10 @@ class QuotientData:
 
 @dataclass
 class Scenario:
-    """The parsed tables of one scenario file.  `trivialization` and the
-    arrow endpoints of a diagram find a scenario algebroid by identity, so
-    equal presentations under different names stay apart."""
+    """The parsed tables of one scenario file.  The arrow endpoints of a
+    diagram, like `runner.Session.trivialization`, find a scenario
+    algebroid by identity, so equal presentations under different names
+    stay apart."""
 
     name: str = "scenario"
     charts: dict = field(default_factory=dict)
@@ -122,14 +123,6 @@ class Scenario:
         if name not in self.algebroids:
             raise ScenarioError(f"unknown algebroid {name!r}")
         return self.algebroids[name]
-
-    def trivialization(self, alg: AlgebroidPresentation) -> Trivialization:
-        """The section declared for the scenario algebroid that is `alg`
-        (identity, not equality), else the canonical one."""
-        for name, triv in self.sections.items():
-            if self.algebroids[name] is alg:
-                return triv
-        return Trivialization(*canonical_sections(alg))
 
 
 def _strip_comments(text: str) -> str:

@@ -158,8 +158,8 @@ def test_criterion_03_relative_class_is_characteristic():
     modular cocycle, exactly, on every corpus morphism."""
     count = 0
     for scn, mname, phi, session in _corpus_morphisms():
-        sec_s = session.sc.trivialization(phi.source)
-        sec_t = session.sc.trivialization(phi.target)
+        sec_s = session.trivialization(phi.source)
+        sec_t = session.trivialization(phi.target)
         d = relative_canonical_rep(phi, sec_s, sec_t)
         alpha = char_cocycle(d, LineSection(phi.source.chart.one()))
         rel = relative_modular(phi, sec_s, sec_t)

@@ -40,6 +40,8 @@ from algebroids.reps import (
 )
 from algebroids.symexpr import Chart, ChartMap, cos, exp, sin
 
+from algebroids.extensions import subalgebroid_from_vector_fields
+
 from conftest import coeffs, cylinder_algebroid, frame_algebroids, reference_check_morphism, sparse_algebroids
 
 
@@ -342,6 +344,36 @@ class TestPullbackRep:
         lhs = char_cocycle(pulled, LineSection(S1.one()))
         rhs = pullback_form(tphi, char_cocycle(d, lam))
         assert (lhs - rhs).is_zero()
+
+
+    def test_char_of_the_pullback_reads_its_held_curvature(self, monkeypatch):
+        """pullback_rep certifies flatness by computing the pulled
+        curvature, which the pulled representation holds: char_cocycle with
+        the unit section forms no curvature entry and takes no d_A."""
+        import algebroids.reps as reps
+
+        N = Chart("N", ("theta", "x"), (True, False))
+        x = N.coord("x")
+        frame, incl = subalgebroid_from_vector_fields("F", N, [[N.one(), N.zero()], [x, N.one()]])
+        tn = incl.target
+        f = sin(N.coord("theta")) + x * x
+        d = Representation(tn, ("eps",), [[[tn.rho_apply(i, f)]] for i in range(tn.rank)])
+        pulled = pullback_rep(incl, d)
+        calls = []
+        for name in ("d_A", "lincomb"):
+            real = getattr(reps, name)
+            monkeypatch.setattr(reps, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        alpha = char_cocycle(pulled, LineSection(N.one()))
+        assert calls == []
+        assert alpha == pullback_form(incl, char_cocycle(d, LineSection(N.one())))
+        assert check_flat(pulled).passed
+
+    def test_pullback_that_is_not_flat_is_refused(self):
+        R2 = Chart("R2", ("x", "y"))
+        tm = tangent_algebroid(R2)
+        d = Representation(tm, ("eps",), [[[R2.coord("y")]], [[R2.zero()]]])  # curvature d(y dx)
+        with pytest.raises(RepresentationError, match="^pull-back of D along id is not flat; "):
+            pullback_rep(identity_morphism(tm, "id"), d)
 
 
 class TestRelativeModular:

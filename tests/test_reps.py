@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,12 @@ from algebroids.core import (
     top_multivector,
     zero_form,
 )
+import algebroids.reps as reps
 from algebroids.reps import (
     EValuedForm,
     LineSection,
     Representation,
+    RepresentationError,
     canonical_rep,
     canonical_sections,
     char_cocycle,
@@ -34,6 +37,7 @@ from conftest import (
     aff1,
     coeffs,
     cylinder_algebroid,
+    examples,
     frame_algebroids,
     random_lie_algebra,
     reference_check_flat,
@@ -62,13 +66,13 @@ def exact_line_rep(a, f, name="Dexact"):
 
 
 @st.composite
-def line_sum_reps(draw, algebroids=frame_algebroids()):
+def line_sum_reps(draw, algebroids=frame_algebroids(), max_rank=2):
     """A flat representation on an algebroid of ``algebroids``: a sum of
-    one or two exact line representations, g_i = diag(rho(e_i)(f_s)).  In
+    one to ``max_rank`` exact line representations, g_i = diag(rho(e_i)(f_s)).  In
     half the draws one or two entries g_i[s][t] are shifted by a random
     coefficient, so that the connection is in general no longer flat."""
     a = draw(algebroids)
-    m = draw(st.integers(1, 2))
+    m = draw(st.integers(1, max_rank))
     fs = [draw(coeffs(a.chart)) for _ in range(m)]
     zero = a.chart.zero()
     mats = [[[a.rho_apply(i, fs[s]) if s == t else zero for t in range(m)] for s in range(m)] for i in range(a.rank)]
@@ -81,13 +85,33 @@ def line_sum_reps(draw, algebroids=frame_algebroids()):
     return Representation(a, [f"eps{s}" for s in range(m)], mats)
 
 
-def flat_matches_the_reference(reps):
-    """The property, over the representations ``reps`` draws, that partials
-    taken once per call give the report of the reference, which takes them
-    again for every frame pair."""
+# the tangent algebroid of a 2-coordinate chart, or a frame of a tangent bundle
+SMALL_ALGEBROIDS = st.one_of(st.just(tangent_algebroid(Chart("R2", ("x", "y")))), frame_algebroids())
+
+
+@st.composite
+def small_reps(draw, algebroids=SMALL_ALGEBROIDS):
+    """A line or rank-2 representation whose entries are each zero (one
+    time in three) or a random coefficient, so that the commutator of a
+    rank-2 connection has products off the diagonal."""
+    a = draw(algebroids)
+    m = draw(st.integers(1, 2))
+    zero = a.chart.zero()
+    mats = [
+        [[draw(coeffs(a.chart)) if draw(st.integers(0, 2)) else zero for _ in range(m)] for _ in range(m)]
+        for _ in range(a.rank)
+    ]
+    return Representation(a, [f"eps{s}" for s in range(m)], mats)
+
+
+def flat_matches_the_reference(reps, tier1=100):
+    """The property, over the representations ``reps`` draws, that the
+    report read off the held curvature, which takes partials once and
+    forms no commutator product that cancels, is that of the reference,
+    which takes them again for every frame pair and forms every product."""
 
     @pytest.mark.deep
-    @settings(deadline=None)
+    @settings(max_examples=examples(tier1), deadline=None)
     @given(reps)
     def test(self, d):
         rep = check_flat(d)
@@ -101,6 +125,9 @@ class TestCheckFlat:
     test_matches_the_reference = flat_matches_the_reference(line_sum_reps())
     # zero anchor rows and constant anchor entries
     test_sparse_rows_match_the_reference = flat_matches_the_reference(line_sum_reps(sparse_algebroids()))
+    # rank-2 commutators with off-diagonal products
+    test_small_reps_match_the_reference = flat_matches_the_reference(small_reps(), tier1=40)
+    test_small_line_sums_match_the_reference = flat_matches_the_reference(line_sum_reps(SMALL_ALGEBROIDS), tier1=40)
 
     def test_trivial(self, R2):
         tm = tangent_algebroid(R2)
@@ -125,6 +152,46 @@ class TestCheckFlat:
             tm, ("eps",), [[[R2.coord("y")]], [[R2.zero()]]]
         )  # curvature d(y dx) != 0
         assert not check_flat(d).passed
+
+    def test_curvature_is_computed_once(self, R2, monkeypatch):
+        calls = []
+        combine = reps.lincomb
+
+        def counted(*args):
+            calls.append(1)
+            return combine(*args)
+
+        monkeypatch.setattr(reps, "lincomb", counted)
+        g = so3()
+        d = Representation(g, g.frame, adjoint_matrices(g))
+        first = check_flat(d)
+        n = len(calls)
+        second = check_flat(d)
+        assert n > 0 and len(calls) == n
+        assert first is not second and first.items is not second.items
+        assert first == second and first.passed
+
+
+class TestRepresentation:
+    def test_fields_are_frozen(self, R2):
+        tm = tangent_algebroid(R2)
+        d = exact_line_rep(tm, R2.coord("x") * R2.coord("y"))
+        held = d.curvature
+        for field, value in (("name", "E"), ("mats", d.mats), ("bundle_frame", ("e",)), ("algebroid", tm)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(d, field, value)
+        assert d.curvature is held and d.name == "Dexact"
+
+    def test_entry_on_another_chart_is_refused(self, R2):
+        tm = tangent_algebroid(R2)
+        q = Chart("Q", ("x", "y"))
+        with pytest.raises(RepresentationError, match="coefficient entry x lives on chart 'Q', not 'R2'"):
+            Representation(tm, ("eps",), [[[R2.zero()]], [[q.coord("x")]]])
+
+    def test_entry_that_is_not_a_function_is_refused(self, R2):
+        tm = tangent_algebroid(R2)
+        with pytest.raises(RepresentationError, match="coefficient entry 3 is not a ScalarFn"):
+            Representation(tm, ("eps",), [[[3]], [[R2.zero()]]])
 
 
 class TestDualTensor:
@@ -263,6 +330,50 @@ class TestCharCocycle:
         # stands in for one
         with pytest.raises(NotAUnit):
             LineSection(R2.coord("x") ** 2 + 1)
+
+    @staticmethod
+    def count_d_A(monkeypatch):
+        calls = []
+        real = reps.d_A
+
+        def counted(alpha):
+            calls.append(alpha)
+            return real(alpha)
+
+        monkeypatch.setattr(reps, "d_A", counted)
+        return calls
+
+    def test_unit_section_reads_the_held_curvature(self, R2, monkeypatch):
+        tm = tangent_algebroid(R2)
+        d = exact_line_rep(tm, R2.coord("x") * R2.coord("y"))
+        assert check_flat(d).passed
+        calls = self.count_d_A(monkeypatch)
+        alpha = char_cocycle(d, LineSection(R2.const(3)))
+        assert calls == []
+        assert alpha == one_form(tm, [m[0][0] for m in d.mats])
+
+    def test_non_constant_section_runs_d_A(self, R2, monkeypatch):
+        tm = tangent_algebroid(R2)
+        d = exact_line_rep(tm, R2.coord("y"))
+        calls = self.count_d_A(monkeypatch)
+        alpha = char_cocycle(d, LineSection(exp(R2.coord("x"))))
+        assert calls == [alpha]
+
+    @pytest.mark.deep
+    @settings(max_examples=examples(60), deadline=None)
+    @given(line_sum_reps(SMALL_ALGEBROIDS, max_rank=1))
+    def test_unit_section_refuses_exactly_the_open_forms(self, d):
+        """char_cocycle with the unit section raises iff d_A of the
+        connection form is non-zero, with the message that names it."""
+        alpha = one_form(d.algebroid, [m[0][0] for m in d.mats])
+        res = d_A(alpha)
+        event("closed" if res.is_zero() else "not closed")
+        if res.is_zero():
+            assert char_cocycle(d, LineSection(d.chart.one())) == alpha
+        else:
+            with pytest.raises(RepresentationError) as err:
+                char_cocycle(d, LineSection(d.chart.one()))
+            assert str(err.value) == f"characteristic cocycle is not closed: d = {res}"
 
 
 @st.composite

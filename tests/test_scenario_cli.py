@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids import cohomology, extensions, runner
+from algebroids import cohomology, extensions, morphisms, runner
 from algebroids import scenario
 from algebroids.cli import corpus_scenarios, load_scenario, main
 from algebroids.core import same_presentation
@@ -688,6 +688,28 @@ class TestRunner:
         # A and A2 are equal presentations; only A2 declares a section
         report = run(parse_scenario(TWIN_SNIPPET, "twins"))
         assert [r.verdict for r in report.results] == ["pass", "pass"]
+
+    def test_session_holds_one_canonical_trivialization_per_algebroid(self):
+        sc = parse_scenario(TWIN_SNIPPET, "twins")
+        session = Session(sc)
+        a, a2 = sc.algebroid("A"), sc.algebroid("A2")
+        assert session.trivialization(a2) is sc.sections["A2"]
+        assert session.trivialization(a) is session.trivialization(a)
+        assert session.trivialization(a) is not Session(sc).trivialization(a)
+
+    def test_canonical_cocycle_is_built_once_per_algebroid(self, monkeypatch):
+        # every query of cylinder.scn about B reads the one canonical
+        # trivialization the session holds for it
+        seen = []
+        build = morphisms.modular_cocycle
+
+        def counted(a, omega, mu):
+            seen.append(a.name)
+            return build(a, omega, mu)
+
+        monkeypatch.setattr(morphisms, "modular_cocycle", counted)
+        assert run(load_scenario("cylinder.scn"), seed=0).passed
+        assert seen.count("B") == 1
 
     def test_diagram_arrows_tell_equal_objects_apart(self):
         text = TWIN_SNIPPET + "diagram D { objects A A2 ; arrow m }\nassert diagram D coboundary pass\n"
