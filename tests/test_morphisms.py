@@ -360,9 +360,18 @@ class TestPullbackRep:
         d = Representation(tn, ("eps",), [[[tn.rho_apply(i, f)]] for i in range(tn.rank)])
         pulled = pullback_rep(incl, d)
         calls = []
-        for name in ("d_A", "lincomb"):
+
+        def counting(name):
             real = getattr(reps, name)
-            monkeypatch.setattr(reps, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("d_A", "lincomb"):
+            monkeypatch.setattr(reps, name, counting(name))
         alpha = char_cocycle(pulled, LineSection(N.one()))
         assert calls == []
         assert alpha == pullback_form(incl, char_cocycle(d, LineSection(N.one())))
