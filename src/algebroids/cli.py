@@ -17,6 +17,10 @@ sampled (`run`, `pullback` and `extension`: a period certificate is exact
 and samples nothing), and `--ansatz-degree`/`--fourier-modes` where an
 ansatz is built.
 
+A report subcommand (`validate`, `extension`, `diagram`) marks each item
+`ok`, `FAIL` or `??` (undecided, `null` in JSON) and exits 1 unless every
+report passes: an undecided report exits 1 too.
+
 Scenario files bundled with the package (see the corpus directory) can be
 named by bare filename; local paths take precedence.
 """

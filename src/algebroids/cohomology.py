@@ -351,6 +351,11 @@ class CocycleClass:
     primitive: Optional[ScalarFn] = None
     certificate: Optional[NonExactCertificate] = None
 
+    @property
+    def holds(self) -> Optional[bool]:
+        """Is the form exact: True, False or None (undecided)."""
+        return None if self.status == "nonexact_in_ansatz" else self.status == "exact"
+
 
 def is_cocycle(alpha: FormField) -> bool:
     return d_A(alpha).is_zero()
@@ -613,6 +618,11 @@ class CohomologousVerdict:
     primitive: Optional[ScalarFn] = None
     certificate: Optional[NonExactCertificate] = None
 
+    @property
+    def holds(self) -> Optional[bool]:
+        """Are the two forms cohomologous: True, False or None (undecided)."""
+        return None if self.verdict == "unknown_in_ansatz" else self.verdict == "cohomologous"
+
 
 def cohomologous(
     alpha: FormField, beta: FormField, space: AnsatzSpace, seed: int = 0
@@ -620,11 +630,8 @@ def cohomologous(
     """The `classify` verdict on alpha - beta, read as a class relation.
     ``seed`` is accepted and unread, as in `classify`."""
     cls = classify(alpha - beta, space)
-    if cls.status == "exact":
-        return CohomologousVerdict("cohomologous", primitive=cls.primitive)
-    if cls.status == "nonexact_certified":
-        return CohomologousVerdict("distinct_certified", certificate=cls.certificate)
-    return CohomologousVerdict("unknown_in_ansatz")
+    verdict = {True: "cohomologous", False: "distinct_certified", None: "unknown_in_ansatz"}[cls.holds]
+    return CohomologousVerdict(verdict, cls.primitive, cls.certificate)
 
 
 def check_pullback_injectivity(
@@ -640,9 +647,11 @@ def check_pullback_injectivity(
     cocycle is exact in the source ansatz, its primitive must be basic
     (independent of the fiber coordinates), and the induced base function
     must be a primitive of alpha.  When the pull-back is not exact, both
-    levels are classified and should agree.  The pulled cocycle is closed
-    unless `classify` refuses it with the PreconditionFailure NOT_CLOSED,
-    so its closedness is decided once, by `classify`.
+    levels are classified and should be certified non-exact: the item fails
+    on an exact base and is undecided unless both are certified.  The
+    pulled cocycle is closed unless `classify` refuses it with the
+    PreconditionFailure NOT_CLOSED, so its closedness is decided once, by
+    `classify`.
     """
     rep = CheckReport(f"pull-back injectivity along {proj.name}")
     if alpha.algebroid != proj.target:
@@ -670,9 +679,10 @@ def check_pullback_injectivity(
             rep.residual("descended primitive solves the base cocycle", residual)
     else:
         cls_base = classify(alpha, space_target)
+        base, pull = cls_base.holds, cls_pull.holds
         rep.add(
             "both levels non-exact",
-            cls_base.status != "exact",
+            False if base else None if None in (base, pull) else True,
             f"base: {cls_base.status}, pull-back: {cls_pull.status}",
         )
     return rep

@@ -333,20 +333,15 @@ def verify_extension_identity(
     target = _image_multivector(ext).scale(ext.lam.coefficient)
     q = rational_multiple(contracted, target)
     compatible = q is not None and q != 0
-    rep.add(
-        "sections compatible (rational multiple)",
-        True,
-        f"multiple {q}" if compatible else "not proportional; class-level check",
+    rep.note(
+        "sections compatible (rational multiple): "
+        + (f"multiple {q}" if compatible else "not proportional; class-level check")
     )
     if compatible:
         rep.residual("cochain identity theta = proj^*(eta)", theta - pulled)
     else:
         verdict = cohomologous(theta, pulled, ansatz)
-        rep.add(
-            "class identity theta ~ proj^*(eta)",
-            verdict.verdict == "cohomologous",
-            verdict.verdict,
-        )
+        rep.add("class identity theta ~ proj^*(eta)", verdict.holds, verdict.verdict)
     rep.data["theta"] = theta
     rep.data["eta"] = ext.eta
     return rep
@@ -385,8 +380,8 @@ def _identity(
     if (lhs - rhs).is_zero():
         rep.add(f"{name} exact at cochain level", True)
     else:
-        verdict = cohomologous(lhs, rhs, space).verdict
-        rep.add(f"{name} up to an exact form", verdict == "cohomologous", verdict)
+        verdict = cohomologous(lhs, rhs, space)
+        rep.add(f"{name} up to an exact form", verdict.holds, verdict.verdict)
 
 
 def verify_constant_rank_identity(
@@ -559,8 +554,8 @@ def verify_regular_poisson(
 ) -> CheckReport:
     """The two modular identities of a regular bivector, the duality between
     the kernel-top and cokernel-top representations, and the invariant
-    transverse volume criterion, each decided exactly or in ``ansatz``, a
-    space on the chart.
+    transverse volume criterion, each decided exactly or in ``ansatz`` (a
+    space on the chart) or else left undecided (its item's `ok` is None).
 
     `kit` is the bivector's `poisson_kit`, so a caller that also asks for
     its cocycles builds it once and reads them there; `data` adds the rank
@@ -587,14 +582,14 @@ def verify_regular_poisson(
         rep.add("cokernel rep dual to kernel rep (exact)", True)
     else:
         v = cohomologous(eta_q, -eta_k, ansatz)
-        rep.add("cokernel rep dual to kernel rep (class)", v.verdict == "cohomologous", v.verdict)
-    # invariant transverse volume criterion
+        rep.add("cokernel rep dual to kernel rep (class)", v.holds, v.verdict)
+    # invariant transverse volume criterion, undecided unless both classes are decided
     unimodular = classify(mod_sharp, ansatz)
     transverse = classify(eta_q, ansatz)
-    agree = (unimodular.status == "exact") == (transverse.status == "exact")
+    both = (unimodular.holds, transverse.holds)
     rep.add(
         "unimodular iff invariant transverse volume (in ansatz)",
-        agree,
+        None if None in both else both[0] == both[1],
         f"modular: {unimodular.status}, transverse volume: {transverse.status}",
     )
     rep.data["eta_q"] = eta_q

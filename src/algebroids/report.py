@@ -2,6 +2,8 @@
 
 Checks never throw on mathematical failure; they return a report listing
 each residual (pretty-printed exactly) so a caller or the CLI can decide.
+An item holds, fails or is undecided (`ok` True, False or None: printed
+`ok`, `FAIL` or `??`, and `null` in JSON), and so does the report.
 A failing residual item holds the residual itself and formats it the
 first time its `detail` is read, so a caller that reads only `passed`
 formats nothing, and a report that is printed prints the same text.
@@ -11,9 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# the header mark of a report and the mark of an item, by outcome
+_HEADS = {True: "PASS", False: "FAIL", None: "UNKNOWN"}
+_MARKS = {True: "ok ", False: "FAIL", None: "??"}
+
 
 class CheckItem:
-    """One line of a report: a label, whether it holds, and a detail.
+    """One line of a report: a label, `ok` (True, False or None), a detail.
 
     ``detail`` may be given as a residual, which is formatted with `str`
     the first time `detail` is read and held after that.  Equality and repr
@@ -23,7 +29,7 @@ class CheckItem:
     __slots__ = ("label", "ok", "_detail")
     __hash__ = None  # mutable, like a dataclass with eq
 
-    def __init__(self, label: str, ok: bool, detail="") -> None:
+    def __init__(self, label: str, ok: bool | None, detail="") -> None:
         self.label = label
         self.ok = ok
         self._detail = detail
@@ -51,11 +57,13 @@ class CheckReport:
     data: dict = field(default_factory=dict)
 
     @property
-    def passed(self) -> bool:
-        return all(item.ok for item in self.items)
+    def passed(self) -> bool | None:
+        """False if an item fails, else None if one is undecided, else True."""
+        oks = {item.ok for item in self.items}
+        return False if False in oks else None if None in oks else True
 
-    def add(self, label: str, ok: bool, detail: str = "") -> None:
-        self.items.append(CheckItem(label, bool(ok), detail))
+    def add(self, label: str, ok: bool | None, detail: str = "") -> None:
+        self.items.append(CheckItem(label, None if ok is None else bool(ok), detail))
 
     def residual(self, label: str, res) -> None:
         """An item that passes iff the exact residual ``res`` is zero,
@@ -74,10 +82,9 @@ class CheckReport:
         self.notes.extend(other.notes)
 
     def pretty(self) -> str:
-        lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.title}"]
+        lines = [f"[{_HEADS[self.passed]}] {self.title}"]
         for item in self.items:
-            mark = "ok " if item.ok else "FAIL"
-            line = f"  {mark} {item.label}"
+            line = f"  {_MARKS[item.ok]} {item.label}"
             if item.detail:
                 line += f": {item.detail}"
             lines.append(line)

@@ -7,8 +7,10 @@ class of a cocycle (sections are `Session.trivialization`'s).  It builds
 each named object once and holds it.  `run` executes the assertions
 through it.
 
-Every assertion maps onto one library operation; verdicts are pass, fail
-or error (an exception, with its message).  Reports are byte-identical
+Every assertion maps onto one library operation, whose outcome holds,
+fails or is undecided (True, False, None); the verdict is pass when that
+is the outcome its expect word names (pass/yes, fail/no, unknown), else
+fail, or error (an exception, with its message).  Reports are byte-identical
 for a fixed scenario and seed; wall-clock timings are collected only when
 explicitly requested, since they would break that guarantee.
 """
@@ -31,7 +33,7 @@ from .cohomology import (
     period_certificate,
 )
 from .core import AlgebroidPresentation, FormField, check_axioms, one_form, same_presentation
-from .diagrams import exhibit_coboundary, delta0, modular_cochain, verify_mod_coboundary
+from .diagrams import DiagramError, exhibit_coboundary, delta0, modular_cochain, verify_mod_coboundary
 from .extensions import (
     PoissonKit,
     UnimodularityFailure,
@@ -126,6 +128,23 @@ class Report:
             sort_keys=True,
             indent=2,
         )
+
+
+# an expect word -> the outcome it expects: holds, fails or is undecided
+_EXPECTS = {"pass": True, "yes": True, "fail": False, "no": False, "unknown": None}
+
+
+def _report_detail(rep: CheckReport, want: Optional[bool]) -> str:
+    """The detail of a report assertion that expects `want`: empty when every
+    item holds as expected, else the items that fail (or, in an undecided
+    report, are undecided), or their count when failing was expected."""
+    got = rep.passed
+    if got:
+        return "" if want else "every check passed"
+    items = [i for i in rep.items if i.ok is got]
+    if got is want is False:
+        return f"failed as expected ({len(items)} nonzero residuals)"
+    return "; ".join(i.label + (f": {i.detail}" if i.detail else "") for i in items[:4])
 
 
 class Session:
@@ -232,34 +251,15 @@ class Session:
         raise ScenarioError(f"unknown cocycle spec {kind!r}")
 
     # ----- assertion handlers -------------------------------------------
-    # A handler returns (verdict, detail), or the CheckReport that the
-    # assertion's pass/fail expectation is checked against.
+    # A handler returns (holds, detail), holds True, False or None
+    # (undecided), or the CheckReport whose `passed` is its outcome.
 
     def run_assertion(self, a: Assertion) -> tuple[str, str]:
+        """The verdict: pass iff the outcome is the one `expect` names."""
         out = getattr(self, f"_assert_{a.kind}")(a.args)
-        if isinstance(out, CheckReport):
-            return self._report_verdict(out, a.args["expect"])
-        return out
-
-    @staticmethod
-    def _verdict(ok: bool, expect: str, detail: str = "") -> tuple[str, str]:
-        want = expect == "pass"
-        return ("pass" if ok == want else "fail"), detail
-
-    @staticmethod
-    def _report_verdict(rep: CheckReport, expect: str) -> tuple[str, str]:
-        ok = rep.passed
-        failing = [i for i in rep.items if not i.ok]
-        if expect == "pass":
-            if ok:
-                return "pass", ""
-            return "fail", "; ".join(
-                f"{i.label}" + (f": {i.detail}" if i.detail else "")
-                for i in failing[:4]
-            )
-        if ok:
-            return "fail", "expected failure but every check passed"
-        return "pass", f"failed as expected ({len(failing)} nonzero residuals)"
+        want = _EXPECTS[a.args.get("expect", "pass")]
+        holds, detail = (out.passed, _report_detail(out, want)) if isinstance(out, CheckReport) else out
+        return ("pass" if holds == want else "fail"), detail
 
     def _assert_axioms(self, args) -> CheckReport:
         return check_axioms(self.sc.algebroid(args["name"]))
@@ -270,38 +270,28 @@ class Session:
     def _assert_morphism(self, args) -> CheckReport:
         return check_morphism(self.sc.morphisms[args["name"]])
 
-    def _assert_equal(self, args) -> tuple[str, str]:
+    def _assert_equal(self, args) -> tuple[bool, str]:
         left = self.cocycle(args["left"])
         right = self.cocycle(args["right"])
         res = left - right
-        if res.is_zero():
-            return "pass", ""
-        return "fail", f"difference {res}"
+        return res.is_zero(), "" if res.is_zero() else f"difference {res}"
 
-    def _assert_exact(self, args) -> tuple[str, str]:
+    def _assert_exact(self, args) -> tuple[Optional[bool], str]:
         cls = self.classify(self.cocycle(args["spec"]))
-        got = {"exact": "yes", "nonexact_certified": "no", "nonexact_in_ansatz": "unknown"}[
-            cls.status
-        ]
         detail = cls.status
         if cls.primitive is not None:
             detail += f"; primitive {cls.primitive}"
         if cls.certificate is not None:
             detail += f"; mean {cls.certificate.mean} along {cls.certificate.coord}"
-        return ("pass" if got == args["expect"] else "fail"), detail
+        return cls.holds, detail
 
-    def _assert_cohomologous(self, args) -> tuple[str, str]:
+    def _assert_cohomologous(self, args) -> tuple[Optional[bool], str]:
         left = self.cocycle(args["left"])
         right = self.cocycle(args["right"])
         verdict = cohomologous(left, right, self.ansatz(left.algebroid.chart))
-        got = {
-            "cohomologous": "yes",
-            "distinct_certified": "no",
-            "unknown_in_ansatz": "unknown",
-        }[verdict.verdict]
-        return ("pass" if got == args["expect"] else "fail"), verdict.verdict
+        return verdict.holds, verdict.verdict
 
-    def _assert_period(self, args) -> tuple[str, str]:
+    def _assert_period(self, args) -> tuple[bool, str]:
         alpha = self.cocycle(args["spec"])
         chart = alpha.algebroid.chart
         mean_expect = parse_expr(args["mean_raw"], chart)
@@ -309,12 +299,11 @@ class Session:
         if isinstance(cert, Inconclusive):
             # a non-periodic pairing has no mean, so it has no mean 0 either
             if cert.reason == MEAN_VANISHES and mean_expect.is_zero():
-                return "pass", f"inconclusive as expected: {cert.reason}"
-            return "fail", f"inconclusive: {cert.reason}"
-        ok = (cert.mean - mean_expect).is_zero()
-        return ("pass" if ok else "fail"), f"mean {cert.mean}"
+                return True, f"inconclusive as expected: {cert.reason}"
+            return False, f"inconclusive: {cert.reason}"
+        return (cert.mean - mean_expect).is_zero(), f"mean {cert.mean}"
 
-    def _assert_dphi(self, args) -> tuple[str, str]:
+    def _assert_dphi(self, args) -> tuple[bool, str]:
         phi = self.sc.morphisms[args["name"]]
         sec_s = self.trivialization(phi.source)
         sec_t = self.trivialization(phi.target)
@@ -322,11 +311,9 @@ class Session:
         alpha = char_cocycle(d, LineSection(phi.source.chart.one()))
         rel = relative_modular(phi, sec_s, sec_t)
         res = alpha - rel
-        return self._verdict(
-            res.is_zero(), args["expect"], "" if res.is_zero() else str(res)
-        )
+        return res.is_zero(), "" if res.is_zero() else str(res)
 
-    def _assert_charpull(self, args) -> tuple[str, str]:
+    def _assert_charpull(self, args) -> tuple[bool, str]:
         phi = self.sc.morphisms[args["morphism"]]
         d = self.sc.reps[args["rep"]]
         pulled = pullback_rep(phi, d)
@@ -335,11 +322,9 @@ class Session:
         lhs = char_cocycle(pulled, lam_s)
         rhs = pullback_form(phi, char_cocycle(d, lam_t))
         res = lhs - rhs
-        return self._verdict(
-            res.is_zero(), args["expect"], "" if res.is_zero() else str(res)
-        )
+        return res.is_zero(), "" if res.is_zero() else str(res)
 
-    def _assert_charids(self, args) -> tuple[str, str]:
+    def _assert_charids(self, args) -> tuple[bool, str]:
         """Dual negates and tensor adds, with consistent sections."""
         d1 = self.sc.reps[args["rep"]]
         d2 = self.sc.reps[args["other"]]
@@ -349,8 +334,7 @@ class Session:
         res_dual = char_cocycle(dual_rep(d1), lam) + c1
         res_tens = char_cocycle(tensor_rep(d1, d2), lam) - c1 - c2
         ok = res_dual.is_zero() and res_tens.is_zero()
-        detail = "" if ok else f"dual residual {res_dual}; tensor residual {res_tens}"
-        return self._verdict(ok, args["expect"], detail)
+        return ok, "" if ok else f"dual residual {res_dual}; tensor residual {res_tens}"
 
     def _assert_compose(self, args) -> CheckReport:
         first = self.sc.morphisms[args["first"]]
@@ -363,7 +347,7 @@ class Session:
             self.trivialization(second.target),
         )
 
-    def _assert_pullback(self, args) -> tuple[str, str]:
+    def _assert_pullback(self, args) -> tuple[bool, str]:
         built = self.pullback(args["name"])
         target = self.sc.algebroid(args["algebroid"])
         ok = same_presentation(built.presentation, target)
@@ -371,16 +355,15 @@ class Session:
         proj_ok = check_morphism(built.projection).passed
         if not proj_ok:
             detail += "; projection fails the morphism check"
-        return ("pass" if ok and proj_ok else "fail"), detail
+        return ok and proj_ok, detail
 
-    def _assert_admissible(self, args) -> tuple[str, str] | CheckReport:
+    def _assert_admissible(self, args) -> tuple[bool, str] | CheckReport:
         b = self.sc.algebroid(args["algebroid"])
         chart = self.sc.charts[args["chart"]]
         rep = check_admissible(b, chart, args["base"], seed=self.seed)
         detail = "; ".join(i.detail for i in rep.items if i.detail)
         if "rank" in args:
-            ok = rep.passed and rep.data.get("rank") == args["rank"]
-            return ("pass" if ok else "fail"), detail
+            return rep.passed and rep.data.get("rank") == args["rank"], detail
         return rep
 
     def _assert_transverse(self, args) -> CheckReport:
@@ -399,7 +382,7 @@ class Session:
         phi = self.sc.morphisms[args["morphism"]]
         return factorize(phi, self.pullback(args["pullback"]))[1]
 
-    def _assert_extension(self, args) -> tuple[str, str] | CheckReport:
+    def _assert_extension(self, args) -> tuple[bool, str] | CheckReport:
         ext = self.sc.extensions[args["name"]]
         sub = args["sub"]
         if sub == "valid":
@@ -407,9 +390,9 @@ class Session:
         if sub == "unimodular":
             try:
                 ext.top
-                return self._verdict(True, args["expect"], "invariant section verified")
+                return True, "invariant section verified"
             except UnimodularityFailure as e:
-                return self._verdict(False, args["expect"], str(e))
+                return False, str(e)
         return self.extension_identity(args["name"])
 
     def _assert_quotientdata(self, args) -> CheckReport:
@@ -432,7 +415,7 @@ class Session:
             seed=self.seed,
         )
 
-    def _assert_diagram(self, args) -> tuple[str, str] | CheckReport:
+    def _assert_diagram(self, args) -> CheckReport:
         dia = self.sc.diagrams[args["name"]]
         sub = args["sub"]
         if sub == "validates":
@@ -453,7 +436,7 @@ class Session:
                 if ar.source == objname and ar.target == point
             ]
             if len(cands) != 1:
-                return "error", f"need exactly one arrow {objname} -> {point}"
+                raise DiagramError(f"need exactly one arrow {objname} -> {point}")
             point_arrows[objname] = cands[0]
         u0 = modular_cochain(dia, sections)
         v = delta0(dia, u0)

@@ -782,7 +782,7 @@ def _stmt_ansatz(cur: _Cursor, sc: Scenario, line: int) -> None:
 
 
 # The assertion grammar: kind -> its fields in order.  A field is a quoted
-# literal, `expect` (pass|fail), a cocycle spec (`spec`, `left`, `right`),
+# literal, `expect` (pass|fail|unknown), a cocycle spec (`spec`, `left`, `right`),
 # `KEY=a|b|c` (one of the words, kept under KEY), `KEY:table` (a name kept
 # under KEY that must name an entry of that scenario table), one of the
 # `_TAILS` a few kinds read themselves, or else a plain word.
@@ -827,8 +827,8 @@ def _stmt_assert(cur: _Cursor, sc: Scenario, line: int) -> None:
             args[f] = _cocycle_spec(cur, sc)
         elif f == "expect":
             args[f] = cur.word()
-            if args[f] not in ("pass", "fail"):
-                raise cur.error(f"expected pass or fail, got {args[f]!r}")
+            if args[f] not in ("pass", "fail", "unknown"):
+                raise cur.error(f"expected pass, fail or unknown, got {args[f]!r}")
         elif "=" in f:
             key, choices = f.split("=")
             args[key] = cur.word()
@@ -867,8 +867,8 @@ def _tail_rank(cur: _Cursor, sc: Scenario, args: dict) -> None:
     if args["expect"] == "rank":
         args["rank"] = cur.int_value()
         args["expect"] = "pass"
-    elif args["expect"] not in ("pass", "fail"):
-        raise cur.error("admissible expects 'rank N' or pass/fail")
+    elif args["expect"] not in ("pass", "fail", "unknown"):
+        raise cur.error("admissible expects 'rank N' or pass/fail/unknown")
 
 
 def _tail_weights(cur: _Cursor, sc: Scenario, args: dict) -> None:

@@ -663,6 +663,18 @@ class TestPullbackInjectivity:
         )
         assert rep.passed
 
+    def test_two_undecided_levels_are_no_agreement(self):
+        # x^2 dx is exact, but a degree-0 space holds no primitive x^3/3 and
+        # the line has no circle to certify it non-exact on: both undecided
+        r1, r2 = Chart("R1", ("x",)), Chart("R2", ("x", "t"))
+        tr = tangent_algebroid(r1)
+        proj = Morphism("pr", tangent_algebroid(r2), tr, [r2.coord("x")], [[r2.one(), r2.zero()]])
+        x = r1.coord("x")
+        rep = check_pullback_injectivity(proj, one_form(tr, [x * x]), AnsatzSpace(r1, 0), AnsatzSpace(r2, 0))
+        assert rep.items[-1].label == "both levels non-exact"
+        assert rep.items[-1].ok is None
+        assert rep.passed is None
+
     def test_pulled_form_that_is_not_closed_fails_its_item(self):
         # the fiber entry t makes the projection no chain map: it pulls
         # -dtheta back to -t dtheta, which is not closed

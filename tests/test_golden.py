@@ -10,12 +10,16 @@ CHANGES.md) with:
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import algebroids
 import algebroids.cohomology as cohomology
+import algebroids.ratlinalg as ratlinalg
 from algebroids.cli import corpus_scenarios, load_scenario
 from algebroids.runner import run
 from test_golden_cli import COMMANDS, _fname, _output
@@ -82,6 +86,38 @@ def test_reports_do_not_depend_on_the_seed(name):
         payloads.append(payload)
     assert texts[0] == texts[1]
     assert payloads[0] == payloads[1]
+
+
+# Ratchet: over a corpus run at seed 0, the most `sampled_ranks` calls and
+# the most `classify` results that the ansatz leaves undecided.  A change
+# that lowers a count lowers its constant; the end state is 0 for both.
+MAX_SAMPLED_RANKS = 11
+MAX_UNDECIDED_CLASSES = 3
+
+
+def test_the_corpus_samples_and_leaves_undecided_no_more_than_before(monkeypatch):
+    counts = {"sampled_ranks": 0, "undecided classes": 0}
+    sampled_ranks, classify = ratlinalg.sampled_ranks, cohomology.classify
+
+    def sampling(*args, **kwargs):
+        counts["sampled_ranks"] += 1
+        return sampled_ranks(*args, **kwargs)
+
+    def classifying(*args, **kwargs):
+        cls = classify(*args, **kwargs)
+        counts["undecided classes"] += cls.status == "nonexact_in_ansatz"
+        return cls
+
+    # wrap each name where a library module binds it
+    for info in pkgutil.iter_modules(algebroids.__path__):
+        module = importlib.import_module(f"algebroids.{info.name}")
+        for real, wrapper in ((sampled_ranks, sampling), (classify, classifying)):
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, wrapper)
+    for name in corpus_scenarios():
+        run(load_scenario(name), seed=0)
+    assert counts["sampled_ranks"] <= MAX_SAMPLED_RANKS, counts
+    assert counts["undecided classes"] <= MAX_UNDECIDED_CLASSES, counts
 
 
 if __name__ == "__main__":

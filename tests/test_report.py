@@ -98,3 +98,26 @@ class TestCheckItem:
         assert item == CheckItem("r", False, str(res))
         assert repr(item) == repr(CheckItem("r", False, str(res)))
         assert item.detail == str(res)
+
+
+class TestUndecidedItems:
+    def test_a_failure_outweighs_an_undecided_item(self):
+        rep = CheckReport("three values")
+        assert rep.passed is True
+        rep.add("holds", 1)
+        assert rep.passed is True
+        rep.add("undecided", None)
+        assert rep.passed is None
+        rep.add("fails", 0)
+        assert rep.passed is False
+        assert [i.ok for i in rep.items] == [True, None, False]
+
+    def test_an_undecided_report_prints_its_third_mark_and_null(self):
+        rep = CheckReport("three values")
+        rep.add("holds", True)
+        rep.add("undecided", None, "unknown_in_ansatz")
+        outer = CheckReport("outer")
+        outer.merge(rep, prefix="inner: ")
+        assert outer.pretty() == "[UNKNOWN] outer\n  ok  inner: holds\n  ?? inner: undecided: unknown_in_ansatz"
+        assert outer.to_dict()["passed"] is None
+        assert [i["ok"] for i in outer.to_dict()["items"]] == [True, None]

@@ -592,6 +592,11 @@ class TestParsing:
         assert sc.algebroids["B"].rank == 1
 
 
+def load_text(name: str) -> str:
+    """The text of a bundled corpus scenario."""
+    return (Path(scenario.__file__).parent / "corpus" / name).read_text()
+
+
 class TestRunner:
     def test_snippet_passes(self):
         sc = parse_scenario(CYL_SNIPPET, "snippet")
@@ -773,6 +778,41 @@ class TestRunner:
         text = TWIN_SNIPPET + "morphism n : A -> A { base = (x) ; fiber = [[1]] }\ncomposite c = n . m\n"
         with pytest.raises(ScenarioError, match=r"^line 10: composite c: m ends at 'A2', but n starts at 'A'$"):
             parse_scenario(text, "twins")
+
+    def test_an_undecided_report_passes_only_under_unknown(self):
+        # the ansatz decides neither class of the spiral's volume criterion
+        text = load_text("poisson_spiral.scn") + "assert poisson SP pass\nassert poisson SP fail\n"
+        results = run(parse_scenario(text, "spiral")).results
+        label = "unimodular iff invariant transverse volume (in ansatz)"
+        unknown, passing, failing = (r for r in results if r.kind == "poisson")
+        assert (unknown.text, unknown.verdict) == ("poisson SP unknown", "pass")
+        assert (passing.verdict, failing.verdict) == ("fail", "fail")
+        for r in (unknown, passing, failing):
+            assert r.detail == f"{label}: modular: nonexact_in_ansatz, transverse volume: nonexact_in_ansatz"
+
+    def test_a_decided_outcome_fails_under_unknown(self):
+        text = CYL_SNIPPET + "assert morphism incl unknown\nassert exact relmod incl unknown\n"
+        results = run(parse_scenario(text, "decided")).results
+        assert [r.verdict for r in results[2:]] == ["fail", "fail"]
+        assert results[2].detail == "every check passed"
+        assert results[3].detail.startswith("nonexact_certified; mean")
+
+    @pytest.mark.parametrize(
+        "arrows, source",
+        [
+            pytest.param("arrow pB", "TS1", id="no-arrow"),
+            pytest.param("arrow pTS1 ; arrow pTS1b ; arrow pB", "TS1", id="two-arrows"),
+        ],
+    )
+    def test_pointcoboundary_needs_one_arrow_to_the_point(self, arrows, source):
+        text = load_text("diagram_point.scn") + (
+            "morphism pTS1b : TS1 -> PT { base = () ; fiber = [] }\n"
+            f"diagram D2 {{ objects TS1 B PT ; {arrows} }}\n"
+            "assert diagram D2 pointcoboundary point PT pass\n"
+        )
+        result = run(parse_scenario(text, "points")).results[-1]
+        assert result.verdict == "error"
+        assert result.detail == f"DiagramError: need exactly one arrow {source} -> PT"
 
     def test_json_shape(self):
         report = run(parse_scenario(CYL_SNIPPET, "snippet"), seed=0)
