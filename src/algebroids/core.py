@@ -90,7 +90,8 @@ class AlgebroidPresentation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebroidPresentation):
             return NotImplemented
-        return self.frame == other.frame and same_presentation(self, other)
+        # identity first: the structural comparison walks every structure function
+        return self is other or (self.frame == other.frame and same_presentation(self, other))
 
     __hash__ = None
 
@@ -195,7 +196,11 @@ def _sort_indices(idxs: Sequence[int]) -> Optional[tuple[int, tuple[int, ...]]]:
 
 
 class _AltTable:
-    """Shared implementation of forms and multivectors on a frame."""
+    """Shared implementation of forms and multivectors on a frame.
+
+    The constructor validates and sorts the index tuples it is given; the
+    calculus builds the tables whose keys it generated itself, in order,
+    through `_trusted`, which validates nothing."""
 
     def __init__(
         self,
@@ -218,8 +223,15 @@ class _AltTable:
                 table[key] = f
         self.comps = dict(sorted(table.items()))
 
-    def _like(self, comps) -> "_AltTable":
-        return type(self)(self.algebroid, self.degree, comps)
+    @classmethod
+    def _trusted(cls, algebroid: AlgebroidPresentation, degree: int, comps: Mapping[tuple[int, ...], ScalarFn]):
+        """A table of components whose keys the calculus generated strictly
+        increasing and in order: zero components dropped, nothing checked."""
+        out = cls.__new__(cls)
+        out.algebroid = algebroid
+        out.degree = degree
+        out.comps = {key: f for key, f in comps.items() if f.num}
+        return out
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -236,10 +248,7 @@ class _AltTable:
         return f if sign > 0 else -f
 
     def _check_compat(self, other: "_AltTable") -> None:
-        # identity first: the structural comparison walks every structure function
-        if type(self) is not type(other) or (
-            self.algebroid is not other.algebroid and self.algebroid != other.algebroid
-        ):
+        if type(self) is not type(other) or self.algebroid != other.algebroid:
             raise AlgebroidError("operands live on different algebroids")
 
     def __add__(self, other):
@@ -254,10 +263,10 @@ class _AltTable:
         out = dict(self.comps)
         for key, f in other.comps.items():
             out[key] = out.get(key, self.algebroid.chart.zero()) + f
-        return self._like(out)
+        return type(self)(self.algebroid, self.degree, out)
 
     def __neg__(self):
-        return self._like({k: -f for k, f in self.comps.items()})
+        return self._trusted(self.algebroid, self.degree, {k: -f for k, f in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -265,7 +274,7 @@ class _AltTable:
     def scale(self, f: Union[ScalarFn, Rational]) -> "_AltTable":
         if not isinstance(f, ScalarFn):
             f = self.algebroid.chart.const(f)
-        return self._like({k: f * g for k, g in self.comps.items()})
+        return self._trusted(self.algebroid, self.degree, {k: f * g for k, g in self.comps.items()})
 
     def wedge(self, other: "_AltTable") -> "_AltTable":
         self._check_compat(other)
@@ -406,10 +415,8 @@ def d_A(alpha: FormField) -> FormField:
                     val = comps.get(rest[:pos] + (m,) + rest[pos:])
                     if val is not None:
                         pieces.append((-1 if (s + t + pos) % 2 else 1, cf, val))
-        total = lincomb(a.chart, pieces)
-        if not total.is_zero():
-            out[key] = total
-    return FormField(a, k + 1, out)
+        out[key] = lincomb(a.chart, pieces)
+    return FormField._trusted(a, k + 1, out)
 
 
 def _contract(outer, inner) -> dict[tuple[int, ...], ScalarFn]:
@@ -669,7 +676,7 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
                     pieces[l].append((1, f, anchor_partial(i, l, c)))
             residuals[(i, j)] = [lincomb(a.chart, p) for p in pieces]
     for l, coord in enumerate(coords):
-        res = FormField(a, 2, {key: -row[l] for key, row in residuals.items()})
+        res = FormField._trusted(a, 2, {key: -row[l] for key, row in residuals.items()})
         rep.residual(f"d(d {coord}) = 0", res)
     jacobi = "d_A"
     if 0 < a.rank <= a.chart.dim and all(f.is_zero() for row in residuals.values() for f in row):

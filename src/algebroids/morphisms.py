@@ -38,6 +38,7 @@ from .reps import (
     EValuedForm,
     Representation,
     RepresentationError,
+    _held_flat,
     d_AE,
     dual_rep,
     modular_cocycle,
@@ -127,7 +128,7 @@ def base_preserving_morphism(
 
 def compose(psi: Morphism, phi: Morphism, name: Optional[str] = None) -> Morphism:
     """The composite psi o phi (fiber matrices multiply after substitution)."""
-    if phi.target is not psi.source and phi.target != psi.source:
+    if phi.target != psi.source:
         raise MorphismError("morphisms are not composable")
     basemap = [phi.pull_scalar(f) for f in psi.basemap]
     chart = phi.source.chart
@@ -157,7 +158,7 @@ def pullback_form(phi: Morphism, beta: FormField) -> FormField:
     src, k = phi.source, beta.degree
     if k == 0:
         f = beta.comps.get((), phi.target.chart.zero())
-        return FormField(src, 0, {(): phi.pull_scalar(f)})
+        return FormField._trusted(src, 0, {(): phi.pull_scalar(f)})
     out: dict[tuple[int, ...], ScalarFn] = {}
     memo: dict = {}
     pulled = _pull_once(phi, beta.comps.__getitem__)
@@ -167,10 +168,8 @@ def pullback_form(phi: Morphism, beta: FormField) -> FormField:
             minor = scalar_det(phi.fiber, tkey, skey, memo)
             if not minor.is_zero():
                 pieces.append((1, pulled(tkey), minor))
-        total = lincomb(src.chart, pieces)
-        if not total.is_zero():
-            out[skey] = total
-    return FormField(src, k, out)
+        out[skey] = lincomb(src.chart, pieces)
+    return FormField._trusted(src, k, out)
 
 
 def check_morphism(phi: Morphism) -> CheckReport:
@@ -233,7 +232,7 @@ def check_morphism(phi: Morphism) -> CheckReport:
             brackets = src.structure.get((i, j), {})  # + sum_m c^m_ij F_tm
             pieces += [(1, cf, row[m]) for m, cf in brackets.items()]
             comps[(i, j)] = lincomb(src.chart, pieces)
-        rep.residual(f"chain map on {tgt.coframe[t]}", FormField(src, 2, comps))
+        rep.residual(f"chain map on {tgt.coframe[t]}", FormField._trusted(src, 2, comps))
     return rep
 
 
@@ -246,6 +245,7 @@ def pullback_rep(phi: Morphism, d: Representation, name: Optional[str] = None) -
     src = phi.source
     m = d.bundle_rank
     zero = src.chart.zero()
+    pulled = _pull_once(phi, lambda t, u, v: d.mats[t][u][v])
     mats = []
     for i in range(src.rank):
         mat = [[zero for _ in range(m)] for _ in range(m)]
@@ -255,9 +255,8 @@ def pullback_rep(phi: Morphism, d: Representation, name: Optional[str] = None) -
                 continue
             for u in range(m):
                 for v in range(m):
-                    entry = d.mats[t][u][v]
-                    if not entry.is_zero():
-                        mat[u][v] = mat[u][v] + f * phi.pull_scalar(entry)
+                    if not d.mats[t][u][v].is_zero():
+                        mat[u][v] = mat[u][v] + f * pulled(t, u, v)
         mats.append(mat)
     out = Representation(src, d.bundle_frame, mats, name or f"{phi.name}!{d.name}")
     if not out.is_flat():
@@ -273,24 +272,36 @@ class Trivialization:
     """Unit trivializing data for the canonical line bundle of a presentation,
     the one the top multivector ``omega`` lives on.
 
-    The trivialization owns its modular cocycle, `modular`, built on first
-    use and held after that.  The class is frozen so that no field can
-    change under the held cocycle."""
+    The trivialization owns its modular cocycle, `modular`, and the
+    canonical line representation, `line_rep`, each built on first use and
+    held after that.  The class is frozen so that no field can change under
+    them."""
 
     omega: Multivector
     mu: FormField
 
     @cached_property
     def modular(self) -> FormField:
-        """`reps.modular_cocycle` for omega (x) mu."""
+        """`reps.modular_cocycle` for omega (x) mu, certified closed."""
         return modular_cocycle(self.omega.algebroid, self.omega, self.mu)
 
-    def modular_on(self, a: AlgebroidPresentation) -> FormField:
-        """`modular`, refused as `reps.modular_cocycle` refuses it when
-        omega does not live on ``a``."""
-        if self.omega.algebroid is not a and self.omega.algebroid != a:
+    @cached_property
+    def line_rep(self) -> Representation:
+        """`reps.modular_rep` of `modular`, holding an all-None curvature:
+        on a line the curvature is d_A of the connection form, so the
+        closedness `modular` was certified with is this flatness."""
+        return _held_flat(modular_rep(self.modular))
+
+    def _on(self, a: AlgebroidPresentation) -> "Trivialization":
+        """``self``, refused as `reps.modular_cocycle` refuses it when omega
+        does not live on ``a``."""
+        if self.omega.algebroid != a:
             raise RepresentationError("omega must be a top multivector on the presentation")
-        return self.modular
+        return self
+
+    def modular_on(self, a: AlgebroidPresentation) -> FormField:
+        """`modular`, refused when omega does not live on ``a``."""
+        return self._on(a).modular
 
 
 def relative_modular(
@@ -298,10 +309,15 @@ def relative_modular(
 ) -> FormField:
     """The relative modular cocycle: source modular cocycle minus the
     pull-back of the target one, each the one its trivialization holds.
-    Certified exactly closed."""
+    Certified exactly closed.  When the pull-back is zero (a tangent target
+    with unit sections, whose modular cocycle is zero) that is the source
+    cocycle itself, returned as held, closed by its own certificate, with
+    no d_A taken."""
     mod_src = sec_src.modular_on(phi.source)
-    mod_tgt = sec_tgt.modular_on(phi.target)
-    alpha = mod_src - pullback_form(phi, mod_tgt)
+    pulled = pullback_form(phi, sec_tgt.modular_on(phi.target))
+    if pulled.is_zero():
+        return mod_src
+    alpha = mod_src - pulled
     res = d_A(alpha)
     if not res.is_zero():
         raise MorphismError(f"relative modular cocycle not closed: {res}")
@@ -313,12 +329,14 @@ def relative_canonical_rep(
 ) -> Representation:
     """The line representation whose characteristic cocycle is the relative
     modular cocycle: canonical rep of the source tensored with the pull-back
-    of the dual canonical rep of the target, each built from the modular
-    cocycle its trivialization holds."""
-    d_src = modular_rep(sec_src.modular_on(phi.source))
-    d_tgt = modular_rep(sec_tgt.modular_on(phi.target))
-    pulled_dual = pullback_rep(phi, dual_rep(d_tgt))
-    return tensor_rep(d_src, pulled_dual)
+    of the dual canonical rep of the target, each the `line_rep` its
+    trivialization holds.  Every factor holds its vanishing curvature (the
+    line reps from their certified cocycles, the dual from its input, the
+    pull-back from its own check), so the result holds one too and
+    `char_cocycle` computes no curvature on it."""
+    d_src = sec_src._on(phi.source).line_rep
+    d_tgt = sec_tgt._on(phi.target).line_rep
+    return tensor_rep(d_src, pullback_rep(phi, dual_rep(d_tgt)))
 
 
 def check_composition_law(

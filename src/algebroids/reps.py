@@ -6,7 +6,8 @@ Leibniz rule hold by construction; only flatness needs checking, and it is
 equivalent to the associated degree-1 differential squaring to zero.  A
 representation is frozen and owns its curvature, computed once, on first
 use: `check_flat` reports it, and `char_cocycle` reads the closedness of
-a connection form off it.
+a connection form off it.  A dual or tensor product of representations
+that hold a vanishing curvature holds one from the start.
 
 Also here: characteristic cocycles of line-bundle representations, the
 canonical representation on top-multivectors tensor top-coforms, and the
@@ -176,18 +177,33 @@ def trivial_rep(
     return Representation(a, bundle_frame, mats, "triv")
 
 
+def _held_flat(d: Representation, *factors: Representation) -> Representation:
+    """``d`` holding an all-None curvature when every one of ``factors``
+    already holds one, ``d`` being built from them by an operation that
+    keeps curvature zero (dual, tensor product); with no factors, when the
+    caller has certified ``d`` flat.  Else ``d`` as it is, computing its
+    curvature on first use."""
+    if all("curvature" in f.__dict__ and f.is_flat() for f in factors):
+        d.__dict__["curvature"] = MappingProxyType(dict.fromkeys(combinations(range(d.algebroid.rank), 2)))
+    return d
+
+
 def dual_rep(d: Representation) -> Representation:
-    """Coefficient matrices of the dual action: minus transpose."""
+    """Coefficient matrices of the dual action: minus transpose.  Its
+    curvature is minus the transpose of the input's, so the dual of a
+    representation holding a vanishing curvature holds one too."""
     mats = [
         [[-d.mats[i][s][t] for s in range(d.bundle_rank)] for t in range(d.bundle_rank)]
         for i in range(d.algebroid.rank)
     ]
     frame = tuple(n + "^" for n in d.bundle_frame)
-    return Representation(d.algebroid, frame, mats, d.name + "*")
+    return _held_flat(Representation(d.algebroid, frame, mats, d.name + "*"), d)
 
 
 def tensor_rep(d1: Representation, d2: Representation) -> Representation:
-    """Kronecker-sum coefficients on the tensor frame (row-major pairs)."""
+    """Kronecker-sum coefficients on the tensor frame (row-major pairs).
+    Its curvature is R1 (x) 1 + 1 (x) R2, so when both factors hold a
+    vanishing curvature the product holds one too."""
     if d1.algebroid != d2.algebroid:
         raise RepresentationError("tensor factors must share the algebroid")
     m1, m2 = d1.bundle_rank, d2.bundle_rank
@@ -210,7 +226,7 @@ def tensor_rep(d1: Representation, d2: Representation) -> Representation:
                             val = val + g2[s2][t2]
                         mat[s1 * m2 + s2][t1 * m2 + t2] = val
         mats.append(mat)
-    return Representation(d1.algebroid, frame, mats, f"{d1.name}(x){d2.name}")
+    return _held_flat(Representation(d1.algebroid, frame, mats, f"{d1.name}(x){d2.name}"), d1, d2)
 
 
 class EValuedForm:

@@ -1,5 +1,6 @@
 """Shared builders: charts, stock algebroids, randomized generators."""
 
+import contextlib
 import itertools
 import random
 from bisect import bisect_left
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from algebroids.core import (
     AlgebroidPresentation,
     FormField,
+    _AltTable,
     coframe_form,
     frame_vector,
     lie_algebra_presentation,
@@ -23,6 +25,7 @@ from algebroids import ratlinalg
 from algebroids.extensions import subalgebroid_from_vector_fields
 from algebroids.morphisms import pullback_form
 from algebroids.report import CheckReport
+from algebroids.reps import Representation
 from algebroids.symexpr import (
     Chart,
     PeriodicityViolation,
@@ -769,6 +772,45 @@ def coeffs(draw, chart):
             term = term * atom
         out = out + term
     return out
+
+
+@st.composite
+def units(draw, chart):
+    """A unit of the chart's functions: q exp(sum_k d_k x_k) over the
+    non-periodic coordinates, q a non-zero rational."""
+    q = Fraction(draw(st.sampled_from([-3, -1, 1, 2, 5])), draw(st.integers(1, 3)))
+    f = chart.const(q)
+    for name, per in zip(chart.coords, chart.periodic):
+        d = draw(st.integers(-2, 2))
+        if d and not per:
+            f = f * exp(d * chart.coord(name))
+    return f
+
+
+def fresh_curvature(d):
+    """The curvature of a new representation on the matrices of ``d``,
+    computed afresh whatever ``d`` holds."""
+    return dict(Representation(d.algebroid, d.bundle_frame, d.mats, d.name).curvature)
+
+
+@contextlib.contextmanager
+def checked_trusted():
+    """Within the block each table built by `_AltTable._trusted` is compared
+    with the validated table of the same components: equal, with the same
+    keys in the same order.  Yields the list of the tables built."""
+    built = []
+    trusted = _AltTable._trusted.__func__
+
+    def checked(cls, algebroid, degree, comps):
+        out = trusted(cls, algebroid, degree, comps)
+        ref = cls(algebroid, degree, comps)
+        assert out == ref and list(out.comps) == list(ref.comps)
+        built.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_AltTable, "_trusted", classmethod(checked))
+        yield built
 
 
 @st.composite

@@ -38,8 +38,10 @@ from algebroids.symexpr import Chart, cos, exp, point_chart, sin
 
 from conftest import (
     aff1,
+    checked_trusted,
     coeffs,
     cylinder_algebroid,
+    examples,
     frame_algebroids,
     jacobiator,
     random_lie_algebra,
@@ -520,6 +522,45 @@ def chevalley_eilenberg_d(g, alpha):
 def tables(draw, alg, kind, degree):
     comps = {key: draw(coeffs(alg.chart)) for key in combinations(range(alg.rank), degree)}
     return kind(alg, degree, comps)
+
+
+@st.composite
+def sparse_tables(draw, alg, kind, degree):
+    """A table of ``kind`` whose components are each zero (one time in
+    three) or a random coefficient."""
+    zero = alg.chart.zero()
+    return kind(alg, degree, {
+        key: draw(coeffs(alg.chart)) if draw(st.integers(0, 2)) else zero
+        for key in combinations(range(alg.rank), degree)
+    })
+
+
+class TestTrustedTables:
+    """The tables the calculus builds from keys it generated in order, with
+    no validation, are the validated tables of the same components."""
+
+    @pytest.mark.deep
+    @settings(max_examples=examples(40), deadline=None)
+    @given(st.one_of(frame_algebroids(), sparse_algebroids(), corrupted_algebroids()), st.data())
+    def test_equal_the_validated_tables(self, alg, data):
+        degree = data.draw(st.integers(0, alg.rank))
+        alpha = data.draw(sparse_tables(alg, FormField, degree))
+        p = data.draw(sparse_tables(alg, Multivector, degree))
+        f = data.draw(st.one_of(coeffs(alg.chart), st.just(alg.chart.zero())))
+        with checked_trusted() as built:
+            d_A(alpha)
+            -alpha, -p
+            alpha.scale(f), p.scale(f), alpha.scale(0)
+            check_axioms(alg)
+        assert len(built) >= 6
+
+    def test_the_public_constructors_still_validate(self, R2):
+        tm = tangent_algebroid(R2)
+        for bad in ((1, 0), (0, 0), (0, 2), (0,)):
+            with pytest.raises(AlgebroidError):
+                FormField(tm, 2, {bad: R2.one()})
+            with pytest.raises(AlgebroidError):
+                Multivector(tm, 2, {bad: R2.one()})
 
 
 class TestCalculusProperties:

@@ -269,6 +269,21 @@ class TestExtensionIdentity:
         cls = classify(theta, AnsatzSpace(R2, degree=3))
         assert cls.status == "exact"
 
+    def test_theta_closed_reads_the_certified_closedness(self, monkeypatch):
+        """relative_modular certifies theta closed (or raises), so the item
+        passes with no d_A of its own; here the quotient is a tangent
+        algebroid with unit sections, so theta is the total algebroid's held
+        modular cocycle and no d_A runs at all."""
+        import algebroids.morphisms as morphisms
+
+        calls = []
+        real = morphisms.d_A
+        monkeypatch.setattr(morphisms, "d_A", lambda alpha: calls.append(alpha) or real(alpha))
+        ext = abelian_kernel_extension()
+        rep = verify_extension_identity(ext, AnsatzSpace(R2))
+        assert rep.items[0] == CheckItem("theta closed", True, "")
+        assert calls == []
+
     def test_so3_exact_cochain(self):
         ext = so3_kernel_extension()
         rep = verify_extension_identity(ext, AnsatzSpace(ext.chart))
@@ -433,6 +448,21 @@ class TestConstantRankIdentity:
         # unimodular isotropy over a contractible chart: class must vanish
         cls = classify(rep.data["mod_phi"], AnsatzSpace(R2, degree=3))
         assert cls.status == "exact"
+
+    def test_one_modular_cocycle_per_distinct_algebroid(self, monkeypatch):
+        """The quotient is the ambient algebroid itself (as in
+        extension_rank1.scn): its canonical modular cocycle is built once,
+        and the total algebroid's once."""
+        import algebroids.morphisms as morphisms
+
+        built = []
+        real = morphisms.modular_cocycle
+        monkeypatch.setattr(morphisms, "modular_cocycle", lambda a, omega, mu: built.append(a) or real(a, omega, mu))
+        ext = abelian_kernel_extension()
+        tm = ext.quotient
+        rep = verify_constant_rank_identity(ext.proj, ext, identity_morphism(tm), [[] for _ in range(tm.rank)], AnsatzSpace(R2, degree=3))
+        assert rep.passed
+        assert built == [ext.total, tm]
 
     def test_isomorphism_case(self):
         b = tangent_algebroid(R2)

@@ -1,6 +1,7 @@
 import pytest
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,12 @@ from algebroids.core import (
     function_form,
     one_form,
     tangent_algebroid,
+    top_form,
+    top_multivector,
 )
 from algebroids.morphisms import (
     Morphism,
+    MorphismError,
     Trivialization,
     base_preserving_morphism,
     check_composition_law,
@@ -42,7 +46,17 @@ from algebroids.symexpr import Chart, ChartMap, cos, exp, sin
 
 from algebroids.extensions import subalgebroid_from_vector_fields
 
-from conftest import coeffs, cylinder_algebroid, frame_algebroids, reference_check_morphism, sparse_algebroids
+from conftest import (
+    checked_trusted,
+    coeffs,
+    cylinder_algebroid,
+    examples,
+    frame_algebroids,
+    fresh_curvature,
+    reference_check_morphism,
+    sparse_algebroids,
+    units,
+)
 
 
 def cylinder_setup():
@@ -318,6 +332,19 @@ class TestPullOnce:
         rep, count = self._count_substitutions(monkeypatch, check_morphism, phi)
         assert not rep.passed and count == 2
 
+    def test_each_representation_entry_is_pulled_once_per_call(self, monkeypatch):
+        N = Chart("N", ("u", "v"))
+        M = Chart("M", ("x", "y"))
+        TN, TM = tangent_algebroid(N), tangent_algebroid(M)
+        x, y = M.coord("x"), M.coord("y")
+        # the tangent map of (x, y) -> (x y, y); the entry u of du meets the
+        # non-zero fiber entries y and x, one per source frame index
+        phi = Morphism("phi", TM, TN, [x * y, y], [[y, x], [M.zero(), M.one()]])
+        d = Representation(TN, ("eps",), [[[N.coord("u")]], [[N.coord("v")]]])
+        pulled, count = self._count_substitutions(monkeypatch, pullback_rep, phi, d)
+        assert count == 2
+        assert pulled.mats == (((x * y * y,),), ((x * x * y + y,),))
+
 
 class TestPullbackRep:
     def test_trivial_pulls_to_trivial(self):
@@ -385,7 +412,92 @@ class TestPullbackRep:
             pullback_rep(identity_morphism(tm, "id"), d)
 
 
+def sections(a, data):
+    """A trivialization of ``a``: the canonical one, or unit sections drawn
+    from ``data``."""
+    if data.draw(st.booleans()):
+        return triv(a)
+    return Trivialization(
+        top_multivector(a, data.draw(units(a.chart))),
+        top_form(tangent_algebroid(a.chart), data.draw(units(a.chart))),
+    )
+
+
+@st.composite
+def anchors(draw, algebroids=frame_algebroids()):
+    """The anchor of an algebroid of ``algebroids``, a morphism into the
+    tangent algebroid."""
+    b = draw(algebroids)
+    return base_preserving_morphism("rho", b, tangent_algebroid(b.chart), [list(col) for col in zip(*b.anchor)])
+
+
 class TestRelativeModular:
+    @pytest.mark.deep
+    @settings(max_examples=examples(40), deadline=None)
+    @given(st.one_of(morphisms(), anchors()), st.data())
+    def test_is_the_difference_of_the_held_cocycles(self, phi, data):
+        """relative_modular is mod_src - pullback_form(phi, mod_tgt), refused
+        when that is not closed; when the pull-back is zero it is the source
+        cocycle the trivialization holds."""
+        sec_s, sec_t = sections(phi.source, data), sections(phi.target, data)
+        pulled = pullback_form(phi, sec_t.modular)
+        want = sec_s.modular - pulled
+        closed = d_A(want).is_zero()
+        event(("shortcut" if pulled.is_zero() else "difference") + ("" if closed else ", refused"))
+        if not closed:
+            with pytest.raises(MorphismError, match="relative modular cocycle not closed"):
+                relative_modular(phi, sec_s, sec_t)
+            return
+        got = relative_modular(phi, sec_s, sec_t)
+        assert got == want
+        assert (got is sec_s.modular) == pulled.is_zero()
+
+    @pytest.mark.deep
+    @settings(max_examples=examples(40), deadline=None)
+    @given(st.one_of(frame_algebroids(), sparse_algebroids()), st.data())
+    def test_line_rep_holds_the_fresh_curvature(self, a, data):
+        d = sections(a, data).line_rep
+        assert "curvature" in d.__dict__ and d.is_flat()
+        assert dict(d.curvature) == fresh_curvature(d)
+
+    @pytest.mark.deep
+    @settings(max_examples=examples(30), deadline=None)
+    @given(st.one_of(morphisms(), morphisms(sparse_algebroids()), anchors()), st.data())
+    def test_pullback_and_chain_map_tables_equal_the_validated_ones(self, phi, data):
+        degree = data.draw(st.integers(0, phi.target.rank))
+        beta = FormField(phi.target, degree, {
+            key: data.draw(coeffs(phi.target.chart)) if data.draw(st.booleans()) else phi.target.chart.zero()
+            for key in combinations(range(phi.target.rank), degree)
+        })
+        with checked_trusted() as built:
+            pullback_form(phi, beta)
+            check_morphism(phi)
+        assert built
+
+    def test_a_tangent_target_takes_no_d_A_and_no_curvature(self, monkeypatch):
+        """With unit sections the tangent target's modular cocycle is zero:
+        relative_modular returns the held source cocycle, and the relative
+        representation holds its vanishing curvature, so the dphi identity
+        computes only the pulled dual's curvature."""
+        import algebroids.morphisms as morphisms
+        import algebroids.reps as reps
+
+        R2 = Chart("R2", ("x", "y"))
+        x = R2.coord("x")
+        b, incl = subalgebroid_from_vector_fields("F", R2, [[exp(x), R2.zero()], [R2.zero(), R2.one()]])
+        sec_b, sec_t = triv(b), triv(incl.target)
+        d_A_calls, curvatures = [], []
+        monkeypatch.setattr(morphisms, "d_A", lambda alpha: d_A_calls.append(alpha))
+        curvature = Representation.curvature.func
+        monkeypatch.setattr(Representation.curvature, "func", lambda d: curvatures.append(d) or curvature(d))
+        rel = relative_modular(incl, sec_b, sec_t)
+        assert rel is sec_b.modular and not rel.is_zero()
+        d = relative_canonical_rep(incl, sec_b, sec_t)
+        assert (char_cocycle(d, LineSection(R2.one())) - rel).is_zero()
+        assert d_A_calls == []
+        assert [c.name for c in curvatures] == [f"{incl.name}!D^TR2*"]
+        assert check_flat(d).passed
+
     def test_identity_is_zero(self):
         b = cylinder_algebroid()
         assert relative_modular(identity_morphism(b), triv(b), triv(b)).is_zero()

@@ -64,3 +64,17 @@ def test_the_library_is_traced_and_the_profile_restored():
     reached = {names[key] for key in got if key in names}
     assert "symexpr.Chart.coord" in reached
     assert "cohomology.classify" not in reached
+
+
+def test_the_committed_list_gives_each_name_a_reason():
+    names = set(reach.defined().values())
+    listed = reach.listed()
+    assert listed and all(listed.values())
+    assert set(listed) <= names
+    assert list(listed) == sorted(listed)
+
+
+def test_the_list_reads_one_name_and_reason_per_line(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_text("# header\n\ncore.zero_form  # public constructor\nsymexpr.point_chart # kept\n")
+    assert reach.listed(path) == {"core.zero_form": "public constructor", "symexpr.point_chart": "kept"}

@@ -39,11 +39,13 @@ from conftest import (
     cylinder_algebroid,
     examples,
     frame_algebroids,
+    fresh_curvature,
     random_lie_algebra,
     reference_check_flat,
     reference_modular_cocycle,
     so3,
     sparse_algebroids,
+    units,
 )
 
 
@@ -66,18 +68,18 @@ def exact_line_rep(a, f, name="Dexact"):
 
 
 @st.composite
-def line_sum_reps(draw, algebroids=frame_algebroids(), max_rank=2):
+def line_sum_reps(draw, algebroids=frame_algebroids(), max_rank=2, flat=False):
     """A flat representation on an algebroid of ``algebroids``: a sum of
     one to ``max_rank`` exact line representations, g_i =
-    diag(rho(e_i)(f_s)).  In half the draws one or two entries g_i[s][t]
-    are shifted by a random coefficient, so that the connection is in
-    general no longer flat."""
+    diag(rho(e_i)(f_s)).  Unless ``flat``, in half the draws one or two
+    entries g_i[s][t] are shifted by a random coefficient, so that the
+    connection is in general no longer flat."""
     a = draw(algebroids)
     m = draw(st.integers(1, max_rank))
     fs = [draw(coeffs(a.chart)) for _ in range(m)]
     zero = a.chart.zero()
     mats = [[[a.rho_apply(i, fs[s]) if s == t else zero for t in range(m)] for s in range(m)] for i in range(a.rank)]
-    perturbed = draw(st.booleans())
+    perturbed = not flat and draw(st.booleans())
     if perturbed:
         for _ in range(draw(st.integers(1, 2))):
             i, s, t = (draw(st.integers(0, n - 1)) for n in (a.rank, m, m))
@@ -120,6 +122,44 @@ def flat_matches_the_reference(drawn, tier1=100):
         assert rep.to_dict() == reference_check_flat(d).to_dict()
 
     return test
+
+
+@st.composite
+def reps_on(draw, a):
+    """A representation on ``a``, flat in about half the draws, that holds
+    its curvature (computed when drawn) in three draws out of four."""
+    d = draw(st.one_of(line_sum_reps(st.just(a), flat=True), line_sum_reps(st.just(a)), small_reps(st.just(a))))
+    if draw(st.integers(0, 3)):
+        d.curvature
+    return d
+
+
+def holds_flat(d):
+    return "curvature" in d.__dict__ and d.is_flat()
+
+
+class TestHeldCurvature:
+    """A dual or tensor product of representations that hold a vanishing
+    curvature holds one, and every held curvature is the one a fresh
+    representation on the same matrices computes."""
+
+    @pytest.mark.deep
+    @settings(max_examples=examples(60), deadline=None)
+    @given(SMALL_ALGEBROIDS, st.data())
+    def test_dual_and_tensor_hold_the_fresh_curvature(self, a, data):
+        d1, d2 = data.draw(reps_on(a)), data.draw(reps_on(a))
+        event("both factors hold flat" if holds_flat(d1) and holds_flat(d2) else "computed")
+        dual, tensor = dual_rep(d1), tensor_rep(d1, d2)
+        assert holds_flat(dual) == holds_flat(d1)
+        assert holds_flat(tensor) == (holds_flat(d1) and holds_flat(d2))
+        for d in (dual, tensor):
+            assert dict(d.curvature) == fresh_curvature(d)
+
+    def test_a_factor_holding_no_curvature_leaves_it_to_be_computed(self, R2):
+        tm = tangent_algebroid(R2)
+        d = exact_line_rep(tm, R2.coord("x"))
+        assert "curvature" not in tensor_rep(d, dual_rep(d)).__dict__
+        assert "curvature" not in d.__dict__
 
 
 class TestCheckFlat:
@@ -374,19 +414,6 @@ class TestCharCocycle:
             with pytest.raises(RepresentationError) as err:
                 char_cocycle(d, LineSection(d.chart.one()))
             assert str(err.value) == f"characteristic cocycle is not closed: d = {res}"
-
-
-@st.composite
-def units(draw, chart):
-    """A unit of the chart's functions: q exp(sum_k d_k x_k) over the
-    non-periodic coordinates, q a non-zero rational."""
-    q = Fraction(draw(st.sampled_from([-3, -1, 1, 2, 5])), draw(st.integers(1, 3)))
-    f = chart.const(q)
-    for name, per in zip(chart.coords, chart.periodic):
-        d = draw(st.integers(-2, 2))
-        if d and not per:
-            f = f * exp(d * chart.coord(name))
-    return f
 
 
 def modular_cocycle_matches_the_reference(algebroids):

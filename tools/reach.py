@@ -1,6 +1,6 @@
 """List the functions and methods of the library that no run enters.
 
-    python tools/reach.py
+    python tools/reach.py [--check]
 
 Stdlib only.  It records, through `sys.setprofile` call events, every
 function and method defined under `src/algebroids` that is entered while
@@ -17,10 +17,15 @@ It prints the functions and methods never entered, sorted, one
 `symexpr.ScalarFn.__rsub__`).  A function is known by the file and first
 line of its code, so nested functions count, and a decorated one is found
 at its first decorator; lambdas and comprehensions are not listed.
+
+With ``--check`` it then exits 1 if a printed name is not in the committed
+list `tools/reach_unreached.txt`, which gives each name its reason, and
+names the listed ones that a run now enters, which can leave the list.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -30,6 +35,7 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "algebroids"
+LISTED = ROOT / "tools" / "reach_unreached.txt"
 
 
 def defined(package: Path = PACKAGE) -> dict[tuple[str, int], str]:
@@ -99,7 +105,30 @@ def unreached(run: Callable[[], object], package: Path = PACKAGE) -> list[str]:
     return sorted(name for key, name in defined(package).items() if key not in reached)
 
 
+def listed(path: Path = LISTED) -> dict[str, str]:
+    """name -> reason of a committed list: one ``name  # reason`` per line,
+    blank lines and lines starting with ``#`` skipped."""
+    out = {}
+    for line in path.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, _, reason = line.partition("#")
+            out[name.strip()] = reason.strip()
+    return out
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="List the library functions no run enters.")
+    parser.add_argument("--check", action="store_true", help=f"exit 1 on a name not in {LISTED.relative_to(ROOT)}")
+    check = parser.parse_args().check
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
-    for name in unreached(sweep):
+    names = unreached(sweep)
+    for name in names:
         print(name)
+    if check:
+        known = listed()
+        new = [name for name in names if name not in known]
+        for name in sorted(set(known) - set(names)):
+            print(f"reached now, can leave the list: {name}", file=sys.stderr)
+        for name in new:
+            print(f"unreached and not listed in {LISTED.relative_to(ROOT)}: {name}", file=sys.stderr)
+        sys.exit(1 if new else 0)
