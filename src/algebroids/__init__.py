@@ -14,7 +14,6 @@ from .core import (
     check_axioms,
     d_A,
     interior,
-    lie_top,
     schouten,
     tangent_algebroid,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "dual_rep",
     "exp",
     "interior",
-    "lie_top",
     "modular_cocycle",
     "parse_expr",
     "period_certificate",

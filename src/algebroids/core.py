@@ -5,17 +5,17 @@ field rho(e_i) in coordinates, which the calculus reads as the sparse row
 of its non-zero entries) and structure functions C^k_ij for i < j.
 Forms and multivectors are stored on strictly increasing index tuples, so
 antisymmetry is structural.  The differential, interior products, the
-Schouten–Gerstenhaber bracket and Lie derivatives of top forms are all
-computed exactly in the scalar-function ring; the one coefficient of a
-frame section's bracket with a top multivector that the modular classes
-read has its closed trace form, `top_bracket`.
+Schouten–Gerstenhaber bracket are all computed exactly in the
+scalar-function ring; the one coefficient of a frame section's bracket
+with a top multivector that the modular classes read has its closed trace
+form, `top_bracket`, and a presentation holds its modular cocycle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence, Union
 
@@ -97,6 +97,21 @@ class AlgebroidPresentation:
 
     def __repr__(self) -> str:
         return f"AlgebroidPresentation({self.name!r}, rank {self.rank} over {self.chart.name})"
+
+    @cached_property
+    def modular(self) -> "FormField":
+        """The modular cocycle of the unit trivialization, held once built:
+        on e_i the structure trace sum_k C^k_ik (`top_bracket`) plus the
+        anchor divergence sum_l d rho(e_i)_l / dx_l, certified closed by one
+        d_A (AlgebroidError otherwise)."""
+        one, coords = self.chart.one(), self.chart.coords
+        divergence = lambda i: lincomb(self.chart, [(1, f.partial(coords[l])) for l, f in self.anchor_rows[i]])
+        comps = {(i,): top_bracket(self, i, one) + divergence(i) for i in range(self.rank)}
+        alpha = FormField._trusted(self, 1, comps)
+        res = d_A(alpha)
+        if not res.is_zero():
+            raise AlgebroidError(f"modular cocycle is not closed: d = {res}")
+        return alpha
 
     # -- structure access ------------------------------------------------
 
@@ -533,24 +548,6 @@ def top_bracket(a: AlgebroidPresentation, i: int, s: ScalarFn) -> ScalarFn:
         elif v == i and u in comps:
             pieces.append((-1, s, comps[u]))
     return lincomb(a.chart, pieces)
-
-
-def lie_top(
-    v: Sequence[ScalarFn], mu: FormField
-) -> FormField:
-    """Lie derivative of a top-degree form on a tangent presentation.
-
-    For mu = g dx_1^..^dx_n and v = sum v_i d/dx_i this is
-    (sum_i d(g v_i)/dx_i) dx_1^..^dx_n, summed over the non-zero v_i.
-    """
-    a = mu.algebroid
-    chart = a.chart
-    if mu.degree != chart.dim or a.rank != chart.dim:
-        raise DegreeMismatch("lie_top expects a top form on a tangent presentation")
-    key = tuple(range(chart.dim))
-    g = mu.comps.get(key, chart.zero())
-    total = lincomb(chart, [(1, (g * f).partial(chart.coords[l])) for l, f in _nonzero(v)])
-    return FormField(a, mu.degree, {key: total})
 
 
 # ---------------------------------------------------------------------------

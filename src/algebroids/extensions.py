@@ -62,7 +62,6 @@ from .reps import (
     Representation,
     canonical_sections,
     char_cocycle,
-    check_flat,
 )
 from .symexpr import ScalarFn, lincomb
 
@@ -180,8 +179,8 @@ def _bracket_action(
 
 
 def _flat(d: Representation, error: type[ExtensionError], message: str) -> Representation:
-    """``d``, once `check_flat` passes on it; ``error(message)`` otherwise."""
-    if not check_flat(d).passed:
+    """``d``, once it is flat; ``error(message)`` otherwise."""
+    if not d.is_flat():
         raise error(message)
     return d
 
@@ -316,10 +315,9 @@ def verify_extension_identity(
     a, b = ext.total, ext.quotient
     chart = a.chart
     rep = CheckReport("extension modular identity")
-    omega = top_multivector(a, chart.one())
+    omega, nu = canonical_sections(a)
     mu = mu_quotient if mu_quotient is not None else top_form(b, chart.one())
     s_mu = mu.comps.get(tuple(range(b.rank)), chart.zero())
-    nu = top_form(tangent_algebroid(chart), chart.one())
     theta = relative_modular(
         ext.proj, Trivialization(omega, nu), Trivialization(top_multivector(b, s_mu.unit_inverse()), nu)
     )
@@ -371,6 +369,11 @@ def quotient_top_rep(
     return _flat(d, ExtensionError, "cokernel top representation is not flat")
 
 
+def _canonical(a: AlgebroidPresentation) -> Trivialization:
+    """The unit trivialization of ``a``, whose cocycle is ``a.modular``."""
+    return Trivialization(*canonical_sections(a))
+
+
 def _identity(
     rep: CheckReport, name: str, lhs: FormField, rhs: FormField, space: AnsatzSpace
 ) -> None:
@@ -410,11 +413,9 @@ def verify_constant_rank_identity(
     rep.add("morphism factors through the image", ok)
     dq = quotient_top_rep(b_in_ambient, complement)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
-    # one canonical trivialization, so one modular cocycle, per distinct algebroid
-    trivs = {id(alg): Trivialization(*canonical_sections(alg)) for alg in (a, b, amb)}
-    mod_phi = relative_modular(phi, trivs[id(a)], trivs[id(amb)])
+    mod_phi = relative_modular(phi, _canonical(a), _canonical(amb))
     _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, ext.eta - eta_q), ansatz)
-    mod_b_in_amb = relative_modular(b_in_ambient, trivs[id(b)], trivs[id(amb)])
+    mod_b_in_amb = relative_modular(b_in_ambient, _canonical(b), _canonical(amb))
     _identity(rep, "intermediate identity", -mod_b_in_amb, eta_q, ansatz)
     rep.data["eta_k"] = ext.eta
     rep.data["eta_q"] = eta_q
@@ -498,16 +499,13 @@ class PoissonKit:
     characteristic cocycle of the kernel-top representation.  `mod_sharp`
     is the relative modular cocycle of the anchor `sharp` of the cotangent
     algebroid, and `half` the pull-back of `ext.eta` along sharp_B; the
-    doubling identity says `mod_sharp` is cohomologous to twice `half`.
-    `section` is the canonical trivialization of the cotangent algebroid,
-    which holds the modular cocycle that both relative cocycles read."""
+    doubling identity says `mod_sharp` is cohomologous to twice `half`."""
 
     image_in_tm: Morphism
     sharp: Morphism
     ext: ExtensionPresentation
     mod_sharp: FormField
     half: FormField
-    section: Trivialization
 
 
 def poisson_kit(
@@ -541,9 +539,8 @@ def poisson_kit(
     cpres, incl = span_subalgebroid("C", apres, kernel_columns, "k", "C_in_A")
     lam = LineSection(lam_coeff if lam_coeff is not None else chart.one())
     ext = ExtensionPresentation(cpres, apres, bpres, incl, sharp_b, lam)
-    section = Trivialization(*canonical_sections(apres))
-    mod_sharp = relative_modular(sharp, section, Trivialization(*canonical_sections(tm)))
-    return PoissonKit(b_in_tm, sharp, ext, mod_sharp, pullback_form(sharp_b, ext.eta), section)
+    mod_sharp = relative_modular(sharp, _canonical(apres), _canonical(tm))
+    return PoissonKit(b_in_tm, sharp, ext, mod_sharp, pullback_form(sharp_b, ext.eta))
 
 
 def verify_regular_poisson(
@@ -571,7 +568,7 @@ def verify_regular_poisson(
     rep.data["minors"], rep.data["method"] = verdict.certificate, verdict.method
     extrep = check_extension(ext, seed=seed)
     rep.add("extension data valid", extrep.passed)
-    mod_sharp_b = relative_modular(sharp_b, kit.section, Trivialization(*canonical_sections(bpres)))
+    mod_sharp_b = relative_modular(sharp_b, _canonical(ext.total), _canonical(bpres))
     _identity(rep, "image identity", mod_sharp_b, pulled, ansatz)
     _identity(rep, "doubling identity", mod_sharp, pulled.scale(2), ansatz)
     # duality of the cokernel-top representation with the kernel-top one

@@ -39,6 +39,7 @@ from .reps import (
     Representation,
     RepresentationError,
     _held_flat,
+    _unit_coefficients,
     d_AE,
     dual_rep,
     modular_cocycle,
@@ -272,13 +273,16 @@ class Trivialization:
     """Unit trivializing data for the canonical line bundle of a presentation,
     the one the top multivector ``omega`` lives on.
 
-    The trivialization owns its modular cocycle, `modular`, and the
-    canonical line representation, `line_rep`, each built on first use and
-    held after that.  The class is frozen so that no field can change under
-    them."""
+    The trivialization, refused when it is made as `reps.modular_cocycle`
+    refuses it, owns its modular cocycle, `modular`, and the canonical line
+    representation, `line_rep`, each built on first use and held after
+    that.  The class is frozen so that no field can change under them."""
 
     omega: Multivector
     mu: FormField
+
+    def __post_init__(self):
+        _unit_coefficients(self.omega.algebroid, self.omega, self.mu)
 
     @cached_property
     def modular(self) -> FormField:

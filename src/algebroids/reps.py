@@ -11,7 +11,7 @@ that hold a vanishing curvature holds one from the start.
 
 Also here: characteristic cocycles of line-bundle representations, the
 canonical representation on top-multivectors tensor top-coforms, and the
-modular cocycle of a presentation.
+modular cocycle of a trivialization, read off the presentation's own.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ from .core import (
     FormField,
     Multivector,
     d_A,
-    lie_top,
     one_form,
     tangent_algebroid,
-    top_bracket,
     top_form,
     top_multivector,
 )
@@ -298,38 +296,36 @@ def _certify_closed(alpha: FormField, what: str) -> None:
         raise RepresentationError(f"{what} is not closed: d = {res}")
 
 
+def _unit_coefficients(a: AlgebroidPresentation, omega: Multivector, mu: FormField) -> tuple[ScalarFn, ScalarFn]:
+    """The unit coefficients (s, g) of omega = s e_1^..^e_r on ``a`` and
+    mu = g dx_1^..^dx_n on its chart; RepresentationError or NotAUnit else."""
+    if omega.degree != a.rank or omega.algebroid != a:
+        raise RepresentationError("omega must be a top multivector on the presentation")
+    s = omega.component(range(a.rank))
+    s.unit_inverse()  # NotAUnit unless a unit
+    if mu.degree != a.chart.dim or mu.algebroid.chart != a.chart:
+        raise RepresentationError("mu must be a top form on the tangent presentation")
+    g = mu.component(range(a.chart.dim))
+    g.unit_inverse()
+    return s, g
+
+
 def modular_cocycle(
     a: AlgebroidPresentation, omega: Multivector, mu: FormField
 ) -> FormField:
-    """Modular cocycle for the trivializing section omega (x) mu.
+    """Modular cocycle for the trivializing section omega (x) mu, with
+    omega = s e_1^..^e_r and mu = g dx_1^..^dx_n of unit coefficients.
 
-    omega is a top multivector on the presentation with unit coefficient,
-    mu a top form on the tangent presentation of the chart.  The value on
-    e_i is the coefficient of [e_i, omega] relative to omega plus that of
-    the Lie derivative of mu along rho(e_i) relative to mu.  With omega =
-    s e_1^..^e_r the first is the trace formula `top_bracket`,
-    (rho(e_i)(s) + s sum_k C^k_ik) / s, read off without the graded
-    bracket.
+    Rescaling the unit trivialization by u = s g adds d_A log u, so this is
+    `AlgebroidPresentation.modular` itself when u is constant, else that
+    plus (rho(e_i)(u) / u)_i, certified closed.
     """
-    chart = a.chart
-    top_key = tuple(range(a.rank))
-    s = omega.comps.get(top_key, chart.zero())
-    if omega.degree != a.rank or omega.algebroid != a:
-        raise RepresentationError("omega must be a top multivector on the presentation")
-    s_inv = s.unit_inverse()
-    tm = mu.algebroid
-    mu_key = tuple(range(chart.dim))
-    g = mu.comps.get(mu_key, chart.zero())
-    if mu.degree != chart.dim or tm.chart != chart:
-        raise RepresentationError("mu must be a top form on the tangent presentation")
-    g_inv = g.unit_inverse()
-    comps = []
-    for i in range(a.rank):
-        t1 = top_bracket(a, i, s) * s_inv
-        lie = lie_top(list(a.anchor[i]), mu)
-        t2 = lie.comps.get(mu_key, chart.zero()) * g_inv
-        comps.append(t1 + t2)
-    alpha = one_form(a, comps)
+    s, g = _unit_coefficients(a, omega, mu)
+    u = s * g
+    if u.is_constant():
+        return a.modular
+    inv = u.unit_inverse()
+    alpha = a.modular + one_form(a, [a.rho_apply(i, u) * inv for i in range(a.rank)])
     _certify_closed(alpha, "modular cocycle")
     return alpha
 

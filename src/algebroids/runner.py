@@ -155,8 +155,8 @@ class Session:
     chart, each built on first use.  So each space factors d_A once per
     algebroid it is asked about (one cotangent algebroid per Poisson
     structure).  An extension holds its own representations, and each
-    section is the one `trivialization` chooses, so the canonical modular
-    cocycle of an algebroid is built once per session."""
+    algebroid its canonical modular cocycle, so that cocycle is built once
+    per algebroid object."""
 
     def __init__(self, sc: Scenario, seed: int = 0):
         self.sc = sc
@@ -171,14 +171,12 @@ class Session:
 
     def trivialization(self, alg: AlgebroidPresentation) -> Trivialization:
         """The section declared for the scenario algebroid that is `alg`
-        (identity, not equality), else the canonical one, built once per
-        algebroid object."""
+        (identity, not equality), else the canonical one, whose cocycle is
+        the one `alg` holds (`AlgebroidPresentation.modular`)."""
         for name, triv in self.sc.sections.items():
             if self.sc.algebroids[name] is alg:
                 return triv
-        # keyed by identity; the held pair keeps `alg`, so its id is not reused
-        build = lambda: (alg, Trivialization(*canonical_sections(alg)))
-        return self._hold("canonical trivialization", id(alg), build)[1]
+        return Trivialization(*canonical_sections(alg))
 
     def ansatz(self, chart) -> AnsatzSpace:
         sc = self.sc

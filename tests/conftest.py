@@ -1,6 +1,7 @@
 """Shared builders: charts, stock algebroids, randomized generators."""
 
 import contextlib
+import functools
 import itertools
 import random
 from bisect import bisect_left
@@ -811,6 +812,22 @@ def checked_trusted():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_AltTable, "_trusted", classmethod(checked))
         yield built
+
+
+def count_modular_builds(monkeypatch):
+    """The list to which each `AlgebroidPresentation.modular` build appends
+    its algebroid, until ``monkeypatch`` is undone."""
+    built = []
+    build = AlgebroidPresentation.__dict__["modular"].func
+
+    def counted(a):
+        built.append(a)
+        return build(a)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(AlgebroidPresentation, "modular")
+    monkeypatch.setattr(AlgebroidPresentation, "modular", prop)
+    return built
 
 
 @st.composite

@@ -46,7 +46,14 @@ from algebroids.runner import Session
 from algebroids.scenario import parse_scenario
 from algebroids.symexpr import Chart, exp, sin
 
-from conftest import capture_sampled_points, count_sampling, frame_algebroids, reference_points, sparse_algebroids
+from conftest import (
+    capture_sampled_points,
+    count_modular_builds,
+    count_sampling,
+    frame_algebroids,
+    reference_points,
+    sparse_algebroids,
+)
 
 
 R1 = Chart("R1", ("x",))
@@ -453,11 +460,7 @@ class TestConstantRankIdentity:
         """The quotient is the ambient algebroid itself (as in
         extension_rank1.scn): its canonical modular cocycle is built once,
         and the total algebroid's once."""
-        import algebroids.morphisms as morphisms
-
-        built = []
-        real = morphisms.modular_cocycle
-        monkeypatch.setattr(morphisms, "modular_cocycle", lambda a, omega, mu: built.append(a) or real(a, omega, mu))
+        built = count_modular_builds(monkeypatch)
         ext = abelian_kernel_extension()
         tm = ext.quotient
         rep = verify_constant_rank_identity(ext.proj, ext, identity_morphism(tm), [[] for _ in range(tm.rank)], AnsatzSpace(R2, degree=3))

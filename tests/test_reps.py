@@ -7,6 +7,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from algebroids.core import (
+    AlgebroidError,
+    AlgebroidPresentation,
     d_A,
     function_form,
     one_form,
@@ -432,10 +434,53 @@ def modular_cocycle_matches_the_reference(algebroids):
     return test
 
 
+def canonical_cocycle_matches_the_reference(algebroids):
+    """The property, over the algebroids ``algebroids`` draws, that the
+    cocycle a presentation holds is the graded-calculus cocycle of its unit
+    trivialization."""
+
+    @pytest.mark.deep
+    @settings(deadline=None)
+    @given(algebroids)
+    def test(self, alg):
+        assert alg.modular == reference_modular_cocycle(alg, *canonical_sections(alg))
+
+    return test
+
+
 class TestModularCocycle:
     test_matches_the_reference = modular_cocycle_matches_the_reference(frame_algebroids())
     # sparse anchor rows, with zero and non-zero structure diagonals
     test_sparse_rows_match_the_reference = modular_cocycle_matches_the_reference(sparse_algebroids())
+    test_canonical_matches_the_reference = canonical_cocycle_matches_the_reference(frame_algebroids())
+    test_sparse_canonical_matches_the_reference = canonical_cocycle_matches_the_reference(sparse_algebroids())
+
+    def test_constant_rescaling_returns_the_held_cocycle(self):
+        b = cylinder_algebroid()
+        x = b.chart.coord("x")
+        # s g = 2 exp(x) exp(-x) = 2
+        omega = top_multivector(b, 2 * exp(x))
+        mu = top_form(tangent_algebroid(b.chart), exp(-x))
+        assert modular_cocycle(b, omega, mu) is b.modular
+        assert modular_cocycle(b, *canonical_sections(b)) is b.modular
+
+    def test_non_constant_rescaling_adds_its_log_derivative(self):
+        b = cylinder_algebroid()
+        x = b.chart.coord("x")
+        omega = top_multivector(b, exp(x))
+        # rho(b)(exp(x)) / exp(x) = x
+        assert modular_cocycle(b, omega, canonical_sections(b)[1]) == b.modular + one_form(b, [x])
+
+    def test_a_canonical_cocycle_that_is_not_closed_is_refused(self, R2):
+        # e1 = d/dx, e2 = x d/dy with [e1, e2] = y e2 breaks the anchor
+        # homomorphism; its canonical cocycle y e^1 has d = -x e^1^e^2
+        x, y = R2.coord("x"), R2.coord("y")
+        a = AlgebroidPresentation("bad", R2, ("e1", "e2"), [[R2.one(), R2.zero()], [R2.zero(), x]], {(0, 1): {1: y}})
+        res = d_A(one_form(a, [y, R2.zero()]))
+        assert not res.is_zero()
+        with pytest.raises(AlgebroidError) as err:
+            a.modular
+        assert str(err.value) == f"modular cocycle is not closed: d = {res}"
 
     def test_tangent_unimodular(self, R2):
         tm = tangent_algebroid(R2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids import cohomology, extensions, morphisms, runner
+from algebroids import cohomology, extensions, runner
 from algebroids import scenario
 from algebroids.cli import corpus_scenarios, load_scenario, main
 from algebroids.core import same_presentation
@@ -14,7 +14,7 @@ from algebroids.runner import Session, run
 from algebroids.scenario import _ASSERTIONS, _STATEMENTS, ScenarioError, _strip_comments, parse_scenario
 from algebroids.symexpr import exp
 
-from conftest import frame_algebroids
+from conftest import count_modular_builds, frame_algebroids
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -64,6 +64,9 @@ BLOCK_ERRORS = [
         id='algebroid-field',
     ),
     pytest.param('section B { foo = 1 }', 1, "unknown section field 'foo'", id='section-field'),
+    pytest.param(
+        'section B {\n  omega = x ; mu = 1\n}', 1, "not a unit of the expression class: x", id='section-not-a-unit'
+    ),
     pytest.param('rep R on B { foo e }', 1, "unknown rep field 'foo'", id='rep-field'),
     pytest.param(
         'morphism m : B -> B { foo = [[1]] }',
@@ -694,27 +697,23 @@ class TestRunner:
         report = run(parse_scenario(TWIN_SNIPPET, "twins"))
         assert [r.verdict for r in report.results] == ["pass", "pass"]
 
-    def test_session_holds_one_canonical_trivialization_per_algebroid(self):
+    def test_canonical_trivializations_read_the_algebroids_cocycle(self, monkeypatch):
+        # every session's canonical trivialization of A reads the one
+        # cocycle A holds; A2's declared section is its own
         sc = parse_scenario(TWIN_SNIPPET, "twins")
+        built = count_modular_builds(monkeypatch)
         session = Session(sc)
         a, a2 = sc.algebroid("A"), sc.algebroid("A2")
         assert session.trivialization(a2) is sc.sections["A2"]
-        assert session.trivialization(a) is session.trivialization(a)
-        assert session.trivialization(a) is not Session(sc).trivialization(a)
+        assert session.trivialization(a).modular is Session(sc).trivialization(a).modular is a.modular
+        assert built == [a]
 
     def test_canonical_cocycle_is_built_once_per_algebroid(self, monkeypatch):
         # every query of cylinder.scn about B reads the one canonical
-        # trivialization the session holds for it
-        seen = []
-        build = morphisms.modular_cocycle
-
-        def counted(a, omega, mu):
-            seen.append(a.name)
-            return build(a, omega, mu)
-
-        monkeypatch.setattr(morphisms, "modular_cocycle", counted)
+        # cocycle B holds
+        built = count_modular_builds(monkeypatch)
         assert run(load_scenario("cylinder.scn"), seed=0).passed
-        assert seen.count("B") == 1
+        assert [a.name for a in built].count("B") == 1
 
     def test_diagram_arrows_tell_equal_objects_apart(self):
         text = TWIN_SNIPPET + "diagram D { objects A A2 ; arrow m }\nassert diagram D coboundary pass\n"
@@ -971,6 +970,11 @@ class TestCLI:
                 "assert equal zero B =\n  pull m zero B\n",
                 4,
             ),
+            (
+                "chart N { coords x }\nalgebroid B on N { frame b ; anchor b = (1) }\n"
+                "section B { omega = x ; mu = 1 }\nassert axioms B pass\n",
+                3,
+            ),
         ],
         ids=[
             "unknown-coordinate",
@@ -983,6 +987,7 @@ class TestCLI:
             "assertion-unknown-rep",
             "spec-unknown-algebroid",
             "spec-unknown-morphism",
+            "section-not-a-unit",
         ],
     )
     def test_parse_errors_exit_2_with_their_line(self, capsys, tmp_path, text, line):
