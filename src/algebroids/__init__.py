@@ -19,7 +19,6 @@ from .core import (
 )
 from .morphisms import (
     Morphism,
-    Trivialization,
     check_morphism,
     compose,
     pullback_form,
@@ -30,10 +29,10 @@ from .morphisms import (
 from .reps import (
     LineSection,
     Representation,
+    Trivialization,
     char_cocycle,
     check_flat,
     dual_rep,
-    modular_cocycle,
     tensor_rep,
 )
 from .symexpr import Chart, ScalarFn, cos, exp, parse_expr, point_chart, sin
@@ -61,7 +60,6 @@ __all__ = [
     "dual_rep",
     "exp",
     "interior",
-    "modular_cocycle",
     "parse_expr",
     "period_certificate",
     "point_chart",

@@ -54,7 +54,7 @@ from math import comb, lcm
 from operator import add
 from typing import Optional, Sequence, Union
 
-from .core import AlgebroidPresentation, FormField, d_A, function_form
+from .core import AlgebroidPresentation, FormField, d_A, function_form, is_tangent
 from .morphisms import Morphism, pullback_form
 from .ratlinalg import FactoredSystem, rat_solve
 from .report import CheckReport
@@ -431,7 +431,7 @@ def find_circle_section(
     tangent algebroid the anchor is the identity, so c is the coordinate's
     unit vector, the only solution, and nothing is solved."""
     j = a.chart.index(coord)
-    if _is_tangent(a):
+    if is_tangent(a):
         return tuple(Fraction(int(i == j)) for i in range(a.rank))
     target = [
         a.chart.one() if k == j else a.chart.zero() for k in range(a.chart.dim)
@@ -547,16 +547,6 @@ def antiderivative(f: ScalarFn, j: int) -> ScalarFn:
     return ScalarFn._make(f.chart, items, den * f.den)
 
 
-def _is_tangent(a: AlgebroidPresentation) -> bool:
-    """Identity anchor on the chart's coordinates and no brackets, so that
-    d_A f is (df/dx_i)_i."""
-    return (
-        a.rank == a.chart.dim
-        and not a.structure
-        and all(row == ((i, 1),) for i, row in enumerate(a.anchor_rows))
-    )
-
-
 def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
     """The primitive of alpha in the space that `solve_exact` finds, or
     None when the space holds none.  A space on another chart is refused,
@@ -574,7 +564,7 @@ def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
         raise PreconditionFailure(NOT_CLOSED)
     if alpha.is_zero():
         return a.chart.zero()
-    if not _is_tangent(a):
+    if not is_tangent(a):
         res = solve_exact(alpha, space)
         return res if isinstance(res, ScalarFn) else None
     coords = a.chart.coords

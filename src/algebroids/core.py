@@ -563,6 +563,16 @@ def tangent_algebroid(chart: Chart, name: Optional[str] = None) -> AlgebroidPres
     return AlgebroidPresentation(name or ("T" + chart.name), chart, frame, anchor, {}, coframe)
 
 
+def is_tangent(a: AlgebroidPresentation) -> bool:
+    """Identity anchor on the chart's coordinates and no brackets, so that
+    d_A f is (df/dx_i)_i: ``a`` presents the tangent algebroid of its chart."""
+    return (
+        a.rank == a.chart.dim
+        and not a.structure
+        and all(row == ((i, 1),) for i, row in enumerate(a.anchor_rows))
+    )
+
+
 def zero_algebroid(chart: Chart, name: Optional[str] = None) -> AlgebroidPresentation:
     return AlgebroidPresentation(name or ("0_" + chart.name), chart, (), (), {})
 

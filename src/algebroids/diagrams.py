@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import AlgebroidPresentation, FormField
-from .morphisms import Morphism, Trivialization, check_morphism, compose, pullback_form, relative_modular
+from .morphisms import Morphism, check_morphism, compose, pullback_form, relative_modular
 from .report import CheckReport
+from .reps import Trivialization
 
 
 class DiagramError(Exception):
@@ -119,7 +120,7 @@ def modular_cochain(
     """The object-wise modular cocycles for chosen trivializations, the
     ones the trivializations hold."""
     return {
-        name: sections[name].modular_on(alg)
+        name: sections[name].on(alg).modular
         for name, alg in diagram.objects.items()
     }
 

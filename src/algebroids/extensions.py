@@ -36,11 +36,9 @@ from .core import (
     tangent_algebroid,
     top_bracket,
     top_form,
-    top_multivector,
 )
 from .morphisms import (
     Morphism,
-    Trivialization,
     base_preserving_morphism,
     check_morphism,
     compose,
@@ -60,7 +58,7 @@ from .report import CheckReport
 from .reps import (
     LineSection,
     Representation,
-    canonical_sections,
+    Trivialization,
     char_cocycle,
 )
 from .symexpr import ScalarFn, lincomb
@@ -83,9 +81,7 @@ class LiftSolveFailure(ExtensionError):
 
 
 class NotPoisson(ExtensionError):
-    def __init__(self, residual: Multivector):
-        super().__init__(f"bracket square of the bivector is nonzero: {residual}")
-        self.residual = residual
+    pass
 
 
 @dataclass(frozen=True)
@@ -315,18 +311,16 @@ def verify_extension_identity(
     a, b = ext.total, ext.quotient
     chart = a.chart
     rep = CheckReport("extension modular identity")
-    omega, nu = canonical_sections(a)
+    sec = Trivialization.of(a)
     mu = mu_quotient if mu_quotient is not None else top_form(b, chart.one())
     s_mu = mu.comps.get(tuple(range(b.rank)), chart.zero())
-    theta = relative_modular(
-        ext.proj, Trivialization(omega, nu), Trivialization(top_multivector(b, s_mu.unit_inverse()), nu)
-    )
+    theta = relative_modular(ext.proj, sec, Trivialization.of(b, s_mu.unit_inverse()))
     rep.add("theta closed", True)  # relative_modular raises on a theta that is not closed
     pulled = pullback_form(ext.proj, ext.eta)
     # compatibility: contraction of omega by the pulled-back mu against the
     # included invariant section
     mu_up = pullback_form(ext.proj, mu)
-    contracted = interior_form(mu_up, omega)
+    contracted = interior_form(mu_up, sec.omega)
     target = _image_multivector(ext).scale(ext.lam.coefficient)
     q = rational_multiple(contracted, target)
     compatible = q is not None and q != 0
@@ -369,11 +363,6 @@ def quotient_top_rep(
     return _flat(d, ExtensionError, "cokernel top representation is not flat")
 
 
-def _canonical(a: AlgebroidPresentation) -> Trivialization:
-    """The unit trivialization of ``a``, whose cocycle is ``a.modular``."""
-    return Trivialization(*canonical_sections(a))
-
-
 def _identity(
     rep: CheckReport, name: str, lhs: FormField, rhs: FormField, space: AnsatzSpace
 ) -> None:
@@ -413,9 +402,9 @@ def verify_constant_rank_identity(
     rep.add("morphism factors through the image", ok)
     dq = quotient_top_rep(b_in_ambient, complement)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
-    mod_phi = relative_modular(phi, _canonical(a), _canonical(amb))
+    mod_phi = relative_modular(phi, Trivialization.of(a), Trivialization.of(amb))
     _identity(rep, "main identity", mod_phi, pullback_form(ext.proj, ext.eta - eta_q), ansatz)
-    mod_b_in_amb = relative_modular(b_in_ambient, _canonical(b), _canonical(amb))
+    mod_b_in_amb = relative_modular(b_in_ambient, Trivialization.of(b), Trivialization.of(amb))
     _identity(rep, "intermediate identity", -mod_b_in_amb, eta_q, ansatz)
     rep.data["eta_k"] = ext.eta
     rep.data["eta_q"] = eta_q
@@ -444,7 +433,7 @@ def cotangent_algebroid(
         raise ExtensionError("expected a bivector on a tangent presentation")
     res = schouten(pi, pi)
     if not res.is_zero():
-        raise NotPoisson(res)
+        raise NotPoisson(f"bracket square of the bivector is nonzero: {res}")
     n = chart.dim
     frame = tuple("d" + c for c in chart.coords)
     anchor = [[pi.component((i, j)) for j in range(n)] for i in range(n)]
@@ -539,7 +528,7 @@ def poisson_kit(
     cpres, incl = span_subalgebroid("C", apres, kernel_columns, "k", "C_in_A")
     lam = LineSection(lam_coeff if lam_coeff is not None else chart.one())
     ext = ExtensionPresentation(cpres, apres, bpres, incl, sharp_b, lam)
-    mod_sharp = relative_modular(sharp, _canonical(apres), _canonical(tm))
+    mod_sharp = relative_modular(sharp, Trivialization.of(apres), Trivialization.of(tm))
     return PoissonKit(b_in_tm, sharp, ext, mod_sharp, pullback_form(sharp_b, ext.eta))
 
 
@@ -568,7 +557,7 @@ def verify_regular_poisson(
     rep.data["minors"], rep.data["method"] = verdict.certificate, verdict.method
     extrep = check_extension(ext, seed=seed)
     rep.add("extension data valid", extrep.passed)
-    mod_sharp_b = relative_modular(sharp_b, _canonical(ext.total), _canonical(bpres))
+    mod_sharp_b = relative_modular(sharp_b, Trivialization.of(ext.total), Trivialization.of(bpres))
     _identity(rep, "image identity", mod_sharp_b, pulled, ansatz)
     _identity(rep, "doubling identity", mod_sharp, pulled.scale(2), ansatz)
     # duality of the cokernel-top representation with the kernel-top one

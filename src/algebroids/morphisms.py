@@ -15,20 +15,20 @@ pair, with no form pulled back or differentiated.  A morphism holds its
 base map as one `symexpr.ChartMap`, prepared when the morphism is made,
 and every composition goes through it.  Within one call each target
 function is composed with the base map once, on first use (`_pull_once`);
-no composed function is kept between calls.
+no composed function is kept between calls.  The relative modular
+calculus reads the cocycles and line representations that each
+`reps.Trivialization` holds; no trivialization is checked or built here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .core import (
     AlgebroidPresentation,
     FormField,
-    Multivector,
     d_A,
     one_form,
 )
@@ -38,12 +38,9 @@ from .reps import (
     EValuedForm,
     Representation,
     RepresentationError,
-    _held_flat,
-    _unit_coefficients,
+    Trivialization,
     d_AE,
     dual_rep,
-    modular_cocycle,
-    modular_rep,
     tensor_rep,
 )
 from .symexpr import ChartMap, ScalarFn, lincomb
@@ -268,46 +265,6 @@ def pullback_rep(phi: Morphism, d: Representation, name: Optional[str] = None) -
     return out
 
 
-@dataclass(frozen=True)
-class Trivialization:
-    """Unit trivializing data for the canonical line bundle of a presentation,
-    the one the top multivector ``omega`` lives on.
-
-    The trivialization, refused when it is made as `reps.modular_cocycle`
-    refuses it, owns its modular cocycle, `modular`, and the canonical line
-    representation, `line_rep`, each built on first use and held after
-    that.  The class is frozen so that no field can change under them."""
-
-    omega: Multivector
-    mu: FormField
-
-    def __post_init__(self):
-        _unit_coefficients(self.omega.algebroid, self.omega, self.mu)
-
-    @cached_property
-    def modular(self) -> FormField:
-        """`reps.modular_cocycle` for omega (x) mu, certified closed."""
-        return modular_cocycle(self.omega.algebroid, self.omega, self.mu)
-
-    @cached_property
-    def line_rep(self) -> Representation:
-        """`reps.modular_rep` of `modular`, holding an all-None curvature:
-        on a line the curvature is d_A of the connection form, so the
-        closedness `modular` was certified with is this flatness."""
-        return _held_flat(modular_rep(self.modular))
-
-    def _on(self, a: AlgebroidPresentation) -> "Trivialization":
-        """``self``, refused as `reps.modular_cocycle` refuses it when omega
-        does not live on ``a``."""
-        if self.omega.algebroid != a:
-            raise RepresentationError("omega must be a top multivector on the presentation")
-        return self
-
-    def modular_on(self, a: AlgebroidPresentation) -> FormField:
-        """`modular`, refused when omega does not live on ``a``."""
-        return self._on(a).modular
-
-
 def relative_modular(
     phi: Morphism, sec_src: Trivialization, sec_tgt: Trivialization
 ) -> FormField:
@@ -317,8 +274,8 @@ def relative_modular(
     with unit sections, whose modular cocycle is zero) that is the source
     cocycle itself, returned as held, closed by its own certificate, with
     no d_A taken."""
-    mod_src = sec_src.modular_on(phi.source)
-    pulled = pullback_form(phi, sec_tgt.modular_on(phi.target))
+    mod_src = sec_src.on(phi.source).modular
+    pulled = pullback_form(phi, sec_tgt.on(phi.target).modular)
     if pulled.is_zero():
         return mod_src
     alpha = mod_src - pulled
@@ -338,8 +295,8 @@ def relative_canonical_rep(
     line reps from their certified cocycles, the dual from its input, the
     pull-back from its own check), so the result holds one too and
     `char_cocycle` computes no curvature on it."""
-    d_src = sec_src._on(phi.source).line_rep
-    d_tgt = sec_tgt._on(phi.target).line_rep
+    d_src = sec_src.on(phi.source).line_rep
+    d_tgt = sec_tgt.on(phi.target).line_rep
     return tensor_rep(d_src, pullback_rep(phi, dual_rep(d_tgt)))
 
 

@@ -43,14 +43,10 @@ from .core import (
     _nonzero,
     _sort_indices,
     _vf_pieces,
-    tangent_algebroid,
-    top_form,
-    top_multivector,
     vector_field_bracket,
 )
 from .morphisms import (
     Morphism,
-    Trivialization,
     base_preserving_morphism,
     check_morphism,
     compose,
@@ -58,6 +54,7 @@ from .morphisms import (
 )
 from .ratlinalg import RANK_SAMPLES, PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
 from .report import CheckReport
+from .reps import Trivialization
 from .symexpr import Chart, ChartMap, ScalarFn, lincomb
 
 
@@ -382,11 +379,7 @@ def verify_submersion_vanishing(
     numer = _sort_indices(base_idx)[0] * built.projection.pull_scalar(nu)
     denom = _sort_indices(fiber_idx + sorted(base_idx))[0] * mu
     h = numer * denom.unit_inverse()
-    omega_up = top_multivector(
-        built.presentation, built.projection.pull_scalar(sigma) * h
-    )
-    mu_form = top_form(tangent_algebroid(source_chart), mu)
-    sec_tgt = Trivialization(top_multivector(b, sigma), top_form(tangent_algebroid(b.chart), nu))
-    residual = relative_modular(built.projection, Trivialization(omega_up, mu_form), sec_tgt)
+    sec_src = Trivialization.of(built.presentation, built.projection.pull_scalar(sigma) * h, mu)
+    residual = relative_modular(built.projection, sec_src, Trivialization.of(b, sigma, nu))
     rep.residual("modular cocycle residual = 0", residual)
     return rep

@@ -9,14 +9,17 @@ use: `check_flat` reports it, and `char_cocycle` reads the closedness of
 a connection form off it.  A dual or tensor product of representations
 that hold a vanishing curvature holds one from the start.
 
-Also here: characteristic cocycles of line-bundle representations, the
-canonical representation on top-multivectors tensor top-coforms, and the
-modular cocycle of a trivialization, read off the presentation's own.
+Also here: characteristic cocycles of line-bundle representations, and
+`Trivialization`, the one owner of a trivialization of the canonical line
+bundle (top multivectors tensor top forms): it checks its sections once
+and holds its modular cocycle, read off the presentation's own, and its
+canonical line representation.  `Trivialization.of` builds one from its
+two coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, product
 from types import MappingProxyType
@@ -27,6 +30,7 @@ from .core import (
     FormField,
     Multivector,
     d_A,
+    is_tangent,
     one_form,
     tangent_algebroid,
     top_form,
@@ -296,64 +300,96 @@ def _certify_closed(alpha: FormField, what: str) -> None:
         raise RepresentationError(f"{what} is not closed: d = {res}")
 
 
-def _unit_coefficients(a: AlgebroidPresentation, omega: Multivector, mu: FormField) -> tuple[ScalarFn, ScalarFn]:
-    """The unit coefficients (s, g) of omega = s e_1^..^e_r on ``a`` and
-    mu = g dx_1^..^dx_n on its chart; RepresentationError or NotAUnit else."""
-    if omega.degree != a.rank or omega.algebroid != a:
-        raise RepresentationError("omega must be a top multivector on the presentation")
-    s = omega.component(range(a.rank))
-    s.unit_inverse()  # NotAUnit unless a unit
-    if mu.degree != a.chart.dim or mu.algebroid.chart != a.chart:
-        raise RepresentationError("mu must be a top form on the tangent presentation")
-    g = mu.component(range(a.chart.dim))
-    g.unit_inverse()
-    return s, g
+@dataclass(frozen=True)
+class Trivialization:
+    """Unit trivializing data omega (x) mu for the canonical line bundle of
+    the presentation omega lives on: omega = s e_1^..^e_r a top multivector
+    on it, mu = g dx_1^..^dx_n a top form on a tangent presentation of its
+    chart, both of unit coefficients.
 
+    The sections are checked once, when the trivialization is made
+    (RepresentationError or NotAUnit), and it holds u = s g, `unit`.  It
+    owns its modular cocycle, `modular`, and the canonical line
+    representation, `line_rep`, each built on first use and held after
+    that.  The class is frozen so that no field can change under them."""
 
-def modular_cocycle(
-    a: AlgebroidPresentation, omega: Multivector, mu: FormField
-) -> FormField:
-    """Modular cocycle for the trivializing section omega (x) mu, with
-    omega = s e_1^..^e_r and mu = g dx_1^..^dx_n of unit coefficients.
+    omega: Multivector
+    mu: FormField
+    unit: ScalarFn = field(init=False, repr=False, compare=False)
 
-    Rescaling the unit trivialization by u = s g adds d_A log u, so this is
-    `AlgebroidPresentation.modular` itself when u is constant, else that
-    plus (rho(e_i)(u) / u)_i, certified closed.
-    """
-    s, g = _unit_coefficients(a, omega, mu)
-    u = s * g
-    if u.is_constant():
-        return a.modular
-    inv = u.unit_inverse()
-    alpha = a.modular + one_form(a, [a.rho_apply(i, u) * inv for i in range(a.rank)])
-    _certify_closed(alpha, "modular cocycle")
-    return alpha
+    def __post_init__(self):
+        omega, mu = self.omega, self.mu
+        if not isinstance(omega, Multivector) or omega.degree != omega.algebroid.rank:
+            raise RepresentationError("omega must be a top multivector on the presentation")
+        chart = omega.algebroid.chart
+        s = omega.component(range(omega.degree))
+        s.unit_inverse()  # NotAUnit unless a unit
+        tangent = isinstance(mu, FormField) and mu.algebroid.chart == chart and is_tangent(mu.algebroid)
+        if not tangent or mu.degree != chart.dim:
+            raise RepresentationError("mu must be a top form on the tangent presentation")
+        g = mu.component(range(chart.dim))
+        g.unit_inverse()
+        object.__setattr__(self, "unit", s * g)
+
+    @classmethod
+    def of(
+        cls, a: AlgebroidPresentation, s: Optional[ScalarFn] = None, g: Optional[ScalarFn] = None
+    ) -> "Trivialization":
+        """s e_1^..^e_r (x) g dx_1^..^dx_n on ``a``, each coefficient the
+        chart's one when omitted: `Trivialization.of(a)` is the unit
+        trivialization, whose cocycle is ``a.modular``."""
+        one = a.chart.one()
+        return cls(
+            top_multivector(a, one if s is None else s),
+            top_form(tangent_algebroid(a.chart), one if g is None else g),
+        )
+
+    @cached_property
+    def modular(self) -> FormField:
+        """The modular cocycle for omega (x) mu.  Rescaling the unit
+        trivialization by u = s g adds d_A log u, so this is
+        `AlgebroidPresentation.modular` itself when u is constant, else
+        that plus (rho(e_i)(u) / u)_i, certified closed."""
+        a, u = self.omega.algebroid, self.unit
+        if u.is_constant():
+            return a.modular
+        inv = u.unit_inverse()
+        alpha = a.modular + one_form(a, [a.rho_apply(i, u) * inv for i in range(a.rank)])
+        _certify_closed(alpha, "modular cocycle")
+        return alpha
+
+    @cached_property
+    def line_rep(self) -> Representation:
+        """The canonical line representation, whose coefficients are the
+        components of `modular`, holding an all-None curvature: on a line
+        the curvature is d_A of the connection form, so the closedness
+        `modular` was certified with is this flatness."""
+        a = self.omega.algebroid
+        mats = [[[self.modular.component((i,))]] for i in range(a.rank)]
+        return _held_flat(Representation(a, (f"L[{a.name}]",), mats, f"D^{a.name}"))
+
+    def on(self, a: AlgebroidPresentation) -> "Trivialization":
+        """``self``, refused when omega does not live on ``a``: the check
+        of a caller that reads `modular` or `line_rep` as those of ``a``."""
+        if self.omega.algebroid != a:
+            raise RepresentationError("omega must be a top multivector on the presentation")
+        return self
 
 
 def canonical_sections(
     a: AlgebroidPresentation,
 ) -> tuple[Multivector, FormField]:
-    """Unit-coefficient trivializations: the frame top multivector and the
-    coordinate volume form."""
-    omega = top_multivector(a, a.chart.one())
-    mu = top_form(tangent_algebroid(a.chart), a.chart.one())
-    return omega, mu
+    """The two sections of `Trivialization.of(a)`: the frame top
+    multivector and the coordinate volume form, of unit coefficients."""
+    triv = Trivialization.of(a)
+    return triv.omega, triv.mu
 
 
 def canonical_rep(
     a: AlgebroidPresentation, omega: Multivector, mu: FormField
 ) -> Representation:
-    """The canonical line representation, trivialized by omega (x) mu.
-
-    Its characteristic cocycle with respect to the unit section equals the
-    modular cocycle for omega (x) mu.
-    """
-    return modular_rep(modular_cocycle(a, omega, mu))
-
-
-def modular_rep(alpha: FormField) -> Representation:
-    """The canonical line representation of the algebroid of ``alpha``, a
-    modular cocycle: its coefficients are the components of ``alpha``."""
-    a = alpha.algebroid
-    mats = [[[alpha.component((i,))]] for i in range(a.rank)]
-    return Representation(a, (f"L[{a.name}]",), mats, f"D^{a.name}")
+    """The canonical line representation, trivialized by omega (x) mu on
+    ``a``: the `line_rep` of that trivialization.  Its characteristic
+    cocycle with respect to the unit section equals the trivialization's
+    modular cocycle."""
+    return Trivialization(omega, mu).on(a).line_rep

@@ -44,7 +44,6 @@ from .extensions import (
     verify_regular_poisson,
 )
 from .morphisms import (
-    Trivialization,
     check_composition_law,
     check_morphism,
     check_rep_morphism,
@@ -63,7 +62,7 @@ from .pullback import (
     product_submersion_frame,
     verify_submersion_vanishing,
 )
-from .reps import LineSection, canonical_sections, char_cocycle, check_flat, dual_rep, tensor_rep
+from .reps import LineSection, Trivialization, char_cocycle, check_flat, dual_rep, tensor_rep
 from .report import CheckReport
 from .scenario import Assertion, Scenario, ScenarioError
 from .symexpr import parse_expr
@@ -176,7 +175,7 @@ class Session:
         for name, triv in self.sc.sections.items():
             if self.sc.algebroids[name] is alg:
                 return triv
-        return Trivialization(*canonical_sections(alg))
+        return Trivialization.of(alg)
 
     def ansatz(self, chart) -> AnsatzSpace:
         sc = self.sc

@@ -38,7 +38,6 @@ from .core import (
     Multivector,
     tangent_algebroid,
     top_form,
-    top_multivector,
     zero_algebroid,
 )
 from .diagrams import Diagram, DiagramError
@@ -46,14 +45,13 @@ from .extensions import ExtensionError, ExtensionPresentation, cotangent_algebro
 from .morphisms import (
     Morphism,
     MorphismError,
-    Trivialization,
     base_preserving_morphism,
     compose,
     identity_morphism,
     pullback_rep,
 )
 from .pullback import PullbackError, PullbackFrame, PullbackFramePair, product_submersion_frame
-from .reps import LineSection, Representation, RepresentationError
+from .reps import LineSection, Representation, RepresentationError, Trivialization
 from .symexpr import Chart, ScalarFn, SymExprError, parse_expr
 
 
@@ -507,8 +505,7 @@ def _stmt_section(cur: _Cursor, sc: Scenario, line: int) -> None:
     expr = lambda got: _eq(cur, _expr, a.chart)
     got = _block(cur, line, "section", {"omega": expr, "mu": expr})
     omega, mu = got.get("omega", a.chart.one()), got.get("mu", a.chart.one())
-    triv = Trivialization(top_multivector(a, omega), top_form(tangent_algebroid(a.chart), mu))
-    _define(sc, "sections", name, triv, cur)
+    _define(sc, "sections", name, Trivialization.of(a, omega, mu), cur)
 
 
 def _stmt_rep(cur: _Cursor, sc: Scenario, line: int) -> None:

@@ -954,7 +954,7 @@ def reference_check_morphism(phi):
 
 
 def reference_modular_cocycle(a, omega, mu):
-    """`reps.modular_cocycle` through the graded calculus: on e_i, the top
+    """`reps.Trivialization(omega, mu).modular` through the graded calculus: on e_i, the top
     coefficient of ``schouten(e_i, omega)`` over that of omega, plus the
     Lie derivative of mu along rho(e_i) over mu, sum_l d(g rho(e_i)_l)/dx_l
     over the dense anchor row."""

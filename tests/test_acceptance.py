@@ -32,7 +32,6 @@ from algebroids.diagrams import delta0, delta1, verify_mod_coboundary
 from algebroids.extensions import UnimodularityFailure, top_rep, verify_extension_identity
 from algebroids.morphisms import (
     Morphism,
-    Trivialization,
     check_composition_law,
     check_morphism,
     pullback_form,
@@ -51,12 +50,12 @@ from algebroids.reps import (
     EValuedForm,
     LineSection,
     Representation,
+    Trivialization,
     canonical_sections,
     char_cocycle,
     check_flat,
     d_AE,
     dual_rep,
-    modular_cocycle,
     tensor_rep,
 )
 from algebroids.runner import Session, run
@@ -86,7 +85,7 @@ def test_criterion_01_cylinder_counterexample():
     N = Chart("N", ("theta", "x"), (True, False))
     b = cylinder_algebroid(N)
     ts1 = tangent_algebroid(S1)
-    beta = modular_cocycle(b, *canonical_sections(b))
+    beta = Trivialization(*canonical_sections(b)).modular
     ok1 = beta == one_form(b, [N.one()])
     incl = Morphism("incl", ts1, b, [S1.coord("theta"), S1.zero()], [[S1.one()]])
     rel = relative_modular(incl, triv(ts1), triv(b))

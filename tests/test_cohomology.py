@@ -37,7 +37,7 @@ from algebroids.core import (
 )
 from algebroids.extensions import cotangent_algebroid
 from algebroids.morphisms import Morphism
-from algebroids.reps import canonical_sections, modular_cocycle
+from algebroids.reps import Trivialization, canonical_sections
 from algebroids.ratlinalg import FactoredSystem
 from algebroids.symexpr import Chart, ScalarFn, SymExprError, cos, exp, lincomb, point_chart, sin
 
@@ -55,7 +55,7 @@ C3 = Chart("C3", ("theta", "x", "y"), (True, False, False))
 class TestIsCocycle:
     def test_modular_cocycles_closed(self):
         b = cylinder_algebroid()
-        assert is_cocycle(modular_cocycle(b, *canonical_sections(b)))
+        assert is_cocycle(Trivialization(*canonical_sections(b)).modular)
 
     def test_x_dy_not_closed(self):
         tm = tangent_algebroid(R2)
@@ -235,7 +235,7 @@ class TestZeroClass:
         space = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
         got = classify(one_form(spiral, [CYLC.zero()]), space)
         assert (got.status, got.primitive) == ("exact", CYLC.zero())
-        alpha = modular_cocycle(spiral, *canonical_sections(spiral))
+        alpha = Trivialization(*canonical_sections(spiral)).modular
         same = cohomologous(alpha, alpha, space)
         assert (same.verdict, same.primitive) == ("cohomologous", CYLC.zero())
         assert space._operators == {}
@@ -589,7 +589,7 @@ class TestPeriodCertificate:
 
     def test_precondition_failure(self):
         b = cylinder_algebroid()
-        beta = modular_cocycle(b, *canonical_sections(b))
+        beta = Trivialization(*canonical_sections(b)).modular
         with pytest.raises(PreconditionFailure):
             period_certificate(beta, (Fraction(1),), "theta")
 
@@ -617,8 +617,8 @@ class TestCohomologous:
         from algebroids.core import top_multivector
 
         omega2 = top_multivector(b, exp(x))
-        a1 = modular_cocycle(b, omega, mu)
-        a2 = modular_cocycle(b, omega2, mu)
+        a1 = Trivialization(omega, mu).modular
+        a2 = Trivialization(omega2, mu).modular
         verdict = cohomologous(a1, a2, AnsatzSpace(b.chart, degree=2, fourier_modes=2))
         assert verdict.verdict == "cohomologous"
 
@@ -688,7 +688,7 @@ class TestPullbackInjectivity:
 
     def test_not_closed_on_the_operator_route_fails_its_item(self, monkeypatch):
         # solve_exact finds no primitive of -t dtheta, and then refuses it
-        monkeypatch.setattr(cohomology, "_is_tangent", lambda a: False)
+        monkeypatch.setattr(cohomology, "is_tangent", lambda a: False)
         ts1 = tangent_algebroid(S1)
         big = Chart("P", ("theta", "t"), (True, False))
         proj = Morphism("pr", tangent_algebroid(big), ts1, [big.coord("theta")], [[big.coord("t"), big.zero()]])
@@ -857,7 +857,7 @@ class TestIntegration:
     def test_forms_of_other_degrees_are_refused(self, monkeypatch, tangent):
         # dx^dy is closed and the function x is a form, but neither is a
         # 1-form, so neither has a primitive function
-        monkeypatch.setattr(cohomology, "_is_tangent", lambda a: tangent)
+        monkeypatch.setattr(cohomology, "is_tangent", lambda a: tangent)
         tm = tangent_algebroid(R2)
         space = AnsatzSpace(R2, 2)
         for alpha in (d_A(one_form(tm, [R2.zero(), R2.coord("x")])), function_form(tm, R2.coord("x"))):

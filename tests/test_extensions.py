@@ -541,7 +541,7 @@ class TestCotangentAlgebroid:
         tm = tangent_algebroid(R3)
         # {x,y} = 1, {y,z} = y gives Jacobiator {x,{y,z}} = 1
         pi = Multivector(tm, 2, {(0, 1): R3.one(), (1, 2): R3.coord("y")})
-        with pytest.raises(NotPoisson):
+        with pytest.raises(NotPoisson, match="^bracket square of the bivector is nonzero: "):
             cotangent_algebroid(pi)
 
     def test_spiral_bivector_regular(self):

@@ -56,7 +56,7 @@ def test_golden_report(name, seed):
 def operator_route(monkeypatch):
     """Every class through `solve_exact` and every circle section through
     `rat_solve`: no algebroid reads as tangent."""
-    monkeypatch.setattr(cohomology, "_is_tangent", lambda a: False)
+    monkeypatch.setattr(cohomology, "is_tangent", lambda a: False)
 
 
 @pytest.mark.parametrize("name", corpus_scenarios())

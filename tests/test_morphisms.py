@@ -20,7 +20,6 @@ from algebroids.core import (
 from algebroids.morphisms import (
     Morphism,
     MorphismError,
-    Trivialization,
     base_preserving_morphism,
     check_composition_law,
     check_morphism,
@@ -36,10 +35,10 @@ from algebroids.reps import (
     LineSection,
     Representation,
     RepresentationError,
+    Trivialization,
     canonical_sections,
     char_cocycle,
     check_flat,
-    modular_cocycle,
     trivial_rep,
 )
 from algebroids.symexpr import Chart, ChartMap, cos, exp, sin
@@ -49,6 +48,7 @@ from algebroids.extensions import subalgebroid_from_vector_fields
 from conftest import (
     checked_trusted,
     coeffs,
+    count_modular_builds,
     cylinder_algebroid,
     examples,
     frame_algebroids,
@@ -533,26 +533,18 @@ class TestRelativeModular:
 
     def test_each_trivialization_builds_its_cocycle_once(self, monkeypatch):
         """The rep and the cocycle of one pair read the cocycles the two
-        trivializations hold: one `modular_cocycle` call per trivialization."""
-        import algebroids.morphisms as morphisms
-        import algebroids.reps as reps
-
-        seen = []
-        build = reps.modular_cocycle
-
-        def counted(a, omega, mu):
-            seen.append(a)
-            return build(a, omega, mu)
-
-        monkeypatch.setattr(reps, "modular_cocycle", counted)
-        monkeypatch.setattr(morphisms, "modular_cocycle", counted)
+        trivializations hold: one `AlgebroidPresentation.modular` build per
+        trivialization, held by it."""
+        built = count_modular_builds(monkeypatch)
         S1, N, TS1, B, TN, incl, _ = cylinder_setup()
         sec_s, sec_t = triv(TS1), triv(B)
         d = relative_canonical_rep(incl, sec_s, sec_t)
         rel = relative_modular(incl, sec_s, sec_t)
         assert (char_cocycle(d, LineSection(S1.one())) - rel).is_zero()
-        assert seen == [TS1, B]
-        assert sec_s.modular == modular_cocycle(TS1, *canonical_sections(TS1))
+        assert built == [TS1, B]
+        assert sec_s.__dict__["modular"] is TS1.modular
+        assert sec_t.__dict__["modular"] is B.modular
+        assert sec_s.modular == Trivialization(*canonical_sections(TS1)).modular
 
     @pytest.mark.parametrize("build", [relative_modular, relative_canonical_rep])
     @pytest.mark.parametrize("wrong", ["source", "target"])

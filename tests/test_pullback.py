@@ -395,14 +395,15 @@ class TestSubmersionVanishing:
         nu = parse_expr("-3*exp(-x)", N)
         mu = parse_expr("5*exp(t - x)", src)
         tops = []
-        made = pullback_module.top_multivector
+        made = pullback_module.relative_modular
 
-        def spy(a, coeff):
-            if a is built.presentation:
-                tops.append(coeff)
-            return made(a, coeff)
+        def spy(phi, sec_src, sec_tgt):
+            omega = sec_src.omega
+            if omega.algebroid is built.presentation:
+                tops.append(omega.component(range(omega.degree)))
+            return made(phi, sec_src, sec_tgt)
 
-        monkeypatch.setattr(pullback_module, "top_multivector", spy)
+        monkeypatch.setattr(pullback_module, "relative_modular", spy)
         rep = verify_submersion_vanishing(built, sigma, nu, mu)
         assert rep.passed
         # the section upstairs is sigma o phi times tau's coefficient h, with

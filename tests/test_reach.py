@@ -78,3 +78,19 @@ def test_the_list_reads_one_name_and_reason_per_line(tmp_path):
     path = tmp_path / "list.txt"
     path.write_text("# header\n\ncore.zero_form  # public constructor\nsymexpr.point_chart # kept\n")
     assert reach.listed(path) == {"core.zero_form": "public constructor", "symexpr.point_chart": "kept"}
+
+
+def test_the_check_fails_unless_the_list_names_exactly_the_printed_names(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_text("cli.gone  # removed\ncore.zero_form  # kept\nsymexpr.point_chart  # kept\n")
+    library = {"cli.new", "core.zero_form", "symexpr.point_chart"}
+    where = reach.LISTED.relative_to(reach.ROOT)
+    assert reach.differences(["cli.new", "core.zero_form"], reach.listed(path), library) == [
+        f"unreached and not listed in {where}: cli.new",
+        f"reached now, remove it from {where}: symexpr.point_chart",
+        f"no longer defined, remove it from {where}: cli.gone",
+    ]
+    assert reach.differences(["core.zero_form", "symexpr.point_chart"], reach.listed(path), library | {"cli.gone"}) == [
+        f"reached now, remove it from {where}: cli.gone"
+    ]
+    assert reach.differences(["core.zero_form"], ["core.zero_form"], library) == []

@@ -23,13 +23,13 @@ from algebroids.reps import (
     LineSection,
     Representation,
     RepresentationError,
+    Trivialization,
     canonical_rep,
     canonical_sections,
     char_cocycle,
     check_flat,
     d_AE,
     dual_rep,
-    modular_cocycle,
     tensor_rep,
     trivial_rep,
 )
@@ -429,7 +429,7 @@ def modular_cocycle_matches_the_reference(algebroids):
     def test(self, alg, data):
         omega = top_multivector(alg, data.draw(units(alg.chart)))
         mu = top_form(tangent_algebroid(alg.chart), data.draw(units(alg.chart)))
-        assert modular_cocycle(alg, omega, mu) == reference_modular_cocycle(alg, omega, mu)
+        assert Trivialization(omega, mu).modular == reference_modular_cocycle(alg, omega, mu)
 
     return test
 
@@ -461,15 +461,15 @@ class TestModularCocycle:
         # s g = 2 exp(x) exp(-x) = 2
         omega = top_multivector(b, 2 * exp(x))
         mu = top_form(tangent_algebroid(b.chart), exp(-x))
-        assert modular_cocycle(b, omega, mu) is b.modular
-        assert modular_cocycle(b, *canonical_sections(b)) is b.modular
+        assert Trivialization(omega, mu).modular is b.modular
+        assert Trivialization(*canonical_sections(b)).modular is b.modular
 
     def test_non_constant_rescaling_adds_its_log_derivative(self):
         b = cylinder_algebroid()
         x = b.chart.coord("x")
         omega = top_multivector(b, exp(x))
         # rho(b)(exp(x)) / exp(x) = x
-        assert modular_cocycle(b, omega, canonical_sections(b)[1]) == b.modular + one_form(b, [x])
+        assert Trivialization(omega, canonical_sections(b)[1]).modular == b.modular + one_form(b, [x])
 
     def test_a_canonical_cocycle_that_is_not_closed_is_refused(self, R2):
         # e1 = d/dx, e2 = x d/dy with [e1, e2] = y e2 breaks the anchor
@@ -485,18 +485,18 @@ class TestModularCocycle:
     def test_tangent_unimodular(self, R2):
         tm = tangent_algebroid(R2)
         omega, mu = canonical_sections(tm)
-        assert modular_cocycle(tm, omega, mu).is_zero()
+        assert Trivialization(omega, mu).modular.is_zero()
 
     def test_cylinder_spiral(self):
         b = cylinder_algebroid()
         omega, mu = canonical_sections(b)
-        beta = modular_cocycle(b, omega, mu)
+        beta = Trivialization(omega, mu).modular
         assert beta == one_form(b, [b.chart.one()])
 
     def test_aff1(self):
         g = aff1()
         omega, mu = canonical_sections(g)
-        alpha = modular_cocycle(g, omega, mu)
+        alpha = Trivialization(omega, mu).modular
         assert alpha == one_form(g, [g.chart.one(), g.chart.zero()])
 
     def test_totally_intransitive_matches_trace_of_adjoint(self):
@@ -504,7 +504,7 @@ class TestModularCocycle:
         for _ in range(10):
             g = random_lie_algebra(rng)
             omega, mu = canonical_sections(g)
-            alpha = modular_cocycle(g, omega, mu)
+            alpha = Trivialization(omega, mu).modular
             ad = adjoint_matrices(g)
             for i in range(g.rank):
                 trace = g.chart.zero()
@@ -525,7 +525,7 @@ class TestModularCocycle:
             "fam", R1, ("e1", "e2"), [[R1.zero()], [R1.zero()]],
             {(0, 1): {1: x}},  # [e1,e2] = x e2: aff(1) scaled by the base point
         )
-        alpha = modular_cocycle(fam, *canonical_sections(fam))
+        alpha = Trivialization(*canonical_sections(fam)).modular
         assert alpha == one_form(fam, [x, R1.zero()])
         for pt in ([Fraction(1)], [Fraction(-3, 2)], [Fraction(0)]):
             trace_ad_e1 = float(pt[0])  # trace of ad(e1) on the fiber at pt
@@ -538,4 +538,39 @@ class TestModularCocycle:
         d = canonical_rep(b, omega, mu)
         assert check_flat(d).passed
         alpha = char_cocycle(d, LineSection(b.chart.one()))
-        assert alpha == modular_cocycle(b, omega, mu)
+        assert alpha == Trivialization(omega, mu).modular
+
+
+class TestTrivialization:
+    def test_of_reads_the_algebroids_cocycle(self):
+        b = cylinder_algebroid()
+        assert Trivialization.of(b).modular is b.modular
+
+    def test_of_builds_the_hand_built_pair(self):
+        b = cylinder_algebroid()
+        x = b.chart.coord("x")
+        s, g = exp(x), 2 * exp(-x)
+        triv = Trivialization.of(b, s, g)
+        assert (triv.omega, triv.mu) == (top_multivector(b, s), top_form(tangent_algebroid(b.chart), g))
+        assert triv.unit == 2 * b.chart.one()
+        one = Trivialization.of(b)
+        assert (one.omega, one.mu) == (top_multivector(b, b.chart.one()), top_form(tangent_algebroid(b.chart), b.chart.one()))
+        assert canonical_sections(b) == (one.omega, one.mu)
+
+    def test_a_top_form_is_not_an_omega(self):
+        # e^x dx is a top form of the same degree as the top multivector
+        R1 = Chart("R1", ("x",))
+        t = tangent_algebroid(R1)
+        with pytest.raises(RepresentationError, match="^omega must be a top multivector on the presentation$"):
+            Trivialization(top_form(t, exp(R1.coord("x"))), top_form(t, R1.one()))
+
+    def test_a_top_form_on_a_presentation_that_is_not_tangent_is_not_a_mu(self, R2):
+        # rank 2 over a 2-D chart, anchor e1 -> d/dx, e2 -> d/dx + d/dy
+        b = AlgebroidPresentation("B", R2, ("e1", "e2"), [[R2.one(), R2.zero()], [R2.one(), R2.one()]])
+        with pytest.raises(RepresentationError, match="^mu must be a top form on the tangent presentation$"):
+            Trivialization(top_multivector(b, R2.one()), top_form(b, exp(R2.coord("x"))))
+
+    def test_a_top_multivector_is_not_a_mu(self, R2):
+        tm = tangent_algebroid(R2)
+        with pytest.raises(RepresentationError, match="^mu must be a top form on the tangent presentation$"):
+            Trivialization(top_multivector(tm, R2.one()), top_multivector(tm, R2.one()))

@@ -18,9 +18,11 @@ It prints the functions and methods never entered, sorted, one
 line of its code, so nested functions count, and a decorated one is found
 at its first decorator; lambdas and comprehensions are not listed.
 
-With ``--check`` it then exits 1 if a printed name is not in the committed
-list `tools/reach_unreached.txt`, which gives each name its reason, and
-names the listed ones that a run now enters, which can leave the list.
+With ``--check`` it then exits 1 unless the committed list
+`tools/reach_unreached.txt`, which gives each name its reason, names
+exactly the printed ones: it names, on stderr, each printed name the list
+lacks, each listed name a run now enters and each listed name the library
+no longer defines.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import contextlib
 import io
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "algebroids"
@@ -116,19 +118,30 @@ def listed(path: Path = LISTED) -> dict[str, str]:
     return out
 
 
+def differences(names: Iterable[str], known: Iterable[str], library: Iterable[str]) -> list[str]:
+    """One line per difference between the printed ``names`` and the
+    listed ``known``: a printed name not listed, a listed name that a run
+    enters, a listed name not in ``library`` (the defined names).  Empty
+    iff the list names exactly what is printed."""
+    printed, known, library = set(names), set(known), set(library)
+    where = LISTED.relative_to(ROOT)
+    return (
+        [f"unreached and not listed in {where}: {name}" for name in sorted(printed - known)]
+        + [f"reached now, remove it from {where}: {name}" for name in sorted((known - printed) & library)]
+        + [f"no longer defined, remove it from {where}: {name}" for name in sorted(known - library)]
+    )
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="List the library functions no run enters.")
-    parser.add_argument("--check", action="store_true", help=f"exit 1 on a name not in {LISTED.relative_to(ROOT)}")
+    parser.add_argument("--check", action="store_true", help=f"exit 1 unless {LISTED.relative_to(ROOT)} lists exactly these")
     check = parser.parse_args().check
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     names = unreached(sweep)
     for name in names:
         print(name)
     if check:
-        known = listed()
-        new = [name for name in names if name not in known]
-        for name in sorted(set(known) - set(names)):
-            print(f"reached now, can leave the list: {name}", file=sys.stderr)
-        for name in new:
-            print(f"unreached and not listed in {LISTED.relative_to(ROOT)}: {name}", file=sys.stderr)
-        sys.exit(1 if new else 0)
+        problems = differences(names, listed(), defined().values())
+        for line in problems:
+            print(line, file=sys.stderr)
+        sys.exit(1 if problems else 0)
