@@ -954,10 +954,10 @@ def reference_check_morphism(phi):
 
 
 def reference_modular_cocycle(a, omega, mu):
-    """`reps.Trivialization(omega, mu).modular` through the graded calculus: on e_i, the top
-    coefficient of ``schouten(e_i, omega)`` over that of omega, plus the
-    Lie derivative of mu along rho(e_i) over mu, sum_l d(g rho(e_i)_l)/dx_l
-    over the dense anchor row."""
+    """`reps.Trivialization(omega, mu).modular` through the graded
+    calculus: on e_i, the top coefficient of ``schouten(e_i, omega)`` over
+    that of omega, plus the Lie derivative of mu along rho(e_i) over mu,
+    sum_l d(g rho(e_i)_l)/dx_l over the dense anchor row."""
     chart = a.chart
     top, vol = tuple(range(a.rank)), tuple(range(chart.dim))
     s_inv = omega.comps[top].unit_inverse()
