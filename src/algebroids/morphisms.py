@@ -11,18 +11,23 @@ map.  On the generators the condition has closed forms, and
 compatibility, on a coframe form eps^t the bracket identity F[e_i, e_j] =
 [F e_i, F e_j] along the base map, one sum of fiber minors, anchor
 derivatives of fiber entries and source structure functions per source
-pair, with no form pulled back or differentiated.  A morphism holds its
-base map as one `symexpr.ChartMap`, prepared when the morphism is made,
-and every composition goes through it.  Within one call each target
-function is composed with the base map once, on first use (`_pull_once`);
-no composed function is kept between calls.  The relative modular
-calculus reads the cocycles and line representations that each
-`reps.Trivialization` holds; no trivialization is checked or built here.
+pair, with no form pulled back or differentiated.  A morphism is frozen;
+it holds its base map as one `symexpr.ChartMap`, prepared when the
+morphism is made, through which every composition goes, and its check
+report, made by the first `check_morphism`.  A held passing check makes
+phi^* a chain map, so `pullback_rep` carries a held vanishing curvature
+and `relative_modular` takes no d_A; neither runs the check.  Within one
+call each target function is composed with the base map once, on first
+use (`_pull_once`); no composed function is kept between calls.  The
+relative modular calculus reads the cocycles and line representations
+that each `reps.Trivialization` holds; no trivialization is checked or
+built here.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -39,6 +44,7 @@ from .reps import (
     Representation,
     RepresentationError,
     Trivialization,
+    _held_flat,
     d_AE,
     dual_rep,
     tensor_rep,
@@ -50,37 +56,45 @@ class MorphismError(Exception):
     pass
 
 
+@dataclass(frozen=True, eq=False)
 class Morphism:
-    """A bundle map (fiber matrix, base map) between two presentations."""
+    """A bundle map (fiber matrix, base map) between two presentations,
+    frozen so that no field changes under the `report` it holds."""
 
-    def __init__(
-        self,
-        name: str,
-        source: AlgebroidPresentation,
-        target: AlgebroidPresentation,
-        basemap: Sequence[ScalarFn],
-        fiber: Sequence[Sequence[ScalarFn]],
-    ):
-        self.name = name
-        self.source = source
-        self.target = target
-        if len(basemap) != target.chart.dim:
+    name: str
+    source: AlgebroidPresentation
+    target: AlgebroidPresentation
+    basemap: tuple[ScalarFn, ...]
+    fiber: tuple[tuple[ScalarFn, ...], ...]
+    chart_map: ChartMap = field(init=False, repr=False)
+
+    def __post_init__(self):
+        source, target = self.source, self.target
+        if len(self.basemap) != target.chart.dim:
             raise MorphismError("basemap needs one component per target coordinate")
-        for f in basemap:
+        for f in self.basemap:
             if f.chart is not source.chart and f.chart != source.chart:
                 raise MorphismError("basemap components must live on the source chart")
-        self.basemap = tuple(basemap)
-        self.chart_map = ChartMap(target.chart, source.chart, self.basemap)
-        if len(fiber) != target.rank or any(len(r) != source.rank for r in fiber):
+        object.__setattr__(self, "basemap", tuple(self.basemap))
+        object.__setattr__(self, "chart_map", ChartMap(target.chart, source.chart, self.basemap))
+        if len(fiber := self.fiber) != target.rank or any(len(r) != source.rank for r in fiber):
             raise MorphismError("fiber matrix must be rank_target x rank_source")
         for row in fiber:
             for f in row:
                 if f.chart is not source.chart and f.chart != source.chart:
                     raise MorphismError("fiber entries must live on the source chart")
-        self.fiber = tuple(tuple(r) for r in fiber)
+        object.__setattr__(self, "fiber", tuple(tuple(r) for r in fiber))
 
     def __repr__(self) -> str:
         return f"Morphism({self.name!r}: {self.source.name} -> {self.target.name})"
+
+    @cached_property
+    def report(self) -> CheckReport:
+        return _check(self)
+
+    def checked(self) -> bool:
+        """Whether a `report` is held and passed; the check is never run here."""
+        return "report" in self.__dict__ and self.report.passed is True
 
     def pull_scalar(self, f: ScalarFn) -> ScalarFn:
         """Compose a target-chart function with the base map."""
@@ -183,8 +197,13 @@ def check_morphism(phi: Morphism) -> CheckReport:
     which is phi^* d eps^t - d phi^* eps^t without building either form.
     Each 2x2 minor of the fiber, each partial of a fiber entry and each
     pulled structure function C^t_uv (composed only where its minor is
-    non-zero) is made once per call.
+    non-zero) is made once per morphism: every call returns the report
+    the first one made, which the morphism holds (`Morphism.report`).
     """
+    return phi.report
+
+
+def _check(phi: Morphism) -> CheckReport:
     rep = CheckReport(f"morphism {phi.name}")
     src, tgt = phi.source, phi.target
     jac = [
@@ -235,9 +254,10 @@ def check_morphism(phi: Morphism) -> CheckReport:
 
 
 def pullback_rep(phi: Morphism, d: Representation, name: Optional[str] = None) -> Representation:
-    """Pull a representation back along a morphism.  Flatness is read off
-    the pulled representation's curvature, which that representation then
-    holds for `check_flat` and `char_cocycle`."""
+    """Pull a representation back along a morphism.  Flatness is carried
+    from a ``d`` that holds a vanishing curvature when `phi.checked()`, as
+    phi^* is then a chain map, and else read off the pulled curvature; the
+    result holds it for `check_flat` and `char_cocycle`."""
     if d.algebroid != phi.target:
         raise MorphismError("representation does not live on the morphism's target")
     src = phi.source
@@ -257,6 +277,8 @@ def pullback_rep(phi: Morphism, d: Representation, name: Optional[str] = None) -
                         mat[u][v] = mat[u][v] + f * pulled(t, u, v)
         mats.append(mat)
     out = Representation(src, d.bundle_frame, mats, name or f"{phi.name}!{d.name}")
+    if phi.checked():
+        out = _held_flat(out, d)
     if not out.is_flat():
         raise RepresentationError(
             f"pull-back of {d.name} along {phi.name} is not flat; "
@@ -273,15 +295,17 @@ def relative_modular(
     Certified exactly closed.  When the pull-back is zero (a tangent target
     with unit sections, whose modular cocycle is zero) that is the source
     cocycle itself, returned as held, closed by its own certificate, with
-    no d_A taken."""
+    no d_A taken; so is the difference when `phi.checked()`, since phi^*
+    then commutes with d."""
     mod_src = sec_src.on(phi.source).modular
     pulled = pullback_form(phi, sec_tgt.on(phi.target).modular)
     if pulled.is_zero():
         return mod_src
     alpha = mod_src - pulled
-    res = d_A(alpha)
-    if not res.is_zero():
-        raise MorphismError(f"relative modular cocycle not closed: {res}")
+    if not phi.checked():
+        res = d_A(alpha)
+        if not res.is_zero():
+            raise MorphismError(f"relative modular cocycle not closed: {res}")
     return alpha
 
 
@@ -293,8 +317,9 @@ def relative_canonical_rep(
     of the dual canonical rep of the target, each the `line_rep` its
     trivialization holds.  Every factor holds its vanishing curvature (the
     line reps from their certified cocycles, the dual from its input, the
-    pull-back from its own check), so the result holds one too and
-    `char_cocycle` computes no curvature on it."""
+    pull-back from a held passing check of ``phi``, else from its own
+    curvature), so the result holds one too and `char_cocycle` computes no
+    curvature on it."""
     d_src = sec_src.on(phi.source).line_rep
     d_tgt = sec_tgt.on(phi.target).line_rep
     return tensor_rep(d_src, pullback_rep(phi, dual_rep(d_tgt)))

@@ -379,10 +379,10 @@ class Trivialization:
 def canonical_sections(
     a: AlgebroidPresentation,
 ) -> tuple[Multivector, FormField]:
-    """The two sections of `Trivialization.of(a)`: the frame top
-    multivector and the coordinate volume form, of unit coefficients."""
-    triv = Trivialization.of(a)
-    return triv.omega, triv.mu
+    """The two sections of `Trivialization.of(a)`, built unchecked: the
+    frame top multivector and the coordinate volume form, of unit coefficients."""
+    one = a.chart.one()
+    return top_multivector(a, one), top_form(tangent_algebroid(a.chart), one)
 
 
 def canonical_rep(

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 
 from algebroids.core import (
@@ -795,6 +795,18 @@ def fresh_curvature(d):
 
 
 @contextlib.contextmanager
+def counting_curvatures():
+    """Within the block each `Representation.curvature` computation appends
+    its representation to the yielded list; a held curvature is read
+    without one."""
+    computed = []
+    curvature = Representation.curvature.func
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Representation.curvature, "func", lambda d: computed.append(d) or curvature(d))
+        yield computed
+
+
+@contextlib.contextmanager
 def checked_trusted():
     """Within the block each table built by `_AltTable._trusted` is compared
     with the validated table of the same components: equal, with the same
@@ -831,8 +843,9 @@ def count_modular_builds(monkeypatch):
 
 
 @st.composite
-def frame_algebroids(draw):
-    """A unit-triangular frame of the tangent bundle, as a subalgebroid.
+def frame_inclusions(draw):
+    """A unit-triangular frame of the tangent bundle, as a subalgebroid,
+    with its inclusion into the tangent algebroid (a morphism).
 
     Column t is the vector field d/dx_t plus a combination of the later
     coordinate fields; each entry below the diagonal is zero (one time in
@@ -848,8 +861,33 @@ def frame_algebroids(draw):
             if draw(st.integers(0, 3)):
                 f, g = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique_by=str))
                 columns[k][t] = f + draw(st.integers(1, 3)) * g
-    alg, _ = subalgebroid_from_vector_fields("F", chart, columns)
-    return alg
+    return subalgebroid_from_vector_fields("F", chart, columns)
+
+
+def frame_algebroids():
+    """The subalgebroid of `frame_inclusions`, without its inclusion."""
+    return frame_inclusions().map(lambda pair: pair[0])
+
+
+@st.composite
+def line_sum_reps(draw, algebroids=frame_algebroids(), max_rank=2, flat=False):
+    """A flat representation on an algebroid of ``algebroids``: a sum of
+    one to ``max_rank`` exact line representations, g_i =
+    diag(rho(e_i)(f_s)).  Unless ``flat``, in half the draws one or two
+    entries g_i[s][t] are shifted by a random coefficient, so that the
+    connection is in general no longer flat."""
+    a = draw(algebroids)
+    m = draw(st.integers(1, max_rank))
+    fs = [draw(coeffs(a.chart)) for _ in range(m)]
+    zero = a.chart.zero()
+    mats = [[[a.rho_apply(i, fs[s]) if s == t else zero for t in range(m)] for s in range(m)] for i in range(a.rank)]
+    perturbed = not flat and draw(st.booleans())
+    if perturbed:
+        for _ in range(draw(st.integers(1, 2))):
+            i, s, t = (draw(st.integers(0, n - 1)) for n in (a.rank, m, m))
+            mats[i][s][t] = mats[i][s][t] + draw(coeffs(a.chart))
+    event("perturbed" if perturbed else "unperturbed")
+    return Representation(a, [f"eps{s}" for s in range(m)], mats)
 
 
 @st.composite

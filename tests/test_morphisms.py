@@ -43,16 +43,22 @@ from algebroids.reps import (
 )
 from algebroids.symexpr import Chart, ChartMap, cos, exp, sin
 
+from algebroids.cli import corpus_scenarios, load_scenario
 from algebroids.extensions import subalgebroid_from_vector_fields
+from algebroids.report import CheckReport
+from algebroids.runner import Session
 
 from conftest import (
     checked_trusted,
     coeffs,
     count_modular_builds,
+    counting_curvatures,
     cylinder_algebroid,
     examples,
     frame_algebroids,
+    frame_inclusions,
     fresh_curvature,
+    line_sum_reps,
     reference_check_morphism,
     sparse_algebroids,
     units,
@@ -629,3 +635,187 @@ class TestRepMorphism:
             [S1.zero(), S1.one()],
         ]
         assert not check_rep_morphism(bad, pulled, d, incl).passed
+
+
+@st.composite
+def pulled_pairs(draw):
+    """A base-preserving bundle map and a representation on its target
+    (`line_sum_reps`, flat or perturbed): a `subalgebroid_from_vector_fields`
+    inclusion into the tangent algebroid, the same inclusion with one fiber
+    entry shifted by a constant (not a morphism), the identity of the
+    subalgebroid, or a fiber drawn at random from the subalgebroid into
+    the tangent algebroid (in general not a morphism)."""
+    b, incl = draw(frame_inclusions())
+    kind = draw(st.sampled_from(["inclusion", "inclusion", "identity", "shifted", "random"]))
+    event(kind)
+    chart = b.chart
+    if kind == "inclusion":
+        phi = incl
+    elif kind == "identity":
+        phi = identity_morphism(b)
+    else:
+        fiber = [list(row) for row in incl.fiber]
+        if kind == "shifted":
+            t, i = draw(st.integers(0, len(fiber) - 1)), draw(st.integers(0, b.rank - 1))
+            fiber[t][i] = fiber[t][i] + chart.const(draw(st.sampled_from([1, -2, Fraction(1, 2)])))
+        else:
+            fiber = [[draw(coeffs(chart)) for _ in row] for row in fiber]
+        phi = base_preserving_morphism(kind, b, incl.target, fiber)
+    return phi, draw(line_sum_reps(st.just(phi.target)))
+
+
+def exact_setup():
+    """A frame subalgebroid of the tangent algebroid of R2 with its
+    inclusion, and the exact line representation d_A(x e^y) on the tangent
+    algebroid, which holds its vanishing curvature."""
+    R2 = Chart("R2", ("x", "y"))
+    x, y = R2.coord("x"), R2.coord("y")
+    b, incl = subalgebroid_from_vector_fields("F", R2, [[exp(x), R2.zero()], [y, R2.one()]])
+    tm = incl.target
+    d = Representation(tm, ("eps",), [[[tm.rho_apply(i, x * exp(y))]] for i in range(tm.rank)])
+    assert check_flat(d).passed
+    return R2, b, incl, d
+
+
+def shifted(phi):
+    """``phi`` with its first fiber entry shifted by 1: not a morphism."""
+    fiber = [list(row) for row in phi.fiber]
+    fiber[0][0] = fiber[0][0] + 1
+    return Morphism(phi.name + "~", phi.source, phi.target, list(phi.basemap), fiber)
+
+
+# whether a check, or a curvature, is held before the pull-back: mostly
+MOSTLY = st.sampled_from([True, True, True, False])
+
+
+class TestHeldCheck:
+    def test_a_morphism_is_frozen(self):
+        *_, incl, _ = cylinder_setup()
+        with pytest.raises(FrozenInstanceError):
+            incl.fiber = ()
+        with pytest.raises(FrozenInstanceError):
+            incl.basemap = ()
+        assert incl != Morphism(incl.name, incl.source, incl.target, incl.basemap, incl.fiber)
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_merges_and_repeated_checks_leave_the_held_report_as_it_was(self, corrupt):
+        """check_morphism returns the report the morphism holds; merging it
+        into another report, as the extension, diagram and pull-back checks
+        do, and checking again change none of its items or notes."""
+        *_, incl, _ = cylinder_setup()
+        phi = shifted(incl) if corrupt else incl
+        held = check_morphism(phi)
+        items = [(i.label, i.ok, i.detail) for i in held.items]
+        outer = CheckReport("outer")
+        for prefix in ("incl: ", "proj: "):
+            outer.merge(check_morphism(phi), prefix=prefix)
+        outer.note("merged twice")
+        assert outer.pretty() and len(outer.items) == 2 * len(items)
+        assert check_morphism(phi) is held is phi.report
+        assert [(i.label, i.ok, i.detail) for i in held.items] == items and held.notes == []
+        assert held.passed is phi.checked() is (not corrupt)
+
+    @pytest.mark.deep
+    @settings(max_examples=examples(30), deadline=None)
+    @given(pulled_pairs(), MOSTLY, MOSTLY)
+    def test_a_carried_curvature_is_the_fresh_one(self, pair, check, hold):
+        """A pull-back holds its curvature without computing it exactly when
+        phi holds a passing check and d a vanishing curvature, and what it
+        holds is the fresh curvature; otherwise pullback_rep computes the
+        curvature, and refuses a pull-back that is not flat."""
+        phi, d = pair
+        if check:
+            check_morphism(phi)
+        if hold:
+            d.curvature
+        carried = phi.checked() and "curvature" in d.__dict__ and d.is_flat()
+        with counting_curvatures() as computed:
+            try:
+                pulled = pullback_rep(phi, d)
+            except RepresentationError:
+                assert not carried and len(computed) == 1
+                event("refused")
+                return
+        event("carried" if carried else "computed")
+        assert computed == ([] if carried else [pulled])
+        assert dict(pulled.curvature) == fresh_curvature(pulled)
+
+    def test_after_a_passing_check_dphi_and_charpull_compute_no_curvature(self):
+        """The dphi and charpull identities, as the identities workload
+        states them, compute no curvature once check_morphism passed."""
+        R2, b, incl, d = exact_setup()
+        assert check_morphism(incl).passed
+        sec_b, sec_t, lam = triv(b), triv(incl.target), LineSection(R2.one())
+        with counting_curvatures() as computed:
+            rel = relative_canonical_rep(incl, sec_b, sec_t)
+            assert (char_cocycle(rel, lam) - relative_modular(incl, sec_b, sec_t)).is_zero()
+            pulled = pullback_rep(incl, d)
+            assert (char_cocycle(pulled, lam) - pullback_form(incl, char_cocycle(d, lam))).is_zero()
+            assert check_flat(pulled).passed and check_flat(rel).passed
+        assert computed == []
+
+    def test_with_no_held_check_the_pull_back_computes_its_curvature(self):
+        R2, b, incl, d = exact_setup()
+        with counting_curvatures() as computed:
+            pulled = pullback_rep(incl, d)
+        assert computed == [pulled] and "report" not in incl.__dict__
+
+    def test_a_failed_held_check_carries_nothing(self):
+        """With a failed check held, pullback_rep computes the curvature: it
+        holds it on a flat pull-back and refuses one that is not flat."""
+        R2, b, incl, d = exact_setup()
+        bad = shifted(incl)
+        assert check_morphism(bad).passed is False
+        tm, y = incl.target, R2.coord("y")
+        flat_pull = Representation(tm, ("eps",), [[[tm.rho_apply(i, y * y)]] for i in range(tm.rank)])
+        assert check_flat(flat_pull).passed
+        with counting_curvatures() as computed:
+            pulled = pullback_rep(bad, flat_pull)
+            assert computed == [pulled] and check_flat(pulled).passed
+            with pytest.raises(RepresentationError, match="^pull-back of D along F_in_T~ is not flat; "):
+                pullback_rep(bad, d)
+        assert len(computed) == 2
+
+
+def corpus_relative_cocycles():
+    """(morphism, source and target trivializations) of every morphism of
+    the corpus scenarios whose pulled target cocycle is non-zero, with the
+    trivializations a session at seed 0 reads, each morphism unchecked."""
+    out = []
+    for name in corpus_scenarios():
+        session = Session(load_scenario(name), 0)
+        for phi in session.sc.morphisms.values():
+            sec_s, sec_t = session.trivialization(phi.source), session.trivialization(phi.target)
+            if not pullback_form(phi, sec_t.modular).is_zero():
+                out.append((phi, sec_s, sec_t))
+    return out
+
+
+class TestRelativeModularReadsTheHeldCheck:
+    def test_a_held_passing_check_gives_the_same_cocycle_with_no_d_A(self, monkeypatch):
+        """Unchecked, relative_modular takes one d_A; after check_morphism
+        passed it takes none and returns the same cocycle."""
+        import algebroids.morphisms as morphisms
+
+        calls = []
+        monkeypatch.setattr(morphisms, "d_A", lambda alpha: calls.append(alpha) or d_A(alpha))
+        cases = corpus_relative_cocycles()
+        assert [phi.name for phi, *_ in cases] == ["incl", "incl", "iso", "idB", "slice"]
+        for phi, sec_s, sec_t in cases:
+            unchecked = relative_modular(phi, sec_s, sec_t)
+            assert len(calls) == 1
+            assert check_morphism(phi).passed
+            calls.clear()
+            assert relative_modular(phi, sec_s, sec_t) == unchecked
+            assert calls == []
+
+    def test_a_failed_held_check_still_takes_the_d_A(self, monkeypatch):
+        import algebroids.morphisms as morphisms
+
+        S1, N, TS1, B, TN, incl, _ = cylinder_setup()
+        bad = Morphism("bad", TS1, B, list(incl.basemap), [[S1.const(2)]])
+        assert check_morphism(bad).passed is False
+        calls = []
+        monkeypatch.setattr(morphisms, "d_A", lambda alpha: calls.append(alpha) or d_A(alpha))
+        relative_modular(bad, triv(TS1), triv(B))
+        assert len(calls) == 1

@@ -42,6 +42,7 @@ from conftest import (
     examples,
     frame_algebroids,
     fresh_curvature,
+    line_sum_reps,
     random_lie_algebra,
     reference_check_flat,
     reference_modular_cocycle,
@@ -67,27 +68,6 @@ def exact_line_rep(a, f, name="Dexact"):
     """Line representation with coefficients rho(e_i)(f); always flat."""
     mats = [[[a.rho_apply(i, f)]] for i in range(a.rank)]
     return Representation(a, ("eps",), mats, name)
-
-
-@st.composite
-def line_sum_reps(draw, algebroids=frame_algebroids(), max_rank=2, flat=False):
-    """A flat representation on an algebroid of ``algebroids``: a sum of
-    one to ``max_rank`` exact line representations, g_i =
-    diag(rho(e_i)(f_s)).  Unless ``flat``, in half the draws one or two
-    entries g_i[s][t] are shifted by a random coefficient, so that the
-    connection is in general no longer flat."""
-    a = draw(algebroids)
-    m = draw(st.integers(1, max_rank))
-    fs = [draw(coeffs(a.chart)) for _ in range(m)]
-    zero = a.chart.zero()
-    mats = [[[a.rho_apply(i, fs[s]) if s == t else zero for t in range(m)] for s in range(m)] for i in range(a.rank)]
-    perturbed = not flat and draw(st.booleans())
-    if perturbed:
-        for _ in range(draw(st.integers(1, 2))):
-            i, s, t = (draw(st.integers(0, n - 1)) for n in (a.rank, m, m))
-            mats[i][s][t] = mats[i][s][t] + draw(coeffs(a.chart))
-    event("perturbed" if perturbed else "unperturbed")
-    return Representation(a, [f"eps{s}" for s in range(m)], mats)
 
 
 # the tangent algebroid of a 2-coordinate chart, or a frame of a tangent bundle
