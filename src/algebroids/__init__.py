@@ -2,8 +2,8 @@
 
 Presentations live over a single coordinate chart; all identities are
 decided exactly in a canonical class of trig/exp polynomials with rational
-coefficients, with probabilistic checks only where rank conditions make
-exact verdicts undecidable (and always disclosed as such).
+coefficients.  Rank conditions are exact or undecided, save the sampled
+(and disclosed) pointwise rank of `extensions.check_extension`.
 """
 
 from .cohomology import AnsatzSpace, classify, cohomologous, period_certificate, solve_exact

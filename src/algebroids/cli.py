@@ -13,9 +13,9 @@ Every subcommand that needs a cocycle, a trivialization, an ansatz or a
 pull-back asks a `runner.Session`, the same object the assertions of `run`
 go through; `modular`, `relmod` and `char` share one payload.  Each
 subcommand accepts only the flags it reads: `--seed` where something is
-sampled (`run`, `pullback` and `extension`: a period certificate is exact
-and samples nothing), and `--ansatz-degree`/`--fourier-modes` where an
-ansatz is built.
+sampled (`run` and `extension`, through `check_extension`: every other
+check is exact or undecided), and `--ansatz-degree`/`--fourier-modes`
+where an ansatz is built.
 
 A report subcommand (`validate`, `extension`, `diagram`) marks each item
 `ok`, `FAIL` or `??` (undecided, `null` in JSON) and exits 1 unless every
@@ -134,7 +134,7 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
-    built = Session(load_scenario(args.scenario), args.seed).pullback(args.name)
+    built = Session(load_scenario(args.scenario)).pullback(args.name)
     pres = built.presentation
     payload = {
         "pullback": args.name,
@@ -191,7 +191,7 @@ _SUBCOMMANDS = [
     ("diagram", _cmd_diagram, "diagram name", "diagram validation and coboundary check"),
 ]
 # the subcommands that read --seed, and those that read the ansatz overrides
-_SEEDED = {"run", "pullback", "extension"}
+_SEEDED = {"run", "extension"}
 _ANSATZ = {"run", "modular", "relmod", "char", "extension"}
 
 

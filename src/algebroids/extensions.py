@@ -120,12 +120,12 @@ class ExtensionPresentation:
 
 def check_extension(ext: ExtensionPresentation, seed: int = 0) -> CheckReport:
     """Exactness of the extension data.  Its pointwise injectivity and
-    surjectivity are the one rank check that samples without trying a
-    certificate, at the points `pointwise_rank` samples (`sample_points`):
-    every extension input of the benchmark's `rank` workload has one, and
-    `perfbench/run.py` refuses a traced run in which `ratlinalg.float_rank`
-    goes uncalled, so they move to `ratlinalg.pointwise_rank` once that
-    workload has uncertified inputs."""
+    surjectivity are the one sampled rank check, and the one client of
+    `ratlinalg.sample_points`: every other rank check is exact or
+    undecided.  Every extension input of the benchmark's `rank` workload
+    has a certified minor, but `perfbench/run.py` refuses a traced run in
+    which `ratlinalg.float_rank` goes uncalled, so these move to
+    `ratlinalg.pointwise_rank` once the benchmark drops that rule."""
     rep = CheckReport("extension data")
     c, a, b = ext.kernel, ext.total, ext.quotient
     rep.add(
@@ -550,10 +550,9 @@ def verify_regular_poisson(
     ext, sharp = kit.ext, kit.sharp
     chart, bpres, sharp_b = ext.chart, ext.quotient, ext.proj
     mod_sharp, eta_k, pulled = kit.mod_sharp, ext.eta, kit.half
-    verdict = pointwise_rank(sharp.fiber, bpres.rank, seed)
-    lo, hi = verdict.ranks
-    ranks = f"rank range [{lo}, {hi}]" if verdict.method == "sampled" else f"generic rank {lo}"
-    rep.add(f"constant rank ({verdict.method})", verdict.holds, f"{ranks}, image rank {bpres.rank}")
+    verdict = pointwise_rank(sharp.fiber, bpres.rank)
+    ranks = f"generic rank {verdict.rank}, image rank {bpres.rank}"
+    rep.add(f"constant rank ({verdict.method})", verdict.holds, ranks)
     rep.data["minors"], rep.data["method"] = verdict.certificate, verdict.method
     extrep = check_extension(ext, seed=seed)
     rep.add("extension data valid", extrep.passed)

@@ -20,14 +20,14 @@ where that map is onto.  The frame validation pairs the same rows with
 its pairs, and its pairs are pointwise independent where the matrix of
 their rows has full row rank, the question transversality asks too.
 Every one of these verdicts is decided by `ratlinalg.pointwise_rank`, the
-one pointwise-rank routine, and each check only phrases its item.  It is
-exact when a minor of the generic rank R is certified nowhere zero (then
-R is the rank at every point), and a full-rank question fails exactly
-when R is too small; otherwise the verdict is probabilistic (sampled at
-the `ratlinalg.sample_points` of the check's seed, where
-`extensions.check_extension` samples without trying a certificate) and
-reports always disclose which method decided.  The certificate goes into
-``rep.data["minors"]``, which reports do not print.
+one pointwise-rank routine, exactly or not at all, and each check only
+phrases its item.  It holds when a minor of the generic rank R is
+certified nowhere zero (then R is the rank at every point); it fails when
+a full-rank question finds R too small or the rank drops at the origin;
+otherwise it is undecided, and the report says which method decided.
+Nothing here samples: `extensions.check_extension` is the one sampled
+check left.  The certificate goes into ``rep.data["minors"]``, which
+reports do not print.
 `verify_submersion_vanishing` takes a built product-submersion pull-back,
 which the scenario `Session` holds, and its residual is
 `morphisms.relative_modular` of the projection.
@@ -52,7 +52,7 @@ from .morphisms import (
     compose,
     relative_modular,
 )
-from .ratlinalg import RANK_SAMPLES, PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
+from .ratlinalg import PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
 from .report import CheckReport
 from .reps import Trivialization
 from .symexpr import Chart, ChartMap, ScalarFn, lincomb
@@ -106,24 +106,23 @@ def check_admissible(
     basemap: Sequence[ScalarFn],
     seed: int = 0,
 ) -> CheckReport:
-    """Constant rank of the compatibility constraint space."""
-    return _constraint_space(b, _constraint_matrix(b, source_chart, basemap), source_chart.dim, seed)
+    """Constant rank of the compatibility constraint space.  The last
+    parameter is unread; the benchmark's workloads still pass it."""
+    return _constraint_space(b, _constraint_matrix(b, source_chart, basemap), source_chart.dim)
 
 
-def _constraint_space(b: AlgebroidPresentation, rows: list[list[ScalarFn]], dim: int, seed: int) -> CheckReport:
+def _constraint_space(b: AlgebroidPresentation, rows: list[list[ScalarFn]], dim: int) -> CheckReport:
     """`check_admissible` on the constraint matrix ``rows`` already built,
     over a source chart of dimension ``dim``: the constraint space is the
     kernel of ``rows``, of rank ``b.rank + dim`` minus theirs."""
-    verdict = pointwise_rank(rows, None, seed)
-    total = b.rank + dim
-    lo, hi = total - verdict.ranks[1], total - verdict.ranks[0]
-    if verdict.method == "exact":
-        label, detail = "constraint space has constant rank", f"rank {lo}"
-    else:
-        label = "constraint space has constant sampled rank"
-        detail = f"rank range [{lo}, {hi}] over {RANK_SAMPLES} samples"
-    rep = _decided(f"admissibility of the base map into {b.name}", label, verdict, detail, seed)
-    rep.data["rank"] = lo if verdict.holds else None
+    verdict = pointwise_rank(rows, None)
+    rank = b.rank + dim - verdict.rank
+    detail = f"rank {rank}"
+    if not verdict.holds:
+        detail += " generically, " + ("larger at the origin" if verdict.method == "exact" else "no minor certified")
+    title = f"admissibility of the base map into {b.name}"
+    rep = _decided(title, "constraint space has constant rank", verdict, detail)
+    rep.data["rank"] = rank if verdict.holds else None
     return rep
 
 
@@ -135,36 +134,33 @@ def check_transverse(
 ) -> CheckReport:
     """Anchor image plus differential image spans the target tangent space:
     the base-map matrix has full row rank at every point (a zero-dimensional
-    target has no rows, which the empty minor certifies)."""
+    target has no rows, which the empty minor certifies); the last
+    parameter is unread, as in `check_admissible`."""
     rows = _constraint_matrix(b, source_chart, basemap)
-    return _onto(f"transversality of the base map to {b.name}", "target tangent space spanned", rows, seed)
+    return _onto(f"transversality of the base map to {b.name}", "target tangent space spanned", rows)
 
 
-def _onto(title: str, label: str, rows: list[list[ScalarFn]], seed: int) -> CheckReport:
+def _onto(title: str, label: str, rows: list[list[ScalarFn]]) -> CheckReport:
     """The report ``title`` with one item ``label``: the matrix ``rows`` has
     rank len(rows) at every point."""
     n = len(rows)
-    verdict = pointwise_rank(rows, n, seed)
-    lo, hi = verdict.ranks
-    if verdict.method == "sampled":
-        detail = f"sampled rank range [{lo}, {hi}] of {n}"
-    elif verdict.certificate.witness is None:
-        detail = f"rank < {n} at every point"
+    verdict = pointwise_rank(rows, n)
+    if verdict.certificate.witness is not None:
+        detail = f"rank {verdict.rank} of {n} at every point"
+    elif verdict.holds is None:
+        detail = f"rank {n} of {n} generically, no minor certified"
     else:
-        detail = f"rank {lo} of {n} at every point"
-    return _decided(title, label, verdict, detail, seed)
+        detail = f"rank < {n} at " + ("every point" if verdict.rank < n else "the origin")
+    return _decided(title, label, verdict, detail)
 
 
-def _decided(title: str, label: str, verdict: PointwiseRank, detail: str, seed: int) -> CheckReport:
+def _decided(title: str, label: str, verdict: PointwiseRank, detail: str) -> CheckReport:
     """The report ``title`` with one item ``label``, of the verdict and
     ``detail``, the note of the method that decided it, and the
     certificate and the method in its ``data``."""
     rep = CheckReport(title)
     rep.add(label, verdict.holds, detail)
-    if verdict.method == "exact":
-        rep.note("method: exact minor certificate")
-    else:
-        rep.note(f"method: probabilistic rank sampling (seed={seed})")
+    rep.note(f"method: {verdict.method}")
     rep.data["minors"] = verdict.certificate
     rep.data["method"] = verdict.method
     return rep
@@ -213,10 +209,10 @@ def product_submersion_frame(
     return PullbackFrame(b, source_chart, basemap, pairs, tuple(names))
 
 
-def validate_frame(pf: PullbackFrame, seed: int = 0) -> CheckReport:
+def validate_frame(pf: PullbackFrame) -> CheckReport:
     """Exact compatibility of each pair; pointwise independence of the
-    pairs and spanning of the constraint space, each certified by a
-    nowhere-zero minor when one exists and sampled otherwise."""
+    pairs and spanning of the constraint space, each decided by
+    `ratlinalg.pointwise_rank` or left undecided."""
     rep = CheckReport("pull-back frame")
     b, chart = pf.target, pf.source_chart
     # the residual of a pair on coordinate j is row j applied to the pair
@@ -230,13 +226,13 @@ def validate_frame(pf: PullbackFrame, seed: int = 0) -> CheckReport:
             )
     if pf.pairs:
         rows = [list(p.bcoeffs) + list(p.vf) for p in pf.pairs]
-        rep.merge(_onto("pairs", "pairs pointwise independent", rows, seed))
-    adm = _constraint_space(b, constraint, chart.dim, seed)
+        rep.merge(_onto("pairs", "pairs pointwise independent", rows))
+    adm = _constraint_space(b, constraint, chart.dim)
     rep.merge(adm)
     want = adm.data.get("rank")
     rep.add(
         "pairs span the constraint space",
-        want is not None and want == len(pf.pairs),
+        None if adm.passed is None else want == len(pf.pairs),
         f"constraint rank {want}, frame size {len(pf.pairs)}",
     )
     return rep
@@ -249,13 +245,11 @@ class BuiltPullback:
     frame: PullbackFrame
 
 
-def build_pullback(
-    pf: PullbackFrame, seed: int = 0
-) -> BuiltPullback:
+def build_pullback(pf: PullbackFrame) -> BuiltPullback:
     """Structure functions by evaluating the fiber-product bracket on frame
     pairs and re-expanding (unit-pivot solve); anchor = vector-field parts;
     the projection onto the target factor is returned as a morphism."""
-    validation = validate_frame(pf, seed=seed)
+    validation = validate_frame(pf)
     if not validation.passed:
         raise AdmissibilityFailure(
             "pull-back frame failed validation:\n" + validation.pretty()

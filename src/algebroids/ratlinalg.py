@@ -25,25 +25,24 @@
   bordering-minor theorem), which it returns.  `rank_certificate` takes
   that minor and then searches at size R only for a minor that
   `nowhere_zero` certifies, which makes R the rank at every point.
-* `nowhere_zero` is the one nowhere-vanishing test: a unit q*exp(d.x),
-  a unit times a polynomial in one non-periodic coordinate without real
-  roots (Sturm sequences of ``int`` pseudo-remainders, `_real_roots`), or a
-  unit times a trig polynomial whose constant term dominates the sum of
-  its other coefficients' absolute values.
-* `pointwise_rank` is the one routine that decides "rank R at every
-  point" or constant rank: exactly when `rank_certificate` has a witness
-  or the generic rank refutes the claim, by sampling otherwise.  Every
-  pointwise rank check but `extensions.check_extension`, which still
-  samples directly, goes through it.
-* `sample_points` is the one seeded sampler: every sampled check is a
-  rank check, and draws its `RANK_SAMPLES` rational points p/q from it,
-  all in one box, `SAMPLE_BOX`, as the floats p / q with no `Fraction`
-  built.  It alone refuses to sample no points.
+* `nowhere_zero` is the one nowhere-vanishing test: a unit q*exp(d.x)
+  times P + T, P a polynomial in one non-periodic coordinate and T a trig
+  polynomial whose |coefficients| sum below |P| everywhere (Sturm
+  sequences of ``int`` pseudo-remainders, `_real_roots`).
+* `pointwise_rank` decides "rank R at every point" or constant rank,
+  exactly or not at all: a certified minor of the generic rank proves it,
+  and a generic rank other than R or a rank drop at the origin, where
+  every entry is an exact rational, refutes it.  Every pointwise rank
+  check but `extensions.check_extension` goes through it.
+* `sample_points` is the one seeded sampler, and `check_extension` its one
+  client left: it draws `RANK_SAMPLES` rational points p/q, all in one box,
+  `SAMPLE_BOX`, as the floats p / q with no `Fraction` built.  It alone
+  refuses to sample no points.
   `float_rank` estimates rank numerically with numpy, of one matrix or of
   a whole stack in one call, and `sampled_ranks` evaluates a ScalarFn
   matrix entry by entry over a batch of sample points, with one table of
   atom values (x_j^e, sin/cos(c.x), exp(d.x)) shared by all the entries,
-  and ranks the stack: the one path of every sampled rank check.
+  and ranks the stack.
 """
 
 from __future__ import annotations
@@ -450,15 +449,14 @@ def _real_roots(p: list[int]) -> int:
 def nowhere_zero(f: ScalarFn) -> bool:
     """True when ``f`` is certified to vanish at no point of its chart.
 
-    Three kinds are certified exactly, each a unit u = q*exp(d.x) times a
-    factor with no real zero:
-
-    * a unit itself;
-    * u * P, with P a polynomial in one non-periodic coordinate that has
-      no real root, counted by Sturm's theorem (`_real_roots`);
-    * u * T, with T a trig polynomial without monomial factors whose
-      constant term exceeds in absolute value the sum of the absolute
-      values of its other coefficients, so |T| >= that excess > 0.
+    ``f`` is certified when it is a unit u = q*exp(d.x) times P + T, with
+    P a polynomial in at most one coordinate, which is not periodic, and T
+    = sum q_k trig_k a trig polynomial without monomial factors: |T| <= S
+    = sum |q_k|, so P + T has no zero when P - S or -P - S has a positive
+    leading coefficient and no real root, counted by Sturm's theorem
+    (`_real_roots`).  A unit itself, u times a polynomial without real
+    roots (S = 0) and u times a trig polynomial whose constant term
+    exceeds S (P constant) are the special cases.
 
     Anything else, nowhere zero or not, gives False: False is no claim.
     """
@@ -471,22 +469,22 @@ def nowhere_zero(f: ScalarFn) -> bool:
         return False
     if len(num) == 1:
         return f.is_unit()
-    if all(trig is None for _, trig, _ in num):
-        coords = {j for mono, _, _ in num for j, e in enumerate(mono) if e}
-        if len(coords) != 1:
-            return False
-        (j,) = coords
-        if f.chart.periodic[j]:
-            return False
-        degree = max(mono[j] for mono, _, _ in num)
-        p = [0] * (degree + 1)
-        for (mono, _, _), q in num.items():
-            p[mono[j]] = q
-        return _real_roots(p) == 0
-    if any(any(mono) for mono, _, _ in num):
+    coords = {j for mono, _, _ in num for j, e in enumerate(mono) if e}
+    if len(coords) > 1 or any(f.chart.periodic[j] for j in coords):
         return False
-    const = sum(q for (_, trig, _), q in num.items() if trig is None)
-    return abs(const) > sum(abs(q) for (_, trig, _), q in num.items() if trig is not None)
+    j = coords.pop() if coords else 0
+    p = [0] * (max(mono[j] for mono, _, _ in num) + 1)
+    spread = 0
+    for (mono, trig, _), q in num.items():
+        if trig is None:
+            p[mono[j]] = q
+        elif any(mono):
+            return False
+        else:
+            spread += abs(q)
+    bound = [c if p[-1] > 0 else -c for c in p]
+    bound[0] -= spread
+    return bound[-1] > 0 and (len(bound) == 1 or _real_roots(bound) == 0)
 
 
 Minor = tuple[tuple[int, ...], tuple[int, ...]]
@@ -497,9 +495,7 @@ class RankCertificate(NamedTuple):
 
     ``bordered`` is the ``(rows, cols)`` of a non-zero ``rank``-minor whose
     bordering minors all vanish, and ``witness`` the first ``rank``-minor
-    that `nowhere_zero` certifies (a unit, a unit times a one-variable
-    polynomial without real roots, or a unit times a trig polynomial with a
-    dominant constant term), or None.  The empty minor is 1, so a zero
+    that `nowhere_zero` certifies, or None.  The empty minor is 1, so a zero
     matrix has both ``((), ())``.
     """
 
@@ -621,33 +617,37 @@ def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[
 
 
 class PointwiseRank(NamedTuple):
-    """A verdict of `pointwise_rank`.  ``ranks`` is the lowest and highest
-    rank: the generic rank R twice when ``method`` is ``"exact"`` (the rank
-    at every point when ``certificate`` has a witness, the largest rank of
-    any point otherwise), the extremes of the sampled ranks when it is
-    ``"sampled"``."""
+    """A verdict of `pointwise_rank`: ``holds`` is True, False or None
+    (undecided), ``method`` is ``"exact"`` for a decided verdict and
+    ``"uncertified"`` otherwise, and ``rank`` is the generic rank R, the
+    rank at every point when ``certificate`` has a witness."""
 
-    holds: bool
+    holds: Optional[bool]
     method: str
-    ranks: tuple[int, int]
+    rank: int
     certificate: RankCertificate
 
 
-def pointwise_rank(rows: Sequence[Sequence[ScalarFn]], want: Optional[int], seed: int) -> PointwiseRank:
+def pointwise_rank(rows: Sequence[Sequence[ScalarFn]], want: Optional[int]) -> PointwiseRank:
     """Decide "``rows`` has rank ``want`` at every point", or with ``want``
-    None "``rows`` has constant rank".
+    None "``rows`` has constant rank", exactly or not at all.
 
-    Exact when `rank_certificate` has a witness, and refuted exactly when
+    It holds when `rank_certificate` has a witness, and is refuted when
     ``want`` differs from the generic rank R, the rank on a dense open set.
-    Otherwise the matrix is ranked in one batch at the `sample_points` of
-    ``seed`` on the chart of its entries, which exist as R >= 1, and the
-    claim holds when every sampled rank is R: a float rank that disagrees
-    with R is no agreement.
+    Otherwise it is refuted when the rank at the origin is below R: there
+    x^m (m > 0) and sin vanish and cos and exp are 1, so every entry is
+    the exact rational sum of its other coefficients, ranked by
+    `FactoredSystem`.  Failing both, the claim is left undecided.
     """
     cert = rank_certificate(rows)
     r = cert.rank
     if cert.witness is not None or want not in (None, r):
-        return PointwiseRank(want in (None, r), "exact", (r, r), cert)
-    ranks = sampled_ranks(rows, sample_points(rows[0][0].chart.dim, seed))
-    lo, hi = min(ranks), max(ranks)
-    return PointwiseRank(lo == hi == r, "sampled", (lo, hi), cert)
+        return PointwiseRank(want in (None, r), "exact", r, cert)
+    at_origin = [{} for _ in rows]
+    for values, row in zip(at_origin, rows):
+        for j, f in enumerate(row):
+            if v := sum(q for (mono, trig, _), q in f.num.items() if not (any(mono) or trig and trig[0] == "sin")):
+                values[j] = Fraction(v, f.den)
+    if len(FactoredSystem(at_origin, len(rows[0])).cols) < r:
+        return PointwiseRank(False, "exact", r, cert)
+    return PointwiseRank(None, "uncertified", r, cert)

@@ -146,9 +146,9 @@ class LineSection:
     """A nowhere-vanishing section of a framed line bundle, by its
     coefficient, which must be a unit of the expression class (NotAUnit
     otherwise): `char_cocycle` and `extensions.induced_rep` divide by it
-    (`ScalarFn.unit_inverse`).  Nonvanishing is never sampled here; the
-    sampled checks are rank claims, all drawn at the points of
-    `ratlinalg.sample_points`."""
+    (`ScalarFn.unit_inverse`).  Nonvanishing is never sampled here: the
+    one sampled check left is the rank claim of `extensions.check_extension`
+    at `ratlinalg.sample_points`; every other is exact or undecided."""
 
     def __init__(self, coefficient: ScalarFn):
         if not coefficient.is_unit():

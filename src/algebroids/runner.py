@@ -189,14 +189,21 @@ class Session:
 
     def pullback(self, name: str) -> BuiltPullback:
         """The named pull-back, built from its declared frame; a frame equal
-        to the product one is held as the product pull-back `ellphi` uses."""
+        to the product one is the `product_pullback`."""
         pf = self.sc.pullframes[name]
         try:
             product = pf == product_submersion_frame(pf.target, pf.source_chart)
         except PullbackError:  # the source chart has no product frame
             product = False
-        key = ("product pullback", f"{pf.target.name} from {pf.source_chart.name}") if product else ("pullback", name)
-        return self._hold(*key, lambda: build_pullback(pf, seed=self.seed))
+        if product:
+            return self.product_pullback(pf.target, pf.source_chart)
+        return self._hold("pullback", name, lambda: build_pullback(pf))
+
+    def product_pullback(self, b: AlgebroidPresentation, chart) -> BuiltPullback:
+        """The pull-back of `b` along the product projection from `chart`,
+        which `ellphi` assertions and equal declared frames share."""
+        build = lambda: build_pullback(product_submersion_frame(b, chart))
+        return self._hold("product pullback", f"{b.name} from {chart.name}", build)
 
     def classify(self, alpha: FormField) -> CocycleClass:
         """Exactness of `alpha` in the session's ansatz on its chart."""
@@ -357,7 +364,7 @@ class Session:
     def _assert_admissible(self, args) -> tuple[bool, str] | CheckReport:
         b = self.sc.algebroid(args["algebroid"])
         chart = self.sc.charts[args["chart"]]
-        rep = check_admissible(b, chart, args["base"], seed=self.seed)
+        rep = check_admissible(b, chart, args["base"])
         detail = "; ".join(i.detail for i in rep.items if i.detail)
         if "rank" in args:
             return rep.passed and rep.data.get("rank") == args["rank"], detail
@@ -366,13 +373,10 @@ class Session:
     def _assert_transverse(self, args) -> CheckReport:
         b = self.sc.algebroid(args["algebroid"])
         chart = self.sc.charts[args["chart"]]
-        return check_transverse(b, chart, args["base"], seed=self.seed)
+        return check_transverse(b, chart, args["base"])
 
     def _assert_ellphi(self, args) -> CheckReport:
-        b = self.sc.algebroid(args["algebroid"])
-        chart = self.sc.charts[args["chart"]]
-        build = lambda: build_pullback(product_submersion_frame(b, chart), seed=self.seed)
-        built = self._hold("product pullback", f"{b.name} from {chart.name}", build)
+        built = self.product_pullback(self.sc.algebroid(args["algebroid"]), self.sc.charts[args["chart"]])
         return verify_submersion_vanishing(built, args["sigma"], args["nu"], args["mu"])
 
     def _assert_factor(self, args) -> CheckReport:

@@ -40,6 +40,7 @@ from algebroids.symexpr import (
     cos,
     exp,
     lincomb,
+    point_chart,
     sin,
 )
 
@@ -384,8 +385,10 @@ def reference_nowhere_zero(f):
     """Whether ``f`` is one of the nowhere-zero kinds `ratlinalg.nowhere_zero`
     certifies, read off its rational terms: one exp factor shared by every
     term times a constant, a one-variable polynomial in a non-periodic
-    coordinate without real roots (`reference_real_roots`), or a trig
-    polynomial whose constant dominates the sum of the other |coefficients|."""
+    coordinate without real roots (`reference_real_roots`), or such a
+    polynomial P (a constant included) plus trig terms without monomials
+    whose |coefficients| sum to S, where P - S or -P - S is positive at 0
+    and has no real root, so that it is positive everywhere and |P| > S."""
     terms = f.terms
     if not terms or len({expv for _, _, expv in terms}) != 1:
         return False
@@ -399,10 +402,22 @@ def reference_nowhere_zero(f):
         for (mono, _, _), q in terms.items():
             coeffs[mono[used[0]]] = q
         return reference_real_roots(coeffs) == 0
-    if any(any(mono) for mono, _, _ in terms):
+    if any(any(mono) for mono, trig, _ in terms if trig is not None):
         return False
-    const = sum(q for (_, trig, _), q in terms.items() if trig is None)
-    return abs(const) > sum(abs(q) for (_, trig, _), q in terms.items() if trig is not None)
+    poly = {mono: q for (mono, trig, _), q in terms.items() if trig is None}
+    used = sorted({j for mono in poly for j, e in enumerate(mono) if e})
+    if len(used) > 1 or any(f.chart.periodic[j] for j in used):
+        return False
+    coeffs = [Fraction(0)] * (max((sum(mono) for mono in poly), default=0) + 1)
+    for mono, q in poly.items():
+        coeffs[sum(mono)] += q
+    spread = sum(abs(q) for (_, trig, _), q in terms.items() if trig is not None)
+    for sign in (1, -1):
+        shifted = [sign * c for c in coeffs]
+        shifted[0] -= spread
+        if shifted[0] > 0 and reference_real_roots(shifted) == 0:
+            return True
+    return False
 
 
 def reference_rank_certificate(rows):
@@ -463,6 +478,19 @@ def check_rank_certificate(rows, cert):
         wrows, wcols = cert.witness
         assert len(wrows) == len(wcols) == cert.rank
         assert not wrows or reference_nowhere_zero(minor(wrows, wcols))
+
+
+def reference_rank_at_origin(rows):
+    """The rank of the ScalarFn matrix ``rows`` at the origin: each entry
+    composed with the map from a point to the origin (`ScalarFn.substitute`),
+    then ranked by `reference_eliminate`; a reference for the drop test of
+    `ratlinalg.pointwise_rank`, which reads the entries off their terms."""
+    pt = point_chart()
+    values = [
+        {j: v for j, f in enumerate(row) if (v := f.substitute(pt, [pt.zero()] * f.chart.dim).constant_value())}
+        for row in rows
+    ]
+    return len(reference_eliminate(values, len(rows[0]) if rows else 0)[0])
 
 
 def product_basis(space):

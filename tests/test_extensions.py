@@ -589,7 +589,10 @@ class TestRegularPoisson:
     def test_uncertified_sharp_map_is_sampled(self, monkeypatch):
         # poisson_kit solves for the image frame and the lifts by unit
         # pivots, so the sharp map of a kit it builds always has a unit
-        # minor; a sharp map without a certified minor is put in by hand
+        # minor; a sharp map without a certified minor is put in by hand.
+        # Its 2-minor f^2 has x^2 sin x terms, outside the certified kinds,
+        # and its rank at the origin is 2, so the constant rank is left
+        # undecided, with no point drawn
         import algebroids.ratlinalg as ratlinalg
 
         tm = tangent_algebroid(R2)
@@ -599,11 +602,10 @@ class TestRegularPoisson:
         f = x * x + sin(x) + 2
         kit = replace(kit, sharp=base_preserving_morphism("sharp", kit.ext.total, tm, [[zero, -f], [f, zero]]))
         args = (kit, [[], []], AnsatzSpace(R2, degree=1), 3)
-        batches = capture_sampled_points(monkeypatch, ratlinalg, verify_regular_poisson, *args)
-        assert batches == [reference_points(R2, 3, RANK_SAMPLES)]
+        assert capture_sampled_points(monkeypatch, ratlinalg, verify_regular_poisson, *args) == []
         rep = verify_regular_poisson(*args)
-        assert rep.items[0] == CheckItem("constant rank (sampled)", True, "rank range [2, 2], image rank 2")
-        assert rep.data["method"] == "sampled"
+        assert rep.items[0] == CheckItem("constant rank (uncertified)", None, "generic rank 2, image rank 2")
+        assert rep.data["method"] == "uncertified"
         assert rep.data["minors"].witness is None
 
     def test_two_unknown_classes_are_no_agreement(self):

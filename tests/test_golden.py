@@ -88,20 +88,28 @@ def test_reports_do_not_depend_on_the_seed(name):
     assert payloads[0] == payloads[1]
 
 
-# Ratchet: over a corpus run at seed 0, the most `sampled_ranks` calls and
-# the most `classify` results that the ansatz leaves undecided.  A change
-# that lowers a count lowers its constant; the end state is 0 for both.
+# Ratchet: over a corpus run at seed 0, the most `sampled_ranks` calls (all
+# of them `check_extension`'s), the most `pointwise_rank` verdicts left
+# uncertified and the most `classify` results that the ansatz leaves
+# undecided.  A change that lowers a count lowers its constant; the end
+# state is 0 for all three.
 MAX_SAMPLED_RANKS = 11
+MAX_UNCERTIFIED_RANKS = 0
 MAX_UNDECIDED_CLASSES = 3
 
 
 def test_the_corpus_samples_and_leaves_undecided_no_more_than_before(monkeypatch):
-    counts = {"sampled_ranks": 0, "undecided classes": 0}
-    sampled_ranks, classify = ratlinalg.sampled_ranks, cohomology.classify
+    counts = {"sampled_ranks": 0, "uncertified ranks": 0, "undecided classes": 0}
+    sampled_ranks, pointwise_rank, classify = ratlinalg.sampled_ranks, ratlinalg.pointwise_rank, cohomology.classify
 
     def sampling(*args, **kwargs):
         counts["sampled_ranks"] += 1
         return sampled_ranks(*args, **kwargs)
+
+    def ranking(*args, **kwargs):
+        verdict = pointwise_rank(*args, **kwargs)
+        counts["uncertified ranks"] += verdict.method == "uncertified"
+        return verdict
 
     def classifying(*args, **kwargs):
         cls = classify(*args, **kwargs)
@@ -111,12 +119,13 @@ def test_the_corpus_samples_and_leaves_undecided_no_more_than_before(monkeypatch
     # wrap each name where a library module binds it
     for info in pkgutil.iter_modules(algebroids.__path__):
         module = importlib.import_module(f"algebroids.{info.name}")
-        for real, wrapper in ((sampled_ranks, sampling), (classify, classifying)):
+        for real, wrapper in ((sampled_ranks, sampling), (pointwise_rank, ranking), (classify, classifying)):
             if getattr(module, real.__name__, None) is real:
                 monkeypatch.setattr(module, real.__name__, wrapper)
     for name in corpus_scenarios():
         run(load_scenario(name), seed=0)
     assert counts["sampled_ranks"] <= MAX_SAMPLED_RANKS, counts
+    assert counts["uncertified ranks"] <= MAX_UNCERTIFIED_RANKS, counts
     assert counts["undecided classes"] <= MAX_UNDECIDED_CLASSES, counts
 
 

@@ -47,9 +47,7 @@ from conftest import (
     aff1,
     capture_sampled_points,
     check_rank_certificate,
-    count_sampling,
     cylinder_algebroid,
-    reference_points,
     reference_sampled_ranks,
     so3,
 )
@@ -88,16 +86,18 @@ class TestAdmissibility:
 
     def test_degenerate_map_discloses_sampled_method(self):
         # phi(t) = t^2 into the algebroid generated by x d/dx: the constraint
-        # rank jumps at t = 0 only, a measure-zero set sampling cannot hit;
-        # the verdict must disclose that it is probabilistic, not exact
+        # matrix [[-2t, t^2]] has generic rank 1 and rank 0 at t = 0 only, a
+        # measure-zero set sampling cannot hit, and no 1-minor is certified
+        # nowhere zero; the exact rank at the origin refutes the claim
         r1 = Chart("R1", ("x",))
         from algebroids.core import AlgebroidPresentation
 
         b = AlgebroidPresentation("Bx", r1, ("b",), [[r1.coord("x")]])
         line = Chart("L", ("t",))
         rep = check_admissible(b, line, [line.coord("t") ** 2])
-        assert rep.data["method"] == "sampled"
-        assert any("probabilistic" in n for n in rep.notes)
+        assert [(i.ok, i.detail) for i in rep.items] == [(False, "rank 1 generically, larger at the origin")]
+        assert (rep.data["method"], rep.data["rank"], rep.data["minors"].witness) == ("exact", None, None)
+        assert rep.notes == ["method: exact"]
 
 
 class TestTransversality:
@@ -261,8 +261,8 @@ def _line_frame(*coeffs):
 
 class TestPairIndependence:
     """`validate_frame` certifies the pointwise independence of its pairs
-    by a nowhere-zero maximal minor, refutes it exactly by a generic rank
-    below the number of pairs, and samples only without either."""
+    by a nowhere-zero maximal minor, and refutes it exactly by a generic
+    rank below the number of pairs or by a drop at the origin."""
 
     @pytest.mark.parametrize(
         "coeffs, ok, detail",
@@ -270,16 +270,17 @@ class TestPairIndependence:
             ((lambda t: t * t + 1,), True, "rank 1 of 1 at every point"),
             ((lambda t: 2 - cos(t),), True, "rank 1 of 1 at every point"),
             ((lambda t: t * t + 1, lambda t: 3 * t * t + 3), False, "rank 1 of 2 at every point"),
-            ((lambda t: t * t + sin(t) + 2, lambda t: 3 * t * t + 3 * sin(t) + 6), False, "rank < 2 at every point"),
-            ((lambda t: t * t + sin(t) + 2,), True, "sampled rank range [1, 1] of 1"),
+            ((lambda t: t * t + sin(t) + 2, lambda t: 3 * t * t + 3 * sin(t) + 6), False, "rank 1 of 2 at every point"),
+            ((lambda t: t * t + sin(t) + 2,), True, "rank 1 of 1 at every point"),
+            ((lambda t: t * t, lambda t: t * t + sin(t)), False, "rank < 2 at every point"),
+            ((lambda t: t,), False, "rank < 1 at the origin"),
         ],
     )
     def test_decided_exactly_when_a_minor_certifies(self, coeffs, ok, detail):
         rep = validate_frame(_line_frame(*coeffs))
         (item,) = [i for i in rep.items if i.label == "pairs pointwise independent"]
         assert (item.ok, item.detail) == (ok, detail)
-        sampled = detail.startswith("sampled")
-        assert any("probabilistic" in n for n in rep.notes) == sampled
+        assert rep.notes[0] == "method: exact"
 
 
 class TestFactorize:
@@ -479,9 +480,10 @@ def _planted_rank_input(n, q, r, k, kind):
     * "smooth": (s + 1) * (z^2 + 1), nowhere zero but not units, so the
       minor of the planted size that certifies the rank is a polynomial
       without real roots;
-    * "mixed": (s + 1) * (z^2 + sin z + 2), nowhere zero but mixing
-      polynomial and trig terms, so no certificate decides and the checks
-      sample.
+    * "mixed": (s + 1) * (z^2 + sin z + 2), nowhere zero, but a product
+      of two of them has z^2 sin z terms, outside the certified kinds, so
+      with k >= 2 no certificate decides; the rank does not drop at the
+      origin either, and the checks are left undecided.
 
     None but "unit" carries an exp factor, which keeps the sampled ranks
     clear of the scale defects pinned in TestSamplingDefects."""
@@ -551,17 +553,18 @@ class TestMinorWork:
     def test_smooth_5x7_searches_only_the_generic_rank(self, monkeypatch):
         # no 5-minor is a unit; with "smooth" diagonals one is a polynomial
         # without real roots, which certifies the rank, and with "mixed"
-        # ones none is certified, so both checks fall back on sampling
-        # after the bordering minors and the search at the generic rank 5
-        for kind, method in (("smooth", "exact"), ("mixed", "sampled")):
+        # ones none is certified and the rank at the origin is 5, so both
+        # checks are left undecided after the bordering minors and the
+        # search at the generic rank 5
+        for kind, method, holds in (("smooth", "exact", True), ("mixed", "uncertified", None)):
             args = _planted_rank_input(5, 2, 5, 3, kind)
             rep, count = self._count_products(monkeypatch, check_transverse, *args)
-            assert rep.passed and rep.data["method"] == method
+            assert (rep.passed, rep.data["method"]) == (holds, method)
             cert = rep.data["minors"]
             assert cert.rank == 5 and (cert.witness is not None) == (method == "exact")
             assert count <= _minor_work_bound(5, 7)
             rep, count = self._count_products(monkeypatch, check_admissible, *args)
-            assert (rep.data["rank"], rep.data["method"]) == (2, method)
+            assert (rep.passed, rep.data["rank"], rep.data["method"]) == (holds, 2 if holds else None, method)
             assert rep.data["minors"] == cert
             assert count <= _minor_work_bound(5, 7)
 
@@ -686,33 +689,13 @@ class TestBatchedSampling:
             want = reference_sampled_ranks(rows, src, seed, RANK_SAMPLES)
             assert sampled_ranks(rows, sample_points(src.dim, seed)) == want
 
-    def test_checks_draw_the_pinned_points(self, monkeypatch):
-        # the checks sample through ratlinalg.pointwise_rank
-        import algebroids.ratlinalg as ratlinalg
-
-        args = _planted_rank_input(5, 2, 5, 3, "mixed")  # decided by sampling
-        want = reference_points(args[1], 4, RANK_SAMPLES)
-        for check in (check_admissible, check_transverse):
-            assert capture_sampled_points(monkeypatch, ratlinalg, check, *args, seed=4) == [want]
-        pf = _line_frame(lambda t: t * t + sin(t) + 2)  # pair independence sampled
-        batches = capture_sampled_points(monkeypatch, ratlinalg, validate_frame, pf, seed=4)
-        assert batches == [reference_points(pf.source_chart, 4, RANK_SAMPLES)]
-
-
-class TestSampleWork:
-    """A sampled check evaluates each non-zero entry once and ranks each
-    matrix family once, whatever the sample count: the library's count and
-    a larger one patched in."""
-
-    @pytest.mark.parametrize("samples", [RANK_SAMPLES, 200])
-    def test_admissible_and_transverse(self, monkeypatch, samples):
+    def test_checks_draw_no_points(self, monkeypatch):
+        # on inputs that no certificate decides and whose rank does not
+        # drop at the origin, the checks that go through
+        # ratlinalg.pointwise_rank are left undecided, with no point drawn
         import algebroids.ratlinalg as ratlinalg
 
         args = _planted_rank_input(5, 2, 5, 3, "mixed")
-        rows = _constraint_matrix(*args)
-        for check in (check_admissible, check_transverse):
-            monkeypatch.setattr(ratlinalg, "RANK_SAMPLES", samples)
-            rep, counts = count_sampling(monkeypatch, check, *args)
-            assert rep.passed and rep.data["method"] == "sampled"
-            assert counts["evaluate"] <= sum(not f.is_zero() for row in rows for f in row)
-            assert counts["float_rank"] == 1
+        pf = _line_frame(lambda t: (t * t + sin(t) + 2) ** 2)
+        for check, check_args in ((check_admissible, args), (check_transverse, args), (validate_frame, (pf,))):
+            assert capture_sampled_points(monkeypatch, ratlinalg, check, *check_args) == []

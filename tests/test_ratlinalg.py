@@ -6,7 +6,7 @@ it replaced (reference_factored in conftest), of the
 memoised minors of scalar_det, against a plain Laplace expansion, of
 rank_certificate, against the search over every minor size kept here, of
 generic_rank and pointwise_rank, against the one-routine certificate
-and the point-by-point sampler of conftest, and of nowhere_zero, against
+and the rank at the origin of conftest, and of nowhere_zero, against
 functions with known real zeros and the Descartes-bisection root count of
 conftest."""
 
@@ -50,9 +50,9 @@ from conftest import (
     reference_factored,
     reference_nowhere_zero,
     reference_points,
+    reference_rank_at_origin,
     reference_rank_certificate,
     reference_real_roots,
-    reference_sampled_ranks,
 )
 
 
@@ -467,8 +467,8 @@ def largest_nonzero_minor(rows):
 
 
 UNITS = [R2.one(), exp(_X), 2 * exp(-_Y), Fraction(-1, 2) * exp(_X - _Y)]
-# 1 + x^2 is certified nowhere zero, x^2 + sin(y) + 2 is nowhere zero but
-# mixes polynomial and trig terms, so no certificate decides it
+# 1 + x^2 and x^2 + sin(y) + 2 are certified nowhere zero, and a product
+# of two of the latter has x^2 sin(y) terms, which no certificate decides
 NON_UNITS = [_X, 1 + _X * _X, sin(_Y), cos(_X + _Y), exp(_X - _Y) * _Y, _X * _X + sin(_Y) + 2]
 
 
@@ -525,38 +525,81 @@ def test_generic_rank_is_the_bordered_minor_of_the_one_routine(rows):
     assert rank_certificate(rows) == want
 
 
+@st.composite
+def pointwise_claims(draw):
+    """(rows, want): a matrix of `certificate_matrices` or `planted_matrices`
+    and a claimed rank, None for constant rank."""
+    rows = draw(st.one_of(certificate_matrices(), planted_matrices().map(lambda case: case[0])))
+    return rows, draw(st.one_of(st.none(), st.integers(0, min(len(rows), len(rows[0])))))
+
+
 @pytest.mark.deep
 @settings(deadline=None)
-@given(st.data())
-def test_pointwise_rank_decides_as_the_references(data):
+@given(pointwise_claims())
+def test_pointwise_rank_decides_as_the_references(claim):
     """An exact verdict is read off the one-routine certificate of
     conftest: it holds with a witness of the claimed rank, and fails when a
-    claimed rank is not the generic one.  Otherwise it holds when the
-    point-by-point reference sampler sees the generic rank at every point.
-    """
-    rows = data.draw(st.one_of(certificate_matrices(), planted_matrices().map(lambda case: case[0])))
-    want = data.draw(st.one_of(st.none(), st.integers(0, min(len(rows), len(rows[0])))))
-    seed = data.draw(st.integers(0, 9))
-    verdict = pointwise_rank(rows, want, seed)
+    claimed rank is not the generic one.  Otherwise it fails when the
+    reference rank at the origin is below the generic rank, and is left
+    undecided when it is not."""
+    rows, want = claim
+    verdict = pointwise_rank(rows, want)
     cert = reference_rank_certificate(rows)
     assert verdict.certificate == cert
     if cert.witness is not None or want not in (None, cert.rank):
-        assert verdict == (want in (None, cert.rank), "exact", (cert.rank, cert.rank), cert)
+        assert verdict == (want in (None, cert.rank), "exact", cert.rank, cert)
+    elif reference_rank_at_origin(rows) < cert.rank:
+        assert verdict == (False, "exact", cert.rank, cert)
     else:
-        ranks = reference_sampled_ranks(rows, R2, seed, RANK_SAMPLES)
-        lo, hi = min(ranks), max(ranks)
-        assert verdict == (lo == hi == cert.rank, "sampled", (lo, hi), cert)
+        assert verdict == (None, "uncertified", cert.rank, cert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointwise_claims())
+def test_pointwise_rank_refutes_without_a_rank_gap_only_by_a_drop_at_the_origin(claim):
+    """Every exact refutation of a claim the generic rank R allows
+    re-evaluates, through the conftest reference, to a rank below R at the
+    origin, where the entries are exact rationals."""
+    rows, want = claim
+    verdict = pointwise_rank(rows, want)
+    if verdict.holds is False and want in (None, verdict.rank):
+        assert verdict.method == "exact" and verdict.certificate.witness is None
+        assert reference_rank_at_origin(rows) < verdict.rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointwise_claims())
+def test_pointwise_rank_samples_nothing(claim):
+    """Decided or not, a verdict takes no float rank: neither the sampler
+    nor numpy's rank is called."""
+    with mock.patch.object(ratlinalg, "sampled_ranks") as sampler, mock.patch.object(ratlinalg, "float_rank") as ranker:
+        verdict = pointwise_rank(*claim)
+    assert not sampler.called and not ranker.called
+    assert verdict.method == ("uncertified" if verdict.holds is None else "exact")
+
+
+def test_pointwise_rank_refutes_a_drop_at_the_origin():
+    # [[x, y]] has generic rank 1 and rank 0 at the origin; no 1-minor is
+    # certified, so only the exact values there refute either claim
+    rows = [[_X, _Y]]
+    assert reference_rank_at_origin(rows) == 0
+    for want in (None, 1):
+        verdict = pointwise_rank(rows, want)
+        assert (verdict.holds, verdict.method, verdict.rank) == (False, "exact", 1)
 
 
 def test_pointwise_rank_counts_no_uniform_float_drop_as_agreement():
-    # generic rank 2 with no certified minor; the second row is below
-    # numpy's rank tolerance at every sample point, so each sampled rank
-    # is 1, which disagrees with the generic rank whatever the claim
+    # generic rank 2 with no certified minor: the 2-minor 10^-17 f^2 has
+    # x^2 sin x terms, though f is certified nowhere zero, so the claim is
+    # true.  The second row is below numpy's rank tolerance at every point,
+    # yet no float rank is taken: the rank at the origin is 2, and the
+    # verdict is undecided whatever the claim
     f = _X * _X + sin(_X) + 2
+    assert nowhere_zero(f)
     rows = [[f, R2.zero()], [R2.zero(), Fraction(1, 10**17) * f]]
     for want in (None, 2):
-        verdict = pointwise_rank(rows, want, 0)
-        assert (verdict.holds, verdict.method, verdict.ranks) == (False, "sampled", (1, 1))
+        verdict = pointwise_rank(rows, want)
+        assert (verdict.holds, verdict.method, verdict.rank) == (None, "uncertified", 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -655,14 +698,42 @@ def test_nowhere_zero_on_trig_sums(case):
     assert not nowhere_zero(vanishing)
 
 
+@st.composite
+def mixed_sums(draw):
+    """u * (P(x) + sum c_k trig_k), P of degree up to 4, the trig terms
+    without monomial factors."""
+    u = draw(unit_factors())
+    poly = sum((c * _X**k for k, c in enumerate(draw(st.lists(small_fractions(8), max_size=5)))), R2.zero())
+    picks = draw(st.lists(st.tuples(small_fractions(), st.sampled_from(SINES + COSINES)), max_size=3))
+    return u * (poly + sum((c * t for c, t in picks), R2.zero()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_sums())
+def test_nowhere_zero_agrees_with_the_reference_on_mixed_sums(f):
+    assert nowhere_zero(f) == reference_nowhere_zero(f)
+
+
 def test_nowhere_zero_refuses_known_zeros_and_uncertified_kinds():
     theta = Chart("S1", ("t",), (True,)).coord("t")
-    for f in (1 - cos(_X), sin(_X), _X, R2.zero(), cos(_X) + cos(_Y), 2 - 2 * cos(_X - _Y)):
+    zeros = (1 - cos(_X), sin(_X), _X, R2.zero(), cos(_X) + cos(_Y), 2 - 2 * cos(_X - _Y), _X * _X + sin(_Y) + 1)
+    for f in zeros:
         assert not nowhere_zero(f)
-    # nowhere zero, but outside the three certified kinds
-    for f in (_X * _X + sin(_Y) + 2, _X * _X + _Y * _Y + 1, theta * theta + 1, exp(_X) + exp(_Y)):
+    # nowhere zero, but outside the certified kinds
+    mixed = _X * _X + sin(_Y) + 2
+    for f in (mixed * mixed, _X * _X + _X * sin(_Y) + 2, _X * _X + _Y * _Y + 1, theta * theta + 1, exp(_X) + exp(_Y)):
         assert not nowhere_zero(f)
-    for f in (exp(_X - _Y), 1 + _X * _X, (_Y**4 + _Y + 1) * exp(2 * _X), 3 + sin(_X) + cos(_Y), 2 * exp(_Y) * (2 - sin(_X))):
+    certified = (
+        exp(_X - _Y),
+        1 + _X * _X,
+        (_Y**4 + _Y + 1) * exp(2 * _X),
+        3 + sin(_X) + cos(_Y),
+        2 * exp(_Y) * (2 - sin(_X)),
+        mixed,
+        -2 - cos(_Y) - _Y * _Y,
+        exp(_Y) * (_Y * _Y + sin(_Y) + 2),
+    )
+    for f in certified:
         assert nowhere_zero(f)
 
 

@@ -914,6 +914,7 @@ class TestCLI:
             ["char", "cylinder.scn", "D", "--seed", "1"],
             ["diagram", "diagram_point.scn", "DIA", "--ansatz-degree", "2"],
             ["pullback", "cylinder.scn", "PB", "--fourier-modes", "2"],
+            ["pullback", "cylinder.scn", "PB", "--seed", "1"],
         ],
     )
     def test_unread_flags_are_rejected(self, capsys, argv):
