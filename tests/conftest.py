@@ -753,9 +753,9 @@ def reference_sampled_ranks(rows, chart, seed, samples):
 
 def capture_sampled_points(monkeypatch, module, check, *args, **kwargs):
     """Run one check and return the point batches it hands to the
-    `sampled_ranks` bound in ``module``, in call order: `ratlinalg` for
-    the checks that sample through `pointwise_rank`, `extensions` for
-    `check_extension`."""
+    `sampled_ranks` bound in ``module``, in call order: `extensions` for
+    `check_extension`, and `ratlinalg` to show that the checks that go
+    through `pointwise_rank` draw none."""
     batches = []
     real = module.sampled_ranks
 
