@@ -19,7 +19,7 @@ from functools import cache, cached_property
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence, Union
 
-from .ratlinalg import generic_rank
+from .ratlinalg import FrameSolveFailure, generic_rank, unit_pivot_solve
 from .report import CheckReport
 from .symexpr import Chart, ScalarFn, lincomb, point_chart
 
@@ -650,14 +650,21 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
 
         rho(Jac(x, y, z)) = sum_cyc ([R(x, y), rho z] + R([x, y], z)),
 
-    so R = 0 gives sum_k Jac^k rho(e_k) = 0.  The ring is an integral
-    domain (see `ratlinalg.generic_rank`), so if the anchor rows are
-    independent over its fraction field, which a non-zero rank-minor of
-    the anchor shows, every Jac^k is zero: each "d(d e^k)" item passes
-    with no d_A taken.  Only the generic rank matters, not a minor that
-    vanishes nowhere.  ``data["jacobi"]`` records the method: that minor,
-    or "d_A" when the residuals do not vanish, the rank is 0 or exceeds
-    the chart dimension, or the anchor is not generically injective.
+    so R = 0 gives sum_k Jac^k rho(e_k) = 0; on frame sections, where
+    R([e_x, e_y], e_z) = sum_m C^m_xy res_mz, the right side V is read off
+    the residuals.  The ring is an integral domain (see
+    `ratlinalg.generic_rank`), so anchor rows independent over its fraction
+    field fix every Jac^k.  ``data["jacobi"]`` names the route:
+
+    - a non-zero rank-minor of the anchor, when every residual vanishes:
+      each "d(d e^k)" item passes with no d_A taken (only the generic rank
+      matters, not a minor that vanishes nowhere);
+    - "unit pivots", when a residual does not vanish and the transposed
+      anchor has a unit pivot in every column: one `unit_pivot_solve` of
+      rho^T Jac = V, with a column per sorted triple whose V is non-zero,
+      gives every Jac^k (a zero V gives Jac = 0), with no d_A taken;
+    - "d_A" otherwise, a rank of 0 or above the chart dimension included:
+      one d_A per coframe element.
     """
     rep = CheckReport(f"axioms of {a.name}")
     coords = a.chart.coords
@@ -685,16 +692,41 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
     for l, coord in enumerate(coords):
         res = FormField._trusted(a, 2, {key: -row[l] for key, row in residuals.items()})
         rep.residual(f"d(d {coord}) = 0", res)
-    jacobi = "d_A"
-    if 0 < a.rank <= a.chart.dim and all(f.is_zero() for row in residuals.values() for f in row):
+    nonzero = {key: _nonzero(row) for key, row in residuals.items() if any(f.num for f in row)}
+
+    def image(t: tuple[int, ...]) -> list[ScalarFn]:
+        # rho(Jac(e_p, e_q, e_r)) = sum_cyc ([R_xy, rho e_z] + sum_m C^m_xy R_mz)
+        pieces: list[list[tuple]] = [[] for _ in coords]
+        for x, y, z in (t, t[1:] + t[:1], t[2:] + t[:2]):
+            s, key = (1, (x, y)) if x < y else (-1, (y, x))
+            for c, f in nonzero.get(key, ()):
+                for l, _ in rows[z]:
+                    pieces[l].append((s, f, anchor_partial(z, l, c)))
+            for l, f in nonzero.get(key, ()):
+                pieces[l] += _vf_pieces(rows[z], f, coords, -s)
+            for m, cf in a.structure.get(key, {}).items():
+                sm, mz = (1, (m, z)) if m < z else (-1, (z, m))
+                for l, f in nonzero.get(mz, ()):
+                    pieces[l].append((s * sm, cf, f))
+        return [lincomb(a.chart, p) for p in pieces]
+
+    jacobi, jac = "d_A", None  # jac: the non-zero Jac(e_p, e_q, e_r) by sorted triple
+    if 0 < a.rank <= a.chart.dim and not nonzero:
         minor = generic_rank(a.anchor)
         if len(minor[0]) == a.rank:
-            jacobi = minor
+            jacobi, jac = minor, {}
+    elif 0 < a.rank <= a.chart.dim:
+        images = {t: v for t in combinations(range(a.rank), 3) for v in [image(t)] if any(f.num for f in v)}
+        try:
+            jac = dict(zip(images, unit_pivot_solve([list(col) for col in zip(*a.anchor)], list(images.values()))))
+            jacobi = "unit pivots"
+        except FrameSolveFailure:
+            pass
     rep.data["jacobi"] = jacobi
     for k in range(a.rank):
         label = f"d(d {a.coframe[k]}) = 0"
-        if jacobi != "d_A":
-            rep.add(label, True)
+        if jac is not None:
+            rep.residual(label, FormField._trusted(a, 3, {t: sol[k] for t, sol in jac.items()}))
             continue
         # d_A is linear: the sign of d_A e^k is applied to the residual,
         # which is zero when the check passes

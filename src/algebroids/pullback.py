@@ -243,14 +243,16 @@ class BuiltPullback:
     presentation: AlgebroidPresentation
     projection: Morphism
     frame: PullbackFrame
+    validated: Optional[bool]  # the frame validation: True, or None when undecided
 
 
 def build_pullback(pf: PullbackFrame) -> BuiltPullback:
     """Structure functions by evaluating the fiber-product bracket on frame
     pairs and re-expanding (unit-pivot solve); anchor = vector-field parts;
-    the projection onto the target factor is returned as a morphism."""
+    the projection onto the target factor is returned as a morphism.  A
+    frame that fails validation raises; an undecided one builds."""
     validation = validate_frame(pf)
-    if not validation.passed:
+    if validation.passed is False:
         raise AdmissibilityFailure(
             "pull-back frame failed validation:\n" + validation.pretty()
         )
@@ -267,7 +269,7 @@ def build_pullback(pf: PullbackFrame) -> BuiltPullback:
         structure,
     )
     proj = Morphism(f"proj_{pres.name}", pres, b, list(pf.basemap), rows[: b.rank])
-    return BuiltPullback(pres, proj, pf)
+    return BuiltPullback(pres, proj, pf, validation.passed)
 
 
 def _pair_matrix(pf: PullbackFrame) -> list[list[ScalarFn]]:

@@ -351,7 +351,7 @@ class Session:
             self.trivialization(second.target),
         )
 
-    def _assert_pullback(self, args) -> tuple[bool, str]:
+    def _assert_pullback(self, args) -> tuple[Optional[bool], str]:
         built = self.pullback(args["name"])
         target = self.sc.algebroid(args["algebroid"])
         ok = same_presentation(built.presentation, target)
@@ -359,6 +359,8 @@ class Session:
         proj_ok = check_morphism(built.projection).passed
         if not proj_ok:
             detail += "; projection fails the morphism check"
+        if ok and proj_ok and built.validated is None:
+            return None, "frame validation undecided"
         return ok and proj_ok, detail
 
     def _assert_admissible(self, args) -> tuple[bool, str] | CheckReport:

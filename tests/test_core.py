@@ -72,6 +72,12 @@ def corrupted_algebroids(draw, algebroids=frame_algebroids()):
     return AlgebroidPresentation("X", chart, a.frame, anchor, structure)
 
 
+def jacobi_route(rep):
+    """The route a `check_axioms` report took to its d(d e^k) items."""
+    route = rep.data["jacobi"]
+    return route if isinstance(route, str) else "minor"
+
+
 def check_axioms_matches_the_reference(algebroids):
     """The property, over the algebroids ``algebroids`` draws and their
     corruptions, that the closed form of d e^k and the partials taken once
@@ -83,6 +89,7 @@ def check_axioms_matches_the_reference(algebroids):
     def test(self, a):
         rep = check_axioms(a)
         event("passes" if rep.passed else "fails")
+        event(f"jacobi via {jacobi_route(rep)}")
         assert rep.to_dict() == reference_check_axioms(a).to_dict()
 
     return test
@@ -111,7 +118,9 @@ class TestCheckAxioms:
     def test_dde_items_are_the_frame_jacobi_law(self, a):
         """Component (i, j, l) of the d(d e^k) residual is component k of
         jacobiator(a, i, j, l), for every sorted frame triple."""
-        items = {item.label: item for item in check_axioms(a).items}
+        rep = check_axioms(a)
+        event(f"jacobi via {jacobi_route(rep)}")
+        items = {item.label: item for item in rep.items}
         triples = list(combinations(range(a.rank), 3))
         jac = {key: jacobiator(a, *key) for key in triples}
         for k, name in enumerate(a.coframe):
@@ -175,7 +184,9 @@ def injective_frame():
 
 class TestJacobiFromTheAnchor:
     """With zero anchor residuals and a generically injective anchor, the
-    d(d e^k) items are read off the anchor; otherwise each takes one d_A."""
+    d(d e^k) items are read off the anchor; with non-zero residuals and unit
+    pivots in the anchor, off one solve through it; otherwise each takes
+    one d_A."""
 
     def test_injective_frame_takes_no_d_A(self, monkeypatch):
         a = injective_frame()
@@ -187,7 +198,7 @@ class TestJacobiFromTheAnchor:
         assert rep.passed
         assert rep.to_dict() == reference_check_axioms(a).to_dict()
 
-    def test_shifted_structure_function_falls_back_to_d_A(self, monkeypatch):
+    def test_shifted_structure_function_takes_unit_pivots(self, monkeypatch):
         a = injective_frame()
         (i, j), comps = next(iter(a.structure.items()))
         k, f = next(iter(comps.items()))
@@ -196,8 +207,8 @@ class TestJacobiFromTheAnchor:
         bad = AlgebroidPresentation("X", a.chart, a.frame, a.anchor, structure)
         calls = count_d_A(monkeypatch)
         rep = check_axioms(bad)
-        assert len(calls) == bad.rank
-        assert rep.data["jacobi"] == "d_A"
+        assert calls == []
+        assert rep.data["jacobi"] == "unit pivots"
         assert not rep.passed
         items = {item.label: item for item in rep.items}
         jac = jacobiator(bad, 0, 1, 2)
@@ -205,6 +216,52 @@ class TestJacobiFromTheAnchor:
             want = FormField(bad, 3, {(0, 1, 2): jac[t]})
             item = items[f"d(d {name}) = 0"]
             assert (item.ok, item.detail) == (want.is_zero(), "" if want.is_zero() else str(want))
+        monkeypatch.undo()
+        assert rep.to_dict() == reference_check_axioms(bad).to_dict()
+
+    @pytest.mark.parametrize(
+        "shift",
+        [("structure", i, j, k) for i, j in combinations(range(3), 2) for k in range(3)] + [("anchor", 0, 1)],
+        ids=str,
+    )
+    def test_each_shift_of_the_frame_matches_the_reference(self, monkeypatch, shift):
+        """A shifted structure function C^k_ij (by z) or anchor entry
+        (rho(e_0)_y by x) keeps the unit pivots of the anchor: the Jacobi
+        items come from the one solve, as the generic calculus has them, and
+        each structure shift fails at least one."""
+        a = injective_frame()
+        anchor = [list(row) for row in a.anchor]
+        structure = {key: dict(c) for key, c in a.structure.items()}
+        if shift[0] == "structure":
+            _, i, j, k = shift
+            comps = structure.setdefault((i, j), {})
+            comps[k] = comps.get(k, a.chart.zero()) + a.chart.coord("z")
+        else:
+            _, t, l = shift
+            anchor[t][l] = anchor[t][l] + a.chart.coord("x")
+        bad = AlgebroidPresentation("X", a.chart, a.frame, anchor, structure)
+        calls = count_d_A(monkeypatch)
+        rep = check_axioms(bad)
+        assert (rep.data["jacobi"], calls, rep.passed) == ("unit pivots", [], False)
+        jacobi_items = [item.ok for item in rep.items if item.label in {f"d(d {e}) = 0" for e in bad.coframe}]
+        assert (False in jacobi_items) == (shift[0] == "structure")
+        monkeypatch.undo()
+        assert rep.to_dict() == reference_check_axioms(bad).to_dict()
+
+    def test_injective_anchor_without_unit_pivots_takes_d_A(self, monkeypatch):
+        """rho = ((x^2 + 1) d/dx, d/dy, d/dz) is injective, but x^2 + 1 is no
+        unit: with non-zero residuals the items fall back to one d_A each."""
+        chart = Chart("R3", ("x", "y", "z"))
+        x, y, z = (chart.coord(c) for c in chart.coords)
+        one, zero = chart.one(), chart.zero()
+        anchor = [[x * x + 1, zero, zero], [zero, one, zero], [zero, zero, one]]
+        bad = AlgebroidPresentation("X", chart, ("a", "b", "c"), anchor, {(0, 1): {2: z}, (1, 2): {0: x, 1: y}})
+        calls = count_d_A(monkeypatch)
+        rep = check_axioms(bad)
+        assert (rep.data["jacobi"], len(calls), rep.passed) == ("d_A", bad.rank, False)
+        assert any(not f.is_zero() for f in jacobiator(bad, 0, 1, 2))
+        monkeypatch.undo()
+        assert rep.to_dict() == reference_check_axioms(bad).to_dict()
 
     @pytest.mark.parametrize(
         "make",

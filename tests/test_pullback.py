@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -41,6 +42,7 @@ from algebroids.pullback import (
 from algebroids.ratlinalg import RANK_SAMPLES, rank_certificate, sample_points, sampled_ranks, scalar_det
 from algebroids.reps import canonical_sections
 from algebroids.runner import Session
+from algebroids.scenario import parse_scenario
 from algebroids.symexpr import Chart, ScalarFn, cos, exp, parse_expr, sin
 
 from conftest import (
@@ -153,6 +155,7 @@ class TestBuildPullback:
             ("t",),
         )
         built = build_pullback(pf)
+        assert built.validated is True
         assert same_presentation(built.presentation, tangent_algebroid(S1))
         assert check_morphism(built.projection).passed
         assert built.projection.fiber == ((S1.one(),),)
@@ -211,6 +214,33 @@ class TestBuildPullback:
         )
         with pytest.raises(AdmissibilityFailure):
             build_pullback(pf)
+
+    def test_undecided_frame_builds_and_holds_the_verdict(self):
+        """One pair (f^2, f^2), f = t^2 + sin t + 2, over the tangent
+        algebroid of the line: no minor decides its independence, so the
+        validation is undecided, and the frame builds and holds that."""
+        pf = _line_frame(lambda t: (t * t + sin(t) + 2) * (t * t + sin(t) + 2))
+        assert validate_frame(pf).passed is None
+        built = build_pullback(pf)
+        assert built.validated is None
+        assert built.presentation.anchor == ((pf.pairs[0].vf[0],),)
+        assert check_morphism(built.projection).passed
+
+    def test_undecided_frame_reads_unknown_in_a_pullback_assertion(self):
+        sc = parse_scenario(
+            "chart L { coords t }\n"
+            "algebroid TL tangent of L\n"
+            "algebroid P on L { frame p ; anchor p = ((t^2 + sin(t) + 2)^2) }\n"
+            "pullback PB of TL from L { base = (t) ; pair ((t^2 + sin(t) + 2)^2) | ((t^2 + sin(t) + 2)^2) }\n"
+            "assert pullback PB matches P\n"
+            "assert pullback PB matches TL\n"
+        )
+        session = Session(sc, 0)
+        matches, differs = sc.assertions
+        assert session.run_assertion(matches) == ("fail", "frame validation undecided")
+        unknown = replace(matches, args={**matches.args, "expect": "unknown"})
+        assert session.run_assertion(unknown) == ("pass", "frame validation undecided")
+        assert session.run_assertion(differs) == ("fail", "presentations differ")
 
 
 class TestValidateFrameWork:
