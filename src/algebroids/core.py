@@ -716,6 +716,7 @@ def check_axioms(a: AlgebroidPresentation) -> CheckReport:
         if len(minor[0]) == a.rank:
             jacobi, jac = minor, {}
     elif 0 < a.rank <= a.chart.dim:
+        # the solve runs with no column too: its unit pivots certify injectivity
         images = {t: v for t in combinations(range(a.rank), 3) for v in [image(t)] if any(f.num for f in v)}
         try:
             jac = dict(zip(images, unit_pivot_solve([list(col) for col in zip(*a.anchor)], list(images.values()))))

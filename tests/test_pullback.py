@@ -1,5 +1,5 @@
-from itertools import combinations, product
 from dataclasses import replace
+from itertools import combinations, product
 from math import comb
 
 import pytest
