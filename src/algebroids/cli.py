@@ -125,10 +125,10 @@ def _cmd_cocycle(args) -> int:
     cls = session.classify(alpha)
     name_key, cocycle_key = _COCYCLE_KEYS[args.command]
     payload = {name_key: args.name, cocycle_key: str(alpha), "status": cls.status}
-    if cls.primitive is not None:
-        payload["primitive"] = str(cls.primitive)
-    if cls.certificate is not None:
-        payload["certificate"] = f"nonzero mean {cls.certificate.mean} along {cls.certificate.coord}"
+    if cls.holds:
+        payload["primitive"] = str(cls.evidence)
+    elif cls.holds is False:
+        payload["certificate"] = f"nonzero mean {cls.evidence.mean} along {cls.evidence.coord}"
     _emit(payload, args.format)
     return 0
 

@@ -4,12 +4,13 @@ Exactness of a cocycle alpha asks for a function f with d_A f = alpha.
 Globally this is undecidable, so the solver works inside a finite
 dimensional ansatz (polynomials up to a degree, Fourier modes up to a
 bound on periodic coordinates, optional exp slopes) and the verdict is
-three-valued:
+three-valued, a `report.Decision` whose evidence decided it:
 
 * exact, with the primitive exhibited;
 * certified non-exact, via the vanishing-mean obstruction along a
   periodic coordinate (sound globally, not just in the ansatz);
-* not exact within the ansatz (unknown).
+* not exact within the ansatz (unknown), with, on the operator route,
+  the Farkas witness that proves the space holds no primitive.
 
 On a tangent algebroid (identity anchor, no brackets) `classify` finds
 the primitive by integration, coordinate by coordinate, in closed form
@@ -57,7 +58,7 @@ from typing import Optional, Sequence, Union
 from .core import AlgebroidPresentation, FormField, d_A, function_form, is_tangent
 from .morphisms import Morphism, pullback_form
 from .ratlinalg import FactoredSystem, rat_solve
-from .report import CheckReport
+from .report import CheckReport, Decision
 from .symexpr import (
     Chart,
     ChartMap,
@@ -343,20 +344,6 @@ class Inconclusive:
     reason: str
 
 
-@dataclass
-class CocycleClass:
-    """The decided status of a closed 1-form inside an ansatz space."""
-
-    status: str  # "exact" | "nonexact_certified" | "nonexact_in_ansatz"
-    primitive: Optional[ScalarFn] = None
-    certificate: Optional[NonExactCertificate] = None
-
-    @property
-    def holds(self) -> Optional[bool]:
-        """Is the form exact: True, False or None (undecided)."""
-        return None if self.status == "nonexact_in_ansatz" else self.status == "exact"
-
-
 def is_cocycle(alpha: FormField) -> bool:
     return d_A(alpha).is_zero()
 
@@ -547,9 +534,10 @@ def antiderivative(f: ScalarFn, j: int) -> ScalarFn:
     return ScalarFn._make(f.chart, items, den * f.den)
 
 
-def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
-    """The primitive of alpha in the space that `solve_exact` finds, or
-    None when the space holds none.  A space on another chart is refused,
+def _primitive(alpha: FormField, space: AnsatzSpace) -> Union[ScalarFn, NoSolutionInAnsatz, None]:
+    """The primitive of alpha in the space that `solve_exact` finds; when
+    the space holds none, `solve_exact`'s witness on the operator route and
+    None on the integration route.  A space on another chart is refused,
     and so is a form of another degree than 1; a zero 1-form has the
     primitive 0, with no operator built.  On a
     tangent algebroid F is built coordinate by coordinate, F += the
@@ -565,8 +553,7 @@ def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
     if alpha.is_zero():
         return a.chart.zero()
     if not is_tangent(a):
-        res = solve_exact(alpha, space)
-        return res if isinstance(res, ScalarFn) else None
+        return solve_exact(alpha, space)
     coords = a.chart.coords
     comps = [alpha.component((j,)) for j in range(a.rank)]
     f = a.chart.zero()
@@ -579,18 +566,21 @@ def _primitive(alpha: FormField, space: AnsatzSpace) -> Optional[ScalarFn]:
 
 def classify(
     alpha: FormField, space: AnsatzSpace, seed: int = 0
-) -> CocycleClass:
-    """Exactness verdict: primitive, sound nonexactness certificate, or
-    unknown-within-ansatz.  Status never downgrades.  The zero form is
-    exact with primitive 0; any other primitive comes from integration on
-    a tangent algebroid and from `solve_exact` on any other, the same
-    function either way.  A form that is not closed raises
+) -> Decision:
+    """Exactness verdict, as a `Decision` with its evidence:
+    ``(True, "exact", primitive)``, ``(False, "nonexact_certified",
+    NonExactCertificate)`` or ``(None, "nonexact_in_ansatz", witness)``,
+    the witness `solve_exact`'s `NoSolutionInAnsatz` on the operator route
+    and None on the integration route.  Status never downgrades.  The zero
+    form is exact with primitive 0; any other primitive comes from
+    integration on a tangent algebroid and from `solve_exact` on any
+    other, the same function either way.  A form that is not closed raises
     PreconditionFailure, and a space on another chart SymExprError.
     Nothing is sampled: ``seed`` is accepted and unread, only because the
     benchmark's workloads still pass it."""
     res = _primitive(alpha, space)
-    if res is not None:
-        return CocycleClass("exact", primitive=res)
+    if isinstance(res, ScalarFn):
+        return Decision(True, "exact", res)
     a = alpha.algebroid
     for coord in (c for c, per in zip(a.chart.coords, a.chart.periodic) if per):
         combo = find_circle_section(a, coord)
@@ -598,30 +588,20 @@ def classify(
             continue
         cert = period_certificate(alpha, combo, coord)
         if isinstance(cert, NonExactCertificate):
-            return CocycleClass("nonexact_certified", certificate=cert)
-    return CocycleClass("nonexact_in_ansatz")
-
-
-@dataclass
-class CohomologousVerdict:
-    verdict: str  # "cohomologous" | "distinct_certified" | "unknown_in_ansatz"
-    primitive: Optional[ScalarFn] = None
-    certificate: Optional[NonExactCertificate] = None
-
-    @property
-    def holds(self) -> Optional[bool]:
-        """Are the two forms cohomologous: True, False or None (undecided)."""
-        return None if self.verdict == "unknown_in_ansatz" else self.verdict == "cohomologous"
+            return Decision(False, "nonexact_certified", cert)
+    return Decision(None, "nonexact_in_ansatz", res)
 
 
 def cohomologous(
     alpha: FormField, beta: FormField, space: AnsatzSpace, seed: int = 0
-) -> CohomologousVerdict:
-    """The `classify` verdict on alpha - beta, read as a class relation.
-    ``seed`` is accepted and unread, as in `classify`."""
+) -> Decision:
+    """The `classify` decision on alpha - beta, read as a class relation:
+    the same ``holds`` and evidence, with the status "cohomologous",
+    "distinct_certified" or "unknown_in_ansatz".  ``seed`` is accepted and
+    unread, as in `classify`."""
     cls = classify(alpha - beta, space)
-    verdict = {True: "cohomologous", False: "distinct_certified", None: "unknown_in_ansatz"}[cls.holds]
-    return CohomologousVerdict(verdict, cls.primitive, cls.certificate)
+    word = {True: "cohomologous", False: "distinct_certified", None: "unknown_in_ansatz"}[cls.holds]
+    return cls._replace(status=word)
 
 
 def check_pullback_injectivity(
@@ -659,8 +639,8 @@ def check_pullback_injectivity(
         rep.add("pulled cocycle is closed", False)
         return rep
     rep.add("pulled cocycle is closed", True)
-    res = cls_pull.primitive
-    if res is not None:
+    if cls_pull.holds:
+        res = cls_pull.evidence
         basic = _is_basic(res, fiber_idx)
         rep.add("primitive of the pull-back is basic", basic, str(res))
         if basic:

@@ -332,7 +332,7 @@ def verify_extension_identity(
         rep.residual("cochain identity theta = proj^*(eta)", theta - pulled)
     else:
         verdict = cohomologous(theta, pulled, ansatz)
-        rep.add("class identity theta ~ proj^*(eta)", verdict.holds, verdict.verdict)
+        rep.add("class identity theta ~ proj^*(eta)", verdict.holds, verdict.status)
     rep.data["theta"] = theta
     rep.data["eta"] = ext.eta
     return rep
@@ -372,7 +372,7 @@ def _identity(
         rep.add(f"{name} exact at cochain level", True)
     else:
         verdict = cohomologous(lhs, rhs, space)
-        rep.add(f"{name} up to an exact form", verdict.holds, verdict.verdict)
+        rep.add(f"{name} up to an exact form", verdict.holds, verdict.status)
 
 
 def verify_constant_rank_identity(
@@ -551,9 +551,9 @@ def verify_regular_poisson(
     chart, bpres, sharp_b = ext.chart, ext.quotient, ext.proj
     mod_sharp, eta_k, pulled = kit.mod_sharp, ext.eta, kit.half
     verdict = pointwise_rank(sharp.fiber, bpres.rank)
-    ranks = f"generic rank {verdict.rank}, image rank {bpres.rank}"
-    rep.add(f"constant rank ({verdict.method})", verdict.holds, ranks)
-    rep.data["minors"], rep.data["method"] = verdict.certificate, verdict.method
+    ranks = f"generic rank {verdict.evidence.rank}, image rank {bpres.rank}"
+    rep.add(f"constant rank ({verdict.status})", verdict.holds, ranks)
+    rep.data["minors"], rep.data["method"] = verdict.evidence, verdict.status
     extrep = check_extension(ext, seed=seed)
     rep.add("extension data valid", extrep.passed)
     mod_sharp_b = relative_modular(sharp_b, Trivialization.of(ext.total), Trivialization.of(bpres))
@@ -567,7 +567,7 @@ def verify_regular_poisson(
         rep.add("cokernel rep dual to kernel rep (exact)", True)
     else:
         v = cohomologous(eta_q, -eta_k, ansatz)
-        rep.add("cokernel rep dual to kernel rep (class)", v.holds, v.verdict)
+        rep.add("cokernel rep dual to kernel rep (class)", v.holds, v.status)
     # invariant transverse volume criterion, undecided unless both classes are decided
     unimodular = classify(mod_sharp, ansatz)
     transverse = classify(eta_q, ansatz)

@@ -21,13 +21,14 @@ its pairs, and its pairs are pointwise independent where the matrix of
 their rows has full row rank, the question transversality asks too.
 Every one of these verdicts is decided by `ratlinalg.pointwise_rank`, the
 one pointwise-rank routine, exactly or not at all, and each check only
-phrases its item.  It holds when a minor of the generic rank R is
-certified nowhere zero (then R is the rank at every point); it fails when
-a full-rank question finds R too small or the rank drops at the origin;
-otherwise it is undecided, and the report says which method decided.
+phrases its item from the `report.Decision` it returns.  It holds when a
+minor of the generic rank R is certified nowhere zero (then R is the rank
+at every point); it fails when a full-rank question finds R too small or
+the rank drops at the origin; otherwise it is undecided, and a note
+``method: <status> (<item>)`` says which method decided the item.
 Nothing here samples: `extensions.check_extension` is the one sampled
-check left.  The certificate goes into ``rep.data["minors"]``, which
-reports do not print.
+check left.  The certificate, the decision's evidence, goes into
+``rep.data["minors"]``, which reports do not print.
 `verify_submersion_vanishing` takes a built product-submersion pull-back,
 which the scenario `Session` holds, and its residual is
 `morphisms.relative_modular` of the projection.
@@ -52,8 +53,8 @@ from .morphisms import (
     compose,
     relative_modular,
 )
-from .ratlinalg import PointwiseRank, bracket_structure, pointwise_rank, unit_pivot_solve
-from .report import CheckReport
+from .ratlinalg import bracket_structure, pointwise_rank, unit_pivot_solve
+from .report import CheckReport, Decision
 from .reps import Trivialization
 from .symexpr import Chart, ChartMap, ScalarFn, lincomb
 
@@ -116,10 +117,10 @@ def _constraint_space(b: AlgebroidPresentation, rows: list[list[ScalarFn]], dim:
     over a source chart of dimension ``dim``: the constraint space is the
     kernel of ``rows``, of rank ``b.rank + dim`` minus theirs."""
     verdict = pointwise_rank(rows, None)
-    rank = b.rank + dim - verdict.rank
+    rank = b.rank + dim - verdict.evidence.rank
     detail = f"rank {rank}"
     if not verdict.holds:
-        detail += " generically, " + ("larger at the origin" if verdict.method == "exact" else "no minor certified")
+        detail += " generically, " + ("larger at the origin" if verdict.holds is False else "no minor certified")
     title = f"admissibility of the base map into {b.name}"
     rep = _decided(title, "constraint space has constant rank", verdict, detail)
     rep.data["rank"] = rank if verdict.holds else None
@@ -145,24 +146,26 @@ def _onto(title: str, label: str, rows: list[list[ScalarFn]]) -> CheckReport:
     rank len(rows) at every point."""
     n = len(rows)
     verdict = pointwise_rank(rows, n)
-    if verdict.certificate.witness is not None:
-        detail = f"rank {verdict.rank} of {n} at every point"
+    cert = verdict.evidence
+    if cert.witness is not None:
+        detail = f"rank {cert.rank} of {n} at every point"
     elif verdict.holds is None:
         detail = f"rank {n} of {n} generically, no minor certified"
     else:
-        detail = f"rank < {n} at " + ("every point" if verdict.rank < n else "the origin")
+        detail = f"rank < {n} at " + ("every point" if cert.rank < n else "the origin")
     return _decided(title, label, verdict, detail)
 
 
-def _decided(title: str, label: str, verdict: PointwiseRank, detail: str) -> CheckReport:
+def _decided(title: str, label: str, verdict: Decision, detail: str) -> CheckReport:
     """The report ``title`` with one item ``label``, of the verdict and
-    ``detail``, the note of the method that decided it, and the
-    certificate and the method in its ``data``."""
+    ``detail``, a note of the method that decided it, which names the item
+    so that a merge keeps them together, and the certificate and method in
+    its ``data``."""
     rep = CheckReport(title)
     rep.add(label, verdict.holds, detail)
-    rep.note(f"method: {verdict.method}")
-    rep.data["minors"] = verdict.certificate
-    rep.data["method"] = verdict.method
+    rep.note(f"method: {verdict.status} ({label})")
+    rep.data["minors"] = verdict.evidence
+    rep.data["method"] = verdict.status
     return rep
 
 

@@ -30,7 +30,8 @@
   polynomial whose |coefficients| sum below |P| everywhere (Sturm
   sequences of ``int`` pseudo-remainders, `_real_roots`).
 * `pointwise_rank` decides "rank R at every point" or constant rank,
-  exactly or not at all: a certified minor of the generic rank proves it,
+  exactly or not at all, as a `report.Decision` whose evidence is the
+  `RankCertificate`: a certified minor of the generic rank proves it,
   and a generic rank other than R or a rank drop at the origin, where
   every entry is an exact rational, refutes it.  Every pointwise rank
   check but `extensions.check_extension` goes through it.
@@ -55,6 +56,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .report import Decision
 from .symexpr import Rational, ScalarFn, lincomb
 
 
@@ -616,21 +618,12 @@ def sampled_ranks(rows: Sequence[Sequence[ScalarFn]], points: Sequence) -> list[
     return float_rank(stack)
 
 
-class PointwiseRank(NamedTuple):
-    """A verdict of `pointwise_rank`: ``holds`` is True, False or None
-    (undecided), ``method`` is ``"exact"`` for a decided verdict and
-    ``"uncertified"`` otherwise, and ``rank`` is the generic rank R, the
-    rank at every point when ``certificate`` has a witness."""
-
-    holds: Optional[bool]
-    method: str
-    rank: int
-    certificate: RankCertificate
-
-
-def pointwise_rank(rows: Sequence[Sequence[ScalarFn]], want: Optional[int]) -> PointwiseRank:
+def pointwise_rank(rows: Sequence[Sequence[ScalarFn]], want: Optional[int]) -> Decision:
     """Decide "``rows`` has rank ``want`` at every point", or with ``want``
-    None "``rows`` has constant rank", exactly or not at all.
+    None "``rows`` has constant rank", exactly or not at all: a `Decision`
+    with status ``"exact"`` when decided and ``"uncertified"`` otherwise,
+    and the `RankCertificate` as evidence, whose ``rank`` is the generic
+    rank R, the rank at every point when it has a ``witness``.
 
     It holds when `rank_certificate` has a witness, and is refuted when
     ``want`` differs from the generic rank R, the rank on a dense open set.
@@ -642,12 +635,12 @@ def pointwise_rank(rows: Sequence[Sequence[ScalarFn]], want: Optional[int]) -> P
     cert = rank_certificate(rows)
     r = cert.rank
     if cert.witness is not None or want not in (None, r):
-        return PointwiseRank(want in (None, r), "exact", r, cert)
+        return Decision(want in (None, r), "exact", cert)
     at_origin = [{} for _ in rows]
     for values, row in zip(at_origin, rows):
         for j, f in enumerate(row):
             if v := sum(q for (mono, trig, _), q in f.num.items() if not (any(mono) or trig and trig[0] == "sin")):
                 values[j] = Fraction(v, f.den)
     if len(FactoredSystem(at_origin, len(rows[0])).cols) < r:
-        return PointwiseRank(False, "exact", r, cert)
-    return PointwiseRank(None, "uncertified", r, cert)
+        return Decision(False, "exact", cert)
+    return Decision(None, "uncertified", cert)

@@ -7,15 +7,35 @@ An item holds, fails or is undecided (`ok` True, False or None: printed
 A failing residual item holds the residual itself and formats it the
 first time its `detail` is read, so a caller that reads only `passed`
 formats nothing, and a report that is printed prints the same text.
+
+A `Decision` is what every exact-or-undecided routine returns
+(`cohomology.classify` and `cohomologous`, `ratlinalg.pointwise_rank`).
+This module imports nothing from the package, so any layer can return one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 # the header mark of a report and the mark of an item, by outcome
 _HEADS = {True: "PASS", False: "FAIL", None: "UNKNOWN"}
 _MARKS = {True: "ok ", False: "FAIL", None: "??"}
+
+
+class Decision(NamedTuple):
+    """A three-valued answer: ``holds`` True, False or None (undecided), the
+    ``status`` word that names it, and the ``evidence`` behind it (a
+    primitive, a certificate or a witness; None when there is none)."""
+
+    holds: Optional[bool]
+    status: str
+    evidence: object = None
+
+    @property
+    def verdict(self) -> str:
+        """`status`, under the name the benchmark reads from `cohomologous`."""
+        return self.status
 
 
 class CheckItem:

@@ -25,7 +25,6 @@ from typing import Optional
 from .cohomology import (
     MEAN_VANISHES,
     AnsatzSpace,
-    CocycleClass,
     Inconclusive,
     check_pullback_injectivity,
     classify,
@@ -63,7 +62,7 @@ from .pullback import (
     verify_submersion_vanishing,
 )
 from .reps import LineSection, Trivialization, char_cocycle, check_flat, dual_rep, tensor_rep
-from .report import CheckReport
+from .report import CheckReport, Decision
 from .scenario import Assertion, Scenario, ScenarioError
 from .symexpr import parse_expr
 
@@ -205,7 +204,7 @@ class Session:
         build = lambda: build_pullback(product_submersion_frame(b, chart))
         return self._hold("product pullback", f"{b.name} from {chart.name}", build)
 
-    def classify(self, alpha: FormField) -> CocycleClass:
+    def classify(self, alpha: FormField) -> Decision:
         """Exactness of `alpha` in the session's ansatz on its chart."""
         return classify(alpha, self.ansatz(alpha.algebroid.chart))
 
@@ -283,17 +282,17 @@ class Session:
     def _assert_exact(self, args) -> tuple[Optional[bool], str]:
         cls = self.classify(self.cocycle(args["spec"]))
         detail = cls.status
-        if cls.primitive is not None:
-            detail += f"; primitive {cls.primitive}"
-        if cls.certificate is not None:
-            detail += f"; mean {cls.certificate.mean} along {cls.certificate.coord}"
+        if cls.holds:
+            detail += f"; primitive {cls.evidence}"
+        elif cls.holds is False:
+            detail += f"; mean {cls.evidence.mean} along {cls.evidence.coord}"
         return cls.holds, detail
 
     def _assert_cohomologous(self, args) -> tuple[Optional[bool], str]:
         left = self.cocycle(args["left"])
         right = self.cocycle(args["right"])
         verdict = cohomologous(left, right, self.ansatz(left.algebroid.chart))
-        return verdict.holds, verdict.verdict
+        return verdict.holds, verdict.status
 
     def _assert_period(self, args) -> tuple[bool, str]:
         alpha = self.cocycle(args["spec"])

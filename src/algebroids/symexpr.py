@@ -523,18 +523,6 @@ class ScalarFn:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.unit_inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.unit_inverse()
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented

@@ -39,6 +39,7 @@ from algebroids.extensions import cotangent_algebroid
 from algebroids.morphisms import Morphism
 from algebroids.reps import Trivialization, canonical_sections
 from algebroids.ratlinalg import FactoredSystem
+from algebroids.report import Decision
 from algebroids.symexpr import Chart, ScalarFn, SymExprError, cos, exp, lincomb, point_chart, sin
 
 from conftest import coeffs, count_sampling, cylinder_algebroid, examples, frame_algebroids, product_basis
@@ -113,7 +114,7 @@ class TestSolveExact:
         spiral = cylinder_algebroid(CYLC)
         space = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
         got = classify(one_form(spiral, [CYLC.coord("x")]), space)
-        assert (got.status, got.primitive) == ("exact", CYLC.coord("x"))
+        assert (got.status, got.evidence) == ("exact", CYLC.coord("x"))
         assert calls == []
         minus_one = one_form(spiral, [CYLC.const(-1)])
         assert classify(minus_one, space).status == "nonexact_in_ansatz"
@@ -177,11 +178,14 @@ class TestSharedSpace:
             for alpha in pair:
                 got = classify(alpha, shared)
                 want = classify(alpha, AnsatzSpace(CYLC, degree=2, fourier_modes=2))
-                assert (got.status, got.primitive) == (want.status, want.primitive)
+                assert got == want
                 statuses.add(got.status)
                 res = solve_exact(alpha, shared)
                 if isinstance(res, NoSolutionInAnsatz):
                     assert_witness(alpha, shared, res)
+                if got.holds is None and alpha.algebroid is spiral:
+                    # the operator route keeps its witness as the evidence
+                    assert_witness(alpha, shared, got.evidence)
         assert statuses == {"exact", "nonexact_certified", "nonexact_in_ansatz"}
         assert shared.operator(tm) is shared.operator(tm)
         assert shared.operator(spiral) is not shared.operator(tm)
@@ -221,6 +225,38 @@ class TestSharedSpace:
         assert state == []
 
 
+def test_every_class_decision_holds_as_its_word_says():
+    """`classify(...).status` and `cohomologous(...).verdict` are the words
+    the benchmark's `ansatz` workload compares, `holds` agrees with each of
+    the six words, on both routes, and a decision cannot be changed."""
+    holds = {
+        "exact": True,
+        "nonexact_certified": False,
+        "nonexact_in_ansatz": None,
+        "cohomologous": True,
+        "distinct_certified": False,
+        "unknown_in_ansatz": None,
+    }
+    space = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
+    seen = set()
+    for a in (tangent_algebroid(CYLC), cylinder_algebroid(CYLC)):
+        cocycles = TestSharedSpace.cocycles(a)
+        for alpha in cocycles:
+            cls = classify(alpha, space, seed=1)
+            rel = cohomologous(alpha, cocycles[0], space, seed=1)
+            assert type(cls) is type(rel) is Decision
+            assert cls.status in ("exact", "nonexact_certified", "nonexact_in_ansatz")
+            assert rel.verdict == rel.status in ("cohomologous", "distinct_certified", "unknown_in_ansatz")
+            for decision in (cls, rel):
+                assert decision.holds is holds[decision.status]
+                seen.add(decision.status)
+    assert seen == set(holds)
+    with pytest.raises(AttributeError):
+        cls.holds = True
+    with pytest.raises(AttributeError):
+        rel.verdict = "cohomologous"
+
+
 class TestZeroClass:
     """The zero form is exact with primitive 0 on every algebroid, decided
     before a route is picked, and a space on another chart is refused
@@ -234,10 +270,10 @@ class TestZeroClass:
         spiral = cylinder_algebroid(CYLC)
         space = AnsatzSpace(CYLC, degree=2, fourier_modes=2)
         got = classify(one_form(spiral, [CYLC.zero()]), space)
-        assert (got.status, got.primitive) == ("exact", CYLC.zero())
+        assert (got.status, got.evidence) == ("exact", CYLC.zero())
         alpha = Trivialization(*canonical_sections(spiral)).modular
         same = cohomologous(alpha, alpha, space)
-        assert (same.verdict, same.primitive) == ("cohomologous", CYLC.zero())
+        assert (same.verdict, same.evidence) == ("cohomologous", CYLC.zero())
         assert space._operators == {}
 
     def test_space_on_another_chart_is_refused(self):
@@ -579,7 +615,7 @@ class TestPeriodCertificate:
         space = AnsatzSpace(CYLC, 1, 1)
         none = {"evaluate": 0, "float_rank": 0}
         cls, counts = count_sampling(monkeypatch, classify, alpha, space)
-        assert cls.status == "nonexact_certified" and cls.certificate.mean == CYLC.one()
+        assert cls.status == "nonexact_certified" and cls.evidence.mean == CYLC.one()
         assert counts == none
         verdict, counts = count_sampling(monkeypatch, cohomologous, alpha, zero, space)
         assert verdict.verdict == "distinct_certified" and counts == none
@@ -816,7 +852,7 @@ class TestIntegration:
         alpha, space = question
         got = classify(alpha, space)
         fresh = AnsatzSpace(space.chart, space.degree, space.fourier_modes)
-        assert (got.status, got.primitive) == operator_route(alpha, fresh)
+        assert (got.status, got.evidence if got.holds else None) == operator_route(alpha, fresh)
         assert space._operators == {}
 
     def test_tangent_questions_build_no_operator(self, monkeypatch):

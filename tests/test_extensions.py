@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import algebroids.extensions as extensions
 from algebroids.cli import load_scenario
-from algebroids.cohomology import AnsatzSpace, CocycleClass, classify
+from algebroids.cohomology import AnsatzSpace, classify
 from algebroids.core import (
     AlgebroidPresentation,
     Multivector,
@@ -40,7 +40,7 @@ from algebroids.extensions import (
 )
 from algebroids.morphisms import base_preserving_morphism, identity_morphism
 from algebroids.ratlinalg import RANK_SAMPLES, FrameSolveFailure
-from algebroids.report import CheckItem
+from algebroids.report import CheckItem, Decision
 from algebroids.reps import LineSection, char_cocycle, check_flat
 from algebroids.runner import Session
 from algebroids.scenario import parse_scenario
@@ -626,7 +626,7 @@ class TestRegularPoisson:
         kit = session.poisson_kit("SYM")
 
         def decided(alpha, space, seed=0):
-            return CocycleClass("exact" if alpha is kit.mod_sharp else "nonexact_certified")
+            return Decision(True, "exact") if alpha is kit.mod_sharp else Decision(False, "nonexact_certified")
 
         monkeypatch.setattr(extensions, "classify", decided)
         rep = verify_regular_poisson(kit, session.sc.poissons["SYM"].complement, session.ansatz(kit.ext.chart), 0)
@@ -640,7 +640,7 @@ class TestRegularPoisson:
         kit = session.poisson_kit("SYM")
 
         def half_decided(alpha, space, seed=0):
-            return CocycleClass("exact" if alpha is kit.mod_sharp else "nonexact_in_ansatz")
+            return Decision(True, "exact") if alpha is kit.mod_sharp else Decision(None, "nonexact_in_ansatz")
 
         monkeypatch.setattr(extensions, "classify", half_decided)
         rep = verify_regular_poisson(kit, session.sc.poissons["SYM"].complement, session.ansatz(kit.ext.chart), 0)
@@ -654,7 +654,7 @@ class TestRegularPoisson:
         kit, complement = self._spiral_kit(TXY.coord("x"))
 
         def exact(alpha, space, seed=0):
-            return CocycleClass("exact")
+            return Decision(True, "exact")
 
         monkeypatch.setattr(extensions, "classify", exact)
         rep = verify_regular_poisson(kit, complement, AnsatzSpace(TXY, degree=0, fourier_modes=0))

@@ -99,7 +99,7 @@ class TestAdmissibility:
         rep = check_admissible(b, line, [line.coord("t") ** 2])
         assert [(i.ok, i.detail) for i in rep.items] == [(False, "rank 1 generically, larger at the origin")]
         assert (rep.data["method"], rep.data["rank"], rep.data["minors"].witness) == ("exact", None, None)
-        assert rep.notes == ["method: exact"]
+        assert rep.notes == ["method: exact (constraint space has constant rank)"]
 
 
 class TestTransversality:
@@ -218,9 +218,15 @@ class TestBuildPullback:
     def test_undecided_frame_builds_and_holds_the_verdict(self):
         """One pair (f^2, f^2), f = t^2 + sin t + 2, over the tangent
         algebroid of the line: no minor decides its independence, so the
-        validation is undecided, and the frame builds and holds that."""
+        validation is undecided, and the frame builds and holds that.  The
+        merged report's method notes name the item each one decided."""
         pf = _line_frame(lambda t: (t * t + sin(t) + 2) * (t * t + sin(t) + 2))
-        assert validate_frame(pf).passed is None
+        validation = validate_frame(pf)
+        assert validation.passed is None
+        assert validation.notes == [
+            "method: uncertified (pairs pointwise independent)",
+            "method: exact (constraint space has constant rank)",
+        ]
         built = build_pullback(pf)
         assert built.validated is None
         assert built.presentation.anchor == ((pf.pairs[0].vf[0],),)
@@ -310,7 +316,7 @@ class TestPairIndependence:
         rep = validate_frame(_line_frame(*coeffs))
         (item,) = [i for i in rep.items if i.label == "pairs pointwise independent"]
         assert (item.ok, item.detail) == (ok, detail)
-        assert rep.notes[0] == "method: exact"
+        assert rep.notes[0] == "method: exact (pairs pointwise independent)"
 
 
 class TestFactorize:

@@ -545,13 +545,13 @@ def test_pointwise_rank_decides_as_the_references(claim):
     rows, want = claim
     verdict = pointwise_rank(rows, want)
     cert = reference_rank_certificate(rows)
-    assert verdict.certificate == cert
+    assert verdict.evidence == cert
     if cert.witness is not None or want not in (None, cert.rank):
-        assert verdict == (want in (None, cert.rank), "exact", cert.rank, cert)
+        assert verdict == (want in (None, cert.rank), "exact", cert)
     elif reference_rank_at_origin(rows) < cert.rank:
-        assert verdict == (False, "exact", cert.rank, cert)
+        assert verdict == (False, "exact", cert)
     else:
-        assert verdict == (None, "uncertified", cert.rank, cert)
+        assert verdict == (None, "uncertified", cert)
 
 
 @settings(max_examples=150, deadline=None)
@@ -562,9 +562,9 @@ def test_pointwise_rank_refutes_without_a_rank_gap_only_by_a_drop_at_the_origin(
     origin, where the entries are exact rationals."""
     rows, want = claim
     verdict = pointwise_rank(rows, want)
-    if verdict.holds is False and want in (None, verdict.rank):
-        assert verdict.method == "exact" and verdict.certificate.witness is None
-        assert reference_rank_at_origin(rows) < verdict.rank
+    if verdict.holds is False and want in (None, verdict.evidence.rank):
+        assert verdict.status == "exact" and verdict.evidence.witness is None
+        assert reference_rank_at_origin(rows) < verdict.evidence.rank
 
 
 @settings(max_examples=60, deadline=None)
@@ -575,7 +575,7 @@ def test_pointwise_rank_samples_nothing(claim):
     with mock.patch.object(ratlinalg, "sampled_ranks") as sampler, mock.patch.object(ratlinalg, "float_rank") as ranker:
         verdict = pointwise_rank(*claim)
     assert not sampler.called and not ranker.called
-    assert verdict.method == ("uncertified" if verdict.holds is None else "exact")
+    assert verdict.status == ("uncertified" if verdict.holds is None else "exact")
 
 
 def test_pointwise_rank_refutes_a_drop_at_the_origin():
@@ -585,7 +585,7 @@ def test_pointwise_rank_refutes_a_drop_at_the_origin():
     assert reference_rank_at_origin(rows) == 0
     for want in (None, 1):
         verdict = pointwise_rank(rows, want)
-        assert (verdict.holds, verdict.method, verdict.rank) == (False, "exact", 1)
+        assert (verdict.holds, verdict.status, verdict.evidence.rank) == (False, "exact", 1)
 
 
 def test_pointwise_rank_counts_no_uniform_float_drop_as_agreement():
@@ -599,7 +599,7 @@ def test_pointwise_rank_counts_no_uniform_float_drop_as_agreement():
     rows = [[f, R2.zero()], [R2.zero(), Fraction(1, 10**17) * f]]
     for want in (None, 2):
         verdict = pointwise_rank(rows, want)
-        assert (verdict.holds, verdict.method, verdict.rank) == (None, "uncertified", 2)
+        assert (verdict.holds, verdict.status, verdict.evidence.rank) == (None, "uncertified", 2)
 
 
 @settings(max_examples=60, deadline=None)

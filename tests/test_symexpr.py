@@ -268,14 +268,14 @@ class TestUnitsAndDivision:
         u = 3 * exp(2 * x)
         assert (u * u.unit_inverse()) == 1
         f = x + exp(x)
-        assert (f * u / u) == f
+        assert (f * u * u.unit_inverse()) == f
 
     def test_not_a_unit(self):
         x = R2.coord("x")
         with pytest.raises(NotAUnit):
             (x + 1).unit_inverse()
         with pytest.raises(NotAUnit):
-            x / (x + 1)
+            x * (x + 1).unit_inverse()
 
     def test_negative_power_of_unit(self):
         x = R2.coord("x")
@@ -439,7 +439,7 @@ class TestRingProperties:
         results.append(f.substitute(source, images))
         # a unit with a coefficient such as 1/3 has an integral inverse
         unit = chart.const(data.draw(COEFF.filter(bool))) * exp(data.draw(linear_args(chart)))
-        results += [unit, unit.unit_inverse(), f / unit]
+        results += [unit, unit.unit_inverse(), f * unit.unit_inverse()]
         results.append(parse_expr(str(f), chart))
         results.append(lincomb(chart, data.draw(pieces(chart, 4))))
         for h in results:
