@@ -14,6 +14,10 @@
   solution and of the witness it returns.
 * `unit_pivot_solve` eliminates over the scalar-function ring, only ever
   dividing by declared-nonvanishing units and failing loudly otherwise.
+  A pivot step computes only the entries whose value it does not know:
+  the pivot row's non-zero entries right of the pivot column and its
+  non-zero right-hand-side entries, and in each other row the same
+  columns; the pivot column is cleared outright.
   `bracket_structure` is its one frame re-expansion of brackets: the
   structure functions of every frame spanned by sections that is closed
   under a bracket (subalgebroids, Poisson kernels, pull-backs) come from it.
@@ -23,8 +27,9 @@
   `generic_rank` is the one exact rank routine built on it: the generic
   rank R from the borders of a single non-zero minor (Kronecker's
   bordering-minor theorem), which it returns.  `rank_certificate` takes
-  that minor and then searches at size R only for a minor that
-  `nowhere_zero` certifies, which makes R the rank at every point.
+  that minor and then searches at size R only, and among the first
+  `WITNESS_SCAN_CAP` minors only, for one that `nowhere_zero` certifies,
+  which makes R the rank at every point.
 * `nowhere_zero` is the one nowhere-vanishing test: a unit q*exp(d.x)
   times P + T, P a polynomial in one non-periodic coordinate and T a trig
   polynomial whose |coefficients| sum below |P| everywhere (Sturm
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -283,6 +288,16 @@ def unit_pivot_solve(
     become free variables set to zero and only consistency is enforced.
     Raises FrameSolveFailure when elimination would divide by a non-unit
     or the system is inconsistent.  Returns solution columns (length n).
+
+    Columns are eliminated left to right, Gauss-Jordan: the pivot of
+    column c is the first unused row p whose entry there is a unit u.  A
+    pivot step computes only the entries whose value it does not already
+    know; no column left of c is read again.  The pivot row's non-zero
+    entries right of c, and its non-zero right-hand-side entries, are
+    multiplied by u^-1.  In every other row with an entry g != 0 in column
+    c, that entry is set to zero outright, and only those same live
+    columns become x - g*y (one `lincomb` each); where the pivot row y is
+    zero, x is kept.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -290,7 +305,8 @@ def unit_pivot_solve(
     b = [list(col) for col in rhs_cols]  # columns
     piv: list[tuple[int, int]] = []
     used_rows: set[int] = set()
-    zero = rows[0][0].chart.zero() if m and n else None
+    chart = rows[0][0].chart if m and n else None
+    zero = chart.zero() if chart else None
     for c in range(n):
         p = None
         for i in range(m):
@@ -309,16 +325,22 @@ def unit_pivot_solve(
                     f"column {c} has no pivot: frame not independent"
                 )
             continue
-        inv = a[p][c].unit_inverse()
-        a[p] = [x * inv for x in a[p]]
-        for col in b:
+        prow = a[p]
+        inv = prow[c].unit_inverse()
+        live = [k for k in range(c + 1, n) if not prow[k].is_zero()]
+        for k in live:
+            prow[k] = prow[k] * inv
+        live_rhs = [col for col in b if not col[p].is_zero()]
+        for col in live_rhs:
             col[p] = col[p] * inv
         for i in range(m):
-            if i != p and not a[i][c].is_zero():
-                g = a[i][c]
-                chart = g.chart
-                a[i] = [lincomb(chart, [(1, x), (-1, g, y)]) for x, y in zip(a[i], a[p])]
-                for col in b:
+            row = a[i]
+            g = row[c]
+            if i != p and not g.is_zero():
+                row[c] = zero
+                for k in live:
+                    row[k] = lincomb(chart, [(1, row[k]), (-1, g, prow[k])])
+                for col in live_rhs:
                     col[i] = lincomb(chart, [(1, col[i]), (-1, g, col[p])])
         piv.append((p, c))
         used_rows.add(p)
@@ -538,6 +560,9 @@ def generic_rank(rows: Sequence[Sequence[ScalarFn]], memo: Optional[dict] = None
     return bordered
 
 
+WITNESS_SCAN_CAP = 256  # R-minors that rank_certificate expands in its search for a witness
+
+
 def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
     """Generic rank by bordering minors (`generic_rank`), then a
     nowhere-zero minor of that size.
@@ -545,12 +570,17 @@ def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
     The R-minors are scanned, row combinations then column combinations,
     for the first one `nowhere_zero` certifies.  Every (R+1)-minor
     vanishes identically, so an R-minor that vanishes nowhere certifies
-    rank R at every point; without one ``witness`` is None.
+    rank R at every point.  The scan tries the first `WITNESS_SCAN_CAP`
+    (256) minors at most; without a certified one among them ``witness``
+    is None.
 
     Both phases read minors through one memo (see ``scalar_det``), so each
     distinct j-minor is expanded once and none is larger than R + 1: an
     m x n matrix costs at most sum_{j <= R+1} j * C(m, j) * C(n, j) ring
-    multiplications.
+    multiplications.  The expansion of one R-minor holds at most C(R, j)
+    distinct j-minors, so past `generic_rank` the scan costs at most
+    `WITNESS_SCAN_CAP` * sum_j j * C(R, j) = `WITNESS_SCAN_CAP` * R *
+    2^(R-1) ring multiplications, whatever m and n.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -559,13 +589,9 @@ def rank_certificate(rows: Sequence[Sequence[ScalarFn]]) -> RankCertificate:
     r = len(bordered[0])
     if r == 0:
         return RankCertificate(0, bordered, bordered)
+    candidates = ((rsel, csel) for rsel in combinations(range(m), r) for csel in combinations(range(n), r))
     witness = next(
-        (
-            (rsel, csel)
-            for rsel in combinations(range(m), r)
-            for csel in combinations(range(n), r)
-            if nowhere_zero(scalar_det(rows, rsel, csel, memo))
-        ),
+        (minor for minor in islice(candidates, WITNESS_SCAN_CAP) if nowhere_zero(scalar_det(rows, *minor, memo))),
         None,
     )
     return RankCertificate(r, bordered, witness)

@@ -291,6 +291,65 @@ def reference_factored(rows, n):
     return solve
 
 
+def reference_unit_pivot_solve(rows, rhs_cols, full_column_rank=True):
+    """`ratlinalg.unit_pivot_solve` as it was before its pivot steps
+    skipped the entries they already know: every pivot row is scaled
+    whole, every right-hand-side entry of the pivot row is scaled, and
+    every row with a non-zero entry in the pivot column is rewritten in
+    every column as x - g*y."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) for r in rows]
+    b = [list(col) for col in rhs_cols]  # columns
+    piv = []
+    used_rows = set()
+    zero = rows[0][0].chart.zero() if m and n else None
+    for c in range(n):
+        p = None
+        for i in range(m):
+            if i not in used_rows and a[i][c].is_unit():
+                p = i
+                break
+        if p is None:
+            if full_column_rank:
+                for i in range(m):
+                    if i not in used_rows and not a[i][c].is_zero():
+                        raise ratlinalg.FrameSolveFailure(
+                            f"no unit pivot available for column {c} "
+                            f"(leading candidate: {a[i][c]})"
+                        )
+                raise ratlinalg.FrameSolveFailure(
+                    f"column {c} has no pivot: frame not independent"
+                )
+            continue
+        inv = a[p][c].unit_inverse()
+        a[p] = [x * inv for x in a[p]]
+        for col in b:
+            col[p] = col[p] * inv
+        for i in range(m):
+            if i != p and not a[i][c].is_zero():
+                g = a[i][c]
+                chart = g.chart
+                a[i] = [lincomb(chart, [(1, x), (-1, g, y)]) for x, y in zip(a[i], a[p])]
+                for col in b:
+                    col[i] = lincomb(chart, [(1, col[i]), (-1, g, col[p])])
+        piv.append((p, c))
+        used_rows.add(p)
+    sols = []
+    for col in b:
+        for i in range(m):
+            if i not in used_rows and not col[i].is_zero():
+                raise ratlinalg.FrameSolveFailure(
+                    f"inconsistent frame expansion: residual {col[i]} in row {i}"
+                )
+        # free variables are zero, so pivot rows read off directly
+        x = [zero] * n
+        for p, c in piv:
+            x[c] = col[p]
+        sols.append(x)
+    return sols
+
+
 def reference_det(rows):
     """Plain Laplace expansion along the first row, nothing shared: a test
     reference for `scalar_det` and the rank certificates."""

@@ -89,3 +89,36 @@ class TestMetricEntry:
     def test_one_pair_shows_no_spread(self):
         assert entry([1.0], [1.01])["unresolved"]
         assert not entry([1.0], [0.9])["unresolved"]
+
+
+def run(seed, value, mtime=0.0):
+    """A synthetic run record of one workload, with one metric per kind."""
+    metrics = {"wall_s": {"value": value}, "symexpr.mul.calls": {"value": value}}
+    return {"seed": seed, "seconds": 27, "error_share": 0.0, "digests": {}, "metrics": metrics, "mtime": mtime}
+
+
+class TestPerLayer:
+    LAYER = {"name": "symexpr.mul.calls", "unit": "count", "better": "lower"}
+
+    def test_each_side_takes_the_median_over_its_traced_runs(self):
+        traced = {"parent": [run(1, 9), run(2, 4), run(3, 5)], "change": [run(1, 7), run(2, 3), run(3, 2)]}
+        assert bench_record.layer_entry(self.LAYER, traced) == {"unit": "count", "parent": 5, "change": 3}
+
+    def test_a_side_without_a_traced_run_has_no_value(self):
+        traced = {"parent": [], "change": []}
+        assert bench_record.layer_entry(self.LAYER, traced) == {"unit": "count", "parent": None, "change": None}
+
+    def test_the_record_counts_the_traced_runs_of_each_side(self):
+        spec = {"end_to_end": [], "per_layer": [self.LAYER]}
+        runs = {
+            side: {
+                ("identities", 0): [run(seed, 1.0, mtime=2 * seed + (side == "change")) for seed in (1, 2)],
+                ("identities", 1): [run(seed, 10 * seed) for seed in (1, 2, 3)],
+            }
+            for side in ("parent", "change")
+        }
+        rec = bench_record.workload_record(spec, "identities", runs)
+        for side in ("parent", "change"):
+            assert rec["runs"][side]["traced_runs"] == 3
+            assert rec["runs"][side]["traced_seeds"] == [1, 2, 3]
+        assert rec["per_layer"]["symexpr.mul.calls"] == {"unit": "count", "parent": 20, "change": 20}

@@ -39,7 +39,15 @@ from algebroids.pullback import (
     validate_frame,
     verify_submersion_vanishing,
 )
-from algebroids.ratlinalg import RANK_SAMPLES, rank_certificate, sample_points, sampled_ranks, scalar_det
+from algebroids.ratlinalg import (
+    RANK_SAMPLES,
+    WITNESS_SCAN_CAP,
+    pointwise_rank,
+    rank_certificate,
+    sample_points,
+    sampled_ranks,
+    scalar_det,
+)
 from algebroids.reps import canonical_sections
 from algebroids.runner import Session
 from algebroids.scenario import parse_scenario
@@ -603,6 +611,29 @@ class TestMinorWork:
             assert (rep.passed, rep.data["rank"], rep.data["method"]) == (holds, 2 if holds else None, method)
             assert rep.data["minors"] == cert
             assert count <= _minor_work_bound(5, 7)
+
+
+    def test_the_witness_scan_stops_at_the_cap(self, monkeypatch):
+        # generic rank 8, and none of the C(16, 8) = 12870 minors of that
+        # size is certified: the scan expands WITNESS_SCAN_CAP of them, one
+        # nowhere_zero test each, and the rank at the origin is 8 too, so
+        # the claim is left undecided
+        import algebroids.ratlinalg as ratlinalg
+
+        rows = _constraint_matrix(*_planted_rank_input(8, 2, 14, 6, "mixed"))
+        tried = []
+        certify = ratlinalg.nowhere_zero
+
+        def counting(f):
+            tried.append(f)
+            return certify(f)
+
+        monkeypatch.setattr(ratlinalg, "nowhere_zero", counting)
+        decision = pointwise_rank(rows, 8)
+        assert (len(rows), len(rows[0])) == (8, 16)
+        assert len(tried) == WITNESS_SCAN_CAP < comb(16, 8)
+        assert (decision.holds, decision.status) == (None, "uncertified")
+        assert (decision.evidence.rank, decision.evidence.witness) == (8, None)
 
 
 # planted transversality inputs (n, q, r, k, kind) of rank q + k: with a

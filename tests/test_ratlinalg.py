@@ -19,13 +19,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from algebroids import ratlinalg
 from algebroids.ratlinalg import (
     RANK_SAMPLES,
     FactoredSystem,
+    FrameSolveFailure,
     _eliminate,
     _real_roots,
     float_rank,
@@ -37,8 +38,9 @@ from algebroids.ratlinalg import (
     sample_points,
     sampled_ranks,
     scalar_det,
+    unit_pivot_solve,
 )
-from algebroids.symexpr import Chart, cos, exp, sin
+from algebroids.symexpr import Chart, ScalarFn, cos, exp, sin
 
 from conftest import (
     check_rank_certificate,
@@ -53,6 +55,7 @@ from conftest import (
     reference_rank_at_origin,
     reference_rank_certificate,
     reference_real_roots,
+    reference_unit_pivot_solve,
 )
 
 
@@ -633,6 +636,111 @@ def test_rank_certificate_of_zero_and_empty_matrices():
     zero = [[R2.zero()] * 3 for _ in range(2)]
     assert rank_certificate(zero) == (0, ((), ()), ((), ()))
     check_rank_certificate(zero, rank_certificate(zero))
+
+
+# -- unit_pivot_solve ---------------------------------------------------------
+
+
+@st.composite
+def pivot_frames(draw):
+    """(rows, rhs_cols, full_column_rank) for `unit_pivot_solve`.
+
+    The frame is D * U, D a diagonal of units and U unit upper triangular;
+    some entries of D are multiplied by a non-unit or by zero, which leaves
+    their column only non-unit candidates or none.  Rows that are
+    combinations of others are added, and the rows are permuted.  Each
+    right-hand side is a combination of the columns, some of its
+    coefficients zero, a zero column, or a combination with one entry
+    changed, which is inconsistent when that row is dependent."""
+    n = draw(st.integers(1, 4))
+    diag = [draw(st.sampled_from(UNITS)) for _ in range(n)]
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        diag[c] = diag[c] * draw(st.sampled_from([R2.zero()] + NON_UNITS))
+    entry = st.sampled_from([R2.zero()] + UNITS + NON_UNITS)
+    frame = [[diag[i] if j == i else diag[i] * draw(entry) if j > i else R2.zero() for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        parts = [(draw(entry), frame[i]) for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))]
+        frame.append([sum((f * row[j] for f, row in parts), R2.zero()) for j in range(n)])
+    rows = [frame[i] for i in draw(st.permutations(range(len(frame))))]
+    rhs_cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["combination", "zero", "changed"]))
+        coeffs = [R2.zero() if kind == "zero" else draw(entry) for _ in range(n)]
+        col = [sum((f * x for f, x in zip(row, coeffs)), R2.zero()) for row in rows]
+        if kind == "changed":
+            col[draw(st.integers(0, len(rows) - 1))] += draw(st.sampled_from(UNITS + NON_UNITS))
+        rhs_cols.append(col)
+    return rows, rhs_cols, draw(st.booleans())
+
+
+@pytest.mark.deep
+@settings(max_examples=examples(150), deadline=None)
+@given(pivot_frames())
+def test_unit_pivot_solve_equals_the_full_gauss_jordan(frame):
+    """`unit_pivot_solve` returns the solution columns of the Gauss-Jordan
+    that rewrote every entry at every pivot step
+    (`reference_unit_pivot_solve` in conftest), or raises
+    `FrameSolveFailure` with its message."""
+    rows, rhs_cols, full = frame
+    try:
+        want = reference_unit_pivot_solve(rows, rhs_cols, full)
+    except FrameSolveFailure as failure:
+        event(next(kind for kind in ("no unit pivot", "no pivot", "inconsistent") if kind in str(failure)))
+        with pytest.raises(FrameSolveFailure) as got:
+            unit_pivot_solve(rows, rhs_cols, full)
+        assert str(got.value) == str(failure)
+    else:
+        event("solved")
+        assert unit_pivot_solve(rows, rhs_cols, full) == want
+
+
+def _count_work(monkeypatch, *args):
+    """`unit_pivot_solve(*args)` and its ``ScalarFn.__mul__`` and
+    ``lincomb`` calls."""
+    counts = {"mul": 0, "lincomb": 0}
+    mul, lincomb = ScalarFn.__mul__, ratlinalg.lincomb
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_lincomb(chart, pieces):
+        counts["lincomb"] += 1
+        return lincomb(chart, pieces)
+
+    monkeypatch.setattr(ScalarFn, "__mul__", counting_mul)
+    monkeypatch.setattr(ratlinalg, "lincomb", counting_lincomb)
+    sols = unit_pivot_solve(*args)
+    monkeypatch.undo()
+    return sols, counts
+
+
+def test_unit_pivots_of_a_diagonal_frame_scale_only_non_zero_entries(monkeypatch):
+    # no row has a second entry in a pivot column, so nothing is
+    # eliminated, and only the non-zero right-hand side entries are scaled
+    zero = R2.zero()
+    units = [exp(_X), 2 * exp(-_Y), Fraction(-1, 2) * exp(_X - _Y)]
+    rows = [[u if i == j else zero for j, u in enumerate(units)] for i in range(3)]
+    rhs_cols = [[_X, zero, sin(_Y)], [zero] * 3, [R2.one(), exp(_X), _X * _X + 1]]
+    sols, counts = _count_work(monkeypatch, rows, rhs_cols)
+    assert sols == reference_unit_pivot_solve(rows, rhs_cols)
+    assert counts == {"mul": 5, "lincomb": 0}
+
+
+def test_unit_pivots_of_an_upper_triangular_frame_update_only_live_entries(monkeypatch):
+    # U has 1 on the diagonal and x above it.  At the pivot of column c the
+    # c rows above hold x (1 - x)^k != 0 there, and the pivot row, which no
+    # earlier step touched, has n - 1 - c live entries right of c and a
+    # live right-hand side entry in each column non-zero in row c: each
+    # row above takes one lincomb per live entry, and the pivot row one
+    # product per live entry (by the inverse pivot, 1)
+    n = 4
+    rows = [[R2.one() if j == i else _X if j > i else R2.zero() for j in range(n)] for i in range(n)]
+    rhs_cols = [[_X, R2.zero(), _Y, R2.one()], [R2.zero(), sin(_Y), R2.zero(), R2.zero()]]
+    live = [n - 1 - c + sum(not col[c].is_zero() for col in rhs_cols) for c in range(n)]
+    sols, counts = _count_work(monkeypatch, rows, rhs_cols)
+    assert sols == reference_unit_pivot_solve(rows, rhs_cols)
+    assert counts == {"mul": sum(live), "lincomb": sum(c * k for c, k in enumerate(live))}
 
 
 # -- nowhere_zero ---------------------------------------------------------------

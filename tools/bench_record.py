@@ -21,8 +21,10 @@ holds:
   a single run is unknown and counts as wider) while not every change
   run beats every parent run, so that the runs cannot tell a change of
   that size from noise;
-* every per-layer metric of BENCHMARK.json from the traced run
-  (`--trace 1`) with the lowest seed, for both sides;
+* every per-layer metric of BENCHMARK.json, for each side the median
+  over every traced run (`--trace 1`) of that side, with the number of
+  traced runs and their seeds: per-layer times drift together from one
+  run to the next, so a single traced run can move every layer at once;
 * the seeds, the `--seconds` of the runs and their share of wrong verdicts;
 * `digests`: whether every change run's verdict digests equal the parent
   run's at the same seed and `--trace`, and the seeds at which they
@@ -177,7 +179,8 @@ def workload_record(spec: dict, name: str, runs: dict[str, dict]) -> dict:
             "seeds": [r["seed"] for r in plain[side]],
             "seconds": plain[side][0]["seconds"],
             "error_share": statistics.median(r["error_share"] for r in plain[side]),
-            "traced_seed": traced[side][0]["seed"] if traced[side] else None,
+            "traced_runs": len(traced[side]),
+            "traced_seeds": [r["seed"] for r in traced[side]],
         }
     differ = {
         p["seed"]
@@ -189,11 +192,18 @@ def workload_record(spec: dict, name: str, runs: dict[str, dict]) -> dict:
     for m in spec["end_to_end"]:
         out["end_to_end"][m["name"]] = metric_entry(m, plain)
     for m in spec["per_layer"]:
-        entry = {"unit": m["unit"]}
-        for side in SIDES:
-            entry[side] = traced[side][0]["metrics"][m["name"]]["value"] if traced[side] else None
-        out["per_layer"][m["name"]] = entry
+        out["per_layer"][m["name"]] = layer_entry(m, traced)
     return out
+
+
+def layer_entry(m: dict, traced: dict[str, list[dict]]) -> dict:
+    """A per-layer metric: for each side the median of its value over
+    every traced run of that side, None without one."""
+    entry = {"unit": m["unit"]}
+    for side in SIDES:
+        vals = [r["metrics"][m["name"]]["value"] for r in traced[side]]
+        entry[side] = statistics.median(vals) if vals else None
+    return entry
 
 
 def write(args) -> int:
