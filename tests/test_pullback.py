@@ -612,7 +612,6 @@ class TestMinorWork:
             assert rep.data["minors"] == cert
             assert count <= _minor_work_bound(5, 7)
 
-
     def test_the_witness_scan_stops_at_the_cap(self, monkeypatch):
         # generic rank 8, and none of the C(16, 8) = 12870 minors of that
         # size is certified: the scan expands WITNESS_SCAN_CAP of them, one

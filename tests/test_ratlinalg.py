@@ -2,7 +2,9 @@
 FactoredSystem and rat_solve (its reduced rows read through the
 rat_nullspace reference of conftest), against a dense Gauss-Jordan
 reference kept here and value for value against the Fraction elimination
-it replaced (reference_factored in conftest), of the
+it replaced (reference_factored in conftest), of unit_pivot_solve,
+against the Gauss-Jordan that rewrote every entry at every pivot step
+(reference_unit_pivot_solve in conftest), of the
 memoised minors of scalar_det, against a plain Laplace expansion, of
 rank_certificate, against the search over every minor size kept here, of
 generic_rank and pointwise_rank, against the one-routine certificate
