@@ -27,7 +27,7 @@ keeps it.  Reuse one space across the `classify` and `cohomologous` calls
 on a chart, so that every cocycle after the first costs only its
 right-hand side.  The operator is written from term keys, not through the
 ring: each basis function is one key x^m * trig * exp, whose partial
-derivatives are at most three known keys (`symexpr.derivative_items`).
+derivatives are at most three known keys (`symexpr.derivative_terms`).
 An anchor entry that is one trig-free term q * x^m * exp(d.x), the only
 kind the stock algebroids have, shifts those keys by (m, d) and scales
 their coefficients; only other entries are multiplied out term by term.
@@ -68,11 +68,11 @@ from .symexpr import (
     Trig,
     _has_trig,
     _lex_sign,
-    _product_items,
+    _product_terms,
     _slope,
     _term_sort_key,
     _vec_add,
-    derivative_items,
+    derivative_terms,
     lincomb,
 )
 
@@ -223,17 +223,17 @@ class AnsatzOperator:
     order.
 
     `build` writes the entries straight from term keys, in int numerators
-    over one denominator per frame index.  The derivative items of each
-    basis function along each anchored coordinate are taken once, and each
-    frame index splits its anchor entries once.  An entry that is one
-    trig-free term q * x^m * exp(d.x) multiplies the items by key
-    arithmetic: m is added to the monomial, d to the exp slope, and the
-    numerator is scaled by one constant.  Any other entry goes through
-    `symexpr._product_items`.  A cell (frame index, basis function) merges
-    its items only when it has two entries or one of the other kind: one
-    shift of the distinct keys of a one-term derivative gives distinct
-    keys with non-zero values.  A new key opens a row, found again through
-    a dict per frame index.  The rows go to `FactoredSystem` as those int
+    over one denominator per frame index.  The derivative term map of each
+    basis function along each anchored coordinate is taken once, and each
+    frame index splits its anchor entries once.  The entries of one cell
+    (frame index, basis function) are summed into one term map.  An entry
+    that is one trig-free term q * x^m * exp(d.x) shifts the derivative's
+    terms by key arithmetic: m is added to the monomial, d to the exp
+    slope, and the numerator is scaled by one constant.  Any other entry
+    is multiplied out by the ring's one product kernel,
+    `symexpr._product_terms`.  A key whose numerators cancel writes no
+    entry, and a new key opens a row, found again through a dict per
+    frame index.  The rows go to `FactoredSystem` as those int
     numerators, with the frame index's denominator as the row scale, so no
     entry is ever a ``Fraction``.
 
@@ -251,8 +251,8 @@ class AnsatzOperator:
             raise SymExprError(f"chart mismatch: {a.chart.name!r} vs {basis[0].chart.name!r}")
         coords = {k for row in a.anchor_rows for k, _ in row}
         # a basis function is one key with numerator 1 over den 1, so each
-        # derivative is its items over their slope scale s alone
-        derivs = [{k: derivative_items(b.num, k) for k in coords} for b in basis]
+        # derivative is its term map over its slope scale s alone
+        derivs = [{k: derivative_terms(b.num, k) for k in coords} for b in basis]
         trigs = [_has_trig(b.num) for b in basis]
         scale = lcm(*(s for d in derivs for _, s in d.values()))
         index: dict[tuple[int, TermKey], int] = {}
@@ -275,40 +275,32 @@ class AnsatzOperator:
                     general.append((k, f.num.items(), den // f.den, _has_trig(f.num)))
                 else:
                     shifts.append((k, q * (den // f.den), m if any(m) else None, e if any(e) else None))
-            # one shift gives distinct keys: only two entries or a product
-            # of many terms can meet on a key
-            merge = len(row) > 1 or general
             rowof: dict[TermKey, int] = {}
             for j, d in enumerate(derivs):
-                items: list[tuple[TermKey, int]] = []
+                num: dict[TermKey, int] = {}
+                get = num.get
                 for k, c, m1, e1 in shifts:
-                    ditems, s = d[k]
+                    dnum, s = d[k]
                     c //= s
-                    if m1 is None and e1 is None:
-                        items += [(key, q * c) for key, q in ditems]
-                    else:
-                        for (m2, t2, e2), q in ditems:
-                            mono = m2 if m1 is None else tuple(map(add, m1, m2))
-                            expv = e2 if e1 is None else _vec_add(e1, e2)
-                            items.append(((mono, t2, expv), q * c))
+                    for (m2, t2, e2), q in dnum.items():
+                        mono = m2 if m1 is None else tuple(map(add, m1, m2))
+                        expv = e2 if e1 is None else _vec_add(e1, e2)
+                        key = (mono, t2, expv)
+                        num[key] = get(key, 0) + q * c
                 for k, f_items, c, trig in general:
-                    ditems, s = d[k]
+                    dnum, s = d[k]
                     trig2 = trig and trigs[j]
                     c //= 2 * s if trig2 else s
-                    _product_items(items, f_items, ditems, c, trig2, a.chart._products)
-                if merge:
-                    merged: dict[TermKey, int] = {}
-                    for key, q in items:
-                        merged[key] = merged.get(key, 0) + q
-                    items = [(key, q) for key, q in merged.items() if q]
+                    _product_terms(num, f_items, dnum.items(), c, trig2, a.chart._products)
                 # a term met for the first time opens a row, in canonical order
-                new = sorted([key for key, _ in items if key not in rowof], key=_term_sort_key)
+                new = sorted([key for key, q in num.items() if q and key not in rowof], key=_term_sort_key)
                 for key in new:
                     rowof[key] = index[(i, key)] = len(rows)
                     rows.append({})
                 scales += [den] * len(new)
-                for key, q in items:
-                    rows[rowof[key]][j] = q
+                for key, q in num.items():
+                    if q:
+                        rows[rowof[key]][j] = q
         return cls(basis, index, FactoredSystem(rows, len(basis), scales))
 
 
@@ -468,7 +460,7 @@ def period_certificate(
             )
     pairing = lincomb(chart, [(c, alpha.component((i,))) for c, i in used])
     # constant Fourier mode in the chosen coordinate
-    mean_terms = []
+    mean_terms = {}
     for (mono, trig, expv), q in pairing.num.items():
         if mono[j] != 0 or expv[j] != 0:
             return Inconclusive(
@@ -476,7 +468,7 @@ def period_certificate(
             )
         if trig is not None and trig[1][j] != 0:
             continue
-        mean_terms.append(((mono, trig, expv), q))
+        mean_terms[(mono, trig, expv)] = q
     mean = ScalarFn._make(chart, mean_terms, pairing.den)
     if mean.is_zero():
         return Inconclusive(MEAN_VANISHES)
@@ -498,8 +490,9 @@ def antiderivative(f: ScalarFn, j: int) -> ScalarFn:
     (A + iB)/N for the ints A = L^2 d_j, B = -L^2 c_j and N = L^2 (d_j^2 +
     c_j^2), so the term's items are int numerators over N^(m+1): the real
     part of each coefficient goes to the term's own atom and the imaginary
-    part to the other atom of c.  The items of all terms go into one
-    `ScalarFn._make`, over the lcm of their denominators.
+    part to the other atom of c.  The items of all terms are summed into
+    one term map over the lcm of their denominators, which one
+    `ScalarFn._make` ends.
     """
     pieces: list[tuple[list[tuple[TermKey, int]], int]] = []
     for (mono, trig, expv), q in f.num.items():
@@ -530,8 +523,12 @@ def antiderivative(f: ScalarFn, j: int) -> ScalarFn:
             npow //= n
         pieces.append((items, n ** (m + 1)))
     den = lcm(*(s for _, s in pieces))
-    items = [(key, q * (den // s)) for part, s in pieces for key, q in part]
-    return ScalarFn._make(f.chart, items, den * f.den)
+    num: dict[TermKey, int] = {}
+    for part, s in pieces:
+        r = den // s
+        for key, q in part:
+            num[key] = num.get(key, 0) + q * r
+    return ScalarFn._make(f.chart, num, den * f.den)
 
 
 def _primitive(alpha: FormField, space: AnsatzSpace) -> Union[ScalarFn, NoSolutionInAnsatz, None]:

@@ -32,9 +32,15 @@ with fractional slopes multiplies it by the lcm of their denominators.
 built on each read otherwise, for printing and coefficient matching.  Since ``int / int`` is a ``float``, code that divides by a
 coefficient must build a ``Fraction`` (``Fraction(p, q)``) explicitly.
 
-A sum of many terms or products is built by :func:`lincomb`, which emits
-every raw product term into one canonical pass instead of re-merging and
-re-sorting the running total after each pairwise ``+``.
+Sums, products and derivatives add their terms into one term map (a
+dict from term key to numerator) that ``ScalarFn._make`` puts in
+canonical form once.  A product, in ``*``, :func:`lincomb` or the ansatz
+operator, goes through one kernel, ``_product_terms``, which adds each
+product term straight into the caller's map, with no list of items to
+merge afterwards.  ``+`` and ``-`` sum the terms of one operand into a
+copy of the other's map.  A sum of many terms or products is one
+:func:`lincomb`: one map and one canonical pass, instead of re-merging
+and re-sorting the running total after each pairwise ``+``.
 
 Every ring product (``*``, :func:`lincomb`, the ansatz operator) reads
 its chart's multiplication table, so the product-to-sum pieces of a pair
@@ -71,6 +77,7 @@ import errno
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence, Union
@@ -140,7 +147,7 @@ class Chart:
             if c == "pi" or [(t.kind, t.text) for t in toks] != [("name", c), ("end", "")]:
                 raise SymExprError(f"{c!r} is not a coordinate name in chart {self.name!r}")
         # a constant of the chart, like its coordinates, and the table that
-        # `_product_items` alone reads and fills; not dataclass fields
+        # `_product_terms` alone reads and fills; not dataclass fields
         object.__setattr__(self, "_zero", ScalarFn(self, {}))
         object.__setattr__(self, "_products", {})
 
@@ -157,7 +164,7 @@ class Chart:
     def coord(self, name: str) -> "ScalarFn":
         i = self.index(name)
         mono = tuple(1 if j == i else 0 for j in range(self.dim))
-        return ScalarFn._make(self, [((mono, None, self._zerovec()), 1)])
+        return ScalarFn(self, {(mono, None, self._zerovec()): 1})
 
     def const(self, q: Rational) -> "ScalarFn":
         """The constant function q; q must be an int or a Fraction."""
@@ -270,13 +277,15 @@ def _has_trig(num: dict[TermKey, int]) -> bool:
     return any(map(_trig_of, num))
 
 
-def _product_items(items: list, f_items: Iterable, g_items: Iterable, c: int, trig2: bool, table: dict) -> None:
-    """Append the unmerged numerator items of c*F*G, given the numerator
-    items of F and G, to ``items``.
+def _product_terms(num: dict, f_items: Iterable, g_items: Iterable, c: int, trig2: bool, table: dict) -> None:
+    """Sum the numerator terms of c*F*G, given the numerator items of F and
+    G, straight into the term map ``num``, whose numerators may cancel to 0.
 
-    With ``trig2`` set (both factors have trig terms) the items are those
-    of 2*c*F*G, whose denominator the caller doubles: each trig x trig
-    term then gets its product-to-sum half as an int, +-c*q1*q2.
+    The terms of G are the outer loop, so a one-term G is one pass over F
+    with no item list.  With ``trig2`` set (both factors have trig terms)
+    the terms are those of 2*c*F*G, whose denominator the caller doubles:
+    each trig x trig term then gets its product-to-sum half as an int,
+    +-c*q1*q2.
 
     ``table`` is the factors' ``Chart._products``: a pair of trig atoms
     maps to its product-to-sum pieces and a pair of non-zero exp slope
@@ -284,49 +293,52 @@ def _product_items(items: list, f_items: Iterable, g_items: Iterable, c: int, tr
     trig atom starts with a str and a slope vector with a number, so the
     two kinds of key never meet.
     """
-    append = items.append
-    c2 = 2 * c if trig2 else c
-    g_items = [(m2, t2, e2, any(e2), q2) for (m2, t2, e2), q2 in g_items]
-    for (m1, t1, e1), q1 in f_items:
-        p1 = q1 * c2
-        flat1 = not any(e1)
-        for m2, t2, e2, curved2, q2 in g_items:
+    get = num.get
+    for (m2, t2, e2), q2 in g_items:
+        half = q2 * c
+        whole = 2 * half if trig2 else half
+        curved2 = any(e2)
+        for (m1, t1, e1), q1 in f_items:
             mono = tuple(map(add, m1, m2))
             # a zero exp vector adds nothing, and the other is in slope form
-            expv = e2 if flat1 else table.get((e1, e2)) if curved2 else e1
+            expv = (table.get((e1, e2)) if any(e1) else e2) if curved2 else e1
             if expv is None:
                 expv = table[e1, e2] = _vec_add(e1, e2)
             if t1 is None or t2 is None:
-                append(((mono, t1 or t2, expv), p1 * q2))
+                key = (mono, t1 or t2, expv)
+                num[key] = get(key, 0) + q1 * whole
             else:
-                q = q1 * c * q2
+                q = q1 * half
                 pieces = table.get((t1, t2))
                 if pieces is None:
                     pieces = table[t1, t2] = tuple(_trig_product(t1, t2))
                 for sign, atom in pieces:
-                    append(((mono, atom, expv), q if sign > 0 else -q))
+                    key = (mono, atom, expv)
+                    num[key] = get(key, 0) + (q if sign > 0 else -q)
 
 
-def derivative_items(num: dict[TermKey, int], j: int) -> tuple[list[tuple[TermKey, int]], int]:
-    """The unmerged numerator items of the partial derivative along
-    coordinate ``j`` of the function with numerators ``num``, and the
-    factor ``s`` its denominator takes: the derivative is the items over
-    ``s`` times the function's own denominator.
+def derivative_terms(num: dict[TermKey, int], j: int) -> tuple[dict[TermKey, int], int]:
+    """The numerator term map of the partial derivative along coordinate
+    ``j`` of the function with numerators ``num``, and the factor ``s`` its
+    denominator takes: the derivative is the map over ``s`` times the
+    function's own denominator.  Numerators in the map may cancel to 0.
 
-    Each term q * x^m * trig * exp(d.x) gives at most three items, read off
+    Each term q * x^m * trig * exp(d.x) gives at most three terms, read off
     its key: m_j * x^(m - e_j) * trig * exp, q * trig' * exp with trig'
     the derivative of the trig atom, and d_j * x^m * trig * exp.  The
-    three keys of one term differ, so the items of a one-term function
-    need no merge.  ``s`` is the lcm of the denominators of the slopes
+    three keys of one term differ, so the map of a one-term function has
+    no zero numerator.  ``s`` is the lcm of the denominators of the slopes
     c_j and d_j, 1 when they are all integral.
     """
-    items: list[tuple[TermKey, int]] = []
-    # items with a fractional slope, as (key, q * slope numerator, slope denominator)
+    out: dict[TermKey, int] = {}
+    get = out.get
+    # terms with a fractional slope, as (key, q * slope numerator, slope denominator)
     fractional: list[tuple[TermKey, int, int]] = []
     for (mono, trig, expv), q in num.items():
         mj = mono[j]
         if mj:
-            items.append(((mono[:j] + (mj - 1,) + mono[j + 1 :], trig, expv), q * mj))
+            key = (mono[:j] + (mj - 1,) + mono[j + 1 :], trig, expv)
+            out[key] = get(key, 0) + q * mj
         if trig is not None and trig[1][j]:
             kind, c = trig
             cj = c[j]
@@ -334,21 +346,23 @@ def derivative_items(num: dict[TermKey, int], j: int) -> tuple[list[tuple[TermKe
             key = (mono, ("cos", c) if kind == "sin" else ("sin", c), expv)
             dq = q if kind == "sin" else -q
             if type(cj) is int:
-                items.append((key, dq * cj))
+                out[key] = get(key, 0) + dq * cj
             else:
                 fractional.append((key, dq * cj.numerator, cj.denominator))
         dj = expv[j]
         if dj:
+            key = (mono, trig, expv)
             if type(dj) is int:
-                items.append(((mono, trig, expv), q * dj))
+                out[key] = get(key, 0) + q * dj
             else:
-                fractional.append(((mono, trig, expv), q * dj.numerator, dj.denominator))
+                fractional.append((key, q * dj.numerator, dj.denominator))
     if not fractional:
-        return items, 1
+        return out, 1
     s = lcm(*(d for _, _, d in fractional))
-    items = [(key, q * s) for key, q in items]
-    items += [(key, q * (s // d)) for key, q, d in fractional]
-    return items, s
+    out = {key: q * s for key, q in out.items()}
+    for key, q, d in fractional:
+        out[key] = out.get(key, 0) + q * (s // d)
+    return out, s
 
 
 # the OverflowError arguments of Python's float power and of math.exp
@@ -392,33 +406,22 @@ class ScalarFn:
         raise AttributeError("ScalarFn is immutable")
 
     @staticmethod
-    def _make(chart: Chart, items: Iterable[tuple[TermKey, int]], den: int = 1) -> "ScalarFn":
-        """Merge raw numerator items over ``den`` into canonical form:
-        equal keys summed, zero numerators dropped, terms in canonical
-        order, and numerators and ``den`` divided by their gcd."""
-        num: dict[TermKey, int] = {}
-        for key, q in items:
-            if not q:
-                continue
-            acc = num.get(key)
-            if acc is None:
-                num[key] = q
-            else:
-                acc += q
-                if acc:
-                    num[key] = acc
-                else:
-                    del num[key]
-        if not num:
-            return chart._zero
+    def _make(chart: Chart, num: dict[TermKey, int], den: int = 1) -> "ScalarFn":
+        """The canonical function of the term map ``num`` over ``den``,
+        which may hold zero numerators and any key order: zeros dropped,
+        terms in canonical order, and numerators and ``den`` divided by
+        their gcd.  ``num`` is not copied, so the caller hands it over:
+        a map of one term is kept as it is, with no filter and no sort."""
         if len(num) > 1:
-            num = {k: num[k] for k in sorted(num, key=_term_sort_key)}
+            keys = list(compress(num, num.values()))
+            num = {k: num[k] for k in (sorted(keys, key=_term_sort_key) if len(keys) > 1 else keys)}
+        if not any(num.values()):
+            return chart._zero
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
                 den //= g
-                for k, q in num.items():
-                    num[k] = q // g
+                num = {k: q // g for k, q in num.items()}
         return ScalarFn(chart, num, den)
 
     @property
@@ -483,9 +486,7 @@ class ScalarFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.den, o.den
-        d = a if a == b else lcm(a, b)
-        return ScalarFn._make(self.chart, [*_scaled(self.num, d // a), *_scaled(o.num, d // b)], d)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -498,9 +499,18 @@ class ScalarFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        return self._plus(o, -1)
+
+    def _plus(self, o: "ScalarFn", sign: int) -> "ScalarFn":
+        """self + sign * o: the terms of o summed into a copy of self's map,
+        over the lcm of the two denominators."""
         a, b = self.den, o.den
         d = a if a == b else lcm(a, b)
-        return ScalarFn._make(self.chart, [*_scaled(self.num, d // a), *_scaled(o.num, -(d // b))], d)
+        num = dict(self.num) if d == a else {k: q * (d // a) for k, q in self.num.items()}
+        get, r = num.get, sign * (d // b)
+        for k, q in o.num.items():
+            num[k] = get(k, 0) + q * r
+        return ScalarFn._make(self.chart, num, d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -516,10 +526,10 @@ class ScalarFn:
         if not (f and g):
             return self.chart._zero
         trig2 = _has_trig(f) and _has_trig(g)
-        items: list[tuple[TermKey, int]] = []
-        _product_items(items, f.items(), g.items(), 1, trig2, self.chart._products)
+        num: dict[TermKey, int] = {}
+        _product_terms(num, f.items(), g.items(), 1, trig2, self.chart._products)
         den = self.den * o.den
-        return ScalarFn._make(self.chart, items, 2 * den if trig2 else den)
+        return ScalarFn._make(self.chart, num, 2 * den if trig2 else den)
 
     __rmul__ = __mul__
 
@@ -552,10 +562,8 @@ class ScalarFn:
 
     def partial(self, coord: str) -> "ScalarFn":
         """Exact partial derivative with respect to a chart coordinate."""
-        items, scale = derivative_items(self.num, self.chart.index(coord))
-        if not items:
-            return self.chart._zero
-        return ScalarFn._make(self.chart, items, self.den * scale)
+        num, scale = derivative_terms(self.num, self.chart.index(coord))
+        return ScalarFn._make(self.chart, num, self.den * scale) if num else self.chart._zero
 
     def substitute(self, source: Chart, images: Sequence["ScalarFn"]) -> "ScalarFn":
         """Compose with a map of charts: self o (images), landing on ``source``.
@@ -686,32 +694,31 @@ class ScalarFn:
         return f"ScalarFn({self.chart.name}: {self})"
 
 
-def _scaled(num: dict[TermKey, int], r: int) -> Iterable[tuple[TermKey, int]]:
-    """The numerator items of ``num`` times the int ``r``."""
-    return num.items() if r == 1 else [(k, q * r) for k, q in num.items()]
-
-
 def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
     """The sum of ``pieces`` in one canonical pass.
 
     A piece is ``(c, f)`` for c*f or ``(c, f, g)`` for c*f*g, with c
-    rational and f, g on ``chart``.  The numerator items of every piece,
-    the raw product terms included, go into a single ``ScalarFn._make``
-    over one running denominator, which grows to the lcm with a piece's
-    denominator (and the items so far are rescaled) only when that piece
-    brings a new one; the result equals the pairwise sum of the pieces,
-    term order included, since the canonical form is unique.  A piece
-    with a zero factor is skipped once its charts are checked: it brings
-    no item, and no denominator.
+    rational and f, g on ``chart``.  Every numerator of every piece is
+    summed straight into one term map, a product's through
+    `_product_terms`, over one running denominator, which grows to the
+    lcm with a piece's denominator (and the map so far is rescaled) only
+    when that piece brings a new one; one ``ScalarFn._make`` ends the
+    sum.  The result equals the pairwise sum of the pieces, term order
+    included, since the canonical form is unique.  A piece with a zero
+    factor is skipped once its charts are checked: it brings no term, and
+    no denominator.
     """
-    items: list[tuple[TermKey, int]] = []
+    num: dict[TermKey, int] = {}
     den = 1
     for piece in pieces:
-        c, f = piece[0], piece[1]
-        g = piece[2] if len(piece) == 3 else None
-        for h in piece[1:]:
-            if h.chart is not chart and h.chart != chart:
-                raise SymExprError(f"chart mismatch: {chart.name!r} vs {h.chart.name!r}")
+        if len(piece) == 3:
+            c, f, g = piece
+        else:
+            (c, f), g = piece, None
+        if f.chart is not chart or g is not None and g.chart is not chart:
+            for h in piece[1:]:
+                if h.chart != chart:
+                    raise SymExprError(f"chart mismatch: {chart.name!r} vs {h.chart.name!r}")
         if not f.num or g is not None and not g.num:
             continue
         if type(c) is int:
@@ -724,16 +731,16 @@ def lincomb(chart: Chart, pieces: Iterable[tuple]) -> ScalarFn:
         if pden != den:
             d = lcm(den, pden)
             if d != den:
-                items = [(k, q * (d // den)) for k, q in items]
+                num = {k: q * (d // den) for k, q in num.items()}
                 den = d
             c *= den // pden
         if g is not None:
-            _product_items(items, f.num.items(), g.num.items(), c, trig2, chart._products)
-        elif c == 1:
-            items += f.num.items()
+            _product_terms(num, f.num.items(), g.num.items(), c, trig2, chart._products)
         else:
-            items += [(k, c * q) for k, q in f.num.items()]
-    return ScalarFn._make(chart, items, den) if items else chart._zero
+            get = num.get
+            for k, q in f.num.items():
+                num[k] = get(k, 0) + c * q
+    return ScalarFn._make(chart, num, den) if num else chart._zero
 
 
 def _linear_part(f: ScalarFn, what: str) -> tuple[Rational, ...]:
@@ -747,20 +754,20 @@ def _linear_part(f: ScalarFn, what: str) -> tuple[Rational, ...]:
 
 def sin(f: ScalarFn) -> ScalarFn:
     c = _linear_part(f, "sin")
-    # sin(0) has multiplier 0, and its item merges to the shared zero
+    # sin(0) has multiplier 0, and its one-term map ends as the shared zero
     mult, atom = _norm_trig("sin", c)
-    return ScalarFn._make(f.chart, [(((0,) * f.chart.dim, atom, f.chart._zerovec()), mult)])
+    return ScalarFn._make(f.chart, {((0,) * f.chart.dim, atom, f.chart._zerovec()): mult})
 
 
 def cos(f: ScalarFn) -> ScalarFn:
     c = _linear_part(f, "cos")
     mult, atom = _norm_trig("cos", c)
-    return ScalarFn._make(f.chart, [(((0,) * f.chart.dim, atom, f.chart._zerovec()), mult)])
+    return ScalarFn._make(f.chart, {((0,) * f.chart.dim, atom, f.chart._zerovec()): mult})
 
 
 def exp(f: ScalarFn) -> ScalarFn:
     d = _linear_part(f, "exp")
-    return ScalarFn._make(f.chart, [(((0,) * f.chart.dim, None, tuple(d)), 1)])
+    return ScalarFn(f.chart, {((0,) * f.chart.dim, None, tuple(d)): 1})
 
 
 def _slopes_or_none(f: ScalarFn) -> Optional[tuple[Rational, ...]]:
@@ -841,9 +848,9 @@ class ChartMap:
             return f
         self._check_periodic(f)
         source, zero, single = self.source, self._zero, self._single
-        # the rewritten terms as numerator items over `den`, the others as
+        # the rewritten terms as a term map over `den`, the others as
         # lincomb pieces
-        items: list[tuple[TermKey, int]] = []
+        num: dict[TermKey, int] = {}
         den = 1
         pieces: list[tuple] = []
         for (mono, trig, expv), q in f.num.items():
@@ -871,10 +878,11 @@ class ChartMap:
                 if cden != den:
                     d = lcm(den, cden)
                     if d != den:
-                        items = [(k, n * (d // den)) for k, n in items]
+                        num = {k: n * (d // den) for k, n in num.items()}
                         den = d
                     c *= den // cden
-                items.append(((tuple(exps), atom, expo), c))
+                key = (tuple(exps), atom, expo)
+                num[key] = num.get(key, 0) + c
                 continue
             # a power of another image, multiplied out through the ring
             factors = [self._monomial(mono)]
@@ -882,10 +890,10 @@ class ChartMap:
                 factors.append(ScalarFn(source, {(zero, atom, expo): 1}))
             pieces.append((q, *factors))
         if pieces:
-            pieces.append((1, ScalarFn._make(source, items, den)))
+            pieces.append((1, ScalarFn._make(source, num, den)))
             total = lincomb(source, pieces)
-            items, den = total.num.items(), total.den
-        return ScalarFn._make(source, items, den * f.den)
+            num, den = total.num, total.den
+        return ScalarFn._make(source, num, den * f.den)
 
     def _argument(self, vec: tuple[Rational, ...]) -> tuple[Rational, ...]:
         """The slopes on the source of the linear argument sum_j vec_j x_j

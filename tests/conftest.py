@@ -751,7 +751,7 @@ def reference_substitute(f, source, images):
     total = lincomb(source, pieces)
     if f.den == 1:
         return total
-    return ScalarFn._make(source, total.num.items(), total.den * f.den)
+    return ScalarFn._make(source, dict(total.num), total.den * f.den)
 
 
 def _reference_check_periodic_image(source, img, name):

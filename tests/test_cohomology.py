@@ -543,16 +543,16 @@ class TestAnsatzOperator:
 
     def test_only_other_entries_are_multiplied_out(self, monkeypatch):
         """No workload anchor has an entry beyond one trig-free term, so
-        only a test reaches `_product_items`: once per basis function for
+        only a test reaches `_product_terms`: once per basis function for
         the one sin(theta) entry."""
         calls = []
-        product_items = cohomology._product_items
+        product_terms = cohomology._product_terms
 
         def counting(*args):
             calls.append(args)
-            return product_items(*args)
+            return product_terms(*args)
 
-        monkeypatch.setattr(cohomology, "_product_items", counting)
+        monkeypatch.setattr(cohomology, "_product_terms", counting)
         basis = AnsatzSpace(CYLC, 2, 2, exp_slopes=((0, 1),)).basis()
         AnsatzOperator.build(tangent_algebroid(CYLC), basis)
         AnsatzOperator.build(cylinder_algebroid(CYLC), basis)

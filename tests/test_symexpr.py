@@ -21,6 +21,8 @@ from algebroids.symexpr import (
     ScalarFn,
     SymExprError,
     UnknownCoordinate,
+    _norm_trig,
+    _slope,
     _vec_add,
     _vec_sub,
     cos,
@@ -508,9 +510,9 @@ class TestRingProperties:
         chart = CHARTS[0]
         k_frac = ((0,), None, (Fraction(2),))
         k_int = ((0,), None, (2,))
-        f = ScalarFn._make(chart, [(k_frac, Fraction(1)), (k_int, Fraction(2))])
+        f = ScalarFn(chart, {k_frac: 1}) + ScalarFn(chart, {k_int: 2})
         assert f == 3 * exp(2 * chart.coord("x"))
-        assert ScalarFn._make(chart, [(k_frac, Fraction(1)), (k_int, Fraction(-1))]).is_zero()
+        assert (ScalarFn(chart, {k_frac: 1}) - ScalarFn(chart, {k_int: 1})).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +586,75 @@ class TestOneDenominator:
         assert Fraction(1, 2) * x != x
         assert Fraction(1, 2) * x == x * Fraction(2, 4)
         assert (Fraction(1, 2) * x * 2).den == 1
+
+
+def num_over_den(terms):
+    """A rational term map as int numerators over their least common
+    denominator, the canonical (num, den) of the same function."""
+    den = math.lcm(*(Fraction(q).denominator for q in terms.values()))
+    return {k: int(q * den) for k, q in terms.items()}, den
+
+
+def from_terms(chart, terms):
+    """The function with the rational term map ``terms``, built from the
+    map alone, not through the ring."""
+    num, den = num_over_den(terms)
+    return ScalarFn(chart, num, den) if num else chart.zero()
+
+
+@st.composite
+def operands(draw, chart):
+    """A function of 0, 1 or several terms x^m * trig * exp, most with a
+    trig atom, with integral and fractional sin/cos and exp slopes."""
+    items = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 4]))):
+        mono = tuple(draw(st.integers(0, 2)) for _ in chart.coords)
+        kind = draw(st.sampled_from([None, "sin", "cos", "sin", "cos"]))
+        mult, trig = _norm_trig(kind or "cos", tuple(_slope(Fraction(draw(SLOPE))) for _ in chart.coords))
+        expv = tuple(_slope(Fraction(draw(SLOPE))) for _ in chart.coords)
+        items.append(((mono, trig if kind and mult else None, expv), draw(NONZERO)))
+    return from_terms(chart, reference_make(items))
+
+
+def _cancelling(f, g, c):
+    """A `lincomb` case whose result is 0: c*f*g - c*f*g."""
+    return (f.chart, f, g, from_terms(f.chart, reference_mul(f.terms, g.terms)) * -c), c
+
+
+_X = CHARTS[0].coord("x")
+_XY = CHARTS[1].coord("x"), CHARTS[1].coord("y")
+
+
+class TestProductKernel:
+    """`*`, `lincomb` and `partial` sum their terms into one term map;
+    each result equals the Fraction-based reference in ``num``, ``den``
+    and term order."""
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(
+        st.sampled_from(CHARTS).flatmap(lambda c: st.tuples(st.just(c), operands(c), operands(c), operands(c))),
+        st.sampled_from([1, -1]) | NONZERO,
+    )
+    # one term by one term, cancelled by h: plain, trig x trig (the doubled
+    # denominator) with a fractional exp slope, and several terms by one
+    @example(*_cancelling(3 * _X, exp(Fraction(1, 2) * _X), 2))
+    @example(*_cancelling(sin(_X), cos(_X) * exp(Fraction(-3, 4) * _X), Fraction(5, 3)))
+    @example(*_cancelling(_XY[0] * sin(_XY[1]) + cos(_XY[0] - _XY[1]), sin(Fraction(1, 2) * _XY[0]), -1))
+    def test_products_and_partials_match_the_reference(self, cfgh, c):
+        chart, f, g, h = cfgh
+        cases = [
+            (f * g, reference_mul(f.terms, g.terms)),
+            (lincomb(chart, [(c, f, g), (1, h)]), reference_lincomb([(c, f, g), (1, h)])),
+        ]
+        for j, x in enumerate(chart.coords):
+            cases.append((f.partial(x), reference_make(reference_derivative_items(f.terms, j))))
+        for got, want in cases:
+            num, den = num_over_den(want)
+            assert (got.num, got.den) == (num, den)
+            assert list(got.num) == list(num)
+            assert all(type(q) is int for q in got.num.values())
+            if not num:
+                assert got is chart.zero()
 
 
 class TestRationalConstants:
@@ -852,8 +923,8 @@ class TestChartMap:
         f = x**2 * y + x * sin(x - y) * exp(2 * y) + cos(y)
         m = ChartMap(R2, line, [z, line.zero()])
         calls = []
-        product_items = symexpr._product_items
-        monkeypatch.setattr(symexpr, "_product_items", lambda *a: calls.append(a) or product_items(*a))
+        product_terms = symexpr._product_terms
+        monkeypatch.setattr(symexpr, "_product_terms", lambda *a: calls.append(a) or product_terms(*a))
         assert outcome(lambda: m.pull(f)) == outcome(lambda: lincomb(line, [(1, z, sin(z)), (1, line.one())]))
         assert len(calls) == 1  # the product z * sin(z) of the expected value
         calls.clear()
