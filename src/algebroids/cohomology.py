@@ -25,12 +25,11 @@ depends only on the algebroid and the space, not on the cocycle: an
 `AnsatzSpace` factors it once per algebroid, on its first solve, and
 keeps it.  Reuse one space across the `classify` and `cohomologous` calls
 on a chart, so that every cocycle after the first costs only its
-right-hand side.  The operator is written from term keys, not through the
-ring: each basis function is one key x^m * trig * exp, whose partial
-derivatives are at most three known keys (`symexpr.derivative_terms`).
-An anchor entry that is one trig-free term q * x^m * exp(d.x), the only
-kind the stock algebroids have, shifts those keys by (m, d) and scales
-their coefficients; only other entries are multiplied out term by term.
+right-hand side.  The operator is written from term maps, not through
+`ScalarFn`: each basis function is one key x^m * trig * exp, whose
+partial derivatives are at most three known keys
+(`symexpr.derivative_terms`), and each anchor entry multiplies them
+through the ring's one product kernel, `symexpr._product_terms`.
 
 A zero form is exact with primitive 0 on either route, so `classify`
 builds no operator for it.  Neither route tests closedness up front: the
@@ -52,7 +51,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
-from operator import add
 from typing import Optional, Sequence, Union
 
 from .core import AlgebroidPresentation, FormField, d_A, function_form, is_tangent
@@ -71,7 +69,6 @@ from .symexpr import (
     _product_terms,
     _slope,
     _term_sort_key,
-    _vec_add,
     derivative_terms,
     lincomb,
 )
@@ -224,18 +221,14 @@ class AnsatzOperator:
 
     `build` writes the entries straight from term keys, in int numerators
     over one denominator per frame index.  The derivative term map of each
-    basis function along each anchored coordinate is taken once, and each
-    frame index splits its anchor entries once.  The entries of one cell
-    (frame index, basis function) are summed into one term map.  An entry
-    that is one trig-free term q * x^m * exp(d.x) shifts the derivative's
-    terms by key arithmetic: m is added to the monomial, d to the exp
-    slope, and the numerator is scaled by one constant.  Any other entry
-    is multiplied out by the ring's one product kernel,
-    `symexpr._product_terms`.  A key whose numerators cancel writes no
-    entry, and a new key opens a row, found again through a dict per
-    frame index.  The rows go to `FactoredSystem` as those int
-    numerators, with the frame index's denominator as the row scale, so no
-    entry is ever a ``Fraction``.
+    basis function along each anchored coordinate is taken once.  Each
+    non-zero anchor entry is multiplied by that derivative through the
+    ring's one product kernel, `symexpr._product_terms`, and the products
+    of one cell (frame index, basis function) are summed into one term
+    map.  A key whose numerators cancel writes no entry, and a new key
+    opens a row, found again through a dict per frame index.  The rows go
+    to `FactoredSystem` as those int numerators, with the frame index's
+    denominator as the row scale, so no entry is ever a ``Fraction``.
 
     Only `solve_exact` builds it: `classify` integrates on a tangent
     algebroid and builds none there, nor for a zero form.
@@ -264,30 +257,11 @@ class AnsatzOperator:
             den = lcm(*(f.den for _, f in row)) * scale
             if any(trigs) and any(_has_trig(f.num) for _, f in row):
                 den *= 2
-            # an entry q * x^m * exp(d.x) shifts the keys of a derivative
-            # by (m, d), as (coordinate, q * den // its den, m, d), with m
-            # and d None when zero; any other entry is multiplied out
-            shifts = []
-            general = []
-            for k, f in row:
-                ((m, t, e), q), *more = f.num.items()
-                if more or t is not None:
-                    general.append((k, f.num.items(), den // f.den, _has_trig(f.num)))
-                else:
-                    shifts.append((k, q * (den // f.den), m if any(m) else None, e if any(e) else None))
+            entries = [(k, f.num.items(), den // f.den, _has_trig(f.num)) for k, f in row]
             rowof: dict[TermKey, int] = {}
             for j, d in enumerate(derivs):
                 num: dict[TermKey, int] = {}
-                get = num.get
-                for k, c, m1, e1 in shifts:
-                    dnum, s = d[k]
-                    c //= s
-                    for (m2, t2, e2), q in dnum.items():
-                        mono = m2 if m1 is None else tuple(map(add, m1, m2))
-                        expv = e2 if e1 is None else _vec_add(e1, e2)
-                        key = (mono, t2, expv)
-                        num[key] = get(key, 0) + q * c
-                for k, f_items, c, trig in general:
+                for k, f_items, c, trig in entries:
                     dnum, s = d[k]
                     trig2 = trig and trigs[j]
                     c //= 2 * s if trig2 else s

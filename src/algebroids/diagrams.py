@@ -70,11 +70,7 @@ class Diagram:
             ok = f.target == s.source and r.source == f.source and r.target == s.target
             rep.add(f"composable: {second} o {first} -> {result}", ok)
             if ok:
-                built = compose(s.morphism, f.morphism)
-                match = (
-                    built.fiber == r.morphism.fiber
-                    and tuple(built.basemap) == tuple(r.morphism.basemap)
-                )
+                match = compose(s.morphism, f.morphism).same_map(r.morphism)
                 rep.add(f"composite data matches {result}", match)
         # associativity on declared triples
         for (f1, s1), r1 in self.composition.items():

@@ -397,9 +397,7 @@ def verify_constant_rank_identity(
     amb = b_in_ambient.target
     b = ext.quotient
     chart = a.chart
-    recomposed = compose(b_in_ambient, ext.proj)
-    ok = recomposed.fiber == phi.fiber and tuple(recomposed.basemap) == tuple(phi.basemap)
-    rep.add("morphism factors through the image", ok)
+    rep.add("morphism factors through the image", compose(b_in_ambient, ext.proj).same_map(phi))
     dq = quotient_top_rep(b_in_ambient, complement)
     eta_q = char_cocycle(dq, LineSection(chart.one()))
     mod_phi = relative_modular(phi, Trivialization.of(a), Trivialization.of(amb))

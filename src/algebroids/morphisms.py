@@ -96,6 +96,11 @@ class Morphism:
         """Whether a `report` is held and passed; the check is never run here."""
         return "report" in self.__dict__ and self.report.passed is True
 
+    def same_map(self, other: "Morphism") -> bool:
+        """Whether ``other`` has this fiber matrix and base map, whatever
+        its name, source and target."""
+        return self.fiber == other.fiber and self.basemap == other.basemap
+
     def pull_scalar(self, f: ScalarFn) -> ScalarFn:
         """Compose a target-chart function with the base map."""
         return self.chart_map.pull(f)

@@ -332,12 +332,7 @@ def factorize(phi: Morphism, built: BuiltPullback) -> tuple[Morphism, CheckRepor
     )
     rep = CheckReport(f"factorization of {phi.name}")
     rep.merge(check_morphism(factor), prefix="factor: ")
-    recomposed = compose(built.projection, factor)
-    ok = (
-        recomposed.fiber == phi.fiber
-        and tuple(recomposed.basemap) == tuple(phi.basemap)
-    )
-    rep.add("projection o factor = original", ok)
+    rep.add("projection o factor = original", compose(built.projection, factor).same_map(phi))
     return factor, rep
 
 

@@ -106,10 +106,10 @@ class Report:
         for r in self.results:
             mark = {"pass": "PASS", "fail": "FAIL", "error": "ERR "}[r.verdict]
             line = f"  [{mark}] {r.index:02d} {r.text}"
-            if r.detail:
-                line += f"\n         {r.detail}"
             if r.elapsed is not None:
                 line += f"  ({r.elapsed:.3f}s)"
+            if r.detail:
+                line += f"\n         {r.detail}"
             lines.append(line)
         n_pass = sum(1 for r in self.results if r.verdict == "pass")
         lines.append(f"{n_pass}/{len(self.results)} assertions passed")

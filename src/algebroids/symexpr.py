@@ -50,10 +50,10 @@ and again.
 
 Composition with a map of charts is :class:`ChartMap`, prepared once per
 map.  A term over single-term images (0 or q*z^a, such as coordinates) is
-rewritten by key arithmetic alone; only powers of multi-term images are
-multiplied out, each once per map.  A trig or exp argument over linear
-images is composed by its slope vector alone, and the identity map returns
-a function unchanged.
+rewritten by key arithmetic alone; a term with a power of a multi-term
+image is multiplied out through the ring.  A trig or exp argument over
+linear images is composed by its slope vector alone, and the identity map
+returns a function unchanged.
 ``ScalarFn.substitute`` is a one-off map; callers that pull many functions
 through one base map hold the map.
 
@@ -812,15 +812,15 @@ class ChartMap:
     whose monomial uses single-term images only becomes one term by key
     arithmetic: the exponents add up, the coefficient takes the factors q,
     and the term vanishes with an image 0.  Only a term with a power of
-    another image is multiplied out through the ring, each image power
-    computed once per map.  The slopes of each image are read once too
-    (None for an image with a constant, trig, exp or non-linear term), so
-    a trig or exp argument over linear images is its slope vector times
-    the slope matrix.  Each periodic image is checked once, and the
-    identity map of a chart returns the function itself.
+    another image is multiplied out through the ring, where it is met.
+    The slopes of each image are read once (None for an image with a
+    constant, trig, exp or non-linear term), so a trig or exp argument
+    over linear images is its slope vector times the slope matrix.  Each
+    periodic image is checked once, and the identity map of a chart
+    returns the function itself.
     """
 
-    __slots__ = ("target", "source", "images", "identity", "_slopes", "_single", "_powers", "_periodic_ok", "_zero")
+    __slots__ = ("target", "source", "images", "identity", "_slopes", "_single", "_periodic_ok", "_zero")
 
     def __init__(self, target: Chart, source: Chart, images: Sequence[ScalarFn]):
         if len(images) != target.dim:
@@ -836,7 +836,6 @@ class ChartMap:
             s == tuple(int(i == j) for i in range(source.dim)) for j, s in enumerate(self._slopes)
         )
         self._single = [_single_term(img) for img in images]
-        self._powers: dict[tuple[int, int], ScalarFn] = {}
         self._periodic_ok: set[int] = set()
         self._zero = (0,) * source.dim
 
@@ -885,10 +884,11 @@ class ChartMap:
                 num[key] = num.get(key, 0) + c
                 continue
             # a power of another image, multiplied out through the ring
-            factors = [self._monomial(mono)]
-            if atom is not None or any(expo):
-                factors.append(ScalarFn(source, {(zero, atom, expo): 1}))
-            pieces.append((q, *factors))
+            part = ScalarFn(source, {(zero, atom, expo): 1})
+            for img, e in zip(self.images, mono):
+                if e:
+                    part *= img**e
+            pieces.append((q, part))
         if pieces:
             pieces.append((1, ScalarFn._make(source, num, den)))
             total = lincomb(source, pieces)
@@ -902,17 +902,6 @@ class ChartMap:
         if all(s is not None for _, s in involved):
             return tuple(_slope(sum(c * s[i] for c, s in involved)) for i in range(len(self._zero)))
         return lincomb(self.source, [(c, f) for c, f in zip(vec, self.images) if c]).linear_slopes()
-
-    def _monomial(self, mono: tuple[int, ...]) -> ScalarFn:
-        """The product of image powers images[j]^mono[j]."""
-        part = None
-        for j, e in enumerate(mono):
-            if e:
-                power = self._powers.get((j, e))
-                if power is None:
-                    power = self._powers[(j, e)] = self.images[j] if e == 1 else self.images[j] ** e
-                part = power if part is None else part * power
-        return part
 
     def _check_periodic(self, f: ScalarFn) -> None:
         """PeriodicityViolation unless every periodic target coordinate

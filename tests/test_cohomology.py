@@ -541,10 +541,11 @@ class TestAnsatzOperator:
         a = AlgebroidPresentation("B", C3, ("b", "c"), anchor)
         assert_operator_is_d_A(a, AnsatzSpace(C3, degree, modes, exp_slopes=slopes))
 
-    def test_only_other_entries_are_multiplied_out(self, monkeypatch):
-        """No workload anchor has an entry beyond one trig-free term, so
-        only a test reaches `_product_terms`: once per basis function for
-        the one sin(theta) entry."""
+    def test_each_anchor_entry_is_one_product_per_basis_function(self, monkeypatch):
+        """Every non-zero anchor entry, one trig-free term or not, is
+        multiplied by each basis derivative through `_product_terms`: once
+        per entry per basis function.  Each anchor has two non-zero
+        entries; the two zero entries of the tangent one cost nothing."""
         calls = []
         product_terms = cohomology._product_terms
 
@@ -554,12 +555,16 @@ class TestAnsatzOperator:
 
         monkeypatch.setattr(cohomology, "_product_terms", counting)
         basis = AnsatzSpace(CYLC, 2, 2, exp_slopes=((0, 1),)).basis()
-        AnsatzOperator.build(tangent_algebroid(CYLC), basis)
-        AnsatzOperator.build(cylinder_algebroid(CYLC), basis)
-        assert calls == []
         theta = CYLC.coord("theta")
-        AnsatzOperator.build(AlgebroidPresentation("B", CYLC, ("b",), [[CYLC.one(), sin(theta)]]), basis)
-        assert len(calls) == len(basis)
+        anchors = [
+            tangent_algebroid(CYLC),
+            cylinder_algebroid(CYLC),
+            AlgebroidPresentation("B", CYLC, ("b",), [[CYLC.one(), sin(theta)]]),
+        ]
+        for a in anchors:
+            calls.clear()
+            AnsatzOperator.build(a, basis)
+            assert len(calls) == 2 * len(basis)
 
     def test_basis_on_another_chart_is_rejected(self):
         other = Chart("D", ("theta", "x"), (True, False))

@@ -1014,6 +1014,32 @@ class TestCLI:
         assert main(["run", "no_such_file.scn"]) == 2
         capsys.readouterr()
 
+    def test_ansatz_degree_flag_overrides_the_scenario(self, capsys):
+        """The scenario's ansatz holds x*y, the primitive of A's modular
+        cocycle; degree 1 leaves it out."""
+        args = ["modular", "extension_rank1.scn", "A", "--format", "json"]
+        assert main(args) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert (default["status"], default["primitive"]) == ("exact", "x*y")
+        main(args + ["--ansatz-degree", "1"])
+        low = json.loads(capsys.readouterr().out)
+        assert low["status"] == "nonexact_in_ansatz" and "primitive" not in low
+
+    @pytest.mark.parametrize(
+        "fmt,timing,keep",
+        [("text", r"^(  \[.*)  \(\d+\.\d{3}s\)$", r"\1"), ("json", r'^ *"elapsed_s": [\d.e-]+,\n', "")],
+        ids=["text", "json"],
+    )
+    def test_run_timings_add_one_timing_per_assertion(self, capsys, fmt, timing, keep):
+        """`run --timings` prints the golden report with one timing per
+        assertion: at the end of the assertion line in text, before any
+        detail line, and as ``elapsed_s`` in JSON."""
+        assert main(["run", "poisson_spiral.scn", "--timings", "--format", fmt]) == 0
+        out, count = re.subn(timing, keep, capsys.readouterr().out, flags=re.M)
+        golden = Path(__file__).parent / "golden" / f"poisson_spiral.seed0.{'txt' if fmt == 'text' else 'json'}"
+        assert out == golden.read_text()
+        assert count == 7 and "elapsed_s" not in out and not re.search(r"\(\d+\.\d{3}s\)", out)
+
     def test_json_run_deterministic(self, capsys):
         main(["run", "isomorphism.scn", "--format", "json", "--seed", "5"])
         out1 = capsys.readouterr().out

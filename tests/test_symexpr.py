@@ -875,8 +875,10 @@ class TestChartMap:
     def test_pull_matches_reference(self, data):
         """Every pull through one map gives what the term-by-term
         substitution gives, or raises the same error with the same message;
-        a second pull, which reuses the map's powers and periodicity
-        verdicts, too.  The identity map returns its argument itself."""
+        a second pull, which reuses the map's periodicity verdicts, too.
+        Each draw ends with a power of one coordinate, so the image of
+        that coordinate is raised to it, multi-term images included.  The
+        identity map returns its argument itself."""
         target = data.draw(st.sampled_from(MAP_CHARTS))
         if data.draw(st.sampled_from(["map", "map", "map", "identity"])) == "identity":
             source, imgs = target, [target.coord(c) for c in target.coords]
@@ -886,13 +888,17 @@ class TestChartMap:
         m = ChartMap(target, source, imgs)
         assert m.identity == (source == target and imgs == [target.coord(c) for c in target.coords])
         one_term = [len(img.num) <= 1 and all(t is None and not any(e) for _, t, e in img.num) for img in imgs]
-        for f in data.draw(st.lists(fns(target), min_size=1, max_size=3)):
+        fs = data.draw(st.lists(fns(target), min_size=1, max_size=3))
+        fs.append(target.coord(data.draw(st.sampled_from(target.coords))) ** data.draw(st.integers(2, 3)))
+        for f in fs:
             want = outcome(lambda: reference_substitute(f, source, imgs))
             event(want[0].__name__ if isinstance(want[0], type) else "composed")
             # which branch of `pull` the terms of f take
             for mono, _, _ in f.num:
                 used = [j for j, e in enumerate(mono) if e]
-                if not all(one_term[j] for j in used):
+                if any(e > 1 and len(imgs[j].num) > 1 for j, e in enumerate(mono)):
+                    event("term with a power of a multi-term image")
+                elif not all(one_term[j] for j in used):
                     event("term multiplied out")
                 elif any(imgs[j].is_zero() for j in used):
                     event("term vanishes with its image")
