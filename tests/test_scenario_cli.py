@@ -1021,7 +1021,7 @@ class TestCLI:
         assert main(args) == 0
         default = json.loads(capsys.readouterr().out)
         assert (default["status"], default["primitive"]) == ("exact", "x*y")
-        main(args + ["--ansatz-degree", "1"])
+        assert main(args + ["--ansatz-degree", "1"]) == 0
         low = json.loads(capsys.readouterr().out)
         assert low["status"] == "nonexact_in_ansatz" and "primitive" not in low
 
